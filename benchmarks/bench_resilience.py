@@ -33,7 +33,6 @@ from _data import SCALE, emit, ny_corpus, scaled
 from repro.core import GraphAnalyticsEngine
 from repro.errors import ReproError
 from repro.exec import QueryExecutor
-from repro.io import ingest_records
 from repro.resilience import ResiliencePolicy
 from repro.workloads import sample_path_queries
 
@@ -92,7 +91,7 @@ def _workload():
 def _engine(fault_seed: int | None = None) -> GraphAnalyticsEngine:
     corpus, _ = _workload()
     engine = GraphAnalyticsEngine(shards=N_SHARDS)
-    ingest_records(engine, corpus.to_records(), jobs=N_SHARDS)
+    engine.load_records(corpus.to_records())
     if fault_seed is not None:
         rng = np.random.default_rng(fault_seed)
         table = engine.relation

@@ -38,7 +38,6 @@ import numpy as np
 from _data import SCALE, emit, ny_corpus, scaled
 from repro.core import GraphAnalyticsEngine
 from repro.exec import QueryExecutor
-from repro.io import ingest_records
 from repro.resilience import AdmissionController
 from repro.serve import ServeClient, ServeHTTPError, start_in_thread
 from repro.serve.server import ServeConfig
@@ -87,7 +86,7 @@ def _workload():
 
 def _executor(corpus) -> QueryExecutor:
     engine = GraphAnalyticsEngine(shards=N_SHARDS)
-    ingest_records(engine, corpus.to_records(), jobs=N_SHARDS)
+    engine.load_records(corpus.to_records())
     return QueryExecutor(engine, jobs=4, cache_mb=64)
 
 

@@ -35,7 +35,6 @@ import pytest
 from _data import SCALE, emit, ny_corpus, scaled
 from repro.core import GraphAnalyticsEngine
 from repro.exec import BitmapCache, QueryExecutor
-from repro.io import ingest_records
 from repro.workloads import sample_path_queries
 
 N_RECORDS = scaled(20000)
@@ -66,7 +65,7 @@ def _workload():
 def _sharded_engine(shards: int) -> GraphAnalyticsEngine:
     corpus, _ = _workload()
     engine = GraphAnalyticsEngine(shards=shards)
-    ingest_records(engine, corpus.to_records(), jobs=shards)
+    engine.load_records(corpus.to_records())
     return engine
 
 

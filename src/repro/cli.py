@@ -56,7 +56,7 @@ from .lang import (
     render_syntax_error,
 )
 from .exec import QueryExecutor
-from .io import QuarantineReport, ingest_records, read_csv_triplets, read_jsonl
+from .io import QuarantineReport, read_csv_triplets, read_jsonl
 
 __all__ = ["main"]
 
@@ -134,7 +134,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
         )
     else:
         engine = GraphAnalyticsEngine(shards=args.shards or 1)
-        loaded = ingest_records(engine, records, jobs=args.shards)
+        loaded = engine.load_records(records)
         engine.save(directory)
     print(f"loaded {loaded} records "
           f"({engine.relation.n_element_columns} distinct elements) "
@@ -573,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--exec-mode", choices=("serial", "thread", "process"), default=None,
             help="how per-shard conjunctions run: serial in the calling "
                  "thread, thread pool, or process pool over mmap'd storage "
-                 "(default: threads when --jobs > 1 on a sharded engine)",
+                 "(default: thread when --jobs > 1, else serial)",
         )
         p.add_argument(
             "--workers", type=int, default=None, metavar="N",

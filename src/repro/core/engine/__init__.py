@@ -1,6 +1,6 @@
 """The graph-analytics engine: the paper's full stack behind one facade.
 
-Split into three layers (the facade keeps the original module's public
+Split into four layers (the facade keeps the original module's public
 surface, so ``from repro.core.engine import GraphAnalyticsEngine`` and
 previously saved engine directories keep working):
 
@@ -9,6 +9,9 @@ previously saved engine directories keep working):
 * :mod:`.operators` — physical operators (bitmap fetch, memoized
   conjunction fold) that run against one storage backend or once per
   record-range shard;
+* :mod:`.interpreter` — the one read path: executes a plan against a
+  per-query environment snapshot, running shard tasks through the
+  installed :class:`ShardRunner`;
 * :mod:`.facade` — :class:`GraphAnalyticsEngine` itself: ingest,
   persistence, view materialization, and result assembly over either a
   plain or a sharded master relation.
@@ -20,6 +23,7 @@ from .facade import (
     MaterializationReport,
     PathAggregationResult,
 )
+from .interpreter import INLINE, ShardRunner
 from .operators import ShardTask, shard_tasks
 from .planner import PhysicalPlan, Planner
 
@@ -30,6 +34,8 @@ __all__ = [
     "MaterializationReport",
     "PhysicalPlan",
     "Planner",
+    "ShardRunner",
+    "INLINE",
     "ShardTask",
     "shard_tasks",
 ]

@@ -6,9 +6,10 @@ had, but internally delegates to the three layers this package separates:
 * the **planner** (:mod:`.planner`) turns queries into serializable
   :class:`PhysicalPlan` objects — the same object the operator layer
   executes, the EXPLAIN renderer serializes, and the tracer annotates;
-* the **operator layer** (:mod:`.operators`) evaluates a plan's canonical
-  conjunction against one storage backend — or once per record-range
-  shard, merged by order-preserving concatenation;
+* the **interpreter** (:mod:`.interpreter`) executes a plan — fetch, AND,
+  gather — against one storage backend, or once per record-range shard
+  through the installed :class:`ShardRunner`, merged by order-preserving
+  concatenation;
 * the **storage backend** (:class:`~repro.columnstore.backend.StorageBackend`)
   is either a plain :class:`MasterRelation` or a
   :class:`~repro.columnstore.sharded.ShardedTable` (``shards > 1``); all
@@ -21,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path as FsPath
@@ -41,13 +41,7 @@ from ...columnstore.sharded import (
     save_sharded,
 )
 from ...columnstore.table import MasterRelation
-from ...errors import (
-    IngestError,
-    ManifestError,
-    PersistenceError,
-    ResilienceError,
-    ShardExecutionError,
-)
+from ...errors import IngestError, ManifestError, PersistenceError
 from ..aggregates import get_function
 from ..candidates import (
     apriori_candidates,
@@ -57,7 +51,7 @@ from ..candidates import (
 )
 from ..catalog import EdgeCatalog
 from ..paths import Path
-from ..query import And, AndNot, GraphQuery, Or, PathAggregationQuery, QueryExpr
+from ..query import GraphQuery, PathAggregationQuery, QueryExpr
 from ..record import Edge, GraphRecord
 from ..rewrite import (
     AggregationPlan,
@@ -66,7 +60,8 @@ from ..rewrite import (
 )
 from ..setcover import greedy_select_views
 from ..views import AggregateGraphView, GraphView
-from .operators import MERGED_SHARD, NULL_SPAN, conjunction, shard_tasks
+from . import interpreter
+from .interpreter import INLINE, ExecEnv, ShardRunner
 from .planner import PhysicalPlan, Planner
 
 __all__ = [
@@ -160,7 +155,6 @@ class GraphAnalyticsEngine:
         # view set changes: rewriting is pure in (query, views, backend),
         # so repeated queries — the common case in the paper's workloads —
         # plan once.
-        self._views_epoch = 0
         self._planner = Planner(self)
         # State epoch: bumps on every data or view mutation.  Cached
         # structural bitmaps are keyed on it, so concurrent readers can
@@ -173,13 +167,9 @@ class GraphAnalyticsEngine:
         # Optional tracer (repro.obs.Tracer), installed by use_tracer();
         # None keeps every hot path on a single attribute check.
         self._tracer = None
-        # Optional parallel shard mapper, installed by a QueryExecutor via
-        # use_shard_mapper(); None evaluates shards serially in the
-        # calling thread.
-        self._shard_map = None
-        # Optional out-of-process shard compute, installed via
-        # use_shard_compute(); None folds conjunctions in-process.
-        self._shard_compute = None
+        # How shard tasks run (see interpreter.ShardRunner); a QueryExecutor
+        # installs a thread or process runner via use_shard_runner().
+        self._runner: ShardRunner = INLINE
         # Optional resilience policy (repro.resilience.ResiliencePolicy),
         # installed by use_resilience(); supervises per-shard execution
         # with retries, circuit breakers, and partial_ok degraded mode.
@@ -210,16 +200,18 @@ class GraphAnalyticsEngine:
     def aggregate_views(self) -> dict[str, AggregateGraphView]:
         return dict(self._agg_views)
 
-    def _ingest_rows(self, records: Iterable[GraphRecord]) -> int:
-        """Append rows without rebalancing (sharded appends grow the last
-        shard only); bumps the epoch and invalidates cached plans."""
+    def _ingest_rows(self, records: Iterable[GraphRecord], target=None) -> int:
+        """Append rows to ``target`` (default: the backend, whose sharded
+        form grows the last shard only) without rebalancing; bumps the
+        epoch and invalidates cached plans."""
+        target = self.relation if target is None else target
         count = 0
         for record in records:
             cells = {
                 self.catalog.intern(edge): value
                 for edge, value in record.measures().items()
             }
-            self.relation.append_row(cells)
+            target.append_row(cells)
             self._record_ids.append(record.record_id)
             self._measured_nodes.update(record.measured_nodes())
             count += 1
@@ -228,65 +220,28 @@ class GraphAnalyticsEngine:
         return count
 
     def load_records(self, records: Iterable[GraphRecord]) -> int:
-        """Append graph records row by row; returns how many were loaded.
+        """Bulk-load graph records row by row; returns how many were loaded.
 
-        On a sharded engine a bulk load lands in the last shard first and
-        is then rebalanced into even record ranges (record order, and thus
-        query answers, are unchanged).  Use :meth:`append_records` for
-        incremental growth that must not move shard boundaries.
+        An *empty* sharded engine cuts the batch into contiguous chunks and
+        appends chunk *i* straight to shard *i* — even record ranges, same
+        global record order as the unsharded load.  A sharded engine that
+        already holds records appends to its last shard and rebalances
+        (record order, and thus query answers, are unchanged).  Use
+        :meth:`append_records` for incremental growth that must not move
+        shard boundaries.
         """
-        count = self._ingest_rows(records)
-        if self.n_shards > 1:
-            self.relation.rebalance()
-            self._bump_epoch()
-        return count
-
-    def load_records_parallel(
-        self, records: Iterable[GraphRecord], jobs: int | None = None
-    ) -> int:
-        """Bulk-load into an *empty* sharded engine with one ingest worker
-        per shard.
-
-        The record list is split into contiguous chunks (chunk *i* becomes
-        shard *i*'s record range, so global record order matches
-        :meth:`load_records` exactly) and the per-shard row appends run on
-        a thread pool.  Falls back to the serial :meth:`load_records` when
-        the engine is unsharded, already holds records, or the batch is
-        smaller than the shard count.
-        """
-        records = list(records)
         shards = self.relation.shard_relations()
-        k = len(shards)
-        if k == 1 or self.n_records or len(records) < k:
-            return self.load_records(records)
-        # Interning mutates the shared catalog, so build each row's cell
-        # dict serially; only the per-shard row appends fan out.
-        prepared: list[list[dict[int, float]]] = [[] for _ in range(k)]
-        base, extra = divmod(len(records), k)
-        offset = 0
-        for i in range(k):
-            size = base + (1 if i < extra else 0)
-            chunk = records[offset : offset + size]
-            offset += size
-            for record in chunk:
-                prepared[i].append(
-                    {
-                        self.catalog.intern(edge): value
-                        for edge, value in record.measures().items()
-                    }
-                )
-                self._record_ids.append(record.record_id)
-                self._measured_nodes.update(record.measured_nodes())
-
-        def ingest(i: int) -> None:
-            shard = shards[i]
-            for cells in prepared[i]:
-                shard.append_row(cells)
-
-        with ThreadPoolExecutor(max_workers=jobs or k) as pool:
-            list(pool.map(ingest, range(k)))
-        self._planner.invalidate()
-        self._bump_epoch()
+        if len(shards) == 1 or self.n_records:
+            count = self._ingest_rows(records)
+            if len(shards) > 1:
+                self.relation.rebalance()
+                self._bump_epoch()
+            return count
+        records = list(records)
+        stream = iter(records)
+        base, extra = divmod(len(records), len(shards))
+        for i, shard in enumerate(shards):
+            self._ingest_rows(islice(stream, base + (i < extra)), shard)
         return len(records)
 
     def append_records(self, records: Iterable[GraphRecord]) -> int:
@@ -384,22 +339,12 @@ class GraphAnalyticsEngine:
             self._planner.invalidate()
             self._bump_epoch()
 
-    def use_shard_mapper(self, mapper) -> None:
-        """Install (or with ``None`` remove) a parallel shard mapper:
-        ``mapper(fn, tasks) -> list`` with results in task order.  A
-        :class:`~repro.exec.QueryExecutor` installs a thread-pool mapper;
-        without one, shards evaluate serially in the calling thread."""
-        self._shard_map = mapper
-
-    def use_shard_compute(self, compute) -> None:
-        """Install (or with ``None`` remove) a remote shard compute:
-        ``compute(task, parts, keys, ctx) -> Bitmap``, evaluating one
-        shard's conjunction out-of-process (see
-        :class:`~repro.exec.ProcessShardPool`).  Supervision — retries,
-        breakers, deadlines, ``partial_ok`` — stays in this process; only
-        the fold itself moves.  Traced queries always run in-process so
-        spans keep their operator-level detail."""
-        self._shard_compute = compute
+    def use_shard_runner(self, runner: ShardRunner | None) -> None:
+        """Install (or with ``None`` remove) the :class:`ShardRunner` that
+        runs per-shard conjunction tasks (see :mod:`.interpreter`).  A
+        :class:`~repro.exec.QueryExecutor` installs a thread or process
+        runner for its ``exec_mode``; without one, shards fold inline."""
+        self._runner = INLINE if runner is None else runner
 
     # -- persistence ----------------------------------------------------------
 
@@ -610,7 +555,6 @@ class GraphAnalyticsEngine:
         return Bitmap.zeros(self.relation.n_records)
 
     def _bump_views_epoch(self) -> None:
-        self._views_epoch += 1
         self._planner.invalidate()
         self._bump_epoch()
 
@@ -680,11 +624,6 @@ class GraphAnalyticsEngine:
         if policy is not None and self.collector.registry is not None:
             policy.registry = self.collector.registry
 
-    def _span(self, name: str, **meta):
-        """A tracer span when tracing is on, the shared no-op otherwise."""
-        tracer = self._tracer
-        return tracer.span(name, **meta) if tracer is not None else NULL_SPAN
-
     # -- planning --------------------------------------------------------------
 
     def physical_plan(self, query: GraphQuery | PathAggregationQuery) -> PhysicalPlan:
@@ -696,174 +635,25 @@ class GraphAnalyticsEngine:
 
     def plan_query(self, query: GraphQuery) -> GraphQueryPlan:
         """The rewrite chosen for ``query`` given current views (§5.3)."""
-        return self._planner.plan_query(query)
+        return self._planner.physical_plan(query).logical
 
     def plan_aggregation(self, query: PathAggregationQuery) -> AggregationPlan:
-        return self._planner.plan_aggregation(query)
+        return self._planner.physical_plan(query).logical
 
-    def conjunction_inputs(self, query: GraphQuery | PathAggregationQuery):
-        """Public introspection: ``(plan, canonical parts, prefix keys)``.
+    # -- evaluation: plan -> interpreter -> runner -------------------------------
 
-        The exact inputs :meth:`query`/:meth:`aggregate` AND together —
-        ``parts`` is None when a residual element has no column (the
-        answer is empty without touching any bitmap).  These are fields of
-        the memoized :meth:`physical_plan`, kept as a tuple for backwards
-        compatibility.
-        """
-        plan = self._planner.physical_plan(query)
-        return plan.logical, plan.parts, plan.prefix_keys
-
-    # -- conjunction execution -------------------------------------------------
-
-    def _conjunction(self, parts, keys, ctx=None) -> Bitmap:
-        """Legacy single-backend fold (also shard 0 of the key space)."""
-        return conjunction(
-            self.relation,
-            self.catalog,
-            parts,
-            keys,
-            self._bitmap_cache,
-            self._epoch,
-            shard=0,
-            tracer=self._tracer,
-            ctx=ctx,
+    def _env(self, tracer=None) -> ExecEnv:
+        """This query's snapshot of the engine's configuration, read once
+        at query entry.  ``tracer`` overrides the installed one for the
+        call (EXPLAIN ANALYZE traces one query without touching the
+        engine other queries are running on)."""
+        return ExecEnv(
+            relation=self.relation, catalog=self.catalog, cache=self._bitmap_cache,
+            tracer=tracer if tracer is not None else self._tracer,
+            policy=self._resilience, runner=self._runner, epoch=self._epoch,
+            plan=self._planner.physical_plan,
+            agg_views=self._agg_views, measured=self._measured_nodes,
         )
-
-    def _conjunction_over_backend(self, parts, keys, ctx=None) -> Bitmap:
-        """Evaluate the canonical conjunction over the storage backend.
-
-        Unsharded backends use the single fold unchanged.  Sharded ones
-        fold once per record-range shard — through the executor-installed
-        parallel mapper when present, else serially — and concatenate the
-        per-shard segments, which *is* the order-preserving merge because
-        shards partition the record space contiguously and in order.  With
-        a tracer installed the shards run serially so each shard's spans
-        nest as children of the current query span.
-
-        The *merged* bitmap is additionally cached under the
-        :data:`~repro.core.engine.operators.MERGED_SHARD` sentinel key, so
-        a warm repeat of a hot query skips the whole fan-out and merge —
-        with many shards the per-query concatenation costs as much as the
-        conjunctions it combines.  Traced queries bypass the merged entry
-        (never the per-shard ones) so their span tree always shows the
-        real per-shard execution.
-        """
-        tasks = shard_tasks(self.relation)
-        if len(tasks) == 1:
-            return self._conjunction(parts, keys, ctx)
-        cache = self._bitmap_cache
-        if cache is not None and keys and self._tracer is None:
-            cached = cache.lookup(self._epoch, keys[-1], shard=MERGED_SHARD)
-            if cached is not None:
-                return cached
-            merged = self._merge_shards(parts, keys, tasks, ctx)
-            # A degraded merge (any shard skipped under partial_ok) is a
-            # partial answer — caching it would poison later healthy
-            # queries, so the merged entry is keyed off the degraded flag.
-            if ctx is None or not ctx.degraded:
-                cache.put(self._epoch, keys[-1], merged, shard=MERGED_SHARD)
-            return merged
-        return self._merge_shards(parts, keys, tasks, ctx)
-
-    def _merge_shards(self, parts, keys, tasks, ctx=None) -> Bitmap:
-        """Fold the conjunction once per shard and concatenate in order.
-
-        Each shard task runs under the installed resilience policy when
-        there is one: bounded retries with backoff, the per-shard circuit
-        breaker, and — when the query's context says ``partial_ok`` — an
-        all-zero substitute segment for a persistently failing shard (the
-        skipped record range lands on the context's degraded ledger).
-        Without a policy, the first shard failure raises a typed
-        :class:`~repro.errors.ShardExecutionError` naming the shard and
-        the record range it would have answered for.
-        """
-        cache, epoch, catalog = self._bitmap_cache, self._epoch, self.catalog
-        tracer = self._tracer
-        policy = self._resilience
-        remote = self._shard_compute
-        lengths = [task.relation.n_records for task in tasks]
-
-        def run_supervised(task, length, task_tracer):
-            if ctx is not None:
-                ctx.check()
-            start, stop = task.start, task.start + length
-
-            def compute():
-                # Traced queries stay in-process: operator spans need the
-                # local fold.  Everything else may run out-of-process.
-                if remote is not None and task_tracer is None:
-                    return remote(task, parts, keys, ctx)
-                return conjunction(
-                    task.relation,
-                    catalog,
-                    parts,
-                    keys,
-                    cache,
-                    epoch,
-                    shard=task.shard,
-                    tracer=task_tracer,
-                    ctx=ctx,
-                )
-
-            if policy is not None:
-                segment = policy.run_shard(
-                    task.shard, start, stop, compute, ctx, generation=epoch
-                )
-                # None = skipped under partial_ok: contribute an all-zero
-                # segment (never cached — it is not the shard's answer).
-                return Bitmap.zeros(length) if segment is None else segment
-            try:
-                return compute()
-            except ResilienceError:
-                raise
-            except Exception as exc:
-                raise ShardExecutionError(
-                    f"shard {task.shard} failed: {exc} "
-                    f"(records [{start}:{stop}) unavailable)",
-                    shard=task.shard,
-                    start=start,
-                    stop=stop,
-                ) from exc
-
-        if tracer is not None:
-            segments = []
-            for task, length in zip(tasks, lengths, strict=True):
-                skips_before = len(ctx.skipped) if ctx is not None else 0
-                with tracer.span("shard", shard=task.shard) as span:
-                    segments.append(run_supervised(task, length, tracer))
-                    if ctx is not None and len(ctx.skipped) > skips_before:
-                        span.meta["degraded"] = "skipped"
-            return Bitmap.concat(segments)
-
-        def run(task):
-            return run_supervised(task, lengths[task.shard], None)
-
-        mapper = self._shard_map
-        segments = [run(t) for t in tasks] if mapper is None else mapper(run, tasks)
-        return Bitmap.concat(segments)
-
-    def _structural_bitmap(
-        self, query: GraphQuery, ctx=None
-    ) -> tuple[Bitmap, GraphQueryPlan]:
-        tracer = self._tracer
-        if tracer is None:
-            plan, parts, keys = self.conjunction_inputs(query)
-            if not parts:
-                return self._empty_bitmap(), plan
-            return self._conjunction_over_backend(parts, keys, ctx), plan
-        with tracer.span("rewrite"):
-            plan, parts, keys = self.conjunction_inputs(query)
-            tracer.add("views_used", len(plan.view_names))
-            tracer.add("residual_elements", len(plan.residual_elements))
-        with tracer.span("conjunction") as span:
-            if not parts:
-                span.add("rows_matched", 0)
-                span.meta["short_circuit"] = "unindexed-element"
-                return self._empty_bitmap(), plan
-            bitmap = self._conjunction_over_backend(parts, keys, ctx)
-            span.add("bitmaps_anded", len(parts))
-            span.add("rows_matched", bitmap.count())
-            return bitmap, plan
 
     def evaluate(self, expr: QueryExpr, ctx=None) -> Bitmap:
         """Evaluate a boolean combination of graph queries to a bitmap.
@@ -873,20 +663,7 @@ class GraphAnalyticsEngine:
         :class:`repro.resilience.QueryContext`) is checked between atoms,
         so deadlines and cancellation cover the whole expression tree.
         """
-        if ctx is not None:
-            ctx.check()
-        if isinstance(expr, GraphQuery):
-            bitmap, _ = self._structural_bitmap(expr, ctx)
-            return bitmap
-        if isinstance(expr, And):
-            return self.evaluate(expr.left, ctx) & self.evaluate(expr.right, ctx)
-        if isinstance(expr, Or):
-            return self.evaluate(expr.left, ctx) | self.evaluate(expr.right, ctx)
-        if isinstance(expr, AndNot):
-            return self.evaluate(expr.left, ctx) - self.evaluate(expr.right, ctx)
-        raise TypeError(f"cannot evaluate {type(expr).__name__}")
-
-    # -- graph queries ---------------------------------------------------------------
+        return interpreter.evaluate(expr, self._env(), ctx)
 
     def query(
         self, query: GraphQuery | QueryExpr, fetch_measures: bool = True, ctx=None
@@ -905,94 +682,7 @@ class GraphAnalyticsEngine:
         policy; when shards were skipped under it, the result's
         ``degraded`` field holds the skipped-range report.
         """
-        tracer = self._tracer
-        if tracer is None:
-            return self._query_impl(query, fetch_measures, ctx)
-        with tracer.span("query", query=repr(query), epoch=self._epoch) as span:
-            result = self._query_impl(query, fetch_measures, ctx)
-            tracer.add("rows_matched", len(result))
-            if result.degraded is not None:
-                span.meta["degraded"] = result.degraded.summary()
-            return result
-
-    def _query_impl(
-        self, query: GraphQuery | QueryExpr, fetch_measures: bool, ctx=None
-    ) -> GraphQueryResult:
-        if isinstance(query, GraphQuery):
-            bitmap, plan = self._structural_bitmap(query, ctx)
-            elements = sorted(query.elements, key=repr)
-        else:
-            bitmap = self.evaluate(query, ctx)
-            plan = None
-            seen: set[Edge] = set()
-            elements = []
-            for atom in query.atoms():
-                for element in sorted(atom.elements, key=repr):
-                    if element not in seen:
-                        seen.add(element)
-                        elements.append(element)
-        rows = bitmap.to_indices()
-        measures: dict[Edge, np.ndarray] = {}
-        if fetch_measures and rows.size:
-            tracer = self._tracer
-            with self._span("measures"):
-                known_ids = []
-                for element in elements:
-                    if ctx is not None:
-                        ctx.check()
-                    edge_id = self.catalog.get_id(element)
-                    if edge_id is None or not self.relation.has_element(edge_id):
-                        measures[element] = np.full(rows.size, np.nan)
-                        continue
-                    known_ids.append(edge_id)
-                    measures[element] = self.relation.measures(edge_id, rows)
-                if known_ids:
-                    self.relation.simulate_partition_join(known_ids, rows)
-                if tracer is not None:
-                    tracer.add("measure_columns", len(known_ids))
-                    tracer.add("measure_values", rows.size * len(known_ids))
-                    tracer.add(
-                        "partitions_spanned",
-                        len(self.relation.partitions_for(known_ids))
-                        if known_ids
-                        else 0,
-                    )
-        base_query = query if isinstance(query, GraphQuery) else None
-        return GraphQueryResult(
-            query=base_query if base_query is not None else GraphQuery(elements),
-            rows=rows,
-            record_ids=self.record_ids_at(rows),
-            measures=measures,
-            plan=plan,
-            epoch=self._epoch,
-            degraded=ctx.report() if ctx is not None else None,
-        )
-
-    # -- path aggregation ---------------------------------------------------------------
-
-    def _segment_partial(
-        self,
-        view: AggregateGraphView,
-        sub_function: str,
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        """Partial-aggregate array contributed by a view tile.
-
-        Fetches the stored ``mp`` column when the view materializes
-        ``sub_function``; a COUNT partial over matched rows is the tile's
-        element count (every element is present by the structural
-        condition), so it needs no storage at all.
-        """
-        if sub_function in view.stored_functions():
-            column = f"{view.name}:{sub_function}"
-            return self.relation.aggregate_view_measures(column, rows)
-        if sub_function == "count":
-            n_elements = len(view.elements(frozenset(self._measured_nodes)))
-            return np.full(rows.size, float(n_elements))
-        raise KeyError(
-            f"view {view.name!r} stores {view.stored_functions()}, "
-            f"cannot provide {sub_function!r}"
-        )
+        return self._run(query, fetch_measures, ctx)
 
     def aggregate(self, query: PathAggregationQuery, ctx=None) -> PathAggregationResult:
         """Answer ``F_Gq``: per matching record, apply the aggregate along
@@ -1002,87 +692,25 @@ class GraphAnalyticsEngine:
         covering the per-path partial-merge stage.  ``ctx`` works exactly
         as in :meth:`query`.
         """
-        tracer = self._tracer
-        if tracer is None:
-            return self._aggregate_impl(query, ctx)
-        with tracer.span("aggregate", query=repr(query), epoch=self._epoch) as span:
-            result = self._aggregate_impl(query, ctx)
-            tracer.add("rows_matched", len(result))
-            if result.degraded is not None:
-                span.meta["degraded"] = result.degraded.summary()
-            return result
+        return self._run(query, True, ctx)
 
-    def _aggregate_impl(
-        self, query: PathAggregationQuery, ctx=None
-    ) -> PathAggregationResult:
-        tracer = self._tracer
-        with self._span("rewrite"):
-            plan, parts, keys = self.conjunction_inputs(query)
-            if tracer is not None:
-                tracer.add("views_used", len(plan.structural_view_names))
-                tracer.add("agg_views_used", len(plan.structural_agg_view_names))
-                tracer.add("residual_elements", len(plan.residual_elements))
-        if not parts:
-            rows = np.empty(0, dtype=np.int64)
+    def _run(self, query, fetch_measures: bool = True, ctx=None, tracer=None):
+        """Interpret ``query`` against one environment snapshot and wrap
+        the answer in its result type."""
+        env = self._env(tracer)
+        if isinstance(query, PathAggregationQuery):
+            result_type = PathAggregationResult
+            rows, answer, plan = interpreter.run_aggregate(query, env, ctx)
         else:
-            with self._span("conjunction") as span:
-                bitmap = self._conjunction_over_backend(parts, keys, ctx)
-                rows = bitmap.to_indices()
-                if tracer is not None:
-                    span.add("bitmaps_anded", len(parts))
-                    span.add("rows_matched", int(rows.size))
-
-        function = get_function(query.function)
-        needed = (
-            (function.name,) if function.distributive else function.sub_aggregates
-        )
-        path_values: dict[Path, np.ndarray] = {}
-        raw_cache: dict[Edge, np.ndarray] = {}
-        with self._span("aggregation"):
-            for path_plan in plan.path_plans:
-                if ctx is not None:
-                    ctx.check()
-                partials: dict[str, list[np.ndarray]] = {fn: [] for fn in needed}
-                for segment in path_plan.segments:
-                    if segment.kind == "view":
-                        view = self._agg_views[segment.view_name]
-                        for fn in needed:
-                            partials[fn].append(self._segment_partial(view, fn, rows))
-                        if tracer is not None:
-                            tracer.add("view_segments")
-                    else:
-                        element = segment.element
-                        if element not in raw_cache:
-                            edge_id = self.catalog.get_id(element)
-                            if edge_id is None or not self.relation.has_element(edge_id):
-                                raw_cache[element] = np.full(rows.size, np.nan)
-                            else:
-                                raw_cache[element] = self.relation.measures(edge_id, rows)
-                        for fn in needed:
-                            partials[fn].append(get_function(fn).lift(raw_cache[element]))
-                        if tracer is not None:
-                            tracer.add("raw_segments")
-                if not any(partials.values()):
-                    continue
-                if function.distributive:
-                    value = function.merge_partials(partials[function.name])
-                else:
-                    sub = {
-                        fn: get_function(fn).merge_partials(arrays)
-                        for fn, arrays in partials.items()
-                    }
-                    value = function.finalize(sub)
-                path_values[path_plan.path] = value
-            if tracer is not None:
-                tracer.add("paths", len(plan.path_plans))
-        return PathAggregationResult(
-            query=query,
-            rows=rows,
-            record_ids=self.record_ids_at(rows),
-            path_values=path_values,
-            plan=plan,
-            epoch=self._epoch,
-            degraded=ctx.report() if ctx is not None else None,
+            result_type = GraphQueryResult
+            rows, answer, elements, plan = interpreter.run_query(
+                query, env, fetch_measures, ctx
+            )
+            if not isinstance(query, GraphQuery):
+                query = GraphQuery(elements)
+        return result_type(
+            query, rows, self.record_ids_at(rows), answer, plan, env.epoch,
+            ctx.report() if ctx is not None else None,
         )
 
     # -- materialization ---------------------------------------------------------------

@@ -1,22 +1,20 @@
 """The operator layer: plan execution primitives over one storage backend.
 
-These are the physical operators the engine's facade composes: fetch one
+These are the physical operators the plan interpreter composes: fetch one
 conjunction input's bitmap column, fold a canonical part list into a
 structural bitmap (memoizing every prefix when a cache is installed), and
 describe the record-range shards a backend exposes so the same fold can
 run once per shard and merge by concatenation.
 
 Every operator takes the backend (a relation or one shard of one) and the
-catalog explicitly instead of reaching back into the engine, so the exact
-same code path serves three callers: the unsharded engine (``shard=0``
-over the whole relation), the serial per-shard loop (tracing installed),
-and the executor's shard pool (each worker runs ``conjunction`` against
-its own :class:`ShardTask`).
+catalog explicitly instead of reaching back into the engine, so the one
+in-process fold (:meth:`~.interpreter.ShardRunner.fold`) serves the
+unsharded engine (a single task over the whole relation) and every shard
+of a sharded one, inline or on the executor's thread pool.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -32,7 +30,6 @@ __all__ = [
     "part_token",
     "fetch_part",
     "conjunction",
-    "serial_map",
 ]
 
 # Shared no-op context for the tracing hooks: reusable and reentrant, so
@@ -84,13 +81,6 @@ def shard_tasks(backend) -> list[ShardTask]:
             zip(backend.shard_relations(), backend.shard_starts(), strict=True)
         )
     ]
-
-
-def serial_map(fn: Callable, items: Sequence) -> list:
-    """The default shard mapper: run tasks in submission order, inline.
-    The executor swaps in a thread-pool mapper with the same contract
-    (results in input order, first exception propagated)."""
-    return [fn(item) for item in items]
 
 
 def fetch_part(relation, catalog, part: ConjunctionPart, tracer=None) -> Bitmap:
@@ -149,21 +139,15 @@ def conjunction(
         ctx.check()
     if cache is None or any(not part.covered for part in parts):
 
-        def fetch_checked(part: ConjunctionPart) -> Bitmap:
+        def fetch(part: ConjunctionPart) -> Bitmap:
             if ctx is not None:
                 ctx.check()
-            return fetch_part(relation, catalog, part)
-
-        if tracer is None:
-            return Bitmap.and_all(fetch_checked(part) for part in parts)
-
-        def fetch_traced(part: ConjunctionPart) -> Bitmap:
-            if ctx is not None:
-                ctx.check()
+            if tracer is None:
+                return fetch_part(relation, catalog, part)
             with tracer.span("and", kind=part.kind, part=part_token(part)):
                 return fetch_part(relation, catalog, part, tracer)
 
-        return Bitmap.and_all(fetch_traced(part) for part in parts)
+        return Bitmap.and_all(fetch(part) for part in parts)
 
     def build(i: int) -> Bitmap:
         def compute() -> Bitmap:

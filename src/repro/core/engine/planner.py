@@ -43,6 +43,7 @@ from ..rewrite import (
     plan_graph_query,
 )
 from ..sqlgen import render_aggregation, render_graph_query
+from .operators import part_token
 
 __all__ = ["PhysicalPlan", "Planner", "prefix_keys"]
 
@@ -78,11 +79,6 @@ class PhysicalPlan:
     # always keys caches on the engine's *current* epoch)
     ir: dict = field(repr=False)
 
-    @property
-    def answerable(self) -> bool:
-        """False when a residual element has no column: empty answer."""
-        return self.parts is not None
-
     def to_dict(self) -> dict:
         """The serializable plan IR (a private copy — callers may annotate
         it, e.g. EXPLAIN ANALYZE attaches an ``execution`` section)."""
@@ -104,17 +100,13 @@ def _edges(elements) -> list[str]:
     return sorted(_edge_str(e) for e in elements)
 
 
-def _token_str(part: ConjunctionPart) -> str:
-    return part.token if isinstance(part.token, str) else _edge_str(part.token)
-
-
 def _conjunction_dicts(parts) -> list[dict]:
     out = []
     for part in parts or []:
         out.append(
             {
                 "kind": part.kind,
-                "token": _token_str(part),
+                "token": part_token(part),
                 "covers": _edges(part.covered),
             }
         )
@@ -150,12 +142,6 @@ class Planner:
                 raise TypeError(f"cannot plan {type(query).__name__}")
             self._memo[query] = plan
         return plan
-
-    def plan_query(self, query: GraphQuery) -> GraphQueryPlan:
-        return self.physical_plan(query).logical
-
-    def plan_aggregation(self, query: PathAggregationQuery) -> AggregationPlan:
-        return self.physical_plan(query).logical
 
     # -- graph queries -------------------------------------------------------
 

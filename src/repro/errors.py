@@ -17,8 +17,8 @@ instead of fishing ``KeyError``/``ValueError`` out of internals:
 * :class:`IngestError` — a record source (JSONL / CSV / checkpointed bulk
   load) contains data that cannot be ingested under the active error
   policy;
-* :class:`QuerySyntaxError` — the DSL parser rejected a query string
-  (defined here, re-exported by :mod:`repro.dsl`);
+* :class:`QuerySyntaxError` — the query-language parser rejected a query
+  string (defined here, re-exported by :mod:`repro.lang`);
 * :class:`PathJoinError` — two paths cannot be joined (defined here,
   re-exported by :mod:`repro.core.paths`);
 * :class:`ResilienceError` — the serving-resilience layer refused, cut

@@ -9,11 +9,12 @@ behind ``Bitmap.__and__`` release the GIL, so bitmap-heavy workloads scale
 with cores — while a shared :class:`BitmapCache` lets overlapping queries
 reuse each other's intermediate conjunctions.
 
-When the engine's backend is sharded (``GraphAnalyticsEngine(shards=N)``),
-the executor additionally installs a shard mapper on the engine: each
-query's structural conjunction then fans out across the record-range
-shards on a *separate* dedicated pool (so batch workers never deadlock
-waiting on their own pool) and merges by concatenation.
+The executor also picks *how shard tasks run* from its ``exec_mode`` and
+installs that :class:`~repro.core.engine.ShardRunner` on the engine: on a
+sharded backend (``GraphAnalyticsEngine(shards=N)``) each query's
+structural conjunction then fans out across the record-range shards — on
+a dedicated thread pool, or on worker processes — and merges by
+concatenation (see :mod:`.runners`).
 
 Two scheduling decisions matter for the cache:
 
@@ -30,24 +31,20 @@ Two scheduling decisions matter for the cache:
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 import threading
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from itertools import islice
-from pathlib import Path
 
-from ..columnstore import storage_generation
 from ..core.engine import (
+    INLINE,
     GraphAnalyticsEngine,
     GraphQueryResult,
     MaterializationReport,
     PathAggregationResult,
 )
-from ..core.engine.operators import conjunction
 from ..core.query import GraphQuery, PathAggregationQuery, QueryExpr
 from ..core.record import GraphRecord
 from ..errors import (
@@ -62,7 +59,7 @@ from ..resilience import (
     ResiliencePolicy,
 )
 from .cache import BitmapCache
-from .procpool import ProcessShardPool, resolve_fragment
+from .runners import ProcessRunner, ThreadRunner
 
 __all__ = ["QueryExecutor", "EXEC_MODES"]
 
@@ -184,8 +181,8 @@ class QueryExecutor:
         calling thread, ``"thread"`` over a dedicated thread pool, or
         ``"process"`` out-of-process on a persistent
         :class:`~repro.exec.ProcessShardPool` attached to mmap'd storage.
-        None keeps the legacy behaviour (threads when ``jobs > 1`` and
-        the engine is sharded, serial otherwise).
+        None resolves to ``"thread"`` when ``jobs > 1``, else ``"serial"``;
+        ``executor.exec_mode`` always names the mode in use.
     workers:
         Shard-level parallelism for ``thread``/``process`` modes
         (defaults to ``jobs``); in process mode this is the worker
@@ -242,120 +239,21 @@ class QueryExecutor:
             registry.gauge("engine.shards").set(getattr(engine, "n_shards", 1))
         self._rw = _ReadWriteLock()
         self._pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
+        if exec_mode is None:
+            exec_mode = "thread" if jobs > 1 else "serial"
         self.exec_mode = exec_mode
         self.workers = workers if workers is not None else jobs
-        # Shard fan-out uses its own pool: batch workers submitting shard
-        # tasks back into their own pool could exhaust it and deadlock.
-        self._shard_pool = None
-        self._proc_pool = None
-        self._proc_dir: Path | None = None
-        self._proc_dir_owned = False
-        n_shards = getattr(engine, "n_shards", 1)
-        wants_threads = (
-            exec_mode == "thread"
-            or exec_mode == "process"  # threads issue the worker IPC
-            or (exec_mode is None and jobs > 1)
-        )
-        if wants_threads and n_shards > 1:
-            fanout = max(self.workers if exec_mode else jobs, 1)
-            self._shard_pool = ThreadPoolExecutor(
-                max_workers=min(fanout, n_shards), thread_name_prefix="shard"
-            )
-            engine.use_shard_mapper(self._run_shards)
         if exec_mode == "process":
-            self._attach_process_pool(storage_dir)
+            self._runner = ProcessRunner(
+                engine, self.workers, storage_dir, registry, self._count
+            )
+        elif exec_mode == "thread":
+            self._runner = ThreadRunner(self.workers, self._count)
+        else:
+            self._runner = INLINE
+        engine.use_shard_runner(self._runner)
         self._window = None
         self._closed = False
-
-    def _attach_process_pool(self, storage_dir) -> None:
-        """Bind a worker-process pool to a committed save of the engine.
-
-        Reuses ``storage_dir`` when it holds a committed layout with this
-        engine's geometry (the CLI passes the database it just loaded
-        from); otherwise spools ``engine.save`` into a private temp
-        directory.  The pool's stamp starts at the directory's committed
-        generation and the engine's current epoch.
-        """
-        engine = self.engine
-        target = None
-        if storage_dir is not None:
-            candidate = Path(storage_dir)
-            if storage_generation(candidate) is not None and self._geometry_matches(
-                candidate
-            ):
-                target = candidate
-        if target is None:
-            target = Path(tempfile.mkdtemp(prefix="repro-procpool-"))
-            self._proc_dir_owned = True
-            engine.save(target)
-        self._proc_dir = target
-        self._proc_pool = ProcessShardPool(
-            target,
-            workers=max(self.workers, 1),
-            stamp=(storage_generation(target), engine.epoch),
-            registry=self.registry,
-        )
-        engine.use_shard_compute(self._remote_shard_compute)
-
-    def _geometry_matches(self, directory: Path) -> bool:
-        """Cheap sanity check that a saved layout is plausibly this
-        engine's current state: shard count and total records agree."""
-        from ..columnstore import BitmapAttachment
-
-        try:
-            attachment = BitmapAttachment(directory)
-        except Exception:
-            return False
-        return (
-            attachment.n_shards == getattr(self.engine, "n_shards", 1)
-            and attachment.n_records == self.engine.n_records
-        )
-
-    def _resync_process_pool(self) -> None:
-        """Republish the engine to the pool's directory after a mutation
-        and advance the stamp; stale in-flight replies get discarded."""
-        if self._proc_pool is None:
-            return
-        self.engine.save(self._proc_dir)
-        self._proc_pool.set_stamp(
-            (storage_generation(self._proc_dir), self.engine.epoch)
-        )
-
-    def _remote_shard_compute(self, task, parts, keys, ctx):
-        """Engine hook: evaluate one shard's conjunction on the worker
-        pool, keeping the per-shard full-key cache in this process.
-
-        Falls back to the in-process fold when the pool's stamp lags the
-        engine epoch (a mutation bypassed the executor's write methods) —
-        correctness never depends on the resync having happened.
-        """
-        pool = self._proc_pool
-        epoch = self.engine.epoch
-        if pool is None or pool.stamp[1] != epoch:
-            return conjunction(
-                task.relation,
-                self.engine.catalog,
-                parts,
-                keys,
-                self.cache,
-                epoch,
-                shard=task.shard,
-                ctx=ctx,
-            )
-        cache = self.cache
-        key = keys[-1] if keys else None
-        cacheable = (
-            cache is not None and key is not None and all(p.covered for p in parts)
-        )
-        if cacheable:
-            hit = cache.lookup(epoch, key, shard=task.shard)
-            if hit is not None:
-                return hit
-        fragment = resolve_fragment(self.engine.catalog, parts)
-        result = pool.execute(task.shard, fragment, ctx)
-        if cacheable:
-            cache.put(epoch, key, result, shard=task.shard)
-        return result
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -365,24 +263,14 @@ class QueryExecutor:
         self._closed = True
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        if self._shard_pool is not None:
-            self.engine.use_shard_mapper(None)
-            self._shard_pool.shutdown(wait=True)
-        if self._proc_pool is not None:
-            self.engine.use_shard_compute(None)
-            self._proc_pool.close()
-            self._proc_pool = None
-        if self._proc_dir_owned and self._proc_dir is not None:
-            shutil.rmtree(self._proc_dir, ignore_errors=True)
-            self._proc_dir = None
+        if self._runner is not INLINE:
+            self.engine.use_shard_runner(None)
+            self._runner.close()
 
-    def _run_shards(self, fn, tasks) -> list:
-        """Parallel shard mapper installed on the engine: evaluate one
-        plan's per-shard conjunctions concurrently, results in shard
-        order (list() re-raises the first worker exception)."""
-        if self.registry is not None:
-            self.registry.counter("exec.shard_tasks").inc(len(tasks))
-        return list(self._shard_pool.map(fn, tasks))
+    def _resync(self) -> None:
+        """After a mutation: republish the engine to process-mode workers."""
+        if isinstance(self._runner, ProcessRunner):
+            self._runner.resync(self.engine)
 
     def __enter__(self) -> "QueryExecutor":
         return self
@@ -625,25 +513,25 @@ class QueryExecutor:
         flight finish first, and the epoch bump invalidates the cache."""
         with self._rw.write():
             count = self.engine.append_records(records)
-            self._resync_process_pool()
+            self._resync()
             return count
 
     def materialize_graph_views(self, *args, **kwargs) -> MaterializationReport:
         with self._rw.write():
             report = self.engine.materialize_graph_views(*args, **kwargs)
-            self._resync_process_pool()
+            self._resync()
             return report
 
     def materialize_aggregate_views(self, *args, **kwargs) -> MaterializationReport:
         with self._rw.write():
             report = self.engine.materialize_aggregate_views(*args, **kwargs)
-            self._resync_process_pool()
+            self._resync()
             return report
 
     def drop_all_views(self) -> None:
         with self._rw.write():
             self.engine.drop_all_views()
-            self._resync_process_pool()
+            self._resync()
 
     # -- adaptive view maintenance --------------------------------------------
 
@@ -682,7 +570,7 @@ class QueryExecutor:
             if drops:
                 dropped = self.engine.drop_decayed(drops)
             if added or dropped:
-                self._resync_process_pool()
+                self._resync()
             return {
                 "added": added,
                 "dropped": dropped,

@@ -1,0 +1,104 @@
+"""The two parallel :class:`~repro.core.engine.ShardRunner` strategies.
+
+:class:`ThreadRunner` overrides ``map``: shard tasks fan out over a
+dedicated thread pool (the word-level numpy AND kernels release the GIL).
+:class:`ProcessRunner` also overrides ``fold``: each shard's conjunction
+runs on a :class:`~.procpool.ProcessShardPool` worker over an mmap'd save
+of the engine.  Supervision stays in the interpreter, parent-side.
+"""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+from ..columnstore import BitmapAttachment, storage_generation
+from ..core.engine import ShardRunner
+from .procpool import ProcessShardPool, resolve_fragment
+
+__all__ = ["ThreadRunner", "ProcessRunner"]
+
+
+class ThreadRunner(ShardRunner):
+    """Fan shard tasks out over ``workers`` threads — a pool of their own:
+    batch workers submitting shard tasks back into the batch pool could
+    exhaust it and deadlock.  ``count(name, n)`` publishes a counter."""
+
+    def __init__(self, workers: int, count=None):
+        self._threads = ThreadPoolExecutor(workers, thread_name_prefix="shard")
+        self._count = count
+
+    def map(self, fn, tasks) -> list:
+        if self._count is not None:
+            self._count("exec.shard_tasks", len(tasks))
+        # list() re-raises the first worker exception, in shard order.
+        return list(self._threads.map(fn, tasks))
+
+    def close(self) -> None:
+        self._threads.shutdown(wait=True)
+
+
+class ProcessRunner(ThreadRunner):
+    """Fold each shard on a worker process over zero-copy mmap storage.
+
+    Workers attach to ``storage_dir`` in place when it holds a committed
+    save with this engine's geometry (the CLI passes the database it just
+    loaded); otherwise the engine is spooled to a private temp directory,
+    removed on :meth:`close`.  The owner calls :meth:`resync` after every
+    mutation so the workers see the new generation."""
+
+    def __init__(self, engine, workers: int, storage_dir=None, registry=None, count=None):
+        super().__init__(workers, count)
+        directory = Path(storage_dir) if storage_dir is not None else None
+        self._owned = directory is None or not _holds(directory, engine)
+        if self._owned:
+            directory = Path(tempfile.mkdtemp(prefix="repro-procpool-"))
+            engine.save(directory)
+        self.directory = directory
+        stamp = (storage_generation(directory), engine.epoch)
+        self.pool = ProcessShardPool(directory, workers, stamp, registry=registry)
+
+    def fold(self, task, plan, env, ctx):
+        """One shard's conjunction on the pool, keeping the per-shard
+        full-key cache entry in this process.  When the pool's stamp lags
+        the query's epoch (a mutation bypassed :meth:`resync`) the fold
+        runs in-process — correctness never depends on the resync."""
+        if self.pool.stamp[1] != env.epoch:
+            return super().fold(task, plan, env, ctx)
+        cache = env.cache if all(part.covered for part in plan.parts) else None
+        key = plan.prefix_keys[-1]
+        if cache is not None:
+            hit = cache.lookup(env.epoch, key, shard=task.shard)
+            if hit is not None:
+                return hit
+        fragment = resolve_fragment(env.catalog, plan.parts)
+        result = self.pool.execute(task.shard, fragment, ctx)
+        if cache is not None:
+            cache.put(env.epoch, key, result, shard=task.shard)
+        return result
+
+    def resync(self, engine) -> None:
+        """Republish the engine to the pool's directory and advance the
+        stamp; stale in-flight replies get discarded."""
+        engine.save(self.directory)
+        self.pool.set_stamp((storage_generation(self.directory), engine.epoch))
+
+    def close(self) -> None:
+        super().close()
+        self.pool.close()
+        if self._owned:
+            shutil.rmtree(self.directory, ignore_errors=True)
+
+
+def _holds(directory: Path, engine) -> bool:
+    """Whether ``directory`` is a committed save that is plausibly this
+    engine's current state: shard count and total records agree."""
+    if storage_generation(directory) is None:
+        return False
+    try:
+        attachment = BitmapAttachment(directory)
+    except Exception:
+        return False
+    return (attachment.n_shards, attachment.n_records) == (engine.n_shards, engine.n_records)

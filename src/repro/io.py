@@ -41,7 +41,6 @@ __all__ = [
     "POLICIES",
     "QuarantineEntry",
     "QuarantineReport",
-    "ingest_records",
     "write_jsonl",
     "read_jsonl",
     "write_csv_triplets",
@@ -166,22 +165,6 @@ def _record_from_dict(payload: object) -> GraphRecord:
     if not measures:
         raise IngestError("record has no measures")
     return GraphRecord(record_id, measures, metadata)
-
-
-def ingest_records(engine, records: Iterable[GraphRecord], jobs: int | None = None) -> int:
-    """Load a record stream into ``engine``, shard-parallel when possible.
-
-    The storage-backend seam's ingest entry point: an *empty* sharded
-    engine routes contiguous record chunks to their shards on a thread
-    pool (:meth:`GraphAnalyticsEngine.load_records_parallel`); everything
-    else — unsharded engines, non-empty engines — takes the serial
-    :meth:`load_records` path.  Record order, and therefore every query
-    answer, is identical either way.  Returns the number of records
-    loaded.
-    """
-    if getattr(engine, "n_shards", 1) > 1 and engine.n_records == 0:
-        return engine.load_records_parallel(records, jobs=jobs)
-    return engine.load_records(records)
 
 
 def write_jsonl(records: Iterable[GraphRecord], path: str | FsPath) -> int:

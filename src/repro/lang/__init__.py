@@ -18,9 +18,8 @@ The pipeline is four small layers, each importable on its own::
 * :mod:`repro.lang.unparse` — the canonical text of a query, satisfying
   the round-trip law ``lower(parse(unparse(q))) == q``.
 
-:func:`parse_query` / :func:`parse_aggregation` keep the historical
-:mod:`repro.dsl` signatures (text in, core query object out); that
-module is now a thin compatibility shim over this package.
+:func:`parse_query` / :func:`parse_aggregation` are the text-in,
+core-query-object-out entry points.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from .workload import (
 )
 
 __all__ = [
-    # text → core objects (the historical repro.dsl surface)
+    # text → core objects
     "parse_query",
     "parse_aggregation",
     "parse_statement",

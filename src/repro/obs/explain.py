@@ -11,7 +11,7 @@ partition-spanning joins (§6.1).  Nothing is fetched and no I/O counters
 move, so the output is a stable, goldenable contract of the planner.
 
 ``explain(..., analyze=True)`` additionally executes the query under a
-temporary :class:`~repro.obs.trace.Tracer` and attaches the measured
+private :class:`~repro.obs.trace.Tracer` and attaches the measured
 span tree plus actual counters (rows matched, cache hits/misses,
 partitions joined) — the EXPLAIN ANALYZE counterpart.
 """
@@ -40,16 +40,10 @@ def explain_dict(engine, query, analyze: bool = False) -> dict:
 
 
 def _analyze(engine, query) -> dict:
+    # The tracer rides on this one call's environment snapshot; installing
+    # it on the engine would flip tracing under concurrently running queries.
     tracer = Tracer()
-    previous = engine.tracer
-    engine.use_tracer(tracer)
-    try:
-        if isinstance(query, PathAggregationQuery):
-            result = engine.aggregate(query)
-        else:
-            result = engine.query(query)
-    finally:
-        engine.use_tracer(previous)
+    result = engine._run(query, tracer=tracer)
     trace = tracer.last
     root = trace.root if trace is not None else None
     counters: dict[str, float] = {}

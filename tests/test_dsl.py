@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import And, AndNot, GraphQuery, Or
-from repro.dsl import QuerySyntaxError, parse_aggregation, parse_query
+from repro.lang import QuerySyntaxError, parse_aggregation, parse_query
 
 
 class TestChains:

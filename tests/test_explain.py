@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import GraphAnalyticsEngine
-from repro.dsl import parse_aggregation, parse_query
+from repro.lang import parse_aggregation, parse_query
 from repro.io import read_jsonl
 from repro.obs import explain, explain_dict
 

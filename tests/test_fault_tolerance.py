@@ -24,7 +24,7 @@ from repro.columnstore import (
 )
 from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord, PathAggregationQuery
 from repro.cli import main
-from repro.dsl import parse_query
+from repro.lang import parse_query
 from repro.errors import (
     CorruptionError,
     IngestError,
@@ -95,11 +95,9 @@ class TestErrorHierarchy:
         assert issubclass(QuerySyntaxError, ValueError)
         assert issubclass(PathJoinError, ValueError)
 
-    def test_dsl_reexport_is_same_class(self):
-        from repro.dsl import QuerySyntaxError as dsl_qse
+    def test_core_reexport_is_same_class(self):
         from repro.core import PathJoinError as core_pje
 
-        assert dsl_qse is QuerySyntaxError
         assert core_pje is PathJoinError
 
     def test_parser_raises_repro_error(self):
@@ -576,7 +574,7 @@ class TestShardLevelFaults:
                 assert degraded.degraded.skipped_ranges() == [(start, stop)]
 
     def test_degraded_aggregation_matches_oracle(self):
-        from repro.dsl import parse_aggregation
+        from repro.lang import parse_aggregation
         from repro.resilience import QueryContext
 
         engine = self._engine(attempts=1)

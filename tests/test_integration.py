@@ -154,8 +154,7 @@ class TestEnginePersistence:
         for edge in [("A", "B"), ("B", "C")]:
             restored.catalog.intern(edge)
         restored._record_ids = ["r1", "r2"]
-        bitmap, _ = restored._structural_bitmap(q)
-        assert bitmap.to_indices().tolist() == expected_rows
+        assert restored.evaluate(q).to_indices().tolist() == expected_rows
 
 
 class TestCorpusWorkloadEndToEnd:

@@ -443,15 +443,12 @@ class TestWorkloads:
         assert format_workload("'a#b' -> C\n") == "'a#b' -> C\n"
 
 
-class TestCompatShim:
-    def test_dsl_module_reexports(self):
+class TestPackageSurface:
+    def test_package_reexports(self):
         import repro
-        import repro.dsl as dsl
         import repro.lang as lang
 
-        assert dsl.parse_query is lang.parse_query
-        assert dsl.parse_aggregation is lang.parse_aggregation
         assert repro.parse_query is lang.parse_query
         from repro.errors import QuerySyntaxError as canonical_error
 
-        assert dsl.QuerySyntaxError is canonical_error
+        assert lang.QuerySyntaxError is canonical_error

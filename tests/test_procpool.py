@@ -16,9 +16,11 @@ import time
 import pytest
 
 from repro.core import GraphAnalyticsEngine, GraphQuery
+from repro.core.engine import INLINE
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.exec import ProcessShardPool, QueryExecutor, StaleGenerationError
 from repro.exec.procpool import resolve_fragment
+from repro.exec.runners import ProcessRunner, ThreadRunner
 from repro.obs import MetricsRegistry
 from repro.resilience import CancelToken, QueryContext
 from repro.columnstore import storage_generation
@@ -100,14 +102,19 @@ class TestProcessExecutor:
         with QueryExecutor(
             engine, jobs=1, exec_mode="thread", workers=2
         ) as executor:
-            assert executor._shard_pool is not None
+            assert isinstance(engine._runner, ThreadRunner)
             assert _answers(executor, queries) == oracle_ids
 
-    def test_serial_mode_installs_no_mapper(self, corpus, queries, oracle_ids):
+    def test_serial_mode_keeps_inline_runner(self, corpus, queries, oracle_ids):
         engine = _fresh_engine(corpus)
         with QueryExecutor(engine, jobs=4, exec_mode="serial") as executor:
-            assert executor._shard_pool is None
+            assert engine._runner is INLINE
             assert _answers(executor, queries) == oracle_ids
+
+    def test_default_mode_resolves_from_jobs(self, corpus):
+        for jobs, mode in ((1, "serial"), (3, "thread")):
+            with QueryExecutor(_fresh_engine(corpus), jobs=jobs) as executor:
+                assert executor.exec_mode == mode
 
     def test_append_resyncs_pool(self, corpus, queries):
         """Mutations through the executor re-save, re-stamp, and stay
@@ -144,7 +151,7 @@ class TestProcessExecutor:
             registry=registry,
         ) as executor:
             assert _answers(executor, queries) == oracle_ids  # workers attached
-            pool = executor._proc_pool
+            pool = executor._runner.pool
             victims = pool.worker_pids()
             os.kill(victims[0], signal.SIGKILL)
             # The resilience policy retries the crashed shard task on the
@@ -398,11 +405,11 @@ class TestDeadlinesAndShutdown:
         executor = QueryExecutor(
             engine, jobs=1, exec_mode="process", workers=2
         )
-        spool = executor._proc_dir
-        assert spool is not None and spool.exists()
+        spool = executor._runner.directory
+        assert isinstance(engine._runner, ProcessRunner) and spool.exists()
         executor.run_batch(queries[:2], fetch_measures=False)
         executor.close()
-        assert engine._shard_compute is None
+        assert engine._runner is INLINE
         assert not spool.exists()
         # The engine still answers in-process after the executor is gone.
         engine.query(queries[0], fetch_measures=False)

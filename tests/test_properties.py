@@ -10,7 +10,7 @@ from repro.core import GraphQuery, GraphRecord
 from repro.core.hierarchy import NodeHierarchy, rollup_record
 from repro.core.paths import adjacency_of
 from repro.core.regions import Region, paths_through_region
-from repro.dsl import parse_query
+from repro.lang import parse_query
 
 NODES = list("ABCDEFGH")
 

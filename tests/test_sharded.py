@@ -28,6 +28,7 @@ from repro.columnstore import (
     save_sharded,
 )
 from repro.core import GraphAnalyticsEngine, GraphQuery, PathAggregationQuery
+from repro.core.engine import INLINE, ShardRunner
 from repro.errors import CorruptionError, ManifestError, PersistenceError
 from repro.exec import BitmapCache, QueryExecutor
 from repro.workloads import build_dataset, sample_path_queries
@@ -346,16 +347,34 @@ class TestEngineSharding:
                 plain.aggregate(agg).path_values.keys()
             )
 
-    def test_parallel_ingest_preserves_record_order(self, records, queries):
-        serial = GraphAnalyticsEngine(shards=4)
-        serial.load_records(records)
-        parallel = GraphAnalyticsEngine(shards=4)
-        assert parallel.load_records_parallel(records, jobs=4) == len(records)
+    def test_bulk_load_routes_chunks_to_shards(self, records, queries):
+        plain = GraphAnalyticsEngine()
+        plain.load_records(records)
+        sharded = GraphAnalyticsEngine(shards=4)
+        assert sharded.load_records(iter(records)) == len(records)
+        # Even contiguous record ranges, same global record order.
+        base, extra = divmod(len(records), 4)
+        assert [s.n_records for s in sharded.relation.shard_relations()] == [
+            base + (i < extra) for i in range(4)
+        ]
+        all_rows = np.arange(len(records))
+        assert sharded.record_ids_at(all_rows) == plain.record_ids_at(all_rows)
         for query in queries:
-            assert (
-                parallel.query(query, fetch_measures=False).record_ids
-                == serial.query(query, fetch_measures=False).record_ids
-            )
+            got, expected = sharded.query(query), plain.query(query)
+            assert got.record_ids == expected.record_ids
+            for element, values in expected.measures.items():
+                np.testing.assert_array_equal(got.measures[element], values)
+        # A second bulk load (non-empty engine) rebalances to even ranges.
+        sharded.load_records(records[:7])
+        sizes = [s.n_records for s in sharded.relation.shard_relations()]
+        assert sum(sizes) == len(records) + 7 and max(sizes) - min(sizes) <= 1
+
+    def test_bulk_load_smaller_than_shard_count(self, records):
+        engine = GraphAnalyticsEngine(shards=4)
+        assert engine.load_records(records[:2]) == 2
+        assert [s.n_records for s in engine.relation.shard_relations()] == [1, 1, 0, 0]
+        element = next(iter(records[1].elements()))
+        assert records[1].record_id in engine.query(GraphQuery([element])).record_ids
 
     def test_reshard_bumps_epoch_and_keeps_answers(self, records, queries):
         engine = GraphAnalyticsEngine(shards=2)
@@ -388,21 +407,23 @@ class TestEngineSharding:
             assert loaded.query(query).record_ids == expected
             assert resharded.query(query).record_ids == expected
 
-    def test_shard_mapper_seam(self, records, queries):
+    def test_shard_runner_seam(self, records, queries):
         engine = GraphAnalyticsEngine(shards=4)
         engine.load_records(records)
         expected = [engine.query(q, fetch_measures=False).record_ids for q in queries]
         fanouts = []
 
-        def mapper(fn, tasks):
-            fanouts.append(len(tasks))
-            return [fn(task) for task in tasks]
+        class CountingRunner(ShardRunner):
+            def map(self, fn, tasks):
+                fanouts.append(len(tasks))
+                return super().map(fn, tasks)
 
-        engine.use_shard_mapper(mapper)
+        engine.use_shard_runner(CountingRunner())
         got = [engine.query(q, fetch_measures=False).record_ids for q in queries]
         assert got == expected
         assert fanouts and all(n == 4 for n in fanouts)
-        engine.use_shard_mapper(None)
+        engine.use_shard_runner(None)
+        assert engine._runner is INLINE
 
     def test_append_after_load_extends_last_shard(self, records):
         engine = GraphAnalyticsEngine(shards=3)
@@ -446,12 +467,14 @@ class TestShardAwareServing:
             assert registry.get("engine.shards").value == 4
         assert [r.record_ids for r in results] == expected
         assert registry.get("exec.shard_tasks").value > 0
-        # close() must uninstall the mapper so later serial use is safe.
-        assert engine._shard_map is None
+        # close() must restore the inline runner so later serial use is safe.
+        assert engine._runner is INLINE
 
-    def test_serial_executor_leaves_mapper_alone(self, records):
+    def test_serial_executor_keeps_inline_runner(self, records):
         engine = GraphAnalyticsEngine(shards=2)
         engine.load_records(records[:10])
         with QueryExecutor(engine, jobs=1) as ex:
+            assert ex.exec_mode == "serial"
+            assert engine._runner is INLINE
             ex.run_one(GraphQuery([next(iter(records[0].elements()))]))
-        assert engine._shard_map is None
+        assert engine._runner is INLINE

@@ -240,3 +240,39 @@ class TestTracerMechanics:
         engine.use_tracer(None)
         engine.query(GraphQuery([("a", "b")]))
         assert len(tracer) == 1
+
+    def test_tracer_flip_mid_query_is_invisible(self, figure2_engine):
+        """A setter flipping the tracer while a query is in flight (what a
+        concurrent EXPLAIN ANALYZE used to do under the shared read lock)
+        must not reach that query: it keeps the tracer it started with."""
+        engine = figure2_engine
+        agg = PathAggregationQuery(GraphQuery([("A", "C"), ("C", "E")]), "sum")
+        expected = engine.aggregate(agg)
+        engine._planner.invalidate()
+        plan_of = engine._planner.physical_plan
+
+        def plan_then_flip(query):
+            plan = plan_of(query)
+            engine.use_tracer(None)  # deterministic stand-in for the race
+            return plan
+
+        engine._planner.physical_plan = plan_then_flip
+        tracer = Tracer()
+        engine.use_tracer(tracer)
+        result = engine.aggregate(agg)
+        assert result.record_ids == expected.record_ids
+        root = tracer.last.root
+        assert root.name == "aggregate"
+        assert root.find("conjunction").counters["rows_matched"] == len(result)
+        assert root.find("aggregation") is not None
+
+    def test_explain_analyze_leaves_engine_tracer_alone(self, figure2_engine):
+        installed = Tracer()
+        figure2_engine.use_tracer(installed)
+        seen = []
+        use_tracer = figure2_engine.use_tracer
+        figure2_engine.use_tracer = lambda t: (seen.append(t), use_tracer(t))
+        text = figure2_engine.explain(GraphQuery([("A", "B")]), analyze=True)
+        assert "rows_matched" in text
+        assert seen == [] and figure2_engine.tracer is installed
+        assert len(installed) == 0  # the analyze run traced privately
