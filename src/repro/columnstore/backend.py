@@ -10,13 +10,16 @@ objects).  :class:`StorageBackend` names the contract so the seam is
 explicit and checkable — ``isinstance(obj, StorageBackend)`` works because
 the protocol is ``runtime_checkable``.
 
-Two structural extras distinguish a horizontally partitioned backend:
+Three structural extras distinguish a horizontally partitioned backend:
 
 * ``shard_relations()`` — the ordered list of record-range shards, each a
   plain :class:`MasterRelation` holding a contiguous slice of the record
   space (a single relation returns ``[self]``);
 * ``shard_starts()`` — the global row offset of each shard, used by the
-  order-preserving merge combiners (global row = shard start + local row).
+  order-preserving merge combiners (global row = shard start + local row);
+* ``split_rows(rows)`` — global rows routed to their shards once, accepted
+  by ``measures`` / ``aggregate_view_measures`` in place of ``rows`` (a
+  single relation returns the rows).
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ class StorageBackend(Protocol):
     def shard_relations(self) -> list: ...
 
     def shard_starts(self) -> list[int]: ...
+
+    def split_rows(self, rows: np.ndarray): ...
 
     # -- loading ------------------------------------------------------------
 

@@ -36,6 +36,7 @@ import os
 import shutil
 from collections.abc import Iterable, Mapping
 from pathlib import Path as FsPath
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .persistence import load_relation, save_relation
 from .table import MasterRelation
 
 __all__ = [
+    "RowSplit",
     "ShardedTable",
     "save_sharded",
     "load_sharded",
@@ -60,6 +62,15 @@ SHARD_MANIFEST = "shards.json"
 SHARD_FORMAT_VERSION = 1
 _GEN_PREFIX = "gen-"
 _TMP_PREFIX = ".tmp-"
+
+
+class RowSplit(NamedTuple):
+    """Global rows routed to their shards (:meth:`ShardedTable.split_rows`):
+    per shard that holds any, ``(shard, where, local rows)`` — ``where``
+    indexes the caller's row order, a slice when the rows came sorted."""
+
+    size: int
+    pieces: list
 
 
 class ShardedTable:
@@ -120,8 +131,26 @@ class ShardedTable:
             offset += shard.n_records
         return starts
 
-    def _shard_ends(self) -> np.ndarray:
-        return np.cumsum([shard.n_records for shard in self.shards])
+    def split_rows(self, rows: np.ndarray) -> RowSplit:
+        """Route global ``rows`` to their shards.  :meth:`measures` and
+        :meth:`aggregate_view_measures` take the result in place of
+        ``rows``, so a query that gathers several columns at the same rows
+        routes them once.  Sorted rows (``Bitmap.to_indices``) cut into one
+        contiguous slice per shard; any other order falls back to masks."""
+        rows = np.asarray(rows, dtype=np.int64)
+        ends = np.cumsum([shard.n_records for shard in self.shards])
+        if (rows[1:] >= rows[:-1]).all():
+            cuts = [0, *np.searchsorted(rows, ends).tolist()]
+            wheres = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        else:
+            sidx = np.searchsorted(ends, rows, side="right")
+            wheres = [sidx == i for i in range(len(self.shards))]
+        pieces = []
+        for shard, where, start in zip(self.shards, wheres, self.shard_starts()):
+            local = rows[where]
+            if local.size:
+                pieces.append((shard, where, local - start))
+        return RowSplit(rows.size, pieces)
 
     @property
     def n_records(self) -> int:
@@ -190,13 +219,8 @@ class ShardedTable:
             raise ValueError("row/value arrays must be parallel")
         if rows.size and (rows.min() < 0 or rows.max() >= self.n_records):
             raise IndexError("row index out of range; call set_record_count first")
-        ends = self._shard_ends()
-        sidx = np.searchsorted(ends, rows, side="right")
-        starts = self.shard_starts()
-        for i, shard in enumerate(self.shards):
-            mask = sidx == i
-            if mask.any():
-                shard.load_sparse_column(edge_id, rows[mask] - starts[i], vals[mask])
+        for shard, where, local in self.split_rows(rows).pieces:
+            shard.load_sparse_column(edge_id, local, vals[where])
 
     def rebalance(self) -> None:
         """Re-split the record space into even contiguous ranges.
@@ -287,22 +311,19 @@ class ShardedTable:
             for shard in self.shards
         )
 
-    def _route_gather(self, rows: np.ndarray, fetch) -> np.ndarray:
+    def _route_gather(self, rows: np.ndarray | RowSplit, fetch) -> np.ndarray:
         """Gather per-shard values for global ``rows``, preserving the
         caller's row order.  ``fetch(shard, local_rows)`` returns the
         shard's values; absent columns come back NaN."""
-        rows = np.asarray(rows, dtype=np.int64)
-        out = np.full(rows.size, np.nan)
-        ends = self._shard_ends()
-        sidx = np.searchsorted(ends, rows, side="right")
-        starts = self.shard_starts()
-        for i, shard in enumerate(self.shards):
-            mask = sidx == i
-            if mask.any():
-                out[mask] = fetch(shard, rows[mask] - starts[i])
+        split = rows if isinstance(rows, RowSplit) else self.split_rows(rows)
+        out = np.full(split.size, np.nan)
+        for shard, where, local in split.pieces:
+            out[where] = fetch(shard, local)
         return out
 
-    def measures(self, edge_id: int, rows: np.ndarray | None = None) -> np.ndarray:
+    def measures(
+        self, edge_id: int, rows: np.ndarray | RowSplit | None = None
+    ) -> np.ndarray:
         if rows is None:
             return np.concatenate(
                 [
@@ -381,7 +402,7 @@ class ShardedTable:
         )
 
     def aggregate_view_measures(
-        self, name: str, rows: np.ndarray | None = None
+        self, name: str, rows: np.ndarray | RowSplit | None = None
     ) -> np.ndarray:
         if rows is None:
             return np.concatenate(

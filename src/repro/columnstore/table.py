@@ -127,6 +127,11 @@ class MasterRelation:
         """Global row offset of each shard; ``[0]`` for a single relation."""
         return [0]
 
+    def split_rows(self, rows: np.ndarray) -> np.ndarray:
+        """What :meth:`measures` gathers at, prepared once for a query
+        that gathers several columns; a single relation routes nothing."""
+        return np.asarray(rows, dtype=np.int64)
+
     def element_ids(self) -> list[int]:
         """All element column ids, ascending."""
         ids = set(self._pending_rows) | set(self._columns)

@@ -307,7 +307,8 @@ class GraphAnalyticsEngine:
         self._bump_epoch()
 
     def record_ids_at(self, rows: np.ndarray) -> list:
-        return [self._record_ids[i] for i in np.asarray(rows, dtype=np.int64)]
+        ids = self._record_ids
+        return [ids[i] for i in np.asarray(rows, dtype=np.int64).tolist()]
 
     # -- sharding ------------------------------------------------------------
 

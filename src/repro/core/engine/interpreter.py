@@ -182,9 +182,10 @@ def evaluate(expr, env: ExecEnv, ctx=None) -> Bitmap:
 # -- measure gather ----------------------------------------------------------
 
 
-def _fetch(element, rows: np.ndarray, env: ExecEnv):
+def _fetch(element, rows, env: ExecEnv):
     """``(column id | None, the element's measures at rows)`` — all NaN,
-    and no id, when no column holds the element."""
+    and no id, when no column holds the element.  ``rows`` is the
+    backend's ``split_rows`` of the matching rows, routed once a query."""
     edge_id = env.catalog.get_id(element)
     if edge_id is None or not env.relation.has_element(edge_id):
         return None, np.full(rows.size, np.nan)
@@ -218,10 +219,11 @@ def run_query(query, env: ExecEnv, fetch_measures: bool = True, ctx=None):
         if fetch_measures and rows.size:
             with env.span("measures"):
                 known_ids: list[int] = []
+                split = env.relation.split_rows(rows)
                 for element in elements:
                     if ctx is not None:
                         ctx.check()
-                    edge_id, measures[element] = _fetch(element, rows, env)
+                    edge_id, measures[element] = _fetch(element, split, env)
                     if edge_id is not None:
                         known_ids.append(edge_id)
                 if known_ids:
@@ -239,7 +241,7 @@ def run_query(query, env: ExecEnv, fetch_measures: bool = True, ctx=None):
 # -- path aggregation --------------------------------------------------------
 
 
-def _view_partial(view, sub_function: str, rows: np.ndarray, env: ExecEnv):
+def _view_partial(view, sub_function: str, rows, env: ExecEnv):
     """Partial-aggregate array contributed by a view tile: the stored
     ``mp`` column when the view materializes ``sub_function``; a COUNT
     partial over matched rows is the tile's element count (every element
@@ -261,6 +263,7 @@ def run_aggregate(query, env: ExecEnv, ctx=None):
     with env.span("aggregate", query=query, epoch=env.epoch) as root:
         bitmap, plan = structural(query, env, ctx)
         rows = bitmap.to_indices()
+        split = env.relation.split_rows(rows)
         function = get_function(query.function)
         needed = plan.needed_functions
         path_values, raw = {}, {}
@@ -273,11 +276,11 @@ def run_aggregate(query, env: ExecEnv, ctx=None):
                     if segment.kind == "view":
                         view = env.agg_views[segment.view_name]
                         for fn in needed:
-                            partials[fn].append(_view_partial(view, fn, rows, env))
+                            partials[fn].append(_view_partial(view, fn, split, env))
                     else:
                         element = segment.element
                         if element not in raw:
-                            raw[element] = _fetch(element, rows, env)[1]
+                            raw[element] = _fetch(element, split, env)[1]
                         for fn in needed:
                             partials[fn].append(get_function(fn).lift(raw[element]))
                     if tracer is not None:

@@ -15,7 +15,9 @@ exact:
   decoded queries and answers hash and compare equal to the originals.
 
 Streamed answers are NDJSON: one header object (count, epoch, element /
-path schema, degraded report), then one row object per matching record.
+path schema, degraded report), then one row object per matching record —
+rendered a block of rows at a time, column by column, never one
+``json.dumps`` per row (:func:`encode_answer`).
 Errors map the typed hierarchy onto stable machine codes and HTTP
 statuses; ``exit_code`` mirrors the CLI so scripted clients can branch
 identically on either surface.
@@ -26,12 +28,14 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Iterator
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from ..core import GraphQuery, GraphRecord, PathAggregationQuery
 from ..core.aggregates import FUNCTIONS
-from ..core.engine import GraphQueryResult, PathAggregationResult
+from ..core.engine import PathAggregationResult
 from ..core.paths import Path
 from ..core.query import QueryExpr
 from ..lang import parse_statement
@@ -52,6 +56,8 @@ __all__ = [
     "WireError",
     "build_query",
     "build_records",
+    "encode_answer",
+    "encode_blocks",
     "encode_graph_header",
     "encode_agg_header",
     "iter_graph_rows",
@@ -76,16 +82,8 @@ class WireError(ReproError):
 
 # -- float escaping -----------------------------------------------------------
 
-
-def _enc_float(value: float) -> float | str:
-    value = float(value)
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return value
-
-
+# The ``repr`` of the three non-JSON doubles, and the strings they travel as.
+_NONFINITE = {"nan": '"NaN"', "inf": '"Infinity"', "-inf": '"-Infinity"'}
 _SPECIALS = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
 
 
@@ -95,6 +93,15 @@ def _dec_float(value) -> float:
     return float(value)
 
 
+class _RowText(str):
+    """One answer row already rendered as JSON; :func:`dumps` passes it on."""
+
+    __slots__ = ()
+
+
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
 def dumps(obj) -> str:
     """Compact deterministic JSON (no whitespace, keys as given).
 
@@ -102,7 +109,7 @@ def dumps(obj) -> str:
     been escaped already; leaking a bare NaN would emit JavaScript-style
     ``NaN`` that strict parsers reject.
     """
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    return obj if type(obj) is _RowText else _encode(obj)
 
 
 # -- queries ------------------------------------------------------------------
@@ -225,56 +232,94 @@ def _decode_degraded(payload) -> DegradedReport | None:
     )
 
 
-def encode_graph_header(result: GraphQueryResult) -> dict:
-    """The NDJSON header line for a graph answer: the row schema is the
-    ``elements`` order, which every ``m`` row array follows."""
+def _schema(result) -> tuple[dict, list, str]:
+    """``(header, columns, row key)`` of an answer.  The schema order —
+    ``elements`` / ``paths``, which every row array follows — is computed
+    once, so the header and the rows cannot disagree."""
+    if isinstance(result, PathAggregationResult):
+        paths = sorted(result.path_values.keys(), key=repr)
+        header = {
+            "kind": "aggregate",
+            "count": len(result),
+            "epoch": result.epoch,
+            "function": result.query.function,
+            "paths": [
+                {"nodes": list(p.nodes), "open_start": p.open_start, "open_end": p.open_end}
+                for p in paths
+            ],
+            "degraded": _encode_degraded(result.degraded),
+        }
+        return header, [result.path_values[p] for p in paths], "v"
     elements = sorted(result.measures.keys(), key=repr)
-    return {
+    header = {
         "kind": "graph",
         "count": len(result),
         "epoch": result.epoch,
         "elements": [list(e) for e in elements],
         "degraded": _encode_degraded(result.degraded),
     }
+    return header, [result.measures[e] for e in elements], "m"
 
 
-def iter_graph_rows(result: GraphQueryResult) -> Iterator[dict]:
-    elements = sorted(result.measures.keys(), key=repr)
-    columns = [result.measures[e] for e in elements]
-    for i, record_id in enumerate(result.record_ids):
-        yield {
-            "id": record_id,
-            "m": [_enc_float(col[i]) for col in columns],
-        }
+def _row_blocks(record_ids, columns, key: str, block_rows: int) -> Iterator[list[str]]:
+    """Row objects ``{"id":…,"<key>":[…]}`` as JSON text, ``block_rows`` at
+    a time, rendered column-wise.  A finite double is written by its
+    ``repr`` (what ``json`` itself emits); the non-finite cells
+    are found with one ``np.isfinite`` per column and patched to their
+    string escapes.  ``str`` ids go through json's own escaper, ``int``
+    ids are their ``repr``, anything else (bools, tuples — which travel as
+    arrays) goes through :func:`dumps`."""
+    columns = [np.asarray(column, dtype=np.float64) for column in columns]
+    odd = [~np.isfinite(column) for column in columns]
+    odd = [mask if mask.any() else None for mask in odd]  # None: nothing to patch
+    row = '{"id":%s,"' + key + '":[' + ",".join(["%s"] * len(columns)) + "]}"
+    for lo in range(0, len(record_ids), block_rows):
+        hi = lo + block_rows
+        cells = [
+            [
+                _quote(i) if type(i) is str else repr(i) if type(i) is int else dumps(i)
+                for i in record_ids[lo:hi]
+            ]
+        ]
+        for column, mask in zip(columns, odd):
+            text = list(map(repr, column[lo:hi].tolist()))
+            if mask is not None:
+                for i in np.flatnonzero(mask[lo:hi]).tolist():
+                    text[i] = _NONFINITE[text[i]]
+            cells.append(text)
+        yield [row % row_cells for row_cells in zip(*cells)]
 
 
-def encode_agg_header(result: PathAggregationResult) -> dict:
-    paths = sorted(result.path_values.keys(), key=repr)
-    return {
-        "kind": "aggregate",
-        "count": len(result),
-        "epoch": result.epoch,
-        "function": result.query.function,
-        "paths": [
-            {
-                "nodes": list(p.nodes),
-                "open_start": p.open_start,
-                "open_end": p.open_end,
-            }
-            for p in paths
-        ],
-        "degraded": _encode_degraded(result.degraded),
-    }
+def encode_blocks(record_ids, columns, key: str, block_rows: int) -> Iterator[bytes]:
+    """The row lines of an answer as wire bytes, one block per item."""
+    for block in _row_blocks(record_ids, columns, key, block_rows):
+        yield ("\n".join(block) + "\n").encode()
 
 
-def iter_agg_rows(result: PathAggregationResult) -> Iterator[dict]:
-    paths = sorted(result.path_values.keys(), key=repr)
-    columns = [result.path_values[p] for p in paths]
-    for i, record_id in enumerate(result.record_ids):
-        yield {
-            "id": record_id,
-            "v": [_enc_float(col[i]) for col in columns],
-        }
+def encode_answer(result, block_rows: int) -> tuple[bytes, Iterator[bytes]]:
+    """``(header line, row blocks)`` of a graph or aggregation answer."""
+    header, columns, key = _schema(result)
+    return (
+        (dumps(header) + "\n").encode(),
+        encode_blocks(result.record_ids, columns, key, block_rows),
+    )
+
+
+def encode_graph_header(result) -> dict:
+    """The NDJSON header line, as a document."""
+    return _schema(result)[0]
+
+
+def iter_graph_rows(result) -> Iterator[str]:
+    """The rows one at a time, as text :func:`dumps` returns untouched
+    (blocks of the daemon's default 64 rows underneath)."""
+    _, columns, key = _schema(result)
+    blocks = _row_blocks(result.record_ids, columns, key, 64)
+    return chain.from_iterable(map(_RowText, block) for block in blocks)
+
+
+encode_agg_header = encode_graph_header
+iter_agg_rows = iter_graph_rows
 
 
 class WireGraphResult:

@@ -4,7 +4,7 @@ The daemon speaks plain JSON-on-HTTP so ``curl`` works out of the box,
 but the repo bakes in no web framework — this module is the whole wire
 protocol: a hand-rolled request parser with hard limits on every
 dimension an untrusted peer controls (request-line length, header count
-and size, body size), and a chunked-transfer writer used to stream large
+and size, body size), and a chunked-transfer writer used to stream
 answer sets as NDJSON without knowing their length up front.
 
 Parsing failures raise :class:`ProtocolError` carrying the HTTP status
@@ -229,46 +229,36 @@ def render_response(
 class ChunkedWriter:
     """Stream a response body of unknown length via chunked encoding.
 
-    The server writes the status line and headers through
-    :meth:`start`, then any number of :meth:`send` chunks (each awaiting
-    ``drain()``, so a slow client back-pressures the producer instead of
-    buffering the whole answer), then :meth:`finish` for the terminal
-    chunk.  ``bytes_sent`` counts payload bytes for the metrics layer.
+    Every :meth:`send` is one chunk, one ``write`` and one ``drain()`` —
+    so a slow client back-pressures the producer instead of buffering the
+    whole answer.  The status line and headers ride in front of the first
+    chunk and the terminal chunk behind the ``last`` one: a body sent in
+    one call is one write.  ``started`` says whether any byte has left;
+    ``bytes_sent`` counts payload bytes for the metrics layer.
     """
 
-    def __init__(self, writer: asyncio.StreamWriter):
-        self._writer = writer
-        self.bytes_sent = 0
-        self._started = False
-
-    async def start(
+    def __init__(
         self,
+        writer: asyncio.StreamWriter,
         status: int = 200,
         content_type: str = "application/x-ndjson",
         keep_alive: bool = True,
-    ) -> None:
-        reason = HTTP_REASONS.get(status, "Unknown")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
+    ):
+        self._writer = writer
+        self.bytes_sent = 0
+        self.started = False
+        self._head = (
+            f"HTTP/1.1 {status} {HTTP_REASONS.get(status, 'Unknown')}\r\n"
             f"Content-Type: {content_type}\r\n"
             "Transfer-Encoding: chunked\r\n"
             f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
             "\r\n"
         ).encode("ascii")
-        self._writer.write(head)
-        await self._writer.drain()
-        self._started = True
 
-    async def send(self, payload: bytes) -> None:
-        if not payload:
-            return
-        self._writer.write(f"{len(payload):x}\r\n".encode("ascii"))
-        self._writer.write(payload)
-        self._writer.write(b"\r\n")
+    async def send(self, payload: bytes, last: bool = False) -> None:
+        frame = b"%x\r\n%b\r\n" % (len(payload), payload) if payload else b""
+        self._writer.write(self._head + frame + (b"0\r\n\r\n" if last else b""))
+        self._head = b""
+        self.started = True
         await self._writer.drain()
         self.bytes_sent += len(payload)
-
-    async def finish(self) -> None:
-        if self._started:
-            self._writer.write(b"0\r\n\r\n")
-            await self._writer.drain()

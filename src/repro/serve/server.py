@@ -15,10 +15,10 @@ engine:
 * the **tenant id** picks the admission gates (:mod:`.tenants`) the
   request must hold while the engine runs.
 
-Large answers stream as chunked NDJSON with backpressure (every chunk
-awaits ``drain()``).  If the deadline expires or the peer vanishes
-*mid-stream* — after the 200 status is committed — the stream ends with
-a final ``{"error": ...}`` line and the connection closes; clients
+Answers stream as chunked NDJSON, encoded a block of rows at a time and
+written once per 64 KiB (each write awaits ``drain()``: backpressure).
+If the deadline expires or anything fails *mid-stream* the stream ends
+with a final ``{"error": ...}`` line and the connection closes; clients
 compare rows received against the header's ``count``.
 
 Failures never escape a connection handler: typed errors become
@@ -56,6 +56,10 @@ from .tenants import DEFAULT_TENANT, BadTenantError, TenantGate
 
 __all__ = ["ServeConfig", "ReproServer", "ServerHandle", "start_in_thread"]
 
+# Answer bytes gathered before a socket write: an answer below this is one
+# write, a larger one awaits ``drain()`` once per this many bytes.
+_FLUSH_BYTES = 64 * 1024
+
 
 @dataclass
 class ServeConfig:
@@ -68,7 +72,7 @@ class ServeConfig:
     max_timeout_s: float = 300.0             # ceiling on client-requested budgets
     drain_s: float = 5.0                     # graceful-stop wait for inflight
     engine_threads: int = 8                  # blocking-call bridge width
-    stream_check_every: int = 64             # rows between mid-stream ctx checks
+    stream_check_every: int = 64             # rows per encoded block and ctx check
 
 
 class _ConnState:
@@ -543,14 +547,11 @@ class ReproServer:
                 stream_ok = await self._finish_watcher(watcher)
             # (errors raised by work() propagate to _dispatch's classifier)
 
-            if is_aggregate:
-                header = codec.encode_agg_header(result)
-                rows = codec.iter_agg_rows(result)
-            else:
-                header = codec.encode_graph_header(result)
-                rows = codec.iter_graph_rows(result)
+            header, blocks = codec.encode_answer(
+                result, max(self.config.stream_check_every, 1)
+            )
             keep = stream_ok and request.keep_alive
-            return await self._stream_ndjson(writer, header, rows, ctx, keep)
+            return await self._stream_ndjson(writer, header, blocks, ctx, keep)
         finally:
             if permit is not None:
                 permit.close()
@@ -558,44 +559,45 @@ class ReproServer:
     async def _stream_ndjson(
         self,
         writer: asyncio.StreamWriter,
-        header: dict,
-        rows,
+        header: bytes,
+        blocks,
         ctx: QueryContext,
         keep_alive: bool,
     ) -> bool:
-        """Header line + row lines as one chunked NDJSON response.
+        """Header line + row blocks as one chunked NDJSON response.
 
-        The context is re-checked every ``stream_check_every`` rows: a
-        deadline that expires or a token that fires mid-stream truncates
-        the answer with a final error line (the 200 is already on the
-        wire) and closes the connection.
+        Lines gather in ``pending`` and leave in one write when they pass
+        ``_FLUSH_BYTES`` or the answer ends.  The context is re-checked at
+        every block: a deadline that expires or a token that fires cuts the
+        answer there, with a final error line, and closes the connection.
+        Any other failure is reported the same way once bytes have left;
+        before that it propagates, and the client gets an ordinary error
+        response instead of a 200.
         """
-        chunked = ChunkedWriter(writer)
+        chunked = ChunkedWriter(writer, keep_alive=keep_alive)
         registry = self.registry
-        check_every = max(self.config.stream_check_every, 1)
+        pending, size = [header], len(header)
         try:
-            await chunked.start(200, keep_alive=keep_alive)
-            await chunked.send((dumps(header) + "\n").encode())
-            buffer: list[str] = []
-            sent = 0
-            for row in rows:
-                buffer.append(dumps(row))
-                if len(buffer) >= check_every:
-                    ctx.check()
-                    await chunked.send(("\n".join(buffer) + "\n").encode())
-                    sent += len(buffer)
-                    buffer.clear()
-            if buffer:
-                await chunked.send(("\n".join(buffer) + "\n").encode())
-            await chunked.finish()
-        except ReproError as exc:  # mid-stream timeout/cancel
-            status, body = self._classify(exc)
-            registry.counter("serve.stream_truncated").inc()
-            with contextlib.suppress(ConnectionError, OSError):
-                await chunked.send((dumps(body) + "\n").encode())
-                await chunked.finish()
-            keep_alive = False
+            for block in blocks:
+                ctx.check()
+                pending.append(block)
+                size += len(block)
+                if size >= _FLUSH_BYTES:
+                    await chunked.send(b"".join(pending))
+                    pending, size = [], 0
+            await chunked.send(b"".join(pending), last=True)
         except (ConnectionError, OSError):
+            keep_alive = False
+        except Exception as exc:
+            typed = isinstance(exc, ReproError)  # deadline / cancel from ctx.check()
+            if not (typed or chunked.started):
+                raise
+            if not typed:
+                registry.counter("serve.internal_errors").inc()
+            registry.counter("serve.stream_truncated").inc()
+            pending.append((dumps(self._classify(exc)[1]) + "\n").encode())
+            with contextlib.suppress(ConnectionError, OSError):
+                await chunked.send(b"".join(pending), last=True)
             keep_alive = False
         finally:
             registry.counter("serve.bytes_streamed").inc(chunked.bytes_sent)

@@ -153,6 +153,33 @@ class TestRouting:
             table.measures(0, rows), _reference_relation().measures(0, rows)
         )
 
+    @pytest.mark.parametrize(
+        "rows", [[0, 2, 3, 4, 8, 9], [9, 0, 4, 2, 4], [5], [], [3, 3, 7]]
+    )
+    def test_split_rows_once_serves_every_column_with_the_same_counts(self, rows):
+        """A query routes its rows once (``split_rows``) and gathers every
+        column through the result: same values, same order and the same
+        column/value counts as routing per call — sorted rows or not."""
+        rows = np.array(rows, dtype=np.int64)
+        reference = _reference_relation()
+        per_call, once = _sharded_table(3), _sharded_table(3)
+        per_call.collector.reset()
+        once.collector.reset()
+        split = once.split_rows(rows)
+        assert split.size == rows.size
+        if (np.diff(rows) >= 0).all():
+            assert all(isinstance(where, slice) for _, where, _ in split.pieces)
+        for edge_id in (0, 1, 2):
+            want = reference.measures(edge_id, rows)
+            np.testing.assert_array_equal(per_call.measures(edge_id, rows), want)
+            np.testing.assert_array_equal(once.measures(edge_id, split), want)
+        np.testing.assert_array_equal(
+            once.aggregate_view_measures("av1:sum", split),
+            reference.aggregate_view_measures("av1:sum", rows),
+        )
+        per_call.aggregate_view_measures("av1:sum", rows)
+        assert once.collector.stats == per_call.collector.stats
+
     def test_load_sparse_column_validates(self):
         table = ShardedTable(2)
         table.set_record_count(4)
