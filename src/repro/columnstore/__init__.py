@@ -1,7 +1,7 @@
 """Column-oriented storage substrate (the paper's MonetDB substitute).
 
-Packed bitmaps, NULL-masked measure columns, the vertically partitioned
-master relation, horizontal record-range sharding behind the
+Packed bitmaps, NULL-suppressed rank-indexed measure columns, the vertically
+partitioned master relation, horizontal record-range sharding behind the
 :class:`StorageBackend` seam, I/O cost accounting in the paper's
 cost-model units, and ``.npy``-per-column persistence (plain and
 per-shard layouts).

@@ -19,7 +19,7 @@ Three structural extras distinguish a horizontally partitioned backend:
   order-preserving merge combiners (global row = shard start + local row);
 * ``split_rows(rows)`` — global rows routed to their shards once, accepted
   by ``measures`` / ``aggregate_view_measures`` in place of ``rows`` (a
-  single relation returns the rows).
+  single relation only prepares the rank lookups).
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["Bitmap", "BitmapBuilder", "popcount_words"]
+__all__ = ["Bitmap", "BitmapBuilder", "popcount_words", "popcount_each"]
 
 _WORD_BITS = 64
 # Lookup table: popcount of every byte value, used to count set bits fast.
@@ -43,6 +43,15 @@ def popcount_words(words: np.ndarray, force_lut: bool = False) -> int:
     if _HAS_BITWISE_COUNT and not force_lut:
         return int(np.bitwise_count(words).sum())
     return int(_POPCOUNT8[words.view(np.uint8)].sum())
+
+
+def popcount_each(words: np.ndarray) -> np.ndarray:
+    """Set bits of every element of an unsigned integer array — the
+    per-word sibling of :func:`popcount_words`, on the same two paths.
+    Rank lookups into NULL-suppressed measure columns are built on it."""
+    if _HAS_BITWISE_COUNT:
+        return np.bitwise_count(words)
+    return _POPCOUNT8[words.view(np.uint8)].reshape(-1, words.itemsize).sum(axis=1, dtype=np.int64)
 
 
 def _words_needed(length: int) -> int:

@@ -1,7 +1,8 @@
 """Crash-safe disk persistence for the master relation.
 
-Stores each column as ``.npy`` files — one pair (values, validity rows)
-per measure column, one word file per view bitmap — plus a versioned JSON
+Stores each column as ``.npy`` files — two per measure column (the packed
+non-NULL values and the bitmap words that rank them, the layout the column
+has in RAM), one word file per view bitmap — plus a versioned JSON
 manifest.  This mirrors a column store's one-file-per-column layout and
 lets the Table 2 / Figure 4 benchmarks report genuine size-on-disk numbers.
 
@@ -53,7 +54,7 @@ __all__ = [
 _MANIFEST = "manifest.json"
 _GEN_PREFIX = "gen-"
 _TMP_PREFIX = ".tmp-"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # Fault-injection seam: each hook is called with a stage label at every
 # point during a save where a crash would leave the directory in a distinct
@@ -135,23 +136,19 @@ def save_relation(
         files[name] = {"size": path.stat().st_size, "crc32": _crc32_of(path)}
         _notify(f"wrote:{name}")
 
+    def _write_column(stem: str, column: MeasureColumn) -> None:
+        # The column as it sits in RAM: packed values, and the validity
+        # words verbatim so a read-only attachment (procpool workers) can
+        # mmap the bitmap zero-copy.
+        _write_array(f"{stem}_vals.npy", column.packed())
+        _write_array(f"{stem}_bits.npy", column.validity.words())
+
     for edge_id in relation.element_ids():
-        column = relation.column_for_persistence(edge_id)
-        rows = column.validity.to_indices()
-        _write_array(f"m{edge_id}_rows.npy", rows)
-        _write_array(f"m{edge_id}_vals.npy", column.take(rows))
-        # Packed-bits sidecar: the validity bitmap's words verbatim, so a
-        # read-only attachment (procpool workers) can mmap the bitmap
-        # zero-copy instead of rebuilding it from the sparse row list.
-        # Additive — readers without sidecar support just ignore it.
-        _write_array(f"m{edge_id}_bits.npy", np.asarray(column.validity.words()))
+        _write_column(f"m{edge_id}", relation.column_for_persistence(edge_id))
     for name, bitmap in relation.graph_views_for_persistence().items():
-        _write_array(f"gv_{name}.npy", np.asarray(bitmap.words()))
+        _write_array(f"gv_{name}.npy", bitmap.words())
     for name, column in relation.aggregate_views_for_persistence().items():
-        rows = column.validity.to_indices()
-        _write_array(f"av_{name}_rows.npy", rows)
-        _write_array(f"av_{name}_vals.npy", column.take(rows))
-        _write_array(f"av_{name}_bits.npy", np.asarray(column.validity.words()))
+        _write_column(f"av_{name}", column)
     _notify("columns-written")
 
     manifest = {
@@ -215,6 +212,23 @@ def _read_manifest(root: FsPath) -> dict:
     return manifest
 
 
+def _checked_bitmap(vals, bits, n_records: int, stem: FsPath) -> Bitmap:
+    """A column's validity bitmap from its two arrays, refusing what a rank
+    lookup cannot survive: a bit past ``n_records``, or values that do not
+    number the set bits.  Reads the bitmap words, not the values."""
+    try:
+        bitmap = Bitmap.from_packed(n_records, bits)
+        if vals.shape != (bitmap.count(),):
+            raise ValueError(
+                f"packed values of shape {vals.shape} for {bitmap.count()} set validity bits"
+            )
+    except ValueError as exc:
+        raise CorruptionError(
+            f"{stem}_*.npy: inconsistent column arrays: {exc}"
+        ) from None
+    return bitmap
+
+
 def load_relation(
     directory: str | FsPath,
     verify: bool = True,
@@ -269,17 +283,16 @@ def load_relation(
             raise CorruptionError(f"{path}: unreadable .npy payload: {exc}") from None
 
     n_records = int(manifest["n_records"])
+
+    def _load_column(stem: str) -> MeasureColumn:
+        vals = _load_array(f"{stem}_vals.npy")
+        bits = _load_array(f"{stem}_bits.npy")
+        return MeasureColumn(vals, _checked_bitmap(vals, bits, n_records, gen_dir / stem))
+
     relation = MasterRelation(partition_width=int(manifest["partition_width"]))
     relation.set_record_count(n_records)
     for edge_id in manifest["element_ids"]:
-        rows = _load_array(f"m{edge_id}_rows.npy")
-        vals = _load_array(f"m{edge_id}_vals.npy")
-        try:
-            relation.load_sparse_column(edge_id, rows, vals)
-        except (ValueError, IndexError) as exc:
-            raise CorruptionError(
-                f"{gen_dir}/m{edge_id}_*.npy: inconsistent column arrays: {exc}"
-            ) from None
+        relation.put_column(edge_id, _load_column(f"m{edge_id}"))
 
     def _drop_view(name: str, exc: Exception) -> None:
         reason = str(exc)
@@ -299,16 +312,7 @@ def load_relation(
             _drop_view(name, exc)
     for name in manifest["aggregate_views"]:
         try:
-            rows = _load_array(f"av_{name}_rows.npy")
-            vals = _load_array(f"av_{name}_vals.npy")
-            if rows.shape != vals.shape:
-                raise CorruptionError(
-                    f"{gen_dir}/av_{name}_*.npy: rows/values arrays disagree"
-                )
-            values = np.full(n_records, np.nan)
-            values[np.asarray(rows, dtype=np.int64)] = vals
-            validity = Bitmap.from_indices(n_records, rows)
-            relation.add_aggregate_view(name, MeasureColumn(values, validity))
+            relation.add_aggregate_view(name, _load_column(f"av_{name}"))
         except (PersistenceError, ValueError, IndexError) as exc:
             _drop_view(name, exc)
     relation.app_meta = manifest.get("app_meta")
@@ -319,24 +323,27 @@ class RelationBitmapReader:
     """Zero-copy, read-only attachment to one persisted relation's bitmaps.
 
     The worker-side open path of the process pool: instead of
-    :func:`load_relation` (which rebuilds dense measure columns in memory),
-    this memory-maps exactly the files a structural conjunction needs —
+    :func:`load_relation` (which reads and checksums every column), this
+    memory-maps exactly the files a structural conjunction needs —
     element validity bitmaps, graph-view words, aggregate-view validity —
     with ``np.load(mmap_mode="r")``.  Nothing is copied on attach:
 
-    * element / aggregate-view bitmaps come from the packed-bits sidecars
+    * element / aggregate-view bitmaps come from the columns' bitmap files
       (``m{id}_bits.npy`` / ``av_{name}_bits.npy``) wrapped directly via
       :meth:`Bitmap.from_packed` — the bitmap's words *are* the mapped
       file pages, shared across every attachment through the OS page
-      cache; relations saved before the sidecars existed fall back to
-      rebuilding from the sparse row file;
+      cache;
     * graph views map ``gv_{name}.npy`` the same way.
 
     The mapping is read-only: any write attempt through a returned bitmap
     raises, and the attachment never dirties a page (no write-back).
     Checksums are intentionally skipped — verifying would read every byte
     and defeat the laziness; the atomic generation-swap protocol already
-    guarantees a committed generation is never modified in place.
+    guarantees a committed generation is never modified in place.  What is
+    checked, per column and on first use, is :func:`_checked_bitmap`: one
+    popcount over the bitmap's words (pages the conjunction reads anyway)
+    against the length in the values file's header — the values themselves
+    are mapped, never read.
     """
 
     def __init__(self, directory: str | FsPath):
@@ -348,11 +355,7 @@ class RelationBitmapReader:
                 f"{root}: manifest names generation {manifest['directory']!r} "
                 "but that directory is missing"
             )
-        files = manifest["files"]
-        if not isinstance(files, dict):
-            raise ManifestError(f"{root}/{_MANIFEST}: 'files' must be an object")
         self._gen_dir = gen_dir
-        self._files = files
         self.generation = int(manifest["generation"])
         self.n_records = int(manifest["n_records"])
         self._element_ids = {int(i) for i in manifest["element_ids"]}
@@ -367,11 +370,11 @@ class RelationBitmapReader:
         except Exception as exc:
             raise CorruptionError(f"{path}: unreadable .npy payload: {exc}") from None
 
-    def _packed_or_rows(self, sidecar: str, rows_file: str) -> Bitmap:
-        if sidecar in self._files:
-            return Bitmap.from_packed(self.n_records, self._mmap(sidecar))
-        rows = np.asarray(self._mmap(rows_file), dtype=np.int64)
-        return Bitmap.from_indices(self.n_records, rows)
+    def _column_bitmap(self, stem: str) -> Bitmap:
+        return _checked_bitmap(
+            self._mmap(f"{stem}_vals.npy"), self._mmap(f"{stem}_bits.npy"),
+            self.n_records, self._gen_dir / stem,
+        )
 
     def has_element(self, edge_id: int) -> bool:
         return edge_id in self._element_ids
@@ -385,9 +388,7 @@ class RelationBitmapReader:
             if edge_id not in self._element_ids:
                 cached = Bitmap.zeros(self.n_records)
             else:
-                cached = self._packed_or_rows(
-                    f"m{edge_id}_bits.npy", f"m{edge_id}_rows.npy"
-                )
+                cached = self._column_bitmap(f"m{edge_id}")
             self._bitmaps[key] = cached
         return cached
 
@@ -407,9 +408,7 @@ class RelationBitmapReader:
         if cached is None:
             if name not in self._aggregate_views:
                 raise KeyError(f"no aggregate view {name!r}")
-            cached = self._packed_or_rows(
-                f"av_{name}_bits.npy", f"av_{name}_rows.npy"
-            )
+            cached = self._column_bitmap(f"av_{name}")
             self._bitmaps[key] = cached
         return cached
 

@@ -14,9 +14,13 @@ order-preserving concatenation:
 * measure vectors / path aggregates — per-shard gathers written back into
   the caller's row order.
 
+A packed measure column (:mod:`~repro.columnstore.column`) is cut at the rank
+of each shard boundary, so resharding, rebalancing and merging move views of
+the packed values and never expand a column to one cell per row.
+
 Appends only ever touch the **last** shard (boundaries of the earlier
-shards are immutable), so incremental ingest rebuilds one shard, not the
-relation; ``rebalance()`` re-splits evenly after bulk loads.
+shards are immutable), so incremental ingest extends one shard's packed
+tails, not the relation; ``rebalance()`` re-splits evenly after bulk loads.
 
 Persistence (:func:`save_sharded` / :func:`load_sharded`) reuses the PR-1
 generation/CRC scheme *per shard*: every shard directory is a complete
@@ -42,10 +46,10 @@ import numpy as np
 
 from ..errors import ManifestError, PersistenceError
 from .bitmap import Bitmap
-from .column import MeasureColumn
+from .column import MeasureColumn, rank_rows, sorted_cells
 from .iostats import IOStatsCollector
 from .persistence import load_relation, save_relation
-from .table import MasterRelation
+from .table import MasterRelation, VerticalPartitioning
 
 __all__ = [
     "RowSplit",
@@ -67,13 +71,29 @@ _TMP_PREFIX = ".tmp-"
 class RowSplit(NamedTuple):
     """Global rows routed to their shards (:meth:`ShardedTable.split_rows`):
     per shard that holds any, ``(shard, where, local rows)`` — ``where``
-    indexes the caller's row order, a slice when the rows came sorted."""
+    indexes the caller's row order, a slice when the rows came sorted; the
+    local rows are ``RankedRows``, prepared once for every column gathered."""
 
     size: int
     pieces: list
 
 
-class ShardedTable:
+def _copy_contents(source, target):
+    """Fill the empty, already sized ``target`` backend with ``source``'s
+    columns and views.  Packed columns are sliced or joined whole — never
+    expanded to a cell per row."""
+    for edge_id in source.element_ids():
+        target.put_column(edge_id, source.column_for_persistence(edge_id))
+    for name, bitmap in source.graph_views_for_persistence().items():
+        target.add_graph_view(name, bitmap)
+    for name, column in source.aggregate_views_for_persistence().items():
+        target.add_aggregate_view(name, column)
+    target.dropped_views = list(source.dropped_views)
+    target.app_meta = source.app_meta
+    return target
+
+
+class ShardedTable(VerticalPartitioning):
     """A master relation horizontally partitioned into record-range shards.
 
     Implements the same :class:`~repro.columnstore.backend.StorageBackend`
@@ -138,18 +158,22 @@ class ShardedTable:
         routes them once.  Sorted rows (``Bitmap.to_indices``) cut into one
         contiguous slice per shard; any other order falls back to masks."""
         rows = np.asarray(rows, dtype=np.int64)
-        ends = np.cumsum([shard.n_records for shard in self.shards])
+        bounds = self._bounds()
         if (rows[1:] >= rows[:-1]).all():
-            cuts = [0, *np.searchsorted(rows, ends).tolist()]
+            cuts = np.searchsorted(rows, bounds).tolist()
+            in_range = cuts[0] == 0 and cuts[-1] == rows.size
             wheres = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         else:
-            sidx = np.searchsorted(ends, rows, side="right")
+            sidx = np.searchsorted(bounds[1:], rows, side="right")
+            in_range = rows.min() >= 0 and sidx.max() < len(self.shards)
             wheres = [sidx == i for i in range(len(self.shards))]
+        if not in_range:
+            raise IndexError(f"row out of range for a table of {bounds[-1]} records")
         pieces = []
-        for shard, where, start in zip(self.shards, wheres, self.shard_starts()):
+        for shard, where, start in zip(self.shards, wheres, bounds):
             local = rows[where]
             if local.size:
-                pieces.append((shard, where, local - start))
+                pieces.append((shard, where, rank_rows(local - start)))
         return RowSplit(rows.size, pieces)
 
     @property
@@ -161,23 +185,6 @@ class ShardedTable:
         for shard in self.shards:
             ids.update(shard.element_ids())
         return sorted(ids)
-
-    @property
-    def n_element_columns(self) -> int:
-        return len(self.element_ids())
-
-    def partition_of(self, edge_id: int) -> int:
-        return edge_id // self.partition_width
-
-    @property
-    def n_partitions(self) -> int:
-        ids = self.element_ids()
-        if not ids:
-            return 0
-        return self.partition_of(max(ids)) + 1
-
-    def partitions_for(self, edge_ids: Iterable[int]) -> set[int]:
-        return {self.partition_of(i) for i in edge_ids}
 
     # -- loading -------------------------------------------------------------
 
@@ -209,18 +216,31 @@ class ShardedTable:
             last = self.shards[-1]
             last.set_record_count(last.n_records + (n_records - current))
 
+    def _bounds(self) -> list[int]:
+        """Shard boundaries: every start, then the record count."""
+        return [*self.shard_starts(), self.n_records]
+
     def load_sparse_column(
         self, edge_id: int, row_indices: np.ndarray, values: np.ndarray
     ) -> None:
         """Route one sparse column's (row, value) pairs to their shards."""
-        rows = np.asarray(row_indices, dtype=np.int64)
-        vals = np.asarray(values, dtype=np.float64)
-        if rows.shape != vals.shape:
-            raise ValueError("row/value arrays must be parallel")
-        if rows.size and (rows.min() < 0 or rows.max() >= self.n_records):
-            raise IndexError("row index out of range; call set_record_count first")
-        for shard, where, local in self.split_rows(rows).pieces:
-            shard.load_sparse_column(edge_id, local, vals[where])
+        rows, vals = sorted_cells(row_indices, values, self.n_records)
+        bounds = self._bounds()
+        cuts = np.searchsorted(rows, bounds).tolist()
+        for shard, start, lo, hi in zip(self.shards, bounds, cuts, cuts[1:]):
+            if hi > lo:
+                shard.load_sparse_column(edge_id, rows[lo:hi] - start, vals[lo:hi])
+
+    def put_column(self, edge_id: int, column: MeasureColumn) -> None:
+        """Install a packed global column, cut at the shard boundaries; a
+        shard the element never occurs in gets no column at all."""
+        if len(column) != self.n_records:
+            raise ValueError("column length must equal the record count")
+        bounds = self._bounds()
+        for shard, lo, hi in zip(self.shards, bounds, bounds[1:]):
+            piece = column.slice(lo, hi)
+            if piece.non_null_count():
+                shard.put_column(edge_id, piece)
 
     def rebalance(self) -> None:
         """Re-split the record space into even contiguous ranges.
@@ -230,28 +250,8 @@ class ShardedTable:
         shards.  Global record order, columns, and views are preserved
         bit-for-bit — only the shard boundaries move.
         """
-        if len(self.shards) == 1:
-            return
-        total = self.n_records
-        columns = {
-            edge_id: self._merged_column(edge_id) for edge_id in self.element_ids()
-        }
-        graph_views = self.graph_views_for_persistence()
-        agg_views = self.aggregate_views_for_persistence()
-        self.shards = [
-            MasterRelation(
-                partition_width=self.partition_width, collector=self._collector
-            )
-            for _ in self.shards
-        ]
-        self.set_record_count(total)
-        for edge_id, column in columns.items():
-            rows = column.validity.to_indices()
-            self.load_sparse_column(edge_id, rows, column.take(rows))
-        for name, bitmap in graph_views.items():
-            self.add_graph_view(name, bitmap)
-        for name, column in agg_views.items():
-            self.add_aggregate_view(name, column)
+        if len(self.shards) > 1:
+            self.shards = ShardedTable.from_relation(self, len(self.shards)).shards
 
     @classmethod
     def from_relation(cls, relation, n_shards: int) -> "ShardedTable":
@@ -263,17 +263,7 @@ class ShardedTable:
             collector=relation.collector,
         )
         table.set_record_count(relation.n_records)
-        for edge_id in relation.element_ids():
-            column = relation.column_for_persistence(edge_id)
-            rows = column.validity.to_indices()
-            table.load_sparse_column(edge_id, rows, column.take(rows))
-        for name, bitmap in relation.graph_views_for_persistence().items():
-            table.add_graph_view(name, bitmap)
-        for name, column in relation.aggregate_views_for_persistence().items():
-            table.add_aggregate_view(name, column)
-        table.dropped_views = list(relation.dropped_views)
-        table.app_meta = relation.app_meta
-        return table
+        return _copy_contents(relation, table)
 
     def to_relation(self) -> MasterRelation:
         """Merge the shards back into one plain :class:`MasterRelation`."""
@@ -281,17 +271,7 @@ class ShardedTable:
             partition_width=self.partition_width, collector=self._collector
         )
         relation.set_record_count(self.n_records)
-        for edge_id in self.element_ids():
-            column = self._merged_column(edge_id)
-            rows = column.validity.to_indices()
-            relation.load_sparse_column(edge_id, rows, column.take(rows))
-        for name, bitmap in self.graph_views_for_persistence().items():
-            relation.add_graph_view(name, bitmap)
-        for name, column in self.aggregate_views_for_persistence().items():
-            relation.add_aggregate_view(name, column)
-        relation.dropped_views = list(self.dropped_views)
-        relation.app_meta = self.app_meta
-        return relation
+        return _copy_contents(self, relation)
 
     # -- column access -------------------------------------------------------
 
@@ -340,26 +320,15 @@ class ShardedTable:
             else np.full(local.size, np.nan),
         )
 
-    def simulate_partition_join(
-        self, edge_ids: Iterable[int], rows: np.ndarray
-    ) -> None:
-        """Model the §6.1 recid re-join on the *merged* row set (vertical
-        partitioning is by edge id, identical in every shard)."""
-        partitions = self.partitions_for(edge_ids)
-        self._collector.record_partition_join(len(partitions))
-        for _ in range(max(len(partitions) - 1, 0)):
-            np.intersect1d(rows, rows, assume_unique=True)
-
     # -- views ---------------------------------------------------------------
 
     def add_graph_view(self, name: str, bitmap: Bitmap) -> None:
         """Store a graph view, split into per-shard bitmap segments."""
         if bitmap.length != self.n_records:
             raise ValueError("view bitmap length must equal the record count")
-        offset = 0
-        for shard in self.shards:
-            shard.add_graph_view(name, bitmap.slice(offset, offset + shard.n_records))
-            offset += shard.n_records
+        bounds = self._bounds()
+        for shard, lo, hi in zip(self.shards, bounds, bounds[1:]):
+            shard.add_graph_view(name, bitmap.slice(lo, hi))
 
     def view_bitmap(self, name: str) -> Bitmap:
         return Bitmap.concat(shard.view_bitmap(name) for shard in self.shards)
@@ -386,15 +355,9 @@ class ShardedTable:
     def add_aggregate_view(self, name: str, column: MeasureColumn) -> None:
         if len(column) != self.n_records:
             raise ValueError("view column length must equal the record count")
-        values = column.values()
-        offset = 0
-        for shard in self.shards:
-            stop = offset + shard.n_records
-            shard.add_aggregate_view(
-                name,
-                MeasureColumn(values[offset:stop], column.validity.slice(offset, stop)),
-            )
-            offset = stop
+        bounds = self._bounds()
+        for shard, lo, hi in zip(self.shards, bounds, bounds[1:]):
+            shard.add_aggregate_view(name, column.slice(lo, hi))
 
     def aggregate_view_bitmap(self, name: str) -> Bitmap:
         return Bitmap.concat(
@@ -446,21 +409,12 @@ class ShardedTable:
     # -- merged access for persistence/materialization ----------------------
 
     def _merged_column(self, edge_id: int) -> MeasureColumn:
-        values = np.concatenate(
-            [
-                shard.column_for_persistence(edge_id).values()
-                if shard.has_element(edge_id)
-                else np.full(shard.n_records, np.nan)
-                for shard in self.shards
-            ]
-        )
-        validity = Bitmap.concat(
-            shard.column_for_persistence(edge_id).validity
+        return MeasureColumn.concat(
+            shard.column_for_persistence(edge_id)
             if shard.has_element(edge_id)
-            else Bitmap.zeros(shard.n_records)
+            else MeasureColumn.nulls(shard.n_records)
             for shard in self.shards
         )
-        return MeasureColumn(values, validity)
 
     def column_for_persistence(self, edge_id: int) -> MeasureColumn:
         """Merged global column (no I/O accounting) — the same contract as
@@ -479,16 +433,12 @@ class ShardedTable:
         }
 
     def aggregate_views_for_persistence(self) -> dict[str, MeasureColumn]:
-        merged: dict[str, MeasureColumn] = {}
-        for name in self.aggregate_view_names():
-            columns = [
+        return {
+            name: MeasureColumn.concat(
                 shard.aggregate_views_for_persistence()[name] for shard in self.shards
-            ]
-            merged[name] = MeasureColumn(
-                np.concatenate([c.values() for c in columns]),
-                Bitmap.concat(c.validity for c in columns),
             )
-        return merged
+            for name in self.aggregate_view_names()
+        }
 
 
 # -- sharded persistence -----------------------------------------------------

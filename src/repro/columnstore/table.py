@@ -9,11 +9,13 @@ graph records and whose columns are, per distinct structural element *i*,
 Materialized graph views add bitmap columns ``bv_j`` and aggregate graph
 views add column pairs ``(mp_l, bp_l)`` (Section 5.1.3).
 
-Physically each measure column is sparse (values for the records containing
-the element plus a validity bitmap) so database size is governed by the
-number of recorded measures, not ``n_records × n_columns`` — matching the
-paper's observation that the column store's footprint is independent of
-record density (Figure 4).
+Physically each measure column is sparse — the packed values of the records
+containing the element, ranked by the edge bitmap (see
+:mod:`~repro.columnstore.column`) — in RAM exactly as on disk, so database
+size is governed by the number of recorded measures, not ``n_records ×
+n_columns``.  ``base_size_bytes("dense")`` keeps the counterfactual behind
+the paper's observation that a dense column store's footprint is independent
+of record density (Figure 4).
 
 Per Section 6.1 the relation is **vertically partitioned** into
 sub-relations of at most ``partition_width`` element columns; a query whose
@@ -32,13 +34,47 @@ from collections.abc import Iterable, Mapping
 import numpy as np
 
 from .bitmap import Bitmap
-from .column import MeasureColumn
+from .column import MeasureColumn, RankedRows, rank_rows, sorted_cells
 from .iostats import IOStatsCollector
 
 __all__ = ["MasterRelation"]
 
 
-class MasterRelation:
+class VerticalPartitioning:
+    """§6.1 geometry shared by the plain and the sharded relation: element
+    ``i`` lives in sub-relation ``i // partition_width`` (in every shard)."""
+
+    @property
+    def n_element_columns(self) -> int:
+        return len(self.element_ids())
+
+    def partition_of(self, edge_id: int) -> int:
+        """Index of the sub-relation holding element ``edge_id``."""
+        return edge_id // self.partition_width
+
+    @property
+    def n_partitions(self) -> int:
+        ids = self.element_ids()
+        return self.partition_of(max(ids)) + 1 if ids else 0
+
+    def partitions_for(self, edge_ids: Iterable[int]) -> set[int]:
+        return {self.partition_of(i) for i in edge_ids}
+
+    def simulate_partition_join(self, edge_ids: Iterable[int], rows: np.ndarray) -> None:
+        """Model the recid re-join when a query spans sub-relations.
+
+        Performs one sorted intersection of the matching recid set per
+        partition beyond the first, so both wall-clock time and the
+        ``partitions_joined`` counter reflect the spanning cost that
+        Figure 5 measures.
+        """
+        partitions = self.partitions_for(edge_ids)
+        self.collector.record_partition_join(len(partitions))
+        for _ in range(max(len(partitions) - 1, 0)):
+            np.intersect1d(rows, rows, assume_unique=True)
+
+
+class MasterRelation(VerticalPartitioning):
     """Columnar storage for a collection of graph records."""
 
     def __init__(
@@ -51,11 +87,11 @@ class MasterRelation:
         self.partition_width = partition_width
         self.collector = collector if collector is not None else IOStatsCollector()
         self._n_records = 0
-        # Per element column id: parallel lists of (row index, value) pairs
-        # accumulated during load, finalized lazily into MeasureColumns.
-        self._pending_rows: dict[int, list[int]] = {}
-        self._pending_vals: dict[int, list[float]] = {}
+        # Per element column id: the packed column, which may lag behind
+        # the record count, and the (rows, values) appended row by row since
+        # it was last merged.  _column() folds the tail in on first use.
         self._columns: dict[int, MeasureColumn] = {}
+        self._tails: dict[int, tuple[list[int], list[float]]] = {}
         self._graph_views: dict[str, Bitmap] = {}
         self._aggregate_views: dict[str, MeasureColumn] = {}
         # Views the persistence layer refused to load (name, reason) —
@@ -78,9 +114,9 @@ class MasterRelation:
         for edge_id, value in cells.items():
             if edge_id < 0:
                 raise ValueError("element ids must be non-negative")
-            self._pending_rows.setdefault(edge_id, []).append(row)
-            self._pending_vals.setdefault(edge_id, []).append(float(value))
-            self._columns.pop(edge_id, None)
+            rows, vals = self._tails.setdefault(edge_id, ([], []))
+            rows.append(row)
+            vals.append(float(value))
         self._n_records += 1
         return row
 
@@ -93,24 +129,31 @@ class MasterRelation:
         """Bulk-load one element column from parallel (row, value) arrays.
 
         Fast path used by the workload generators; rows must not exceed the
-        current record count set via :meth:`set_record_count`.
+        current record count set via :meth:`set_record_count`.  Rows are
+        sorted once if they arrive unsorted; a row given twice (here or by
+        an earlier load of the same column) is a ``ValueError``.
         """
-        rows = np.asarray(row_indices, dtype=np.int64)
-        vals = np.asarray(values, dtype=np.float64)
-        if rows.shape != vals.shape:
-            raise ValueError("row/value arrays must be parallel")
-        if rows.size and (rows.min() < 0 or rows.max() >= self._n_records):
-            raise IndexError("row index out of range; call set_record_count first")
-        self._pending_rows.setdefault(edge_id, []).extend(rows.tolist())
-        self._pending_vals.setdefault(edge_id, []).extend(vals.tolist())
-        self._columns.pop(edge_id, None)
+        if self.has_element(edge_id):
+            loaded = self._column(edge_id)
+            row_indices = np.concatenate([loaded.validity.to_indices(), row_indices])
+            values = np.concatenate([loaded.packed(), values])
+        rows, vals = sorted_cells(row_indices, values, self._n_records)
+        self._columns[edge_id] = MeasureColumn(
+            vals, Bitmap.from_indices(self._n_records, rows)
+        )
+
+    def put_column(self, edge_id: int, column: MeasureColumn) -> None:
+        """Install an already packed element column (load and reshard)."""
+        if len(column) != self._n_records:
+            raise ValueError("column length must equal the record count")
+        self._columns[edge_id] = column
+        self._tails.pop(edge_id, None)
 
     def set_record_count(self, n_records: int) -> None:
         """Declare the number of rows before sparse-column bulk loading."""
         if n_records < self._n_records:
             raise ValueError("cannot shrink the relation")
         self._n_records = n_records
-        self._columns.clear()
 
     # -- geometry ---------------------------------------------------------------
 
@@ -127,92 +170,63 @@ class MasterRelation:
         """Global row offset of each shard; ``[0]`` for a single relation."""
         return [0]
 
-    def split_rows(self, rows: np.ndarray) -> np.ndarray:
+    def split_rows(self, rows: np.ndarray) -> RankedRows:
         """What :meth:`measures` gathers at, prepared once for a query
-        that gathers several columns; a single relation routes nothing."""
-        return np.asarray(rows, dtype=np.int64)
+        that gathers several columns; a single relation routes nothing and
+        only prepares the rank lookups."""
+        return rank_rows(rows)
 
     def element_ids(self) -> list[int]:
         """All element column ids, ascending."""
-        ids = set(self._pending_rows) | set(self._columns)
-        return sorted(ids)
-
-    @property
-    def n_element_columns(self) -> int:
-        return len(set(self._pending_rows) | set(self._columns))
-
-    def partition_of(self, edge_id: int) -> int:
-        """Index of the sub-relation holding element ``edge_id`` (§6.1)."""
-        return edge_id // self.partition_width
-
-    @property
-    def n_partitions(self) -> int:
-        ids = self.element_ids()
-        if not ids:
-            return 0
-        return self.partition_of(max(ids)) + 1
-
-    def partitions_for(self, edge_ids: Iterable[int]) -> set[int]:
-        return {self.partition_of(i) for i in edge_ids}
+        return sorted(self._columns.keys() | self._tails.keys())
 
     # -- column access -------------------------------------------------------------
 
-    def _materialize_column(self, edge_id: int) -> MeasureColumn:
+    def _column(self, edge_id: int) -> MeasureColumn:
+        """The element's packed column at the current record count, folding
+        in whatever rows were appended since it was last asked for.
+
+        Readers run concurrently (appends do not), so the merge builds a
+        new column and publishes it with one assignment before retiring the
+        tail — and reads the tail *first*: a reader that finds no tail then
+        finds the column some other reader already merged.
+        """
+        tail = self._tails.get(edge_id)
         column = self._columns.get(edge_id)
-        # A cached column is only valid while the relation hasn't grown:
-        # appending a record that lacks this element leaves the cached
-        # entry untouched but one bit short, so length-check rather than
-        # trusting presence.
-        if column is not None and len(column) == self._n_records:
+        if column is None:
+            if tail is None:
+                raise KeyError(f"no column for element id {edge_id}")
+            column = MeasureColumn.nulls(0)
+        elif len(column) == self._n_records:
             return column
-        rows = self._pending_rows.get(edge_id)
-        if rows is None:
-            raise KeyError(f"no column for element id {edge_id}")
-        values = np.full(self._n_records, np.nan)
-        row_arr = np.asarray(rows, dtype=np.int64)
-        values[row_arr] = np.asarray(self._pending_vals[edge_id], dtype=np.float64)
-        validity = Bitmap.from_indices(self._n_records, row_arr)
-        column = MeasureColumn(values, validity)
+        rows, vals = tail if tail is not None else ((), ())
+        column = column.appended(rows, vals, self._n_records)
         self._columns[edge_id] = column
+        self._tails.pop(edge_id, None)
         return column
 
     def has_element(self, edge_id: int) -> bool:
-        return edge_id in self._pending_rows or edge_id in self._columns
+        return edge_id in self._columns or edge_id in self._tails
 
     def bitmap(self, edge_id: int) -> Bitmap:
         """Fetch bitmap column ``b_i`` (counted as one bitmap fetch)."""
-        column = self._materialize_column(edge_id)
+        column = self._column(edge_id)
         bitmap = column.validity
         self.collector.record_bitmap_fetch(is_view=False, nbytes=bitmap.nbytes())
         return bitmap
 
-    def measures(self, edge_id: int, rows: np.ndarray | None = None) -> np.ndarray:
+    def measures(
+        self, edge_id: int, rows: np.ndarray | RankedRows | None = None
+    ) -> np.ndarray:
         """Fetch measure column ``m_i`` (counted as one measure fetch).
 
         With ``rows`` given, gathers only those positions (NaN = NULL);
         otherwise returns the full column.
         """
-        column = self._materialize_column(edge_id)
-        if rows is None:
-            out = column.values()
-            self.collector.record_measure_fetch(len(out))
-            return out
-        out = column.take(rows)
+        column = self._column(edge_id)
+        out = column.values() if rows is None else column.take(rows)
         self.collector.record_measure_fetch(int(out.size))
         return out
-
-    def simulate_partition_join(self, edge_ids: Iterable[int], rows: np.ndarray) -> None:
-        """Model the recid re-join when a query spans sub-relations (§6.1).
-
-        Performs one sorted intersection of the matching recid set per
-        partition beyond the first, so both wall-clock time and the
-        ``partitions_joined`` counter reflect the spanning cost that
-        Figure 5 measures.
-        """
-        partitions = self.partitions_for(edge_ids)
-        self.collector.record_partition_join(len(partitions))
-        for _ in range(max(len(partitions) - 1, 0)):
-            np.intersect1d(rows, rows, assume_unique=True)
 
     # -- views -----------------------------------------------------------------------
 
@@ -292,16 +306,12 @@ class MasterRelation:
         return bitmap
 
     def aggregate_view_measures(
-        self, name: str, rows: np.ndarray | None = None
+        self, name: str, rows: np.ndarray | RankedRows | None = None
     ) -> np.ndarray:
         """Fetch ``mp_l`` for an aggregate view (counted as a view fetch)."""
         column = self._aggregate_views[name]
         self._check_fresh(len(column), name)
-        if rows is None:
-            out = column.values()
-            self.collector.record_measure_fetch(len(out), is_view=True)
-            return out
-        out = column.take(rows)
+        out = column.values() if rows is None else column.take(rows)
         self.collector.record_measure_fetch(int(out.size), is_view=True)
         return out
 
@@ -324,7 +334,7 @@ class MasterRelation:
             raise ValueError(f"unknown size model {model!r}")
         total = 0
         for edge_id in self.element_ids():
-            column = self._materialize_column(edge_id)
+            column = self._column(edge_id)
             if model == "sparse":
                 total += column.nbytes()  # m_i (sparse) incl. validity
             else:
@@ -347,7 +357,7 @@ class MasterRelation:
     # -- internal access for persistence ---------------------------------------------
 
     def column_for_persistence(self, edge_id: int) -> MeasureColumn:
-        return self._materialize_column(edge_id)
+        return self._column(edge_id)
 
     def graph_views_for_persistence(self) -> dict[str, Bitmap]:
         return dict(self._graph_views)

@@ -927,10 +927,9 @@ class GraphAnalyticsEngine:
                     column = self.relation.column_for_persistence(edge_id)
                     raw.append(column.take(rows))
             for stored_fn in view.stored_functions():
-                values = np.full(self.relation.n_records, np.nan)
-                if rows.size:
-                    values[rows] = get_function(stored_fn).combine(raw)
-                column = MeasureColumn(values, bitmap)
+                # One aggregate per matching row: already the packed column.
+                packed = get_function(stored_fn).combine(raw) if rows.size else ()
+                column = MeasureColumn(packed, bitmap)
                 self.relation.add_aggregate_view(f"{name}:{stored_fn}", column)
             self._agg_views[name] = view
             report.selected.append(name)

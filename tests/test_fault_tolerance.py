@@ -11,6 +11,7 @@ bulk ingestion, and the strict/skip/collect ingest error policies.
 from __future__ import annotations
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.columnstore import (
     Bitmap,
     MasterRelation,
     MeasureColumn,
+    RelationBitmapReader,
     load_relation,
     save_relation,
 )
@@ -171,7 +173,7 @@ class TestCorruptionDetection:
 
     def test_flipped_manifest_checksum_is_detected(self, tmp_path):
         db = _saved_db(tmp_path)
-        fi.corrupt_manifest_crc(db, "m0_rows.npy")
+        fi.corrupt_manifest_crc(db, "m0_bits.npy")
         with pytest.raises(CorruptionError, match="CRC32"):
             load_relation(db)
 
@@ -183,7 +185,7 @@ class TestCorruptionDetection:
 
     def test_manifest_missing_fields(self, tmp_path):
         db = _saved_db(tmp_path)
-        (db / "manifest.json").write_text(json.dumps({"format_version": 2}))
+        (db / "manifest.json").write_text(json.dumps({"format_version": 3}))
         with pytest.raises(ManifestError, match="missing fields"):
             load_relation(db)
 
@@ -194,6 +196,48 @@ class TestCorruptionDetection:
         (db / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ManifestError, match="format_version"):
             load_relation(db)
+
+    def test_v2_directory_asks_for_a_resave(self, tmp_path):
+        """A format-2 store (``_rows.npy`` + ``_vals.npy`` per column) is
+        refused whole, by the loader and by the worker attachment alike."""
+        db = _saved_db(tmp_path)
+        manifest = fi.live_manifest(db)
+        manifest["format_version"] = 2
+        (db / "manifest.json").write_text(json.dumps(manifest))
+        for attach in (load_relation, RelationBitmapReader):
+            with pytest.raises(ManifestError, match="re-save the relation"):
+                attach(db)
+
+    def _rewrite(self, db, name, array):
+        """Replace a column file and its manifest entry, so the checksums
+        pass and only the cross-file invariants can object."""
+        np.save(fi.data_file(db, name), array)
+        manifest = fi.live_manifest(db)
+        path = fi.data_file(db, name)
+        manifest["files"][name] = {
+            "size": path.stat().st_size, "crc32": zlib.crc32(path.read_bytes()),
+        }
+        (db / "manifest.json").write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("vals", [[1.0, 2.0], []])
+    def test_vals_popcount_mismatch_is_corruption(self, tmp_path, vals):
+        """m0 has one set bit; a values file of any other length would put
+        every later rank lookup on the wrong cell."""
+        db = _saved_db(tmp_path)
+        self._rewrite(db, "m0_vals.npy", np.array(vals, dtype=np.float64))
+        with pytest.raises(CorruptionError, match="packed values"):
+            load_relation(db)
+        with pytest.raises(CorruptionError, match="packed values"):
+            RelationBitmapReader(db).bitmap(0)
+
+    def test_bit_past_record_count_is_corruption(self, tmp_path):
+        db = _saved_db(tmp_path)
+        self._rewrite(db, "m0_bits.npy", np.array([0b101], dtype=np.uint64))
+        self._rewrite(db, "m0_vals.npy", np.array([1.0, 2.0]))
+        with pytest.raises(CorruptionError, match="past the bitmap length"):
+            load_relation(db)
+        with pytest.raises(CorruptionError, match="past the bitmap length"):
+            RelationBitmapReader(db).bitmap(0)
 
     def test_missing_generation_directory(self, tmp_path):
         db = _saved_db(tmp_path)
@@ -212,13 +256,13 @@ class TestCorruptionDetection:
 
     def test_all_failures_are_repro_errors(self, tmp_path):
         db = _saved_db(tmp_path)
-        fi.truncate_file(fi.data_file(db, "m2_rows.npy"), 8)
+        fi.truncate_file(fi.data_file(db, "m2_bits.npy"), 8)
         with pytest.raises(ReproError):
             load_relation(db)
 
     def test_verify_false_skips_checksums(self, tmp_path):
         db = _saved_db(tmp_path)
-        fi.corrupt_manifest_crc(db, "m0_rows.npy")
+        fi.corrupt_manifest_crc(db, "m0_vals.npy")
         assert load_relation(db, verify=False).n_records == 2
 
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -119,3 +124,46 @@ class TestSqlGeneration:
         plan = engine.plan_query(GraphQuery([("Z", "Q")]))
         sql = render_graph_query(plan, engine.catalog)
         assert "b?" in sql
+
+
+# Runs in a fresh interpreter: VmHWM is a high-water mark, so the floor has
+# to be read before anything is loaded and nothing else may share the process.
+_LOAD_PROBE = """
+import json, sys
+from repro.core import GraphAnalyticsEngine
+
+def hwm_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM"))
+
+floor = hwm_kb()
+engine = GraphAnalyticsEngine.load(sys.argv[1], shards=4)
+print(json.dumps({"grew": (hwm_kb() - floor) * 1024, "disk": engine.disk_size_bytes()}))
+"""
+
+
+class TestLoadFootprint:
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs Linux /proc"
+    )
+    def test_load_peak_stays_near_the_store_size(self, tmp_path):
+        """Loading and resharding may peak at no more than three times what
+        the relation occupies on disk: a dense ``records × columns``
+        intermediate or a boxed Python cell list costs ten times that, and
+        must fail here rather than in the benchmark's ``daemon_rss_mb``."""
+        n_records, n_columns = 30_000, 300
+        rng = np.random.default_rng(16)
+        columns = {}
+        for i in range(n_columns):
+            rows = np.nonzero(rng.random(n_records) < 0.07)[0]
+            columns[(f"n{i}", f"n{i + 1}")] = (rows, rng.random(rows.size))
+        engine = GraphAnalyticsEngine()
+        engine.load_columnar(list(range(n_records)), columns)
+        engine.save(tmp_path / "db")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        probe = subprocess.run(
+            [sys.executable, "-c", _LOAD_PROBE, str(tmp_path / "db")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        report = json.loads(probe.stdout)
+        assert report["grew"] <= 3 * report["disk"], report

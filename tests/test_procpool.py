@@ -19,7 +19,7 @@ from repro.core import GraphAnalyticsEngine, GraphQuery
 from repro.core.engine import INLINE
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.exec import ProcessShardPool, QueryExecutor, StaleGenerationError
-from repro.exec.procpool import resolve_fragment
+from repro.exec.procpool import WorkerTaskError, resolve_fragment
 from repro.exec.runners import ProcessRunner, ThreadRunner
 from repro.obs import MetricsRegistry
 from repro.resilience import CancelToken, QueryContext
@@ -202,6 +202,29 @@ class TestGenerationStamps:
             pool.set_stamp((storage_generation(db), engine.epoch))
             grown = pool.execute(last, fragment)
             assert grown.length == first.length + len(extra)
+        finally:
+            pool.close()
+
+    def test_workers_attach_to_the_bits_files_alone(self, tmp_path, corpus):
+        """A worker maps each column's ``_bits.npy`` — the same words the
+        parent ranks its values by — and has nothing to fall back on: no
+        rows file is written, and without the bits file the task fails."""
+        engine, db, pool = self._pool_fixture(tmp_path, corpus)
+        try:
+            assert not list(db.rglob("*_rows.npy"))
+            edge_id = engine.catalog.get_id(next(iter(engine.catalog)))
+            live = engine.relation.shard_relations()[0].bitmap(edge_id)
+            assert pool.execute(0, self._fragment(engine)) == live
+        finally:
+            pool.close()
+        for path in db.rglob(f"m{edge_id}_bits.npy"):
+            path.unlink()
+        pool = ProcessShardPool(
+            db, workers=1, stamp=(storage_generation(db), engine.epoch)
+        )
+        try:
+            with pytest.raises(WorkerTaskError, match="_bits.npy"):
+                pool.execute(0, self._fragment(engine))
         finally:
             pool.close()
 

@@ -1,11 +1,20 @@
-"""Tests for the master relation: loading, fetching, views, partitioning."""
+"""Tests for the master relation: loading, fetching, views, partitioning.
+
+What a column *holds* — row appends, sparse loads, gathers — is checked
+against a dense reference in ``test_column.py``."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.columnstore import Bitmap, IOStatsCollector, MasterRelation, MeasureColumn
+from repro.columnstore import (
+    Bitmap,
+    IOStatsCollector,
+    MasterRelation,
+    MeasureColumn,
+    ShardedTable,
+)
 
 
 def make_relation(**kwargs) -> MasterRelation:
@@ -22,6 +31,14 @@ class TestLoading:
         assert relation.n_records == 3
         assert relation.n_element_columns == 3
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_append_rows_returns_the_row_indices(self, shards):
+        relation = make_relation()
+        if shards > 1:
+            relation = ShardedTable.from_relation(relation, shards)
+        assert relation.append_rows([{0: 7.0}, {2: 8.0}]) == [3, 4]
+        assert relation.measures(0, np.array([2, 3])).tolist() == [5.0, 7.0]
+
     def test_empty_row_rejected(self):
         with pytest.raises(ValueError):
             MasterRelation().append_row({})
@@ -35,15 +52,6 @@ class TestLoading:
         assert relation.bitmap(0).to_indices().tolist() == [0, 2]
         assert relation.bitmap(1).to_indices().tolist() == [0, 1]
 
-    def test_measures_full_column(self):
-        relation = make_relation()
-        values = relation.measures(0)
-        assert values[0] == 1.0 and np.isnan(values[1]) and values[2] == 5.0
-
-    def test_measures_at_rows(self):
-        relation = make_relation()
-        assert relation.measures(2, np.array([1, 2])).tolist() == [4.0, 6.0]
-
     def test_unknown_column_raises(self):
         with pytest.raises(KeyError):
             make_relation().bitmap(99)
@@ -52,18 +60,6 @@ class TestLoading:
         relation = make_relation()
         assert relation.has_element(0)
         assert not relation.has_element(99)
-
-    def test_sparse_bulk_load_equivalent_to_rows(self):
-        row_wise = make_relation()
-        bulk = MasterRelation()
-        bulk.set_record_count(3)
-        bulk.load_sparse_column(0, np.array([0, 2]), np.array([1.0, 5.0]))
-        bulk.load_sparse_column(1, np.array([0, 1]), np.array([2.0, 3.0]))
-        bulk.load_sparse_column(2, np.array([1, 2]), np.array([4.0, 6.0]))
-        for edge_id in (0, 1, 2):
-            assert row_wise.bitmap(edge_id) == bulk.bitmap(edge_id)
-            a, b = row_wise.measures(edge_id), bulk.measures(edge_id)
-            assert np.array_equal(np.nan_to_num(a), np.nan_to_num(b))
 
     def test_sparse_load_out_of_range_row(self):
         relation = MasterRelation()

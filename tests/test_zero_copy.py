@@ -110,26 +110,6 @@ class TestRelationBitmapReader:
         assert not reader.has_element(10**6)
         assert reader.bitmap(10**6).count() == 0
 
-    def test_pre_sidecar_layout_falls_back_to_rows(self, corpus, tmp_path):
-        """Layouts saved before the packed-bits sidecars existed rebuild
-        bitmaps from the sparse row files (correct, just not zero-copy)."""
-        engine = _engine(corpus)
-        engine.save(tmp_path)
-        import json
-
-        manifest_path = tmp_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        gen_dir = tmp_path / manifest["directory"]
-        for name in list(manifest["files"]):
-            if name.endswith("_bits.npy"):
-                del manifest["files"][name]
-                (gen_dir / name).unlink()
-        manifest_path.write_text(json.dumps(manifest))
-        reader = RelationBitmapReader(tmp_path)
-        for edge in corpus.to_columnar():
-            edge_id = engine.catalog.get_id(edge)
-            assert reader.bitmap(edge_id) == engine.relation.bitmap(edge_id)
-
 
 class TestBitmapAttachment:
     @pytest.mark.parametrize("shards", [1, 3])
