@@ -14,7 +14,8 @@ Three structural extras distinguish a horizontally partitioned backend:
 
 * ``shard_relations()`` — the ordered list of record-range shards, each a
   plain :class:`MasterRelation` holding a contiguous slice of the record
-  space (a single relation returns ``[self]``);
+  space (a single relation returns ``[self]``); the operator layer folds
+  a plan's storage refs over each with one ``MasterRelation.fold`` call;
 * ``shard_starts()`` — the global row offset of each shard, used by the
   order-preserving merge combiners (global row = shard start + local row);
 * ``split_rows(rows)`` — global rows routed to their shards once, accepted

@@ -31,16 +31,15 @@ _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint64)
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 
-def popcount_words(words: np.ndarray, force_lut: bool = False) -> int:
+def popcount_words(words: np.ndarray) -> int:
     """Total set bits across an unsigned integer array.
 
     The single popcount implementation behind :meth:`Bitmap.count` and
     :meth:`WahBitmap.count`: ``np.bitwise_count`` (hardware POPCNT) on
-    numpy >= 2.0, the byte-LUT otherwise.  ``force_lut=True`` pins a call
-    to the portable path so the parity regression test exercises both
-    implementations regardless of the installed numpy.
+    numpy >= 2.0, the byte-LUT otherwise (tests pin each path by patching
+    ``_HAS_BITWISE_COUNT``).
     """
-    if _HAS_BITWISE_COUNT and not force_lut:
+    if _HAS_BITWISE_COUNT:
         return int(np.bitwise_count(words).sum())
     return int(_POPCOUNT8[words.view(np.uint8)].sum())
 
@@ -143,6 +142,13 @@ class Bitmap:
         tail = length % _WORD_BITS
         if tail and words.size and (int(words[-1]) >> tail):
             raise ValueError("packed words have bits set past the bitmap length")
+        return cls._wrap(length, words)
+
+    @classmethod
+    def _wrap(cls, length: int, words: np.ndarray) -> "Bitmap":
+        """``words`` as a bitmap, unchecked: for results of word-wise
+        AND / OR / XOR / AND NOT (and concatenation) of bitmaps, whose
+        bits past ``length`` are clear because their operands' are."""
         bm = cls.__new__(cls)
         bm._length = length
         bm._ckey = None
@@ -222,20 +228,20 @@ class Bitmap:
 
     def __and__(self, other: "Bitmap") -> "Bitmap":
         self._check_same_length(other)
-        return Bitmap(self._length, self._words & other._words)
+        return Bitmap._wrap(self._length, self._words & other._words)
 
     def __or__(self, other: "Bitmap") -> "Bitmap":
         self._check_same_length(other)
-        return Bitmap(self._length, self._words | other._words)
+        return Bitmap._wrap(self._length, self._words | other._words)
 
     def __xor__(self, other: "Bitmap") -> "Bitmap":
         self._check_same_length(other)
-        return Bitmap(self._length, self._words ^ other._words)
+        return Bitmap._wrap(self._length, self._words ^ other._words)
 
     def __sub__(self, other: "Bitmap") -> "Bitmap":
         """AND NOT — the paper's ``[Gq1 AND NOT Gq2]`` set difference."""
         self._check_same_length(other)
-        return Bitmap(self._length, self._words & ~other._words)
+        return Bitmap._wrap(self._length, self._words & ~other._words)
 
     def __invert__(self) -> "Bitmap":
         return Bitmap(self._length, ~self._words)
@@ -258,7 +264,7 @@ class Bitmap:
             if bm._length != length:
                 raise ValueError("bitmap length mismatch in and_all()")
             acc &= bm._words
-        return Bitmap(length, acc)
+        return Bitmap._wrap(length, acc)
 
     @staticmethod
     def or_all(bitmaps: Iterable["Bitmap"]) -> "Bitmap":
@@ -274,7 +280,7 @@ class Bitmap:
             if bm._length != length:
                 raise ValueError("bitmap length mismatch in or_all()")
             acc |= bm._words
-        return Bitmap(length, acc)
+        return Bitmap._wrap(length, acc)
 
     # -- queries -----------------------------------------------------------
 
@@ -287,10 +293,6 @@ class Bitmap:
         """
         return popcount_words(self._words)
 
-    def _count_lut(self) -> int:
-        """Portable byte-LUT popcount (the numpy < 2.0 path)."""
-        return popcount_words(self._words, force_lut=True)
-
     def any(self) -> bool:
         """True iff at least one bit is set."""
         return bool(self._words.any())
@@ -300,11 +302,25 @@ class Bitmap:
         return self.count() == self._length
 
     def to_indices(self) -> np.ndarray:
-        """Positions of set bits, ascending, as an int64 array."""
-        if self._length == 0:
-            return np.empty(0, dtype=np.int64)
-        bits = np.unpackbits(self._words.view(np.uint8), bitorder="little")
-        return np.nonzero(bits[: self._length])[0].astype(np.int64)
+        """Positions of set bits, ascending, as an int64 array.
+
+        Costs the non-zero words, not the length: only the words that hold
+        a set bit are unpacked, and each bit's position within them is
+        shifted by its word's ``word << 6`` (bits past ``length`` are
+        always clear, so nothing needs trimming).
+        """
+        # ``words != 0`` first: numpy's nonzero is several times faster
+        # over a bool array than over the uint64 words themselves.
+        nonzero = np.flatnonzero(self._words != 0)
+        words = self._words[nonzero]
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
+        positions = np.flatnonzero(bits)
+        # The k-th surviving word's bits sit at 64*k.. in ``bits``; move
+        # them to 64*word.
+        nonzero -= np.arange(nonzero.size)
+        nonzero <<= 6
+        positions += nonzero.repeat(popcount_each(words))
+        return positions
 
     def to_bools(self) -> np.ndarray:
         """Dense boolean array of length ``length``."""
@@ -436,7 +452,7 @@ class Bitmap:
                 stop = min(word0 + 1 + pw.size, out.size)
                 out[word0 + 1 : stop] |= carry[: stop - word0 - 1]
             offset += p._length
-        return Bitmap(total, out)
+        return Bitmap._wrap(total, out)
 
     def resized(self, new_length: int) -> "Bitmap":
         """Return a copy truncated or zero-extended to ``new_length`` bits."""

@@ -134,15 +134,22 @@ class IOStatsCollector:
             self.stats = IOStats()
 
     def record_bitmap_fetch(self, is_view: bool = False, nbytes: int = 0) -> None:
+        self.record_bitmap_fetches(int(not is_view), int(is_view), nbytes)
+
+    def record_bitmap_fetches(self, n_base: int, n_view: int, nbytes: int) -> None:
+        """``n_base`` edge-bitmap and ``n_view`` view-bitmap fetches of
+        ``nbytes`` in all — one shard fold's I/O in one call, with the
+        totals of that many :meth:`record_bitmap_fetch` calls."""
         with self._lock:
-            if is_view:
-                self.stats.view_bitmaps_fetched += 1
-            else:
-                self.stats.bitmap_columns_fetched += 1
+            self.stats.bitmap_columns_fetched += n_base
+            self.stats.view_bitmaps_fetched += n_view
             self.stats.bitmap_bytes_fetched += nbytes
-        self._publish(
-            "io.view_bitmaps_fetched" if is_view else "io.bitmap_columns_fetched"
-        )
+        if self.registry is None:
+            return
+        if n_base:
+            self._publish("io.bitmap_columns_fetched", n_base)
+        if n_view:
+            self._publish("io.view_bitmaps_fetched", n_view)
         if nbytes:
             self._publish("io.bitmap_bytes_fetched", nbytes)
 

@@ -215,6 +215,49 @@ class MasterRelation(VerticalPartitioning):
         self.collector.record_bitmap_fetch(is_view=False, nbytes=bitmap.nbytes())
         return bitmap
 
+    def _view_bitmap(self, kind: str, name: str) -> Bitmap:
+        """A fresh graph-view ``bv_j`` (``kind == "graph-view"``) or
+        aggregate-view ``bp_l`` bitmap, uncounted; a stale view raises."""
+        if kind == "graph-view":
+            bitmap = self._graph_views[name]
+        else:
+            bitmap = self._aggregate_views[name].validity
+        self._check_fresh(bitmap.length, name)
+        return bitmap
+
+    def fold(self, refs, ctx=None) -> Bitmap:
+        """AND the bitmap columns named by ``refs`` — the planner's
+        ``(kind, edge id | view name)`` storage refs — in one call.
+
+        ``ctx`` (a :class:`repro.resilience.QueryContext` or None) is
+        checked before every ref, and the I/O is recorded with one
+        collector call whose counts equal one fetch per ref: an element
+        this relation (shard) never saw is an all-zero segment with no
+        charge — the planner has already checked it exists somewhere.
+        """
+        fetched: list[Bitmap] = []
+        n_view = 0
+        absent = False
+        try:
+            for kind, token in refs:
+                if ctx is not None:
+                    ctx.check()
+                if kind != "element":
+                    fetched.append(self._view_bitmap(kind, token))
+                    n_view += 1
+                elif token in self._columns or token in self._tails:
+                    fetched.append(self._column(token).validity)
+                else:
+                    absent = True
+        finally:
+            # Every fetched bitmap is n_records long: one size for all.
+            n_base = len(fetched) - n_view
+            nbytes = len(fetched) * 8 * ((self._n_records + 63) // 64)
+            self.collector.record_bitmap_fetches(n_base, n_view, nbytes)
+        if absent or not fetched:
+            return Bitmap.zeros(self._n_records)
+        return fetched[0] if len(fetched) == 1 else Bitmap.and_all(fetched)
+
     def measures(
         self, edge_id: int, rows: np.ndarray | RankedRows | None = None
     ) -> np.ndarray:
@@ -259,8 +302,7 @@ class MasterRelation(VerticalPartitioning):
 
     def view_bitmap(self, name: str) -> Bitmap:
         """Fetch a graph-view bitmap ``bv_j`` (counted as a view fetch)."""
-        bitmap = self._graph_views[name]
-        self._check_fresh(bitmap.length, name)
+        bitmap = self._view_bitmap("graph-view", name)
         self.collector.record_bitmap_fetch(is_view=True, nbytes=bitmap.nbytes())
         return bitmap
 
@@ -299,9 +341,7 @@ class MasterRelation(VerticalPartitioning):
 
     def aggregate_view_bitmap(self, name: str) -> Bitmap:
         """Fetch ``bp_l`` for an aggregate view (counted as a view fetch)."""
-        column = self._aggregate_views[name]
-        self._check_fresh(len(column), name)
-        bitmap = column.validity
+        bitmap = self._view_bitmap("agg-view", name)
         self.collector.record_bitmap_fetch(is_view=True, nbytes=bitmap.nbytes())
         return bitmap
 

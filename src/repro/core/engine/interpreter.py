@@ -3,7 +3,7 @@
 A query is answered in the paper's three steps (§3.2, §4): fetch one
 bitmap per conjunction part, AND them, gather the measure columns of the
 surviving rows.  Every step consumes the memoized
-:class:`~.planner.PhysicalPlan` (``parts`` / ``prefix_keys`` /
+:class:`~.planner.PhysicalPlan` (``parts`` / ``refs`` / ``prefix_keys`` /
 ``fetch_elements`` / ``needed_functions``) and an :class:`ExecEnv` — the
 engine's configuration read **once** at query entry, so a setter flipping
 the tracer or cache mid-flight cannot reach a running query.
@@ -42,8 +42,8 @@ class ShardRunner:
     def fold(self, task, plan, env: "ExecEnv", ctx) -> Bitmap:
         """AND the plan's parts over one shard's relation."""
         return conjunction(
-            task.relation, env.catalog, plan.parts, plan.prefix_keys,
-            env.cache, env.epoch, shard=task.shard, tracer=env.tracer, ctx=ctx,
+            task.relation, plan, env.cache, env.epoch,
+            shard=task.shard, tracer=env.tracer, ctx=ctx,
         )
 
 

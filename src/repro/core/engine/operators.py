@@ -1,13 +1,13 @@
 """The operator layer: plan execution primitives over one storage backend.
 
-These are the physical operators the plan interpreter composes: fetch one
-conjunction input's bitmap column, fold a canonical part list into a
-structural bitmap (memoizing every prefix when a cache is installed), and
-describe the record-range shards a backend exposes so the same fold can
-run once per shard and merge by concatenation.
+These are the physical operators the plan interpreter composes: fold a
+plan's canonical part list into a structural bitmap through the storage
+layer's one fold entry (memoizing every prefix when a cache is installed),
+and describe the record-range shards a backend exposes so the same fold
+can run once per shard and merge by concatenation.
 
-Every operator takes the backend (a relation or one shard of one) and the
-catalog explicitly instead of reaching back into the engine, so the one
+Every operator takes the backend (a relation or one shard of one)
+explicitly instead of reaching back into the engine, so the one
 in-process fold (:meth:`~.interpreter.ShardRunner.fold`) serves the
 unsharded engine (a single task over the whole relation) and every shard
 of a sharded one, inline or on the executor's thread pool.
@@ -19,7 +19,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from ...columnstore.bitmap import Bitmap
-from ..record import Edge
 from ..rewrite import ConjunctionPart
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "ShardTask",
     "shard_tasks",
     "part_token",
-    "fetch_part",
     "conjunction",
 ]
 
@@ -83,24 +81,12 @@ def shard_tasks(backend) -> list[ShardTask]:
     ]
 
 
-def fetch_part(relation, catalog, part: ConjunctionPart, tracer=None) -> Bitmap:
-    """Fetch one conjunction input's bitmap column (counted as I/O).
-
-    ``relation`` may be one shard of a sharded backend: an element column
-    the shard never saw contributes an all-zero segment with no I/O charge
-    (there is no column file there to fetch) — the planner has already
-    verified the element exists globally.
-    """
-    if part.kind == "element":
-        edge_id = catalog.get_id(part.token)
-        if edge_id is None or not relation.has_element(edge_id):
-            return Bitmap.zeros(relation.n_records)
-        bitmap = relation.bitmap(edge_id)
-    elif part.kind == "graph-view":
-        bitmap = relation.view_bitmap(part.token)
-    else:
-        bitmap = relation.aggregate_view_bitmap(part.token)
-    if tracer is not None:
+def _fetch(relation, ref, tracer, ctx) -> Bitmap:
+    """One ref through the storage fold; under a tracer, with the counters
+    a traced query reports per part (an element the shard never saw
+    touched nothing)."""
+    bitmap = relation.fold((ref,), ctx)
+    if tracer is not None and (ref[0] != "element" or relation.has_element(ref[1])):
         tracer.add("bitmaps_fetched")
         tracer.add("bytes_touched", bitmap.nbytes())
     return bitmap
@@ -108,17 +94,21 @@ def fetch_part(relation, catalog, part: ConjunctionPart, tracer=None) -> Bitmap:
 
 def conjunction(
     relation,
-    catalog,
-    parts: list[ConjunctionPart],
-    keys: list[frozenset[Edge]] | None,
+    plan,
     cache,
     epoch: int,
     shard: int = 0,
     tracer=None,
     ctx=None,
 ) -> Bitmap:
-    """AND the parts' bitmaps over ``relation``, memoizing intermediates
-    when a cache is installed.
+    """AND the plan's parts over ``relation`` (one shard, or the whole
+    unsharded relation), memoizing intermediates when a cache is installed.
+
+    Every fetch goes through the storage fold
+    (:meth:`~repro.columnstore.table.MasterRelation.fold`) on the plan's
+    pre-resolved ``refs``: an uncached, untraced fold is *one* call for
+    all parts; the cached fold calls it per prefix step and the traced one
+    per part, because they need a cache entry or a span per part.
 
     Cached entries are keyed on ``(epoch, shard, cumulative covered
     edge-set)`` — well-defined because every part's bitmap equals the AND
@@ -129,33 +119,30 @@ def conjunction(
     from scratch.
 
     ``ctx`` is the query's :class:`repro.resilience.QueryContext` (or
-    None); the fold checks it before every part fetch, so an expired
+    None); the storage fold checks it before every ref, so an expired
     deadline or a fired cancel token stops the query one operator step
     past the event.  Prefixes completed before the stop are exact and stay
     cached — an aborted fold never leaves a partial bitmap behind because
     insertion only happens after a part's compute returns.
     """
+    parts, refs, keys = plan.parts, plan.refs, plan.prefix_keys
     if ctx is not None:
         ctx.check()
     if cache is None or any(not part.covered for part in parts):
+        if tracer is None:
+            return relation.fold(refs, ctx)
 
-        def fetch(part: ConjunctionPart) -> Bitmap:
-            if ctx is not None:
-                ctx.check()
-            if tracer is None:
-                return fetch_part(relation, catalog, part)
+        def fetch(part: ConjunctionPart, ref) -> Bitmap:
             with tracer.span("and", kind=part.kind, part=part_token(part)):
-                return fetch_part(relation, catalog, part, tracer)
+                return _fetch(relation, ref, tracer, ctx)
 
-        return Bitmap.and_all(fetch(part) for part in parts)
+        return Bitmap.and_all(map(fetch, parts, refs))
 
     def build(i: int) -> Bitmap:
         def compute() -> Bitmap:
-            if ctx is not None:
-                ctx.check()
             if tracer is not None:
                 tracer.add("cache_miss")
-            bitmap = fetch_part(relation, catalog, parts[i], tracer)
+            bitmap = _fetch(relation, refs[i], tracer, ctx)
             return bitmap if i == 0 else build(i - 1) & bitmap
 
         if tracer is None:

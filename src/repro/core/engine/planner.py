@@ -14,6 +14,10 @@ read the same plan).  A physical plan bundles:
   bitmaps, in :func:`canonical_parts` order — or ``None`` when a residual
   element has no column anywhere (the answer is empty without touching a
   bitmap);
+* the **storage refs** — each part resolved once to the
+  ``(kind, edge id | view name)`` pair the storage layer folds
+  (:meth:`~repro.columnstore.table.MasterRelation.fold`) and the process
+  pool ships to its workers, so no shard re-resolves a part;
 * the **prefix keys** — cumulative covered edge-sets, one per
   canonical-order prefix — which are exactly the bitmap-cache keys;
 * fetch/aggregation metadata (measure elements, needed sub-aggregates);
@@ -21,9 +25,10 @@ read the same plan).  A physical plan bundles:
   including cost estimates, the generated SQL, and the backend's shard
   count.
 
-Plans are memoized per query; the facade invalidates the memo on *every*
-mutation (loads, appends, view changes, resharding), so a cached plan is
-always consistent with the engine state it will execute against.
+Plans are memoized per query in a bounded LRU; the facade invalidates the
+memo on *every* mutation (loads, appends, view changes, resharding), so a
+cached plan is always consistent with the engine state it will execute
+against.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import copy
 from dataclasses import dataclass, field
 
 from ..aggregates import get_function
+from ..memo import BoundedMemo
 from ..query import GraphQuery, PathAggregationQuery
 from ..record import Edge
 from ..rewrite import (
@@ -63,6 +69,16 @@ def prefix_keys(parts: list[ConjunctionPart]) -> list[frozenset[Edge]]:
     return keys
 
 
+def _storage_refs(catalog, parts: list[ConjunctionPart]) -> tuple:
+    """The parts as storage-level ``(kind, token)`` refs: elements become
+    their integer column ids, views pass their storage names through.  A
+    small picklable tuple with no dependence on the catalog object."""
+    return tuple(
+        (part.kind, catalog.get_id(part.token) if part.kind == "element" else part.token)
+        for part in parts
+    )
+
+
 @dataclass
 class PhysicalPlan:
     """Everything needed to execute — or faithfully describe — one query."""
@@ -71,6 +87,7 @@ class PhysicalPlan:
     query: GraphQuery | PathAggregationQuery
     logical: GraphQueryPlan | AggregationPlan
     parts: list[ConjunctionPart] | None
+    refs: tuple | None  # _storage_refs(parts)
     prefix_keys: list[frozenset[Edge]] | None
     fetch_elements: tuple
     needed_functions: tuple[str, ...]
@@ -116,13 +133,14 @@ def _conjunction_dicts(parts) -> list[dict]:
 class Planner:
     """Plans queries against one engine's views, catalog, and backend.
 
-    Owns the plan memo the engine used to keep inline; the facade calls
+    Owns the plan memo (a :class:`~repro.core.memo.BoundedMemo`, so a
+    long-running daemon keeps a bounded number of plans); the facade calls
     :meth:`invalidate` on every mutation.
     """
 
     def __init__(self, engine):
         self._engine = engine
-        self._memo: dict = {}
+        self._memo = BoundedMemo()
 
     def invalidate(self) -> None:
         self._memo.clear()
@@ -140,7 +158,7 @@ class Planner:
                 plan = self._plan_graph(query)
             else:
                 raise TypeError(f"cannot plan {type(query).__name__}")
-            self._memo[query] = plan
+            self._memo.put(query, plan)
         return plan
 
     # -- graph queries -------------------------------------------------------
@@ -155,6 +173,7 @@ class Planner:
             query=query,
             logical=logical,
             parts=parts,
+            refs=_storage_refs(engine.catalog, parts) if parts else None,
             prefix_keys=keys,
             fetch_elements=tuple(logical.fetch_elements),
             needed_functions=(),
@@ -225,6 +244,7 @@ class Planner:
             query=query,
             logical=logical,
             parts=parts,
+            refs=_storage_refs(engine.catalog, parts) if parts else None,
             prefix_keys=keys,
             fetch_elements=tuple(query.query.elements),
             needed_functions=needed,

@@ -10,10 +10,11 @@ pieces of shared-nothing plumbing:
   :class:`~repro.columnstore.BitmapAttachment`, so every attached process
   shares the same OS page cache for the column files; attaching costs one
   manifest read, not a data copy.
-* **Plan fragments, not plans** — the parent resolves each
-  :class:`~repro.core.rewrite.ConjunctionPart` to a storage-level
-  ``(kind, token)`` pair (element id, view name) before pickling, so the
-  worker needs neither the catalog nor the planner.
+* **Plan fragments, not plans** — a task ships the physical plan's
+  ``refs``: each :class:`~repro.core.rewrite.ConjunctionPart` resolved
+  once, by the planner, to a storage-level ``(kind, token)`` pair
+  (element id, view name), so the worker needs neither the catalog nor
+  the planner.
 * **Shared-memory results** — a shard's result bitmap travels back as a
   :mod:`multiprocessing.shared_memory` block (name + word count), not a
   pickled array, so the reply queue carries only a few bytes per task.
@@ -59,7 +60,6 @@ __all__ = [
     "WorkerCrashedError",
     "WorkerTaskError",
     "StaleGenerationError",
-    "resolve_fragment",
 ]
 
 # Seconds between liveness sweeps / future polls.  Small enough that a
@@ -88,31 +88,13 @@ class StaleGenerationError(RuntimeError):
     """Workers kept seeing a different committed generation than the stamp."""
 
 
-def resolve_fragment(catalog, parts) -> tuple:
-    """Pre-resolve conjunction parts to storage-level ``(kind, token)``.
-
-    Elements become integer ids (``None`` when the catalog has never seen
-    the edge — the worker answers zeros, matching
-    :func:`~repro.core.engine.operators.fetch_part`); views pass their
-    storage names through.  The result is a small, picklable tuple with
-    no dependence on the catalog object.
-    """
-    resolved = []
-    for part in parts:
-        if part.kind == "element":
-            resolved.append(("element", catalog.get_id(part.token)))
-        else:
-            resolved.append((part.kind, part.token))
-    return tuple(resolved)
-
-
 # -- worker side --------------------------------------------------------------
 
 
 def _fragment_bitmap(reader, kind, token) -> Bitmap:
+    """A ref's bitmap over the mapped shard — all-zero for an element the
+    shard never saw, like :meth:`MasterRelation.fold`."""
     if kind == "element":
-        if token is None or not reader.has_element(token):
-            return Bitmap.zeros(reader.n_records)
         return reader.bitmap(token)
     if kind == "graph-view":
         return reader.view_bitmap(token)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ..columnstore import BitmapAttachment, storage_generation
 from ..core.engine import ShardRunner
-from .procpool import ProcessShardPool, resolve_fragment
+from .procpool import ProcessShardPool
 
 __all__ = ["ThreadRunner", "ProcessRunner"]
 
@@ -73,8 +73,7 @@ class ProcessRunner(ThreadRunner):
             hit = cache.lookup(env.epoch, key, shard=task.shard)
             if hit is not None:
                 return hit
-        fragment = resolve_fragment(env.catalog, plan.parts)
-        result = self.pool.execute(task.shard, fragment, ctx)
+        result = self.pool.execute(task.shard, plan.refs, ctx)
         if cache is not None:
             cache.put(env.epoch, key, result, shard=task.shard)
         return result

@@ -24,6 +24,8 @@ core-query-object-out entry points.
 
 from __future__ import annotations
 
+from ..core.aggregates import FUNCTIONS
+from ..core.memo import BoundedMemo
 from ..core.query import PathAggregationQuery, QueryExpr
 from ..errors import QuerySyntaxError
 from .ast import (
@@ -130,14 +132,27 @@ def parse_aggregation(text: str) -> PathAggregationQuery:
     return result
 
 
+_PARSED = BoundedMemo()
+
+
 def parse_statement(text: str):
     """Parse one workload statement, auto-detecting aggregations.
 
     A statement whose leading bare word names a registered aggregate
     function parses as an aggregation; everything else as a query (a
     *quoted* leading word always starts a query).
+
+    Memoized (bounded LRU) on the text and the registered function names
+    — ``register_function`` changes how a leading word parses.  Query
+    objects are immutable, so a repeat gets the same object; a syntax
+    error raises afresh every time.
     """
-    return lower_statement(parse_statement_ast(text), source=text)
+    key = (text, tuple(FUNCTIONS))
+    query = _PARSED.get(key)
+    if query is None:
+        query = lower_statement(parse_statement_ast(text), source=text)
+        _PARSED.put(key, query)
+    return query
 
 
 def canonical(text: str) -> str:

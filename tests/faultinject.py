@@ -59,9 +59,11 @@ class SimulatedShardIOError(OSError):
 class FaultyRelation:
     """Proxy around one shard's relation that fails chosen methods.
 
-    ``fail_times=N`` models a transient blip: the first ``N`` intercepted
-    calls raise :class:`SimulatedShardIOError`, later ones pass through —
-    the retry policy should absorb these without the caller noticing.
+    The default intercepts ``fold`` — the storage entry every shard
+    conjunction reads through, once per shard fold.  ``fail_times=N``
+    models a transient blip: the first ``N`` intercepted calls raise
+    :class:`SimulatedShardIOError`, later ones pass through — the retry
+    policy should absorb these without the caller noticing.
     ``fail_times=None`` models a dead shard: every intercepted call
     raises, which the circuit breaker should learn to stop probing.
 
@@ -70,7 +72,7 @@ class FaultyRelation:
     still see an intact table.
     """
 
-    def __init__(self, inner, methods=("bitmap",), fail_times=None):
+    def __init__(self, inner, methods=("fold",), fail_times=None):
         self._inner = inner
         self._methods = frozenset(methods)
         self._fail_times = fail_times
@@ -114,7 +116,7 @@ class FaultyRelation:
 
 
 def install_faulty_shard(
-    engine, shard: int, methods=("bitmap",), fail_times=None
+    engine, shard: int, methods=("fold",), fail_times=None
 ) -> FaultyRelation:
     """Splice a :class:`FaultyRelation` over shard ``shard`` of a running
     engine's sharded backend; returns the proxy (``proxy.heal()`` or

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnstore import Bitmap, BitmapBuilder
+from repro.columnstore import bitmap as bitmap_module
+
+
+def lut_count(bm: Bitmap) -> int:
+    """``count()`` on the portable byte-LUT path (the numpy < 2.0 one)."""
+    with mock.patch.object(bitmap_module, "_HAS_BITWISE_COUNT", False):
+        return bm.count()
 
 
 class TestConstruction:
@@ -293,22 +303,16 @@ class TestPopcountPaths:
     LUT otherwise; both paths must agree bit-for-bit."""
 
     def test_fast_path_selected_on_modern_numpy(self):
-        import numpy as np
-
-        from repro.columnstore.bitmap import _HAS_BITWISE_COUNT
-
-        assert _HAS_BITWISE_COUNT == hasattr(np, "bitwise_count")
+        assert bitmap_module._HAS_BITWISE_COUNT == hasattr(np, "bitwise_count")
 
     @given(index_sets())
     @settings(max_examples=60, deadline=None)
     def test_lut_fallback_matches_count(self, pair):
         length, indices = pair
         bm = Bitmap.from_indices(length, indices)
-        assert bm.count() == bm._count_lut() == len(indices)
+        assert bm.count() == lut_count(bm) == len(indices)
 
     def test_paths_agree_on_random_words(self):
-        import numpy as np
-
         rng = np.random.default_rng(7)
         for _ in range(20):
             length = int(rng.integers(1, 500))
@@ -316,7 +320,7 @@ class TestPopcountPaths:
                 set(rng.integers(0, length, size=length // 2).tolist())
             )
             bm = Bitmap.from_indices(length, indices)
-            assert bm.count() == bm._count_lut()
+            assert bm.count() == lut_count(bm)
 
     def test_paths_agree_on_edge_patterns(self):
         for bm in (
@@ -327,7 +331,7 @@ class TestPopcountPaths:
             Bitmap.ones(65),
             Bitmap.ones(640),
         ):
-            assert bm.count() == bm._count_lut()
+            assert bm.count() == lut_count(bm)
 
 
 class TestSliceConcat:
@@ -387,6 +391,51 @@ class TestSliceConcat:
         )
 
 
+TO_INDICES_LENGTHS = (0, 1, 63, 64, 65, 511, 512, 513, 24_000)
+
+
+@st.composite
+def derived_bitmaps(draw):
+    """A bitmap of a pinned length and drawn density, built the way the
+    engine builds them: directly, as a slice, a concat, a complement or a
+    wrap of packed words."""
+    length = draw(st.sampled_from(TO_INDICES_LENGTHS))
+    density = draw(st.sampled_from((0.0, 0.001, 0.05, 0.5, 0.99, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    how = draw(st.sampled_from(("bools", "slice", "concat", "invert", "packed")))
+    if how == "slice":
+        lo = draw(st.integers(0, 70))
+        hi = lo + length + draw(st.integers(0, 70))
+        return Bitmap.from_bools(rng.random(hi) < density).slice(lo, lo + length)
+    if how == "concat":
+        cut = draw(st.integers(0, length))
+        flags = rng.random(length) < density
+        return Bitmap.concat([Bitmap.from_bools(flags[:cut]), Bitmap.from_bools(flags[cut:])])
+    base = Bitmap.from_bools(rng.random(length) < density)
+    if how == "invert":
+        return ~base
+    if how == "packed":
+        return Bitmap.from_packed(length, base.words().copy())
+    return base
+
+
+class TestToIndices:
+    """The sparse ``to_indices`` expands only non-zero words; it must agree
+    with the dense definition on every shape the engine produces."""
+
+    @given(derived_bitmaps())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_dense_definition(self, bm):
+        got = bm.to_indices()
+        assert got.dtype == np.int64
+        assert got.tolist() == np.flatnonzero(bm.to_bools()).tolist()
+
+    def test_lut_popcount_path_agrees(self):
+        bm = Bitmap.from_indices(24_000, [0, 63, 64, 4_095, 23_999])
+        with mock.patch.object(bitmap_module, "_HAS_BITWISE_COUNT", False):
+            assert bm.to_indices().tolist() == [0, 63, 64, 4_095, 23_999]
+
+
 class TestPopcountHelper:
     """``popcount_words`` is the single popcount shared by Bitmap and the
     WAH codec; its two implementations must agree on any word array."""
@@ -394,14 +443,13 @@ class TestPopcountHelper:
     @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=32))
     @settings(max_examples=60, deadline=None)
     def test_force_lut_matches_default(self, values):
-        import numpy as np
-
         from repro.columnstore import popcount_words
 
         words = np.array(values, dtype=np.uint64)
         expected = sum(bin(v).count("1") for v in values)
         assert popcount_words(words) == expected
-        assert popcount_words(words, force_lut=True) == expected
+        with mock.patch.object(bitmap_module, "_HAS_BITWISE_COUNT", False):
+            assert popcount_words(words) == expected
 
     def test_wah_count_uses_shared_popcount(self):
         from repro.columnstore import WahBitmap

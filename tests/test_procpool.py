@@ -19,7 +19,7 @@ from repro.core import GraphAnalyticsEngine, GraphQuery
 from repro.core.engine import INLINE
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.exec import ProcessShardPool, QueryExecutor, StaleGenerationError
-from repro.exec.procpool import WorkerTaskError, resolve_fragment
+from repro.exec.procpool import WorkerTaskError
 from repro.exec.runners import ProcessRunner, ThreadRunner
 from repro.obs import MetricsRegistry
 from repro.resilience import CancelToken, QueryContext
@@ -49,8 +49,7 @@ def _nonempty_fragment(engine, corpus):
     """A one-part fragment matching record 0, so repeating it builds an
     arbitrarily slow worker fold that never short-circuits on empty."""
     edge = next(iter(next(iter(corpus.to_records())).measures()))
-    parts = engine.physical_plan(GraphQuery([edge])).parts
-    return resolve_fragment(engine.catalog, parts)
+    return engine.physical_plan(GraphQuery([edge])).refs
 
 
 def _shm_snapshot():
@@ -180,10 +179,7 @@ class TestGenerationStamps:
         return engine, db, pool
 
     def _fragment(self, engine):
-        parts = engine.physical_plan(
-            GraphQuery([next(iter(engine.catalog))])
-        ).parts
-        return resolve_fragment(engine.catalog, parts)
+        return engine.physical_plan(GraphQuery([next(iter(engine.catalog))])).refs
 
     def test_reattach_after_generation_swap(self, tmp_path, corpus):
         engine, db, pool = self._pool_fixture(tmp_path, corpus)
@@ -300,10 +296,9 @@ class TestDeadlinesAndShutdown:
             db, workers=1, stamp=(storage_generation(db), engine.epoch)
         )
         try:
-            parts = engine.physical_plan(
+            fragment = engine.physical_plan(
                 GraphQuery([next(iter(engine.catalog))])
-            ).parts
-            fragment = resolve_fragment(engine.catalog, parts)
+            ).refs
             pool.execute(0, fragment)  # attach first so timing is tight
             # Worker side: a task whose budget is already spent answers
             # "timeout" before touching the fold.

@@ -553,7 +553,7 @@ class TestDeadlinesAndCancellation:
 
             def __getattr__(self, name):
                 attr = getattr(self._inner, name)
-                if name == "bitmap" and callable(attr):
+                if name == "fold" and callable(attr):
                     def slow(*args, **kwargs):
                         time.sleep(0.02)
                         return attr(*args, **kwargs)
