@@ -13,8 +13,8 @@ from __future__ import annotations
 import pytest
 
 from _data import cached_engine, emit, ny_corpus, scaled
+from _wah import WahBitmap
 from repro.columnstore import Bitmap
-from repro.columnstore.wah import WahBitmap
 from repro.workloads import sample_path_queries
 
 N_RECORDS = scaled(3000)

@@ -52,7 +52,7 @@ def print_master_relation(engine: GraphAnalyticsEngine) -> None:
             value = engine.relation.measures(edge_id)[row]
             cells.append("NULL" if np.isnan(value) else f"{value:g}")
         for edge_id in ids:
-            cells.append(str(int(engine.relation.bitmap(edge_id)[row])))
+            cells.append(str(int(engine.relation.ref_bitmap("element", edge_id)[row])))
         rows.append(cells)
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
     for line in [header] + rows:
@@ -90,7 +90,7 @@ def main() -> None:
         budget=1,
     )
     name = report.selected[0]
-    print("bv1 bitmap:", engine.relation.view_bitmap("bv1").to_bools().astype(int))
+    print("bv1 bitmap:", engine.relation.ref_bitmap("graph-view", "bv1").to_bools().astype(int))
     mp = engine.relation.aggregate_view_measures(f"{name}:sum")
     print(f"mp1 ({name}):", ["NULL" if np.isnan(v) else f"{v:g}" for v in mp])
 

@@ -257,8 +257,8 @@ class ViewMaintainer:
                 with self._span("adaptive.stage", views=len(adds)):
                     for elems in adds:
                         name = self._next_name()
-                        _, bitmap, rows = self.executor.stage_view(elems)
-                        staged.append((name, elems, bitmap, rows))
+                        _, bitmap = self.executor.stage_view(elems)
+                        staged.append((name, elems, bitmap))
             if staged or drops:
                 with self._span(
                     "adaptive.commit", adds=len(staged), drops=len(drops)
@@ -269,7 +269,7 @@ class ViewMaintainer:
                 report.added = swap["added"]
                 report.dropped = swap["dropped"]
                 report.epoch = swap["epoch"]
-                for name, elems, _, _ in staged:
+                for name, elems, _ in staged:
                     self._managed[name] = elems
                     self._age[name] = 0
                 for name in swap["dropped"]:

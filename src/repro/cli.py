@@ -383,7 +383,7 @@ def _cmd_views(args: argparse.Namespace) -> int:
                 {
                     "name": name,
                     "elements": [list(e) for e in sorted(view.elements, key=repr)],
-                    "rows": engine.relation.view_bitmap(name).count(),
+                    "rows": engine.relation.ref_bitmap("graph-view", name).count(),
                 }
                 for name, view in graph
             ],
@@ -403,7 +403,7 @@ def _cmd_views(args: argparse.Namespace) -> int:
         elems = ", ".join(
             edge_str(e) for e in sorted(view.elements, key=repr)
         )
-        rows = engine.relation.view_bitmap(name).count()
+        rows = engine.relation.ref_bitmap("graph-view", name).count()
         print(f"  {name:<14} {rows:>8} rows  {{{elems}}}")
     print(f"aggregate views ({len(agg)}):")
     for name, view in agg:

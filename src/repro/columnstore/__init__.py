@@ -8,8 +8,8 @@ per-shard layouts).
 """
 
 from .backend import StorageBackend
-from .bitmap import Bitmap, BitmapBuilder, popcount_words
-from .column import MeasureColumn, MeasureColumnBuilder
+from .bitmap import Bitmap, popcount_words
+from .column import MeasureColumn
 from .iostats import IOStats, IOStatsCollector
 from .persistence import (
     RelationBitmapReader,
@@ -25,20 +25,17 @@ from .sharded import (
     save_sharded,
     storage_generation,
 )
-from .table import MasterRelation
-from .wah import WahBitmap
+from .table import MasterRelation, and_refs
 
 __all__ = [
     "Bitmap",
-    "BitmapBuilder",
     "MeasureColumn",
-    "MeasureColumnBuilder",
     "IOStats",
     "IOStatsCollector",
     "MasterRelation",
     "ShardedTable",
     "StorageBackend",
-    "WahBitmap",
+    "and_refs",
     "popcount_words",
     "save_relation",
     "load_relation",

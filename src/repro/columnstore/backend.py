@@ -10,6 +10,13 @@ objects).  :class:`StorageBackend` names the contract so the seam is
 explicit and checkable — ``isinstance(obj, StorageBackend)`` works because
 the protocol is ``runtime_checkable``.
 
+A bitmap column is reached by the planner's ``(kind, token)`` ref, through
+two methods: ``ref_bitmap(kind, token)``, the uncharged lookup, and
+``fold(refs, ctx=None)``, the AND of a ref list charged to the I/O
+collector one fetch per (ref, shard).  Both run the one AND,
+:func:`~repro.columnstore.table.and_refs`, which the process pool's worker
+and the engine's view builder call too.
+
 Three structural extras distinguish a horizontally partitioned backend:
 
 * ``shard_relations()`` — the ordered list of record-range shards, each a
@@ -80,7 +87,9 @@ class StorageBackend(Protocol):
 
     def has_element(self, edge_id: int) -> bool: ...
 
-    def bitmap(self, edge_id: int) -> Bitmap: ...
+    def ref_bitmap(self, kind: str, token) -> Bitmap | None: ...
+
+    def fold(self, refs, ctx=None) -> Bitmap: ...
 
     def measures(
         self, edge_id: int, rows: np.ndarray | None = None
@@ -94,13 +103,9 @@ class StorageBackend(Protocol):
 
     def add_graph_view(self, name: str, bitmap: Bitmap) -> None: ...
 
-    def view_bitmap(self, name: str) -> Bitmap: ...
-
     def has_graph_view(self, name: str) -> bool: ...
 
     def add_aggregate_view(self, name: str, column: MeasureColumn) -> None: ...
-
-    def aggregate_view_bitmap(self, name: str) -> Bitmap: ...
 
     def aggregate_view_measures(
         self, name: str, rows: np.ndarray | None = None

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["Bitmap", "BitmapBuilder", "popcount_words", "popcount_each"]
+__all__ = ["Bitmap", "popcount_words", "popcount_each"]
 
 _WORD_BITS = 64
 # Lookup table: popcount of every byte value, used to count set bits fast.
@@ -34,8 +34,8 @@ _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 def popcount_words(words: np.ndarray) -> int:
     """Total set bits across an unsigned integer array.
 
-    The single popcount implementation behind :meth:`Bitmap.count` and
-    :meth:`WahBitmap.count`: ``np.bitwise_count`` (hardware POPCNT) on
+    The single popcount implementation behind :meth:`Bitmap.count` and the
+    benchmarks' WAH codec: ``np.bitwise_count`` (hardware POPCNT) on
     numpy >= 2.0, the byte-LUT otherwise (tests pin each path by patching
     ``_HAS_BITWISE_COUNT``).
     """
@@ -470,29 +470,3 @@ class Bitmap:
         view = self._words.view()
         view.setflags(write=False)
         return view
-
-
-class BitmapBuilder:
-    """Incrementally build a bitmap while records are appended.
-
-    The master relation appends one row per graph record; each edge bitmap
-    gets one new bit.  The builder amortizes growth and finalizes into an
-    immutable :class:`Bitmap`.
-    """
-
-    def __init__(self) -> None:
-        self._flags: list[bool] = []
-
-    def append(self, flag: bool) -> None:
-        """Append one bit (True iff the new record contains the edge)."""
-        self._flags.append(bool(flag))
-
-    def extend(self, flags: Iterable[bool]) -> None:
-        self._flags.extend(bool(f) for f in flags)
-
-    def __len__(self) -> int:
-        return len(self._flags)
-
-    def build(self) -> Bitmap:
-        """Finalize into an immutable :class:`Bitmap`."""
-        return Bitmap.from_bools(self._flags)

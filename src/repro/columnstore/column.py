@@ -22,7 +22,7 @@ import numpy as np
 
 from .bitmap import _WORD_BITS, Bitmap, popcount_each
 
-__all__ = ["MeasureColumn", "MeasureColumnBuilder", "RankedRows", "rank_rows", "sorted_cells"]
+__all__ = ["MeasureColumn", "RankedRows", "rank_rows", "sorted_cells"]
 
 
 class RankedRows(NamedTuple):
@@ -242,29 +242,3 @@ class MeasureColumn:
         observation that the column store's size is *independent of record
         density*: ``n_columns × n_records`` cells whatever they hold."""
         return 8 * len(self) + self._validity.nbytes()
-
-
-class MeasureColumnBuilder:
-    """Row-at-a-time builder used while loading graph records."""
-
-    def __init__(self) -> None:
-        self._cells: list[float | None] = []
-
-    def append(self, value: float | None) -> None:
-        self._cells.append(None if value is None else float(value))
-
-    def pad_to(self, length: int) -> None:
-        """Extend with NULLs so the column reaches ``length`` rows.
-
-        Used when a brand-new edge id appears mid-load: its column must be
-        NULL for every earlier record (Section 6.1, schema grows on demand).
-        """
-        if length < len(self._cells):
-            raise ValueError("cannot pad a column to a shorter length")
-        self._cells.extend([None] * (length - len(self._cells)))
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def build(self) -> MeasureColumn:
-        return MeasureColumn.from_optionals(self._cells)

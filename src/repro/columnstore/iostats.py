@@ -133,13 +133,9 @@ class IOStatsCollector:
         with self._lock:
             self.stats = IOStats()
 
-    def record_bitmap_fetch(self, is_view: bool = False, nbytes: int = 0) -> None:
-        self.record_bitmap_fetches(int(not is_view), int(is_view), nbytes)
-
     def record_bitmap_fetches(self, n_base: int, n_view: int, nbytes: int) -> None:
         """``n_base`` edge-bitmap and ``n_view`` view-bitmap fetches of
-        ``nbytes`` in all — one shard fold's I/O in one call, with the
-        totals of that many :meth:`record_bitmap_fetch` calls."""
+        ``nbytes`` in all — one shard fold's I/O in one call."""
         with self._lock:
             self.stats.bitmap_columns_fetched += n_base
             self.stats.view_bitmaps_fetched += n_view

@@ -376,39 +376,25 @@ class RelationBitmapReader:
             self.n_records, self._gen_dir / stem,
         )
 
-    def has_element(self, edge_id: int) -> bool:
-        return edge_id in self._element_ids
-
-    def bitmap(self, edge_id: int) -> Bitmap:
-        """The element's validity bitmap; all-zero when the relation (this
-        shard) never saw the element — same contract as the live table."""
-        key = ("m", edge_id)
+    def ref_bitmap(self, kind: str, token) -> Bitmap | None:
+        """The mapped bitmap a planner ref names — same contract as
+        :meth:`MasterRelation.ref_bitmap`: None for an element the relation
+        (this shard) never saw, a ``KeyError`` for a missing view."""
+        key = (kind, token)
         cached = self._bitmaps.get(key)
         if cached is None:
-            if edge_id not in self._element_ids:
-                cached = Bitmap.zeros(self.n_records)
+            if kind == "element":
+                if token not in self._element_ids:
+                    return None
+                cached = self._column_bitmap(f"m{token}")
+            elif kind == "graph-view":
+                if token not in self._graph_views:
+                    raise KeyError(f"no graph view {token!r}")
+                cached = Bitmap.from_packed(self.n_records, self._mmap(f"gv_{token}.npy"))
             else:
-                cached = self._column_bitmap(f"m{edge_id}")
-            self._bitmaps[key] = cached
-        return cached
-
-    def view_bitmap(self, name: str) -> Bitmap:
-        key = ("gv", name)
-        cached = self._bitmaps.get(key)
-        if cached is None:
-            if name not in self._graph_views:
-                raise KeyError(f"no graph view {name!r}")
-            cached = Bitmap.from_packed(self.n_records, self._mmap(f"gv_{name}.npy"))
-            self._bitmaps[key] = cached
-        return cached
-
-    def aggregate_view_bitmap(self, name: str) -> Bitmap:
-        key = ("av", name)
-        cached = self._bitmaps.get(key)
-        if cached is None:
-            if name not in self._aggregate_views:
-                raise KeyError(f"no aggregate view {name!r}")
-            cached = self._column_bitmap(f"av_{name}")
+                if token not in self._aggregate_views:
+                    raise KeyError(f"no aggregate view {token!r}")
+                cached = self._column_bitmap(f"av_{token}")
             self._bitmaps[key] = cached
         return cached
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from pathlib import Path as FsPath
 from typing import NamedTuple
 
@@ -194,9 +194,6 @@ class ShardedTable(VerticalPartitioning):
         start = self.n_records - self.shards[-1].n_records
         return start + self.shards[-1].append_row(cells)
 
-    def append_rows(self, rows: Iterable[Mapping[int, float]]) -> list[int]:
-        return [self.append_row(r) for r in rows]
-
     def set_record_count(self, n_records: int) -> None:
         """Declare the row count before sparse bulk loading.
 
@@ -278,18 +275,23 @@ class ShardedTable(VerticalPartitioning):
     def has_element(self, edge_id: int) -> bool:
         return any(shard.has_element(edge_id) for shard in self.shards)
 
-    def bitmap(self, edge_id: int) -> Bitmap:
-        """Global edge bitmap: per-shard segments concatenated in order.
-
-        Shards that never saw the element contribute an all-zero segment
-        without an I/O charge (there is no column file to fetch there).
-        """
+    def ref_bitmap(self, kind: str, token) -> Bitmap | None:
+        """The global bitmap a ref names, uncharged: the shards' segments
+        concatenated in order, all-zero in a shard that never saw the
+        element — None only when no shard did."""
+        segments = [shard.ref_bitmap(kind, token) for shard in self.shards]
+        if all(segment is None for segment in segments):
+            return None
         return Bitmap.concat(
-            shard.bitmap(edge_id)
-            if shard.has_element(edge_id)
-            else Bitmap.zeros(shard.n_records)
-            for shard in self.shards
+            Bitmap.zeros(shard.n_records) if segment is None else segment
+            for shard, segment in zip(self.shards, segments)
         )
+
+    def fold(self, refs, ctx=None) -> Bitmap:
+        """The global AND of ``refs``: every shard's charged
+        :meth:`MasterRelation.fold`, concatenated — one fetch per (ref,
+        shard), none where the shard never saw the element."""
+        return Bitmap.concat(shard.fold(refs, ctx) for shard in self.shards)
 
     def _route_gather(self, rows: np.ndarray | RowSplit, fetch) -> np.ndarray:
         """Gather per-shard values for global ``rows``, preserving the
@@ -330,9 +332,6 @@ class ShardedTable(VerticalPartitioning):
         for shard, lo, hi in zip(self.shards, bounds, bounds[1:]):
             shard.add_graph_view(name, bitmap.slice(lo, hi))
 
-    def view_bitmap(self, name: str) -> Bitmap:
-        return Bitmap.concat(shard.view_bitmap(name) for shard in self.shards)
-
     def has_graph_view(self, name: str) -> bool:
         """A view is usable only when *every* shard holds its segment (a
         shard-local integrity failure degrades the view globally)."""
@@ -358,11 +357,6 @@ class ShardedTable(VerticalPartitioning):
         bounds = self._bounds()
         for shard, lo, hi in zip(self.shards, bounds, bounds[1:]):
             shard.add_aggregate_view(name, column.slice(lo, hi))
-
-    def aggregate_view_bitmap(self, name: str) -> Bitmap:
-        return Bitmap.concat(
-            shard.aggregate_view_bitmap(name) for shard in self.shards
-        )
 
     def aggregate_view_measures(
         self, name: str, rows: np.ndarray | RowSplit | None = None

@@ -25,11 +25,16 @@ partition) so the Figure 5 degradation is reproduced.
 
 Column accesses are reported to an :class:`~repro.columnstore.iostats.IOStatsCollector`
 — the unit of the paper's cost model.
+
+Every storage class looks a bitmap column up by the planner's ``(kind,
+token)`` ref, uncharged (``ref_bitmap``), and :func:`and_refs` is the one
+AND over that lookup (§3.2) that the charged :meth:`MasterRelation.fold`,
+the process pool's worker and the engine's view builder all run.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +42,41 @@ from .bitmap import Bitmap
 from .column import MeasureColumn, RankedRows, rank_rows, sorted_cells
 from .iostats import IOStatsCollector
 
-__all__ = ["MasterRelation"]
+__all__ = ["MasterRelation", "and_refs"]
+
+
+def and_refs(
+    lookup: Callable[[str, object], Bitmap | None],
+    refs: Sequence[tuple[str, object]],
+    length: int,
+    check: Callable[[], None] | None = None,
+    read: list | None = None,
+) -> Bitmap:
+    """The AND of the bitmaps ``lookup(kind, token)`` returns for ``refs``.
+
+    ``lookup`` is a storage class's ``ref_bitmap``: a bitmap of ``length``
+    bits, or None for an element that storage never saw, which makes the
+    answer all-zero without ending the fold — the cost model charges every
+    ref.  No refs AND to all-zero as well.  ``check``, when given, runs
+    before every ref and stops the fold by raising (a deadline, a cancel).
+    ``read``, when given, receives the kind of every ref whose bitmap was
+    read, so a caller can charge for the refs read before a stop.
+    """
+    bitmaps = []
+    absent = False
+    for kind, token in refs:
+        if check is not None:
+            check()
+        bitmap = lookup(kind, token)
+        if bitmap is None:
+            absent = True
+            continue
+        bitmaps.append(bitmap)
+        if read is not None:
+            read.append(kind)
+    if absent or not bitmaps:
+        return Bitmap.zeros(length)
+    return bitmaps[0] if len(bitmaps) == 1 else Bitmap.and_all(bitmaps)
 
 
 class VerticalPartitioning:
@@ -119,9 +158,6 @@ class MasterRelation(VerticalPartitioning):
             vals.append(float(value))
         self._n_records += 1
         return row
-
-    def append_rows(self, rows: Iterable[Mapping[int, float]]) -> list[int]:
-        return [self.append_row(r) for r in rows]
 
     def load_sparse_column(
         self, edge_id: int, row_indices: np.ndarray, values: np.ndarray
@@ -208,55 +244,46 @@ class MasterRelation(VerticalPartitioning):
     def has_element(self, edge_id: int) -> bool:
         return edge_id in self._columns or edge_id in self._tails
 
-    def bitmap(self, edge_id: int) -> Bitmap:
-        """Fetch bitmap column ``b_i`` (counted as one bitmap fetch)."""
-        column = self._column(edge_id)
-        bitmap = column.validity
-        self.collector.record_bitmap_fetch(is_view=False, nbytes=bitmap.nbytes())
-        return bitmap
-
-    def _view_bitmap(self, kind: str, name: str) -> Bitmap:
-        """A fresh graph-view ``bv_j`` (``kind == "graph-view"``) or
-        aggregate-view ``bp_l`` bitmap, uncounted; a stale view raises."""
+    def ref_bitmap(self, kind: str, token) -> Bitmap | None:
+        """The bitmap column a planner ref names, uncharged: ``b_i`` for
+        ``("element", i)`` — None when this relation (shard) never saw
+        element *i* — else a graph view's ``bv_j`` or an aggregate view's
+        ``bp_l``.  A missing view is a ``KeyError``, a stale one raises."""
+        if kind == "element":
+            column = self._columns.get(token)
+            if column is not None and len(column) == self._n_records:
+                return column.validity  # up to date: the fold's common case
+            if column is None and token not in self._tails:
+                return None
+            return self._column(token).validity
         if kind == "graph-view":
-            bitmap = self._graph_views[name]
+            bitmap = self._graph_views[token]
         else:
-            bitmap = self._aggregate_views[name].validity
-        self._check_fresh(bitmap.length, name)
+            bitmap = self._aggregate_views[token].validity
+        self._check_fresh(bitmap.length, token)
         return bitmap
 
     def fold(self, refs, ctx=None) -> Bitmap:
-        """AND the bitmap columns named by ``refs`` — the planner's
-        ``(kind, edge id | view name)`` storage refs — in one call.
+        """AND the bitmap columns named by ``refs`` (:func:`and_refs`) and
+        charge the I/O with one collector call.
 
         ``ctx`` (a :class:`repro.resilience.QueryContext` or None) is
-        checked before every ref, and the I/O is recorded with one
-        collector call whose counts equal one fetch per ref: an element
-        this relation (shard) never saw is an all-zero segment with no
-        charge — the planner has already checked it exists somewhere.
+        checked before every ref.  The charge is one fetch per ref read,
+        a stopped fold's included: an element this relation (shard) never
+        saw is an all-zero segment with no charge — the planner has
+        already checked it exists somewhere.
         """
-        fetched: list[Bitmap] = []
-        n_view = 0
-        absent = False
+        read: list[str] = []
         try:
-            for kind, token in refs:
-                if ctx is not None:
-                    ctx.check()
-                if kind != "element":
-                    fetched.append(self._view_bitmap(kind, token))
-                    n_view += 1
-                elif token in self._columns or token in self._tails:
-                    fetched.append(self._column(token).validity)
-                else:
-                    absent = True
+            return and_refs(
+                self.ref_bitmap, refs, self._n_records,
+                None if ctx is None else ctx.check, read,
+            )
         finally:
-            # Every fetched bitmap is n_records long: one size for all.
-            n_base = len(fetched) - n_view
-            nbytes = len(fetched) * 8 * ((self._n_records + 63) // 64)
-            self.collector.record_bitmap_fetches(n_base, n_view, nbytes)
-        if absent or not fetched:
-            return Bitmap.zeros(self._n_records)
-        return fetched[0] if len(fetched) == 1 else Bitmap.and_all(fetched)
+            # Every bitmap read is n_records long: one size for all.
+            n_base = read.count("element")
+            nbytes = len(read) * 8 * ((self._n_records + 63) // 64)
+            self.collector.record_bitmap_fetches(n_base, len(read) - n_base, nbytes)
 
     def measures(
         self, edge_id: int, rows: np.ndarray | RankedRows | None = None
@@ -300,12 +327,6 @@ class MasterRelation(VerticalPartitioning):
                 "records (see extend_graph_view / extend_aggregate_view)"
             )
 
-    def view_bitmap(self, name: str) -> Bitmap:
-        """Fetch a graph-view bitmap ``bv_j`` (counted as a view fetch)."""
-        bitmap = self._view_bitmap("graph-view", name)
-        self.collector.record_bitmap_fetch(is_view=True, nbytes=bitmap.nbytes())
-        return bitmap
-
     def extend_graph_view(self, name: str, flags) -> None:
         """Incremental maintenance: append one precomputed bit per newly
         appended record to a graph view's bitmap."""
@@ -338,12 +359,6 @@ class MasterRelation(VerticalPartitioning):
         """Remove one aggregate view's column pair (missing names are a
         no-op, so degraded loads can be re-pruned idempotently)."""
         self._aggregate_views.pop(name, None)
-
-    def aggregate_view_bitmap(self, name: str) -> Bitmap:
-        """Fetch ``bp_l`` for an aggregate view (counted as a view fetch)."""
-        bitmap = self._view_bitmap("agg-view", name)
-        self.collector.record_bitmap_fetch(is_view=True, nbytes=bitmap.nbytes())
-        return bitmap
 
     def aggregate_view_measures(
         self, name: str, rows: np.ndarray | RankedRows | None = None

@@ -40,7 +40,7 @@ from ...columnstore.sharded import (
     load_sharded,
     save_sharded,
 )
-from ...columnstore.table import MasterRelation
+from ...columnstore.table import MasterRelation, and_refs
 from ...errors import IngestError, ManifestError, PersistenceError
 from ..aggregates import get_function
 from ..candidates import (
@@ -367,10 +367,15 @@ class GraphAnalyticsEngine:
         ).is_file()
 
     def _engine_meta(self) -> dict:
+        # Ids keep their JSON type (an int id loads as that int); only what
+        # JSON cannot hold is written as its str().  Measured nodes are not
+        # written: load derives them from the catalog's self-edges.
         return {
-            "record_ids": [str(r) for r in self._record_ids],
+            "record_ids": [
+                r if r is None or isinstance(r, (str, int, float)) else str(r)
+                for r in self._record_ids
+            ],
             "edges": [list(edge) for edge in self.catalog],
-            "measured_nodes": sorted(str(n) for n in self._measured_nodes),
             "graph_views": [
                 {
                     "name": view.name,
@@ -440,7 +445,8 @@ class GraphAnalyticsEngine:
             engine._record_ids = list(meta["record_ids"])
             for edge in meta["edges"]:
                 engine.catalog.intern(tuple(edge))
-            engine._measured_nodes = set(meta["measured_nodes"])
+            # What both ingest paths record: the nodes with a self-edge.
+            engine._measured_nodes = {u for u, v in engine.catalog if u == v}
             for spec in meta.get("graph_views", []):
                 view = GraphView(
                     spec["name"], frozenset(tuple(e) for e in spec["elements"])
@@ -551,9 +557,6 @@ class GraphAnalyticsEngine:
         return loaded
 
     # -- structural evaluation -------------------------------------------------
-
-    def _empty_bitmap(self) -> Bitmap:
-        return Bitmap.zeros(self.relation.n_records)
 
     def _bump_views_epoch(self) -> None:
         self._planner.invalidate()
@@ -720,103 +723,55 @@ class GraphAnalyticsEngine:
         self._view_counter += 1
         return f"{prefix}{self._view_counter}"
 
-    def _unaccounted_bitmap(self, elements: Iterable[Edge]) -> Bitmap:
-        """Conjunction of element bitmaps without touching query I/O stats
-        (materialization is load-time work, not query cost)."""
-        result: Bitmap | None = None
-        for element in elements:
-            edge_id = self.catalog.get_id(element)
-            if edge_id is None or not self.relation.has_element(edge_id):
-                return self._empty_bitmap()
-            validity = self.relation.column_for_persistence(edge_id).validity
-            result = validity if result is None else (result & validity)
-        return result if result is not None else self._empty_bitmap()
+    def compute_view_bitmap(self, elements: Iterable[Edge], start: int = 0) -> Bitmap:
+        """Bits ``[start, n_records)`` of the graph-view bitmap over
+        ``elements``, registering nothing and charging no query I/O (a
+        view build is load-time work, not query cost).
 
-    def add_graph_view(self, elements: Iterable[Edge], name: str | None = None) -> str:
-        """Manually materialize one graph view (or index feature) over the
-        given element set; returns the bitmap column's name."""
-        elements = frozenset(elements)
-        view_name = name if name is not None else self._fresh_view_name("gv")
-        bitmap = self._unaccounted_bitmap(elements)
-        self.relation.add_graph_view(view_name, bitmap)
-        self._graph_views[view_name] = GraphView(view_name, elements)
-        self._bump_views_epoch()
-        return view_name
-
-    def compute_view_bitmap(self, elements: Iterable[Edge]) -> Bitmap:
-        """The view bitmap for ``elements`` over the current rows, without
-        registering anything.  Used by the adaptive maintainer to *stage*
-        a view off-epoch (under a read lock) before committing it."""
-        return self._unaccounted_bitmap(frozenset(elements))
-
-    def view_delta_bitmap(self, elements: Iterable[Edge], start: int) -> Bitmap:
-        """Bits of the view bitmap for rows ``[start, n_records)`` only —
-        the append-delta of a staged build.
-
-        Rows are immutable and append-only, so a bitmap staged when the
-        relation had ``start`` rows stays correct for ``[0, start)``; only
-        the delta must be computed at commit time.  The delta conjoins the
-        per-shard element validity bitmaps of just the shards overlapping
-        the range — a small tail delta reads only the last shard's columns
-        instead of rebuilding over every row.
+        The one AND (:func:`~repro.columnstore.and_refs`) folds the element
+        refs over just the shards overlapping the range, so the append
+        delta of a view staged at ``start`` rows reads only the tail.
         """
-        elements = frozenset(elements)
-        if not elements:
-            raise ValueError("a view needs at least one element")
         n = self.relation.n_records
         if not 0 <= start <= n:
-            raise ValueError(f"delta start {start} outside [0, {n}]")
-        segments: list[Bitmap] = []
+            raise ValueError(f"view rows start {start} outside [0, {n}]")
+        # An element the catalog never saw (id None) is in no shard either.
+        refs = [("element", self.catalog.get_id(element)) for element in elements]
+        segments = []
         for shard_start, shard in zip(
             self.relation.shard_starts(), self.relation.shard_relations()
         ):
             length = shard.n_records
-            if length == 0 or shard_start + length <= start:
+            if shard_start + length <= start:
                 continue
-            seg: Bitmap | None = None
-            for element in elements:
-                edge_id = self.catalog.get_id(element)
-                if edge_id is None or not shard.has_element(edge_id):
-                    seg = Bitmap.zeros(length)
-                    break
-                validity = shard.column_for_persistence(edge_id).validity
-                seg = validity if seg is None else (seg & validity)
+            segment = and_refs(shard.ref_bitmap, refs, length)
             lo = max(start - shard_start, 0)
-            segments.append(seg.slice(lo, length) if lo else seg)
-        return Bitmap.concat(segments) if segments else Bitmap.zeros(n - start)
+            segments.append(segment.slice(lo, length) if lo else segment)
+        return Bitmap.concat(segments)
 
-    def materialize_incremental(
+    def add_graph_view(
         self,
         elements: Iterable[Edge],
         name: str | None = None,
         staged: Bitmap | None = None,
-        staged_rows: int = 0,
     ) -> str:
-        """Commit one graph view from a staged bitmap plus its append-delta.
+        """Materialize one graph view (or index feature) over ``elements``;
+        returns its bitmap column's name.
 
-        ``staged`` is a bitmap previously built over the first
-        ``staged_rows`` rows (e.g. via :meth:`compute_view_bitmap` outside
-        the writer lock); rows appended since are covered by
-        :meth:`view_delta_bitmap`, so commit cost is proportional to the
-        append tail, not the relation.  With ``staged=None`` this is a
-        full build.  Returns the view name.
+        ``staged`` is the view's bitmap built earlier over the first
+        ``staged.length`` rows (by :meth:`compute_view_bitmap`, e.g. off
+        the writer lock).  Rows are immutable and append-only, so only the
+        rows appended since are folded now: a commit costs the append
+        tail, not the relation.
         """
         elements = frozenset(elements)
-        if not elements:
-            raise ValueError("a view needs at least one element")
-        if staged is None:
-            staged, staged_rows = Bitmap.zeros(0), 0
-        if staged.length != staged_rows:
-            raise ValueError(
-                f"staged bitmap has {staged.length} bits for {staged_rows} rows"
-            )
-        delta = self.view_delta_bitmap(elements, staged_rows)
-        bitmap = Bitmap.concat([staged, delta]) if staged_rows else delta
-        view_name = name if name is not None else self._fresh_view_name("gv")
-        self.relation.add_graph_view(view_name, bitmap)
-        self._graph_views[view_name] = GraphView(view_name, elements)
+        staged = Bitmap.zeros(0) if staged is None else staged
+        bitmap = Bitmap.concat([staged, self.compute_view_bitmap(elements, staged.length)])
+        view = GraphView(name if name is not None else self._fresh_view_name("gv"), elements)
+        self.relation.add_graph_view(view.name, bitmap)
+        self._graph_views[view.name] = view
         self._bump_views_epoch()
-        return view_name
+        return view.name
 
     def drop_decayed(self, names: Iterable[str]) -> list[str]:
         """Drop the named views individually (graph or aggregate), leaving
@@ -869,13 +824,9 @@ class GraphAnalyticsEngine:
         )
         report.stopped_on_singleton = selection.stopped_on_singleton
         for key in selection.selected:
-            elements = candidates[key]
-            name = self._fresh_view_name("gv")
-            bitmap = self._unaccounted_bitmap(elements)
-            self.relation.add_graph_view(name, bitmap)
-            self._graph_views[name] = GraphView(name, elements)
-            report.selected.append(name)
-        self._bump_views_epoch()
+            report.selected.append(self.add_graph_view(candidates[key]))
+        if not report.selected:  # a write advances the epoch, even a no-op
+            self._bump_views_epoch()
         return report
 
     def materialize_aggregate_views(
@@ -916,16 +867,13 @@ class GraphAnalyticsEngine:
             name = self._fresh_view_name("av")
             view = AggregateGraphView(name, path, function)
             elements = path.elements(measured) or path.edges()
-            bitmap = self._unaccounted_bitmap(elements)
+            bitmap = self.compute_view_bitmap(elements)
             rows = bitmap.to_indices()
-            raw = []
-            for element in elements:
-                edge_id = self.catalog.get_id(element)
-                if edge_id is None or not self.relation.has_element(edge_id):
-                    raw.append(np.full(rows.size, np.nan))
-                else:
-                    column = self.relation.column_for_persistence(edge_id)
-                    raw.append(column.take(rows))
+            # A matched row holds every element, so every column exists.
+            raw = [
+                self.relation.column_for_persistence(self.catalog.get_id(e)).take(rows)
+                for e in elements
+            ] if rows.size else []
             for stored_fn in view.stored_functions():
                 # One aggregate per matching row: already the packed column.
                 packed = get_function(stored_fn).combine(raw) if rows.size else ()

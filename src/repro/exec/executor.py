@@ -535,22 +535,21 @@ class QueryExecutor:
 
     # -- adaptive view maintenance --------------------------------------------
 
-    def stage_view(self, elements) -> tuple[frozenset, "object", int]:
+    def stage_view(self, elements) -> tuple[frozenset, "object"]:
         """Build a view bitmap *off-epoch*, under the shared read lock:
         concurrent queries keep flowing while the bitmap is computed.
-        Returns ``(elements, staged_bitmap, staged_rows)`` ready for
+        Returns ``(elements, staged_bitmap)`` ready for
         :meth:`commit_view_swap`; rows appended after staging are covered
         by the append-delta at commit time."""
         elements = frozenset(elements)
         with self._rw.read():
-            staged = self.engine.compute_view_bitmap(elements)
-            return elements, staged, self.engine.n_records
+            return elements, self.engine.compute_view_bitmap(elements)
 
     def commit_view_swap(self, adds=(), drops=()) -> dict:
         """Atomically apply one batch of view adds and drops.
 
-        ``adds`` is an iterable of ``(name, elements, staged, staged_rows)``
-        tuples (``name`` may be None for an auto-generated one); ``drops``
+        ``adds`` is an iterable of ``(name, elements, staged)`` tuples
+        (``name`` may be None for an auto-generated one); ``drops``
         is an iterable of view names.  The whole swap happens under one
         exclusive lock section with a single process-pool resync, so a
         reader observes either the old view set or the new one — never a
@@ -560,12 +559,8 @@ class QueryExecutor:
         added: list[str] = []
         dropped: list[str] = []
         with self._rw.write():
-            for name, elements, staged, staged_rows in adds:
-                added.append(
-                    self.engine.materialize_incremental(
-                        elements, name=name, staged=staged, staged_rows=staged_rows
-                    )
-                )
+            for name, elements, staged in adds:
+                added.append(self.engine.add_graph_view(elements, name, staged))
             drops = list(drops)
             if drops:
                 dropped = self.engine.drop_decayed(drops)
@@ -580,8 +575,7 @@ class QueryExecutor:
 
     def materialize_incremental(self, elements, name: str | None = None) -> str:
         """Stage off-epoch, then commit: the convenience one-view path."""
-        elements, staged, staged_rows = self.stage_view(elements)
-        swap = self.commit_view_swap(adds=[(name, elements, staged, staged_rows)])
+        swap = self.commit_view_swap(adds=[(name, *self.stage_view(elements))])
         return swap["added"][0]
 
     def drop_decayed(self, names) -> list[str]:

@@ -36,7 +36,8 @@ disconnected, or the deadline lapsed parent-side first — the parent
 sends a best-effort ``("cancel", task_id)`` note down the worker's pipe.
 The worker checks for notes between fold parts and answers such tasks
 ``"cancelled"`` without (further) work, so one dead query never
-head-of-line blocks the next request through the same worker.
+head-of-line blocks the next request through the same worker.  The fold
+itself is the in-process one, :func:`~repro.columnstore.and_refs`.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..columnstore import Bitmap, BitmapAttachment, storage_generation
-from ..errors import QueryTimeoutError
+from ..columnstore import Bitmap, BitmapAttachment, and_refs, storage_generation
+from ..errors import QueryCancelledError, QueryTimeoutError
 
 __all__ = [
     "ProcessShardPool",
@@ -89,16 +90,6 @@ class StaleGenerationError(RuntimeError):
 
 
 # -- worker side --------------------------------------------------------------
-
-
-def _fragment_bitmap(reader, kind, token) -> Bitmap:
-    """A ref's bitmap over the mapped shard — all-zero for an element the
-    shard never saw, like :meth:`MasterRelation.fold`."""
-    if kind == "element":
-        return reader.bitmap(token)
-    if kind == "graph-view":
-        return reader.view_bitmap(token)
-    return reader.aggregate_view_bitmap(token)
 
 
 def _ship_result(result: Bitmap) -> tuple:
@@ -182,6 +173,22 @@ def _worker_main(worker_id, storage_dir, conn):
             else:
                 pending.append(msg)
 
+    def task_check(task_id, deadline):
+        """The fold's check for one task: its wall-clock budget before
+        every ref, the pipe for a cancel note every few refs."""
+        refs = itertools.count()
+
+        def check():
+            if deadline is not None and time.monotonic() >= deadline:
+                raise QueryTimeoutError()
+            i = next(refs)
+            if i and i % _CANCEL_CHECK_EVERY == 0:
+                drain(block=False)
+                if task_id in cancelled:
+                    raise QueryCancelledError()
+
+        return check
+
     while True:
         if not pending:
             if shutdown:
@@ -205,32 +212,19 @@ def _worker_main(worker_id, storage_dir, conn):
                     continue
                 attachment = BitmapAttachment(storage_dir)
             reader = attachment.readers[shard]
-            result = None
-            timed_out = was_cancelled = False
-            for i, (kind, token) in enumerate(fragment):
-                if deadline is not None and time.monotonic() >= deadline:
-                    timed_out = True
-                    break
-                if i % _CANCEL_CHECK_EVERY == 0 and i:
-                    drain(block=False)
-                    if task_id in cancelled:
-                        was_cancelled = True
-                        break
-                part = _fragment_bitmap(reader, kind, token)
-                result = part if result is None else result & part
-                if not result.any():
-                    break  # short-circuit: AND can only stay empty
-            done_hwm = max(done_hwm, task_id)
-            if was_cancelled:
+            try:
+                result = and_refs(
+                    reader.ref_bitmap, fragment, reader.n_records,
+                    task_check(task_id, deadline),
+                )
+                status, payload = "ok", _ship_result(result)
+            except QueryTimeoutError:
+                status, payload = "timeout", budget
+            except QueryCancelledError:
                 cancelled.discard(task_id)
-                conn.send((task_id, worker_id, stamp, "cancelled", None))
-                continue
-            if timed_out:
-                conn.send((task_id, worker_id, stamp, "timeout", budget))
-                continue
-            if result is None:
-                result = Bitmap.zeros(reader.n_records)
-            conn.send((task_id, worker_id, stamp, "ok", _ship_result(result)))
+                status, payload = "cancelled", None
+            done_hwm = max(done_hwm, task_id)
+            conn.send((task_id, worker_id, stamp, status, payload))
         except Exception as exc:  # answer *something* or the task hangs
             # A failed attach may be a half-committed swap; drop the
             # mapping so the next task re-probes the manifest.

@@ -85,9 +85,10 @@ class TestFacadeIncremental:
         engine = GraphAnalyticsEngine(shards=2)
         engine.load_records(small_records())
         a = engine.add_graph_view(AB_BC.elements, name="manual")
-        b = engine.materialize_incremental(AB_BC.elements, name="incr")
-        bm_a = engine.relation.view_bitmap(a)
-        bm_b = engine.relation.view_bitmap(b)
+        staged = engine.compute_view_bitmap(AB_BC.elements)
+        b = engine.add_graph_view(AB_BC.elements, name="incr", staged=staged)
+        bm_a = engine.relation.ref_bitmap("graph-view", a)
+        bm_b = engine.relation.ref_bitmap("graph-view", b)
         assert bm_a.to_indices().tolist() == bm_b.to_indices().tolist()
 
     def test_drop_decayed_is_per_view(self):
@@ -174,10 +175,10 @@ class TestExecutorWiring:
         engine.load_records(small_records())
         with QueryExecutor(engine) as executor:
             old = executor.materialize_incremental(AB_CD.elements)
-            elements, staged, rows = executor.stage_view(AB_BC.elements)
+            elements, staged = executor.stage_view(AB_BC.elements)
             before = engine.epoch
             swap = executor.commit_view_swap(
-                adds=[(None, elements, staged, rows)], drops=[old]
+                adds=[(None, elements, staged)], drops=[old]
             )
             assert swap["dropped"] == [old]
             assert len(swap["added"]) == 1
@@ -191,13 +192,13 @@ class TestExecutorWiring:
         engine = GraphAnalyticsEngine(shards=2)
         engine.load_records(small_records())
         with QueryExecutor(engine) as executor:
-            elements, staged, rows = executor.stage_view(AB_BC.elements)
+            elements, staged = executor.stage_view(AB_BC.elements)
             executor.append_records(
                 [GraphRecord("x0", {("A", "B"): 1.0, ("B", "C"): 1.0})]
             )
-            swap = executor.commit_view_swap(adds=[(None, elements, staged, rows)])
+            swap = executor.commit_view_swap(adds=[(None, elements, staged)])
             name = swap["added"][0]
-            got = engine.relation.view_bitmap(name)
+            got = engine.relation.ref_bitmap("graph-view", name)
             want = engine.compute_view_bitmap(AB_BC.elements)
             assert got.to_indices().tolist() == want.to_indices().tolist()
 

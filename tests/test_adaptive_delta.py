@@ -3,7 +3,7 @@ bit-identical to a full rebuild.
 
 The maintainer stages a view bitmap off-epoch, appends may land while it
 is staged, and commit extends the staged prefix with
-``view_delta_bitmap`` over only the tail rows.  Soundness rests on rows
+``compute_view_bitmap(elements, start)`` over only the tail rows.  Soundness rests on rows
 being immutable and append-only — these properties drive random record
 batches, random staging points, random append sizes, and every shard
 geometry against the ground truth of a from-scratch build.
@@ -65,13 +65,10 @@ class TestAppendDeltaEqualsFullRebuild:
         engine = GraphAnalyticsEngine(shards=shards)
         engine.load_records(load)
         staged = engine.compute_view_bitmap(view)
-        staged_rows = engine.n_records
         if append:
             engine.append_records(append)
-        name = engine.materialize_incremental(
-            view, staged=staged, staged_rows=staged_rows
-        )
-        committed = engine.relation.view_bitmap(name)
+        name = engine.add_graph_view(view, staged=staged)
+        committed = engine.relation.ref_bitmap("graph-view", name)
 
         # Ground truth: a fresh engine sees every record at load time.
         oracle = GraphAnalyticsEngine(shards=shards)
@@ -91,14 +88,14 @@ class TestAppendDeltaEqualsFullRebuild:
         name = engine.add_graph_view(view)
         if append:
             engine.append_records(append)
-        extended = engine.relation.view_bitmap(name)
+        extended = engine.relation.ref_bitmap("graph-view", name)
         full = engine.compute_view_bitmap(view)
         assert extended.to_indices().tolist() == full.to_indices().tolist()
 
     @given(record_batches(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_delta_bitmap_is_suffix_of_full(self, batch, data):
-        # view_delta_bitmap(elements, start) at an arbitrary start point —
+        # compute_view_bitmap(elements, start) at an arbitrary start point —
         # including mid-shard and at shard boundaries — must equal the
         # corresponding slice of the full bitmap.
         load, append, shards, view = batch
@@ -106,7 +103,7 @@ class TestAppendDeltaEqualsFullRebuild:
         engine.load_records(load + append)
         n = engine.n_records
         start = data.draw(st.integers(min_value=0, max_value=n))
-        delta = engine.view_delta_bitmap(view, start)
+        delta = engine.compute_view_bitmap(view, start)
         full = engine.compute_view_bitmap(view)
         assert delta.length == n - start
         assert (
@@ -123,15 +120,12 @@ class TestAppendDeltaEqualsFullRebuild:
         )
         view = frozenset([("A", "B"), ("B", "C")])
         staged = engine.compute_view_bitmap(view)
-        staged_rows = engine.n_records
         engine.append_records(
             [GraphRecord("x0", {("A", "B"): 1.0}), GraphRecord("x1", {("A", "B"): 1.0, ("B", "C"): 1.0})]
         )
         engine.append_records([GraphRecord("x2", {("B", "C"): 1.0})])
-        name = engine.materialize_incremental(
-            view, staged=staged, staged_rows=staged_rows
-        )
-        got = engine.relation.view_bitmap(name).to_indices().tolist()
+        name = engine.add_graph_view(view, staged=staged)
+        got = engine.relation.ref_bitmap("graph-view", name).to_indices().tolist()
         assert got == list(range(7)) + [8]
 
     def test_staged_row_mismatch_rejected(self):
@@ -140,9 +134,10 @@ class TestAppendDeltaEqualsFullRebuild:
         staged = engine.compute_view_bitmap([("A", "B"), ("B", "C")])
         import pytest
 
+        # A staged bitmap longer than the relation cannot be a prefix of it.
         with pytest.raises(ValueError):
-            engine.materialize_incremental(
-                [("A", "B"), ("B", "C")], staged=staged, staged_rows=0
+            engine.add_graph_view(
+                [("A", "B"), ("B", "C")], staged=staged.resized(staged.length + 1)
             )
         with pytest.raises(ValueError):
-            engine.view_delta_bitmap([("A", "B")], start=5)
+            engine.compute_view_bitmap([("A", "B")], start=5)

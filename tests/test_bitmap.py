@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnstore import Bitmap, BitmapBuilder
+from repro.columnstore import Bitmap
 from repro.columnstore import bitmap as bitmap_module
 
 
@@ -219,16 +219,15 @@ class TestDerivation:
 
 
 class TestBuilder:
+    """A bitmap grows a bit per appended record through ``extended``."""
+
     def test_builder_appends(self):
-        builder = BitmapBuilder()
-        builder.append(True)
-        builder.append(False)
-        builder.extend([True, True])
-        assert len(builder) == 4
-        assert builder.build().to_indices().tolist() == [0, 2, 3]
+        bm = Bitmap.zeros(0).extended([True]).extended([False]).extended([True, True])
+        assert len(bm) == 4
+        assert bm.to_indices().tolist() == [0, 2, 3]
 
     def test_builder_empty(self):
-        assert BitmapBuilder().build().length == 0
+        assert Bitmap.zeros(0).extended([]).length == 0
 
 
 @st.composite
@@ -438,7 +437,8 @@ class TestToIndices:
 
 class TestPopcountHelper:
     """``popcount_words`` is the single popcount shared by Bitmap and the
-    WAH codec; its two implementations must agree on any word array."""
+    WAH codec (``test_wah.py``); its two implementations must agree on any
+    word array."""
 
     @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=32))
     @settings(max_examples=60, deadline=None)
@@ -450,12 +450,6 @@ class TestPopcountHelper:
         assert popcount_words(words) == expected
         with mock.patch.object(bitmap_module, "_HAS_BITWISE_COUNT", False):
             assert popcount_words(words) == expected
-
-    def test_wah_count_uses_shared_popcount(self):
-        from repro.columnstore import WahBitmap
-
-        bm = Bitmap.from_indices(1000, [0, 63, 64, 500, 999])
-        assert WahBitmap.from_dense(bm).count() == bm.count() == 5
 
 
 class TestContentKey:

@@ -22,7 +22,6 @@ from repro.columnstore import (
     Bitmap,
     MasterRelation,
     MeasureColumn,
-    MeasureColumnBuilder,
     ShardedTable,
     bitmap as bitmap_module,
     load_relation,
@@ -185,8 +184,8 @@ class TestAgainstDenseReference:
                 reference = np.concatenate([reference, batch])
                 rows = np.arange(len(reference))
                 assert same(relation.measures(0, rows), reference)
-                assert relation.bitmap(0) == Bitmap.from_bools(~np.isnan(reference))
-                assert relation.bitmap(1).count() == len(reference) - len(dense)
+                assert relation.ref_bitmap("element", 0) == Bitmap.from_bools(~np.isnan(reference))
+                assert relation.ref_bitmap("element", 1).count() == len(reference) - len(dense)
 
 
 class TestConstruction:
@@ -261,28 +260,21 @@ class TestTakeBounds:
 
 
 class TestBuilder:
+    """A column grows a cell per appended record through ``extended``."""
+
     def test_builds_in_order(self):
-        builder = MeasureColumnBuilder()
-        builder.append(1.0)
-        builder.append(None)
-        builder.append(2.0)
-        col = builder.build()
+        col = MeasureColumn.nulls(0).extended([1.0]).extended([None, 2.0])
         assert [col[i] for i in range(3)] == [1.0, None, 2.0]
 
     def test_pad_to(self):
-        builder = MeasureColumnBuilder()
-        builder.append(5.0)
-        builder.pad_to(4)
-        col = builder.build()
+        col = MeasureColumn.nulls(0).extended([5.0]).extended([None] * 3)
         assert len(col) == 4
         assert col.non_null_count() == 1
 
     def test_pad_shorter_rejected(self):
-        builder = MeasureColumnBuilder()
-        builder.append(1.0)
-        builder.append(2.0)
+        col = MeasureColumn.from_optionals([1.0, 2.0])
         with pytest.raises(ValueError):
-            builder.pad_to(1)
+            col.appended([1], [3.0], 3)
 
 
 class TestSparseLoad:
@@ -290,7 +282,7 @@ class TestSparseLoad:
         relation = MasterRelation()
         relation.set_record_count(5)
         relation.load_sparse_column(0, np.array([4, 0, 2]), np.array([4.0, 0.5, 2.0]))
-        assert relation.bitmap(0).to_indices().tolist() == [0, 2, 4]
+        assert relation.ref_bitmap("element", 0).to_indices().tolist() == [0, 2, 4]
         assert relation.measures(0, np.array([0, 2, 4])).tolist() == [0.5, 2.0, 4.0]
 
     @pytest.mark.parametrize("shards", [1, 2])

@@ -257,7 +257,7 @@ class TestViewsEndToEnd:
 
     def test_view_over_unknown_edge_is_empty(self, engine):
         name = engine.add_graph_view([("A", "B"), ("NO", "PE")])
-        assert engine.relation.view_bitmap(name).count() == 0
+        assert engine.relation.ref_bitmap("graph-view", name).count() == 0
 
     def test_drop_all_views(self, engine):
         engine.add_graph_view([("A", "B"), ("B", "C")])

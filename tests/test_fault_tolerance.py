@@ -228,7 +228,7 @@ class TestCorruptionDetection:
         with pytest.raises(CorruptionError, match="packed values"):
             load_relation(db)
         with pytest.raises(CorruptionError, match="packed values"):
-            RelationBitmapReader(db).bitmap(0)
+            RelationBitmapReader(db).ref_bitmap("element", 0)
 
     def test_bit_past_record_count_is_corruption(self, tmp_path):
         db = _saved_db(tmp_path)
@@ -237,7 +237,7 @@ class TestCorruptionDetection:
         with pytest.raises(CorruptionError, match="past the bitmap length"):
             load_relation(db)
         with pytest.raises(CorruptionError, match="past the bitmap length"):
-            RelationBitmapReader(db).bitmap(0)
+            RelationBitmapReader(db).ref_bitmap("element", 0)
 
     def test_missing_generation_directory(self, tmp_path):
         db = _saved_db(tmp_path)

@@ -70,10 +70,11 @@ class TestIOStats:
 class TestCollector:
     def test_record_bitmap_fetch_kinds(self):
         collector = IOStatsCollector()
-        collector.record_bitmap_fetch()
-        collector.record_bitmap_fetch(is_view=True)
-        assert collector.stats.bitmap_columns_fetched == 1
+        collector.record_bitmap_fetches(1, 0, 8)
+        collector.record_bitmap_fetches(2, 1, 24)
+        assert collector.stats.bitmap_columns_fetched == 3
         assert collector.stats.view_bitmaps_fetched == 1
+        assert collector.stats.bitmap_bytes_fetched == 32
 
     def test_record_measure_fetch_counts_values(self):
         collector = IOStatsCollector()
@@ -92,7 +93,7 @@ class TestCollector:
 
     def test_reset(self):
         collector = IOStatsCollector()
-        collector.record_bitmap_fetch()
+        collector.record_bitmap_fetches(1, 0, 8)
         collector.reset()
         assert collector.stats.total_columns_fetched() == 0
 

@@ -1,0 +1,158 @@
+"""One AND over storage: every surface that folds a ref list answers alike.
+
+A graph query's structural answer is the AND of one bitmap per planner ref
+(``("element", id)``, ``("graph-view", name)``, ``("agg-view", name)``).
+The storage layer runs that AND in one place, ``and_refs``; this property
+drives random ref lists — elements present in only some shards, elements
+absent everywhere, graph views and aggregate views — through each of its
+callers:
+
+* the charged ``fold`` of a ``MasterRelation`` and of a ``ShardedTable``
+  at 1, 3 and 8 shards, whose I/O deltas must be one fetch per (ref,
+  shard) — none where the shard never saw the element;
+* ``RelationBitmapReader`` attachments to the saved store, plain and
+  3-shard, as the process pool's worker reads them;
+* the engine's ``compute_view_bitmap`` at an arbitrary start row, at 1, 3
+  and 8 shards, which charges nothing.
+
+Every answer must equal the AND of element containment computed from
+``RowStore``.
+"""
+
+from __future__ import annotations
+
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines import RowStore
+from repro.columnstore import (
+    Bitmap,
+    BitmapAttachment,
+    RelationBitmapReader,
+    ShardedTable,
+    and_refs,
+    save_sharded,
+)
+from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord, PathAggregationQuery
+
+UNIVERSE = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "c")]
+ABSENT = ("y", "z")  # in no record
+CHAINS = [("a", "b", "c"), ("b", "c", "d"), ("a", "c", "d", "e")]
+
+
+@st.composite
+def cases(draw):
+    """Records whose edges stop appearing after a drawn row (so sharding
+    leaves them out of later shards), one graph view, one aggregate view,
+    a ref list over all of them, and a start row."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    until = {edge: draw(st.integers(min_value=0, max_value=n)) for edge in UNIVERSE}
+    records = []
+    for i in range(n):
+        allowed = [edge for edge in UNIVERSE if i < until[edge]]
+        edges = draw(st.sets(st.sampled_from(allowed))) if allowed else set()
+        cells = {edge: float(i + j) for j, edge in enumerate(sorted(edges))}
+        records.append(GraphRecord(f"r{i}", cells or {("x", "x"): 1.0}))
+    view = draw(st.sets(st.sampled_from(UNIVERSE), min_size=2, max_size=3))
+    chain = draw(st.sampled_from(CHAINS))
+    picks = draw(
+        st.lists(
+            st.sampled_from([*UNIVERSE, ABSENT, "graph-view", "agg-view"]),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    start = draw(st.integers(min_value=0, max_value=n))
+    return records, frozenset(view), chain, picks, start
+
+
+def _expected_io(table, refs) -> tuple[int, int, int]:
+    base = view = nbytes = 0
+    for shard in table.shard_relations():
+        for kind, token in refs:
+            if kind == "element" and not shard.has_element(token):
+                continue
+            base += kind == "element"
+            view += kind != "element"
+            nbytes += 8 * ((shard.n_records + 63) // 64)
+    return base, view, nbytes
+
+
+def _io_delta(collector, run):
+    b0, v0, n0 = (
+        collector.stats.bitmap_columns_fetched,
+        collector.stats.view_bitmaps_fetched,
+        collector.stats.bitmap_bytes_fetched,
+    )
+    answer = run()
+    stats = collector.stats
+    delta = (
+        stats.bitmap_columns_fetched - b0,
+        stats.view_bitmaps_fetched - v0,
+        stats.bitmap_bytes_fetched - n0,
+    )
+    return answer, delta
+
+
+@given(cases())
+@settings(max_examples=50, deadline=None)
+def test_every_fold_is_the_and_of_element_containment(case):
+    records, view_elements, chain, picks, start = case
+    engine = GraphAnalyticsEngine()
+    engine.load_records(records)
+    graph_view = engine.add_graph_view(view_elements)
+    report = engine.materialize_aggregate_views(
+        [PathAggregationQuery(GraphQuery.from_node_chain(*chain), "sum")], 1
+    )
+    agg_view = report.selected[0]
+    path = engine.aggregate_views[agg_view].path
+    agg_elements = frozenset(path.elements(engine.measured_nodes) or path.edges())
+
+    refs, elements = [], set()
+    for pick in picks:
+        if pick == "graph-view":
+            refs.append(("graph-view", graph_view))
+            elements |= view_elements
+        elif pick == "agg-view":
+            refs.append(("agg-view", f"{agg_view}:sum"))
+            elements |= agg_elements
+        else:
+            edge_id = engine.catalog.get_id(pick)
+            refs.append(("element", 10**6 if edge_id is None else edge_id))
+            elements.add(pick)
+
+    oracle = RowStore()
+    oracle.load_records(records)
+    matched = set(oracle.query(GraphQuery(elements)).record_ids)
+    want = [i for i, record in enumerate(records) if record.record_id in matched]
+
+    relation = engine.relation
+    for table in [relation] + [ShardedTable.from_relation(relation, k) for k in (1, 3, 8)]:
+        answer, delta = _io_delta(table.collector, lambda: table.fold(refs))
+        assert answer.length == len(records)
+        assert answer.to_indices().tolist() == want
+        assert delta == _expected_io(table, refs)
+
+    with tempfile.TemporaryDirectory() as plain, tempfile.TemporaryDirectory() as sharded:
+        engine.save(plain)
+        reader = RelationBitmapReader(plain)
+        assert and_refs(reader.ref_bitmap, refs, reader.n_records).to_indices().tolist() == want
+        save_sharded(ShardedTable.from_relation(relation, 3), sharded)
+        attachment = BitmapAttachment(sharded)
+        segments = [and_refs(r.ref_bitmap, refs, r.n_records) for r in attachment.readers]
+        assert Bitmap.concat(segments).to_indices().tolist() == want
+
+    for shards in (1, 3, 8):
+        engine.reshard(shards)
+        bitmap, delta = _io_delta(
+            engine.collector, lambda: engine.compute_view_bitmap(elements, start)
+        )
+        assert delta == (0, 0, 0)
+        assert bitmap.length == len(records) - start
+        assert (bitmap.to_indices() + start).tolist() == [i for i in want if i >= start]
+    assert np.array_equal(
+        engine.compute_view_bitmap(elements).to_indices(), np.array(want, dtype=np.int64)
+    )

@@ -32,7 +32,7 @@ class TestTable1:
         for paper_id, bits in expected.items():
             edge = FIGURE2_EDGES[paper_id]
             edge_id = figure2_engine.catalog.id_of(edge)
-            bitmap = figure2_engine.relation.bitmap(edge_id)
+            bitmap = figure2_engine.relation.ref_bitmap("element", edge_id)
             assert bitmap.to_bools().astype(int).tolist() == bits, paper_id
 
     def test_measure_columns(self, figure2_engine):
@@ -50,7 +50,7 @@ class TestTable1:
         # bv1 = AND(b1..b4): only r1 contains e1..e4.
         elements = [FIGURE2_EDGES[i] for i in (1, 2, 3, 4)]
         name = figure2_engine.add_graph_view(elements)
-        bitmap = figure2_engine.relation.view_bitmap(name)
+        bitmap = figure2_engine.relation.ref_bitmap("graph-view", name)
         assert bitmap.to_bools().astype(int).tolist() == [1, 0, 0]
 
     def test_aggregate_view_mp1_bp1(self, figure2_engine):
@@ -63,7 +63,7 @@ class TestTable1:
         assert len(report.selected) == 1
         name = report.selected[0]
         column = f"{name}:sum"
-        bp = figure2_engine.relation.aggregate_view_bitmap(column)
+        bp = figure2_engine.relation.ref_bitmap("agg-view", column)
         assert bp.to_bools().astype(int).tolist() == [0, 1, 1]
         mp = figure2_engine.relation.aggregate_view_measures(column)
         assert np.isnan(mp[0])

@@ -45,7 +45,7 @@ class TestPersistence:
         assert loaded.n_records == 2
         assert loaded.partition_width == 2
         for edge_id in (0, 1, 2):
-            assert loaded.bitmap(edge_id) == relation.bitmap(edge_id)
+            assert loaded.ref_bitmap("element", edge_id) == relation.ref_bitmap("element", edge_id)
             a = relation.measures(edge_id)
             b = loaded.measures(edge_id)
             assert np.array_equal(np.nan_to_num(a), np.nan_to_num(b))
@@ -53,7 +53,7 @@ class TestPersistence:
     def test_roundtrip_views(self, relation, tmp_path):
         save_relation(relation, tmp_path / "db")
         loaded = load_relation(tmp_path / "db")
-        assert loaded.view_bitmap("gv1") == relation.view_bitmap("gv1")
+        assert loaded.ref_bitmap("graph-view", "gv1") == relation.ref_bitmap("graph-view", "gv1")
         assert loaded.aggregate_view_measures("av1:sum")[0] == 5.0
         assert np.isnan(loaded.aggregate_view_measures("av1:sum")[1])
 
@@ -72,6 +72,85 @@ class TestPersistence:
         assert relation_disk_usage(tmp_path / "big") > relation_disk_usage(
             tmp_path / "small"
         )
+
+
+# Integer node labels and record ids; node 2 carries its own measure, so
+# SUM along 1 -> 2 -> 3 is 1 + 5 + 2 on record 7.
+TYPED_JSONL = (
+    '{"id": 7, "measures": [[1, 2, 1.0], [2, 2, 5.0], [2, 3, 2.0]]}\n'
+    '{"id": 8, "measures": [[1, 2, 4.0]]}\n'
+)
+SUM_1_2_3 = PathAggregationQuery(GraphQuery.from_node_chain(1, 2, 3), "sum")
+
+
+def _typed_records() -> list[GraphRecord]:
+    return [
+        GraphRecord(7, {(1, 2): 1.0, (2, 2): 5.0, (2, 3): 2.0}),
+        GraphRecord(8, {(1, 2): 4.0}),
+    ]
+
+
+def _sum_answer(result) -> tuple[list, list]:
+    return result.record_ids, [v.tolist() for v in result.path_values.values()]
+
+
+class TestSaveLoadKeepsAnswers:
+    """Saving and reloading an engine changes none of its answers: record
+    ids keep their JSON type, and a node with its own measure stays
+    measured."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_integer_labels_and_ids_survive_save_load(self, tmp_path, shards):
+        engine = GraphAnalyticsEngine(shards=shards)
+        engine.load_records(_typed_records())
+        assert _sum_answer(engine.aggregate(SUM_1_2_3)) == ([7], [[8.0]])
+        engine.save(tmp_path / "db")
+        loaded = GraphAnalyticsEngine.load(tmp_path / "db")
+        assert loaded.n_shards == shards
+        assert loaded.measured_nodes == engine.measured_nodes == {2}
+        assert _sum_answer(loaded.aggregate(SUM_1_2_3)) == ([7], [[8.0]])
+        assert loaded.query(GraphQuery([(1, 2)])).record_ids == [7, 8]
+
+    def test_a_save_that_carries_measured_nodes_loads(self, tmp_path):
+        engine = GraphAnalyticsEngine()
+        engine.load_records(_typed_records())
+        engine.save(tmp_path / "db")
+        manifest_path = tmp_path / "db" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["app_meta"]["measured_nodes"] = ["2"]
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = GraphAnalyticsEngine.load(tmp_path / "db")
+        assert loaded.measured_nodes == {2}
+        assert _sum_answer(loaded.aggregate(SUM_1_2_3)) == ([7], [[8.0]])
+
+    def test_ids_json_cannot_hold_load_as_their_str(self, tmp_path):
+        engine = GraphAnalyticsEngine()
+        engine.load_records(
+            [GraphRecord(("a", 1), {("A", "B"): 1.0}), GraphRecord(None, {("A", "B"): 2.0})]
+        )
+        engine.save(tmp_path / "db")
+        loaded = GraphAnalyticsEngine.load(tmp_path / "db")
+        assert loaded.query(GraphQuery([("A", "B")])).record_ids == ["('a', 1)", None]
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_a_daemon_serving_a_loaded_database_answers_typed(self, tmp_path, shards):
+        from repro.cli import main
+        from repro.exec import QueryExecutor
+        from repro.serve import ServeClient, start_in_thread
+
+        source = tmp_path / "typed.jsonl"
+        source.write_text(TYPED_JSONL)
+        assert main(["load", str(source), str(tmp_path / "db"), "--shards", str(shards)]) == 0
+        executor = QueryExecutor(GraphAnalyticsEngine.load(tmp_path / "db"))
+        handle = start_in_thread(executor)
+        try:
+            with ServeClient(*handle.address) as client:
+                answer = client.aggregate({"elements": [[1, 2], [2, 3]], "function": "sum"})
+                assert _sum_answer(answer) == ([7], [[8.0]])
+                assert client.query({"elements": [[1, 2]]}).record_ids == [7, 8]
+        finally:
+            handle.stop()
+            executor.close()
 
 
 class TestSqlGeneration:

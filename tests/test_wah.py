@@ -1,4 +1,5 @@
-"""Tests for WAH-compressed bitmaps."""
+"""Tests for the WAH-compressed bitmaps of ``benchmarks/_wah.py``, the
+codec ``bench_ablation_bitmap_codec.py`` compares the dense bitmaps with."""
 
 from __future__ import annotations
 
@@ -7,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnstore import Bitmap
-from repro.columnstore.wah import (
+from benchmarks._wah import (
     _FILL_BIT,
     _LITERAL_FLAG,
     _PAYLOAD_MASK,
     WahBitmap,
 )
+from repro.columnstore import Bitmap
 
 
 class TestRoundtrip:
@@ -59,6 +60,10 @@ class TestCompression:
         wah = WahBitmap.from_dense(dense)
         # Worst case: one literal per group + header bits.
         assert wah.nbytes() <= dense.nbytes() * 1.1
+
+    def test_wah_count_uses_shared_popcount(self):
+        bm = Bitmap.from_indices(1000, [0, 63, 64, 500, 999])
+        assert WahBitmap.from_dense(bm).count() == bm.count() == 5
 
 
 class TestAnd:

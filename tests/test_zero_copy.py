@@ -6,9 +6,9 @@ the persisted generation directory with
 :class:`~repro.columnstore.BitmapAttachment`, which memory-map the packed
 bitmap files read-only.  These tests pin the zero-copy contract: bitmaps
 are views of the mapped file pages (no materialized copy), the mapping is
-read-only (no write-back possible), two attachments map the same base
-file (shared page cache), and every bitmap is bit-identical to the live
-engine's.
+read-only (no write-back possible), and two attachments map the same
+base file (shared page cache).  That every bitmap ANDs to the live
+engine's answer is the property in ``test_one_and.py``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 from repro.columnstore import (
     BitmapAttachment,
     RelationBitmapReader,
+    and_refs,
     load_relation,
     storage_generation,
 )
@@ -53,24 +54,12 @@ def _memmap_base(bitmap) -> np.memmap:
 
 
 class TestRelationBitmapReader:
-    def test_bitmaps_match_live_relation(self, corpus, tmp_path):
-        engine = _engine(corpus)
-        engine.save(tmp_path)
-        reader = RelationBitmapReader(tmp_path)
-        assert reader.n_records == engine.n_records
-        for edge in corpus.to_columnar():
-            edge_id = engine.catalog.get_id(edge)
-            assert reader.has_element(edge_id)
-            assert reader.bitmap(edge_id) == engine.relation.bitmap(edge_id)
-        name = _view_name(engine)
-        assert reader.view_bitmap(name) == engine.relation.view_bitmap(name)
-
     def test_element_bitmap_is_memmap_backed_readonly(self, corpus, tmp_path):
         engine = _engine(corpus)
         engine.save(tmp_path)
         reader = RelationBitmapReader(tmp_path)
         edge_id = engine.catalog.get_id(next(iter(corpus.to_columnar())))
-        base = _memmap_base(reader.bitmap(edge_id))
+        base = _memmap_base(reader.ref_bitmap("element", edge_id))
         assert not base.flags.writeable
         with pytest.raises((ValueError, RuntimeError)):
             base[0] = np.uint64(1)
@@ -86,8 +75,8 @@ class TestRelationBitmapReader:
         }
         reader = RelationBitmapReader(tmp_path)
         for edge in corpus.to_columnar():
-            reader.bitmap(engine.catalog.get_id(edge)).count()
-        reader.view_bitmap(_view_name(engine)).count()
+            reader.ref_bitmap("element", engine.catalog.get_id(edge)).count()
+        reader.ref_bitmap("graph-view", _view_name(engine)).count()
         for f, payload in snapshot.items():
             assert (tmp_path / f).read_bytes() == payload
 
@@ -98,8 +87,8 @@ class TestRelationBitmapReader:
         engine = _engine(corpus)
         engine.save(tmp_path)
         edge_id = engine.catalog.get_id(next(iter(corpus.to_columnar())))
-        first = _memmap_base(RelationBitmapReader(tmp_path).bitmap(edge_id))
-        second = _memmap_base(RelationBitmapReader(tmp_path).bitmap(edge_id))
+        first = _memmap_base(RelationBitmapReader(tmp_path).ref_bitmap("element", edge_id))
+        second = _memmap_base(RelationBitmapReader(tmp_path).ref_bitmap("element", edge_id))
         assert first.filename == second.filename
         assert first.filename is not None
 
@@ -107,8 +96,7 @@ class TestRelationBitmapReader:
         engine = _engine(corpus)
         engine.save(tmp_path)
         reader = RelationBitmapReader(tmp_path)
-        assert not reader.has_element(10**6)
-        assert reader.bitmap(10**6).count() == 0
+        assert reader.ref_bitmap("element", 10**6) is None
 
 
 class TestBitmapAttachment:
@@ -123,10 +111,10 @@ class TestBitmapAttachment:
         assert attachment.generation == storage_generation(tmp_path)
         edge_id = engine.catalog.get_id(next(iter(corpus.to_columnar())))
         merged = np.concatenate(
-            [r.bitmap(edge_id).to_indices() + s
+            [and_refs(r.ref_bitmap, [("element", edge_id)], r.n_records).to_indices() + s
              for r, s in zip(attachment.readers, attachment.shard_starts)]
         )
-        assert merged.tolist() == engine.relation.bitmap(edge_id).to_indices().tolist()
+        assert merged.tolist() == engine.relation.ref_bitmap("element", edge_id).to_indices().tolist()
 
     def test_generation_advances_on_resave(self, corpus, tmp_path):
         engine = _engine(corpus, shards=2)
@@ -144,4 +132,4 @@ class TestMmapModeLoad:
         lazy = load_relation(tmp_path, verify=False, mmap_mode="r")
         assert lazy.n_records == eager.n_records
         for edge_id in eager.element_ids():
-            assert lazy.bitmap(edge_id) == eager.bitmap(edge_id)
+            assert lazy.ref_bitmap("element", edge_id) == eager.ref_bitmap("element", edge_id)
