@@ -17,6 +17,12 @@ collector one fetch per (ref, shard).  Both run the one AND,
 :func:`~repro.columnstore.table.and_refs`, which the process pool's worker
 and the engine's view builder call too.
 
+Records are written by one call, ``append_columns(n_new, columns)``: per
+element id the batch's ``(rows, values)``, rows local to the batch, queued
+as tail chunks merged on first read.  Views then take the new rows' delta
+from the builders that made them (``extend_graph_view`` /
+``extend_aggregate_view``).
+
 Three structural extras distinguish a horizontally partitioned backend:
 
 * ``shard_relations()`` — the ordered list of record-range shards, each a
@@ -75,13 +81,9 @@ class StorageBackend(Protocol):
 
     # -- loading ------------------------------------------------------------
 
-    def append_row(self, cells: Mapping[int, float]) -> int: ...
+    def append_columns(self, n_new: int, columns: Mapping[int, tuple]) -> int: ...
 
     def set_record_count(self, n_records: int) -> None: ...
-
-    def load_sparse_column(
-        self, edge_id: int, row_indices: np.ndarray, values: np.ndarray
-    ) -> None: ...
 
     # -- column access ------------------------------------------------------
 

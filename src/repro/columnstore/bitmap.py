@@ -360,19 +360,6 @@ class Bitmap:
         words[word] &= ~(np.uint64(1) << np.uint64(bit))
         return Bitmap(self._length, words)
 
-    def extended(self, flags: Iterable[bool]) -> "Bitmap":
-        """Return a copy with the given bits appended at the end.
-
-        Used for incremental view maintenance: when records are appended
-        to the relation, each view bitmap grows by one (pre-computed) bit
-        per new record.
-        """
-        flags = list(flags)
-        if not flags:
-            return self
-        combined = np.concatenate([self.to_bools(), np.asarray(flags, dtype=bool)])
-        return Bitmap.from_bools(combined)
-
     def slice(self, start: int, stop: int) -> "Bitmap":
         """Bits ``[start, stop)`` as a new bitmap (horizontal partitioning:
         a record-range shard's segment of a relation-wide bitmap).

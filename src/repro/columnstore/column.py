@@ -50,15 +50,15 @@ def rank_rows(rows: np.ndarray) -> RankedRows:
 
 
 def sorted_cells(rows, vals, n_records: int) -> tuple[np.ndarray, np.ndarray]:
-    """One column's parallel (row, value) arrays, validated for a bulk load:
-    sorted once if unsorted, a repeated row rejected (ranks need one value
-    per set bit)."""
+    """One column's parallel (row, value) arrays, validated for a bulk load
+    of ``n_records`` rows: every row in ``[0, n_records)``, sorted once if
+    unsorted, a repeated row rejected (ranks need one value per set bit)."""
     rows = np.asarray(rows, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.float64)
     if rows.shape != vals.shape or rows.ndim != 1:
         raise ValueError("row/value arrays must be parallel")
     if rows.size and (rows.min() < 0 or rows.max() >= n_records):
-        raise IndexError("row index out of range; call set_record_count first")
+        raise IndexError(f"row index outside the batch's rows [0, {n_records})")
     if (rows[1:] <= rows[:-1]).any():
         order = np.argsort(rows, kind="stable")
         rows, vals = rows[order], vals[order]
@@ -122,16 +122,6 @@ class MeasureColumn:
         return MeasureColumn(
             np.concatenate([self._vals, np.asarray(vals, dtype=np.float64)]),
             validity | Bitmap.from_indices(length, rows),
-        )
-
-    def extended(self, cells: Iterable[float | None]) -> "MeasureColumn":
-        """Return a copy with the given cells appended (incremental view
-        maintenance on record appends)."""
-        cells = list(cells)
-        start = len(self)
-        present = [i for i, c in enumerate(cells, start) if c is not None]
-        return self.appended(
-            present, [c for c in cells if c is not None], start + len(cells)
         )
 
     def slice(self, start: int, stop: int) -> "MeasureColumn":

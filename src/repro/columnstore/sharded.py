@@ -18,9 +18,9 @@ A packed measure column (:mod:`~repro.columnstore.column`) is cut at the rank
 of each shard boundary, so resharding, rebalancing and merging move views of
 the packed values and never expand a column to one cell per row.
 
-Appends only ever touch the **last** shard (boundaries of the earlier
-shards are immutable), so incremental ingest extends one shard's packed
-tails, not the relation; ``rebalance()`` re-splits evenly after bulk loads.
+The first batch into an empty table splits evenly; later appends only
+touch the **last** shard (boundaries of the earlier shards are immutable),
+queueing tail chunks there; ``rebalance()`` re-splits after bulk loads.
 
 Persistence (:func:`save_sharded` / :func:`load_sharded`) reuses the PR-1
 generation/CRC scheme *per shard*: every shard directory is a complete
@@ -46,7 +46,7 @@ import numpy as np
 
 from ..errors import ManifestError, PersistenceError
 from .bitmap import Bitmap
-from .column import MeasureColumn, rank_rows, sorted_cells
+from .column import MeasureColumn, rank_rows
 from .iostats import IOStatsCollector
 from .persistence import load_relation, save_relation
 from .table import MasterRelation, VerticalPartitioning
@@ -188,45 +188,38 @@ class ShardedTable(VerticalPartitioning):
 
     # -- loading -------------------------------------------------------------
 
-    def append_row(self, cells: Mapping[int, float]) -> int:
-        """Append one record row to the **last** shard (earlier shard
-        boundaries are immutable); returns the global row index."""
-        start = self.n_records - self.shards[-1].n_records
-        return start + self.shards[-1].append_row(cells)
+    def append_columns(self, n_new: int, columns: Mapping[int, tuple]) -> int:
+        """:meth:`MasterRelation.append_columns` on the last shard (earlier
+        shard boundaries are immutable); an empty table instead splits the
+        batch evenly, each shard taking the cells in its range."""
+        first = self.n_records
+        if first:
+            self.shards[-1].append_columns(n_new, columns)
+            return first
+        base, extra = divmod(n_new, len(self.shards))
+        sizes = [base + (i < extra) for i in range(len(self.shards))]
+        bounds = np.cumsum([0, *sizes]).tolist()
+        pieces: list[dict] = [{} for _ in self.shards]
+        for edge_id, (rows, vals) in columns.items():
+            rows, vals = np.asarray(rows, dtype=np.int64), np.asarray(vals)
+            cuts = np.searchsorted(rows, bounds).tolist()
+            for piece, start, lo, hi in zip(pieces, bounds, cuts, cuts[1:]):
+                if hi > lo:
+                    piece[edge_id] = (rows[lo:hi] - start, vals[lo:hi])
+        for shard, size, piece in zip(self.shards, sizes, pieces):
+            shard.append_columns(size, piece)
+        return first
 
     def set_record_count(self, n_records: int) -> None:
-        """Declare the row count before sparse bulk loading.
-
-        On an empty table the rows are split evenly across the shards
-        (balanced record ranges); on a non-empty table the growth extends
-        the last shard only, like :meth:`append_row`.
-        """
-        current = self.n_records
-        if n_records < current:
+        """Declare the row count before :meth:`put_column` installs packed
+        columns; the new rows spread as :meth:`append_columns` spreads them."""
+        if n_records < self.n_records:
             raise ValueError("cannot shrink the relation")
-        if current == 0:
-            k = len(self.shards)
-            base, extra = divmod(n_records, k)
-            for i, shard in enumerate(self.shards):
-                shard.set_record_count(base + (1 if i < extra else 0))
-        else:
-            last = self.shards[-1]
-            last.set_record_count(last.n_records + (n_records - current))
+        self.append_columns(n_records - self.n_records, {})
 
     def _bounds(self) -> list[int]:
         """Shard boundaries: every start, then the record count."""
         return [*self.shard_starts(), self.n_records]
-
-    def load_sparse_column(
-        self, edge_id: int, row_indices: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Route one sparse column's (row, value) pairs to their shards."""
-        rows, vals = sorted_cells(row_indices, values, self.n_records)
-        bounds = self._bounds()
-        cuts = np.searchsorted(rows, bounds).tolist()
-        for shard, start, lo, hi in zip(self.shards, bounds, cuts, cuts[1:]):
-            if hi > lo:
-                shard.load_sparse_column(edge_id, rows[lo:hi] - start, vals[lo:hi])
 
     def put_column(self, edge_id: int, column: MeasureColumn) -> None:
         """Install a packed global column, cut at the shard boundaries; a
@@ -242,10 +235,9 @@ class ShardedTable(VerticalPartitioning):
     def rebalance(self) -> None:
         """Re-split the record space into even contiguous ranges.
 
-        Bulk row-wise loads land in the last shard (streaming cannot know
-        the total up front); rebalancing afterwards restores balanced
-        shards.  Global record order, columns, and views are preserved
-        bit-for-bit — only the shard boundaries move.
+        Loads into a non-empty table land in the last shard; rebalancing
+        afterwards restores balanced shards.  Global record order, columns,
+        and views are preserved bit-for-bit — only the shard boundaries move.
         """
         if len(self.shards) > 1:
             self.shards = ShardedTable.from_relation(self, len(self.shards)).shards
@@ -347,9 +339,18 @@ class ShardedTable(VerticalPartitioning):
         for shard in self.shards:
             shard.drop_graph_view(name)
 
-    def extend_graph_view(self, name: str, flags) -> None:
-        """Appends touch only the last shard's view segment."""
-        self.shards[-1].extend_graph_view(name, flags)
+    def _lagging(self, n_delta: int):
+        """``(shard, lo, hi)`` per shard a view delta (the newest ``n_delta``
+        rows) reaches: the slice of it that shard's view segment lags by."""
+        bounds = self._bounds()
+        old = bounds[-1] - n_delta
+        for shard, lo, hi in zip(self.shards, bounds, bounds[1:]):
+            if hi > old:
+                yield shard, max(lo - old, 0), hi - old
+
+    def extend_graph_view(self, name: str, delta: Bitmap) -> None:
+        for shard, lo, hi in self._lagging(delta.length):
+            shard.extend_graph_view(name, delta.slice(lo, hi))
 
     def add_aggregate_view(self, name: str, column: MeasureColumn) -> None:
         if len(column) != self.n_records:
@@ -382,8 +383,9 @@ class ShardedTable(VerticalPartitioning):
         for shard in self.shards:
             shard.drop_aggregate_view(name)
 
-    def extend_aggregate_view(self, name: str, cells) -> None:
-        self.shards[-1].extend_aggregate_view(name, cells)
+    def extend_aggregate_view(self, name: str, delta: MeasureColumn) -> None:
+        for shard, lo, hi in self._lagging(len(delta)):
+            shard.extend_aggregate_view(name, delta.slice(lo, hi))
 
     def drop_views(self) -> None:
         for shard in self.shards:

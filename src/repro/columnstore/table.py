@@ -39,7 +39,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .bitmap import Bitmap
-from .column import MeasureColumn, RankedRows, rank_rows, sorted_cells
+from .column import MeasureColumn, RankedRows, rank_rows
 from .iostats import IOStatsCollector
 
 __all__ = ["MasterRelation", "and_refs"]
@@ -127,10 +127,10 @@ class MasterRelation(VerticalPartitioning):
         self.collector = collector if collector is not None else IOStatsCollector()
         self._n_records = 0
         # Per element column id: the packed column, which may lag behind
-        # the record count, and the (rows, values) appended row by row since
-        # it was last merged.  _column() folds the tail in on first use.
+        # the record count, and the (first row, rows, values) chunks appended
+        # since (see append_columns).  _column() folds the tail in on first use.
         self._columns: dict[int, MeasureColumn] = {}
-        self._tails: dict[int, tuple[list[int], list[float]]] = {}
+        self._tails: dict[int, list[tuple]] = {}
         self._graph_views: dict[str, Bitmap] = {}
         self._aggregate_views: dict[str, MeasureColumn] = {}
         # Views the persistence layer refused to load (name, reason) —
@@ -142,41 +142,31 @@ class MasterRelation(VerticalPartitioning):
 
     # -- loading -------------------------------------------------------------
 
-    def append_row(self, cells: Mapping[int, float]) -> int:
-        """Append one record row; ``cells`` maps element id → measure.
+    def append_columns(self, n_new: int, columns: Mapping[int, tuple]) -> int:
+        """Append ``n_new`` rows given as columns: element id → ``(rows,
+        values)``, rows in ``[0, n_new)``, ascending and unique.  Returns
+        the first new row.
 
-        Returns the row index (position in every column / bitmap).
+        No column is merged or copied: the cells queue on the column's
+        tail, merged on its first read.  Arrays (bulk loads) queue as one chunk.
+        Lists (transposed records) extend the tail's last list chunk, kept
+        in relation rows: a chunk per small batch would cost ~290 bytes per
+        column, where a cell costs ~40.
         """
-        if not cells:
-            raise ValueError("a record row must have at least one measure")
-        row = self._n_records
-        for edge_id, value in cells.items():
-            if edge_id < 0:
-                raise ValueError("element ids must be non-negative")
-            rows, vals = self._tails.setdefault(edge_id, ([], []))
-            rows.append(row)
-            vals.append(float(value))
-        self._n_records += 1
-        return row
-
-    def load_sparse_column(
-        self, edge_id: int, row_indices: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Bulk-load one element column from parallel (row, value) arrays.
-
-        Fast path used by the workload generators; rows must not exceed the
-        current record count set via :meth:`set_record_count`.  Rows are
-        sorted once if they arrive unsorted; a row given twice (here or by
-        an earlier load of the same column) is a ``ValueError``.
-        """
-        if self.has_element(edge_id):
-            loaded = self._column(edge_id)
-            row_indices = np.concatenate([loaded.validity.to_indices(), row_indices])
-            values = np.concatenate([loaded.packed(), values])
-        rows, vals = sorted_cells(row_indices, values, self._n_records)
-        self._columns[edge_id] = MeasureColumn(
-            vals, Bitmap.from_indices(self._n_records, rows)
-        )
+        first = self._n_records
+        at = list(range(first, first + n_new)).__getitem__
+        for edge_id, (rows, vals) in columns.items():
+            tail = self._tails.setdefault(edge_id, [])
+            if isinstance(rows, np.ndarray):
+                tail.append((first, rows, vals))
+                continue
+            if not tail or isinstance(tail[-1][1], np.ndarray):
+                tail.append((0, [], []))
+            _, known_rows, known_vals = tail[-1]
+            known_rows += map(at, rows)
+            known_vals += vals
+        self._n_records = first + n_new
+        return first
 
     def put_column(self, edge_id: int, column: MeasureColumn) -> None:
         """Install an already packed element column (load and reshard)."""
@@ -186,7 +176,8 @@ class MasterRelation(VerticalPartitioning):
         self._tails.pop(edge_id, None)
 
     def set_record_count(self, n_records: int) -> None:
-        """Declare the number of rows before sparse-column bulk loading."""
+        """Declare the number of rows before :meth:`put_column` installs
+        packed columns (load and reshard)."""
         if n_records < self._n_records:
             raise ValueError("cannot shrink the relation")
         self._n_records = n_records
@@ -220,7 +211,7 @@ class MasterRelation(VerticalPartitioning):
 
     def _column(self, edge_id: int) -> MeasureColumn:
         """The element's packed column at the current record count, folding
-        in whatever rows were appended since it was last asked for.
+        in the tail chunks appended since it was last asked for.
 
         Readers run concurrently (appends do not), so the merge builds a
         new column and publishes it with one assignment before retiring the
@@ -235,8 +226,10 @@ class MasterRelation(VerticalPartitioning):
             column = MeasureColumn.nulls(0)
         elif len(column) == self._n_records:
             return column
-        rows, vals = tail if tail is not None else ((), ())
-        column = column.appended(rows, vals, self._n_records)
+        chunks = tail or [(0, (), ())]
+        rows = [np.asarray(rows, dtype=np.int64) + first for first, rows, _ in chunks]
+        vals = [np.asarray(vals, dtype=np.float64) for _, _, vals in chunks]
+        column = column.appended(np.concatenate(rows), np.concatenate(vals), self._n_records)
         self._columns[edge_id] = column
         self._tails.pop(edge_id, None)
         return column
@@ -327,15 +320,14 @@ class MasterRelation(VerticalPartitioning):
                 "records (see extend_graph_view / extend_aggregate_view)"
             )
 
-    def extend_graph_view(self, name: str, flags) -> None:
-        """Incremental maintenance: append one precomputed bit per newly
-        appended record to a graph view's bitmap."""
-        self._graph_views[name] = self._graph_views[name].extended(flags)
+    def extend_graph_view(self, name: str, delta: Bitmap) -> None:
+        """Incremental maintenance: append the view's bits for new rows."""
+        self._graph_views[name] = Bitmap.concat([self._graph_views[name], delta])
 
-    def extend_aggregate_view(self, name: str, cells) -> None:
-        """Incremental maintenance: append one precomputed aggregate (or
-        NULL) per newly appended record to an aggregate view's column."""
-        self._aggregate_views[name] = self._aggregate_views[name].extended(cells)
+    def extend_aggregate_view(self, name: str, delta: MeasureColumn) -> None:
+        """Incremental maintenance: append the view's cells for new rows."""
+        column = self._aggregate_views[name]
+        self._aggregate_views[name] = MeasureColumn.concat([column, delta])
 
     def add_aggregate_view(self, name: str, column: MeasureColumn) -> None:
         """Store an aggregate graph view ``(mp_l, bp_l)`` (§5.1.2).

@@ -33,7 +33,16 @@ def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _sum(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    return np.nansum(_stack(arrays), axis=0)
+    """Left to right in path order, NULL (NaN) as 0: a record's sum does
+    not depend on how many records are combined with it (``nansum`` over
+    one row sums pairwise, over several it goes row by row)."""
+    if not arrays:
+        raise ValueError("need at least one array to aggregate")
+    total = np.zeros(np.shape(arrays[0]))
+    for values in arrays:
+        values = np.asarray(values, dtype=np.float64)
+        total += np.where(np.isnan(values), 0.0, values)
+    return total
 
 
 def _min(arrays: Sequence[np.ndarray]) -> np.ndarray:

@@ -44,9 +44,6 @@ class EdgeCatalog:
         self._id_to_edge.append(edge)
         return new_id
 
-    def intern_all(self, edges: Iterable[Edge]) -> list[int]:
-        return [self.intern(e) for e in edges]
-
     def id_of(self, edge: Edge) -> int:
         """Id of a known element; KeyError if never interned."""
         return self._edge_to_id[edge]

@@ -30,7 +30,7 @@ from typing import Hashable
 import numpy as np
 
 from ...columnstore.bitmap import Bitmap
-from ...columnstore.column import MeasureColumn
+from ...columnstore.column import MeasureColumn, sorted_cells
 from ...columnstore.iostats import IOStats, IOStatsCollector
 from ...columnstore.persistence import load_relation, save_relation
 from ...columnstore.sharded import (
@@ -122,6 +122,23 @@ class MaterializationReport:
     stopped_on_singleton: bool = False
 
 
+def _transpose(records: Iterable[GraphRecord]) -> tuple[list, dict[Edge, tuple]]:
+    """Records as columns, in one pass: their ids, and per element the
+    ``(rows, values)`` of its cells — rows ascending and unique by
+    construction, so they need no check."""
+    record_ids: list = []
+    columns: dict[Edge, tuple[list[int], list[float]]] = {}
+    for row, record in enumerate(records):
+        record_ids.append(record.record_id)
+        for edge, value in record.measures().items():
+            column = columns.get(edge)
+            if column is None:
+                column = columns[edge] = ([], [])
+            column[0].append(row)
+            column[1].append(value)
+    return record_ids, columns
+
+
 class GraphAnalyticsEngine:
     """Store and analyze a massive collection of small graph records.
 
@@ -200,111 +217,62 @@ class GraphAnalyticsEngine:
     def aggregate_views(self) -> dict[str, AggregateGraphView]:
         return dict(self._agg_views)
 
-    def _ingest_rows(self, records: Iterable[GraphRecord], target=None) -> int:
-        """Append rows to ``target`` (default: the backend, whose sharded
-        form grows the last shard only) without rebalancing; bumps the
-        epoch and invalidates cached plans."""
-        target = self.relation if target is None else target
-        count = 0
-        for record in records:
-            cells = {
-                self.catalog.intern(edge): value
-                for edge, value in record.measures().items()
-            }
-            target.append_row(cells)
-            self._record_ids.append(record.record_id)
-            self._measured_nodes.update(record.measured_nodes())
-            count += 1
+    def _ingest(self, record_ids: Sequence, columns: Mapping[Edge, tuple]) -> int:
+        """The one ingest step: ``columns`` (per element the batch's ``(rows,
+        values)``, rows in ``[0, len(record_ids))``, ascending and unique)
+        go to storage in one call; cached plans are dropped and the epoch
+        bumps once."""
+        cells = {self.catalog.intern(edge): column for edge, column in columns.items()}
+        self._measured_nodes.update(u for u, v in columns if u == v)
+        self.relation.append_columns(len(record_ids), cells)
+        self._record_ids.extend(record_ids)
         self._planner.invalidate()
         self._bump_epoch()
-        return count
+        return len(record_ids)
 
     def load_records(self, records: Iterable[GraphRecord]) -> int:
-        """Bulk-load graph records row by row; returns how many were loaded.
+        """Bulk-load graph records as one batch; returns how many.
 
-        An *empty* sharded engine cuts the batch into contiguous chunks and
-        appends chunk *i* straight to shard *i* — even record ranges, same
-        global record order as the unsharded load.  A sharded engine that
-        already holds records appends to its last shard and rebalances
-        (record order, and thus query answers, are unchanged).  Use
-        :meth:`append_records` for incremental growth that must not move
-        shard boundaries.
+        An *empty* sharded engine splits them into even record ranges.  A
+        sharded engine that already holds records appends to its last shard
+        and rebalances (record order, and thus query answers, are
+        unchanged).  Use :meth:`append_records` for incremental growth that
+        must not move shard boundaries.
         """
-        shards = self.relation.shard_relations()
-        if len(shards) == 1 or self.n_records:
-            count = self._ingest_rows(records)
-            if len(shards) > 1:
-                self.relation.rebalance()
-                self._bump_epoch()
-            return count
-        records = list(records)
-        stream = iter(records)
-        base, extra = divmod(len(records), len(shards))
-        for i, shard in enumerate(shards):
-            self._ingest_rows(islice(stream, base + (i < extra)), shard)
-        return len(records)
+        rebalance = self.n_records and self.n_shards > 1
+        count = self._ingest(*_transpose(records))
+        if rebalance:
+            self.relation.rebalance()
+        return count
 
     def append_records(self, records: Iterable[GraphRecord]) -> int:
         """Append records *and incrementally maintain all views*.
 
-        Each graph view gains one bit per new record (1 iff the record
-        contains every view element); each aggregate view gains the
-        record's pre-computed path aggregate, or NULL when the record
-        lacks the path.  Equivalent to rebuilding the views from scratch,
-        at O(new records × views) maintenance cost.  On a sharded engine
-        only the last shard grows — earlier shard boundaries (and their
-        persisted files) are untouched.
+        Each view gains the new rows from the builder that made it, started
+        at the first new row: a rebuild's answer at the cost of the shards
+        the rows land in.  On a sharded engine only the last shard grows —
+        earlier shard boundaries (and their persisted files) are untouched.
         """
-        records = list(records)
-        loaded = self._ingest_rows(records)
-        measured = frozenset(self._measured_nodes)
+        start = self.n_records
+        count = self._ingest(*_transpose(records))
         for name, view in self._graph_views.items():
-            flags = [record.contains_subgraph(view.elements) for record in records]
-            self.relation.extend_graph_view(name, flags)
+            self.relation.extend_graph_view(name, self.compute_view_bitmap(view.elements, start))
         for name, view in self._agg_views.items():
-            elements = view.elements(measured) or view.path.edges()
-            for stored_fn in view.stored_functions():
-                fn = get_function(stored_fn)
-                cells: list[float | None] = []
-                for record in records:
-                    if record.contains_subgraph(elements):
-                        arrays = [
-                            np.array([record.measure(e)]) for e in elements
-                        ]
-                        cells.append(float(fn(arrays)[0]))
-                    else:
-                        cells.append(None)
-                self.relation.extend_aggregate_view(f"{name}:{stored_fn}", cells)
-        # _ingest_rows() already bumped the epoch, but the view extensions
-        # above changed bitmap contents again; bump once more so nothing
-        # cached between the two phases can ever be served.
-        self._bump_epoch()
-        return loaded
+            for stored_fn, delta in self._aggregate_view_columns(view, start).items():
+                self.relation.extend_aggregate_view(f"{name}:{stored_fn}", delta)
+        return count
 
     def load_columnar(
         self,
         record_ids: Sequence,
         columns: Mapping[Edge, tuple[np.ndarray, np.ndarray]],
     ) -> None:
-        """Vectorized bulk load: per element, parallel (row, value) arrays.
-
-        The fast path used by the workload generators; equivalent to
-        :meth:`load_records` on the corresponding records.  On an empty
-        sharded engine the rows split evenly into the shards' record
-        ranges; each sparse column is routed shard-by-shard.
-        """
-        base = self.relation.n_records
-        self.relation.set_record_count(base + len(record_ids))
-        self._record_ids.extend(record_ids)
-        for edge, (rows, values) in columns.items():
-            edge_id = self.catalog.intern(edge)
-            self.relation.load_sparse_column(
-                edge_id, np.asarray(rows, dtype=np.int64) + base, values
-            )
-            if edge[0] == edge[1]:
-                self._measured_nodes.add(edge[0])
-        self._planner.invalidate()
-        self._bump_epoch()
+        """Vectorized bulk load: per element, parallel (row, value) arrays,
+        a row being a position in ``record_ids``; :meth:`load_records`'
+        write without its rebalance.  The whole batch is checked first: a
+        row outside ``[0, len(record_ids))`` or given twice refuses it."""
+        n = len(record_ids)
+        self._ingest(record_ids, {e: sorted_cells(*cells, n) for e, cells in columns.items()})
 
     def record_ids_at(self, rows: np.ndarray) -> list:
         ids = self._record_ids
@@ -723,15 +691,10 @@ class GraphAnalyticsEngine:
         self._view_counter += 1
         return f"{prefix}{self._view_counter}"
 
-    def compute_view_bitmap(self, elements: Iterable[Edge], start: int = 0) -> Bitmap:
-        """Bits ``[start, n_records)`` of the graph-view bitmap over
-        ``elements``, registering nothing and charging no query I/O (a
-        view build is load-time work, not query cost).
-
-        The one AND (:func:`~repro.columnstore.and_refs`) folds the element
-        refs over just the shards overlapping the range, so the append
-        delta of a view staged at ``start`` rows reads only the tail.
-        """
+    def _view_segments(self, elements: Iterable[Edge], start: int) -> list:
+        """``(shard, lo, bits)`` per shard overlapping rows ``[start,
+        n_records)``: ``bits`` is the uncharged AND (:func:`and_refs`) of the
+        elements' bitmaps over the shard's rows from ``lo`` on."""
         n = self.relation.n_records
         if not 0 <= start <= n:
             raise ValueError(f"view rows start {start} outside [0, {n}]")
@@ -744,10 +707,35 @@ class GraphAnalyticsEngine:
             length = shard.n_records
             if shard_start + length <= start:
                 continue
-            segment = and_refs(shard.ref_bitmap, refs, length)
+            bits = and_refs(shard.ref_bitmap, refs, length)
             lo = max(start - shard_start, 0)
-            segments.append(segment.slice(lo, length) if lo else segment)
-        return Bitmap.concat(segments)
+            segments.append((shard, lo, bits.slice(lo, length) if lo else bits))
+        return segments
+
+    def compute_view_bitmap(self, elements: Iterable[Edge], start: int = 0) -> Bitmap:
+        """Bits ``[start, n_records)`` of the graph-view bitmap over
+        ``elements``, registering nothing and charging no query I/O; an
+        append delta reads only the shards it lands in."""
+        return Bitmap.concat(bits for _, _, bits in self._view_segments(elements, start))
+
+    def _aggregate_view_columns(
+        self, view: AggregateGraphView, start: int = 0
+    ) -> dict[str, MeasureColumn]:
+        """Rows ``[start, n_records)`` of an aggregate view's stored columns:
+        per shard in range, the function over the rows its bitmap segment
+        matches — uncharged, merging no global column."""
+        elements = view.elements(self._measured_nodes)
+        ids = [self.catalog.get_id(element) for element in elements]
+        functions = {name: get_function(name) for name in view.stored_functions()}
+        pieces: dict[str, list[MeasureColumn]] = {name: [] for name in functions}
+        for shard, lo, bits in self._view_segments(elements, start):
+            rows = bits.to_indices() + lo
+            # A matched row holds every element, so every column exists.
+            raw = [shard.column_for_persistence(i).take(rows) for i in ids] if rows.size else []
+            for name, function in functions.items():
+                packed = function.combine(raw) if rows.size else ()
+                pieces[name].append(MeasureColumn(packed, bits))
+        return {name: MeasureColumn.concat(columns) for name, columns in pieces.items()}
 
     def add_graph_view(
         self,
@@ -861,23 +849,10 @@ class GraphAnalyticsEngine:
         )
         report = MaterializationReport(kind="aggregate", n_candidates=len(candidates))
         report.stopped_on_singleton = selection.stopped_on_singleton
-        fn = get_function(function)
         for key in selection.selected:
-            path = keyed_paths[key]
             name = self._fresh_view_name("av")
-            view = AggregateGraphView(name, path, function)
-            elements = path.elements(measured) or path.edges()
-            bitmap = self.compute_view_bitmap(elements)
-            rows = bitmap.to_indices()
-            # A matched row holds every element, so every column exists.
-            raw = [
-                self.relation.column_for_persistence(self.catalog.get_id(e)).take(rows)
-                for e in elements
-            ] if rows.size else []
-            for stored_fn in view.stored_functions():
-                # One aggregate per matching row: already the packed column.
-                packed = get_function(stored_fn).combine(raw) if rows.size else ()
-                column = MeasureColumn(packed, bitmap)
+            view = AggregateGraphView(name, keyed_paths[key], function)
+            for stored_fn, column in self._aggregate_view_columns(view).items():
                 self.relation.add_aggregate_view(f"{name}:{stored_fn}", column)
             self._agg_views[name] = view
             report.selected.append(name)

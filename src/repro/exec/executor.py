@@ -573,11 +573,6 @@ class QueryExecutor:
                 "n_records": self.engine.n_records,
             }
 
-    def materialize_incremental(self, elements, name: str | None = None) -> str:
-        """Stage off-epoch, then commit: the convenience one-view path."""
-        swap = self.commit_view_swap(adds=[(name, *self.stage_view(elements))])
-        return swap["added"][0]
-
     def drop_decayed(self, names) -> list[str]:
         """Atomically drop the named views (unknown names ignored)."""
         return self.commit_view_swap(drops=list(names))["dropped"]

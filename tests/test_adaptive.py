@@ -147,7 +147,9 @@ class TestExecutorWiring:
             window = WorkloadWindow()
             executor.attach_window(window)
             executor.run_one(AB_BC, fetch_measures=False)
-            name = executor.materialize_incremental(AB_BC.elements)
+            name = executor.commit_view_swap(
+                adds=[(None, *executor.stage_view(AB_BC.elements))]
+            )["added"][0]
             executor.run_one(AB_BC, fetch_measures=False)
             first, second = window.snapshot()
             assert first == WindowEntry(AB_BC, ())
@@ -160,7 +162,9 @@ class TestExecutorWiring:
             r1 = executor.run_one(AB_BC, fetch_measures=False)
             r2 = executor.run_one(AB_BC, fetch_measures=False)
             assert executor.cache.stats.hits >= 1
-            name = executor.materialize_incremental(AB_BC.elements)
+            name = executor.commit_view_swap(
+                adds=[(None, *executor.stage_view(AB_BC.elements))]
+            )["added"][0]
             assert engine.epoch > r2.epoch
             # No stale entries survive the swap.
             assert all(k[0] == engine.epoch for k in executor.cache._entries)
@@ -174,7 +178,9 @@ class TestExecutorWiring:
         engine = GraphAnalyticsEngine()
         engine.load_records(small_records())
         with QueryExecutor(engine) as executor:
-            old = executor.materialize_incremental(AB_CD.elements)
+            old = executor.commit_view_swap(
+                adds=[(None, *executor.stage_view(AB_CD.elements))]
+            )["added"][0]
             elements, staged = executor.stage_view(AB_BC.elements)
             before = engine.epoch
             swap = executor.commit_view_swap(
@@ -283,7 +289,9 @@ class TestViewMaintainer:
     def test_never_drops_unmanaged_views(self):
         engine, executor, maintainer = self.make(window=WorkloadWindow(16))
         with executor:
-            manual = executor.materialize_incremental(AB_CD.elements, name="manual")
+            manual = executor.commit_view_swap(
+                adds=[("manual", *executor.stage_view(AB_CD.elements))]
+            )["added"][0]
             run_workload(executor, [AB_BC], repeat=8)
             for _ in range(3):
                 maintainer.refresh()
@@ -292,7 +300,7 @@ class TestViewMaintainer:
     def test_never_duplicates_existing_bitmap(self):
         engine, executor, maintainer = self.make()
         with executor:
-            executor.materialize_incremental(AB_BC.elements, name="manual")
+            executor.commit_view_swap(adds=[("manual", *executor.stage_view(AB_BC.elements))])
             run_workload(executor, [AB_BC], repeat=8)
             report = maintainer.refresh()
             assert not report.added
@@ -430,7 +438,9 @@ class TestAggregateObservation:
             executor.attach_window(window)
             agg = PathAggregationQuery(AB_BC, "sum")
             executor.run_one(agg)
-            name = executor.materialize_incremental(AB_BC.elements)
+            name = executor.commit_view_swap(
+                adds=[(None, *executor.stage_view(AB_BC.elements))]
+            )["added"][0]
             executor.run_one(agg)
             entries = window.snapshot()
             assert [e.query for e in entries] == [AB_BC, AB_BC]

@@ -7,44 +7,61 @@ is staged, and commit extends the staged prefix with
 being immutable and append-only — these properties drive random record
 batches, random staging points, random append sizes, and every shard
 geometry against the ground truth of a from-scratch build.
+
+The same ground truth checks the one write path: records loaded and then
+appended in several batches — graph and aggregate views maintained on the
+way — store exactly what one load of every record stores, and
+``load_records`` and ``load_columnar`` of the same records store the same.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import GraphAnalyticsEngine, GraphRecord
+from repro import GraphAnalyticsEngine, GraphQuery, GraphRecord, PathAggregationQuery
 
 UNIVERSE = [
     ("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("A", "C"), ("B", "D"),
 ]
+# A ten-edge chain c0 -> ... -> c10 and two chords: paths of up to ten
+# elements, where a SUM is long enough to round differently pairwise.
+CHAIN = [f"c{i}" for i in range(11)]
+CHAIN_UNIVERSE = [*zip(CHAIN, CHAIN[1:]), ("c0", "c2"), ("c4", "c9")]
 
 
 @st.composite
-def record_batches(draw):
+def record_batches(draw, universe=UNIVERSE, present=st.booleans(), scaled=False):
     """Two record batches (load, then append) over a small edge universe,
-    plus a shard count and a view element set."""
+    plus a shard count and a view element set.
+
+    ``present`` draws whether a record holds each universe edge.  Record
+    *i*'s *j*-th edge measures ``i + j``; with ``scaled`` the measures are
+    instead seeded normals times powers of ten from 1e-3 to 1e3, whose
+    sums round differently in different orders."""
     n_load = draw(st.integers(min_value=1, max_value=40))
     n_append = draw(st.integers(min_value=0, max_value=30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1))) if scaled else None
 
     def records(count, tag):
         out = []
         for i in range(count):
             mask = draw(
                 st.lists(
-                    st.booleans(),
-                    min_size=len(UNIVERSE),
-                    max_size=len(UNIVERSE),
+                    present,
+                    min_size=len(universe),
+                    max_size=len(universe),
                 )
             )
             edges = {
-                edge: float(i + j)
-                for j, (edge, keep) in enumerate(zip(UNIVERSE, mask))
+                edge: float(i + j) if rng is None
+                else float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+                for j, (edge, keep) in enumerate(zip(universe, mask))
                 if keep
             }
             if not edges:  # records must carry at least one edge
-                edges = {UNIVERSE[i % len(UNIVERSE)]: float(i)}
+                edges = {universe[i % len(universe)]: float(i)}
             out.append(GraphRecord(f"{tag}{i}", edges))
         return out
 
@@ -52,9 +69,27 @@ def record_batches(draw):
     append = records(n_append, "x")
     shards = draw(st.integers(min_value=1, max_value=4))
     view = draw(
-        st.sets(st.sampled_from(UNIVERSE), min_size=2, max_size=4).map(frozenset)
+        st.sets(st.sampled_from(universe), min_size=2, max_size=4).map(frozenset)
     )
     return load, append, shards, view
+
+
+def stored(engine) -> dict:
+    """Everything the engine stores, as bytes: the record ids, and per
+    element column, graph view and aggregate view column its packed
+    values and validity words, merged over the shards."""
+    relation = engine.relation
+    out = {"ids": engine.record_ids_at(np.arange(engine.n_records))}
+    columns = {
+        engine.catalog.edge_of(i): relation.column_for_persistence(i)
+        for i in relation.element_ids()
+    }
+    columns.update(relation.aggregate_views_for_persistence())
+    for key, column in columns.items():
+        out[key] = (column.packed().tobytes(), column.validity.words().tobytes())
+    for name, bitmap in relation.graph_views_for_persistence().items():
+        out[name] = bitmap.words().tobytes()
+    return out
 
 
 class TestAppendDeltaEqualsFullRebuild:
@@ -141,3 +176,63 @@ class TestAppendDeltaEqualsFullRebuild:
             )
         with pytest.raises(ValueError):
             engine.compute_view_bitmap([("A", "B")], start=5)
+
+
+class TestOneWritePath:
+    @given(
+        record_batches(CHAIN_UNIVERSE, present=st.integers(0, 7).map(bool), scaled=True),
+        st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_load_then_appends_store_what_one_load_stores(self, batch, data):
+        """Appends maintain views with the builders that made them: load,
+        views, then several appends, is byte for byte the load of every
+        record followed by the same views."""
+        load, append, _, view = batch
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(append)), max_size=3)))
+        appends = [append[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(append)])]
+        first = data.draw(st.integers(0, 8))
+        last = data.draw(st.integers(first + 2, 10))
+        path = GraphQuery.from_node_chain(*CHAIN[first : last + 1])
+
+        def with_views(engine):
+            engine.add_graph_view(view, name="gv")
+            for function in ("sum", "avg"):
+                engine.materialize_aggregate_views(
+                    [PathAggregationQuery(path, function)], budget=1, function=function
+                )
+            return engine
+
+        for shards in (1, 3):
+            grown = GraphAnalyticsEngine(shards=shards)
+            grown.load_records(load)
+            with_views(grown)
+            for records in appends:
+                grown.append_records(records)
+            whole = GraphAnalyticsEngine(shards=shards)
+            whole.load_records(load + append)
+            with_views(whole)
+            assert len(grown.aggregate_views) == 2
+            assert stored(grown) == stored(whole)
+
+    @given(record_batches(CHAIN_UNIVERSE, scaled=True), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_load_records_and_load_columnar_store_the_same(self, batch, seed):
+        load, append, _, _ = batch
+        records = load + append
+        rng = np.random.default_rng(seed)
+        cells: dict = {}
+        for row, record in enumerate(records):
+            for edge, value in record.measures().items():
+                cells.setdefault(edge, []).append((row, value))
+        columns = {}
+        for edge, pairs in cells.items():  # in any row order
+            rows, values = np.array(pairs).T[:, rng.permutation(len(pairs))]
+            columns[edge] = (rows.astype(np.int64), values)
+        for shards in (1, 3):
+            by_row = GraphAnalyticsEngine(shards=shards)
+            by_row.load_records(records)
+            by_column = GraphAnalyticsEngine(shards=shards)
+            by_column.load_columnar([r.record_id for r in records], columns)
+            assert stored(by_row) == stored(by_column)
+            assert by_row.measured_nodes == by_column.measured_nodes

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AggregateFunction, get_function, register_function
+from repro.baselines import RowStore
+from repro.core import (
+    AggregateFunction,
+    GraphAnalyticsEngine,
+    GraphQuery,
+    GraphRecord,
+    Path,
+    PathAggregationQuery,
+    get_function,
+    register_function,
+)
 from repro.core.aggregates import FUNCTIONS
 
 
@@ -141,3 +151,76 @@ class TestPartialComposition:
                 lifted = [sub_fn.lift(r) for r in raw[cut:]]
                 sub[sub_name] = sub_fn.merge_partials([partial] + lifted)
             assert np.allclose(avg.finalize(sub), direct)
+
+
+def scaled_columns(k: int, n: int, seed: int) -> list[np.ndarray]:
+    """``k`` path elements over ``n`` rows: normals times powers of ten
+    from 1e-3 to 1e3, 10 % NULL — sums that round differently in
+    different orders."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-3, 4, size=(k, n))
+    return list(np.where(rng.random((k, n)) < 0.1, np.nan, values))
+
+
+class TestRowCountIndependence:
+    """A record's aggregate does not depend on how many records are
+    combined with it: the engine combines every matching row at once, the
+    row store one record at a time, a view append only the new rows."""
+
+    @given(
+        k=st.integers(1, 32),
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        name=st.sampled_from(["sum", "min", "max", "count", "avg"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:All-NaN slice")
+    def test_one_row_combines_like_many(self, k, n, seed, name):
+        fn = get_function(name)
+        columns = scaled_columns(k, n, seed)
+        together = fn.combine(columns)
+        for i in range(n):
+            alone = fn.combine([a[i : i + 1] for a in columns])
+            assert alone.tobytes() == together[i : i + 1].tobytes()
+
+
+
+TEN_EDGES = [f"n{i}" for i in range(11)]
+SUM_TEN = PathAggregationQuery(GraphQuery.from_node_chain(*TEN_EDGES), "sum")
+
+
+def ten_edge_records(count: int) -> list[GraphRecord]:
+    """Records holding the whole ten-edge path, measures as in
+    :func:`scaled_columns` but never NULL."""
+    rng = np.random.default_rng(23)
+    values = rng.normal(size=(count, 10)) * 10.0 ** rng.integers(-3, 4, size=(count, 10))
+    edges = list(zip(TEN_EDGES, TEN_EDGES[1:]))
+    return [GraphRecord(f"r{i}", dict(zip(edges, row.tolist()))) for i, row in enumerate(values)]
+
+
+class TestTenEdgeSum:
+    """Regressions for a SUM whose path is long enough (eight elements or
+    more) for a pairwise single-row sum to round differently."""
+
+    def test_engine_matches_row_store(self):
+        records = ten_edge_records(40)
+        engine = GraphAnalyticsEngine()
+        engine.load_records(records)
+        store = RowStore()
+        store.load_records(records)
+        got, want = engine.aggregate(SUM_TEN), store.aggregate(SUM_TEN)
+        path = Path.closed(*TEN_EDGES)
+        assert got.record_ids == list(want)
+        assert got.path_values[path].tolist() == [want[r][path] for r in got.record_ids]
+
+    def test_appended_view_matches_rebuilt(self):
+        records = ten_edge_records(40)
+        grown = GraphAnalyticsEngine()
+        grown.load_records(records[:20])
+        grown.materialize_aggregate_views([SUM_TEN], budget=1)
+        grown.append_records(records[20:])
+        rebuilt = GraphAnalyticsEngine()
+        rebuilt.load_records(records)
+        rebuilt.materialize_aggregate_views([SUM_TEN], budget=1)
+        views = grown.relation.aggregate_views_for_persistence()
+        assert views and views == rebuilt.relation.aggregate_views_for_persistence()

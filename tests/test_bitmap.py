@@ -219,15 +219,17 @@ class TestDerivation:
 
 
 class TestBuilder:
-    """A bitmap grows a bit per appended record through ``extended``."""
+    """A view bitmap grows by each append's delta through ``concat``."""
 
     def test_builder_appends(self):
-        bm = Bitmap.zeros(0).extended([True]).extended([False]).extended([True, True])
+        bm = Bitmap.zeros(0)
+        for flags in ([True], [False], [True, True]):
+            bm = Bitmap.concat([bm, Bitmap.from_bools(flags)])
         assert len(bm) == 4
         assert bm.to_indices().tolist() == [0, 2, 3]
 
     def test_builder_empty(self):
-        assert Bitmap.zeros(0).extended([]).length == 0
+        assert Bitmap.concat([Bitmap.zeros(0), Bitmap.from_bools([])]).length == 0
 
 
 @st.composite

@@ -28,6 +28,9 @@ from repro.columnstore import (
     save_relation,
 )
 from repro.columnstore.column import rank_rows
+from repro.core import GraphAnalyticsEngine
+
+AB = ("A", "B")
 
 LENGTHS = [0, 1, 63, 64, 65, 511, 512, 513]
 both_popcounts = pytest.mark.parametrize("lut", [False, True], ids=["native", "lut"])
@@ -105,7 +108,8 @@ class TestAgainstDenseReference:
     @settings(max_examples=40, deadline=None)
     def test_extended(self, lut, dense, tail):
         with popcount_path(lut):
-            grown = pack(dense).extended(cells_of(tail))
+            rows = np.flatnonzero(~np.isnan(tail))
+            grown = pack(dense).appended(rows + len(dense), tail[rows], len(dense) + len(tail))
             assert same(grown.values(), np.concatenate([dense, tail]))
             assert grown == pack(np.concatenate([dense, tail]))
 
@@ -170,17 +174,22 @@ class TestAgainstDenseReference:
     )
     @settings(max_examples=40, deadline=None)
     def test_row_appends_extend_the_packed_tail(self, lut, dense, batches):
-        """Rows appended one at a time, read between batches, are the dense
-        reference grown by the same rows — and a column that gained no cell
-        still grows to the record count."""
+        """Rows appended one at a time and read between batches are the
+        dense reference grown by the same rows; a column that gained no cell
+        still grows to the record count.  Lists and arrays alternate, so a
+        tail holds list chunks and array chunks in turn."""
         with popcount_path(lut):
             relation = MasterRelation()
             relation.set_record_count(len(dense))
             relation.put_column(0, pack(dense))
             reference = dense
             for batch in batches:
-                for value in batch:
-                    relation.append_row({1: 1.0} if np.isnan(value) else {0: value, 1: 1.0})
+                for k, value in enumerate(batch):
+                    wrap = np.array if k % 2 else list
+                    cells = {1: (wrap([0]), wrap([1.0]))}
+                    if not np.isnan(value):
+                        cells[0] = (wrap([0]), wrap([value]))
+                    relation.append_columns(1, cells)
                 reference = np.concatenate([reference, batch])
                 rows = np.arange(len(reference))
                 assert same(relation.measures(0, rows), reference)
@@ -249,8 +258,7 @@ class TestTakeBounds:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_relation_gather_past_the_end_raises(self, shards):
         relation = MasterRelation()
-        for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
-            relation.append_row({0: value})
+        relation.append_columns(6, {0: (np.arange(6), np.arange(1.0, 7.0))})
         if shards > 1:
             relation = ShardedTable.from_relation(relation, shards)
         with pytest.raises(IndexError):
@@ -260,14 +268,16 @@ class TestTakeBounds:
 
 
 class TestBuilder:
-    """A column grows a cell per appended record through ``extended``."""
+    """A view column grows by each append's delta through ``concat``."""
 
     def test_builds_in_order(self):
-        col = MeasureColumn.nulls(0).extended([1.0]).extended([None, 2.0])
+        col = MeasureColumn.concat(
+            [MeasureColumn.from_optionals([1.0]), MeasureColumn.from_optionals([None, 2.0])]
+        )
         assert [col[i] for i in range(3)] == [1.0, None, 2.0]
 
     def test_pad_to(self):
-        col = MeasureColumn.nulls(0).extended([5.0]).extended([None] * 3)
+        col = MeasureColumn.concat([MeasureColumn.from_optionals([5.0]), MeasureColumn.nulls(3)])
         assert len(col) == 4
         assert col.non_null_count() == 1
 
@@ -278,29 +288,31 @@ class TestBuilder:
 
 
 class TestSparseLoad:
+    """``load_columnar``: rows are positions in the batch's record ids."""
+
     def test_unsorted_rows_are_sorted_once(self):
-        relation = MasterRelation()
-        relation.set_record_count(5)
-        relation.load_sparse_column(0, np.array([4, 0, 2]), np.array([4.0, 0.5, 2.0]))
-        assert relation.ref_bitmap("element", 0).to_indices().tolist() == [0, 2, 4]
-        assert relation.measures(0, np.array([0, 2, 4])).tolist() == [0.5, 2.0, 4.0]
+        engine = GraphAnalyticsEngine()
+        engine.load_columnar(list("abcde"), {AB: (np.array([4, 0, 2]), np.array([4.0, 0.5, 2.0]))})
+        assert engine.relation.ref_bitmap("element", 0).to_indices().tolist() == [0, 2, 4]
+        assert engine.relation.measures(0, np.array([0, 2, 4])).tolist() == [0.5, 2.0, 4.0]
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_duplicate_rows_rejected(self, shards):
-        relation = MasterRelation() if shards == 1 else ShardedTable(shards)
-        relation.set_record_count(4)
+        engine = GraphAnalyticsEngine(shards=shards)
         with pytest.raises(ValueError, match="duplicate"):
-            relation.load_sparse_column(0, np.array([1, 3, 1]), np.array([1.0, 2.0, 3.0]))
+            engine.load_columnar(list("abcd"), {AB: (np.array([1, 3, 1]), np.array([1.0, 2.0, 3.0]))})
 
     def test_second_load_merges_and_rejects_overlap(self):
-        relation = MasterRelation()
-        relation.set_record_count(2)
-        relation.load_sparse_column(0, np.array([1]), np.array([1.0]))
-        relation.set_record_count(4)
-        relation.load_sparse_column(0, np.array([3, 0]), np.array([3.0, 0.5]))
-        assert same(relation.measures(0), np.array([0.5, 1.0, np.nan, 3.0]))
+        engine = GraphAnalyticsEngine()
+        engine.load_columnar(["a", "b"], {AB: (np.array([1]), np.array([1.0]))})
+        engine.load_columnar(["c", "d"], {AB: (np.array([1, 0]), np.array([3.0, 0.5]))})
+        assert same(engine.relation.measures(0), np.array([np.nan, 1.0, 0.5, 3.0]))
+        # A row of an earlier batch cannot be written again.
+        with pytest.raises(IndexError):
+            engine.load_columnar(["e"], {AB: (np.array([-3]), np.array([9.0]))})
         with pytest.raises(ValueError, match="duplicate"):
-            relation.load_sparse_column(0, np.array([1]), np.array([9.0]))
+            engine.load_columnar(["e", "f"], {AB: (np.array([1, 1]), np.array([9.0, 9.0]))})
+        assert same(engine.relation.measures(0), np.array([np.nan, 1.0, 0.5, 3.0]))
 
 
 class TestConcurrentTailMerge:
@@ -314,13 +326,24 @@ class TestConcurrentTailMerge:
 
         class YieldingDict(dict):
             """Hands the interpreter to another reader around every read,
-            so the interleavings between the two lookups do occur."""
+            publish and retire, so the interleavings between them occur."""
 
             def get(self, key, default=None):
                 time.sleep(0)
                 value = super().get(key, default)
                 time.sleep(0)
                 return value
+
+            def pop(self, key, default=None):
+                time.sleep(0)
+                value = super().pop(key, default)
+                time.sleep(0)
+                return value
+
+            def __setitem__(self, key, value):
+                time.sleep(0)
+                super().__setitem__(key, value)
+                time.sleep(0)
 
         n_threads, rounds = 8, 150
         relation = MasterRelation()
@@ -348,7 +371,10 @@ class TestConcurrentTailMerge:
                 for j in range(3):  # appends are exclusive: no reader is running
                     value = float(3 * i + j)
                     present = (i + j) % 2 == 0
-                    relation.append_row({0: value, 1: 1.0} if present else {1: 1.0})
+                    cells = {1: ([0], [1.0])}
+                    if present:
+                        cells[0] = ([0], [value])
+                    relation.append_columns(1, cells)
                     reference.append(value if present else np.nan)
                 barrier.wait()   # release the readers onto the fresh tail
                 barrier.wait()   # and wait for all of them

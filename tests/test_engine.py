@@ -69,6 +69,96 @@ class TestLoading:
         assert e.measured_nodes == {"A"}
 
 
+def _snapshot(engine) -> tuple:
+    """What a refused batch must leave as it was: the record count and
+    ids, every element and view column, and the epoch."""
+    relation = engine.relation
+    columns = {
+        i: relation.column_for_persistence(i) for i in relation.element_ids()
+    }
+    return (
+        engine.n_records,
+        engine.record_ids_at(np.arange(engine.n_records)),
+        columns,
+        relation.graph_views_for_persistence(),
+        relation.aggregate_views_for_persistence(),
+        engine.epoch,
+    )
+
+
+def _with_views(shards: int) -> GraphAnalyticsEngine:
+    engine = GraphAnalyticsEngine(shards=shards)
+    engine.load_records(
+        GraphRecord(f"r{i}", {("A", "B"): float(i), ("B", "C"): 1.0}) for i in range(4)
+    )
+    query = GraphQuery.from_node_chain("A", "B", "C")
+    engine.materialize_graph_views([query], budget=1)
+    engine.materialize_aggregate_views([PathAggregationQuery(query, "sum")], budget=1)
+    return engine
+
+
+class TestWholeBatch:
+    """A batch is applied whole or not at all."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("row", [-1, -3, 1, 7])
+    def test_rows_outside_the_batch_are_refused(self, shards, row):
+        engine = _with_views(shards)
+        before = _snapshot(engine)
+        with pytest.raises(IndexError):
+            engine.load_columnar(["x"], {("X", "Y"): (np.array([row]), np.array([5.0]))})
+        assert _snapshot(engine) == before
+        assert engine.query(GraphQuery([("X", "Y")])).record_ids == []
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_refused_load_columnar_changes_nothing(self, shards):
+        engine = _with_views(shards)
+        before = _snapshot(engine)
+        with pytest.raises(ValueError, match="duplicate"):
+            engine.load_columnar(["x0", "x1"], {
+                ("A", "B"): (np.array([0]), np.array([1.0])),
+                ("B", "C"): (np.array([1, 1]), np.array([1.0, 2.0])),
+            })
+        assert _snapshot(engine) == before
+        assert engine.query(GraphQuery([("A", "B")])).record_ids == ["r0", "r1", "r2", "r3"]
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("method", ["load_records", "append_records", "load_columnar"])
+    def test_one_storage_write_and_one_epoch_bump_per_batch(self, shards, method, monkeypatch):
+        engine = _with_views(shards)
+        if method == "load_records":  # it maintains no views; append_records does
+            engine.drop_all_views()
+        writes, write = [], engine.relation.append_columns
+
+        def counted(n_new, columns):
+            writes.append(n_new)
+            return write(n_new, columns)
+
+        monkeypatch.setattr(engine.relation, "append_columns", counted)
+        epoch = engine.epoch
+        if method == "load_columnar":
+            engine.load_columnar(["x0", "x1"], {("A", "B"): (np.array([1]), np.array([2.0]))})
+        else:
+            getattr(engine, method)(GraphRecord(f"x{i}", {("A", "B"): 1.0}) for i in range(2))
+        assert writes == [2]
+        assert engine.epoch == epoch + 1
+        assert engine.n_records == 6
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("method", ["load_records", "append_records"])
+    def test_a_record_stream_that_raises_changes_nothing(self, shards, method):
+        def stream():
+            yield GraphRecord("x0", {("A", "B"): 5.0, ("B", "C"): 1.0})
+            yield GraphRecord("x1", {("X", "Y"): 1.0})
+            raise OSError("the record source failed")
+
+        engine = _with_views(shards)
+        before = _snapshot(engine)
+        with pytest.raises(OSError):
+            getattr(engine, method)(stream())
+        assert _snapshot(engine) == before
+
+
 class TestQuery:
     def test_simple_match(self, engine):
         result = engine.query(GraphQuery.from_node_chain("A", "B", "C"))

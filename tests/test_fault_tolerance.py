@@ -48,10 +48,12 @@ def _relation(n_extra_rows: int = 0) -> MasterRelation:
     columns, so its save runs through the same stage sequence."""
     n = 2 + n_extra_rows
     rel = MasterRelation(partition_width=2)
-    rel.append_row({0: 1.0, 1: 2.0})
-    rel.append_row({1: 3.0, 2: 4.0})
-    for i in range(n_extra_rows):
-        rel.append_row({0: 5.0 + i, 2: 6.0})
+    extra = list(range(2, n))
+    rel.append_columns(n, {
+        0: ([0, *extra], [1.0] + [5.0 + i for i in range(n_extra_rows)]),
+        1: ([0, 1], [2.0, 3.0]),
+        2: ([1, *extra], [4.0] + [6.0] * n_extra_rows),
+    })
     rel.add_graph_view("gv1", Bitmap.from_indices(n, [0]))
     rel.add_aggregate_view(
         "av1:sum", MeasureColumn.from_optionals([5.0] + [None] * (n - 1))

@@ -31,8 +31,7 @@ from repro.core import (
 @pytest.fixture
 def relation():
     rel = MasterRelation(partition_width=2)
-    rel.append_row({0: 1.0, 1: 2.0})
-    rel.append_row({1: 3.0, 2: 4.0})
+    rel.append_columns(2, {0: ([0], [1.0]), 1: ([0, 1], [2.0, 3.0]), 2: ([1], [4.0])})
     rel.add_graph_view("gv1", Bitmap.from_indices(2, [0]))
     rel.add_aggregate_view("av1:sum", MeasureColumn.from_optionals([5.0, None]))
     return rel
@@ -63,11 +62,10 @@ class TestPersistence:
 
     def test_disk_usage_grows_with_data(self, tmp_path):
         small = MasterRelation()
-        small.append_row({0: 1.0})
+        small.append_columns(1, {0: ([0], [1.0])})
         save_relation(small, tmp_path / "small")
         big = MasterRelation()
-        for i in range(200):
-            big.append_row({j: float(j) for j in range(10)})
+        big.append_columns(200, {j: (np.arange(200), np.full(200, float(j))) for j in range(10)})
         save_relation(big, tmp_path / "big")
         assert relation_disk_usage(tmp_path / "big") > relation_disk_usage(
             tmp_path / "small"

@@ -40,14 +40,11 @@ from tests import faultinject as fi
 def _reference_relation(n_records: int = 10) -> MasterRelation:
     """An unsharded relation with columns spanning shard boundaries."""
     rel = MasterRelation(partition_width=2)
-    rel.set_record_count(n_records)
-    rel.load_sparse_column(
-        0, np.arange(0, n_records, 2), np.arange(0, n_records, 2) + 1.0
-    )
-    rel.load_sparse_column(
-        1, np.arange(1, n_records, 3), np.full(len(range(1, n_records, 3)), 7.0)
-    )
-    rel.load_sparse_column(2, np.array([0, n_records - 1]), np.array([3.0, 4.0]))
+    rel.append_columns(n_records, {
+        0: (np.arange(0, n_records, 2), np.arange(0, n_records, 2) + 1.0),
+        1: (np.arange(1, n_records, 3), np.full(len(range(1, n_records, 3)), 7.0)),
+        2: (np.array([0, n_records - 1]), np.array([3.0, 4.0])),
+    })
     rel.add_graph_view("gv1", Bitmap.from_indices(n_records, [0, n_records - 1]))
     rel.add_aggregate_view(
         "av1:sum",
@@ -123,12 +120,16 @@ class TestGeometry:
         with pytest.raises(ValueError):
             table.set_record_count(3)
 
-    def test_append_row_returns_global_index(self):
+    def test_append_columns_returns_global_index(self):
         table = ShardedTable(3)
-        table.set_record_count(6)
-        assert table.append_row({0: 1.0}) == 6
-        assert table.append_row({1: 2.0}) == 7
-        assert [s.n_records for s in table.shards] == [2, 2, 4]
+        assert table.append_columns(5, {0: ([0, 2, 4], [1.0, 2.0, 3.0])}) == 0
+        assert [s.n_records for s in table.shards] == [2, 2, 1]
+        assert table.append_columns(1, {0: ([0], [4.0])}) == 5
+        assert table.append_columns(1, {1: ([0], [5.0])}) == 6
+        assert [s.n_records for s in table.shards] == [2, 2, 3]
+        np.testing.assert_array_equal(
+            table.measures(0), [1.0, np.nan, 2.0, np.nan, 3.0, 4.0, np.nan]
+        )
 
 
 # -- routing -----------------------------------------------------------------
@@ -173,13 +174,14 @@ class TestRouting:
         per_call.aggregate_view_measures("av1:sum", rows)
         assert once.collector.stats == per_call.collector.stats
 
-    def test_load_sparse_column_validates(self):
-        table = ShardedTable(2)
-        table.set_record_count(4)
+    def test_load_columnar_validates(self):
+        engine = GraphAnalyticsEngine(shards=2)
+        ids = ["r0", "r1", "r2", "r3"]
         with pytest.raises(IndexError):
-            table.load_sparse_column(0, np.array([4]), np.array([1.0]))
+            engine.load_columnar(ids, {("A", "B"): (np.array([4]), np.array([1.0]))})
         with pytest.raises(ValueError):
-            table.load_sparse_column(0, np.array([0, 1]), np.array([1.0]))
+            engine.load_columnar(ids, {("A", "B"): (np.array([0, 1]), np.array([1.0]))})
+        assert engine.n_records == 0 and engine.relation.element_ids() == []
 
 
 # -- rebalance and conversion ------------------------------------------------
@@ -191,11 +193,10 @@ class TestRebalanceAndConversion:
 
     def test_rebalance_after_appends(self):
         table = _sharded_table(4)
-        for i in range(6):
-            table.append_row({0: 100.0 + i})
+        table.append_columns(6, {0: (np.arange(6), 100.0 + np.arange(6))})
         # Incremental view maintenance, as the engine does on append.
-        table.extend_graph_view("gv1", [False] * 6)
-        table.extend_aggregate_view("av1:sum", [None] * 6)
+        table.extend_graph_view("gv1", Bitmap.zeros(6))
+        table.extend_aggregate_view("av1:sum", MeasureColumn.nulls(6))
         skewed = [s.n_records for s in table.shards]
         reference = table.to_relation()
         table.rebalance()
@@ -226,11 +227,22 @@ class TestShardedViews:
 
     def test_extend_views_on_append(self):
         table = _sharded_table(3)
-        table.append_row({0: 9.0})
-        table.extend_graph_view("gv1", [True])
-        table.extend_aggregate_view("av1:sum", [8.0])
+        table.append_columns(1, {0: ([0], [9.0])})
+        table.extend_graph_view("gv1", Bitmap.ones(1))
+        table.extend_aggregate_view("av1:sum", MeasureColumn.from_optionals([8.0]))
         assert table.ref_bitmap("graph-view", "gv1").to_indices().tolist() == [0, 9, 10]
         assert table.ref_bitmap("agg-view", "av1:sum")[10]
+        # The first batch into an empty table spreads over every shard, so
+        # every shard's segment lags and takes its own slice of the delta.
+        table = ShardedTable(3)
+        table.add_graph_view("gv1", Bitmap.zeros(0))
+        table.add_aggregate_view("av1:sum", MeasureColumn.nulls(0))
+        table.append_columns(5, {0: ([1, 4], [1.0, 2.0])})
+        table.extend_graph_view("gv1", Bitmap.from_indices(5, [1, 4]))
+        table.extend_aggregate_view("av1:sum", MeasureColumn.from_optionals([None, 1.0, None, None, 2.0]))
+        assert [len(s.ref_bitmap("graph-view", "gv1")) for s in table.shards] == [2, 2, 1]
+        assert table.ref_bitmap("graph-view", "gv1").to_indices().tolist() == [1, 4]
+        assert table.aggregate_view_measures("av1:sum", np.array([4, 1])).tolist() == [2.0, 1.0]
 
     def test_drop_views_clears_all_shards(self):
         table = _sharded_table(3)
@@ -262,7 +274,7 @@ class TestShardedPersistence:
         table = _sharded_table(3)
         db = tmp_path / "db"
         save_sharded(table, db)
-        table.append_row({0: 9.0})
+        table.append_columns(1, {0: ([0], [9.0])})
         # Sweep the crash through every per-shard save stage: whichever
         # instant the process dies, the committed generation survives.
         for stage in range(3):

@@ -114,7 +114,7 @@ class TestFoldAccounting:
         engine = _engine(1)
         query = GraphQuery.from_node_chain("A", "B", "C")
         refs = engine.physical_plan(query).refs
-        engine.relation.append_row({engine.catalog.get_id(("A", "B")): 1.0})
+        engine.relation.append_columns(1, {engine.catalog.get_id(("A", "B")): ([0], [1.0])})
         with pytest.raises(RuntimeError, match="stale"):
             engine.relation.fold(refs)
 

@@ -15,13 +15,15 @@ from repro.columnstore import (
     MeasureColumn,
     ShardedTable,
 )
+from repro.columnstore.column import sorted_cells
 
 
 def make_relation(**kwargs) -> MasterRelation:
+    """Rows {0: 1, 1: 2}, {1: 3, 2: 4}, {0: 5, 2: 6} as one batch."""
     relation = MasterRelation(**kwargs)
-    relation.append_row({0: 1.0, 1: 2.0})
-    relation.append_row({1: 3.0, 2: 4.0})
-    relation.append_row({0: 5.0, 2: 6.0})
+    relation.append_columns(
+        3, {0: ([0, 2], [1.0, 5.0]), 1: ([0, 1], [2.0, 3.0]), 2: ([1, 2], [4.0, 6.0])}
+    )
     return relation
 
 
@@ -36,16 +38,10 @@ class TestLoading:
         relation = make_relation()
         if shards > 1:
             relation = ShardedTable.from_relation(relation, shards)
-        assert [relation.append_row(cells) for cells in ({0: 7.0}, {2: 8.0})] == [3, 4]
+        assert relation.append_columns(2, {0: ([0], [7.0]), 2: ([1], [8.0])}) == 3
+        assert relation.append_columns(1, {2: ([0], [9.0])}) == 5
         assert relation.measures(0, np.array([2, 3])).tolist() == [5.0, 7.0]
-
-    def test_empty_row_rejected(self):
-        with pytest.raises(ValueError):
-            MasterRelation().append_row({})
-
-    def test_negative_edge_id_rejected(self):
-        with pytest.raises(ValueError):
-            MasterRelation().append_row({-1: 1.0})
+        assert relation.measures(2, np.array([4, 5])).tolist() == [8.0, 9.0]
 
     def test_unknown_column_raises(self):
         assert make_relation().ref_bitmap("element", 99) is None
@@ -60,10 +56,9 @@ class TestLoading:
         assert not relation.has_element(99)
 
     def test_sparse_load_out_of_range_row(self):
-        relation = MasterRelation()
-        relation.set_record_count(2)
-        with pytest.raises(IndexError):
-            relation.load_sparse_column(0, np.array([5]), np.array([1.0]))
+        for row in (2, 5, -1):
+            with pytest.raises(IndexError):
+                sorted_cells(np.array([row]), np.array([1.0]), 2)
 
     def test_cannot_shrink(self):
         relation = make_relation()
@@ -73,19 +68,19 @@ class TestLoading:
     def test_stale_view_detected_after_append(self):
         relation = make_relation()
         relation.add_graph_view("v", Bitmap.zeros(3))
-        relation.append_row({0: 1.0})
+        relation.append_columns(1, {0: ([0], [1.0])})
         with pytest.raises(RuntimeError, match="stale"):
             relation.ref_bitmap("graph-view", "v")
-        relation.extend_graph_view("v", [True])
+        relation.extend_graph_view("v", Bitmap.ones(1))
         assert relation.ref_bitmap("graph-view", "v").to_indices().tolist() == [3]
 
     def test_stale_aggregate_view_detected(self):
         relation = make_relation()
         relation.add_aggregate_view("a:sum", MeasureColumn.from_optionals([1.0, None, 2.0]))
-        relation.append_row({0: 1.0})
+        relation.append_columns(1, {0: ([0], [1.0])})
         with pytest.raises(RuntimeError, match="stale"):
             relation.ref_bitmap("agg-view", "a:sum")
-        relation.extend_aggregate_view("a:sum", [5.0])
+        relation.extend_aggregate_view("a:sum", MeasureColumn.from_optionals([5.0]))
         assert relation.aggregate_view_measures("a:sum")[3] == 5.0
 
 
@@ -98,7 +93,7 @@ class TestPartitioning:
 
     def test_n_partitions(self):
         relation = MasterRelation(partition_width=10)
-        relation.append_row({0: 1.0, 25: 2.0})
+        relation.append_columns(1, {0: ([0], [1.0]), 25: ([0], [2.0])})
         assert relation.n_partitions == 3  # ids 0..25 span partitions 0,1,2
 
     def test_partitions_for(self):
@@ -112,14 +107,14 @@ class TestPartitioning:
     def test_partition_join_counts(self):
         collector = IOStatsCollector()
         relation = MasterRelation(partition_width=1, collector=collector)
-        relation.append_row({0: 1.0, 1: 2.0, 2: 3.0})
+        relation.append_columns(1, {0: ([0], [1.0]), 1: ([0], [2.0]), 2: ([0], [3.0])})
         relation.simulate_partition_join([0, 1, 2], np.array([0]))
         assert collector.stats.partitions_joined == 3
 
     def test_single_partition_no_join(self):
         collector = IOStatsCollector()
         relation = MasterRelation(partition_width=100, collector=collector)
-        relation.append_row({0: 1.0, 1: 2.0})
+        relation.append_columns(1, {0: ([0], [1.0]), 1: ([0], [2.0])})
         relation.simulate_partition_join([0, 1], np.array([0]))
         assert collector.stats.partitions_joined == 0
 
@@ -207,17 +202,10 @@ class TestFootprint:
 
     def test_dense_model_density_independent(self):
         sparse_rel = MasterRelation()
-        sparse_rel.set_record_count(50)
         dense_rel = MasterRelation()
-        dense_rel.set_record_count(50)
-        for edge_id in range(10):
-            # sparse: 5 records have each edge; dense: all 50 do.
-            sparse_rel.load_sparse_column(
-                edge_id, np.arange(5), np.ones(5)
-            )
-            dense_rel.load_sparse_column(
-                edge_id, np.arange(50), np.ones(50)
-            )
+        # sparse: 5 records have each edge; dense: all 50 do.
+        sparse_rel.append_columns(50, {e: (np.arange(5), np.ones(5)) for e in range(10)})
+        dense_rel.append_columns(50, {e: (np.arange(50), np.ones(50)) for e in range(10)})
         assert sparse_rel.base_size_bytes("dense") == dense_rel.base_size_bytes("dense")
         assert sparse_rel.base_size_bytes("sparse") < dense_rel.base_size_bytes("sparse")
 
