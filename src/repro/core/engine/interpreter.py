@@ -9,9 +9,9 @@ engine's configuration read **once** at query entry, so a setter flipping
 the tracer or cache mid-flight cannot reach a running query.
 
 There is one way to run a shard, a :class:`ShardRunner`: ``map`` decides
-*where* shard tasks run, ``fold`` *how* one shard's conjunction is computed
-(thread and process runners: :mod:`repro.exec.runners`).  Supervision and
-the merged-result cache entry sit above the runner, once.
+*where* shard tasks run, ``folds`` *how* each shard's conjunction is
+computed (thread and process runners: :mod:`repro.exec.runners`).
+Supervision and the merged-result cache entry sit above the runner, once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = ["ExecEnv", "ShardRunner", "INLINE", "run_query", "run_aggregate", "ev
 
 class ShardRunner:
     """The inline strategy: tasks in order in the calling thread, each
-    folded in-process.  Subclasses override ``map`` (threads) or ``fold``
+    folded in-process.  Subclasses override ``map`` (threads) or ``folds``
     (worker processes); nothing else about a query depends on the mode."""
 
     def map(self, fn: Callable, tasks: list) -> list:
@@ -45,6 +45,11 @@ class ShardRunner:
             task.relation, plan, env.cache, env.epoch,
             shard=task.shard, tracer=env.tracer, ctx=ctx,
         )
+
+    def folds(self, tasks: list, plan, env: "ExecEnv", ctx) -> list:
+        """One zero-argument fold per task, in task order: what
+        :func:`supervised_fold` runs, and runs again on a retry."""
+        return [partial(self.fold, task, plan, env, ctx) for task in tasks]
 
 
 INLINE = ShardRunner()
@@ -73,8 +78,9 @@ class ExecEnv(NamedTuple):
 # -- structural conjunction --------------------------------------------------
 
 
-def supervised_fold(task, plan, env: ExecEnv, ctx, runner: ShardRunner) -> Bitmap:
-    """One shard's segment of the conjunction.  Under a resilience policy:
+def supervised_fold(task, fold: Callable, env: ExecEnv, ctx) -> Bitmap:
+    """One shard's segment of the conjunction, computed by ``fold`` (the
+    runner's, from :meth:`ShardRunner.folds`).  Under a resilience policy:
     bounded retries, the per-shard breaker and — with ``partial_ok`` — an
     all-zero substitute for a persistently failing shard (its record range
     lands on the context's degraded ledger).  Without one, the first failure
@@ -83,7 +89,6 @@ def supervised_fold(task, plan, env: ExecEnv, ctx, runner: ShardRunner) -> Bitma
         ctx.check()
     length = task.relation.n_records
     start, stop = task.start, task.start + length
-    fold = partial(runner.fold, task, plan, env, ctx)
     with env.span("shard", shard=task.shard) as span:
         if env.policy is not None:
             segment = env.policy.run_shard(
@@ -127,9 +132,8 @@ def _conjunction(plan, env: ExecEnv, ctx) -> Bitmap:
         merged = cache.lookup(env.epoch, key, shard=MERGED_SHARD)
         if merged is not None:
             return merged
-    merged = Bitmap.concat(
-        runner.map(lambda task: supervised_fold(task, plan, env, ctx, runner), tasks)
-    )
+    jobs = list(zip(tasks, runner.folds(tasks, plan, env, ctx)))
+    merged = Bitmap.concat(runner.map(lambda job: supervised_fold(*job, env, ctx), jobs))
     # A degraded merge is partial: caching it would poison healthy queries.
     if cache is not None and not (ctx is not None and ctx.degraded):
         cache.put(env.epoch, key, merged, shard=MERGED_SHARD)

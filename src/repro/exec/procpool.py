@@ -15,9 +15,11 @@ pieces of shared-nothing plumbing:
   once, by the planner, to a storage-level ``(kind, token)`` pair
   (element id, view name), so the worker needs neither the catalog nor
   the planner.
-* **Shared-memory results** — a shard's result bitmap travels back as a
-  :mod:`multiprocessing.shared_memory` block (name + word count), not a
-  pickled array, so the reply queue carries only a few bytes per task.
+* **Results ride the reply** — :meth:`ProcessShardPool.dispatch` sends a
+  query's shards as one task per worker, answered by one reply on its
+  pipe: a pickled header with a ``(status, payload)`` slot per shard,
+  then the raw words of every non-empty result, read straight into the
+  result's array (an all-zero result ships no words).
 
 Every task is stamped with the pool's current ``(generation, epoch)``.
 Workers lazily re-attach when the stamp's generation moves past their
@@ -33,11 +35,13 @@ answers ``"timeout"``, surfaced as the same
 
 When a waiter *abandons* a task — the serving layer's client
 disconnected, or the deadline lapsed parent-side first — the parent
-sends a best-effort ``("cancel", task_id)`` note down the worker's pipe.
-The worker checks for notes between fold parts and answers such tasks
-``"cancelled"`` without (further) work, so one dead query never
-head-of-line blocks the next request through the same worker.  The fold
-itself is the in-process one, :func:`~repro.columnstore.and_refs`.
+sends a best-effort ``("cancel", task_id)`` note down the worker's pipe
+(for every task of the query still in flight), and the late reply, if
+any, is dropped.  The worker checks for notes between fold parts and
+answers such tasks ``"cancelled"`` without (further) work, so one dead
+query never head-of-line blocks the next request through the same
+worker.  The fold itself is the in-process one,
+:func:`~repro.columnstore.and_refs`.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ import multiprocessing.connection
 import os
 import threading
 import time
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -56,18 +59,13 @@ import numpy as np
 from ..columnstore import Bitmap, BitmapAttachment, and_refs, storage_generation
 from ..errors import QueryCancelledError, QueryTimeoutError
 
-__all__ = [
-    "ProcessShardPool",
-    "WorkerCrashedError",
-    "WorkerTaskError",
-    "StaleGenerationError",
-]
+__all__ = ["ProcessShardPool", "WorkerCrashedError", "WorkerTaskError", "StaleGenerationError"]
 
 # Seconds between liveness sweeps / future polls.  Small enough that a
 # cancelled query stops within one operator step, large enough not to
 # busy-wait.
 _POLL = 0.02
-# How many times execute() re-dispatches a task whose worker reports the
+# How many times collect() re-dispatches a task whose worker reports the
 # on-disk generation does not match the stamp before giving up.
 _STALE_RETRIES = 3
 
@@ -92,33 +90,25 @@ class StaleGenerationError(RuntimeError):
 # -- worker side --------------------------------------------------------------
 
 
-def _ship_result(result: Bitmap) -> tuple:
-    """Copy a result bitmap into a fresh shared-memory block.
+def _send_words(conn, words: np.ndarray) -> None:
+    """Write a result's words raw after the reply header: nothing pickled."""
+    view = memoryview(words).cast("B")
+    while view:
+        view = view[os.write(conn.fileno(), view):]
 
-    Returns the ``(shm_name, n_words, length)`` payload; an all-zero
-    result ships as ``(None, 0, length)`` with no block at all.  The
-    worker unregisters the block from its own resource tracker before
-    closing: ownership transfers to the parent, which unlinks after
-    copying (or the collector unlinks if the future was abandoned).
-    """
-    if not result.any():
-        return (None, 0, result.length)
-    words = np.asarray(result.words())
-    block = shared_memory.SharedMemory(create=True, size=max(words.nbytes, 1))
-    try:
-        np.ndarray(words.shape, dtype=np.uint64, buffer=block.buf)[:] = words
-        name = block.name
-        # resource_tracker would unlink the segment when this process
-        # exits; the parent now owns it.
-        try:
-            from multiprocessing import resource_tracker
 
-            resource_tracker.unregister(block._name, "shared_memory")
-        except Exception:
-            pass
-        return (name, words.size, result.length)
-    finally:
-        block.close()
+def _read_bitmap(conn, length: int, n_words: int) -> Bitmap:
+    """Read :func:`_send_words`' words straight into the result's array."""
+    if not n_words:
+        return Bitmap.zeros(length)
+    words = np.empty(n_words, dtype=np.uint64)
+    view = memoryview(words).cast("B")
+    while view:
+        got = os.readv(conn.fileno(), [view])
+        if not got:
+            raise EOFError("worker closed its pipe mid-reply")
+        view = view[got:]
+    return Bitmap.from_packed(length, words)
 
 
 # During a fold, the worker polls its pipe for ``("cancel", task_id)``
@@ -134,6 +124,9 @@ def _worker_main(worker_id, storage_dir, conn):
     Transport is one duplex pipe per worker (no queues): a pipe has no
     cross-process lock to poison, so a SIGKILL'd worker never wedges its
     replacement — the parent just opens a fresh pipe for the respawn.
+    A task folds each of its shards in turn; one shard's fault fills its
+    own slot with ``"error"`` and the others still answer, while a
+    deadline or cancel stops the whole task.
 
     Besides task tuples the pipe carries ``("cancel", task_id)`` notes:
     when a waiter abandons a task (client disconnect, lapsed deadline)
@@ -189,6 +182,21 @@ def _worker_main(worker_id, storage_dir, conn):
 
         return check
 
+    def fold(shard, fragment, check, words) -> tuple:
+        """One shard's ``(status, payload)`` slot; a non-empty result's
+        words go on ``words``, to follow the header."""
+        try:
+            reader = attachment.readers[shard]
+            result = and_refs(reader.ref_bitmap, fragment, reader.n_records, check)
+        except (QueryTimeoutError, QueryCancelledError):
+            raise  # the whole task stops
+        except Exception as exc:  # this shard's fault alone
+            return "error", f"{type(exc).__name__}: {exc}"
+        if not result.any():
+            return "ok", (result.length, 0)
+        words.append(np.ascontiguousarray(result.words()))
+        return "ok", (result.length, words[-1].size)
+
     while True:
         if not pending:
             if shutdown:
@@ -196,7 +204,7 @@ def _worker_main(worker_id, storage_dir, conn):
             drain(block=True)
             continue
         msg = pending.pop(0)
-        task_id, shard, stamp, fragment, budget = msg
+        task_id, shards, stamp, fragment, budget = msg
         deadline = None if budget is None else time.monotonic() + budget
         try:
             if task_id in cancelled:
@@ -211,20 +219,21 @@ def _worker_main(worker_id, storage_dir, conn):
                     conn.send((task_id, worker_id, stamp, "stale", None))
                     continue
                 attachment = BitmapAttachment(storage_dir)
-            reader = attachment.readers[shard]
+            check, words = task_check(task_id, deadline), []
             try:
-                result = and_refs(
-                    reader.ref_bitmap, fragment, reader.n_records,
-                    task_check(task_id, deadline),
-                )
-                status, payload = "ok", _ship_result(result)
+                slots = tuple(fold(shard, fragment, check, words) for shard in shards)
+                status, payload = "ok", slots
+                if any(slot[0] == "error" for slot in slots):
+                    attachment = None  # re-probe the manifest, as below
             except QueryTimeoutError:
-                status, payload = "timeout", budget
+                status, payload, words = "timeout", budget, []
             except QueryCancelledError:
                 cancelled.discard(task_id)
-                status, payload = "cancelled", None
+                status, payload, words = "cancelled", None, []
             done_hwm = max(done_hwm, task_id)
             conn.send((task_id, worker_id, stamp, status, payload))
+            for array in words:
+                _send_words(conn, array)
         except Exception as exc:  # answer *something* or the task hangs
             # A failed attach may be a half-committed swap; drop the
             # mapping so the next task re-probes the manifest.
@@ -241,52 +250,45 @@ def _worker_main(worker_id, storage_dir, conn):
 
 
 class _Future:
-    """One in-flight task's reply slot, with abandon-aware handoff.
+    """One in-flight task's reply: the collector thread resolves it, and
+    the waiting query thread takes it — or walks away (deadline/cancel
+    fired), in which case the reply is dropped when it lands: it owns
+    nothing outside the process."""
 
-    The collector thread resolves it; the waiting query thread either
-    takes the reply or abandons the future (deadline/cancel fired), in
-    which case the *collector* owns cleanup of any shared-memory payload.
-    """
-
-    __slots__ = ("_event", "_lock", "reply", "_abandoned", "task_id", "worker_id")
+    __slots__ = ("_event", "reply", "task_id", "worker_id")
 
     def __init__(self, task_id=None, worker_id=None):
         self._event = threading.Event()
-        self._lock = threading.Lock()
         self.reply = None
-        self._abandoned = False
         self.task_id = task_id
         self.worker_id = worker_id
 
-    def resolve(self, reply) -> bool:
-        """Deliver the reply; False means the waiter already walked away
-        and the caller must dispose of the payload."""
-        with self._lock:
-            if self._abandoned:
-                return False
-            self.reply = reply
-            self._event.set()
-            return True
-
-    def abandon(self) -> object:
-        """Stop waiting; returns an undisposed reply if one raced in."""
-        with self._lock:
-            self._abandoned = True
-            return self.reply
+    def resolve(self, reply) -> None:
+        self.reply = reply
+        self._event.set()
 
     def wait(self, timeout: float) -> bool:
         return self._event.wait(timeout)
 
 
-def _unlink_payload(status, payload) -> None:
-    if status != "ok" or payload is None or payload[0] is None:
-        return
-    try:
-        block = shared_memory.SharedMemory(name=payload[0])
-        block.close()
-        block.unlink()
-    except FileNotFoundError:
-        pass
+def _receive(conn) -> tuple:
+    """One reply off a worker's pipe: the header, then — for an ``"ok"``
+    task — the raw words of each non-empty slot, read into its bitmap."""
+    task_id, worker_id, stamp, status, payload = conn.recv()
+    if status == "ok":
+        payload = tuple(
+            (kind, _read_bitmap(conn, *body) if kind == "ok" else body)
+            for kind, body in payload
+        )
+    return task_id, worker_id, stamp, status, payload
+
+
+def _budget(ctx) -> float | None:
+    """Check the query and return the seconds its deadline leaves."""
+    if ctx is None:
+        return None
+    ctx.check()
+    return None if ctx.deadline is None else ctx.deadline.remaining()
 
 
 class ProcessShardPool:
@@ -309,39 +311,25 @@ class ProcessShardPool:
         Optional :class:`~repro.obs.MetricsRegistry`; the pool tallies
         ``pool.tasks``, ``pool.worker_respawns``, ``pool.stale_discarded``
         and keeps a ``pool.workers`` gauge.
-    start_method:
-        ``multiprocessing`` start method.  Defaults to ``forkserver``
-        when available (``fork`` would duplicate the parent's thread
-        locks), else ``spawn``; override with ``REPRO_MP_START``.
+
+    Workers start by ``forkserver`` where available (``fork`` would
+    duplicate the parent's thread locks), else by ``spawn``.
     """
 
-    def __init__(
-        self,
-        storage_dir,
-        workers: int,
-        stamp: tuple[int, int],
-        registry=None,
-        start_method: str | None = None,
-    ):
+    def __init__(self, storage_dir, workers: int, stamp: tuple[int, int], registry=None):
         if workers < 1:
             raise ValueError("process pool needs at least 1 worker")
         self._storage_dir = str(storage_dir)
         self._n_workers = workers
         self._stamp = tuple(stamp)
         self._registry = registry
-        method = (
-            start_method
-            or os.environ.get("REPRO_MP_START")
-            or (
-                "forkserver"
-                if "forkserver" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "forkserver" if "forkserver" in methods else "spawn"
         )
-        self._ctx = multiprocessing.get_context(method)
         self._task_counter = itertools.count()
         self._lock = threading.Lock()
-        self._futures: dict[int, tuple[_Future, int]] = {}
+        self._futures: dict[int, _Future] = {}
         self._closing = False
         # One duplex pipe per worker (send under the per-worker lock; the
         # collector is the only receiver).  Pipes, unlike Queues, share no
@@ -382,7 +370,7 @@ class ProcessShardPool:
             self._closing = True
             pending = list(self._futures.values())
             self._futures.clear()
-        for fut, _ in pending:
+        for fut in pending:
             fut.resolve((None, None, None, "error", "pool closed"))
         for worker_id, conn in enumerate(self._conns):
             try:
@@ -447,16 +435,13 @@ class ProcessShardPool:
                 ready = []
             for conn in ready:
                 try:
-                    reply = conn.recv()
+                    reply = _receive(conn)
                 except (EOFError, OSError):
                     continue  # dead worker; the sweep below respawns it
-                task_id = reply[0]
                 with self._lock:
-                    entry = self._futures.pop(task_id, None)
-                if entry is None or not entry[0].resolve(reply):
-                    # No waiter (abandoned / pool closing): the payload's
-                    # shm block is ours to unlink.
-                    _unlink_payload(reply[3], reply[4])
+                    fut = self._futures.pop(reply[0], None)
+                if fut is not None:  # else the pool is closing
+                    fut.resolve(reply)
             self._sweep_dead_workers()
 
     def _sweep_dead_workers(self) -> None:
@@ -468,8 +453,8 @@ class ProcessShardPool:
                     return
                 orphans = [
                     (tid, fut)
-                    for tid, (fut, wid) in self._futures.items()
-                    if wid == worker_id
+                    for tid, fut in self._futures.items()
+                    if fut.worker_id == worker_id
                 ]
                 for tid, _ in orphans:
                     del self._futures[tid]
@@ -480,46 +465,34 @@ class ProcessShardPool:
                 self._spawn(worker_id)  # fresh process, fresh pipe
             if self._registry is not None:
                 self._registry.counter("pool.worker_respawns").inc()
-            exitcode = proc.exitcode
+            detail = f"worker {worker_id} died (exit code {proc.exitcode})"
             for tid, fut in orphans:
-                fut.resolve(
-                    (
-                        tid,
-                        worker_id,
-                        None,
-                        "crashed",
-                        f"worker {worker_id} died (exit code {exitcode})",
-                    )
-                )
+                fut.resolve((tid, worker_id, None, "crashed", detail))
 
     # -- execution ------------------------------------------------------------
 
-    def _submit(self, shard: int, stamp, fragment, budget) -> _Future:
-        worker_id = shard % self._n_workers
+    def _submit(self, shards, stamp, fragment, budget) -> _Future:
+        """Send one task: ``fragment`` over ``shards`` — one shard, or
+        several routed to the same worker — answered by one reply."""
+        shards = (shards,) if isinstance(shards, int) else tuple(shards)
+        worker_id = shards[0] % self._n_workers
         task_id = next(self._task_counter)
         fut = _Future(task_id, worker_id)
         with self._lock:
             if self._closing:
                 raise RuntimeError("process pool is closed")
-            self._futures[task_id] = (fut, worker_id)
+            self._futures[task_id] = fut
             conn = self._conns[worker_id]
         try:
             with self._conn_locks[worker_id]:
-                conn.send((task_id, shard, stamp, fragment, budget))
+                conn.send((task_id, shards, stamp, fragment, budget))
         except (OSError, BrokenPipeError):
             # The worker died between the snapshot and the send; resolve
             # the future crashed so the policy retries after respawn.
             with self._lock:
                 self._futures.pop(task_id, None)
-            fut.resolve(
-                (
-                    task_id,
-                    worker_id,
-                    None,
-                    "crashed",
-                    f"worker {worker_id} pipe broken at submit",
-                )
-            )
+            detail = f"worker {worker_id} pipe broken at submit"
+            fut.resolve((task_id, worker_id, None, "crashed", detail))
         if self._registry is not None:
             self._registry.counter("pool.tasks").inc()
         return fut
@@ -528,7 +501,7 @@ class ProcessShardPool:
         """Best-effort note to the worker that the waiter walked away, so
         it stops folding (or never starts) the abandoned task instead of
         blocking the next query behind dead work.  Failure is fine — the
-        collector disposes of whatever reply eventually arrives."""
+        collector drops whatever reply eventually arrives."""
         try:
             with self._conn_locks[fut.worker_id]:
                 self._conns[fut.worker_id].send(("cancel", fut.task_id))
@@ -550,80 +523,80 @@ class ProcessShardPool:
             if ctx is not None:
                 ctx.check()
         except BaseException:
-            reply = fut.abandon()
-            if reply is not None:
-                _unlink_payload(reply[3], reply[4])
-            else:
+            if fut.reply is None:
                 self._cancel_task(fut)
             raise
         return fut.reply
 
-    def _materialize(self, payload) -> Bitmap:
-        shm_name, n_words, length = payload
-        if shm_name is None:
-            return Bitmap.zeros(length)
-        block = shared_memory.SharedMemory(name=shm_name)
-        try:
-            words = np.ndarray((n_words,), dtype=np.uint64, buffer=block.buf).copy()
-        finally:
-            block.close()
+    def dispatch(self, shards, fragment: tuple, ctx=None) -> dict:
+        """Send ``fragment`` over ``shards`` as one task per worker they
+        route to, before anyone waits; returns the ``{shard: (future,
+        slot)}`` routes :meth:`collect` consumes.  A group the closing pool
+        refuses is left out: :meth:`collect` then raises for its shards."""
+        stamp, budget = self._stamp, _budget(ctx)
+        groups: dict[int, list] = {}
+        for shard in shards:
+            groups.setdefault(shard % self._n_workers, []).append(shard)
+        routes = {}
+        for group in groups.values():
             try:
-                block.unlink()
-            except FileNotFoundError:
-                pass
-        return Bitmap.from_packed(length, words)
+                fut = self._submit(group, stamp, fragment, budget)
+            except RuntimeError:
+                continue
+            routes.update((shard, (fut, slot)) for slot, shard in enumerate(group))
+        return routes
 
-    def execute(self, shard: int, fragment: tuple, ctx=None) -> Bitmap:
-        """Run one shard fragment remotely and return its result bitmap.
-
-        Retries transparently when the reply's stamp lags a concurrent
-        :meth:`set_stamp` (generation swap mid-flight — the stale result
-        is discarded, never returned) and when a worker reports the
-        on-disk generation out of step (bounded by ``_STALE_RETRIES``).
-        Worker crashes and in-task errors surface as plain
-        ``RuntimeError`` subclasses for the resilience policy to retry;
-        deadline misses surface as :class:`~repro.errors.QueryTimeoutError`.
-        """
+    def collect(self, shard: int, routes: dict, fragment: tuple, ctx=None) -> Bitmap:
+        """``shard``'s bitmap: from its slot of the :meth:`dispatch` reply
+        on the first call, by a task of its own on any later call (a
+        retry) and whenever a reply must be redone — its stamp lags the
+        pool's (a generation swap mid-flight: the stale result is never
+        returned), the worker saw another generation on disk (at most
+        ``_STALE_RETRIES`` times), or a stray cancel.  Worker crashes and
+        in-task errors raise plain ``RuntimeError`` subclasses for the
+        resilience policy to retry; deadline misses raise
+        :class:`~repro.errors.QueryTimeoutError`.  A deadline or cancel
+        while waiting cancels every task of ``routes`` still in flight."""
         stale_left = _STALE_RETRIES
         while True:
-            if ctx is not None:
-                ctx.check()
-            stamp = self._stamp
-            budget = None
-            if ctx is not None and ctx.deadline is not None:
-                budget = ctx.deadline.remaining()
-            reply = self._wait(self._submit(shard, stamp, fragment, budget), ctx)
-            _, _, reply_stamp, status, payload = reply
+            fut, slot = routes.pop(shard, None) or (
+                self._submit(shard, self._stamp, fragment, _budget(ctx)), 0
+            )
+            try:
+                _, _, reply_stamp, status, payload = self._wait(fut, ctx)
+            except BaseException:
+                for other in {batch for batch, _ in routes.values()} - {fut}:
+                    if other.reply is None:
+                        self._cancel_task(other)
+                routes.clear()
+                raise
             if status == "ok":
-                if reply_stamp != self._stamp:
-                    # Generation/epoch moved while the task was in
-                    # flight: the bitmap answers a dead snapshot.
-                    _unlink_payload(status, payload)
-                    if self._registry is not None:
-                        self._registry.counter("pool.stale_discarded").inc()
-                    continue
-                return self._materialize(payload)
-            if status == "stale":
-                if reply_stamp != self._stamp:
-                    continue  # stamp moved; redo under the current one
-                stale_left -= 1
-                if stale_left <= 0:
-                    raise StaleGenerationError(
-                        f"shard {shard}: workers see generation "
-                        f"{storage_generation(self._storage_dir)} on disk "
-                        f"but the pool stamp is {self._stamp[0]}"
-                    )
-                time.sleep(_POLL)
-                continue
-            if status == "cancelled":
-                # Only abandoned tasks are cancelled, so this reply should
-                # never reach a live waiter; if a stray one does, redo the
-                # work (the loop-top ctx.check bounds the retry).
-                continue
-            if status == "timeout":
+                if reply_stamp == self._stamp:
+                    kind, body = payload[slot]
+                    if kind == "ok":
+                        return body
+                    raise WorkerTaskError(f"shard {shard}: {body}")
+                if self._registry is not None:
+                    self._registry.counter("pool.stale_discarded").inc()
+            elif status == "stale":
+                if reply_stamp == self._stamp:
+                    stale_left -= 1
+                    if stale_left <= 0:
+                        raise StaleGenerationError(
+                            f"shard {shard}: workers see generation "
+                            f"{storage_generation(self._storage_dir)} on disk "
+                            f"but the pool stamp is {self._stamp[0]}"
+                        )
+                    time.sleep(_POLL)
+            elif status == "timeout":
                 raise QueryTimeoutError(
                     f"query deadline of {payload:g}s exceeded", budget=payload
                 )
-            if status == "crashed":
+            elif status == "crashed":
                 raise WorkerCrashedError(payload)
-            raise WorkerTaskError(f"shard {shard}: {payload}")
+            elif status != "cancelled":  # only abandoned tasks are cancelled
+                raise WorkerTaskError(f"shard {shard}: {payload}")
+
+    def execute(self, shard: int, fragment: tuple, ctx=None) -> Bitmap:
+        """Run one shard fragment remotely, alone, and return its bitmap."""
+        return self.collect(shard, {}, fragment, ctx)

@@ -2,9 +2,11 @@
 
 :class:`ThreadRunner` overrides ``map``: shard tasks fan out over a
 dedicated thread pool (the word-level numpy AND kernels release the GIL).
-:class:`ProcessRunner` also overrides ``fold``: each shard's conjunction
-runs on a :class:`~.procpool.ProcessShardPool` worker over an mmap'd save
-of the engine.  Supervision stays in the interpreter, parent-side.
+:class:`ProcessRunner` overrides ``folds``: a query's shards go to
+:class:`~.procpool.ProcessShardPool` workers as one task per worker over
+an mmap'd save of the engine, and the calling thread — no pool of its
+own, its folds run in other processes — supervises them in order as the
+replies land.  Supervision stays in the interpreter, parent-side.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from ..columnstore import BitmapAttachment, storage_generation
@@ -40,17 +43,18 @@ class ThreadRunner(ShardRunner):
         self._threads.shutdown(wait=True)
 
 
-class ProcessRunner(ThreadRunner):
+class ProcessRunner(ShardRunner):
     """Fold each shard on a worker process over zero-copy mmap storage.
 
     Workers attach to ``storage_dir`` in place when it holds a committed
     save with this engine's geometry (the CLI passes the database it just
     loaded); otherwise the engine is spooled to a private temp directory,
     removed on :meth:`close`.  The owner calls :meth:`resync` after every
-    mutation so the workers see the new generation."""
+    mutation so the workers see the new generation.  ``count(name, n)``
+    publishes a counter."""
 
     def __init__(self, engine, workers: int, storage_dir=None, registry=None, count=None):
-        super().__init__(workers, count)
+        self._count = count
         directory = Path(storage_dir) if storage_dir is not None else None
         self._owned = directory is None or not _holds(directory, engine)
         if self._owned:
@@ -60,23 +64,38 @@ class ProcessRunner(ThreadRunner):
         stamp = (storage_generation(directory), engine.epoch)
         self.pool = ProcessShardPool(directory, workers, stamp, registry=registry)
 
-    def fold(self, task, plan, env, ctx):
-        """One shard's conjunction on the pool, keeping the per-shard
-        full-key cache entry in this process.  When the pool's stamp lags
-        the query's epoch (a mutation bypassed :meth:`resync`) the fold
-        runs in-process — correctness never depends on the resync."""
+    def folds(self, tasks, plan, env, ctx) -> list:
+        """Send every shard not in the per-shard full-key cache before
+        any is waited on — one task per worker — and hand back one fold
+        per task: the first call of a sent shard's fold reads its slot of
+        the reply, a retry runs the shard alone.  When the pool's stamp
+        lags the query's epoch (a mutation bypassed :meth:`resync`) the
+        folds run in-process — correctness never depends on the resync."""
+        if self._count is not None:
+            self._count("exec.shard_tasks", len(tasks))
         if self.pool.stamp[1] != env.epoch:
-            return super().fold(task, plan, env, ctx)
+            return super().folds(tasks, plan, env, ctx)
         cache = env.cache if all(part.covered for part in plan.parts) else None
         key = plan.prefix_keys[-1]
+        hits = {}
         if cache is not None:
-            hit = cache.lookup(env.epoch, key, shard=task.shard)
-            if hit is not None:
-                return hit
-        result = self.pool.execute(task.shard, plan.refs, ctx)
-        if cache is not None:
-            cache.put(env.epoch, key, result, shard=task.shard)
-        return result
+            for task in tasks:
+                hit = cache.lookup(env.epoch, key, shard=task.shard)
+                if hit is not None:
+                    hits[task.shard] = hit
+        routes = self.pool.dispatch(
+            [task.shard for task in tasks if task.shard not in hits], plan.refs, ctx
+        )
+
+        def fold(shard):
+            if shard in hits:
+                return hits[shard]
+            result = self.pool.collect(shard, routes, plan.refs, ctx)
+            if cache is not None:
+                cache.put(env.epoch, key, result, shard=shard)
+            return result
+
+        return [partial(fold, task.shard) for task in tasks]
 
     def resync(self, engine) -> None:
         """Republish the engine to the pool's directory and advance the
@@ -85,7 +104,6 @@ class ProcessRunner(ThreadRunner):
         self.pool.set_stamp((storage_generation(self.directory), engine.epoch))
 
     def close(self) -> None:
-        super().close()
         self.pool.close()
         if self._owned:
             shutil.rmtree(self.directory, ignore_errors=True)

@@ -228,7 +228,7 @@ def _process_config_id(config):
 )
 def test_process_mode_matches_rowstore(config, records, workload, baseline):
     """Out-of-process shard execution must be invisible: spooled mmap
-    storage, pickled plan fragments, and shared-memory result transport
+    storage, pickled plan fragments, and raw result words on the reply pipe
     return bit-identical answers to the unsharded reference, cold and
     through the shard-keyed cache."""
     shards, cache_mb = config

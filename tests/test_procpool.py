@@ -13,17 +13,18 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import GraphAnalyticsEngine, GraphQuery
 from repro.core.engine import INLINE
-from repro.errors import QueryCancelledError, QueryTimeoutError
-from repro.exec import ProcessShardPool, QueryExecutor, StaleGenerationError
+from repro.errors import QueryCancelledError, QueryTimeoutError, ShardExecutionError
+from repro.exec import BitmapCache, ProcessShardPool, QueryExecutor, StaleGenerationError
 from repro.exec.procpool import WorkerTaskError
 from repro.exec.runners import ProcessRunner, ThreadRunner
 from repro.obs import MetricsRegistry
-from repro.resilience import CancelToken, QueryContext
-from repro.columnstore import storage_generation
+from repro.resilience import CancelToken, QueryContext, ResiliencePolicy
+from repro.columnstore import and_refs, storage_generation
 from repro.workloads import build_dataset, sample_path_queries
 
 N_RECORDS = 150
@@ -166,6 +167,137 @@ class TestProcessExecutor:
             assert pool.worker_pids() != victims
 
 
+def _tasks(registry):
+    return registry.counter("pool.tasks").value
+
+
+class TestOneTaskPerWorker:
+    """A query sends each worker its shards as one task, and supervises
+    every shard on its own slot of that task's reply."""
+
+    def test_uncached_query_sends_one_task_per_worker(self, corpus, queries, oracle_ids):
+        engine = _fresh_engine(corpus, shards=4)
+        registry = MetricsRegistry()
+        with QueryExecutor(
+            engine, jobs=1, exec_mode="process", workers=2, registry=registry
+        ) as executor:
+            for query, expected in zip(queries, oracle_ids):
+                before = _tasks(registry)
+                assert executor.run_one(query, fetch_measures=False).record_ids == expected
+                assert _tasks(registry) - before == 2, query
+
+    def test_cached_shard_is_not_sent(self, corpus, queries, oracle_ids):
+        engine = _fresh_engine(corpus, shards=4)
+        registry = MetricsRegistry()
+        cache = BitmapCache(8 << 20)
+        query, expected = queries[0], oracle_ids[0]
+        plan = engine.physical_plan(query)
+        shard0 = engine.relation.shard_relations()[0].fold(plan.refs)
+        with QueryExecutor(
+            engine, jobs=1, cache=cache, exec_mode="process", workers=2,
+            registry=registry,
+        ) as executor:
+            cache.put(engine.epoch, plan.prefix_keys[-1], shard0, shard=0)
+            pool = executor._runner.pool
+            sent, submit = [], pool._submit
+
+            def spy(shards, *args):
+                sent.extend(shards)
+                return submit(shards, *args)
+
+            pool._submit = spy
+            assert executor.run_one(query, fetch_measures=False).record_ids == expected
+        assert sorted(sent) == [1, 2, 3]
+        assert _tasks(registry) == 2  # worker 0: [2], worker 1: [1, 3]
+
+    def test_a_bad_shard_never_fails_its_batch_mate(self, tmp_path, corpus, queries):
+        """Shards 1 and 3 share worker 1; shard 1's bitmap files are gone.
+        Shard 3 is answered exactly from the batch reply, shard 1 alone is
+        retried and then degraded (or, without ``partial_ok``, fails the
+        query with the typed error)."""
+        engine = _fresh_engine(corpus, shards=4)
+        engine.use_resilience(
+            ResiliencePolicy(attempts=2, breaker_threshold=100, sleep=lambda _s: None)
+        )
+        db = tmp_path / "db"
+        engine.save(db)
+        removed = list((next(db.glob("gen-*")) / "shard-001").rglob("*_bits.npy"))
+        assert removed
+        for path in removed:
+            path.unlink()
+        starts = engine.relation.shard_starts()
+        start, stop = starts[1], starts[2]
+        skipped = set(engine.record_ids_at(np.arange(start, stop)))
+        oracle = GraphAnalyticsEngine()
+        oracle.load_columnar(corpus.record_ids(), corpus.to_columnar())
+        registry = MetricsRegistry()
+        degraded = 0
+        with QueryExecutor(
+            engine, jobs=1, exec_mode="process", workers=2, storage_dir=db,
+            registry=registry,
+        ) as executor:
+            for query in queries:
+                expected = oracle.query(query, fetch_measures=False).record_ids
+                before = _tasks(registry)
+                result = executor.run_one(query, fetch_measures=False, partial_ok=True)
+                if result.degraded is None:
+                    continue  # shard 1 holds none of the query's columns
+                degraded += 1
+                # Two batch tasks, then shard 1 alone: shard 3 was not retried.
+                assert _tasks(registry) - before == 3, query
+                assert result.degraded.skipped_ranges() == [(start, stop)]
+                assert result.record_ids == [r for r in expected if r not in skipped]
+                with pytest.raises(ShardExecutionError) as info:
+                    executor.run_one(query, fetch_measures=False)
+                assert (info.value.shard, info.value.start, info.value.stop) == (1, start, stop)
+                assert "2 attempt(s)" in str(info.value)
+        assert degraded
+
+
+def _transport_store(tmp_path_factory, n):
+    """An unsharded store of ``n`` records: A->B on every record, A->C on
+    a random half.  Fragments over it AND to all-ones, random, and
+    all-zero (an element the store never saw)."""
+    rng = np.random.default_rng(n)
+    everywhere = np.arange(n)
+    half = np.flatnonzero(rng.random(n) < 0.5)
+    engine = GraphAnalyticsEngine()
+    engine.load_columnar(
+        [f"r{i}" for i in range(n)],
+        {
+            ("A", "B"): (everywhere, np.ones(n)),
+            ("A", "C"): (half, np.ones(half.size)),
+        },
+    )
+    db = tmp_path_factory.mktemp(f"transport{n}") / "db"
+    engine.save(db)
+    ab, ac = (("element", engine.catalog.get_id(e)) for e in (("A", "B"), ("A", "C")))
+    fragments = {"ones": (ab,), "random": (ab, ac), "zeros": (ab, ("element", 10**9))}
+    return engine, db, fragments
+
+
+@pytest.fixture(scope="module", params=[1, 63, 64, 65, 6_000, 250_001])
+def transport(request, tmp_path_factory):
+    engine, db, fragments = _transport_store(tmp_path_factory, request.param)
+    pool = ProcessShardPool(db, workers=1, stamp=(storage_generation(db), engine.epoch))
+    yield engine, pool, fragments
+    pool.close()
+
+
+@pytest.mark.parametrize("kind", ["zeros", "ones", "random"])
+def test_transport_is_bit_exact(transport, kind):
+    """A result's words cross the pipe raw; every length (word-aligned
+    or not) and every fill comes back exactly as ``and_refs`` makes it."""
+    engine, pool, fragments = transport
+    fragment = fragments[kind]
+    expected = and_refs(engine.relation.ref_bitmap, fragment, engine.n_records)
+    got = pool.execute(0, fragment)
+    assert got.length == expected.length == engine.n_records
+    assert np.array_equal(np.asarray(got.words()), np.asarray(expected.words()))
+    count = {"zeros": 0, "ones": engine.n_records}.get(kind, expected.count())
+    assert got.count() == count
+
+
 class TestGenerationStamps:
     def _pool_fixture(self, tmp_path, corpus, shards=2, workers=1):
         engine = _fresh_engine(corpus, shards=shards)
@@ -247,10 +379,9 @@ class TestGenerationStamps:
             pool.set_stamp((old_stamp[0], old_stamp[1] + 1))
             # The reply's stamp lags the pool now; execute() would loop.
             assert reply[2] != pool.stamp
-            # Dispose of the payload the way the loop does.
-            from repro.exec.procpool import _unlink_payload
-
-            _unlink_payload(reply[3], reply[4])
+            # Dispose of the reply the way the loop does: drop it (its
+            # words are in this process; nothing outside it to free).
+            del reply
             # A fresh execute under the new stamp still answers (the
             # generation is unchanged, only the epoch moved).
             result = pool.execute(0, fragment)
@@ -389,6 +520,39 @@ class TestDeadlinesAndShutdown:
             assert pool.execute(0, fragment) == expected
             assert time.monotonic() - start < 2.0  # not behind ~5s of dead work
             assert registry.counter("pool.tasks_cancelled").value >= 1
+            _assert_drained(pool, baseline)
+        finally:
+            pool.close()
+
+    def test_abandoned_query_cancels_every_batch_task(self, tmp_path, corpus):
+        """A cancel landing while the caller waits on one worker's task
+        also cancels the query's task on the other worker, so neither
+        folds dead work in front of the next request."""
+        engine = _fresh_engine(corpus, shards=2)
+        db = tmp_path / "db"
+        engine.save(db)
+        registry = MetricsRegistry()
+        pool = ProcessShardPool(
+            db, workers=2, stamp=(storage_generation(db), engine.epoch),
+            registry=registry,
+        )
+        try:
+            fragment = _nonempty_fragment(engine, corpus)
+            expected = [pool.execute(shard, fragment) for shard in (0, 1)]
+            baseline = _shm_snapshot()
+            dead = fragment * 1_000_000  # seconds per shard if never cancelled
+            token = CancelToken()
+            ctx = QueryContext.start(token=token)
+            routes = pool.dispatch([0, 1], dead, ctx)
+            timer = threading.Timer(0.2, token.cancel)
+            timer.start()
+            with pytest.raises(QueryCancelledError):
+                pool.collect(0, routes, dead, ctx)
+            timer.join(timeout=5)
+            assert registry.counter("pool.tasks_cancelled").value == 2
+            start = time.monotonic()
+            assert [pool.execute(shard, fragment) for shard in (0, 1)] == expected
+            assert time.monotonic() - start < 2.0
             _assert_drained(pool, baseline)
         finally:
             pool.close()

@@ -118,7 +118,7 @@ def test_served_process_mode_matches_rowstore(
     config, records, workload, baseline
 ):
     """The full stack end to end: HTTP → daemon → executor → process-pool
-    workers over spooled mmap storage → shared-memory results → chunked
+    workers over spooled mmap storage → results on the reply pipe → chunked
     NDJSON back out, still bit-identical to the oracle."""
     shards, cache_mb = config
     graph_queries, _ = workload
