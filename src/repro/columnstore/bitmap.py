@@ -409,7 +409,10 @@ class Bitmap:
         ``i - start_of(shard)`` of that shard's segment.  ``concat`` of the
         per-shard slices of a bitmap reproduces the original exactly.
 
-        Each part is OR-merged into the output words in place: word-aligned
+        When every part but the last fills whole words — shards cut on
+        64-record boundaries — the merge is one ``np.concatenate`` of the
+        parts' words (the last part's tail is already masked).  Otherwise
+        each part is OR-merged into the output words in place: word-aligned
         offsets copy words verbatim, unaligned ones split every word into a
         low part (``<< bit``) and a carry into the next word (``>> 64-bit``)
         — no boolean unpack/repack round trip.
@@ -419,7 +422,13 @@ class Bitmap:
             return Bitmap.zeros(0)
         if len(parts) == 1:
             return parts[0]
-        total = sum(p._length for p in parts)
+        total = 0
+        aligned = True
+        for p in parts:
+            aligned = aligned and total % _WORD_BITS == 0
+            total += p._length
+        if aligned:
+            return Bitmap._wrap(total, np.concatenate([p._words for p in parts]))
         out = np.zeros(_words_needed(total), dtype=np.uint64)
         offset = 0
         for p in parts:

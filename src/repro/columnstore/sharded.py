@@ -9,7 +9,8 @@ slice of every measure column, edge bitmap, and view column.  Because
 shards are contiguous and ordered, every merge combiner is a plain
 order-preserving concatenation:
 
-* structural bitmaps — ``Bitmap.concat`` of the per-shard segments;
+* structural bitmaps — ``Bitmap.concat`` of the per-shard segments, a
+  copy of their words when the cuts fall on 64-record boundaries;
 * matching rows — each shard's local indices shifted by its start offset;
 * measure vectors / path aggregates — per-shard gathers written back into
   the caller's row order.
@@ -18,9 +19,14 @@ A packed measure column (:mod:`~repro.columnstore.column`) is cut at the rank
 of each shard boundary, so resharding, rebalancing and merging move views of
 the packed values and never expand a column to one cell per row.
 
-The first batch into an empty table splits evenly; later appends only
-touch the **last** shard (boundaries of the earlier shards are immutable),
-queueing tail chunks there; ``rebalance()`` re-splits after bulk loads.
+The first batch into an empty table splits evenly, on multiples of 64
+records once every shard would hold at least 64 (the last shard takes the
+remainder), so every shard's bitmap segments are whole words.  Later
+appends only touch the **last** shard (boundaries of the earlier shards
+are immutable), queueing tail chunks there; ``rebalance()`` re-splits
+after bulk loads.  A store saved with unaligned cuts loads with them and
+answers the same: only the merge is slower, until a ``rebalance()`` or a
+reshard aligns it.
 
 Persistence (:func:`save_sharded` / :func:`load_sharded`) reuses the PR-1
 generation/CRC scheme *per shard*: every shard directory is a complete
@@ -45,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ManifestError, PersistenceError
-from .bitmap import Bitmap
+from .bitmap import _WORD_BITS, Bitmap
 from .column import MeasureColumn, rank_rows
 from .iostats import IOStatsCollector
 from .persistence import load_relation, save_relation
@@ -93,6 +99,20 @@ def _copy_contents(source, target):
     return target
 
 
+def _first_split(n_records: int, n_shards: int) -> list[int]:
+    """Shard sizes for the first batch into an empty table: an even split,
+    in whole 64-record words once every shard would hold at least one, the
+    last shard taking the remainder.  Word-aligned cuts make every shard's
+    bitmap segment whole words, so :meth:`Bitmap.concat` merges segments
+    by copying words and the segments' words add up to the unsharded
+    column's."""
+    unit = _WORD_BITS if n_records >= _WORD_BITS * n_shards else 1
+    base, extra = divmod(n_records // unit, n_shards)
+    sizes = [unit * (base + (i < extra)) for i in range(n_shards)]
+    sizes[-1] += n_records % unit
+    return sizes
+
+
 class ShardedTable(VerticalPartitioning):
     """A master relation horizontally partitioned into record-range shards.
 
@@ -120,6 +140,8 @@ class ShardedTable(VerticalPartitioning):
             MasterRelation(partition_width=partition_width, collector=self._collector)
             for _ in range(n_shards)
         ]
+        # (shard list, starts) behind shard_starts().
+        self._cuts: tuple[list, list[int]] | None = None
         self.dropped_views: list[tuple[str, str]] = []
         self.app_meta: dict | None = None
 
@@ -145,11 +167,18 @@ class ShardedTable(VerticalPartitioning):
         return list(self.shards)
 
     def shard_starts(self) -> list[int]:
-        starts, offset = [], 0
-        for shard in self.shards:
-            starts.append(offset)
-            offset += shard.n_records
-        return starts
+        """Global row offset of each shard, memoized on the shard list: the
+        cuts move only when ``shards`` does (reshard, rebalance, a shard
+        replaced in place) or at the first split, which drops the memo —
+        later appends grow the last shard, whose start stays."""
+        cuts = self._cuts
+        if cuts is None or cuts[0] != self.shards:
+            starts, offset = [], 0
+            for shard in self.shards:
+                starts.append(offset)
+                offset += shard.n_records
+            cuts = self._cuts = (list(self.shards), starts)
+        return list(cuts[1])
 
     def split_rows(self, rows: np.ndarray) -> RowSplit:
         """Route global ``rows`` to their shards.  :meth:`measures` and
@@ -191,13 +220,13 @@ class ShardedTable(VerticalPartitioning):
     def append_columns(self, n_new: int, columns: Mapping[int, tuple]) -> int:
         """:meth:`MasterRelation.append_columns` on the last shard (earlier
         shard boundaries are immutable); an empty table instead splits the
-        batch evenly, each shard taking the cells in its range."""
+        batch (:func:`_first_split`), each shard taking the cells in its
+        range."""
         first = self.n_records
         if first:
             self.shards[-1].append_columns(n_new, columns)
             return first
-        base, extra = divmod(n_new, len(self.shards))
-        sizes = [base + (i < extra) for i in range(len(self.shards))]
+        sizes = _first_split(n_new, len(self.shards))
         bounds = np.cumsum([0, *sizes]).tolist()
         pieces: list[dict] = [{} for _ in self.shards]
         for edge_id, (rows, vals) in columns.items():
@@ -208,6 +237,7 @@ class ShardedTable(VerticalPartitioning):
                     piece[edge_id] = (rows[lo:hi] - start, vals[lo:hi])
         for shard, size, piece in zip(self.shards, sizes, pieces):
             shard.append_columns(size, piece)
+        self._cuts = None
         return first
 
     def set_record_count(self, n_records: int) -> None:
@@ -233,7 +263,8 @@ class ShardedTable(VerticalPartitioning):
                 shard.put_column(edge_id, piece)
 
     def rebalance(self) -> None:
-        """Re-split the record space into even contiguous ranges.
+        """Re-split the record space into even contiguous ranges, cut as
+        the first batch is (:func:`_first_split`).
 
         Loads into a non-empty table land in the last shard; rebalancing
         afterwards restores balanced shards.  Global record order, columns,

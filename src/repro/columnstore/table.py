@@ -244,9 +244,13 @@ class MasterRelation(VerticalPartitioning):
         ``bp_l``.  A missing view is a ``KeyError``, a stale one raises."""
         if kind == "element":
             column = self._columns.get(token)
-            if column is not None and len(column) == self._n_records:
-                return column.validity  # up to date: the fold's common case
-            if column is None and token not in self._tails:
+            if column is not None:
+                # Up to date: the fold's common case, paid per (ref, shard),
+                # so the length test reads the slots, not two properties.
+                bitmap = column._validity
+                if bitmap._length == self._n_records:
+                    return bitmap
+            elif token not in self._tails:
                 return None
             return self._column(token).validity
         if kind == "graph-view":

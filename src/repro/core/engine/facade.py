@@ -233,7 +233,8 @@ class GraphAnalyticsEngine:
     def load_records(self, records: Iterable[GraphRecord]) -> int:
         """Bulk-load graph records as one batch; returns how many.
 
-        An *empty* sharded engine splits them into even record ranges.  A
+        An *empty* sharded engine splits them into even record ranges, on
+        64-record word boundaries once every shard gets a word.  A
         sharded engine that already holds records appends to its last shard
         and rebalances (record order, and thus query answers, are
         unchanged).  Use :meth:`append_records` for incremental growth that
@@ -301,8 +302,9 @@ class GraphAnalyticsEngine:
         self._bump_epoch()
 
     def rebalance(self) -> None:
-        """Re-split a sharded backend into even record ranges (no-op when
-        unsharded); useful after many incremental appends."""
+        """Re-split a sharded backend into even, word-aligned record
+        ranges (no-op when unsharded); useful after many incremental
+        appends, or to align a store saved with other cuts."""
         if self.n_shards > 1:
             self.relation.rebalance()
             self._planner.invalidate()

@@ -84,34 +84,42 @@ def supervised_fold(task, fold: Callable, env: ExecEnv, ctx) -> Bitmap:
     bounded retries, the per-shard breaker and — with ``partial_ok`` — an
     all-zero substitute for a persistently failing shard (its record range
     lands on the context's degraded ledger).  Without one, the first failure
-    raises a typed :class:`~repro.errors.ShardExecutionError`."""
+    raises a typed :class:`~repro.errors.ShardExecutionError`.  An untraced
+    query opens no span here: a healthy shard costs its fold and the
+    policy's lock-free breaker reads."""
     if ctx is not None:
         ctx.check()
-    length = task.relation.n_records
-    start, stop = task.start, task.start + length
-    with env.span("shard", shard=task.shard) as span:
-        if env.policy is not None:
-            segment = env.policy.run_shard(
-                task.shard, start, stop, fold, ctx, generation=env.epoch
-            )
-            # None = skipped under partial_ok (never cached — an all-zero
-            # segment is not the shard's answer).
+    if env.tracer is None:
+        segment = _supervise(task, fold, env, ctx)
+    else:
+        with env.tracer.span("shard", shard=task.shard) as span:
+            segment = _supervise(task, fold, env, ctx)
             if segment is None:
-                segment = Bitmap.zeros(length)
-                if span is not None:
-                    span.meta["degraded"] = "skipped"
-        else:
-            try:
-                segment = fold()
-            except ResilienceError:
-                raise
-            except Exception as exc:
-                raise ShardExecutionError(
-                    f"shard {task.shard} failed: {exc} "
-                    f"(records [{start}:{stop}) unavailable)",
-                    shard=task.shard, start=start, stop=stop,
-                ) from exc
-    return segment
+                span.meta["degraded"] = "skipped"
+    # None = skipped under partial_ok (never cached — an all-zero segment
+    # is not the shard's answer).
+    return Bitmap.zeros(task.relation.n_records) if segment is None else segment
+
+
+def _supervise(task, fold: Callable, env: ExecEnv, ctx) -> Bitmap | None:
+    """``fold()`` under the policy, or typed on its first failure."""
+    start = task.start
+    if env.policy is not None:
+        return env.policy.run_shard(
+            task.shard, start, start + task.relation.n_records, fold, ctx,
+            generation=env.epoch,
+        )
+    try:
+        return fold()
+    except ResilienceError:
+        raise
+    except Exception as exc:
+        stop = start + task.relation.n_records
+        raise ShardExecutionError(
+            f"shard {task.shard} failed: {exc} "
+            f"(records [{start}:{stop}) unavailable)",
+            shard=task.shard, start=start, stop=stop,
+        ) from exc
 
 
 def _conjunction(plan, env: ExecEnv, ctx) -> Bitmap:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 from ...columnstore.bitmap import Bitmap
 from ..rewrite import ConjunctionPart
@@ -65,20 +66,35 @@ class ShardTask:
         return f"ShardTask(shard={self.shard}, start={self.start})"
 
 
-def shard_tasks(backend) -> list[ShardTask]:
+# backend -> (shard relations, starts, their tasks): shard_tasks' memo.
+_TASKS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def shard_tasks(backend) -> tuple[ShardTask, ...]:
     """The backend's record-range shards as ordered work items.
 
     A plain :class:`MasterRelation` yields one task covering everything;
     a :class:`~repro.columnstore.sharded.ShardedTable` yields one per
     shard, in record order — so ``Bitmap.concat`` over per-task results is
     always the order-preserving merge.
+
+    Several shards' tasks are built once per geometry: the memo is keyed
+    on the backend and compared against its current relations (by
+    identity, so a shard replaced in place gets a new task) and starts.
+    A single relation is its own shard, and a memo holding it would keep
+    the weak key alive, so its one task is built per call.
     """
-    return [
+    relations, starts = backend.shard_relations(), backend.shard_starts()
+    memo = _TASKS.get(backend)
+    if memo is not None and memo[0] == relations and memo[1] == starts:
+        return memo[2]
+    tasks = tuple(
         ShardTask(i, start, relation)
-        for i, (relation, start) in enumerate(
-            zip(backend.shard_relations(), backend.shard_starts(), strict=True)
-        )
-    ]
+        for i, (relation, start) in enumerate(zip(relations, starts, strict=True))
+    )
+    if len(tasks) > 1:
+        _TASKS[backend] = (relations, starts, tasks)
+    return tasks
 
 
 def _fetch(relation, ref, tracer, ctx) -> Bitmap:

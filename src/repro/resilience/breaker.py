@@ -32,7 +32,10 @@ class CircuitBreaker:
 
     ``allow()`` answers "may I attempt now?" and atomically claims the
     half-open probe slot; callers must report the outcome via
-    ``record_success()`` / ``record_failure()``.
+    ``record_success()`` / ``record_failure()``.  Every transition runs
+    under the lock; the healthy shard's calls — ``allow()`` when CLOSED,
+    ``record_success()`` with no failures — are single attribute reads
+    and take none.
     """
 
     def __init__(self, failure_threshold: int = 3, reset_after: float = 30.0):
@@ -66,7 +69,15 @@ class CircuitBreaker:
 
         In HALF_OPEN only the first caller gets True (the probe); everyone
         else is refused until the probe reports its outcome.
+
+        A CLOSED breaker answers without the lock: ``_state`` is one
+        attribute read, and nothing leaves CLOSED except
+        :meth:`record_failure`, so a read that sees CLOSED linearizes
+        before any transition racing it — exactly the answer the locked
+        path would give at that point.
         """
+        if self._state == CLOSED:
+            return True
         with self._lock:
             state = self._sync_state(time.monotonic())
             if state == CLOSED:
@@ -77,6 +88,17 @@ class CircuitBreaker:
             return False
 
     def record_success(self) -> None:
+        """Close the breaker and forget its failures.
+
+        With no failure recorded there is nothing to do, and that needs no
+        lock: ``_failures`` is one attribute read, zero only while CLOSED
+        with no probe claimed (every failure raises it; only this method
+        zeroes it, and sets CLOSED under the lock as it does).  A failure
+        racing the read linearizes after this success, as it would if the
+        lock had ordered them.
+        """
+        if self._failures == 0:
+            return
         with self._lock:
             self._failures = 0
             self._state = CLOSED

@@ -106,7 +106,17 @@ class ResiliencePolicy:
 
     def breaker_for(self, shard: int, generation: int) -> CircuitBreaker:
         """The shard's breaker at this generation (fresh when the
-        generation moved — a mutation may have repaired the shard)."""
+        generation moved — a mutation may have repaired the shard).
+
+        The current generation's breaker is found without the lock: the
+        entry is an immutable ``(generation, breaker)`` pair, published by
+        one dict store, so the one ``get`` sees either a whole old pair or
+        a whole new one.  A pair of this generation is the answer the
+        locked path would return; anything else takes the lock, looks
+        again and creates or replaces the breaker there."""
+        held = self._breakers.get(shard)
+        if held is not None and held[0] == generation:
+            return held[1]
         with self._lock:
             held = self._breakers.get(shard)
             if held is not None and held[0] == generation:

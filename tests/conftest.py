@@ -19,9 +19,15 @@ interesting nodes {A, B, E, G} and exactly 5 candidate aggregate paths
 
 from __future__ import annotations
 
+import faulthandler
+import importlib.util
+
 import pytest
 
 from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord
+
+# pyproject's per-test ``timeout``, which only pytest-timeout enforces.
+HANG_SECONDS = 300
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -37,6 +43,18 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 @pytest.fixture
 def update_goldens(request: pytest.FixtureRequest) -> bool:
     return request.config.getoption("--update-goldens")
+
+
+if importlib.util.find_spec("pytest_timeout") is None:
+
+    @pytest.fixture(autouse=True)
+    def hang_guard():
+        """Without pytest-timeout a hung test would hang the run: dump
+        every thread's traceback and exit after ``HANG_SECONDS``."""
+        faulthandler.dump_traceback_later(HANG_SECONDS, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
 
 FIGURE2_EDGES = {
     1: ("A", "B"),

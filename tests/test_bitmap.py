@@ -381,6 +381,36 @@ class TestSliceConcat:
         ]
         assert Bitmap.concat(parts) == bm
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_word_copy_merge_equals_bitwise_concatenation(self, data):
+        """Parts that are whole words but the last merge by copying words,
+        any other list by shifting; both must equal the per-bit join."""
+        n = data.draw(st.integers(1, 6))
+        lengths = [64 * data.draw(st.integers(0, 3)) for _ in range(n)]
+        shape = data.draw(st.sampled_from(("aligned", "one-unaligned", "any")))
+        # Half and near-whole words are the offsets a wrong alignment test
+        # would let through.
+        odd = st.sampled_from((1, 31, 32, 33, 63)) | st.integers(1, 63)
+        if shape == "aligned":  # possibly a partial last word
+            lengths[-1] += data.draw(st.integers(0, 63))
+        elif shape == "one-unaligned":
+            lengths[data.draw(st.integers(0, n - 1))] += data.draw(odd)
+        else:
+            lengths = [w + data.draw(st.just(0) | odd) for w in lengths]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        density = data.draw(st.sampled_from((0.0, 0.3, 1.0)))
+        flags = [rng.random(length) < density for length in lengths]
+        joined = Bitmap.concat([Bitmap.from_bools(f) for f in flags])
+        expected = np.concatenate(flags)
+        assert joined.length == expected.size
+        assert joined == Bitmap.from_bools(expected)
+        np.testing.assert_array_equal(joined.to_bools(), expected)
+        words = joined.words()
+        assert words.size == -(-expected.size // 64)
+        tail = expected.size % 64
+        assert not (tail and int(words[-1]) >> tail)
+
     @given(index_sets(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_count_distributes_over_slices(self, pair, data):

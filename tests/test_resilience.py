@@ -543,6 +543,144 @@ class TestDegradedExecution:
         assert engine.stats.cache_hits > 0
 
 
+# 8 shards of at least 64 records: the word-aligned cuts.
+ALIGNED_SHARDS = 8
+ALIGNED_RECORDS = 2 * 64 * ALIGNED_SHARDS + 37
+SELECTIVE = GraphQuery.from_node_chain("A", "D", "F")  # every third record
+
+
+def _aligned_engine(registry, **policy_kw) -> GraphAnalyticsEngine:
+    engine = GraphAnalyticsEngine(shards=ALIGNED_SHARDS)
+    engine.load_records(_records(ALIGNED_RECORDS))
+    engine.use_resilience(ResiliencePolicy(sleep=_no_sleep, **policy_kw))
+    engine.use_metrics(registry)
+    return engine
+
+
+def _shard_range(engine, shard: int) -> tuple[int, int]:
+    starts = [*engine.relation.shard_starts(), engine.n_records]
+    return starts[shard], starts[shard + 1]
+
+
+def _expected_ids(skipped: tuple[int, int] = (0, 0)) -> list[str]:
+    lo, hi = skipped
+    return [f"r{i:03d}" for i in range(0, ALIGNED_RECORDS, 3) if not lo <= i < hi]
+
+
+def _counts(registry) -> dict[str, float]:
+    names = ("shard_retries", "shard_failures", "breaker_refusals", "shards_skipped")
+    return {n: registry.counter(f"resilience.{n}").value for n in names}
+
+
+@pytest.fixture
+def breaker_writes_hold_the_lock(monkeypatch):
+    """Every write to a breaker's state after construction must happen
+    under its lock: the lock-free reads are only sound if they are."""
+    unlocked = []
+
+    def checked(self, name, value):
+        if name in vars(self) and not self._lock.locked():
+            unlocked.append(name)
+        object.__setattr__(self, name, value)
+
+    monkeypatch.setattr(CircuitBreaker, "__setattr__", checked)
+    yield
+    assert not unlocked, f"breaker state written without its lock: {unlocked}"
+
+
+@pytest.mark.usefixtures("breaker_writes_hold_the_lock")
+class TestLockFreeSupervision:
+    """The healthy shard's supervision takes no lock (breaker lookup,
+    ``allow``, ``record_success``); every failure path must stay exactly
+    as counted and as locked as before, at the word-aligned geometry."""
+
+    def test_cuts_are_word_aligned(self):
+        engine = _aligned_engine(MetricsRegistry())
+        starts = engine.relation.shard_starts()
+        assert len(starts) == ALIGNED_SHARDS
+        assert all(start % 64 == 0 for start in starts)
+
+    def test_each_transient_failure_is_one_retry(self):
+        registry = MetricsRegistry()
+        engine = _aligned_engine(registry, attempts=3, breaker_threshold=3)
+        healthy = engine.relation.shards[5]
+        # More single blips than the breaker threshold: each success in
+        # between must zero the breaker's failure streak.
+        for round_ in range(1, 6):
+            proxy = fi.install_faulty_shard(engine, shard=5, fail_times=1)
+            result = engine.query(SELECTIVE)
+            assert result.record_ids == _expected_ids()
+            assert result.degraded is None
+            assert proxy.failures == 1 and proxy.calls == 2
+            assert _counts(registry) == {
+                "shard_retries": round_, "shard_failures": round_,
+                "breaker_refusals": 0, "shards_skipped": 0,
+            }
+            assert engine.resilience.breaker_states()[5] == CLOSED
+            engine.relation.shards[5] = healthy
+
+    def test_dead_shard_opens_its_breaker_and_refusals_are_counted(self):
+        registry = MetricsRegistry()
+        engine = _aligned_engine(
+            registry, attempts=1, breaker_threshold=3, breaker_reset_after=60.0
+        )
+        proxy = fi.install_faulty_shard(engine, shard=2, fail_times=None)
+        skipped = _shard_range(engine, 2)
+        assert skipped[0] % 64 == 0 and skipped[1] % 64 == 0
+        for _ in range(7):
+            result = engine.query(SELECTIVE, ctx=QueryContext.start(partial_ok=True))
+            assert result.record_ids == _expected_ids(skipped)
+            assert result.degraded.skipped_ranges() == [skipped]
+        assert proxy.failures == 3
+        assert _counts(registry) == {
+            "shard_retries": 0, "shard_failures": 3,
+            "breaker_refusals": 4, "shards_skipped": 7,
+        }
+        assert engine.resilience.breaker_states()[2] == OPEN
+        assert engine.resilience.breaker_states()[1] == CLOSED
+
+    def test_concurrent_queries_on_a_shard_thread_pool(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.exec.runners import ThreadRunner
+
+        registry = MetricsRegistry()
+        engine = _aligned_engine(
+            registry, attempts=1, breaker_threshold=3, breaker_reset_after=60.0
+        )
+        runner = ThreadRunner(4)
+        engine.use_shard_runner(runner)
+        n_queries = 24
+
+        def degraded(_):
+            return engine.query(SELECTIVE, ctx=QueryContext.start(partial_ok=True))
+
+        try:
+            # Healthy: every shard's breaker stays closed, nothing counted.
+            with ThreadPoolExecutor(4) as clients:
+                results = list(clients.map(degraded, range(n_queries)))
+            assert all(r.record_ids == _expected_ids() for r in results)
+            assert all(r.degraded is None for r in results)
+            assert set(engine.resilience.breaker_states().values()) == {CLOSED}
+            assert set(_counts(registry).values()) == {0}
+
+            # Dead shard: each query either tried it once or was refused.
+            proxy = fi.install_faulty_shard(engine, shard=7, fail_times=None)
+            skipped = _shard_range(engine, 7)
+            with ThreadPoolExecutor(4) as clients:
+                results = list(clients.map(degraded, range(n_queries)))
+        finally:
+            runner.close()
+        assert all(r.record_ids == _expected_ids(skipped) for r in results)
+        assert all(r.degraded.skipped_ranges() == [skipped] for r in results)
+        counts = _counts(registry)
+        assert counts["shards_skipped"] == n_queries
+        assert counts["shard_failures"] + counts["breaker_refusals"] == n_queries
+        assert counts["shard_failures"] >= 3 and proxy.failures > 0
+        assert counts["shard_retries"] == 0
+        assert engine.resilience.breaker_states()[7] == OPEN
+
+
 class TestDeadlinesAndCancellation:
     def test_deadline_cancels_within_twice_the_budget(self):
         engine = _sharded_engine()

@@ -27,7 +27,7 @@ from repro.columnstore import (
     load_sharded,
     save_sharded,
 )
-from repro.core import GraphAnalyticsEngine, GraphQuery, PathAggregationQuery
+from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord, PathAggregationQuery
 from repro.core.engine import INLINE, ShardRunner
 from repro.errors import CorruptionError, ManifestError, PersistenceError
 from repro.exec import BitmapCache, QueryExecutor
@@ -503,3 +503,164 @@ class TestShardAwareServing:
             assert engine._runner is INLINE
             ex.run_one(GraphQuery([next(iter(records[0].elements()))]))
         assert engine._runner is INLINE
+
+
+# -- word-aligned first split ------------------------------------------------
+
+_CHAIN = [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("A", "C"), ("E", "F")]
+_ALIGNED_QUERIES = [
+    GraphQuery.from_node_chain("A", "B", "C"),
+    GraphQuery.from_node_chain("B", "C", "D", "E"),
+    GraphQuery([("A", "C")]),
+    GraphQuery([("E", "F"), ("A", "B")]),
+]
+
+
+def _even_sizes(n: int, k: int) -> list[int]:
+    base, extra = divmod(n, k)
+    return [base + (i < extra) for i in range(k)]
+
+
+def _aligned_sizes(n: int, k: int) -> list[int]:
+    """The first split once every shard holds a 64-record word: whole
+    words, spread evenly, the last shard taking the remainder."""
+    base, extra = divmod(n // 64, k)
+    sizes = [64 * (base + (i < extra)) for i in range(k)]
+    sizes[-1] += n % 64
+    return sizes
+
+
+def _sizes(engine) -> list[int]:
+    return [s.n_records for s in engine.relation.shard_relations()]
+
+
+@pytest.fixture(scope="module")
+def dense_records():
+    rng = np.random.default_rng(64)
+    out = []
+    for i in range(192 * 8 + 5 + 40):
+        present = rng.random(len(_CHAIN)) < 0.6
+        present[rng.integers(len(_CHAIN))] = True
+        out.append(GraphRecord(f"r{i}", {
+            edge: float(rng.integers(1, 50))
+            for edge, keep in zip(_CHAIN, present) if keep
+        }))
+    return out
+
+
+def _assert_same_answers(engine, plain) -> None:
+    _assert_tables_equal(engine.relation, plain.relation)
+    rows = np.arange(plain.n_records)
+    assert engine.record_ids_at(rows) == plain.record_ids_at(rows)
+    for query in _ALIGNED_QUERIES:
+        got, expected = engine.query(query), plain.query(query)
+        assert got.record_ids == expected.record_ids
+        assert got.measures.keys() == expected.measures.keys()
+        for element, values in expected.measures.items():
+            np.testing.assert_array_equal(got.measures[element], values)
+        agg = PathAggregationQuery(query, "sum")
+        got, expected = engine.aggregate(agg), plain.aggregate(agg)
+        assert got.record_ids == expected.record_ids
+        assert got.path_values.keys() == expected.path_values.keys()
+        for path, values in expected.path_values.items():
+            np.testing.assert_array_equal(got.path_values[path], values)
+
+
+class TestWordAlignedCuts:
+    """The first split cuts on multiples of 64 records once every shard
+    would hold one whole word; below that it is the even split (the
+    small-table geometry of TestGeometry).  Either way the answers are the
+    unsharded engine's, bit for bit."""
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize("offset", ["64k-1", "64k", "64k+1", "192k+5"])
+    def test_first_split_geometry_and_answers(self, dense_records, k, offset):
+        n = {"64k-1": 64 * k - 1, "64k": 64 * k, "64k+1": 64 * k + 1,
+             "192k+5": 192 * k + 5}[offset]
+        records = dense_records[:n]
+        plain = GraphAnalyticsEngine()
+        plain.load_records(records)
+        engine = GraphAnalyticsEngine(shards=k)
+        engine.load_records(records)
+        aligned = n >= 64 * k
+        assert _sizes(engine) == (_aligned_sizes(n, k) if aligned else _even_sizes(n, k))
+        if aligned:
+            assert all(start % 64 == 0 for start in engine.relation.shard_starts())
+            # Whole-word segments: a column's words add up to the unsharded
+            # column's, and the merge is a word copy.
+            nbytes = sum(s.ref_bitmap("element", 0).nbytes()
+                         for s in engine.relation.shard_relations())
+            assert nbytes == plain.relation.ref_bitmap("element", 0).nbytes()
+        else:
+            # Below a word per shard the even split stays; at 64k-1 it
+            # happens to cut on 64 too, every other size here does not.
+            assert offset == "64k-1"
+        _assert_same_answers(engine, plain)
+
+    def test_appends_grow_only_the_last_shard(self, dense_records):
+        n, k = 192 * 3 + 5, 3
+        plain = GraphAnalyticsEngine()
+        plain.load_records(dense_records[:n])
+        engine = GraphAnalyticsEngine(shards=k)
+        engine.load_records(dense_records[:n])
+        starts = engine.relation.shard_starts()
+        for lo, hi in ((n, n + 7), (n + 7, n + 30), (n + 30, n + 40)):
+            more = dense_records[lo:hi]
+            engine.append_records(more)
+            plain.append_records(more)
+            assert engine.relation.shard_starts() == starts
+            assert _sizes(engine)[:-1] == _aligned_sizes(n, k)[:-1]
+            _assert_same_answers(engine, plain)
+
+    def test_reshard_and_rebalance_realign(self, dense_records):
+        plain = GraphAnalyticsEngine()
+        plain.load_records(dense_records[:300])
+        engine = GraphAnalyticsEngine(shards=2)
+        engine.load_records(dense_records[:300])
+        more = dense_records[300:341]
+        engine.append_records(more)
+        plain.append_records(more)
+        assert _sizes(engine) == [128, 128 + 44 + 41]
+        engine.rebalance()
+        assert _sizes(engine) == _aligned_sizes(341, 2)
+        _assert_same_answers(engine, plain)
+        engine.reshard(3)
+        assert _sizes(engine) == _aligned_sizes(341, 3)
+        _assert_same_answers(engine, plain)
+        engine.reshard(8)  # 341 < 8 * 64: the even split
+        assert _sizes(engine) == _even_sizes(341, 8)
+        _assert_same_answers(engine, plain)
+
+    def test_store_saved_with_unaligned_cuts(self, tmp_path, dense_records):
+        """A store written at the even split (every store saved before the
+        cuts were aligned) loads with its own geometry, answers exactly,
+        and the next rebalance or reshard aligns it."""
+        n, k = 192 * 3 + 5, 3
+        records = dense_records[:n]
+        plain = GraphAnalyticsEngine()
+        plain.load_records(records)
+        engine = GraphAnalyticsEngine(shards=k)
+        engine.load_records(records)
+        engine.materialize_graph_views(_ALIGNED_QUERIES[:2], budget=2)
+        plain.materialize_graph_views(_ALIGNED_QUERIES[:2], budget=2)
+        even = ShardedTable(k, partition_width=engine.relation.partition_width)
+        for shard, size in zip(even.shards, _even_sizes(n, k)):
+            shard.set_record_count(size)
+        for edge_id in engine.relation.element_ids():
+            even.put_column(edge_id, engine.relation.column_for_persistence(edge_id))
+        for name, bitmap in engine.relation.graph_views_for_persistence().items():
+            even.add_graph_view(name, bitmap)
+        even.collector = engine.collector
+        engine.relation = even
+        db = tmp_path / "db"
+        engine.save(db)
+        loaded = GraphAnalyticsEngine.load(db)
+        assert _sizes(loaded) == _even_sizes(n, k) != _aligned_sizes(n, k)
+        assert sorted(loaded.graph_views) == sorted(plain.graph_views)
+        _assert_same_answers(loaded, plain)
+        loaded.rebalance()
+        assert _sizes(loaded) == _aligned_sizes(n, k)
+        _assert_same_answers(loaded, plain)
+        resharded = GraphAnalyticsEngine.load(db, shards=2)
+        assert _sizes(resharded) == _aligned_sizes(n, 2)
+        _assert_same_answers(resharded, plain)
