@@ -3,8 +3,8 @@
 Packed bitmaps, NULL-suppressed rank-indexed measure columns, the vertically
 partitioned master relation, horizontal record-range sharding behind the
 :class:`StorageBackend` seam, I/O cost accounting in the paper's
-cost-model units, and ``.npy``-per-column persistence (plain and
-per-shard layouts).
+cost-model units, and ``.npy``-per-column persistence (one layout for
+plain and sharded relations, the cuts recorded in its manifest).
 """
 
 from .backend import StorageBackend
@@ -16,15 +16,9 @@ from .persistence import (
     load_relation,
     relation_disk_usage,
     save_relation,
-)
-from .sharded import (
-    BitmapAttachment,
-    ShardedTable,
-    is_sharded_dir,
-    load_sharded,
-    save_sharded,
     storage_generation,
 )
+from .sharded import ShardedTable
 from .table import MasterRelation, and_refs
 
 __all__ = [
@@ -41,9 +35,5 @@ __all__ = [
     "load_relation",
     "relation_disk_usage",
     "RelationBitmapReader",
-    "save_sharded",
-    "load_sharded",
-    "is_sharded_dir",
-    "BitmapAttachment",
     "storage_generation",
 ]

@@ -4,11 +4,11 @@ The engine's operator layer evaluates plans against *whatever* holds the
 master relation's columns: the plain in-memory :class:`MasterRelation`,
 the horizontally partitioned :class:`~repro.columnstore.sharded.ShardedTable`,
 or a relation freshly rehydrated by the persistence layer
-(:func:`~repro.columnstore.persistence.load_relation` /
-:func:`~repro.columnstore.sharded.load_sharded` both return conforming
-objects).  :class:`StorageBackend` names the contract so the seam is
-explicit and checkable — ``isinstance(obj, StorageBackend)`` works because
-the protocol is ``runtime_checkable``.
+(:func:`~repro.columnstore.persistence.load_relation` returns either, cut
+at the shard sizes its manifest records).  :class:`StorageBackend` names
+the contract so the seam is explicit and checkable —
+``isinstance(obj, StorageBackend)`` works because the protocol is
+``runtime_checkable``.
 
 A bitmap column is reached by the planner's ``(kind, token)`` ref, through
 two methods: ``ref_bitmap(kind, token)``, the uncharged lookup, and

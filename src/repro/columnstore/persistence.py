@@ -6,6 +6,12 @@ has in RAM), one word file per view bitmap — plus a versioned JSON
 manifest.  This mirrors a column store's one-file-per-column layout and
 lets the Table 2 / Figure 4 benchmarks report genuine size-on-disk numbers.
 
+There is one layout whatever the backend.  A sharded table saves as the
+one relation its merged accessors describe, and the manifest's
+``shard_records`` records its cuts (``[n_records]`` for a plain relation):
+a load splits the columns back at exactly those sizes, and a process-pool
+worker folds shard *i* as that record range of the one mapped store.
+
 Durability model (write-ahead-by-rename):
 
 * every save writes a fresh **generation directory** ``gen-NNNNNN/`` next
@@ -23,7 +29,8 @@ Durability model (write-ahead-by-rename):
 manifest before deserializing, raising :class:`~repro.errors.CorruptionError`
 / :class:`~repro.errors.ManifestError` for base columns.  A damaged *view*
 file is not fatal: the view is dropped with a warning (recorded in
-``MasterRelation.dropped_views``) and queries fall back to base bitmaps.
+``dropped_views``) and queries fall back to base bitmaps — for every shard,
+since the view's one file covers them all.
 """
 
 from __future__ import annotations
@@ -41,12 +48,14 @@ import numpy as np
 from ..errors import CorruptionError, ManifestError, PersistenceError
 from .bitmap import Bitmap
 from .column import MeasureColumn
+from .sharded import ShardedTable
 from .table import MasterRelation
 
 __all__ = [
     "save_relation",
     "load_relation",
     "relation_disk_usage",
+    "storage_generation",
     "RelationBitmapReader",
     "FORMAT_VERSION",
 ]
@@ -54,7 +63,7 @@ __all__ = [
 _MANIFEST = "manifest.json"
 _GEN_PREFIX = "gen-"
 _TMP_PREFIX = ".tmp-"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # Fault-injection seam: each hook is called with a stage label at every
 # point during a save where a crash would leave the directory in a distinct
@@ -89,6 +98,19 @@ def _try_read_manifest(root: FsPath) -> dict | None:
     return manifest if isinstance(manifest, dict) else None
 
 
+def storage_generation(directory: str | FsPath) -> int | None:
+    """The committed generation of a persisted relation; None when
+    ``directory`` holds no readable manifest.  A cheap staleness probe:
+    workers compare it against a task's stamp before re-attaching."""
+    manifest = _try_read_manifest(FsPath(directory))
+    if manifest is None or "generation" not in manifest:
+        return None
+    try:
+        return int(manifest["generation"])
+    except (TypeError, ValueError):
+        return None
+
+
 def _collect_garbage(root: FsPath, keep: set[str]) -> None:
     """Remove generation/temp directories (and staged manifests) that are
     not in ``keep`` — debris from superseded or crashed saves."""
@@ -102,11 +124,15 @@ def _collect_garbage(root: FsPath, keep: set[str]) -> None:
 
 
 def save_relation(
-    relation: MasterRelation,
+    relation: MasterRelation | ShardedTable,
     directory: str | FsPath,
     app_meta: dict | None = None,
 ) -> None:
     """Atomically write the relation's columns and views under ``directory``.
+
+    A :class:`ShardedTable` writes its merged columns, the same files an
+    unsharded relation of the same records writes, and its cuts go into
+    the manifest as ``shard_records``.
 
     The previous on-disk relation (if any) stays loadable until the final
     manifest swap; an interrupted save never damages it.  ``app_meta`` is
@@ -156,6 +182,7 @@ def save_relation(
         "generation": generation,
         "directory": gen_name,
         "n_records": relation.n_records,
+        "shard_records": [shard.n_records for shard in relation.shard_relations()],
         "partition_width": relation.partition_width,
         "element_ids": relation.element_ids(),
         "graph_views": relation.graph_view_names(),
@@ -180,6 +207,7 @@ _REQUIRED_KEYS = (
     "generation",
     "directory",
     "n_records",
+    "shard_records",
     "partition_width",
     "element_ids",
     "graph_views",
@@ -209,6 +237,17 @@ def _read_manifest(root: FsPath) -> dict:
             f"{path}: unsupported manifest format_version {version!r} "
             f"(this build reads version {FORMAT_VERSION}); re-save the relation"
         )
+    sizes = manifest["shard_records"]
+    if (
+        not isinstance(sizes, list)
+        or not sizes
+        or not all(isinstance(n, int) and n >= 0 for n in sizes)
+        or sum(sizes) != manifest["n_records"]
+    ):
+        raise ManifestError(
+            f"{path}: shard_records {sizes!r} do not cut "
+            f"{manifest['n_records']!r} records"
+        )
     return manifest
 
 
@@ -229,25 +268,17 @@ def _checked_bitmap(vals, bits, n_records: int, stem: FsPath) -> Bitmap:
     return bitmap
 
 
-def load_relation(
-    directory: str | FsPath,
-    verify: bool = True,
-    mmap_mode: str | None = None,
-) -> MasterRelation:
-    """Reconstruct a relation previously written by :func:`save_relation`.
+def load_relation(directory: str | FsPath) -> MasterRelation | ShardedTable:
+    """Reconstruct a relation previously written by :func:`save_relation`:
+    a :class:`ShardedTable` cut at the saved ``shard_records`` when they
+    name more than one shard, else a :class:`MasterRelation`.
 
     Every base-column file is checked against the manifest's size and CRC32
-    before use (disable with ``verify=False`` for speed on trusted media);
-    integrity failures raise :class:`CorruptionError`.  A damaged graph- or
-    aggregate-view file only drops that view — a warning is emitted, the
-    drop is recorded in ``relation.dropped_views``, and query evaluation
-    degrades to the base ``b_i`` bitmaps.
-
-    ``mmap_mode="r"`` memory-maps the column files read-only instead of
-    reading them eagerly, so attachments from several processes share the
-    OS page cache; pair it with ``verify=False`` — checksumming reads every
-    byte, which defeats the laziness.  (For a fully zero-copy *bitmap*
-    attachment, see :class:`RelationBitmapReader`.)
+    before use; integrity failures raise :class:`CorruptionError`.  A
+    damaged graph- or aggregate-view file only drops that view — a warning
+    is emitted, the drop is recorded in ``relation.dropped_views``, and
+    query evaluation degrades to the base ``b_i`` bitmaps.  (For a
+    zero-copy *bitmap* attachment, see :class:`RelationBitmapReader`.)
     """
     root = FsPath(directory)
     manifest = _read_manifest(root)
@@ -268,17 +299,16 @@ def load_relation(
         path = gen_dir / name
         if not path.is_file():
             raise CorruptionError(f"{path}: column file is missing")
-        if verify:
-            size = path.stat().st_size
-            if size != entry["size"]:
-                raise CorruptionError(
-                    f"{path}: size {size} != manifest size {entry['size']} (torn write?)"
-                )
-            crc = _crc32_of(path)
-            if crc != entry["crc32"]:
-                raise CorruptionError(f"{path}: CRC32 mismatch (corrupted data)")
+        size = path.stat().st_size
+        if size != entry["size"]:
+            raise CorruptionError(
+                f"{path}: size {size} != manifest size {entry['size']} (torn write?)"
+            )
+        crc = _crc32_of(path)
+        if crc != entry["crc32"]:
+            raise CorruptionError(f"{path}: CRC32 mismatch (corrupted data)")
         try:
-            return np.load(path, mmap_mode=mmap_mode)
+            return np.load(path)
         except Exception as exc:  # np.load raises assorted ValueError/EOFError
             raise CorruptionError(f"{path}: unreadable .npy payload: {exc}") from None
 
@@ -316,7 +346,8 @@ def load_relation(
         except (PersistenceError, ValueError, IndexError) as exc:
             _drop_view(name, exc)
     relation.app_meta = manifest.get("app_meta")
-    return relation
+    sizes = manifest["shard_records"]
+    return ShardedTable.cut(relation, sizes) if len(sizes) > 1 else relation
 
 
 class RelationBitmapReader:
@@ -334,6 +365,10 @@ class RelationBitmapReader:
       file pages, shared across every attachment through the OS page
       cache;
     * graph views map ``gv_{name}.npy`` the same way.
+
+    A sharded save is still one store: :meth:`shard_bitmap` serves shard
+    *i* as the record range the manifest's ``shard_records`` cut gives it,
+    a view of the mapped words when the cut falls on a 64-record boundary.
 
     The mapping is read-only: any write attempt through a returned bitmap
     raises, and the attachment never dirties a page (no write-back).
@@ -358,10 +393,13 @@ class RelationBitmapReader:
         self._gen_dir = gen_dir
         self.generation = int(manifest["generation"])
         self.n_records = int(manifest["n_records"])
+        self.shard_records = manifest["shard_records"]
+        self._shard_starts = np.cumsum([0, *self.shard_records]).tolist()
         self._element_ids = {int(i) for i in manifest["element_ids"]}
         self._graph_views = set(manifest["graph_views"])
         self._aggregate_views = set(manifest["aggregate_views"])
         self._bitmaps: dict[tuple[str, object], Bitmap] = {}
+        self._segments: dict[tuple[int, str, object], Bitmap] = {}
 
     def _mmap(self, name: str) -> np.ndarray:
         path = self._gen_dir / name
@@ -378,8 +416,8 @@ class RelationBitmapReader:
 
     def ref_bitmap(self, kind: str, token) -> Bitmap | None:
         """The mapped bitmap a planner ref names — same contract as
-        :meth:`MasterRelation.ref_bitmap`: None for an element the relation
-        (this shard) never saw, a ``KeyError`` for a missing view."""
+        :meth:`MasterRelation.ref_bitmap`: None for an element the store
+        never saw, a ``KeyError`` for a missing view."""
         key = (kind, token)
         cached = self._bitmaps.get(key)
         if cached is None:
@@ -397,6 +435,19 @@ class RelationBitmapReader:
                 cached = self._column_bitmap(f"av_{token}")
             self._bitmaps[key] = cached
         return cached
+
+    def shard_bitmap(self, shard: int, kind: str, token) -> Bitmap | None:
+        """Shard ``shard``'s segment of :meth:`ref_bitmap`, memoized per
+        ``(shard, kind, token)``: a warm lookup is one dict probe."""
+        key = (shard, kind, token)
+        segment = self._segments.get(key)
+        if segment is None:
+            whole = self.ref_bitmap(kind, token)
+            if whole is None:
+                return None
+            start, stop = self._shard_starts[shard], self._shard_starts[shard + 1]
+            segment = self._segments[key] = whole.slice(start, stop)
+        return segment
 
 
 def relation_disk_usage(directory: str | FsPath) -> int:

@@ -28,50 +28,28 @@ after bulk loads.  A store saved with unaligned cuts loads with them and
 answers the same: only the merge is slower, until a ``rebalance()`` or a
 reshard aligns it.
 
-Persistence (:func:`save_sharded` / :func:`load_sharded`) reuses the PR-1
-generation/CRC scheme *per shard*: every shard directory is a complete
-:func:`~repro.columnstore.persistence.save_relation` layout with its own
-manifest and checksums, grouped under a root generation directory whose
-``shards.json`` swap is the single atomic commit point — a crash mid-save
-leaves the previous root generation (and its shard manifests) intact.
-A damaged view file in *any* shard drops that view from the shard at load
-time; the table then reports the view as globally absent, and the engine's
-existing pruning degrades the plan to base bitmaps.
+On disk a table is one relation: :func:`~repro.columnstore.persistence.save_relation`
+writes the merged columns and records the cuts in the manifest, and
+:func:`~repro.columnstore.persistence.load_relation` cuts the loaded
+columns back at exactly those sizes (:meth:`ShardedTable.cut`).  A view
+is usable only while every shard holds its segment; a damaged view file
+drops it from the whole table, and the engine's pruning degrades the plan
+to base bitmaps.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
 from collections.abc import Mapping
-from pathlib import Path as FsPath
 from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ManifestError, PersistenceError
 from .bitmap import _WORD_BITS, Bitmap
 from .column import MeasureColumn, rank_rows
 from .iostats import IOStatsCollector
-from .persistence import load_relation, save_relation
 from .table import MasterRelation, VerticalPartitioning
 
-__all__ = [
-    "RowSplit",
-    "ShardedTable",
-    "save_sharded",
-    "load_sharded",
-    "is_sharded_dir",
-    "BitmapAttachment",
-    "storage_generation",
-    "SHARD_MANIFEST",
-]
-
-SHARD_MANIFEST = "shards.json"
-SHARD_FORMAT_VERSION = 1
-_GEN_PREFIX = "gen-"
-_TMP_PREFIX = ".tmp-"
+__all__ = ["RowSplit", "ShardedTable"]
 
 
 class RowSplit(NamedTuple):
@@ -122,8 +100,8 @@ class ShardedTable(VerticalPartitioning):
     relations through :meth:`shard_relations` for parallel evaluation.
 
     All shards share one I/O collector: fetching a logical column that is
-    physically split across *k* shards records *k* (smaller) column
-    fetches — the shards really are separate column files.
+    split across *k* shards records *k* (smaller) column fetches — each
+    shard reads its own segment of the column.
     """
 
     def __init__(
@@ -277,12 +255,23 @@ class ShardedTable(VerticalPartitioning):
     def from_relation(cls, relation, n_shards: int) -> "ShardedTable":
         """Horizontally partition an existing relation (or re-shard a
         sharded one) into ``n_shards`` balanced record ranges."""
+        if n_shards < 1:
+            raise ValueError("n_shards must be >= 1")
+        return cls.cut(relation, _first_split(relation.n_records, n_shards))
+
+    @classmethod
+    def cut(cls, relation, sizes: list[int]) -> "ShardedTable":
+        """Partition an existing relation into record ranges of exactly
+        ``sizes`` (summing to its record count) — how a saved table loads
+        at its saved cuts.  Shards take slices of the relation's columns:
+        views of its words where a cut falls on a 64-record boundary."""
         table = cls(
-            n_shards,
+            len(sizes),
             partition_width=relation.partition_width,
             collector=relation.collector,
         )
-        table.set_record_count(relation.n_records)
+        for shard, n_records in zip(table.shards, sizes):
+            shard.set_record_count(n_records)
         return _copy_contents(relation, table)
 
     def to_relation(self) -> MasterRelation:
@@ -466,226 +455,3 @@ class ShardedTable(VerticalPartitioning):
             )
             for name in self.aggregate_view_names()
         }
-
-
-# -- sharded persistence -----------------------------------------------------
-
-
-def is_sharded_dir(directory: str | FsPath) -> bool:
-    """Whether ``directory`` holds a sharded relation (root ``shards.json``)."""
-    return (FsPath(directory) / SHARD_MANIFEST).is_file()
-
-
-def _try_read_shard_manifest(root: FsPath) -> dict | None:
-    path = root / SHARD_MANIFEST
-    if not path.is_file():
-        return None
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    return manifest if isinstance(manifest, dict) else None
-
-
-def _collect_root_garbage(root: FsPath, keep: set[str]) -> None:
-    for child in root.iterdir():
-        if child.name in keep or child.name == SHARD_MANIFEST:
-            continue
-        if child.is_dir() and child.name.startswith((_GEN_PREFIX, _TMP_PREFIX)):
-            shutil.rmtree(child, ignore_errors=True)
-        elif child.is_file() and child.name == SHARD_MANIFEST + ".tmp":
-            child.unlink(missing_ok=True)
-
-
-def save_sharded(
-    table: ShardedTable,
-    directory: str | FsPath,
-    app_meta: dict | None = None,
-) -> None:
-    """Atomically persist a sharded relation under ``directory``.
-
-    Every shard is written with :func:`save_relation` — its own manifest,
-    generation directory, and CRC32 integrity entries — into a fresh root
-    generation directory; the root ``shards.json`` swap is the single
-    commit point, after which superseded root generations are collected.
-    A crash at any earlier instant leaves the previous root generation
-    (and the manifest pointing at it) untouched.
-    """
-    root = FsPath(directory)
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise PersistenceError(
-            f"cannot create relation directory {root}: {exc}"
-        ) from None
-    previous = _try_read_shard_manifest(root)
-    prev_gen = previous.get("directory") if previous else None
-    generation = int(previous.get("generation", 0)) + 1 if previous else 1
-    gen_name = f"{_GEN_PREFIX}{generation:06d}"
-    _collect_root_garbage(root, keep={prev_gen} if prev_gen else set())
-
-    tmp_dir = root / f"{_TMP_PREFIX}{gen_name}"
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    tmp_dir.mkdir()
-    for i, shard in enumerate(table.shards):
-        save_relation(shard, tmp_dir / f"shard-{i:03d}")
-    os.replace(tmp_dir, root / gen_name)
-
-    manifest = {
-        "format_version": SHARD_FORMAT_VERSION,
-        "generation": generation,
-        "directory": gen_name,
-        "n_shards": table.n_shards,
-        "shard_records": [shard.n_records for shard in table.shards],
-        "partition_width": table.partition_width,
-    }
-    if app_meta is not None:
-        manifest["app_meta"] = app_meta
-    staged = root / (SHARD_MANIFEST + ".tmp")
-    staged.write_text(json.dumps(manifest))
-    os.replace(staged, root / SHARD_MANIFEST)  # the commit point
-    _collect_root_garbage(root, keep={gen_name})
-
-
-_REQUIRED_SHARD_KEYS = (
-    "format_version",
-    "generation",
-    "directory",
-    "n_shards",
-    "shard_records",
-    "partition_width",
-)
-
-
-def _load_shard_manifest(root: FsPath) -> tuple[dict, FsPath, list[int]]:
-    """Validated root shard manifest: ``(manifest, generation dir,
-    expected per-shard record counts)``."""
-    path = root / SHARD_MANIFEST
-    if not path.is_file():
-        raise PersistenceError(f"{root} is not a sharded relation (no {SHARD_MANIFEST})")
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise ManifestError(f"{path}: manifest must be a JSON object")
-    missing = [key for key in _REQUIRED_SHARD_KEYS if key not in manifest]
-    if missing:
-        raise ManifestError(f"{path}: manifest missing fields {missing}")
-    if manifest["format_version"] != SHARD_FORMAT_VERSION:
-        raise ManifestError(
-            f"{path}: unsupported shards format_version "
-            f"{manifest['format_version']!r} (this build reads "
-            f"{SHARD_FORMAT_VERSION}); re-save the relation"
-        )
-    gen_dir = root / str(manifest["directory"])
-    if not gen_dir.is_dir():
-        raise ManifestError(
-            f"{root}: manifest names generation {manifest['directory']!r} "
-            "but that directory is missing"
-        )
-    n_shards = int(manifest["n_shards"])
-    expected = [int(n) for n in manifest["shard_records"]]
-    if n_shards < 1 or len(expected) != n_shards:
-        raise ManifestError(f"{path}: inconsistent shard geometry")
-    return manifest, gen_dir, expected
-
-
-def load_sharded(
-    directory: str | FsPath, verify: bool = True, mmap_mode: str | None = None
-) -> ShardedTable:
-    """Reconstruct a sharded relation written by :func:`save_sharded`.
-
-    Each shard loads through :func:`load_relation` with the full PR-1
-    integrity checking: corrupt base columns raise, damaged view files drop
-    that view from the shard (and — because a view must be present in
-    every shard to be usable — from the whole table, recorded in
-    ``dropped_views``).  ``mmap_mode`` is forwarded to every shard load
-    (see :func:`load_relation` for the zero-copy caveats).
-    """
-    root = FsPath(directory)
-    manifest, gen_dir, expected = _load_shard_manifest(root)
-    n_shards = len(expected)
-    table = ShardedTable(
-        n_shards, partition_width=int(manifest["partition_width"])
-    )
-    table.shards = []
-    for i in range(n_shards):
-        shard = load_relation(
-            gen_dir / f"shard-{i:03d}", verify=verify, mmap_mode=mmap_mode
-        )
-        if shard.n_records != expected[i]:
-            raise ManifestError(
-                f"{root}: shard {i} holds {shard.n_records} records but the "
-                f"manifest expects {expected[i]}"
-            )
-        shard.collector = table.collector
-        table.shards.append(shard)
-        table.dropped_views.extend(shard.dropped_views)
-    table.app_meta = manifest.get("app_meta")
-    return table
-
-
-# -- zero-copy bitmap attachment (the procpool worker's open path) -----------
-
-
-class BitmapAttachment:
-    """Read-only, zero-copy attachment to a persisted engine layout.
-
-    One :class:`~repro.columnstore.persistence.RelationBitmapReader` per
-    record-range shard (a single-relation layout attaches as one shard),
-    plus the geometry the shard-parallel operators need.  Attaching maps
-    files lazily — no column data is read until a bitmap is requested, and
-    requested bitmaps are backed by the mapped pages themselves, shared
-    across every process attached to the same generation.
-    """
-
-    def __init__(self, directory: str | FsPath):
-        from .persistence import RelationBitmapReader
-
-        root = FsPath(directory)
-        if is_sharded_dir(root):
-            manifest, gen_dir, expected = _load_shard_manifest(root)
-            self.generation = int(manifest["generation"])
-            self.readers = [
-                RelationBitmapReader(gen_dir / f"shard-{i:03d}")
-                for i in range(len(expected))
-            ]
-            for i, (reader, n) in enumerate(zip(self.readers, expected, strict=True)):
-                if reader.n_records != n:
-                    raise ManifestError(
-                        f"{root}: shard {i} holds {reader.n_records} records "
-                        f"but the manifest expects {n}"
-                    )
-        else:
-            reader = RelationBitmapReader(root)
-            self.generation = reader.generation
-            self.readers = [reader]
-        starts, offset = [], 0
-        for reader in self.readers:
-            starts.append(offset)
-            offset += reader.n_records
-        self.shard_starts = starts
-        self.n_records = offset
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.readers)
-
-
-def storage_generation(directory: str | FsPath) -> int | None:
-    """The committed generation of a persisted layout (sharded or plain);
-    None when ``directory`` holds no readable manifest.  A cheap staleness
-    probe: workers compare it against a task's stamp before re-attaching."""
-    root = FsPath(directory)
-    manifest = _try_read_shard_manifest(root)
-    if manifest is None:
-        from .persistence import _try_read_manifest
-
-        manifest = _try_read_manifest(root)
-    if manifest is None or "generation" not in manifest:
-        return None
-    try:
-        return int(manifest["generation"])
-    except (TypeError, ValueError):
-        return None

@@ -33,13 +33,7 @@ from ...columnstore.bitmap import Bitmap
 from ...columnstore.column import MeasureColumn, sorted_cells
 from ...columnstore.iostats import IOStats, IOStatsCollector
 from ...columnstore.persistence import load_relation, save_relation
-from ...columnstore.sharded import (
-    SHARD_MANIFEST,
-    ShardedTable,
-    is_sharded_dir,
-    load_sharded,
-    save_sharded,
-)
+from ...columnstore.sharded import ShardedTable
 from ...columnstore.table import MasterRelation, and_refs
 from ...errors import IngestError, ManifestError, PersistenceError
 from ..aggregates import get_function
@@ -329,12 +323,8 @@ class GraphAnalyticsEngine:
 
     @staticmethod
     def is_saved_engine(directory: str | FsPath) -> bool:
-        """Whether ``directory`` looks like a saved engine database
-        (either the plain single-relation layout or the sharded one)."""
-        directory = FsPath(directory)
-        return (directory / "manifest.json").is_file() or (
-            directory / SHARD_MANIFEST
-        ).is_file()
+        """Whether ``directory`` looks like a saved engine database."""
+        return (FsPath(directory) / "manifest.json").is_file()
 
     def _engine_meta(self) -> dict:
         # Ids keep their JSON type (an int id loads as that int); only what
@@ -370,25 +360,20 @@ class GraphAnalyticsEngine:
         """Persist the full engine (relation + catalog + view definitions)
         under ``directory``, crash-safely.
 
-        The engine metadata rides inside the relation manifest (the root
-        shard manifest when sharded), so columns, views, and catalog commit
-        in *one* atomic swap — an interrupted save leaves the previous
-        state loadable, never a torn mix.  A sharded engine writes one
-        full per-shard relation layout (own manifest + CRCs) per shard.
+        The engine metadata rides inside the relation manifest, so columns,
+        views, and catalog commit in *one* atomic swap — an interrupted
+        save leaves the previous state loadable, never a torn mix.  A
+        sharded engine writes the same files an unsharded one does, its
+        cuts recorded in the manifest.
         """
-        directory = FsPath(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        meta = self._engine_meta()
-        if isinstance(self.relation, ShardedTable):
-            save_sharded(self.relation, directory, app_meta=meta)
-        else:
-            save_relation(self.relation, directory, app_meta=meta)
+        save_relation(self.relation, directory, app_meta=self._engine_meta())
 
     @classmethod
     def load(
         cls, directory: str | FsPath, shards: int | None = None
     ) -> "GraphAnalyticsEngine":
-        """Reconstruct an engine saved by :meth:`save` (either layout).
+        """Reconstruct an engine saved by :meth:`save`, cut at its saved
+        shard sizes.
 
         Base columns are integrity-checked (corruption raises
         :class:`~repro.errors.CorruptionError`); views whose files were
@@ -399,10 +384,7 @@ class GraphAnalyticsEngine:
         """
         directory = FsPath(directory)
         engine = cls()
-        if is_sharded_dir(directory):
-            relation = load_sharded(directory)
-        else:
-            relation = load_relation(directory)
+        relation = load_relation(directory)
         relation.collector = engine.collector
         engine.relation = relation
         meta = relation.app_meta

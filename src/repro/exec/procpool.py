@@ -7,9 +7,10 @@ pieces of shared-nothing plumbing:
 
 * **Zero-copy attach** — workers never deserialize the relation.  Each
   worker memory-maps the persisted generation directory read-only through
-  :class:`~repro.columnstore.BitmapAttachment`, so every attached process
-  shares the same OS page cache for the column files; attaching costs one
-  manifest read, not a data copy.
+  one :class:`~repro.columnstore.RelationBitmapReader`, so every attached
+  process shares the same OS page cache for the column files; attaching
+  costs one manifest read, not a data copy.  Shard *i* is the record range
+  the manifest's cuts give it, a slice of the one mapped store.
 * **Plan fragments, not plans** — a task ships the physical plan's
   ``refs``: each :class:`~repro.core.rewrite.ConjunctionPart` resolved
   once, by the planner, to a storage-level ``(kind, token)`` pair
@@ -52,11 +53,12 @@ import multiprocessing.connection
 import os
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from ..columnstore import Bitmap, BitmapAttachment, and_refs, storage_generation
+from ..columnstore import Bitmap, RelationBitmapReader, and_refs, storage_generation
 from ..errors import QueryCancelledError, QueryTimeoutError
 
 __all__ = ["ProcessShardPool", "WorkerCrashedError", "WorkerTaskError", "StaleGenerationError"]
@@ -138,7 +140,7 @@ def _worker_main(worker_id, storage_dir, conn):
     intact.
     """
     storage_dir = Path(storage_dir)
-    attachment = None
+    reader = None
     pending = []  # tasks buffered while draining mid-fold
     cancelled = set()  # task ids cancelled before their reply was sent
     done_hwm = -1  # highest task id already replied to (prunes stale notes)
@@ -186,8 +188,8 @@ def _worker_main(worker_id, storage_dir, conn):
         """One shard's ``(status, payload)`` slot; a non-empty result's
         words go on ``words``, to follow the header."""
         try:
-            reader = attachment.readers[shard]
-            result = and_refs(reader.ref_bitmap, fragment, reader.n_records, check)
+            lookup = partial(reader.shard_bitmap, shard)
+            result = and_refs(lookup, fragment, reader.shard_records[shard], check)
         except (QueryTimeoutError, QueryCancelledError):
             raise  # the whole task stops
         except Exception as exc:  # this shard's fault alone
@@ -213,18 +215,18 @@ def _worker_main(worker_id, storage_dir, conn):
                 conn.send((task_id, worker_id, stamp, "cancelled", None))
                 continue
             generation = stamp[0]
-            if attachment is None or attachment.generation != generation:
+            if reader is None or reader.generation != generation:
                 if storage_generation(storage_dir) != generation:
                     done_hwm = max(done_hwm, task_id)
                     conn.send((task_id, worker_id, stamp, "stale", None))
                     continue
-                attachment = BitmapAttachment(storage_dir)
+                reader = RelationBitmapReader(storage_dir)
             check, words = task_check(task_id, deadline), []
             try:
                 slots = tuple(fold(shard, fragment, check, words) for shard in shards)
                 status, payload = "ok", slots
                 if any(slot[0] == "error" for slot in slots):
-                    attachment = None  # re-probe the manifest, as below
+                    reader = None  # re-probe the manifest, as below
             except QueryTimeoutError:
                 status, payload, words = "timeout", budget, []
             except QueryCancelledError:
@@ -237,7 +239,7 @@ def _worker_main(worker_id, storage_dir, conn):
         except Exception as exc:  # answer *something* or the task hangs
             # A failed attach may be a half-committed swap; drop the
             # mapping so the next task re-probes the manifest.
-            attachment = None
+            reader = None
             done_hwm = max(done_hwm, task_id)
             detail = f"{type(exc).__name__}: {exc}"
             try:

@@ -17,8 +17,9 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
-from ..columnstore import BitmapAttachment, storage_generation
+from ..columnstore import RelationBitmapReader, storage_generation
 from ..core.engine import ShardRunner
+from ..errors import PersistenceError
 from .procpool import ProcessShardPool
 
 __all__ = ["ThreadRunner", "ProcessRunner"]
@@ -47,8 +48,8 @@ class ProcessRunner(ShardRunner):
     """Fold each shard on a worker process over zero-copy mmap storage.
 
     Workers attach to ``storage_dir`` in place when it holds a committed
-    save with this engine's geometry (the CLI passes the database it just
-    loaded); otherwise the engine is spooled to a private temp directory,
+    save cut where this engine's shards are (the CLI passes the database it
+    just loaded); otherwise the engine is spooled to a private temp directory,
     removed on :meth:`close`.  The owner calls :meth:`resync` after every
     mutation so the workers see the new generation.  ``count(name, n)``
     publishes a counter."""
@@ -111,11 +112,10 @@ class ProcessRunner(ShardRunner):
 
 def _holds(directory: Path, engine) -> bool:
     """Whether ``directory`` is a committed save that is plausibly this
-    engine's current state: shard count and total records agree."""
-    if storage_generation(directory) is None:
-        return False
+    engine's current state: cut at the engine's shard sizes, since workers
+    fold the store's record ranges and the parent merges at its own."""
     try:
-        attachment = BitmapAttachment(directory)
-    except Exception:
-        return False
-    return (attachment.n_shards, attachment.n_records) == (engine.n_shards, engine.n_records)
+        stored = RelationBitmapReader(directory).shard_records
+    except (PersistenceError, OSError, TypeError, ValueError):
+        return False  # no committed save there, or an unreadable one
+    return stored == [shard.n_records for shard in engine.relation.shard_relations()]

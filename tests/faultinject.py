@@ -17,25 +17,31 @@ Simulates the storage failures a production deployment actually sees:
   chosen methods raise, either a fixed number of times (a transient I/O
   blip the retry policy should absorb) or forever (a dead shard the
   circuit breaker should isolate); :func:`install_faulty_shard` splices
-  the proxy into a running engine.
+  the proxy into a running engine;
+* **shard failures inside a process-pool worker** — :func:`fail_shard_in_workers`
+  starts the pool's workers through an entry point that makes every
+  lookup on one shard raise in the worker process, where the fold runs.
 
-All helpers except the shard proxies operate on a relation directory
-written by ``save_relation``.
+All helpers except the shard proxies and the worker fault operate on a
+relation directory written by ``save_relation``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+from functools import partial
 from pathlib import Path
 
 from repro.columnstore import persistence
+from repro.exec import procpool
 
 __all__ = [
     "SimulatedCrash",
     "SimulatedShardIOError",
     "FaultyRelation",
     "install_faulty_shard",
+    "fail_shard_in_workers",
     "record_save_stages",
     "save_stage_labels",
     "crash_at_stage",
@@ -128,6 +134,32 @@ def install_faulty_shard(
     proxy = FaultyRelation(table.shards[shard], methods=methods, fail_times=fail_times)
     table.shards[shard] = proxy
     return proxy
+
+
+# The real entry point, bound before any test swaps the module's name.
+_worker_main = procpool._worker_main
+
+
+def _worker_failing_shard(shard: int, *args) -> None:
+    """A process-pool worker whose reader raises on every lookup of
+    ``shard``: patched in the worker process, then the real loop runs."""
+    lookup = persistence.RelationBitmapReader.shard_bitmap
+
+    def shard_bitmap(self, index, kind, token):
+        if index == shard:
+            raise SimulatedShardIOError(f"injected I/O failure in shard {shard}")
+        return lookup(self, index, kind, token)
+
+    persistence.RelationBitmapReader.shard_bitmap = shard_bitmap
+    _worker_main(*args)
+
+
+def fail_shard_in_workers(monkeypatch, shard: int) -> None:
+    """Start every process-pool worker spawned (or respawned) while
+    ``monkeypatch`` is active through :func:`_worker_failing_shard`: the
+    worker answers each task, and ``shard``'s slot is always an error.
+    The entry point is pickled by name, so the worker imports this module."""
+    monkeypatch.setattr(procpool, "_worker_main", partial(_worker_failing_shard, shard))
 
 
 @contextlib.contextmanager

@@ -34,6 +34,7 @@ from repro.workloads import (
     sample_dense_queries,
     sample_path_queries,
 )
+from tests import faultinject as fi
 
 N_RECORDS = 120
 AGG_FUNCTIONS = ["sum", "min", "max", "count", "avg"]
@@ -256,13 +257,13 @@ def test_process_mode_matches_rowstore(config, records, workload, baseline):
 
 
 def test_process_mode_degraded_shard_matches_healthy_oracle(
-    tmp_path_factory, records, workload
+    tmp_path_factory, monkeypatch, records, workload
 ):
     """``partial_ok`` over a faulted storage shard, process mode: workers
-    attach (manifests are intact) but every bitmap load on the faulted
-    shard fails, the policy gives up, and the answer is bit-exact on all
-    healthy shards with the degraded report covering exactly the faulted
-    shard's record range."""
+    attach (the store is intact) but every bitmap lookup on the faulted
+    shard fails inside the worker, the policy gives up, and the answer is
+    bit-exact on all healthy shards with the degraded report covering
+    exactly the faulted shard's record range."""
     graph_queries, _ = workload
     engine = GraphAnalyticsEngine(shards=4)
     engine.load_records(records)
@@ -271,11 +272,7 @@ def test_process_mode_degraded_shard_matches_healthy_oracle(
     )
     db = tmp_path_factory.mktemp("procdb") / "db"
     engine.save(db)
-    shard_dir = next(db.glob("gen-*")) / "shard-001"
-    removed = [path for path in shard_dir.rglob("*.npy")]
-    for path in removed:
-        path.unlink()
-    assert removed, "expected column payloads under the shard directory"
+    fi.fail_shard_in_workers(monkeypatch, 1)
     starts = engine.relation.shard_starts()
     start, stop = starts[1], starts[2]
     skipped_ids = {records[i].record_id for i in range(start, stop)}

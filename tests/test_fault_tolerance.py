@@ -262,11 +262,6 @@ class TestCorruptionDetection:
         with pytest.raises(ReproError):
             load_relation(db)
 
-    def test_verify_false_skips_checksums(self, tmp_path):
-        db = _saved_db(tmp_path)
-        fi.corrupt_manifest_crc(db, "m0_vals.npy")
-        assert load_relation(db, verify=False).n_records == 2
-
 
 # -- graceful view degradation ----------------------------------------------
 

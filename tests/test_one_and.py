@@ -11,7 +11,8 @@ callers:
   at 1, 3 and 8 shards, whose I/O deltas must be one fetch per (ref,
   shard) — none where the shard never saw the element;
 * ``RelationBitmapReader`` attachments to the saved store, plain and
-  3-shard, as the process pool's worker reads them;
+  3-shard, as the process pool's worker reads them (a 3-shard store's
+  shard *i* is that record range of the one mapped store);
 * the engine's ``compute_view_bitmap`` at an arbitrary start row, at 1, 3
   and 8 shards, which charges nothing.
 
@@ -22,6 +23,7 @@ Every answer must equal the AND of element containment computed from
 from __future__ import annotations
 
 import tempfile
+from functools import partial
 
 import numpy as np
 from hypothesis import given, settings
@@ -30,11 +32,10 @@ from hypothesis import strategies as st
 from repro.baselines import RowStore
 from repro.columnstore import (
     Bitmap,
-    BitmapAttachment,
     RelationBitmapReader,
     ShardedTable,
     and_refs,
-    save_sharded,
+    save_relation,
 )
 from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord, PathAggregationQuery
 
@@ -140,9 +141,12 @@ def test_every_fold_is_the_and_of_element_containment(case):
         engine.save(plain)
         reader = RelationBitmapReader(plain)
         assert and_refs(reader.ref_bitmap, refs, reader.n_records).to_indices().tolist() == want
-        save_sharded(ShardedTable.from_relation(relation, 3), sharded)
-        attachment = BitmapAttachment(sharded)
-        segments = [and_refs(r.ref_bitmap, refs, r.n_records) for r in attachment.readers]
+        save_relation(ShardedTable.from_relation(relation, 3), sharded)
+        reader = RelationBitmapReader(sharded)
+        segments = [
+            and_refs(partial(reader.shard_bitmap, shard), refs, n)
+            for shard, n in enumerate(reader.shard_records)
+        ]
         assert Bitmap.concat(segments).to_indices().tolist() == want
 
     for shards in (1, 3, 8):

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.baselines import RowStore
 from repro.core import GraphAnalyticsEngine, GraphQuery
 from repro.core.engine import INLINE
 from repro.errors import QueryCancelledError, QueryTimeoutError, ShardExecutionError
@@ -26,6 +27,7 @@ from repro.obs import MetricsRegistry
 from repro.resilience import CancelToken, QueryContext, ResiliencePolicy
 from repro.columnstore import and_refs, storage_generation
 from repro.workloads import build_dataset, sample_path_queries
+from tests import faultinject as fi
 
 N_RECORDS = 150
 
@@ -210,21 +212,20 @@ class TestOneTaskPerWorker:
         assert sorted(sent) == [1, 2, 3]
         assert _tasks(registry) == 2  # worker 0: [2], worker 1: [1, 3]
 
-    def test_a_bad_shard_never_fails_its_batch_mate(self, tmp_path, corpus, queries):
-        """Shards 1 and 3 share worker 1; shard 1's bitmap files are gone.
-        Shard 3 is answered exactly from the batch reply, shard 1 alone is
-        retried and then degraded (or, without ``partial_ok``, fails the
-        query with the typed error)."""
+    def test_a_bad_shard_never_fails_its_batch_mate(
+        self, tmp_path, monkeypatch, corpus, queries
+    ):
+        """Shards 1 and 3 share worker 1; every lookup on shard 1 fails in
+        the worker.  Shard 3 is answered exactly from the batch reply, shard
+        1 alone is retried and then degraded (or, without ``partial_ok``,
+        fails the query with the typed error)."""
         engine = _fresh_engine(corpus, shards=4)
         engine.use_resilience(
             ResiliencePolicy(attempts=2, breaker_threshold=100, sleep=lambda _s: None)
         )
         db = tmp_path / "db"
         engine.save(db)
-        removed = list((next(db.glob("gen-*")) / "shard-001").rglob("*_bits.npy"))
-        assert removed
-        for path in removed:
-            path.unlink()
+        fi.fail_shard_in_workers(monkeypatch, 1)
         starts = engine.relation.shard_starts()
         start, stop = starts[1], starts[2]
         skipped = set(engine.record_ids_at(np.arange(start, stop)))
@@ -241,7 +242,7 @@ class TestOneTaskPerWorker:
                 before = _tasks(registry)
                 result = executor.run_one(query, fetch_measures=False, partial_ok=True)
                 if result.degraded is None:
-                    continue  # shard 1 holds none of the query's columns
+                    continue  # the planner answered without folding a shard
                 degraded += 1
                 # Two batch tasks, then shard 1 alone: shard 3 was not retried.
                 assert _tasks(registry) - before == 3, query
@@ -251,6 +252,53 @@ class TestOneTaskPerWorker:
                     executor.run_one(query, fetch_measures=False)
                 assert (info.value.shard, info.value.start, info.value.stop) == (1, start, stop)
                 assert "2 attempt(s)" in str(info.value)
+        assert degraded
+
+
+class TestStoreCuts:
+    def test_a_store_cut_elsewhere_is_spooled_not_attached(self, tmp_path, monkeypatch):
+        """Workers fold the store's record ranges and the parent merges at
+        its own cuts, so a store whose ``shard_records`` differ from the
+        engine's shard sizes — same shard count, same records — is never
+        attached in place: the runner spools a save of its own.  With shard
+        1 failing in every worker, a degraded answer skips exactly the
+        engine's shard 1 range and is exact everywhere else."""
+        corpus = build_dataset("NY", n_records=600, seed=24)
+        records = list(corpus.to_records())
+        queries = sample_path_queries(corpus, n_queries=30, n_edges=2, seed=25)
+        engine = GraphAnalyticsEngine(shards=3)
+        engine.load_records(records[:400])
+        engine.append_records(records[400:])
+        assert [s.n_records for s in engine.relation.shard_relations()] == [128, 128, 344]
+        db = tmp_path / "db"
+        engine.save(db)
+        with QueryExecutor(
+            GraphAnalyticsEngine.load(db), exec_mode="process", workers=1, storage_dir=db
+        ) as executor:
+            assert executor._runner.directory == db  # same cuts: attached in place
+        loaded = GraphAnalyticsEngine.load(db)
+        loaded.use_resilience(ResiliencePolicy(attempts=2, sleep=lambda _s: None))
+        loaded.rebalance()
+        assert [s.n_records for s in loaded.relation.shard_relations()] == [192, 192, 216]
+        start, stop = 192, 384
+        skipped = set(loaded.record_ids_at(np.arange(start, stop)))
+        store = RowStore()
+        store.load_records(records)
+        fi.fail_shard_in_workers(monkeypatch, 1)
+        degraded = 0
+        with QueryExecutor(
+            loaded, exec_mode="process", workers=2, storage_dir=db
+        ) as executor:
+            assert executor._runner.directory != db
+            for query in queries:
+                oracle = store.query(query).record_ids
+                result = executor.run_one(query, fetch_measures=False, partial_ok=True)
+                if result.degraded is None:
+                    assert result.record_ids == oracle, query
+                    continue
+                degraded += 1
+                assert result.degraded.skipped_ranges() == [(start, stop)], query
+                assert result.record_ids == [r for r in oracle if r not in skipped], query
         assert degraded
 
 

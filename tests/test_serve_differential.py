@@ -27,7 +27,7 @@ from repro.exec import BitmapCache, QueryExecutor
 from repro.resilience import ResiliencePolicy
 from repro.serve import ServeClient, start_in_thread
 from repro.workloads import as_aggregate_queries
-
+from tests import faultinject as fi
 from tests.test_differential import (  # noqa: F401  (fixtures re-registered)
     CONFIGS,
     PROCESS_CONFIGS,
@@ -136,7 +136,7 @@ def test_served_process_mode_matches_rowstore(
 
 
 def test_served_degraded_partial_ok_exact_skipped_ranges(
-    tmp_path_factory, records, workload
+    tmp_path_factory, monkeypatch, records, workload
 ):
     """Degraded answers over the wire: ``partial_ok`` against a faulted
     storage shard must decode with the *exact* skipped record range the
@@ -147,11 +147,7 @@ def test_served_degraded_partial_ok_exact_skipped_ranges(
     engine.use_resilience(ResiliencePolicy(attempts=2, sleep=lambda _s: None))
     db = tmp_path_factory.mktemp("servedb") / "db"
     engine.save(db)
-    shard_dir = next(db.glob("gen-*")) / "shard-001"
-    removed = list(shard_dir.rglob("*.npy"))
-    for path in removed:
-        path.unlink()
-    assert removed, "expected column payloads under the shard directory"
+    fi.fail_shard_in_workers(monkeypatch, 1)
     starts = engine.relation.shard_starts()
     start, stop = starts[1], starts[2]
     skipped_ids = {records[i].record_id for i in range(start, stop)}

@@ -5,8 +5,8 @@ relation into contiguous record-range shards behind the same
 ``StorageBackend`` contract as :class:`MasterRelation`.  These tests pin
 the invariants the operator layer relies on: balanced even splits,
 order-preserving routing and gathers, bit-identical rebalance /
-from-relation / to-relation round trips, crash-safe per-shard
-persistence with root-generation commit semantics, and the engine- and
+from-relation / to-relation round trips, crash-safe persistence as one
+relation that loads at its saved cuts, and the engine- and
 executor-level sharding seams (``shards=N``, ``reshard``, parallel
 ingest, the shard mapper)."""
 
@@ -21,11 +21,11 @@ from repro.columnstore import (
     Bitmap,
     MasterRelation,
     MeasureColumn,
+    RelationBitmapReader,
     ShardedTable,
     StorageBackend,
-    is_sharded_dir,
-    load_sharded,
-    save_sharded,
+    load_relation,
+    save_relation,
 )
 from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord, PathAggregationQuery
 from repro.core.engine import INLINE, ShardRunner
@@ -254,102 +254,211 @@ class TestShardedViews:
 # -- persistence -------------------------------------------------------------
 
 
-def _shard_dir(db, index: int):
-    manifest = json.loads((db / "shards.json").read_text())
-    return db / manifest["directory"] / f"shard-{index:03d}"
+_CUTS = [128, 128, 344]
+
+
+def _uneven_engine(extra: int = 0) -> GraphAnalyticsEngine:
+    """A 3-shard engine cut ``[128, 128, 344]`` (+ ``extra`` records on the
+    last shard): 400 records loaded, the rest appended — appends grow only
+    the last shard — with one graph view and one aggregate view."""
+    records = [
+        GraphRecord(f"r{i}", {
+            ("A", "B"): float(i),
+            **({("B", "C"): 2.0} if i % 3 == 0 else {}),
+            **({("C", "D"): 0.5} if i % 5 < 2 else {}),
+            **({("D", "E"): 1.0} if i >= 300 else {}),
+        })
+        for i in range(600 + extra)
+    ]
+    engine = GraphAnalyticsEngine(shards=3)
+    engine.load_records(records[:400])
+    engine.append_records(records[400:])
+    chain = GraphQuery.from_node_chain("A", "B", "C", "D")
+    engine.materialize_graph_views([chain], budget=1)
+    engine.materialize_aggregate_views([PathAggregationQuery(chain, "sum")], budget=1)
+    return engine
+
+
+def _words_root(bitmap) -> np.ndarray:
+    words = bitmap.words()
+    while words.base is not None:
+        words = words.base
+    return words
 
 
 class TestShardedPersistence:
+    """A sharded table saves as one relation whose manifest records its
+    cuts (``shard_records``) and loads cut exactly there."""
+
     def test_round_trip(self, tmp_path):
-        table = _sharded_table(3)
+        table = ShardedTable.cut(_reference_relation(600), _CUTS)
         db = tmp_path / "db"
-        save_sharded(table, db, app_meta={"k": 1})
-        assert is_sharded_dir(db) and not is_sharded_dir(tmp_path)
-        loaded = load_sharded(db)
-        assert loaded.n_shards == 3
+        save_relation(table, db, app_meta={"k": 1})
+        assert fi.live_manifest(db)["shard_records"] == _CUTS
+        loaded = load_relation(db)
+        assert [shard.n_records for shard in loaded.shards] == _CUTS
         assert loaded.app_meta == {"k": 1}
         _assert_tables_equal(loaded, table)
+        for got, expected in zip(loaded.shards, table.shards):
+            _assert_tables_equal(got, expected)
+        # Word-aligned cuts: every shard's segment is a view of one loaded
+        # array, not a copy of its own.
+        roots = {id(_words_root(shard.ref_bitmap("element", 0))) for shard in loaded.shards}
+        assert len(roots) == 1
+
+    def test_engine_round_trip_keeps_cuts_views_and_meta(self, tmp_path):
+        engine = _uneven_engine()
+        assert _sizes(engine) == _CUTS
+        db = tmp_path / "db"
+        engine.save(db)
+        loaded = GraphAnalyticsEngine.load(db)
+        assert _sizes(loaded) == _CUTS
+        assert engine.graph_views and engine.aggregate_views
+        assert sorted(loaded.graph_views) == sorted(engine.graph_views)
+        assert sorted(loaded.aggregate_views) == sorted(engine.aggregate_views)
+        assert loaded.relation.app_meta == engine._engine_meta()
+        _assert_tables_equal(loaded.relation, engine.relation)
+        chain = GraphQuery.from_node_chain("A", "B", "C", "D")
+        assert loaded.query(chain).record_ids == engine.query(chain).record_ids
+        agg = PathAggregationQuery(chain, "sum")
+        got, want = loaded.aggregate(agg).path_values, engine.aggregate(agg).path_values
+        assert got.keys() == want.keys()
+        for path, values in want.items():
+            np.testing.assert_array_equal(got[path], values)
+
+    def test_load_repartitions(self, tmp_path):
+        engine = _uneven_engine()
+        db = tmp_path / "db"
+        engine.save(db)
+        chain = GraphQuery.from_node_chain("A", "B", "C")
+        expected = engine.query(chain).record_ids
+        for shards in (1, 2, 5):
+            loaded = GraphAnalyticsEngine.load(db, shards=shards)
+            assert loaded.n_shards == shards
+            if shards > 1:
+                assert _sizes(loaded) == _aligned_sizes(600, shards)
+            assert loaded.query(chain).record_ids == expected
 
     def test_crash_mid_save_preserves_previous_generation(self, tmp_path):
-        table = _sharded_table(3)
-        db = tmp_path / "db"
-        save_sharded(table, db)
-        table.append_columns(1, {0: ([0], [9.0])})
-        # Sweep the crash through every per-shard save stage: whichever
-        # instant the process dies, the committed generation survives.
-        for stage in range(3):
-            with pytest.raises(fi.SimulatedCrash):
-                with fi.crash_at_stage(stage):
-                    save_sharded(table, db)
-            assert load_sharded(db).n_records == 10
-        # The next clean save commits the new state and collects debris.
-        save_sharded(table, db)
-        assert load_sharded(db).n_records == 11
-        children = sorted(p.name for p in db.iterdir())
-        assert children == [json.loads((db / "shards.json").read_text())["directory"], "shards.json"]
+        old, new = _uneven_engine(), _uneven_engine(extra=7)
+        stages = fi.save_stage_labels(new.relation, tmp_path / "stages")
+        commit = stages.index("committed")
+        for i, label in enumerate(stages):
+            db = tmp_path / f"db{i}"
+            old.save(db)
+            with fi.crash_at_stage(i), pytest.raises(fi.SimulatedCrash):
+                new.save(db)
+            loaded = GraphAnalyticsEngine.load(db)
+            want = _CUTS if i < commit else [128, 128, 351]
+            assert _sizes(loaded) == want, f"stage {label!r}"
+            assert sorted(loaded.graph_views) == sorted(old.graph_views)
+            # The next clean save commits and collects the crash's debris.
+            new.save(db)
+            assert _sizes(GraphAnalyticsEngine.load(db)) == [128, 128, 351]
+            live = fi.live_manifest(db)["directory"]
+            assert sorted(p.name for p in db.iterdir()) == [live, "manifest.json"]
 
     def test_generation_gc(self, tmp_path):
         table = _sharded_table(2)
         db = tmp_path / "db"
-        save_sharded(table, db)
-        save_sharded(table, db)
-        save_sharded(table, db)
-        assert sorted(p.name for p in db.iterdir()) == ["gen-000003", "shards.json"]
+        save_relation(table, db)
+        save_relation(table, db)
+        save_relation(table, db)
+        assert sorted(p.name for p in db.iterdir()) == ["gen-000003", "manifest.json"]
 
     def test_manifest_garbage(self, tmp_path):
         db = tmp_path / "db"
-        save_sharded(_sharded_table(2), db)
-        (db / "shards.json").write_text("{nope")
+        save_relation(_sharded_table(2), db)
+        (db / "manifest.json").write_text("{nope")
         with pytest.raises(ManifestError, match="invalid JSON"):
-            load_sharded(db)
+            load_relation(db)
 
     def test_manifest_missing_fields(self, tmp_path):
         db = tmp_path / "db"
-        save_sharded(_sharded_table(2), db)
-        (db / "shards.json").write_text(json.dumps({"format_version": 1}))
+        save_relation(_sharded_table(2), db)
+        manifest = fi.live_manifest(db)
+        del manifest["shard_records"]
+        (db / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ManifestError, match="missing fields"):
-            load_sharded(db)
+            load_relation(db)
 
     def test_unsupported_format_version(self, tmp_path):
         db = tmp_path / "db"
-        save_sharded(_sharded_table(2), db)
-        manifest = json.loads((db / "shards.json").read_text())
-        manifest["format_version"] = 99
-        (db / "shards.json").write_text(json.dumps(manifest))
-        with pytest.raises(ManifestError, match="format_version"):
-            load_sharded(db)
+        save_relation(_sharded_table(2), db)
+        manifest = fi.live_manifest(db)
+        manifest["format_version"] = 3
+        (db / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match="re-save"):
+            load_relation(db)
 
     def test_shard_count_mismatch(self, tmp_path):
         db = tmp_path / "db"
-        save_sharded(_sharded_table(2), db)
-        manifest = json.loads((db / "shards.json").read_text())
-        manifest["shard_records"] = [1, 9]
-        (db / "shards.json").write_text(json.dumps(manifest))
-        with pytest.raises(ManifestError, match="expects"):
-            load_sharded(db)
+        save_relation(_sharded_table(2), db)
+        manifest = fi.live_manifest(db)
+        manifest["shard_records"] = [5, 4]
+        (db / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match="do not cut 10 records"):
+            load_relation(db)
+
+    @pytest.mark.parametrize("cuts", [[], [-2, 12], "10", [10.0]])
+    def test_malformed_cuts_are_refused(self, tmp_path, cuts):
+        db = tmp_path / "db"
+        save_relation(_sharded_table(2), db)
+        manifest = fi.live_manifest(db)
+        manifest["shard_records"] = cuts
+        (db / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match="shard_records"):
+            load_relation(db)
+        with pytest.raises(ManifestError, match="shard_records"):
+            RelationBitmapReader(db)
 
     def test_not_a_sharded_dir(self, tmp_path):
-        with pytest.raises(PersistenceError, match="shards.json"):
-            load_sharded(tmp_path)
+        """A directory holding only the retired nested format's root
+        ``shards.json`` is refused like any other non-store."""
+        db = tmp_path / "db"
+        db.mkdir()
+        (db / "shards.json").write_text(json.dumps({"format_version": 1}))
+        with pytest.raises(PersistenceError, match="not a relation directory"):
+            load_relation(db)
+        with pytest.raises(PersistenceError, match="not a relation directory"):
+            GraphAnalyticsEngine.load(db)
+        assert not GraphAnalyticsEngine.is_saved_engine(db)
 
     def test_corrupt_shard_column_detected(self, tmp_path):
         db = tmp_path / "db"
-        save_sharded(_sharded_table(3), db)
-        fi.flip_bit(fi.data_file(_shard_dir(db, 1), "m0_vals.npy"))
+        save_relation(_sharded_table(3), db)
+        fi.flip_bit(fi.data_file(db, "m0_vals.npy"))
         with pytest.raises(CorruptionError, match="CRC32"):
-            load_sharded(db)
+            load_relation(db)
 
     def test_damaged_view_in_one_shard_drops_view_globally(self, tmp_path):
         db = tmp_path / "db"
-        save_sharded(_sharded_table(3), db)
-        fi.data_file(_shard_dir(db, 2), "gv_gv1.npy").unlink()
+        save_relation(_sharded_table(3), db)
+        fi.data_file(db, "gv_gv1.npy").unlink()
         with pytest.warns(RuntimeWarning, match="gv1"):
-            loaded = load_sharded(db)
-        # The view is gone from the table (one missing segment makes the
-        # global view unanswerable) but base columns still verify.
+            loaded = load_relation(db)
+        # The view's one file covers every shard: it is gone from the whole
+        # table, while base columns still verify.
+        assert loaded.n_shards == 3
         assert not loaded.has_graph_view("gv1")
+        assert not any(shard.has_graph_view("gv1") for shard in loaded.shards)
+        assert loaded.has_aggregate_view("av1:sum")
         assert "gv1" in [name for name, _ in loaded.dropped_views]
         assert loaded.ref_bitmap("element", 0) == _reference_relation().ref_bitmap("element", 0)
+
+    @pytest.mark.parametrize("shards", [1, 3, 8])
+    def test_file_count_is_independent_of_shards(self, tmp_path, shards):
+        relation = _reference_relation(600)
+        table = relation if shards == 1 else ShardedTable.from_relation(relation, shards)
+        db = tmp_path / "db"
+        save_relation(table, db)
+        files = [p for p in db.rglob("*") if p.is_file()]
+        # Two files per element column, one per graph view, two per
+        # aggregate view, and the manifest.
+        assert len(files) == 2 * len(relation.element_ids()) + 1 + 2 + 1
+        assert fi.live_manifest(db)["shard_records"] == [
+            shard.n_records for shard in table.shard_relations()
+        ]
 
 
 # -- engine-level sharding ---------------------------------------------------
@@ -421,7 +530,7 @@ class TestEngineSharding:
         engine.materialize_graph_views(queries[:4], budget=2)
         db = tmp_path / "db"
         engine.save(db)
-        assert is_sharded_dir(db)
+        assert fi.live_manifest(db)["shard_records"] == _sizes(engine)
         loaded = GraphAnalyticsEngine.load(db)
         assert loaded.n_shards == 3
         assert sorted(loaded.graph_views) == sorted(engine.graph_views)

@@ -1,28 +1,25 @@
-"""Zero-copy read path: mmap-backed bitmap attachments over saved layouts.
+"""Zero-copy read path: mmap-backed bitmap attachments over saved stores.
 
 The process pool's workers never deserialize a relation — they attach to
 the persisted generation directory with
-:class:`~repro.columnstore.RelationBitmapReader` /
-:class:`~repro.columnstore.BitmapAttachment`, which memory-map the packed
-bitmap files read-only.  These tests pin the zero-copy contract: bitmaps
-are views of the mapped file pages (no materialized copy), the mapping is
-read-only (no write-back possible), and two attachments map the same
-base file (shared page cache).  That every bitmap ANDs to the live
-engine's answer is the property in ``test_one_and.py``.
+:class:`~repro.columnstore.RelationBitmapReader`, which memory-maps the
+packed bitmap files read-only and serves a sharded store's shard *i* as
+that record range of the one mapping.  These tests pin the zero-copy
+contract: bitmaps are views of the mapped file pages (no materialized
+copy), the mapping is read-only (no write-back possible), two attachments
+map the same base file (shared page cache), and a shard's segment at a
+word-aligned cut is a view of the same pages.  That every bitmap ANDs to
+the live engine's answer is the property in ``test_one_and.py``.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.columnstore import (
-    BitmapAttachment,
-    RelationBitmapReader,
-    and_refs,
-    load_relation,
-    storage_generation,
-)
+from repro.columnstore import RelationBitmapReader, and_refs, storage_generation
 from repro.core import GraphAnalyticsEngine
 from repro.workloads import build_dataset, sample_path_queries
 
@@ -100,21 +97,45 @@ class TestRelationBitmapReader:
 
 
 class TestBitmapAttachment:
+    """The reader as a worker attaches it: one reader per generation, its
+    per-shard lookups cut at the manifest's ``shard_records``."""
+
     @pytest.mark.parametrize("shards", [1, 3])
     def test_geometry_and_contents(self, corpus, tmp_path, shards):
         engine = _engine(corpus, shards=shards)
         engine.save(tmp_path)
-        attachment = BitmapAttachment(tmp_path)
-        assert attachment.n_shards == shards
-        assert attachment.n_records == engine.n_records
-        assert attachment.shard_starts == engine.relation.shard_starts()
-        assert attachment.generation == storage_generation(tmp_path)
+        reader = RelationBitmapReader(tmp_path)
+        sizes = [shard.n_records for shard in engine.relation.shard_relations()]
+        assert reader.shard_records == sizes
+        assert reader.n_records == engine.n_records
+        assert reader.generation == storage_generation(tmp_path)
         edge_id = engine.catalog.get_id(next(iter(corpus.to_columnar())))
+        starts = engine.relation.shard_starts()
         merged = np.concatenate(
-            [and_refs(r.ref_bitmap, [("element", edge_id)], r.n_records).to_indices() + s
-             for r, s in zip(attachment.readers, attachment.shard_starts)]
+            [and_refs(partial(reader.shard_bitmap, i), [("element", edge_id)], n).to_indices() + s
+             for i, (n, s) in enumerate(zip(sizes, starts))]
         )
         assert merged.tolist() == engine.relation.ref_bitmap("element", edge_id).to_indices().tolist()
+        view = _view_name(engine)
+        for i, (n, s) in enumerate(zip(sizes, starts)):
+            segment = reader.shard_bitmap(i, "graph-view", view)
+            assert segment == engine.relation.ref_bitmap("graph-view", view).slice(s, s + n)
+            assert reader.shard_bitmap(i, "graph-view", view) is segment  # memoized
+
+    def test_word_aligned_segments_are_views_of_the_mapping(self, tmp_path):
+        """Past 64 records a shard the cuts fall on words (here 64/64/72),
+        so every shard's segment is the mapped pages themselves."""
+        corpus = build_dataset("NY", n_records=200, seed=9)
+        engine = _engine(corpus, shards=3)
+        engine.save(tmp_path)
+        reader = RelationBitmapReader(tmp_path)
+        assert reader.shard_records == [64, 64, 72]
+        edge_id = engine.catalog.get_id(next(iter(corpus.to_columnar())))
+        whole = _memmap_base(reader.ref_bitmap("element", edge_id))
+        for shard in range(3):
+            segment = reader.shard_bitmap(shard, "element", edge_id)
+            assert np.shares_memory(segment.words(), whole)
+            assert not segment.words().flags.writeable
 
     def test_generation_advances_on_resave(self, corpus, tmp_path):
         engine = _engine(corpus, shards=2)
@@ -122,14 +143,3 @@ class TestBitmapAttachment:
         first = storage_generation(tmp_path)
         engine.save(tmp_path)
         assert storage_generation(tmp_path) == first + 1
-
-
-class TestMmapModeLoad:
-    def test_load_relation_mmap_mode(self, corpus, tmp_path):
-        engine = _engine(corpus)
-        engine.save(tmp_path)
-        eager = load_relation(tmp_path)
-        lazy = load_relation(tmp_path, verify=False, mmap_mode="r")
-        assert lazy.n_records == eager.n_records
-        for edge_id in eager.element_ids():
-            assert lazy.ref_bitmap("element", edge_id) == eager.ref_bitmap("element", edge_id)
