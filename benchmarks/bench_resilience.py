@@ -24,6 +24,7 @@ and governed answers match the healthy baseline exactly.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from pathlib import Path
 
@@ -51,30 +52,20 @@ _results: dict[str, dict] = {}
 _answers: dict[str, list] = {}
 
 
-class FlakyShard:
-    """Proxy over one shard relation whose ``bitmap`` fetches fail with a
-    fixed probability — always transiently (the retry succeeds)."""
+def _make_flaky(relation, rng, rate: float) -> None:
+    """Patch ``relation.fold`` so that each bitmap a shard fold fetches
+    fails with a fixed probability — always transiently (the retry
+    succeeds)."""
+    fold, lock = relation.fold, threading.Lock()  # shard pool workers share the rng
 
-    def __init__(self, inner, rng, rate: float):
-        import threading
+    def flaky(refs, ctx=None, shard=None):
+        with lock:
+            fail = bool((rng.random(len(refs)) < rate).any())
+        if fail:
+            raise OSError("injected transient shard I/O error")
+        return fold(refs, ctx, shard=shard)
 
-        self._inner = inner
-        self._rng = rng
-        self._rate = rate
-        self._lock = threading.Lock()  # shard pool workers share the rng
-
-    def __getattr__(self, name):
-        attr = getattr(self._inner, name)
-        if name == "bitmap" and callable(attr):
-            def flaky(*args, **kwargs):
-                with self._lock:
-                    fail = self._rng.random() < self._rate
-                if fail:
-                    raise OSError("injected transient shard I/O error")
-                return attr(*args, **kwargs)
-
-            return flaky
-        return attr
+    relation.fold = flaky
 
 
 def _workload():
@@ -93,10 +84,7 @@ def _engine(fault_seed: int | None = None) -> GraphAnalyticsEngine:
     engine = GraphAnalyticsEngine(shards=N_SHARDS)
     engine.load_records(corpus.to_records())
     if fault_seed is not None:
-        rng = np.random.default_rng(fault_seed)
-        table = engine.relation
-        for i in range(len(table.shards)):
-            table.shards[i] = FlakyShard(table.shards[i], rng, FAULT_RATE)
+        _make_flaky(engine.relation, np.random.default_rng(fault_seed), FAULT_RATE)
     return engine
 
 

@@ -420,7 +420,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     relation = engine.relation
     print(f"records:            {relation.n_records}")
     print(f"element columns:    {relation.n_element_columns}")
-    print(f"shards:             {len(relation.shard_relations())}")
+    print(f"shards:             {len(relation.shard_records)}")
     print(f"partitions:         {relation.n_partitions} "
           f"(width {relation.partition_width})")
     print(f"graph views:        {len(relation.graph_view_names())}")

@@ -247,24 +247,37 @@ class Bitmap:
         return Bitmap(self._length, ~self._words)
 
     @staticmethod
-    def and_all(bitmaps: Iterable["Bitmap"]) -> "Bitmap":
-        """Conjunction of one or more bitmaps (``bitmap(B)`` in the paper).
+    def and_all(
+        bitmaps: Iterable["Bitmap"], start: int = 0, stop: int | None = None
+    ) -> "Bitmap":
+        """Conjunction of one or more bitmaps (``bitmap(B)`` in the paper)
+        over their bits ``[start, stop)`` — all of them by default; a range
+        is a record-range shard's segment of the conjunction.  A range
+        starting on a word boundary ANDs word slices, building no segment.
 
         Raises ``ValueError`` on an empty iterable: the conjunction of zero
         structural conditions is undefined for a query.
         """
-        it = iter(bitmaps)
-        try:
-            first = next(it)
-        except StopIteration:
-            raise ValueError("and_all() requires at least one bitmap") from None
-        acc = first._words.copy()
-        length = first._length
-        for bm in it:
+        bitmaps = list(bitmaps)
+        if not bitmaps:
+            raise ValueError("and_all() requires at least one bitmap")
+        length = bitmaps[0]._length
+        stop = length if stop is None else stop
+        if not 0 <= start <= stop <= length:
+            raise IndexError(f"range [{start}, {stop}) out of range for length {length}")
+        if start % _WORD_BITS:
+            if any(bm._length != length for bm in bitmaps):
+                raise ValueError("bitmap length mismatch in and_all()")
+            return Bitmap.and_all([bm.slice(start, stop) for bm in bitmaps])
+        word0, word1 = start // _WORD_BITS, _words_needed(stop)
+        acc = bitmaps[0]._words[word0:word1].copy()
+        for bm in bitmaps[1:]:
             if bm._length != length:
                 raise ValueError("bitmap length mismatch in and_all()")
-            acc &= bm._words
-        return Bitmap._wrap(length, acc)
+            acc &= bm._words[word0:word1]
+        if stop == length or stop % _WORD_BITS == 0:
+            return Bitmap._wrap(stop - start, acc)
+        return Bitmap(stop - start, acc)
 
     @staticmethod
     def or_all(bitmaps: Iterable["Bitmap"]) -> "Bitmap":
@@ -361,19 +374,22 @@ class Bitmap:
         return Bitmap(self._length, words)
 
     def slice(self, start: int, stop: int) -> "Bitmap":
-        """Bits ``[start, stop)`` as a new bitmap (horizontal partitioning:
-        a record-range shard's segment of a relation-wide bitmap).
+        """Bits ``[start, stop)`` as a bitmap (horizontal partitioning: a
+        record-range shard's segment of a relation-wide bitmap).
 
-        Works on the packed words directly.  A slice starting on a word
-        boundary and ending on one (or at the bitmap's end) shares the
-        packed storage as a read-only view — zero copies; any other slice
-        shifts word pairs, still 64x less data movement than unpacking to
-        booleans.
+        Works on the packed words directly.  ``slice(0, length)`` is the
+        bitmap itself.  A slice starting on a word boundary and ending on
+        one (or at the bitmap's end) wraps a read-only view of the packed
+        words — no copy, no check: the source's tail is already masked.
+        Any other slice shifts word pairs, still 64x less data movement
+        than unpacking to booleans.
         """
         if not 0 <= start <= stop <= self._length:
             raise IndexError(
                 f"slice [{start}, {stop}) out of range for length {self._length}"
             )
+        if start == 0 and stop == self._length:
+            return self
         n = stop - start
         if n == 0:
             return Bitmap.zeros(0)
@@ -382,11 +398,8 @@ class Bitmap:
         if bit == 0:
             src = self._words[word0 : word0 + n_out]
             if stop == self._length or stop % _WORD_BITS == 0:
-                # Both ends word-aligned (the source tail is already
-                # masked): share the words, no copy at all.
-                view = src.view()
-                view.setflags(write=False)
-                return Bitmap.from_packed(n, view)
+                src.setflags(write=False)
+                return Bitmap._wrap(n, src)
             return Bitmap(n, src.copy())
         # Unaligned start: out[i] = (w[i] >> bit) | (w[i+1] << 64-bit).
         # ``bit`` is in [1, 63], so both shift amounts stay in range

@@ -124,18 +124,10 @@ class MeasureColumn:
             validity | Bitmap.from_indices(length, rows),
         )
 
-    def slice(self, start: int, stop: int) -> "MeasureColumn":
-        """Rows ``[start, stop)``: the packed values cut at the two ranks
-        (a view, no copy) and the matching bitmap segment — how a column is
-        split over record-range shards."""
-        return MeasureColumn(
-            self._vals[self.rank(start) : self.rank(stop)],
-            self._validity.slice(start, stop),
-        )
-
     @staticmethod
     def concat(columns: Iterable["MeasureColumn"]) -> "MeasureColumn":
-        """Order-preserving concatenation (the inverse of :meth:`slice`)."""
+        """Order-preserving concatenation (a view's column grown by an
+        append's delta)."""
         columns = list(columns)
         if len(columns) == 1:
             return columns[0]

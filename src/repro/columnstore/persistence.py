@@ -6,11 +6,11 @@ has in RAM), one word file per view bitmap — plus a versioned JSON
 manifest.  This mirrors a column store's one-file-per-column layout and
 lets the Table 2 / Figure 4 benchmarks report genuine size-on-disk numbers.
 
-There is one layout whatever the backend.  A sharded table saves as the
-one relation its merged accessors describe, and the manifest's
-``shard_records`` records its cuts (``[n_records]`` for a plain relation):
-a load splits the columns back at exactly those sizes, and a process-pool
-worker folds shard *i* as that record range of the one mapped store.
+There is one layout whatever the shard count.  A relation saves its
+columns once, and the manifest's ``shard_records`` records its cuts
+(``[n_records]`` when unsharded): a load cuts the relation at exactly those
+sizes, and a process-pool worker folds shard *i* as that record range of
+the one mapped store.
 
 Durability model (write-ahead-by-rename):
 
@@ -48,7 +48,6 @@ import numpy as np
 from ..errors import CorruptionError, ManifestError, PersistenceError
 from .bitmap import Bitmap
 from .column import MeasureColumn
-from .sharded import ShardedTable
 from .table import MasterRelation
 
 __all__ = [
@@ -124,15 +123,12 @@ def _collect_garbage(root: FsPath, keep: set[str]) -> None:
 
 
 def save_relation(
-    relation: MasterRelation | ShardedTable,
+    relation: MasterRelation,
     directory: str | FsPath,
     app_meta: dict | None = None,
 ) -> None:
-    """Atomically write the relation's columns and views under ``directory``.
-
-    A :class:`ShardedTable` writes its merged columns, the same files an
-    unsharded relation of the same records writes, and its cuts go into
-    the manifest as ``shard_records``.
+    """Atomically write the relation's columns and views under ``directory``,
+    its cuts into the manifest as ``shard_records``.
 
     The previous on-disk relation (if any) stays loadable until the final
     manifest swap; an interrupted save never damages it.  ``app_meta`` is
@@ -182,7 +178,7 @@ def save_relation(
         "generation": generation,
         "directory": gen_name,
         "n_records": relation.n_records,
-        "shard_records": [shard.n_records for shard in relation.shard_relations()],
+        "shard_records": relation.shard_records,
         "partition_width": relation.partition_width,
         "element_ids": relation.element_ids(),
         "graph_views": relation.graph_view_names(),
@@ -268,10 +264,9 @@ def _checked_bitmap(vals, bits, n_records: int, stem: FsPath) -> Bitmap:
     return bitmap
 
 
-def load_relation(directory: str | FsPath) -> MasterRelation | ShardedTable:
-    """Reconstruct a relation previously written by :func:`save_relation`:
-    a :class:`ShardedTable` cut at the saved ``shard_records`` when they
-    name more than one shard, else a :class:`MasterRelation`.
+def load_relation(directory: str | FsPath) -> MasterRelation:
+    """Reconstruct a relation previously written by :func:`save_relation`,
+    cut at its saved ``shard_records``.
 
     Every base-column file is checked against the manifest's size and CRC32
     before use; integrity failures raise :class:`CorruptionError`.  A
@@ -346,8 +341,8 @@ def load_relation(directory: str | FsPath) -> MasterRelation | ShardedTable:
         except (PersistenceError, ValueError, IndexError) as exc:
             _drop_view(name, exc)
     relation.app_meta = manifest.get("app_meta")
-    sizes = manifest["shard_records"]
-    return ShardedTable.cut(relation, sizes) if len(sizes) > 1 else relation
+    relation.set_shard_records(manifest["shard_records"])
+    return relation
 
 
 class RelationBitmapReader:

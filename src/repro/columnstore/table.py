@@ -23,13 +23,20 @@ elements span several sub-relations must re-join them on ``recid``, which
 this class simulates faithfully (sorted recid-set intersection per extra
 partition) so the Figure 5 degradation is reproduced.
 
+Horizontally the relation is cut into contiguous **record-range shards**,
+described by ``shard_records`` (the shard sizes, ``[n_records]`` when
+unsharded — the manifest field of the same name).  A shard is not a copy:
+it is a record range of every column, and a shard's fold ANDs its segment
+of each bitmap (slices of the words when the cut falls on a 64-record
+boundary).  Re-cutting the relation copies no column.
+
 Column accesses are reported to an :class:`~repro.columnstore.iostats.IOStatsCollector`
 — the unit of the paper's cost model.
 
-Every storage class looks a bitmap column up by the planner's ``(kind,
-token)`` ref, uncharged (``ref_bitmap``), and :func:`and_refs` is the one
-AND over that lookup (§3.2) that the charged :meth:`MasterRelation.fold`,
-the process pool's worker and the engine's view builder all run.
+A bitmap column is looked up by the planner's ``(kind, token)`` ref,
+uncharged (``ref_bitmap``), and :func:`and_refs` is the one AND over that
+lookup (§3.2) that the charged :meth:`MasterRelation.fold`, the process
+pool's worker and the engine's view builder all run.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bitmap import Bitmap
-from .column import MeasureColumn, RankedRows, rank_rows
+from .bitmap import _WORD_BITS, Bitmap
+from .column import MeasureColumn, RankedRows
 from .iostats import IOStatsCollector
 
 __all__ = ["MasterRelation", "and_refs"]
@@ -51,11 +58,15 @@ def and_refs(
     length: int,
     check: Callable[[], None] | None = None,
     read: list | None = None,
+    start: int = 0,
 ) -> Bitmap:
-    """The AND of the bitmaps ``lookup(kind, token)`` returns for ``refs``.
+    """The AND of bits ``[start, start + length)`` of the bitmaps
+    ``lookup(kind, token)`` returns for ``refs``: a shard's segment of the
+    conjunction, or all of it.
 
-    ``lookup`` is a storage class's ``ref_bitmap``: a bitmap of ``length``
-    bits, or None for an element that storage never saw, which makes the
+    ``lookup`` is a storage class's ``ref_bitmap`` (or a worker's per-shard
+    ``shard_bitmap``, whose segments start at 0): a bitmap covering the
+    range, or None for an element that storage never saw, which makes the
     answer all-zero without ending the fold — the cost model charges every
     ref.  No refs AND to all-zero as well.  ``check``, when given, runs
     before every ref and stops the fold by raising (a deadline, a cancel).
@@ -76,44 +87,26 @@ def and_refs(
             read.append(kind)
     if absent or not bitmaps:
         return Bitmap.zeros(length)
-    return bitmaps[0] if len(bitmaps) == 1 else Bitmap.and_all(bitmaps)
+    if len(bitmaps) == 1 and start == 0 and bitmaps[0].length == length:
+        return bitmaps[0]
+    return Bitmap.and_all(bitmaps, start, start + length)
 
 
-class VerticalPartitioning:
-    """§6.1 geometry shared by the plain and the sharded relation: element
-    ``i`` lives in sub-relation ``i // partition_width`` (in every shard)."""
-
-    @property
-    def n_element_columns(self) -> int:
-        return len(self.element_ids())
-
-    def partition_of(self, edge_id: int) -> int:
-        """Index of the sub-relation holding element ``edge_id``."""
-        return edge_id // self.partition_width
-
-    @property
-    def n_partitions(self) -> int:
-        ids = self.element_ids()
-        return self.partition_of(max(ids)) + 1 if ids else 0
-
-    def partitions_for(self, edge_ids: Iterable[int]) -> set[int]:
-        return {self.partition_of(i) for i in edge_ids}
-
-    def simulate_partition_join(self, edge_ids: Iterable[int], rows: np.ndarray) -> None:
-        """Model the recid re-join when a query spans sub-relations.
-
-        Performs one sorted intersection of the matching recid set per
-        partition beyond the first, so both wall-clock time and the
-        ``partitions_joined`` counter reflect the spanning cost that
-        Figure 5 measures.
-        """
-        partitions = self.partitions_for(edge_ids)
-        self.collector.record_partition_join(len(partitions))
-        for _ in range(max(len(partitions) - 1, 0)):
-            np.intersect1d(rows, rows, assume_unique=True)
+def _first_split(n_records: int, n_shards: int) -> list[int]:
+    """Shard sizes for the first batch into an empty relation (and for a
+    re-cut): an even split, in whole 64-record words once every shard
+    would hold at least one, the last shard taking the remainder.
+    Word-aligned cuts make every shard's bitmap segment a view of whole
+    words, so :meth:`Bitmap.concat` merges segments by copying words and
+    the segments' words add up to the column's."""
+    unit = _WORD_BITS if n_records >= _WORD_BITS * n_shards else 1
+    base, extra = divmod(n_records // unit, n_shards)
+    sizes = [unit * (base + (i < extra)) for i in range(n_shards)]
+    sizes[-1] += n_records % unit
+    return sizes
 
 
-class MasterRelation(VerticalPartitioning):
+class MasterRelation:
     """Columnar storage for a collection of graph records."""
 
     def __init__(
@@ -126,6 +119,9 @@ class MasterRelation(VerticalPartitioning):
         self.partition_width = partition_width
         self.collector = collector if collector is not None else IOStatsCollector()
         self._n_records = 0
+        # Record-range shard sizes (see set_shard_records); appends grow
+        # the last shard.
+        self.shard_records: list[int] = [0]
         # Per element column id: the packed column, which may lag behind
         # the record count, and the (first row, rows, values) chunks appended
         # since (see append_columns).  _column() folds the tail in on first use.
@@ -152,6 +148,9 @@ class MasterRelation(VerticalPartitioning):
         Lists (transposed records) extend the tail's last list chunk, kept
         in relation rows: a chunk per small batch would cost ~290 bytes per
         column, where a cell costs ~40.
+
+        The rows join the last shard; the first batch into an empty
+        relation is instead cut over every shard (:func:`_first_split`).
         """
         first = self._n_records
         at = list(range(first, first + n_new)).__getitem__
@@ -166,10 +165,14 @@ class MasterRelation(VerticalPartitioning):
             known_rows += map(at, rows)
             known_vals += vals
         self._n_records = first + n_new
+        if first:
+            self.shard_records[-1] += n_new
+        else:
+            self.set_shard_records(_first_split(n_new, len(self.shard_records)))
         return first
 
     def put_column(self, edge_id: int, column: MeasureColumn) -> None:
-        """Install an already packed element column (load and reshard)."""
+        """Install an already packed element column (load)."""
         if len(column) != self._n_records:
             raise ValueError("column length must equal the record count")
         self._columns[edge_id] = column
@@ -177,10 +180,11 @@ class MasterRelation(VerticalPartitioning):
 
     def set_record_count(self, n_records: int) -> None:
         """Declare the number of rows before :meth:`put_column` installs
-        packed columns (load and reshard)."""
+        packed columns (load); the new rows join the shards as appended
+        rows do."""
         if n_records < self._n_records:
             raise ValueError("cannot shrink the relation")
-        self._n_records = n_records
+        self.append_columns(n_records - self._n_records, {})
 
     # -- geometry ---------------------------------------------------------------
 
@@ -188,24 +192,47 @@ class MasterRelation(VerticalPartitioning):
     def n_records(self) -> int:
         return self._n_records
 
-    def shard_relations(self) -> list["MasterRelation"]:
-        """Record-range shards (the :class:`StorageBackend` seam): a plain
-        relation is its own single shard covering every record."""
-        return [self]
-
-    def shard_starts(self) -> list[int]:
-        """Global row offset of each shard; ``[0]`` for a single relation."""
-        return [0]
-
-    def split_rows(self, rows: np.ndarray) -> RankedRows:
-        """What :meth:`measures` gathers at, prepared once for a query
-        that gathers several columns; a single relation routes nothing and
-        only prepares the rank lookups."""
-        return rank_rows(rows)
+    def set_shard_records(self, sizes: Sequence[int]) -> None:
+        """Cut the records into contiguous shards of ``sizes`` (summing to
+        the record count): how the engine shards, reshards and rebalances,
+        and how a store loads at its saved cuts.  Moves no data."""
+        sizes = list(sizes)
+        if not sizes or min(sizes) < 0 or sum(sizes) != self._n_records:
+            raise ValueError(f"shard sizes {sizes} do not cut {self._n_records} records")
+        self.shard_records = sizes
 
     def element_ids(self) -> list[int]:
         """All element column ids, ascending."""
         return sorted(self._columns.keys() | self._tails.keys())
+
+    @property
+    def n_element_columns(self) -> int:
+        return len(self.element_ids())
+
+    def partition_of(self, edge_id: int) -> int:
+        """Index of the §6.1 sub-relation holding element ``edge_id``."""
+        return edge_id // self.partition_width
+
+    @property
+    def n_partitions(self) -> int:
+        ids = self.element_ids()
+        return self.partition_of(max(ids)) + 1 if ids else 0
+
+    def partitions_for(self, edge_ids: Iterable[int]) -> set[int]:
+        return {self.partition_of(i) for i in edge_ids}
+
+    def simulate_partition_join(self, edge_ids: Iterable[int], rows: np.ndarray) -> None:
+        """Model the recid re-join when a query spans sub-relations.
+
+        Performs one sorted intersection of the matching recid set per
+        partition beyond the first, so both wall-clock time and the
+        ``partitions_joined`` counter reflect the spanning cost that
+        Figure 5 measures.
+        """
+        partitions = self.partitions_for(edge_ids)
+        self.collector.record_partition_join(len(partitions))
+        for _ in range(max(len(partitions) - 1, 0)):
+            np.intersect1d(rows, rows, assume_unique=True)
 
     # -- column access -------------------------------------------------------------
 
@@ -239,9 +266,9 @@ class MasterRelation(VerticalPartitioning):
 
     def ref_bitmap(self, kind: str, token) -> Bitmap | None:
         """The bitmap column a planner ref names, uncharged: ``b_i`` for
-        ``("element", i)`` — None when this relation (shard) never saw
-        element *i* — else a graph view's ``bv_j`` or an aggregate view's
-        ``bp_l``.  A missing view is a ``KeyError``, a stale one raises."""
+        ``("element", i)`` — None when the relation never saw element *i*
+        — else a graph view's ``bv_j`` or an aggregate view's ``bp_l``.
+        A missing view is a ``KeyError``, a stale one raises."""
         if kind == "element":
             column = self._columns.get(token)
             if column is not None:
@@ -260,26 +287,34 @@ class MasterRelation(VerticalPartitioning):
         self._check_fresh(bitmap.length, token)
         return bitmap
 
-    def fold(self, refs, ctx=None) -> Bitmap:
-        """AND the bitmap columns named by ``refs`` (:func:`and_refs`) and
-        charge the I/O with one collector call.
+    def fold(self, refs, ctx=None, shard: int | None = None) -> Bitmap:
+        """AND the bitmap columns named by ``refs`` (:func:`and_refs`) over
+        shard ``shard``'s records — every record when None — and charge
+        the I/O with one collector call.
 
-        ``ctx`` (a :class:`repro.resilience.QueryContext` or None) is
-        checked before every ref.  The charge is one fetch per ref read,
-        a stopped fold's included: an element this relation (shard) never
-        saw is an all-zero segment with no charge — the planner has
-        already checked it exists somewhere.
+        A shard's fold ANDs its segment of each column, the contract of a
+        worker's ``RelationBitmapReader.shard_bitmap``; a one-shard
+        relation's segment is the column itself.  ``ctx`` (a
+        :class:`repro.resilience.QueryContext` or None) is checked before
+        every ref.  The charge is one fetch per ref read, a stopped fold's
+        included, of the segment's words; an element the relation never
+        saw is an all-zero answer with no charge.
         """
+        if shard is None:
+            start, stop = 0, self._n_records
+        else:
+            start = sum(self.shard_records[:shard])
+            stop = start + self.shard_records[shard]
         read: list[str] = []
         try:
             return and_refs(
-                self.ref_bitmap, refs, self._n_records,
-                None if ctx is None else ctx.check, read,
+                self.ref_bitmap, refs, stop - start,
+                None if ctx is None else ctx.check, read, start,
             )
         finally:
-            # Every bitmap read is n_records long: one size for all.
+            # Every segment read is the same length: one size for all.
             n_base = read.count("element")
-            nbytes = len(read) * 8 * ((self._n_records + 63) // 64)
+            nbytes = len(read) * 8 * ((stop - start + 63) // 64)
             self.collector.record_bitmap_fetches(n_base, len(read) - n_base, nbytes)
 
     def measures(

@@ -7,14 +7,14 @@ previously saved engine directories keep working):
 * :mod:`.planner` — query → :class:`PhysicalPlan`, the serializable IR
   shared by execution, EXPLAIN, and tracing;
 * :mod:`.operators` — physical operators (bitmap fetch, memoized
-  conjunction fold) that run against one storage backend or once per
-  record-range shard;
+  conjunction fold) that run once per record-range shard of the master
+  relation;
 * :mod:`.interpreter` — the one read path: executes a plan against a
   per-query environment snapshot, running shard tasks through the
   installed :class:`ShardRunner`;
 * :mod:`.facade` — :class:`GraphAnalyticsEngine` itself: ingest,
-  persistence, view materialization, and result assembly over either a
-  plain or a sharded master relation.
+  persistence, view materialization, and result assembly over the one
+  master relation, sharded or not.
 """
 
 from .facade import (

@@ -7,14 +7,12 @@ had, but internally delegates to the three layers this package separates:
   :class:`PhysicalPlan` objects — the same object the operator layer
   executes, the EXPLAIN renderer serializes, and the tracer annotates;
 * the **interpreter** (:mod:`.interpreter`) executes a plan — fetch, AND,
-  gather — against one storage backend, or once per record-range shard
-  through the installed :class:`ShardRunner`, merged by order-preserving
-  concatenation;
-* the **storage backend** (:class:`~repro.columnstore.backend.StorageBackend`)
-  is either a plain :class:`MasterRelation` or a
-  :class:`~repro.columnstore.sharded.ShardedTable` (``shards > 1``); all
-  measure gathers, view maintenance, and persistence route through its
-  interface, so the facade's query code is shard-agnostic.
+  gather — folding once per record-range shard through the installed
+  :class:`ShardRunner` and merging by order-preserving concatenation;
+* the **storage** is one :class:`MasterRelation`, whose ``shard_records``
+  cut it into those record ranges (``shards > 1``) without copying a
+  column; measure gathers, view maintenance, and persistence read the one
+  relation, so the facade's query code is shard-agnostic.
 """
 
 from __future__ import annotations
@@ -33,8 +31,7 @@ from ...columnstore.bitmap import Bitmap
 from ...columnstore.column import MeasureColumn, sorted_cells
 from ...columnstore.iostats import IOStats, IOStatsCollector
 from ...columnstore.persistence import load_relation, save_relation
-from ...columnstore.sharded import ShardedTable
-from ...columnstore.table import MasterRelation, and_refs
+from ...columnstore.table import MasterRelation, _first_split, and_refs
 from ...errors import IngestError, ManifestError, PersistenceError
 from ..aggregates import get_function
 from ..candidates import (
@@ -136,12 +133,11 @@ def _transpose(records: Iterable[GraphRecord]) -> tuple[list, dict[Edge, tuple]]
 class GraphAnalyticsEngine:
     """Store and analyze a massive collection of small graph records.
 
-    With ``shards > 1`` the master relation is horizontally partitioned
-    into that many contiguous record-range shards; query answers are
-    bit-identical to the unsharded engine, but structural conjunctions can
-    evaluate shard-by-shard (in parallel under a
-    :class:`~repro.exec.QueryExecutor`) and incremental appends rebuild
-    only the last shard.
+    With ``shards > 1`` the master relation is cut into that many
+    contiguous record-range shards; query answers are bit-identical to the
+    unsharded engine, but structural conjunctions evaluate shard-by-shard
+    (in parallel under a :class:`~repro.exec.QueryExecutor`), each over its
+    segment of the one relation's bitmaps.  Appends grow the last shard.
     """
 
     def __init__(self, partition_width: int = 1000, shards: int = 1):
@@ -149,14 +145,10 @@ class GraphAnalyticsEngine:
             raise ValueError("shards must be >= 1")
         self.catalog = EdgeCatalog()
         self.collector = IOStatsCollector()
-        if shards > 1:
-            self.relation = ShardedTable(
-                shards, partition_width=partition_width, collector=self.collector
-            )
-        else:
-            self.relation = MasterRelation(
-                partition_width=partition_width, collector=self.collector
-            )
+        self.relation = MasterRelation(
+            partition_width=partition_width, collector=self.collector
+        )
+        self.relation.set_shard_records([0] * shards)
         self._record_ids: list = []
         self._graph_views: dict[str, GraphView] = {}
         self._agg_views: dict[str, AggregateGraphView] = {}
@@ -195,8 +187,8 @@ class GraphAnalyticsEngine:
 
     @property
     def n_shards(self) -> int:
-        """Record-range shards in the backend (1 = unsharded)."""
-        return len(self.relation.shard_relations())
+        """Record-range shards of the relation (1 = unsharded)."""
+        return len(self.relation.shard_records)
 
     @property
     def measured_nodes(self) -> frozenset[Hashable]:
@@ -229,24 +221,24 @@ class GraphAnalyticsEngine:
 
         An *empty* sharded engine splits them into even record ranges, on
         64-record word boundaries once every shard gets a word.  A
-        sharded engine that already holds records appends to its last shard
-        and rebalances (record order, and thus query answers, are
-        unchanged).  Use :meth:`append_records` for incremental growth that
-        must not move shard boundaries.
+        sharded engine that already holds records re-cuts the same way
+        (record order, and thus query answers, are unchanged).  Use
+        :meth:`append_records` for incremental growth that must not move
+        shard boundaries.
         """
         rebalance = self.n_records and self.n_shards > 1
         count = self._ingest(*_transpose(records))
         if rebalance:
-            self.relation.rebalance()
+            self._recut(self.n_shards)
         return count
 
     def append_records(self, records: Iterable[GraphRecord]) -> int:
         """Append records *and incrementally maintain all views*.
 
         Each view gains the new rows from the builder that made it, started
-        at the first new row: a rebuild's answer at the cost of the shards
+        at the first new row: a rebuild's answer at the cost of the words
         the rows land in.  On a sharded engine only the last shard grows —
-        earlier shard boundaries (and their persisted files) are untouched.
+        earlier shard boundaries are untouched.
         """
         start = self.n_records
         count = self._ingest(*_transpose(records))
@@ -275,32 +267,33 @@ class GraphAnalyticsEngine:
 
     # -- sharding ------------------------------------------------------------
 
-    def reshard(self, shards: int) -> None:
-        """Re-partition the backend into ``shards`` record-range shards.
+    def _recut(self, shards: int) -> None:
+        """Cut the relation into ``shards`` even record ranges, as the
+        first batch is cut: new cuts, no column copied."""
+        self.relation.set_shard_records(_first_split(self.n_records, shards))
 
-        ``shards=1`` merges back into a plain in-memory relation.  Record
-        order, columns, and views are preserved bit-for-bit; the epoch
-        bumps (shard-keyed cache entries from the old geometry can never
-        be served) and cached plans are rebuilt.
+    def reshard(self, shards: int) -> None:
+        """Re-cut the relation into ``shards`` record-range shards.
+
+        ``shards=1`` is the unsharded relation.  Records, columns, and
+        views are untouched — only the cuts move; the epoch bumps
+        (shard-keyed cache entries from the old geometry can never be
+        served) and cached plans are rebuilt.
         """
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if shards == self.n_shards:
             return
-        if shards == 1:
-            self.relation = self.relation.to_relation()
-        else:
-            self.relation = ShardedTable.from_relation(self.relation, shards)
-        self.relation.collector = self.collector
+        self._recut(shards)
         self._planner.invalidate()
         self._bump_epoch()
 
     def rebalance(self) -> None:
-        """Re-split a sharded backend into even, word-aligned record
+        """Re-cut a sharded relation into even, word-aligned record
         ranges (no-op when unsharded); useful after many incremental
         appends, or to align a store saved with other cuts."""
         if self.n_shards > 1:
-            self.relation.rebalance()
+            self._recut(self.n_shards)
             self._planner.invalidate()
             self._bump_epoch()
 
@@ -378,9 +371,9 @@ class GraphAnalyticsEngine:
         Base columns are integrity-checked (corruption raises
         :class:`~repro.errors.CorruptionError`); views whose files were
         damaged are dropped with a warning and queries transparently fall
-        back to base bitmaps.  Pass ``shards`` to re-partition the loaded
-        engine (``shards=1`` flattens a sharded save; any other count
-        re-splits it evenly).
+        back to base bitmaps.  Pass ``shards`` to re-cut the loaded engine
+        (``shards=1`` unshards a sharded save; any other count re-splits
+        it evenly), copying no column.
         """
         directory = FsPath(directory)
         engine = cls()
@@ -675,51 +668,33 @@ class GraphAnalyticsEngine:
         self._view_counter += 1
         return f"{prefix}{self._view_counter}"
 
-    def _view_segments(self, elements: Iterable[Edge], start: int) -> list:
-        """``(shard, lo, bits)`` per shard overlapping rows ``[start,
-        n_records)``: ``bits`` is the uncharged AND (:func:`and_refs`) of the
-        elements' bitmaps over the shard's rows from ``lo`` on."""
+    def compute_view_bitmap(self, elements: Iterable[Edge], start: int = 0) -> Bitmap:
+        """Bits ``[start, n_records)`` of the graph-view bitmap over
+        ``elements``: the uncharged AND (:func:`and_refs`) of that range of
+        the elements' bitmaps, registering nothing and charging no query
+        I/O; an append delta reads only the words its rows land in."""
         n = self.relation.n_records
         if not 0 <= start <= n:
             raise ValueError(f"view rows start {start} outside [0, {n}]")
-        # An element the catalog never saw (id None) is in no shard either.
+        # An element the catalog never saw (id None) has no column either.
         refs = [("element", self.catalog.get_id(element)) for element in elements]
-        segments = []
-        for shard_start, shard in zip(
-            self.relation.shard_starts(), self.relation.shard_relations()
-        ):
-            length = shard.n_records
-            if shard_start + length <= start:
-                continue
-            bits = and_refs(shard.ref_bitmap, refs, length)
-            lo = max(start - shard_start, 0)
-            segments.append((shard, lo, bits.slice(lo, length) if lo else bits))
-        return segments
-
-    def compute_view_bitmap(self, elements: Iterable[Edge], start: int = 0) -> Bitmap:
-        """Bits ``[start, n_records)`` of the graph-view bitmap over
-        ``elements``, registering nothing and charging no query I/O; an
-        append delta reads only the shards it lands in."""
-        return Bitmap.concat(bits for _, _, bits in self._view_segments(elements, start))
+        return and_refs(self.relation.ref_bitmap, refs, n - start, start=start)
 
     def _aggregate_view_columns(
         self, view: AggregateGraphView, start: int = 0
     ) -> dict[str, MeasureColumn]:
         """Rows ``[start, n_records)`` of an aggregate view's stored columns:
-        per shard in range, the function over the rows its bitmap segment
-        matches — uncharged, merging no global column."""
+        the function over the rows the view's bitmap matches — uncharged."""
         elements = view.elements(self._measured_nodes)
         ids = [self.catalog.get_id(element) for element in elements]
-        functions = {name: get_function(name) for name in view.stored_functions()}
-        pieces: dict[str, list[MeasureColumn]] = {name: [] for name in functions}
-        for shard, lo, bits in self._view_segments(elements, start):
-            rows = bits.to_indices() + lo
-            # A matched row holds every element, so every column exists.
-            raw = [shard.column_for_persistence(i).take(rows) for i in ids] if rows.size else []
-            for name, function in functions.items():
-                packed = function.combine(raw) if rows.size else ()
-                pieces[name].append(MeasureColumn(packed, bits))
-        return {name: MeasureColumn.concat(columns) for name, columns in pieces.items()}
+        bits = self.compute_view_bitmap(elements, start)
+        rows = bits.to_indices() + start
+        # A matched row holds every element, so every column exists.
+        raw = [self.relation.column_for_persistence(i).take(rows) for i in ids] if rows.size else []
+        return {
+            name: MeasureColumn(get_function(name).combine(raw) if rows.size else (), bits)
+            for name in view.stored_functions()
+        }
 
     def add_graph_view(
         self,

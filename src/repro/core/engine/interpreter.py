@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ...columnstore.bitmap import Bitmap
+from ...columnstore.column import rank_rows
 from ...errors import ResilienceError, ShardExecutionError
 from ..aggregates import get_function
 from ..query import And, AndNot, GraphQuery, Or
@@ -40,9 +41,9 @@ class ShardRunner:
         return [fn(task) for task in tasks]
 
     def fold(self, task, plan, env: "ExecEnv", ctx) -> Bitmap:
-        """AND the plan's parts over one shard's relation."""
+        """AND the plan's parts over one shard's records."""
         return conjunction(
-            task.relation, plan, env.cache, env.epoch,
+            env.relation, plan, env.cache, env.epoch,
             shard=task.shard, tracer=env.tracer, ctx=ctx,
         )
 
@@ -98,23 +99,21 @@ def supervised_fold(task, fold: Callable, env: ExecEnv, ctx) -> Bitmap:
                 span.meta["degraded"] = "skipped"
     # None = skipped under partial_ok (never cached — an all-zero segment
     # is not the shard's answer).
-    return Bitmap.zeros(task.relation.n_records) if segment is None else segment
+    return Bitmap.zeros(task.stop - task.start) if segment is None else segment
 
 
 def _supervise(task, fold: Callable, env: ExecEnv, ctx) -> Bitmap | None:
     """``fold()`` under the policy, or typed on its first failure."""
-    start = task.start
+    start, stop = task.start, task.stop
     if env.policy is not None:
         return env.policy.run_shard(
-            task.shard, start, start + task.relation.n_records, fold, ctx,
-            generation=env.epoch,
+            task.shard, start, stop, fold, ctx, generation=env.epoch,
         )
     try:
         return fold()
     except ResilienceError:
         raise
     except Exception as exc:
-        stop = start + task.relation.n_records
         raise ShardExecutionError(
             f"shard {task.shard} failed: {exc} "
             f"(records [{start}:{stop}) unavailable)",
@@ -196,8 +195,8 @@ def evaluate(expr, env: ExecEnv, ctx=None) -> Bitmap:
 
 def _fetch(element, rows, env: ExecEnv):
     """``(column id | None, the element's measures at rows)`` — all NaN,
-    and no id, when no column holds the element.  ``rows`` is the
-    backend's ``split_rows`` of the matching rows, routed once a query."""
+    and no id, when no column holds the element.  ``rows`` are the
+    matching rows ranked once a query (``rank_rows``) for every column."""
     edge_id = env.catalog.get_id(element)
     if edge_id is None or not env.relation.has_element(edge_id):
         return None, np.full(rows.size, np.nan)
@@ -231,11 +230,11 @@ def run_query(query, env: ExecEnv, fetch_measures: bool = True, ctx=None):
         if fetch_measures and rows.size:
             with env.span("measures"):
                 known_ids: list[int] = []
-                split = env.relation.split_rows(rows)
+                ranked = rank_rows(rows)
                 for element in elements:
                     if ctx is not None:
                         ctx.check()
-                    edge_id, measures[element] = _fetch(element, split, env)
+                    edge_id, measures[element] = _fetch(element, ranked, env)
                     if edge_id is not None:
                         known_ids.append(edge_id)
                 if known_ids:
@@ -275,7 +274,7 @@ def run_aggregate(query, env: ExecEnv, ctx=None):
     with env.span("aggregate", query=query, epoch=env.epoch) as root:
         bitmap, plan = structural(query, env, ctx)
         rows = bitmap.to_indices()
-        split = env.relation.split_rows(rows)
+        ranked = rank_rows(rows)
         function = get_function(query.function)
         needed = plan.needed_functions
         path_values, raw = {}, {}
@@ -288,11 +287,11 @@ def run_aggregate(query, env: ExecEnv, ctx=None):
                     if segment.kind == "view":
                         view = env.agg_views[segment.view_name]
                         for fn in needed:
-                            partials[fn].append(_view_partial(view, fn, split, env))
+                            partials[fn].append(_view_partial(view, fn, ranked, env))
                     else:
                         element = segment.element
                         if element not in raw:
-                            raw[element] = _fetch(element, split, env)[1]
+                            raw[element] = _fetch(element, ranked, env)[1]
                         for fn in needed:
                             partials[fn].append(get_function(fn).lift(raw[element]))
                     if tracer is not None:

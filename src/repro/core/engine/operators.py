@@ -1,23 +1,21 @@
-"""The operator layer: plan execution primitives over one storage backend.
+"""The operator layer: plan execution primitives over the master relation.
 
 These are the physical operators the plan interpreter composes: fold a
 plan's canonical part list into a structural bitmap through the storage
 layer's one fold entry (memoizing every prefix when a cache is installed),
-and describe the record-range shards a backend exposes so the same fold
+and describe the relation's record-range shards as tasks so the same fold
 can run once per shard and merge by concatenation.
 
-Every operator takes the backend (a relation or one shard of one)
-explicitly instead of reaching back into the engine, so the one
-in-process fold (:meth:`~.interpreter.ShardRunner.fold`) serves the
-unsharded engine (a single task over the whole relation) and every shard
-of a sharded one, inline or on the executor's thread pool.
+A shard is a record range of the one relation, named by its index: the
+one in-process fold (:meth:`~.interpreter.ShardRunner.fold`) serves the
+unsharded engine (a single task over every record) and every shard of a
+sharded one, inline or on the executor's thread pool.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
-from weakref import WeakKeyDictionary
+from typing import NamedTuple
 
 from ...columnstore.bitmap import Bitmap
 from ..rewrite import ConjunctionPart
@@ -53,55 +51,31 @@ def part_token(part: ConjunctionPart) -> str:
         return repr(token)
 
 
-@dataclass(frozen=True)
-class ShardTask:
-    """One unit of shard-parallel work: a record-range shard plus its
-    global row offset (global row = ``start`` + shard-local row)."""
+class ShardTask(NamedTuple):
+    """One unit of shard-parallel work: shard ``shard`` of the relation,
+    records ``[start, stop)`` (global row = ``start`` + shard-local row)."""
 
     shard: int
     start: int
-    relation: object
-
-    def __repr__(self) -> str:  # keep worker logs short
-        return f"ShardTask(shard={self.shard}, start={self.start})"
+    stop: int
 
 
-# backend -> (shard relations, starts, their tasks): shard_tasks' memo.
-_TASKS: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def shard_tasks(backend) -> tuple[ShardTask, ...]:
-    """The backend's record-range shards as ordered work items.
-
-    A plain :class:`MasterRelation` yields one task covering everything;
-    a :class:`~repro.columnstore.sharded.ShardedTable` yields one per
-    shard, in record order — so ``Bitmap.concat`` over per-task results is
-    always the order-preserving merge.
-
-    Several shards' tasks are built once per geometry: the memo is keyed
-    on the backend and compared against its current relations (by
-    identity, so a shard replaced in place gets a new task) and starts.
-    A single relation is its own shard, and a memo holding it would keep
-    the weak key alive, so its one task is built per call.
-    """
-    relations, starts = backend.shard_relations(), backend.shard_starts()
-    memo = _TASKS.get(backend)
-    if memo is not None and memo[0] == relations and memo[1] == starts:
-        return memo[2]
-    tasks = tuple(
-        ShardTask(i, start, relation)
-        for i, (relation, start) in enumerate(zip(relations, starts, strict=True))
-    )
-    if len(tasks) > 1:
-        _TASKS[backend] = (relations, starts, tasks)
+def shard_tasks(relation) -> list[ShardTask]:
+    """The relation's record-range shards (``shard_records``) as ordered
+    work items — one covering everything when unsharded — so
+    ``Bitmap.concat`` over per-task results is the order-preserving merge."""
+    tasks, start = [], 0
+    for shard, size in enumerate(relation.shard_records):
+        tasks.append(ShardTask(shard, start, start + size))
+        start += size
     return tasks
 
 
-def _fetch(relation, ref, tracer, ctx) -> Bitmap:
-    """One ref through the storage fold; under a tracer, with the counters
-    a traced query reports per part (an element the shard never saw
-    touched nothing)."""
-    bitmap = relation.fold((ref,), ctx)
+def _fetch(relation, ref, shard, tracer, ctx) -> Bitmap:
+    """One ref through the storage fold of one shard; under a tracer, with
+    the counters a traced query reports per part (an element the relation
+    never saw touched nothing)."""
+    bitmap = relation.fold((ref,), ctx, shard=shard)
     if tracer is not None and (ref[0] != "element" or relation.has_element(ref[1])):
         tracer.add("bitmaps_fetched")
         tracer.add("bytes_touched", bitmap.nbytes())
@@ -117,8 +91,8 @@ def conjunction(
     tracer=None,
     ctx=None,
 ) -> Bitmap:
-    """AND the plan's parts over ``relation`` (one shard, or the whole
-    unsharded relation), memoizing intermediates when a cache is installed.
+    """AND the plan's parts over shard ``shard`` of ``relation`` (its one
+    shard when unsharded), memoizing intermediates when a cache is installed.
 
     Every fetch goes through the storage fold
     (:meth:`~repro.columnstore.table.MasterRelation.fold`) on the plan's
@@ -146,11 +120,11 @@ def conjunction(
         ctx.check()
     if cache is None or any(not part.covered for part in parts):
         if tracer is None:
-            return relation.fold(refs, ctx)
+            return relation.fold(refs, ctx, shard=shard)
 
         def fetch(part: ConjunctionPart, ref) -> Bitmap:
             with tracer.span("and", kind=part.kind, part=part_token(part)):
-                return _fetch(relation, ref, tracer, ctx)
+                return _fetch(relation, ref, shard, tracer, ctx)
 
         return Bitmap.and_all(map(fetch, parts, refs))
 
@@ -158,7 +132,7 @@ def conjunction(
         def compute() -> Bitmap:
             if tracer is not None:
                 tracer.add("cache_miss")
-            bitmap = _fetch(relation, refs[i], tracer, ctx)
+            bitmap = _fetch(relation, refs[i], shard, tracer, ctx)
             return bitmap if i == 0 else build(i - 1) & bitmap
 
         if tracer is None:

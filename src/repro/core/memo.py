@@ -46,4 +46,7 @@ class BoundedMemo:
             self._entries.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        # Under the lock: put() holds one entry over the bound until it
+        # evicts, which an unlocked read can observe.
+        with self._lock:
+            return len(self._entries)

@@ -118,4 +118,4 @@ def _holds(directory: Path, engine) -> bool:
         stored = RelationBitmapReader(directory).shard_records
     except (PersistenceError, OSError, TypeError, ValueError):
         return False  # no committed save there, or an unreadable one
-    return stored == [shard.n_records for shard in engine.relation.shard_relations()]
+    return stored == engine.relation.shard_records

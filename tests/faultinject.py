@@ -12,17 +12,16 @@ Simulates the storage failures a production deployment actually sees:
 * **bit rot** — :func:`flip_bit` flips one bit in a file's payload;
 * **metadata corruption** — :func:`corrupt_manifest_crc` damages a stored
   checksum inside the manifest itself;
-* **shard failures mid-query** — :class:`FaultyRelation` wraps one shard
-  of a live :class:`~repro.columnstore.sharded.ShardedTable` and makes
-  chosen methods raise, either a fixed number of times (a transient I/O
-  blip the retry policy should absorb) or forever (a dead shard the
-  circuit breaker should isolate); :func:`install_faulty_shard` splices
-  the proxy into a running engine;
+* **shard failures mid-query** — :func:`install_faulty_shard` patches
+  ``fold`` on a live engine's relation so that folds of one shard raise,
+  either a fixed number of times (a transient I/O blip the retry policy
+  should absorb) or forever (a dead shard the circuit breaker should
+  isolate), or only run slowly;
 * **shard failures inside a process-pool worker** — :func:`fail_shard_in_workers`
   starts the pool's workers through an entry point that makes every
   lookup on one shard raise in the worker process, where the fold runs.
 
-All helpers except the shard proxies and the worker fault operate on a
+All helpers except the shard faults operate on a
 relation directory written by ``save_relation``.
 """
 
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import time
 from functools import partial
 from pathlib import Path
 
@@ -39,7 +39,7 @@ from repro.exec import procpool
 __all__ = [
     "SimulatedCrash",
     "SimulatedShardIOError",
-    "FaultyRelation",
+    "FaultyShard",
     "install_faulty_shard",
     "fail_shard_in_workers",
     "record_save_stages",
@@ -59,81 +59,69 @@ class SimulatedCrash(RuntimeError):
 
 
 class SimulatedShardIOError(OSError):
-    """Raised by :class:`FaultyRelation` to model a shard I/O failure."""
+    """Raised by :class:`FaultyShard` to model a shard I/O failure."""
 
 
-class FaultyRelation:
-    """Proxy around one shard's relation that fails chosen methods.
+class FaultyShard:
+    """A fault on one shard of a live relation, patched over ``fold`` on
+    the relation instance — the storage entry every shard conjunction
+    reads through, once per shard fold.  Folds naming another shard, or
+    none, pass straight through.
 
-    The default intercepts ``fold`` — the storage entry every shard
-    conjunction reads through, once per shard fold.  ``fail_times=N``
-    models a transient blip: the first ``N`` intercepted calls raise
-    :class:`SimulatedShardIOError`, later ones pass through — the retry
-    policy should absorb these without the caller noticing.
-    ``fail_times=None`` models a dead shard: every intercepted call
-    raises, which the circuit breaker should learn to stop probing.
-
-    Everything else (``n_records``, catalog lookups, untouched methods)
-    delegates to the wrapped relation, so planning and shard accounting
-    still see an intact table.
+    ``fail_times=N`` models a transient blip: the shard's first ``N``
+    folds raise :class:`SimulatedShardIOError`, later ones pass through —
+    the retry policy should absorb these without the caller noticing.
+    ``fail_times=None`` models a dead shard: every fold of it raises,
+    which the circuit breaker should learn to stop probing.  ``delay``
+    seconds are slept before each of the shard's folds.
     """
 
-    def __init__(self, inner, methods=("fold",), fail_times=None):
-        self._inner = inner
-        self._methods = frozenset(methods)
+    def __init__(self, relation, shard: int, fail_times=None, delay: float = 0.0):
+        self._relation = relation
+        self._shard = shard
         self._fail_times = fail_times
+        self._delay = delay
+        self._replaced = vars(relation).get("fold")
+        self._fold = relation.fold
         self.calls = 0
         self.failures = 0
+        relation.fold = self._faulty_fold
+
+    def _faulty_fold(self, refs, ctx=None, shard=None):
+        if shard == self._shard:
+            self.calls += 1
+            if self._delay:
+                time.sleep(self._delay)
+            if self._fail_times is None or self.failures < self._fail_times:
+                self.failures += 1
+                raise SimulatedShardIOError(
+                    f"injected I/O failure in shard {shard} (#{self.failures})"
+                )
+        return self._fold(refs, ctx, shard=shard)
 
     def heal(self) -> None:
         """Stop injecting failures from now on."""
         self._fail_times = 0
 
-    def _maybe_fail(self, name: str) -> None:
-        self.calls += 1
-        if self._fail_times is None or self.failures < self._fail_times:
-            self.failures += 1
-            raise SimulatedShardIOError(
-                f"injected I/O failure in {name} (#{self.failures})"
-            )
-
-    def __getattr__(self, name: str):
-        attr = getattr(self._inner, name)
-        if name in self._methods and callable(attr):
-            def wrapped(*args, **kwargs):
-                self._maybe_fail(name)
-                return attr(*args, **kwargs)
-
-            return wrapped
-        return attr
-
-    _OWN = frozenset({"_inner", "_methods", "_fail_times", "calls", "failures"})
-
-    def __setattr__(self, name: str, value) -> None:
-        # Attribute writes (e.g. the table rewiring ``shard.collector``)
-        # must land on the real relation, not shadow it on the proxy.
-        if name in self._OWN:
-            object.__setattr__(self, name, value)
+    def remove(self) -> None:
+        """Put back the fold this fault replaced (faults on one relation
+        come off in the reverse order they went on)."""
+        if self._replaced is None:
+            del self._relation.fold
         else:
-            setattr(self._inner, name, value)
-
-    def __repr__(self) -> str:
-        return f"FaultyRelation({self._inner!r}, failures={self.failures})"
+            self._relation.fold = self._replaced
 
 
 def install_faulty_shard(
-    engine, shard: int, methods=("fold",), fail_times=None
-) -> FaultyRelation:
-    """Splice a :class:`FaultyRelation` over shard ``shard`` of a running
-    engine's sharded backend; returns the proxy (``proxy.heal()`` or
-    assigning ``proxy._inner`` back restores health).  No epoch bump: the
-    engine sees the same generation, which is exactly the scenario the
-    circuit breaker is keyed for.
+    engine, shard: int, fail_times=None, delay: float = 0.0
+) -> FaultyShard:
+    """Install a :class:`FaultyShard` on shard ``shard`` of a running
+    engine's relation; returns it (``heal()`` stops the failures,
+    ``remove()`` the fault).  No epoch bump: the engine sees the same
+    generation, which is exactly the scenario the circuit breaker is
+    keyed for.
     """
-    table = engine.relation
-    proxy = FaultyRelation(table.shards[shard], methods=methods, fail_times=fail_times)
-    table.shards[shard] = proxy
-    return proxy
+    return FaultyShard(engine.relation, shard, fail_times=fail_times, delay=delay)
 
 
 # The real entry point, bound before any test swaps the module's name.

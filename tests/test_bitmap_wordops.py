@@ -30,6 +30,23 @@ def _concat_reference(parts: list[Bitmap]) -> Bitmap:
     return Bitmap.from_bools(np.concatenate([p.to_bools() for p in parts]))
 
 
+def _check_aligned(bitmap: Bitmap, start: int, stop: int, got: Bitmap) -> None:
+    """A word-aligned slice is a read-only view of the source's words with
+    no bit set past its length, equal to the shifting path's result (a
+    one-bit prefix moves the same range off the word boundary)."""
+    n = stop - start
+    if start % 64 or not (stop % 64 == 0 or stop == bitmap.length) or not n:
+        return
+    if n == bitmap.length:
+        assert got is bitmap
+    else:
+        assert not got._words.flags.writeable
+    assert np.shares_memory(got._words, bitmap._words)
+    if n % 64:
+        assert int(got._words[-1]) >> (n % 64) == 0
+    assert got == Bitmap.concat([Bitmap.zeros(1), bitmap]).slice(start + 1, stop + 1)
+
+
 @st.composite
 def bitmaps(draw, max_length=400):
     length = draw(st.integers(min_value=0, max_value=max_length))
@@ -57,6 +74,7 @@ class TestSliceParity:
         assert got == ref
         assert got.length == stop - start
         assert got.content_key() == ref.content_key()
+        _check_aligned(bitmap, start, stop, got)
 
     def test_word_boundary_edges(self):
         """Pin the alignment cases the fast paths branch on."""
@@ -67,7 +85,9 @@ class TestSliceParity:
             (0, 63), (1, 64), (63, 65), (64, 65), (255, 321),
             (320, 321), (321, 321), (0, 0), (64, 64),
         ]:
-            assert bitmap.slice(start, stop) == _slice_reference(bitmap, start, stop)
+            got = bitmap.slice(start, stop)
+            assert got == _slice_reference(bitmap, start, stop)
+            _check_aligned(bitmap, start, stop, got)
 
     def test_aligned_slice_shares_storage(self):
         """A word-aligned slice is a view of the parent's packed words —
@@ -88,6 +108,41 @@ class TestSliceParity:
         readonly = Bitmap.from_packed(300, frozen)
         for start, stop in [(0, 300), (5, 299), (64, 128), (1, 65)]:
             assert readonly.slice(start, stop) == _slice_reference(source, start, stop)
+
+
+class TestRangeAndParity:
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, length, seeds, data):
+        """``and_all(bitmaps, start, stop)`` — the shard fold's AND of a
+        record range — equals the AND of the unpacked booleans' range, and
+        never writes into its operands."""
+        bms = [
+            Bitmap.from_bools(np.random.default_rng(seed).random(length) < 0.7)
+            for seed in seeds
+        ]
+        before = [np.asarray(bm.words()).copy() for bm in bms]
+        start = data.draw(st.sampled_from(sorted({0, 64, 128, length})) | st.integers(0, length))
+        start = min(start, length)
+        stop = data.draw(st.integers(min_value=start, max_value=length))
+        want = np.logical_and.reduce([bm.to_bools()[start:stop] for bm in bms])
+        got = Bitmap.and_all(bms, start, stop)
+        assert got == Bitmap.from_bools(want)
+        assert Bitmap.and_all(bms) == Bitmap.and_all(bms, 0, length)
+        for bm, words in zip(bms, before):
+            assert np.array_equal(np.asarray(bm.words()), words)
+
+    def test_range_out_of_bounds(self):
+        bms = [Bitmap.ones(70), Bitmap.ones(70)]
+        for start, stop in [(-1, 5), (0, 71), (9, 3)]:
+            with np.testing.assert_raises(IndexError):
+                Bitmap.and_all(bms, start, stop)
+        with np.testing.assert_raises(ValueError):
+            Bitmap.and_all([Bitmap.ones(70), Bitmap.ones(71)], 64, 70)
 
 
 class TestConcatParity:

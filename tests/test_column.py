@@ -22,7 +22,6 @@ from repro.columnstore import (
     Bitmap,
     MasterRelation,
     MeasureColumn,
-    ShardedTable,
     bitmap as bitmap_module,
     load_relation,
     save_relation,
@@ -120,11 +119,10 @@ class TestAgainstDenseReference:
             column = pack(dense)
             n = len(dense)
             bounds = [0, *sorted(int(c * n) for c in cuts), n]
-            pieces = [column.slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-            for piece, lo, hi in zip(pieces, bounds, bounds[1:]):
-                assert same(piece.values(), dense[lo:hi])
-                assert piece == pack(dense[lo:hi])
-            assert MeasureColumn.concat(pieces) == column
+            pieces = [pack(dense[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            joined = MeasureColumn.concat(pieces)
+            assert joined == column
+            assert same(joined.values(), dense)
 
     @given(dense=dense_columns(), n_shards=st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
@@ -134,20 +132,22 @@ class TestAgainstDenseReference:
             relation.set_record_count(len(dense))
             relation.put_column(3, pack(dense))
             relation.add_aggregate_view("a:sum", pack(dense))
-            table = ShardedTable.from_relation(relation, n_shards)
+            column = relation.column_for_persistence(3)
+            relation.set_shard_records(
+                [len(part) for part in np.array_split(dense, n_shards)]
+            )
             rows = np.arange(len(dense))[::-1]
-            if table.has_element(3):
-                assert same(table.measures(3), dense)
-                assert same(table.measures(3, rows), dense[rows])
-                assert same(table.measures(3, table.split_rows(rows)), dense[rows])
-            else:
-                assert np.isnan(dense).all()
-            assert same(table.aggregate_view_measures("a:sum", rows), dense[rows])
-            table.rebalance()
-            merged = table.to_relation()
-            assert merged.aggregate_views_for_persistence()["a:sum"] == pack(dense)
-            if merged.has_element(3):
-                assert merged.column_for_persistence(3) == pack(dense)
+            assert same(relation.measures(3), dense)
+            assert same(relation.measures(3, rows), dense[rows])
+            assert same(relation.measures(3, rank_rows(rows)), dense[rows])
+            assert same(relation.aggregate_view_measures("a:sum", rows), dense[rows])
+            segments = [
+                relation.fold([("element", 3)], shard=shard) for shard in range(n_shards)
+            ]
+            assert Bitmap.concat(segments) == pack(dense).validity
+            relation.set_shard_records([len(dense)])
+            assert relation.column_for_persistence(3) is column
+            assert relation.aggregate_views_for_persistence()["a:sum"] == pack(dense)
 
     @given(dense=dense_columns())
     @settings(max_examples=20, deadline=None)
@@ -159,16 +159,16 @@ class TestAgainstDenseReference:
             relation.add_aggregate_view("a:sum", pack(dense))
             db, split = tmp_path_factory.mktemp("db"), tmp_path_factory.mktemp("split")
             save_relation(relation, db)
-            # A 3-shard save loads as a table whose shards slice the
-            # loaded columns.
-            save_relation(ShardedTable.from_relation(load_relation(db), 3), split)
+            # A 3-shard save loads at its cuts, the columns whole.
+            cuts = [len(part) for part in np.array_split(dense, 3)]
+            resaved = load_relation(db)
+            resaved.set_shard_records(cuts)
+            save_relation(resaved, split)
             rows = np.arange(len(dense))
-            for loaded in (load_relation(db), load_relation(split)):
-                if loaded.has_element(0):
-                    assert loaded.column_for_persistence(0) == pack(dense)
-                    assert same(loaded.measures(0, rows), dense)
-                else:  # a table keeps no column for an all-NULL element
-                    assert isinstance(loaded, ShardedTable) and np.isnan(dense).all()
+            for loaded, sizes in ((load_relation(db), [len(dense)]), (load_relation(split), cuts)):
+                assert loaded.shard_records == sizes
+                assert loaded.column_for_persistence(0) == pack(dense)
+                assert same(loaded.measures(0, rows), dense)
                 assert same(loaded.aggregate_view_measures("a:sum", rows), dense)
 
     @given(
@@ -231,10 +231,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             col.appended([3, 2], [2.0, 3.0], 4)
 
-    def test_slice_shares_the_packed_values(self):
-        col = MeasureColumn.from_optionals([1.0, None, 2.0, 3.0])
-        assert np.shares_memory(col.slice(1, 4).packed(), col.packed())
-
     def test_inequality_on_values(self):
         a = MeasureColumn.from_optionals([1.0, 2.0])
         assert a != MeasureColumn.from_optionals([1.0, 3.0])
@@ -262,12 +258,11 @@ class TestTakeBounds:
     def test_relation_gather_past_the_end_raises(self, shards):
         relation = MasterRelation()
         relation.append_columns(6, {0: (np.arange(6), np.arange(1.0, 7.0))})
-        if shards > 1:
-            relation = ShardedTable.from_relation(relation, shards)
+        relation.set_shard_records([2, 2, 2] if shards > 1 else [6])
         with pytest.raises(IndexError):
             relation.measures(0, np.array([1, 6]))
         with pytest.raises(IndexError):
-            relation.measures(0, relation.split_rows(np.array([-1])))
+            relation.measures(0, rank_rows(np.array([-1])))
 
 
 class TestBuilder:

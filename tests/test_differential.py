@@ -26,6 +26,7 @@ from repro.core import (
     GraphRecord,
     PathAggregationQuery,
 )
+from repro.core.engine import shard_tasks
 from repro.exec import BitmapCache, QueryExecutor
 from repro.resilience import ResiliencePolicy
 from repro.workloads import (
@@ -273,8 +274,7 @@ def test_process_mode_degraded_shard_matches_healthy_oracle(
     db = tmp_path_factory.mktemp("procdb") / "db"
     engine.save(db)
     fi.fail_shard_in_workers(monkeypatch, 1)
-    starts = engine.relation.shard_starts()
-    start, stop = starts[1], starts[2]
+    _, start, stop = shard_tasks(engine.relation)[1]
     skipped_ids = {records[i].record_id for i in range(start, stop)}
     store = RowStore()
     store.load_records(records)

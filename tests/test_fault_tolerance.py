@@ -25,6 +25,7 @@ from repro.columnstore import (
     save_relation,
 )
 from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord, PathAggregationQuery
+from repro.core.engine import shard_tasks
 from repro.cli import main
 from repro.lang import parse_query
 from repro.errors import (
@@ -570,13 +571,7 @@ class TestShardLevelFaults:
         record range — ground truth for a degraded answer."""
         engine = GraphAnalyticsEngine(shards=self.N_SHARDS)
         engine.load_records(_records())
-        starts = engine.relation.shard_starts()
-        start = starts[dead_shard]
-        stop = (
-            starts[dead_shard + 1]
-            if dead_shard + 1 < self.N_SHARDS
-            else engine.n_records
-        )
+        _, start, stop = shard_tasks(engine.relation)[dead_shard]
         healthy = [
             r for i, r in enumerate(_records()) if not start <= i < stop
         ]

@@ -7,9 +7,9 @@ drives random ref lists — elements present in only some shards, elements
 absent everywhere, graph views and aggregate views — through each of its
 callers:
 
-* the charged ``fold`` of a ``MasterRelation`` and of a ``ShardedTable``
-  at 1, 3 and 8 shards, whose I/O deltas must be one fetch per (ref,
-  shard) — none where the shard never saw the element;
+* the charged ``fold`` of a ``MasterRelation``, whole and per shard at 1,
+  3 and 8 shards, whose I/O deltas must be one fetch per (ref, shard) of
+  the shard's words — none for an element the relation never saw;
 * ``RelationBitmapReader`` attachments to the saved store, plain and
   3-shard, as the process pool's worker reads them (a 3-shard store's
   shard *i* is that record range of the one mapped store);
@@ -33,7 +33,6 @@ from repro.baselines import RowStore
 from repro.columnstore import (
     Bitmap,
     RelationBitmapReader,
-    ShardedTable,
     and_refs,
     save_relation,
 )
@@ -70,15 +69,15 @@ def cases(draw):
     return records, frozenset(view), chain, picks, start
 
 
-def _expected_io(table, refs) -> tuple[int, int, int]:
+def _expected_io(relation, refs, sizes) -> tuple[int, int, int]:
     base = view = nbytes = 0
-    for shard in table.shard_relations():
+    for n_records in sizes:
         for kind, token in refs:
-            if kind == "element" and not shard.has_element(token):
+            if kind == "element" and not relation.has_element(token):
                 continue
             base += kind == "element"
             view += kind != "element"
-            nbytes += 8 * ((shard.n_records + 63) // 64)
+            nbytes += 8 * ((n_records + 63) // 64)
     return base, view, nbytes
 
 
@@ -131,17 +130,24 @@ def test_every_fold_is_the_and_of_element_containment(case):
     want = [i for i, record in enumerate(records) if record.record_id in matched]
 
     relation = engine.relation
-    for table in [relation] + [ShardedTable.from_relation(relation, k) for k in (1, 3, 8)]:
-        answer, delta = _io_delta(table.collector, lambda: table.fold(refs))
+    answer, delta = _io_delta(relation.collector, lambda: relation.fold(refs))
+    assert answer.to_indices().tolist() == want
+    assert delta == _expected_io(relation, refs, [len(records)])
+    for k in (1, 3, 8):
+        engine.reshard(k)
+        answer, delta = _io_delta(relation.collector, lambda: Bitmap.concat(
+            relation.fold(refs, shard=shard) for shard in range(k)
+        ))
         assert answer.length == len(records)
         assert answer.to_indices().tolist() == want
-        assert delta == _expected_io(table, refs)
+        assert delta == _expected_io(relation, refs, relation.shard_records)
 
     with tempfile.TemporaryDirectory() as plain, tempfile.TemporaryDirectory() as sharded:
         engine.save(plain)
         reader = RelationBitmapReader(plain)
         assert and_refs(reader.ref_bitmap, refs, reader.n_records).to_indices().tolist() == want
-        save_relation(ShardedTable.from_relation(relation, 3), sharded)
+        engine.reshard(3)
+        save_relation(relation, sharded)
         reader = RelationBitmapReader(sharded)
         segments = [
             and_refs(partial(reader.shard_bitmap, shard), refs, n)

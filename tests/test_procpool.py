@@ -18,7 +18,7 @@ import pytest
 
 from repro.baselines import RowStore
 from repro.core import GraphAnalyticsEngine, GraphQuery
-from repro.core.engine import INLINE
+from repro.core.engine import INLINE, shard_tasks
 from repro.errors import QueryCancelledError, QueryTimeoutError, ShardExecutionError
 from repro.exec import BitmapCache, ProcessShardPool, QueryExecutor, StaleGenerationError
 from repro.exec.procpool import WorkerTaskError
@@ -194,7 +194,7 @@ class TestOneTaskPerWorker:
         cache = BitmapCache(8 << 20)
         query, expected = queries[0], oracle_ids[0]
         plan = engine.physical_plan(query)
-        shard0 = engine.relation.shard_relations()[0].fold(plan.refs)
+        shard0 = engine.relation.fold(plan.refs, shard=0)
         with QueryExecutor(
             engine, jobs=1, cache=cache, exec_mode="process", workers=2,
             registry=registry,
@@ -226,8 +226,7 @@ class TestOneTaskPerWorker:
         db = tmp_path / "db"
         engine.save(db)
         fi.fail_shard_in_workers(monkeypatch, 1)
-        starts = engine.relation.shard_starts()
-        start, stop = starts[1], starts[2]
+        _, start, stop = shard_tasks(engine.relation)[1]
         skipped = set(engine.record_ids_at(np.arange(start, stop)))
         oracle = GraphAnalyticsEngine()
         oracle.load_columnar(corpus.record_ids(), corpus.to_columnar())
@@ -269,7 +268,7 @@ class TestStoreCuts:
         engine = GraphAnalyticsEngine(shards=3)
         engine.load_records(records[:400])
         engine.append_records(records[400:])
-        assert [s.n_records for s in engine.relation.shard_relations()] == [128, 128, 344]
+        assert engine.relation.shard_records == [128, 128, 344]
         db = tmp_path / "db"
         engine.save(db)
         with QueryExecutor(
@@ -279,7 +278,7 @@ class TestStoreCuts:
         loaded = GraphAnalyticsEngine.load(db)
         loaded.use_resilience(ResiliencePolicy(attempts=2, sleep=lambda _s: None))
         loaded.rebalance()
-        assert [s.n_records for s in loaded.relation.shard_relations()] == [192, 192, 216]
+        assert loaded.relation.shard_records == [192, 192, 216]
         start, stop = 192, 384
         skipped = set(loaded.record_ids_at(np.arange(start, stop)))
         store = RowStore()
@@ -367,8 +366,7 @@ class TestGenerationStamps:
             fragment = self._fragment(engine)
             last = engine.n_shards - 1
             first = pool.execute(last, fragment)
-            starts = engine.relation.shard_starts()
-            assert first.length == engine.n_records - starts[last]
+            assert first.length == engine.relation.shard_records[last]
             # Commit a new generation with more records (appends extend
             # the last shard), restamp, and the workers must serve the
             # new mapping.
@@ -389,7 +387,7 @@ class TestGenerationStamps:
         try:
             assert not list(db.rglob("*_rows.npy"))
             edge_id = engine.catalog.get_id(next(iter(engine.catalog)))
-            live = engine.relation.shard_relations()[0].ref_bitmap("element", edge_id)
+            live = engine.relation.fold([("element", edge_id)], shard=0)
             assert pool.execute(0, self._fragment(engine)) == live
         finally:
             pool.close()
@@ -433,7 +431,7 @@ class TestGenerationStamps:
             # A fresh execute under the new stamp still answers (the
             # generation is unchanged, only the epoch moved).
             result = pool.execute(0, fragment)
-            assert result.length == engine.relation.shard_starts()[1]
+            assert result.length == engine.relation.shard_records[0]
         finally:
             pool.close()
 

@@ -558,8 +558,8 @@ def _aligned_engine(registry, **policy_kw) -> GraphAnalyticsEngine:
 
 
 def _shard_range(engine, shard: int) -> tuple[int, int]:
-    starts = [*engine.relation.shard_starts(), engine.n_records]
-    return starts[shard], starts[shard + 1]
+    start = sum(engine.relation.shard_records[:shard])
+    return start, start + engine.relation.shard_records[shard]
 
 
 def _expected_ids(skipped: tuple[int, int] = (0, 0)) -> list[str]:
@@ -596,14 +596,13 @@ class TestLockFreeSupervision:
 
     def test_cuts_are_word_aligned(self):
         engine = _aligned_engine(MetricsRegistry())
-        starts = engine.relation.shard_starts()
-        assert len(starts) == ALIGNED_SHARDS
-        assert all(start % 64 == 0 for start in starts)
+        sizes = engine.relation.shard_records
+        assert len(sizes) == ALIGNED_SHARDS
+        assert all(size % 64 == 0 for size in sizes[:-1])
 
     def test_each_transient_failure_is_one_retry(self):
         registry = MetricsRegistry()
         engine = _aligned_engine(registry, attempts=3, breaker_threshold=3)
-        healthy = engine.relation.shards[5]
         # More single blips than the breaker threshold: each success in
         # between must zero the breaker's failure streak.
         for round_ in range(1, 6):
@@ -617,7 +616,7 @@ class TestLockFreeSupervision:
                 "breaker_refusals": 0, "shards_skipped": 0,
             }
             assert engine.resilience.breaker_states()[5] == CLOSED
-            engine.relation.shards[5] = healthy
+            proxy.remove()
 
     def test_dead_shard_opens_its_breaker_and_refusals_are_counted(self):
         registry = MetricsRegistry()
@@ -684,23 +683,8 @@ class TestLockFreeSupervision:
 class TestDeadlinesAndCancellation:
     def test_deadline_cancels_within_twice_the_budget(self):
         engine = _sharded_engine()
-
-        class SlowShard:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def __getattr__(self, name):
-                attr = getattr(self._inner, name)
-                if name == "fold" and callable(attr):
-                    def slow(*args, **kwargs):
-                        time.sleep(0.02)
-                        return attr(*args, **kwargs)
-                    return slow
-                return attr
-
-        table = engine.relation
-        for i in range(len(table.shards)):
-            table.shards[i] = SlowShard(table.shards[i])
+        for shard in range(engine.n_shards):
+            fi.install_faulty_shard(engine, shard, fail_times=0, delay=0.02)
         budget = 0.05
         with QueryExecutor(engine) as executor:
             started = time.perf_counter()

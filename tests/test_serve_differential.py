@@ -23,6 +23,7 @@ import pytest
 
 from repro.baselines import RowStore
 from repro.core import GraphAnalyticsEngine, PathAggregationQuery
+from repro.core.engine import shard_tasks
 from repro.exec import BitmapCache, QueryExecutor
 from repro.resilience import ResiliencePolicy
 from repro.serve import ServeClient, start_in_thread
@@ -148,8 +149,7 @@ def test_served_degraded_partial_ok_exact_skipped_ranges(
     db = tmp_path_factory.mktemp("servedb") / "db"
     engine.save(db)
     fi.fail_shard_in_workers(monkeypatch, 1)
-    starts = engine.relation.shard_starts()
-    start, stop = starts[1], starts[2]
+    _, start, stop = shard_tasks(engine.relation)[1]
     skipped_ids = {records[i].record_id for i in range(start, stop)}
     store = RowStore()
     store.load_records(records)

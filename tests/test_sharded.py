@@ -1,34 +1,48 @@
-"""Shard-parallel storage layer: geometry, routing, persistence, serving.
+"""Shard-parallel storage: geometry, gathers, persistence, serving.
 
-The :class:`ShardedTable` backend horizontally partitions the master
-relation into contiguous record-range shards behind the same
-``StorageBackend`` contract as :class:`MasterRelation`.  These tests pin
-the invariants the operator layer relies on: balanced even splits,
-order-preserving routing and gathers, bit-identical rebalance /
-from-relation / to-relation round trips, crash-safe persistence as one
-relation that loads at its saved cuts, and the engine- and
-executor-level sharding seams (``shards=N``, ``reshard``, parallel
-ingest, the shard mapper)."""
+A shard is a contiguous record range of the one master relation, named by
+its index and sized by the relation's ``shard_records`` — the manifest
+field of the same name.  These tests pin the invariants the operator layer
+relies on: balanced even splits, per-shard folds whose concatenation is
+the relation's fold, order-preserving gathers, re-cuts that move no data
+(reshard, rebalance, load at other cuts), crash-safe persistence as one
+relation that loads at its saved cuts, the engine- and executor-level
+sharding seams (``shards=N``, ``reshard``, the shard runner), and a
+stateful model that runs a sharded relation against an unsharded twin."""
 
 from __future__ import annotations
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    consumes,
+    initialize,
+    invariant,
+    rule,
+)
 
+from repro.baselines import RowStore
 from repro.columnstore import (
     Bitmap,
     MasterRelation,
     MeasureColumn,
     RelationBitmapReader,
-    ShardedTable,
-    StorageBackend,
+    and_refs,
     load_relation,
     save_relation,
 )
+from repro.columnstore.column import rank_rows
+from repro.columnstore.table import _first_split
 from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord, PathAggregationQuery
-from repro.core.engine import INLINE, ShardRunner
+from repro.core.engine import INLINE, ShardRunner, shard_tasks
+from repro.core.engine import facade
 from repro.errors import CorruptionError, ManifestError, PersistenceError
 from repro.exec import BitmapCache, QueryExecutor
 from repro.workloads import build_dataset, sample_path_queries
@@ -53,8 +67,24 @@ def _reference_relation(n_records: int = 10) -> MasterRelation:
     return rel
 
 
-def _sharded_table(n_shards: int = 3, n_records: int = 10) -> ShardedTable:
-    return ShardedTable.from_relation(_reference_relation(n_records), n_shards)
+def _sharded_relation(n_shards: int = 3, n_records: int = 10) -> MasterRelation:
+    """The reference relation cut into ``n_shards`` as the engine cuts."""
+    rel = _reference_relation(n_records)
+    rel.set_shard_records(_first_split(n_records, n_shards))
+    return rel
+
+
+def _refs(relation) -> list[tuple[str, object]]:
+    """One ref per bitmap column the relation holds."""
+    return (
+        [("element", i) for i in relation.element_ids()]
+        + [("graph-view", name) for name in relation.graph_view_names()]
+        + [("agg-view", name) for name in relation.aggregate_view_names()]
+    )
+
+
+def _shard_folds(relation, refs) -> list[Bitmap]:
+    return [relation.fold(refs, shard=shard) for shard in range(len(relation.shard_records))]
 
 
 @pytest.fixture(scope="module")
@@ -82,93 +112,106 @@ def _assert_tables_equal(a, b) -> None:
     assert a.aggregate_view_names() == b.aggregate_view_names()
     for name in a.aggregate_view_names():
         assert a.ref_bitmap("agg-view", name) == b.ref_bitmap("agg-view", name)
+    # Each shard folds its segment: concatenated, the whole column.
+    for ref in _refs(a):
+        assert Bitmap.concat(_shard_folds(a, [ref])) == b.ref_bitmap(*ref)
 
 
 # -- geometry ----------------------------------------------------------------
 
 
 class TestGeometry:
-    def test_backend_protocol(self):
-        assert isinstance(ShardedTable(2), StorageBackend)
-        assert isinstance(MasterRelation(), StorageBackend)
-
     def test_unsharded_relation_is_one_shard(self):
         rel = MasterRelation()
-        assert rel.shard_relations() == [rel]
-        assert rel.shard_starts() == [0]
+        assert rel.shard_records == [0]
+        rel.append_columns(5, {})
+        rel.append_columns(2, {})
+        assert rel.shard_records == [7]
+        assert shard_tasks(rel) == [(0, 0, 7)]
 
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
-            ShardedTable(0)
+            GraphAnalyticsEngine(shards=0)
+        rel = _reference_relation()
+        for sizes in ([], [5, 4], [11, -1]):
+            with pytest.raises(ValueError, match="do not cut 10 records"):
+                rel.set_shard_records(sizes)
+        assert rel.shard_records == [10]
 
     def test_even_split(self):
-        table = ShardedTable(4)
-        table.set_record_count(10)
-        assert [s.n_records for s in table.shards] == [3, 3, 2, 2]
-        assert table.shard_starts() == [0, 3, 6, 8]
-        assert table.n_records == 10
+        rel = MasterRelation()
+        rel.set_shard_records([0] * 4)
+        rel.set_record_count(10)
+        assert rel.shard_records == [3, 3, 2, 2]
+        assert [task.start for task in shard_tasks(rel)] == [0, 3, 6, 8]
+        assert rel.n_records == 10
 
     def test_growth_extends_last_shard_only(self):
-        table = ShardedTable(3)
-        table.set_record_count(6)
-        table.set_record_count(9)
-        assert [s.n_records for s in table.shards] == [2, 2, 5]
+        rel = MasterRelation()
+        rel.set_shard_records([0] * 3)
+        rel.set_record_count(6)
+        rel.set_record_count(9)
+        assert rel.shard_records == [2, 2, 5]
 
     def test_shrink_rejected(self):
-        table = ShardedTable(2)
-        table.set_record_count(4)
+        rel = MasterRelation()
+        rel.set_shard_records([0, 0])
+        rel.set_record_count(4)
         with pytest.raises(ValueError):
-            table.set_record_count(3)
+            rel.set_record_count(3)
 
     def test_append_columns_returns_global_index(self):
-        table = ShardedTable(3)
-        assert table.append_columns(5, {0: ([0, 2, 4], [1.0, 2.0, 3.0])}) == 0
-        assert [s.n_records for s in table.shards] == [2, 2, 1]
-        assert table.append_columns(1, {0: ([0], [4.0])}) == 5
-        assert table.append_columns(1, {1: ([0], [5.0])}) == 6
-        assert [s.n_records for s in table.shards] == [2, 2, 3]
+        rel = MasterRelation()
+        rel.set_shard_records([0] * 3)
+        assert rel.append_columns(5, {0: ([0, 2, 4], [1.0, 2.0, 3.0])}) == 0
+        assert rel.shard_records == [2, 2, 1]
+        assert rel.append_columns(1, {0: ([0], [4.0])}) == 5
+        assert rel.append_columns(1, {1: ([0], [5.0])}) == 6
+        assert rel.shard_records == [2, 2, 3]
         np.testing.assert_array_equal(
-            table.measures(0), [1.0, np.nan, 2.0, np.nan, 3.0, 4.0, np.nan]
+            rel.measures(0), [1.0, np.nan, 2.0, np.nan, 3.0, 4.0, np.nan]
         )
+        assert [seg.to_indices().tolist() for seg in _shard_folds(rel, [("element", 1)])] == [
+            [], [], [2]
+        ]
 
 
-# -- routing -----------------------------------------------------------------
+# -- gathers -----------------------------------------------------------------
 
 
 class TestRouting:
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 4, 10])
     def test_columns_match_reference(self, n_shards):
-        _assert_tables_equal(_sharded_table(n_shards), _reference_relation())
+        _assert_tables_equal(_sharded_relation(n_shards), _reference_relation())
 
     def test_measure_gather_preserves_row_order(self):
-        table = _sharded_table(3)
+        rel = _sharded_relation(3)
         rows = np.array([9, 0, 4, 2])
         np.testing.assert_array_equal(
-            table.measures(0, rows), _reference_relation().measures(0, rows)
+            rel.measures(0, rows), _reference_relation().measures(0, rows)
         )
 
     @pytest.mark.parametrize(
         "rows", [[0, 2, 3, 4, 8, 9], [9, 0, 4, 2, 4], [5], [], [3, 3, 7]]
     )
     def test_split_rows_once_serves_every_column_with_the_same_counts(self, rows):
-        """A query routes its rows once (``split_rows``) and gathers every
-        column through the result: same values, same order and the same
-        column/value counts as routing per call — sorted rows or not."""
+        """A query ranks its rows once (``rank_rows``) and gathers every
+        column of the sharded relation through the result: same values,
+        same order and the same column/value counts as per call — sorted
+        rows or not."""
         rows = np.array(rows, dtype=np.int64)
         reference = _reference_relation()
-        per_call, once = _sharded_table(3), _sharded_table(3)
+        per_call, once = _sharded_relation(3), _sharded_relation(3)
         per_call.collector.reset()
         once.collector.reset()
-        split = once.split_rows(rows)
-        assert split.size == rows.size
-        if (np.diff(rows) >= 0).all():
-            assert all(isinstance(where, slice) for _, where, _ in split.pieces)
+        ranked = rank_rows(rows)
+        assert ranked.size == rows.size
         for edge_id in (0, 1, 2):
             want = reference.measures(edge_id, rows)
             np.testing.assert_array_equal(per_call.measures(edge_id, rows), want)
-            np.testing.assert_array_equal(once.measures(edge_id, split), want)
+            np.testing.assert_array_equal(once.measures(edge_id, ranked), want)
         np.testing.assert_array_equal(
-            once.aggregate_view_measures("av1:sum", split),
+            once.aggregate_view_measures("av1:sum", ranked),
             reference.aggregate_view_measures("av1:sum", rows),
         )
         per_call.aggregate_view_measures("av1:sum", rows)
@@ -184,30 +227,33 @@ class TestRouting:
         assert engine.n_records == 0 and engine.relation.element_ids() == []
 
 
-# -- rebalance and conversion ------------------------------------------------
+# -- re-cuts -----------------------------------------------------------------
 
 
 class TestRebalanceAndConversion:
     def test_round_trip_to_relation(self):
-        _assert_tables_equal(_sharded_table(4).to_relation(), _reference_relation())
+        rel = _sharded_relation(4)
+        rel.set_shard_records([rel.n_records])
+        assert shard_tasks(rel) == [(0, 0, 10)]
+        _assert_tables_equal(rel, _reference_relation())
 
     def test_rebalance_after_appends(self):
-        table = _sharded_table(4)
-        table.append_columns(6, {0: (np.arange(6), 100.0 + np.arange(6))})
-        # Incremental view maintenance, as the engine does on append.
-        table.extend_graph_view("gv1", Bitmap.zeros(6))
-        table.extend_aggregate_view("av1:sum", MeasureColumn.nulls(6))
-        skewed = [s.n_records for s in table.shards]
-        reference = table.to_relation()
-        table.rebalance()
-        assert [s.n_records for s in table.shards] == [4, 4, 4, 4] != skewed
-        _assert_tables_equal(table, reference)
+        rel, reference = _sharded_relation(4), _reference_relation()
+        for table in (rel, reference):
+            table.append_columns(6, {0: (np.arange(6), 100.0 + np.arange(6))})
+            # Incremental view maintenance, as the engine does on append.
+            table.extend_graph_view("gv1", Bitmap.zeros(6))
+            table.extend_aggregate_view("av1:sum", MeasureColumn.nulls(6))
+        skewed = list(rel.shard_records)
+        rel.set_shard_records(_first_split(rel.n_records, 4))
+        assert rel.shard_records == [4, 4, 4, 4] != skewed
+        _assert_tables_equal(rel, reference)
 
     def test_reshard_preserves_content(self):
-        table = _sharded_table(2)
-        again = ShardedTable.from_relation(table, 5)
-        assert again.n_shards == 5
-        _assert_tables_equal(again, table)
+        rel = _sharded_relation(2)
+        rel.set_shard_records(_first_split(rel.n_records, 5))
+        assert len(rel.shard_records) == 5
+        _assert_tables_equal(rel, _reference_relation())
 
 
 # -- views -------------------------------------------------------------------
@@ -215,40 +261,48 @@ class TestRebalanceAndConversion:
 
 class TestShardedViews:
     def test_view_split_and_merge(self):
-        table = _sharded_table(3)
-        assert table.ref_bitmap("graph-view", "gv1").to_indices().tolist() == [0, 9]
-        assert all(s.has_graph_view("gv1") for s in table.shards)
+        rel = _sharded_relation(3)
+        assert rel.ref_bitmap("graph-view", "gv1").to_indices().tolist() == [0, 9]
+        segments = _shard_folds(rel, [("graph-view", "gv1")])
+        assert [len(s) for s in segments] == rel.shard_records
+        assert [s.to_indices().tolist() for s in segments] == [[0], [], [2]]
 
     def test_view_usable_only_when_in_every_shard(self):
-        table = _sharded_table(3)
-        table.shards[1].drop_graph_view("gv1")
-        assert not table.has_graph_view("gv1")
-        assert "gv1" not in table.graph_view_names()
+        """A view is one column of the one relation: dropped, it is gone
+        from every shard at once."""
+        rel = _sharded_relation(3)
+        rel.drop_graph_view("gv1")
+        assert not rel.has_graph_view("gv1")
+        assert "gv1" not in rel.graph_view_names()
+        for shard in range(3):
+            with pytest.raises(KeyError):
+                rel.fold([("graph-view", "gv1")], shard=shard)
 
     def test_extend_views_on_append(self):
-        table = _sharded_table(3)
-        table.append_columns(1, {0: ([0], [9.0])})
-        table.extend_graph_view("gv1", Bitmap.ones(1))
-        table.extend_aggregate_view("av1:sum", MeasureColumn.from_optionals([8.0]))
-        assert table.ref_bitmap("graph-view", "gv1").to_indices().tolist() == [0, 9, 10]
-        assert table.ref_bitmap("agg-view", "av1:sum")[10]
-        # The first batch into an empty table spreads over every shard, so
-        # every shard's segment lags and takes its own slice of the delta.
-        table = ShardedTable(3)
-        table.add_graph_view("gv1", Bitmap.zeros(0))
-        table.add_aggregate_view("av1:sum", MeasureColumn.nulls(0))
-        table.append_columns(5, {0: ([1, 4], [1.0, 2.0])})
-        table.extend_graph_view("gv1", Bitmap.from_indices(5, [1, 4]))
-        table.extend_aggregate_view("av1:sum", MeasureColumn.from_optionals([None, 1.0, None, None, 2.0]))
-        assert [len(s.ref_bitmap("graph-view", "gv1")) for s in table.shards] == [2, 2, 1]
-        assert table.ref_bitmap("graph-view", "gv1").to_indices().tolist() == [1, 4]
-        assert table.aggregate_view_measures("av1:sum", np.array([4, 1])).tolist() == [2.0, 1.0]
+        rel = _sharded_relation(3)
+        rel.append_columns(1, {0: ([0], [9.0])})
+        rel.extend_graph_view("gv1", Bitmap.ones(1))
+        rel.extend_aggregate_view("av1:sum", MeasureColumn.from_optionals([8.0]))
+        assert rel.ref_bitmap("graph-view", "gv1").to_indices().tolist() == [0, 9, 10]
+        assert rel.ref_bitmap("agg-view", "av1:sum")[10]
+        # The first batch into an empty relation is cut over every shard,
+        # and every shard's segment of the grown view covers its range.
+        rel = MasterRelation()
+        rel.set_shard_records([0] * 3)
+        rel.add_graph_view("gv1", Bitmap.zeros(0))
+        rel.add_aggregate_view("av1:sum", MeasureColumn.nulls(0))
+        rel.append_columns(5, {0: ([1, 4], [1.0, 2.0])})
+        rel.extend_graph_view("gv1", Bitmap.from_indices(5, [1, 4]))
+        rel.extend_aggregate_view("av1:sum", MeasureColumn.from_optionals([None, 1.0, None, None, 2.0]))
+        assert [len(s) for s in _shard_folds(rel, [("graph-view", "gv1")])] == [2, 2, 1]
+        assert rel.ref_bitmap("graph-view", "gv1").to_indices().tolist() == [1, 4]
+        assert rel.aggregate_view_measures("av1:sum", np.array([4, 1])).tolist() == [2.0, 1.0]
 
     def test_drop_views_clears_all_shards(self):
-        table = _sharded_table(3)
-        table.drop_views()
-        assert table.graph_view_names() == []
-        assert table.aggregate_view_names() == []
+        rel = _sharded_relation(3)
+        rel.drop_views()
+        assert rel.graph_view_names() == []
+        assert rel.aggregate_view_names() == []
 
 
 # -- persistence -------------------------------------------------------------
@@ -287,24 +341,29 @@ def _words_root(bitmap) -> np.ndarray:
 
 
 class TestShardedPersistence:
-    """A sharded table saves as one relation whose manifest records its
+    """A sharded relation saves as one relation whose manifest records its
     cuts (``shard_records``) and loads cut exactly there."""
 
     def test_round_trip(self, tmp_path):
-        table = ShardedTable.cut(_reference_relation(600), _CUTS)
+        rel = _reference_relation(600)
+        rel.set_shard_records(_CUTS)
         db = tmp_path / "db"
-        save_relation(table, db, app_meta={"k": 1})
+        save_relation(rel, db, app_meta={"k": 1})
         assert fi.live_manifest(db)["shard_records"] == _CUTS
         loaded = load_relation(db)
-        assert [shard.n_records for shard in loaded.shards] == _CUTS
+        assert loaded.shard_records == _CUTS
         assert loaded.app_meta == {"k": 1}
-        _assert_tables_equal(loaded, table)
-        for got, expected in zip(loaded.shards, table.shards):
-            _assert_tables_equal(got, expected)
-        # Word-aligned cuts: every shard's segment is a view of one loaded
-        # array, not a copy of its own.
-        roots = {id(_words_root(shard.ref_bitmap("element", 0))) for shard in loaded.shards}
-        assert len(roots) == 1
+        _assert_tables_equal(loaded, rel)
+        for got, expected in zip(_shard_folds(loaded, [("element", 0)]),
+                                 _shard_folds(rel, [("element", 0)])):
+            assert got == expected
+        # Word-aligned cuts: every shard's segment of a column is a view of
+        # the one loaded array.
+        column = loaded.ref_bitmap("element", 0)
+        roots = {
+            id(_words_root(column.slice(task.start, task.stop))) for task in shard_tasks(loaded)
+        }
+        assert roots == {id(_words_root(column))}
 
     def test_engine_round_trip_keeps_cuts_views_and_meta(self, tmp_path):
         engine = _uneven_engine()
@@ -359,23 +418,23 @@ class TestShardedPersistence:
             assert sorted(p.name for p in db.iterdir()) == [live, "manifest.json"]
 
     def test_generation_gc(self, tmp_path):
-        table = _sharded_table(2)
+        rel = _sharded_relation(2)
         db = tmp_path / "db"
-        save_relation(table, db)
-        save_relation(table, db)
-        save_relation(table, db)
+        save_relation(rel, db)
+        save_relation(rel, db)
+        save_relation(rel, db)
         assert sorted(p.name for p in db.iterdir()) == ["gen-000003", "manifest.json"]
 
     def test_manifest_garbage(self, tmp_path):
         db = tmp_path / "db"
-        save_relation(_sharded_table(2), db)
+        save_relation(_sharded_relation(2), db)
         (db / "manifest.json").write_text("{nope")
         with pytest.raises(ManifestError, match="invalid JSON"):
             load_relation(db)
 
     def test_manifest_missing_fields(self, tmp_path):
         db = tmp_path / "db"
-        save_relation(_sharded_table(2), db)
+        save_relation(_sharded_relation(2), db)
         manifest = fi.live_manifest(db)
         del manifest["shard_records"]
         (db / "manifest.json").write_text(json.dumps(manifest))
@@ -384,7 +443,7 @@ class TestShardedPersistence:
 
     def test_unsupported_format_version(self, tmp_path):
         db = tmp_path / "db"
-        save_relation(_sharded_table(2), db)
+        save_relation(_sharded_relation(2), db)
         manifest = fi.live_manifest(db)
         manifest["format_version"] = 3
         (db / "manifest.json").write_text(json.dumps(manifest))
@@ -393,7 +452,7 @@ class TestShardedPersistence:
 
     def test_shard_count_mismatch(self, tmp_path):
         db = tmp_path / "db"
-        save_relation(_sharded_table(2), db)
+        save_relation(_sharded_relation(2), db)
         manifest = fi.live_manifest(db)
         manifest["shard_records"] = [5, 4]
         (db / "manifest.json").write_text(json.dumps(manifest))
@@ -403,7 +462,7 @@ class TestShardedPersistence:
     @pytest.mark.parametrize("cuts", [[], [-2, 12], "10", [10.0]])
     def test_malformed_cuts_are_refused(self, tmp_path, cuts):
         db = tmp_path / "db"
-        save_relation(_sharded_table(2), db)
+        save_relation(_sharded_relation(2), db)
         manifest = fi.live_manifest(db)
         manifest["shard_records"] = cuts
         (db / "manifest.json").write_text(json.dumps(manifest))
@@ -426,22 +485,24 @@ class TestShardedPersistence:
 
     def test_corrupt_shard_column_detected(self, tmp_path):
         db = tmp_path / "db"
-        save_relation(_sharded_table(3), db)
+        save_relation(_sharded_relation(3), db)
         fi.flip_bit(fi.data_file(db, "m0_vals.npy"))
         with pytest.raises(CorruptionError, match="CRC32"):
             load_relation(db)
 
     def test_damaged_view_in_one_shard_drops_view_globally(self, tmp_path):
         db = tmp_path / "db"
-        save_relation(_sharded_table(3), db)
+        save_relation(_sharded_relation(3), db)
         fi.data_file(db, "gv_gv1.npy").unlink()
         with pytest.warns(RuntimeWarning, match="gv1"):
             loaded = load_relation(db)
-        # The view's one file covers every shard: it is gone from the whole
-        # table, while base columns still verify.
-        assert loaded.n_shards == 3
+        # The view's one file covers every shard: it is gone from each,
+        # while base columns still verify.
+        assert len(loaded.shard_records) == 3
         assert not loaded.has_graph_view("gv1")
-        assert not any(shard.has_graph_view("gv1") for shard in loaded.shards)
+        for shard in range(3):
+            with pytest.raises(KeyError):
+                loaded.fold([("graph-view", "gv1")], shard=shard)
         assert loaded.has_aggregate_view("av1:sum")
         assert "gv1" in [name for name, _ in loaded.dropped_views]
         assert loaded.ref_bitmap("element", 0) == _reference_relation().ref_bitmap("element", 0)
@@ -449,16 +510,14 @@ class TestShardedPersistence:
     @pytest.mark.parametrize("shards", [1, 3, 8])
     def test_file_count_is_independent_of_shards(self, tmp_path, shards):
         relation = _reference_relation(600)
-        table = relation if shards == 1 else ShardedTable.from_relation(relation, shards)
+        relation.set_shard_records(_first_split(600, shards))
         db = tmp_path / "db"
-        save_relation(table, db)
+        save_relation(relation, db)
         files = [p for p in db.rglob("*") if p.is_file()]
         # Two files per element column, one per graph view, two per
         # aggregate view, and the manifest.
         assert len(files) == 2 * len(relation.element_ids()) + 1 + 2 + 1
-        assert fi.live_manifest(db)["shard_records"] == [
-            shard.n_records for shard in table.shard_relations()
-        ]
+        assert fi.live_manifest(db)["shard_records"] == relation.shard_records
 
 
 # -- engine-level sharding ---------------------------------------------------
@@ -488,9 +547,7 @@ class TestEngineSharding:
         assert sharded.load_records(iter(records)) == len(records)
         # Even contiguous record ranges, same global record order.
         base, extra = divmod(len(records), 4)
-        assert [s.n_records for s in sharded.relation.shard_relations()] == [
-            base + (i < extra) for i in range(4)
-        ]
+        assert sharded.relation.shard_records == [base + (i < extra) for i in range(4)]
         all_rows = np.arange(len(records))
         assert sharded.record_ids_at(all_rows) == plain.record_ids_at(all_rows)
         for query in queries:
@@ -500,19 +557,20 @@ class TestEngineSharding:
                 np.testing.assert_array_equal(got.measures[element], values)
         # A second bulk load (non-empty engine) rebalances to even ranges.
         sharded.load_records(records[:7])
-        sizes = [s.n_records for s in sharded.relation.shard_relations()]
+        sizes = sharded.relation.shard_records
         assert sum(sizes) == len(records) + 7 and max(sizes) - min(sizes) <= 1
 
     def test_bulk_load_smaller_than_shard_count(self, records):
         engine = GraphAnalyticsEngine(shards=4)
         assert engine.load_records(records[:2]) == 2
-        assert [s.n_records for s in engine.relation.shard_relations()] == [1, 1, 0, 0]
+        assert engine.relation.shard_records == [1, 1, 0, 0]
         element = next(iter(records[1].elements()))
         assert records[1].record_id in engine.query(GraphQuery([element])).record_ids
 
     def test_reshard_bumps_epoch_and_keeps_answers(self, records, queries):
         engine = GraphAnalyticsEngine(shards=2)
         engine.load_records(records)
+        relation = engine.relation
         before = [engine.query(q, fetch_measures=False).record_ids for q in queries]
         epoch = engine.epoch
         engine.reshard(5)
@@ -520,9 +578,10 @@ class TestEngineSharding:
         assert engine.epoch > epoch
         after = [engine.query(q, fetch_measures=False).record_ids for q in queries]
         assert after == before
-        engine.reshard(1)  # flatten back to a plain MasterRelation
+        engine.reshard(1)  # one shard covering every record
         assert engine.n_shards == 1
-        assert not isinstance(engine.relation, ShardedTable)
+        assert engine.relation is relation
+        assert relation.shard_records == [len(records)]
 
     def test_save_load_round_trip(self, tmp_path, records, queries):
         engine = GraphAnalyticsEngine(shards=3)
@@ -562,9 +621,9 @@ class TestEngineSharding:
     def test_append_after_load_extends_last_shard(self, records):
         engine = GraphAnalyticsEngine(shards=3)
         engine.load_records(records[:30])
-        sizes = [s.n_records for s in engine.relation.shard_relations()]
+        sizes = list(engine.relation.shard_records)
         engine.append_records(records[30:40])
-        grown = [s.n_records for s in engine.relation.shard_relations()]
+        grown = engine.relation.shard_records
         assert grown[:2] == sizes[:2]
         assert grown[2] == sizes[2] + 10
         assert engine.n_records == 40
@@ -640,7 +699,11 @@ def _aligned_sizes(n: int, k: int) -> list[int]:
 
 
 def _sizes(engine) -> list[int]:
-    return [s.n_records for s in engine.relation.shard_relations()]
+    return engine.relation.shard_records
+
+
+def _starts(engine) -> list[int]:
+    return [task.start for task in shard_tasks(engine.relation)]
 
 
 @pytest.fixture(scope="module")
@@ -694,11 +757,10 @@ class TestWordAlignedCuts:
         aligned = n >= 64 * k
         assert _sizes(engine) == (_aligned_sizes(n, k) if aligned else _even_sizes(n, k))
         if aligned:
-            assert all(start % 64 == 0 for start in engine.relation.shard_starts())
+            assert all(start % 64 == 0 for start in _starts(engine))
             # Whole-word segments: a column's words add up to the unsharded
             # column's, and the merge is a word copy.
-            nbytes = sum(s.ref_bitmap("element", 0).nbytes()
-                         for s in engine.relation.shard_relations())
+            nbytes = sum(s.nbytes() for s in _shard_folds(engine.relation, [("element", 0)]))
             assert nbytes == plain.relation.ref_bitmap("element", 0).nbytes()
         else:
             # Below a word per shard the even split stays; at 64k-1 it
@@ -712,12 +774,12 @@ class TestWordAlignedCuts:
         plain.load_records(dense_records[:n])
         engine = GraphAnalyticsEngine(shards=k)
         engine.load_records(dense_records[:n])
-        starts = engine.relation.shard_starts()
+        starts = _starts(engine)
         for lo, hi in ((n, n + 7), (n + 7, n + 30), (n + 30, n + 40)):
             more = dense_records[lo:hi]
             engine.append_records(more)
             plain.append_records(more)
-            assert engine.relation.shard_starts() == starts
+            assert _starts(engine) == starts
             assert _sizes(engine)[:-1] == _aligned_sizes(n, k)[:-1]
             _assert_same_answers(engine, plain)
 
@@ -752,15 +814,7 @@ class TestWordAlignedCuts:
         engine.load_records(records)
         engine.materialize_graph_views(_ALIGNED_QUERIES[:2], budget=2)
         plain.materialize_graph_views(_ALIGNED_QUERIES[:2], budget=2)
-        even = ShardedTable(k, partition_width=engine.relation.partition_width)
-        for shard, size in zip(even.shards, _even_sizes(n, k)):
-            shard.set_record_count(size)
-        for edge_id in engine.relation.element_ids():
-            even.put_column(edge_id, engine.relation.column_for_persistence(edge_id))
-        for name, bitmap in engine.relation.graph_views_for_persistence().items():
-            even.add_graph_view(name, bitmap)
-        even.collector = engine.collector
-        engine.relation = even
+        engine.relation.set_shard_records(_even_sizes(n, k))
         db = tmp_path / "db"
         engine.save(db)
         loaded = GraphAnalyticsEngine.load(db)
@@ -773,3 +827,229 @@ class TestWordAlignedCuts:
         resharded = GraphAnalyticsEngine.load(db, shards=2)
         assert _sizes(resharded) == _aligned_sizes(n, 2)
         _assert_same_answers(resharded, plain)
+
+
+# -- re-cuts copy nothing ----------------------------------------------------
+
+
+def _storage_objects(relation) -> dict:
+    """Every bitmap column and view column the relation holds, by name."""
+    out = {("element", i): relation.ref_bitmap("element", i) for i in relation.element_ids()}
+    out.update(relation.graph_views_for_persistence())
+    out.update(relation.aggregate_views_for_persistence())
+    return out
+
+
+def _assert_same_objects(before: dict, relation) -> None:
+    after = _storage_objects(relation)
+    assert after.keys() == before.keys()
+    assert all(after[key] is obj for key, obj in before.items())
+
+
+class TestRecutCopiesNothing:
+    """``reshard``, ``rebalance`` and ``load(dir, shards=k)`` compute new
+    cuts and copy no column: every element bitmap and every view column
+    is the very object it was, and answers stay the row store's."""
+
+    def _assert_rowstore_answers(self, engine, store) -> None:
+        for query in _ALIGNED_QUERIES:
+            assert engine.query(query).record_ids == store.query(query).record_ids
+            agg = PathAggregationQuery(query, "sum")
+            got, want = engine.aggregate(agg), store.aggregate(agg)
+            assert got.record_ids == list(want)
+            for i, per_path in enumerate(want.values()):
+                assert {p: v[i] for p, v in got.path_values.items()} == per_path
+
+    def test_reshard_rebalance_and_load_keep_every_column(
+        self, tmp_path, monkeypatch, dense_records
+    ):
+        records = dense_records[:700]
+        store = RowStore()
+        store.load_records(records)
+        engine = GraphAnalyticsEngine(shards=3)
+        engine.load_records(records[:600])
+        engine.append_records(records[600:])
+        engine.materialize_graph_views(_ALIGNED_QUERIES[:2], budget=2)
+        engine.materialize_aggregate_views(
+            [PathAggregationQuery(_ALIGNED_QUERIES[1], "sum")], budget=1
+        )
+        assert engine.graph_views and engine.aggregate_views
+        before = _storage_objects(engine.relation)
+        for recut in (lambda: engine.reshard(8), engine.rebalance, lambda: engine.reshard(1)):
+            recut()
+            _assert_same_objects(before, engine.relation)
+            self._assert_rowstore_answers(engine, store)
+        engine.reshard(2)
+        db = tmp_path / "db"
+        engine.save(db)
+        loaded = []
+
+        def spy(directory):
+            relation = facade_load(directory)
+            loaded.append((relation, _storage_objects(relation)))
+            return relation
+
+        facade_load = facade.load_relation
+        monkeypatch.setattr(facade, "load_relation", spy)
+        engine = GraphAnalyticsEngine.load(db, shards=4)
+        [(relation, at_load)] = loaded
+        assert engine.relation is relation
+        assert _sizes(engine) == _aligned_sizes(700, 4)
+        _assert_same_objects(at_load, engine.relation)
+        self._assert_rowstore_answers(engine, store)
+
+
+# -- the storage state machine -----------------------------------------------
+
+_ELEMENTS = range(6)
+
+
+def _view_bits(relation, elements, start: int) -> Bitmap:
+    """A graph view over ``elements``, rows ``[start, n)``, as the engine
+    builds one: the AND of the elements' segments."""
+    n = relation.n_records
+    return and_refs(
+        relation.ref_bitmap, [("element", e) for e in elements], n - start, start=start
+    )
+
+
+def _sum_column(relation, elements, start: int) -> MeasureColumn:
+    """An aggregate view's SUM column over ``elements``, rows ``[start, n)``."""
+    bits = _view_bits(relation, elements, start)
+    rows = bits.to_indices() + start
+    total = np.zeros(rows.size)
+    for e in elements:
+        if rows.size:
+            total += relation.column_for_persistence(e).take(rows)
+    return MeasureColumn(total, bits)
+
+
+class StorageStateMachine(RuleBasedStateMachine):
+    """A sharded relation against its unsharded twin through appends (array
+    and list batches), reshards, rebalances, graph- and aggregate-view
+    DDL and save/load at the saved cuts.  After every step the cuts cut
+    the records; on demand, per-shard folds of random refs concatenate to
+    the twin's fold at one charged fetch per (ref, shard), and gathers at
+    random rows read what the twin reads."""
+
+    graph_views = Bundle("graph_views")
+    agg_views = Bundle("agg_views")
+
+    @initialize(k=st.sampled_from([2, 3, 5, 8]))
+    def setup(self, k):
+        self.k = k
+        self.sharded = MasterRelation()
+        self.sharded.set_shard_records([0] * k)
+        self.twin = MasterRelation()
+        self.views: dict[str, frozenset] = {}
+        self.counter = 0
+
+    def _both(self):
+        return (self.sharded, self.twin)
+
+    @rule(
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2**16),
+        as_lists=st.booleans(),
+    )
+    def append(self, n, seed, as_lists):
+        rng = np.random.default_rng(seed)
+        columns = {}
+        for e in rng.choice(len(_ELEMENTS), size=rng.integers(1, 4), replace=False).tolist():
+            rows = np.flatnonzero(rng.random(n) < rng.choice([0.1, 0.6, 1.0]))
+            vals = rng.integers(1, 9, rows.size).astype(float)
+            columns[e] = (rows.tolist(), vals.tolist()) if as_lists else (rows, vals)
+        start = self.twin.n_records
+        for relation in self._both():
+            assert relation.append_columns(n, columns) == start
+            for name, elements in self.views.items():
+                if name.startswith("gv"):
+                    relation.extend_graph_view(name, _view_bits(relation, elements, start))
+                else:
+                    relation.extend_aggregate_view(name, _sum_column(relation, elements, start))
+
+    @rule(k=st.sampled_from([2, 3, 5, 8]))
+    def reshard(self, k):
+        self.k = k
+        self.sharded.set_shard_records(_first_split(self.sharded.n_records, k))
+
+    @rule()
+    def rebalance(self):
+        self.sharded.set_shard_records(_first_split(self.sharded.n_records, self.k))
+
+    @rule(target=graph_views, elements=st.sets(st.sampled_from(_ELEMENTS), min_size=1, max_size=3))
+    def add_graph_view(self, elements):
+        self.counter += 1
+        name = f"gv{self.counter}"
+        self.views[name] = frozenset(elements)
+        for relation in self._both():
+            relation.add_graph_view(name, _view_bits(relation, elements, 0))
+        return name
+
+    @rule(target=agg_views, elements=st.sets(st.sampled_from(_ELEMENTS), min_size=1, max_size=3))
+    def add_aggregate_view(self, elements):
+        self.counter += 1
+        name = f"av{self.counter}:sum"
+        self.views[name] = frozenset(elements)
+        for relation in self._both():
+            relation.add_aggregate_view(name, _sum_column(relation, elements, 0))
+        return name
+
+    @rule(name=consumes(graph_views))
+    def drop_graph_view(self, name):
+        del self.views[name]
+        for relation in self._both():
+            relation.drop_graph_view(name)
+
+    @rule(name=consumes(agg_views))
+    def drop_aggregate_view(self, name):
+        del self.views[name]
+        for relation in self._both():
+            relation.drop_aggregate_view(name)
+
+    @rule()
+    def save_and_load(self):
+        cuts = list(self.sharded.shard_records)
+        with tempfile.TemporaryDirectory() as db:
+            save_relation(self.sharded, db)
+            self.sharded = load_relation(db)
+        assert self.sharded.shard_records == cuts
+
+    @invariant()
+    def cuts_cut_the_records(self):
+        if hasattr(self, "sharded"):
+            assert sum(self.sharded.shard_records) == self.sharded.n_records
+            assert self.sharded.n_records == self.twin.n_records
+            assert len(self.sharded.shard_records) == self.k
+
+    @rule(data=st.data())
+    def folds_and_gathers_match_the_twin(self, data):
+        refs = _refs(self.twin)
+        if refs:
+            refs = data.draw(st.lists(st.sampled_from(refs), min_size=1, max_size=4))
+            collector = self.sharded.collector
+            before = collector.stats.bitmap_columns_fetched + collector.stats.view_bitmaps_fetched
+            merged = Bitmap.concat(_shard_folds(self.sharded, refs))
+            after = collector.stats.bitmap_columns_fetched + collector.stats.view_bitmaps_fetched
+            assert merged == self.twin.fold(refs)
+            assert after - before == len(refs) * self.k
+        n = self.twin.n_records
+        if not n:
+            return
+        rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=20)), dtype=np.int64)
+        ranked = rank_rows(rows)
+        for e in self.twin.element_ids():
+            np.testing.assert_array_equal(
+                self.sharded.measures(e, ranked), self.twin.measures(e, rows)
+            )
+        for name in self.twin.aggregate_view_names():
+            np.testing.assert_array_equal(
+                self.sharded.aggregate_view_measures(name, ranked),
+                self.twin.aggregate_view_measures(name, rows),
+            )
+
+
+TestStorageStateMachine = StorageStateMachine.TestCase
+TestStorageStateMachine.settings = settings(
+    max_examples=100, stateful_step_count=15, deadline=None
+)

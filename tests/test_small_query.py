@@ -37,7 +37,7 @@ CHAIN = [f"n{i}" for i in range(9)]  # eight edges n0->n1 ... n7->n8
 
 def _records():
     """Every record holds A->B->C->D; only the first five also hold D->E,
-    so at 3 and 8 shards that element is absent from every shard but 0."""
+    so at 3 and 8 shards that element has no set bit past shard 0."""
     out = []
     for i in range(N_RECORDS):
         cells = {("A", "B"): float(i), ("B", "C"): 1.0, ("C", "D"): 2.0}
@@ -58,14 +58,12 @@ def _engine(shards: int) -> GraphAnalyticsEngine:
 
 
 def _expected_bitmap_io(engine, plan) -> tuple[int, int, int]:
-    """Per (part, shard): one charged fetch of that shard's words, except
-    an element the shard never saw (a zero segment, no charge)."""
+    """Per (part, shard): one charged fetch of that shard's words — a
+    shard reads its segment of every column the relation has."""
     base = view = nbytes = 0
-    for shard in engine.relation.shard_relations():
-        words = (shard.n_records + 63) // 64
-        for kind, token in plan.refs:
-            if kind == "element" and not shard.has_element(token):
-                continue
+    for n_records in engine.relation.shard_records:
+        words = (n_records + 63) // 64
+        for kind, _ in plan.refs:
             base += kind == "element"
             view += kind != "element"
             nbytes += 8 * words
@@ -96,8 +94,8 @@ class TestFoldAccounting:
         assert "graph-view" in kinds and kinds.count("element") == 2
         delta = _bitmap_delta(engine, lambda: engine.query(query))
         assert delta == _expected_bitmap_io(engine, plan)
-        # D->E lives in shard 0 only: one charge for it, not one per shard.
-        assert delta[0] == shards + 1 and delta[1] == shards
+        # D->E sets bits in shard 0 only, yet every shard reads its segment.
+        assert delta[0] == 2 * shards and delta[1] == shards
 
     @pytest.mark.parametrize("shards", [1, 3, 8])
     def test_aggregate_query_io_counts_the_view_bitmaps(self, shards):
@@ -129,10 +127,10 @@ class TestCallShape:
         calls: Counter = Counter()
         fold = MasterRelation.fold
 
-        def counting_fold(self, refs, ctx=None):
+        def counting_fold(self, refs, ctx=None, shard=None):
             calls["fold"] += 1
             calls["refs"] += len(refs)
-            return fold(self, refs, ctx)
+            return fold(self, refs, ctx, shard)
 
         monkeypatch.setattr(MasterRelation, "fold", counting_fold)
         result = engine.query(GraphQuery.from_node_chain(*CHAIN), fetch_measures=False)

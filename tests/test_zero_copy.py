@@ -21,6 +21,7 @@ import pytest
 
 from repro.columnstore import RelationBitmapReader, and_refs, storage_generation
 from repro.core import GraphAnalyticsEngine
+from repro.core.engine import shard_tasks
 from repro.workloads import build_dataset, sample_path_queries
 
 
@@ -105,12 +106,12 @@ class TestBitmapAttachment:
         engine = _engine(corpus, shards=shards)
         engine.save(tmp_path)
         reader = RelationBitmapReader(tmp_path)
-        sizes = [shard.n_records for shard in engine.relation.shard_relations()]
+        sizes = engine.relation.shard_records
         assert reader.shard_records == sizes
         assert reader.n_records == engine.n_records
         assert reader.generation == storage_generation(tmp_path)
         edge_id = engine.catalog.get_id(next(iter(corpus.to_columnar())))
-        starts = engine.relation.shard_starts()
+        starts = [task.start for task in shard_tasks(engine.relation)]
         merged = np.concatenate(
             [and_refs(partial(reader.shard_bitmap, i), [("element", edge_id)], n).to_indices() + s
              for i, (n, s) in enumerate(zip(sizes, starts))]
