@@ -1,4 +1,4 @@
-"""Parallel batch serving with the shared bitmap-conjunction cache.
+"""Parallel batch serving with the whole-answer bitmap cache.
 
 The serving-layer perf trajectory: one dense corpus (the workload where
 conjunctions are widest, so sharing them matters most), one skewed batch of
@@ -8,7 +8,7 @@ configurations:
 
 * ``serial-nocache``   — jobs=1, no cache: the engine as it was before the
   executor existed (the baseline);
-* ``serial-cache``     — jobs=1 + warm cache: what conjunction sharing
+* ``serial-cache``     — jobs=1 + warm cache: what answer caching
   alone buys;
 * ``parallel4-nocache`` — jobs=4, no cache: what threading alone buys
   (bounded by available cores; the numpy word-ops release the GIL);
@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from _data import SCALE, dense_corpus, emit, engine_for, scaled
-from repro.exec import BitmapCache, QueryExecutor
+from repro.exec import QueryExecutor
 from repro.workloads import sample_dense_queries
 
 N_RECORDS = scaled(2000)
@@ -69,9 +69,9 @@ def test_serving_config(benchmark, config):
     corpus, queries = _workload()
     engine = engine_for(corpus)
     spec = CONFIGS[config]
-    cache = BitmapCache(CACHE_MB << 20) if spec["cached"] else None
-    with QueryExecutor(engine, jobs=spec["jobs"], cache=cache) as executor:
-        if cache is not None:
+    cache_mb = CACHE_MB if spec["cached"] else 0
+    with QueryExecutor(engine, jobs=spec["jobs"], cache_mb=cache_mb) as executor:
+        if executor.cache is not None:
             executor.run_batch(queries, fetch_measures=False)  # warm the cache
         results = benchmark(
             lambda: executor.run_batch(queries, fetch_measures=False)

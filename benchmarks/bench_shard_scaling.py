@@ -8,7 +8,7 @@ each under two servers:
 * ``serial-sK``    — plain ``engine.query`` loop, no cache: per-shard
   conjunctions run sequentially and merge by concatenation (the
   correctness path);
-* ``executor4-sK`` — ``QueryExecutor(jobs=4)`` with a warm shard-keyed
+* ``executor4-sK`` — ``QueryExecutor(jobs=4)`` with a warm answer
   cache: batch fan-out plus the executor's dedicated shard pool, the
   full serving stack;
 * ``process4-sK``  — ``QueryExecutor(exec_mode="process", workers=4)``
@@ -36,7 +36,7 @@ import pytest
 
 from _data import SCALE, emit, ny_corpus, scaled
 from repro.core import GraphAnalyticsEngine
-from repro.exec import BitmapCache, QueryExecutor
+from repro.exec import QueryExecutor
 from repro.workloads import sample_path_queries
 
 N_RECORDS = scaled(20000)
@@ -87,8 +87,7 @@ def test_serial_shards(benchmark, shards):
 def test_executor_shards(benchmark, shards):
     _, queries = _workload()
     engine = _sharded_engine(shards)
-    cache = BitmapCache(CACHE_MB << 20)
-    with QueryExecutor(engine, jobs=4, cache=cache) as executor:
+    with QueryExecutor(engine, jobs=4, cache_mb=CACHE_MB) as executor:
         executor.run_batch(queries, fetch_measures=False)  # warm the cache
         results = benchmark(
             lambda: executor.run_batch(queries, fetch_measures=False)
@@ -102,9 +101,8 @@ def test_executor_shards(benchmark, shards):
 def test_process_shards(benchmark, shards):
     _, queries = _workload()
     engine = _sharded_engine(shards)
-    cache = BitmapCache(CACHE_MB << 20)
     with QueryExecutor(
-        engine, jobs=4, cache=cache, exec_mode="process", workers=4
+        engine, jobs=4, cache_mb=CACHE_MB, exec_mode="process", workers=4
     ) as executor:
         executor.run_batch(queries, fetch_measures=False)  # warm + attach
         results = benchmark(

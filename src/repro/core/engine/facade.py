@@ -276,9 +276,8 @@ class GraphAnalyticsEngine:
         """Re-cut the relation into ``shards`` record-range shards.
 
         ``shards=1`` is the unsharded relation.  Records, columns, and
-        views are untouched — only the cuts move; the epoch bumps
-        (shard-keyed cache entries from the old geometry can never be
-        served) and cached plans are rebuilt.
+        views are untouched — only the cuts move; the epoch bumps and
+        cached plans (whose IR names the shard count) are rebuilt.
         """
         if shards < 1:
             raise ValueError("shards must be >= 1")

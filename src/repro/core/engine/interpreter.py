@@ -3,7 +3,7 @@
 A query is answered in the paper's three steps (§3.2, §4): fetch one
 bitmap per conjunction part, AND them, gather the measure columns of the
 surviving rows.  Every step consumes the memoized
-:class:`~.planner.PhysicalPlan` (``parts`` / ``refs`` / ``prefix_keys`` /
+:class:`~.planner.PhysicalPlan` (``parts`` / ``refs`` / ``key`` /
 ``fetch_elements`` / ``needed_functions``) and an :class:`ExecEnv` — the
 engine's configuration read **once** at query entry, so a setter flipping
 the tracer or cache mid-flight cannot reach a running query.
@@ -11,7 +11,7 @@ the tracer or cache mid-flight cannot reach a running query.
 There is one way to run a shard, a :class:`ShardRunner`: ``map`` decides
 *where* shard tasks run, ``folds`` *how* each shard's conjunction is
 computed (thread and process runners: :mod:`repro.exec.runners`).
-Supervision and the merged-result cache entry sit above the runner, once.
+Supervision and the whole-answer cache entry sit above the runner, once.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ...columnstore.column import rank_rows
 from ...errors import ResilienceError, ShardExecutionError
 from ..aggregates import get_function
 from ..query import And, AndNot, GraphQuery, Or
-from .operators import MERGED_SHARD, NULL_SPAN, conjunction, shard_tasks
+from .operators import NULL_SPAN, conjunction, shard_tasks
 
 __all__ = ["ExecEnv", "ShardRunner", "INLINE", "run_query", "run_aggregate", "evaluate"]
 
@@ -43,8 +43,7 @@ class ShardRunner:
     def fold(self, task, plan, env: "ExecEnv", ctx) -> Bitmap:
         """AND the plan's parts over one shard's records."""
         return conjunction(
-            env.relation, plan, env.cache, env.epoch,
-            shard=task.shard, tracer=env.tracer, ctx=ctx,
+            env.relation, plan, shard=task.shard, tracer=env.tracer, ctx=ctx
         )
 
     def folds(self, tasks: list, plan, env: "ExecEnv", ctx) -> list:
@@ -122,29 +121,33 @@ def _supervise(task, fold: Callable, env: ExecEnv, ctx) -> Bitmap | None:
 
 
 def _conjunction(plan, env: ExecEnv, ctx) -> Bitmap:
-    """fetch → AND → merge.  One task folds inline with no supervision,
-    merge or merged-cache entry: the unsharded path in every exec mode.
-    Several fold per shard and concatenate (shards partition the record
-    space in order, so concat *is* the merge), cached under
-    :data:`MERGED_SHARD` so a warm repeat skips the fan-out.  Traced queries
-    run inline, in-process, and bypass the merged entry: their span tree
-    nests in the calling thread and shows the real per-shard execution."""
+    """lookup → fetch → AND → merge → store.  With a cache, the whole
+    answer is looked up once under ``(epoch, plan.key)`` and a miss stores
+    what it folds — unless the query degraded, since a partial merge would
+    poison healthy repeats.  One task folds inline with no supervision or
+    merge: the unsharded path in every exec mode.  Several fold per shard
+    and concatenate (shards partition the record space in order, so concat
+    *is* the merge).  Traced queries fold inline, in-process: their span
+    tree nests in the calling thread and shows the real per-shard work."""
+    cache = env.cache if plan.key is not None else None
+    if cache is not None:
+        answer = cache.lookup(env.epoch, plan.key)
+        if env.tracer is not None:
+            env.tracer.add("cache_hit" if answer is not None else "cache_miss")
+        if answer is not None:
+            return answer
     tasks = shard_tasks(env.relation)
     if len(tasks) == 1:
-        return INLINE.fold(tasks[0], plan, env, ctx)
-    runner = INLINE if env.tracer is not None else env.runner
-    cache = env.cache if env.tracer is None else None
-    key = plan.prefix_keys[-1]
-    if cache is not None:
-        merged = cache.lookup(env.epoch, key, shard=MERGED_SHARD)
-        if merged is not None:
-            return merged
-    jobs = list(zip(tasks, runner.folds(tasks, plan, env, ctx)))
-    merged = Bitmap.concat(runner.map(lambda job: supervised_fold(*job, env, ctx), jobs))
-    # A degraded merge is partial: caching it would poison healthy queries.
+        answer = INLINE.fold(tasks[0], plan, env, ctx)
+    else:
+        runner = INLINE if env.tracer is not None else env.runner
+        jobs = list(zip(tasks, runner.folds(tasks, plan, env, ctx)))
+        answer = Bitmap.concat(
+            runner.map(lambda job: supervised_fold(*job, env, ctx), jobs)
+        )
     if cache is not None and not (ctx is not None and ctx.degraded):
-        cache.put(env.epoch, key, merged, shard=MERGED_SHARD)
-    return merged
+        cache.put(env.epoch, plan.key, answer)
+    return answer
 
 
 def structural(query, env: ExecEnv, ctx=None):

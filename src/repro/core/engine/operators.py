@@ -2,9 +2,9 @@
 
 These are the physical operators the plan interpreter composes: fold a
 plan's canonical part list into a structural bitmap through the storage
-layer's one fold entry (memoizing every prefix when a cache is installed),
-and describe the relation's record-range shards as tasks so the same fold
-can run once per shard and merge by concatenation.
+layer's one fold entry, and describe the relation's record-range shards
+as tasks so the same fold can run once per shard and merge by
+concatenation.
 
 A shard is a record range of the one relation, named by its index: the
 one in-process fold (:meth:`~.interpreter.ShardRunner.fold`) serves the
@@ -21,7 +21,6 @@ from ...columnstore.bitmap import Bitmap
 from ..rewrite import ConjunctionPart
 
 __all__ = [
-    "MERGED_SHARD",
     "NULL_SPAN",
     "ShardTask",
     "shard_tasks",
@@ -32,11 +31,6 @@ __all__ = [
 # Shared no-op context for the tracing hooks: reusable and reentrant, so
 # one instance serves every untraced span site without allocation.
 NULL_SPAN = nullcontext()
-
-# Cache-key shard id for a conjunction already merged across every shard.
-# Real shards are numbered from 0, so -1 can never collide; a warm sharded
-# query is then a single lookup instead of a fan-out plus concatenation.
-MERGED_SHARD = -1
 
 
 def part_token(part: ConjunctionPart) -> str:
@@ -82,70 +76,27 @@ def _fetch(relation, ref, shard, tracer, ctx) -> Bitmap:
     return bitmap
 
 
-def conjunction(
-    relation,
-    plan,
-    cache,
-    epoch: int,
-    shard: int = 0,
-    tracer=None,
-    ctx=None,
-) -> Bitmap:
+def conjunction(relation, plan, shard: int = 0, tracer=None, ctx=None) -> Bitmap:
     """AND the plan's parts over shard ``shard`` of ``relation`` (its one
-    shard when unsharded), memoizing intermediates when a cache is installed.
+    shard when unsharded).
 
     Every fetch goes through the storage fold
     (:meth:`~repro.columnstore.table.MasterRelation.fold`) on the plan's
-    pre-resolved ``refs``: an uncached, untraced fold is *one* call for
-    all parts; the cached fold calls it per prefix step and the traced one
-    per part, because they need a cache entry or a span per part.
-
-    Cached entries are keyed on ``(epoch, shard, cumulative covered
-    edge-set)`` — well-defined because every part's bitmap equals the AND
-    of its covered elements' base bitmaps restricted to the shard's record
-    range.  Evaluation folds left in canonical part order, looking up each
-    running prefix, so overlapping queries (ordered together by the
-    executor) extend each other's cached prefixes instead of recomputing
-    from scratch.
+    pre-resolved ``refs``: an untraced fold is *one* call for all parts,
+    the traced one calls it per part, because it opens a span per part.
 
     ``ctx`` is the query's :class:`repro.resilience.QueryContext` (or
     None); the storage fold checks it before every ref, so an expired
     deadline or a fired cancel token stops the query one operator step
-    past the event.  Prefixes completed before the stop are exact and stay
-    cached — an aborted fold never leaves a partial bitmap behind because
-    insertion only happens after a part's compute returns.
+    past the event.
     """
-    parts, refs, keys = plan.parts, plan.refs, plan.prefix_keys
     if ctx is not None:
         ctx.check()
-    if cache is None or any(not part.covered for part in parts):
-        if tracer is None:
-            return relation.fold(refs, ctx, shard=shard)
+    if tracer is None:
+        return relation.fold(plan.refs, ctx, shard=shard)
 
-        def fetch(part: ConjunctionPart, ref) -> Bitmap:
-            with tracer.span("and", kind=part.kind, part=part_token(part)):
-                return _fetch(relation, ref, shard, tracer, ctx)
+    def fetch(part: ConjunctionPart, ref) -> Bitmap:
+        with tracer.span("and", kind=part.kind, part=part_token(part)):
+            return _fetch(relation, ref, shard, tracer, ctx)
 
-        return Bitmap.and_all(map(fetch, parts, refs))
-
-    def build(i: int) -> Bitmap:
-        def compute() -> Bitmap:
-            if tracer is not None:
-                tracer.add("cache_miss")
-            bitmap = _fetch(relation, refs[i], shard, tracer, ctx)
-            return bitmap if i == 0 else build(i - 1) & bitmap
-
-        if tracer is None:
-            return cache.get_or_compute(epoch, keys[i], compute, shard=shard)
-        # One span per conjunction part: a prefix served from cache
-        # closes immediately with cache_hit=1; a miss nests the fetch
-        # (and the shorter prefix's span) inside it.
-        with tracer.span(
-            "and", kind=parts[i].kind, part=part_token(parts[i])
-        ) as span:
-            result = cache.get_or_compute(epoch, keys[i], compute, shard=shard)
-            if "cache_miss" not in span.counters:
-                span.add("cache_hit")
-            return result
-
-    return build(len(parts) - 1)
+    return Bitmap.and_all(map(fetch, plan.parts, plan.refs))

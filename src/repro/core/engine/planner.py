@@ -2,8 +2,8 @@
 
 :class:`Planner` turns a :class:`GraphQuery` or
 :class:`PathAggregationQuery` into a :class:`PhysicalPlan` — the *single*
-source of truth consumed by the operator layer (which ANDs
-``plan.parts`` under ``plan.prefix_keys``), by the EXPLAIN renderer
+source of truth consumed by the interpreter (which ANDs ``plan.parts``
+and caches the answer under ``plan.key``), by the EXPLAIN renderer
 (:mod:`repro.obs.explain` serializes ``plan.to_dict()`` instead of
 re-deriving anything), and by the tracer (whose rewrite-span counters
 read the same plan).  A physical plan bundles:
@@ -18,8 +18,8 @@ read the same plan).  A physical plan bundles:
   ``(kind, edge id | view name)`` pair the storage layer folds
   (:meth:`~repro.columnstore.table.MasterRelation.fold`) and the process
   pool ships to its workers, so no shard re-resolves a part;
-* the **prefix keys** — cumulative covered edge-sets, one per
-  canonical-order prefix — which are exactly the bitmap-cache keys;
+* the **answer key** — the edge-set the parts cover together, which
+  is the bitmap-cache key of the whole answer (None when not cacheable);
 * fetch/aggregation metadata (measure elements, needed sub-aggregates);
 * an eagerly built **IR dict**: the JSON-serializable plan description,
   including cost estimates, the generated SQL, and the backend's shard
@@ -51,22 +51,17 @@ from ..rewrite import (
 from ..sqlgen import render_aggregation, render_graph_query
 from .operators import part_token
 
-__all__ = ["PhysicalPlan", "Planner", "prefix_keys"]
+__all__ = ["PhysicalPlan", "Planner"]
 
 
-def prefix_keys(parts: list[ConjunctionPart]) -> list[frozenset[Edge]]:
-    """Cumulative covered edge-sets, one per canonical-order prefix.
-
-    These are the conjunction cache keys.  Building them is O(k^2) in
-    query size, so the planner memoizes the result inside the physical
-    plan — repeated queries then pay a single cached-hash dict lookup.
-    """
-    keys: list[frozenset[Edge]] = []
-    covered: frozenset[Edge] = frozenset()
-    for part in parts:
-        covered = covered | part.covered
-        keys.append(covered)
-    return keys
+def _answer_key(parts: list[ConjunctionPart] | None) -> frozenset[Edge] | None:
+    """The bitmap-cache key of the plan's answer: the union of the parts'
+    covered edge-sets, or None — not cacheable — when there are no parts
+    or one certifies nothing (its bitmap is then not determined by the
+    covered set)."""
+    if not parts or any(not part.covered for part in parts):
+        return None
+    return frozenset().union(*(part.covered for part in parts))
 
 
 def _storage_refs(catalog, parts: list[ConjunctionPart]) -> tuple:
@@ -88,7 +83,7 @@ class PhysicalPlan:
     logical: GraphQueryPlan | AggregationPlan
     parts: list[ConjunctionPart] | None
     refs: tuple | None  # _storage_refs(parts)
-    prefix_keys: list[frozenset[Edge]] | None
+    key: frozenset[Edge] | None  # _answer_key(parts)
     fetch_elements: tuple
     needed_functions: tuple[str, ...]
     shards: int
@@ -167,14 +162,13 @@ class Planner:
         engine = self._engine
         logical = plan_graph_query(query, engine._graph_views)
         parts = self._graph_parts(logical)
-        keys = prefix_keys(parts) if parts else None
         return PhysicalPlan(
             kind="graph",
             query=query,
             logical=logical,
             parts=parts,
             refs=_storage_refs(engine.catalog, parts) if parts else None,
-            prefix_keys=keys,
+            key=_answer_key(parts),
             fetch_elements=tuple(logical.fetch_elements),
             needed_functions=(),
             shards=engine.n_shards,
@@ -232,7 +226,6 @@ class Planner:
             frozenset(engine._measured_nodes),
         )
         parts = self._aggregation_parts(logical)
-        keys = prefix_keys(parts) if parts else None
         function = get_function(query.function)
         needed = (
             (function.name,)
@@ -245,7 +238,7 @@ class Planner:
             logical=logical,
             parts=parts,
             refs=_storage_refs(engine.catalog, parts) if parts else None,
-            prefix_keys=keys,
+            key=_answer_key(parts),
             fetch_elements=tuple(query.query.elements),
             needed_functions=needed,
             shards=engine.n_shards,

@@ -83,10 +83,10 @@ class ConjunctionPart:
     ``token`` identifies it (the edge, or the view/column name), and
     ``covered`` is the set of query elements whose containment the bitmap
     certifies.  A part's bitmap always equals the AND of the base bitmaps
-    of its covered elements, which is what lets the conjunction cache key
-    intermediate results on *covered edge-sets* alone: two plans that reach
-    the same covered set through different parts (views vs raw bitmaps)
-    produce bit-identical intermediates.
+    of its covered elements, which is what lets the bitmap cache key an
+    answer on its *covered edge-set* alone: two plans that reach the same
+    covered set through different parts (views vs raw bitmaps) produce
+    bit-identical answers.
     """
 
     kind: str
@@ -100,12 +100,12 @@ class ConjunctionPart:
 def canonical_parts(parts: Sequence[ConjunctionPart]) -> list[ConjunctionPart]:
     """Deterministic evaluation order for a conjunction's parts.
 
-    Sorting by covered edge-set makes queries that share elements share a
-    *prefix* of cumulative covered sets, so the conjunction cache can reuse
-    intermediate bitmaps across queries (and across a query and the
-    rewriter's partial covers).  Parts whose coverage is already implied by
-    the accumulated prefix are dropped: their bitmap is a superset of the
-    running conjunction, so ANDing it is a no-op.
+    Sorting by covered edge-set makes the order — and so the plan, its
+    EXPLAIN text and its SQL — a function of the parts alone, whatever
+    order the rewriter produced them in; the AND is the same either way.
+    Parts whose coverage is already implied by the accumulated prefix are
+    dropped: their bitmap is a superset of the running conjunction, so
+    ANDing it is a no-op.
     """
     ordered = sorted(parts, key=ConjunctionPart.sort_key)
     out: list[ConjunctionPart] = []

@@ -1,13 +1,12 @@
-"""Concurrent query serving: shared conjunction cache + batch executor.
+"""Concurrent query serving: whole-answer bitmap cache + batch executor.
 
 The serving layer on top of the paper's engine: :class:`BitmapCache`
-memoizes intermediate bitmap conjunctions across queries (keyed on
-canonical covered edge-sets plus the engine's state epoch), and
-:class:`QueryExecutor` fans query batches/streams out over a thread pool
-with cache-affinity ordering and reader/writer isolation against
-concurrent appends and view changes.  Against a sharded backend the
-executor also parallelizes each query's conjunction across record-range
-shards (cache keys gain the shard id; merges preserve record order).
+memoizes each query's structural answer (keyed on its canonical covered
+edge-set plus the engine's state epoch), and :class:`QueryExecutor` fans
+query batches/streams out over a thread pool, in submission order, with
+reader/writer isolation against concurrent appends and view changes.
+Against a sharded backend the executor also parallelizes each query's
+conjunction across record-range shards (merges preserve record order).
 
 Serving governance lives in :mod:`repro.resilience` and plugs in here:
 the executor accepts per-query deadlines/cancel tokens, an optional

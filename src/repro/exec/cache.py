@@ -1,14 +1,11 @@
-"""Shared bitmap-conjunction cache for the serving layer.
+"""Whole-answer bitmap cache for the serving layer.
 
-The paper reduces graph-query evaluation to bitmap ANDs (Section 4.2) and
-shows that sharing common conjunctions via materialized views multiplies
-throughput (Section 5.1).  :class:`BitmapCache` applies the same idea at
-*runtime*: intermediate conjunction results are memoized under a byte
-budget, keyed on the canonical frozen edge-set they certify plus the
-engine's state epoch (and the record-range shard id when the engine is
-sharded), so overlapping queries in a workload (and the rewriter's
-partial covers) reuse each other's work instead of re-ANDing the same
-columns.
+The paper shares conjunctions through views that set cover picks ahead of
+time (Sections 5.1–5.2).  :class:`BitmapCache` adds the runtime
+counterpart for repeats: a query's structural answer is memoized under a
+byte budget, one entry per answer, keyed on the canonical frozen edge-set
+the plan covers plus the engine's state epoch, so a repeated query (or
+another rewrite of the same covered set) skips its fold and fan-out.
 
 Keying on covered edge-sets is sound because every conjunction input — a
 base ``b_i`` bitmap, a graph-view ``bv_j``, or an aggregate-view ``bp_l``
@@ -18,18 +15,12 @@ produce bit-identical results.  Keying on the epoch makes invalidation
 trivial and race-free: writers bump the engine epoch, after which stale
 entries can never match a lookup again (they are also proactively dropped
 to release budget).
-
-Stored bitmaps are deduplicated through :meth:`Bitmap.content_key`: when
-two cache keys map to bit-identical results (common for nested prefixes
-that add non-selective elements), one packed array backs both entries and
-the byte budget is charged once.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..columnstore.bitmap import Bitmap
@@ -38,11 +29,8 @@ from ..core.record import Edge
 
 __all__ = ["BitmapCache", "CacheStats"]
 
-# (epoch, shard, covered elements); shard 0 is the whole relation when the
-# engine is unsharded, or the first record-range shard when it is — the two
-# never coexist in one engine lifetime without an epoch bump, so keys from
-# the two regimes cannot collide.
-CacheKey = tuple[int, int, frozenset]
+# (epoch, covered elements): the whole answer of one structural conjunction.
+CacheKey = tuple[int, frozenset]
 
 
 @dataclass
@@ -54,7 +42,6 @@ class CacheStats:
     evictions: int = 0
     invalidations: int = 0
     entries: int = 0
-    unique_bitmaps: int = 0
     bytes_cached: int = 0
 
     def requests(self) -> int:
@@ -67,14 +54,14 @@ class CacheStats:
 
 
 class BitmapCache:
-    """Thread-safe LRU of bitmap conjunctions with byte-budget accounting.
+    """Thread-safe LRU of conjunction answers with byte-budget accounting.
 
-    ``budget_bytes`` bounds the *deduplicated* storage of the cached
-    bitmaps; inserting past the budget evicts least-recently-used entries
-    until it holds again (an entry larger than the whole budget is not
-    retained at all).  An optional :class:`IOStatsCollector` — installed
-    automatically by :meth:`GraphAnalyticsEngine.use_bitmap_cache` — mirrors
-    hit/miss/eviction traffic into the engine's query stats.  An optional
+    ``budget_bytes`` bounds the ``nbytes`` of the cached bitmaps; inserting
+    past the budget evicts least-recently-used entries until it holds
+    again (an entry larger than the whole budget is not retained at all).
+    An optional :class:`IOStatsCollector` — installed automatically by
+    :meth:`GraphAnalyticsEngine.use_bitmap_cache` — mirrors hit/miss/
+    eviction traffic into the engine's query stats.  An optional
     ``registry`` (a :class:`repro.obs.MetricsRegistry`, installed by
     :meth:`GraphAnalyticsEngine.use_metrics`) additionally publishes the
     same traffic as process-wide ``cache.*`` counters plus held-bytes /
@@ -96,9 +83,6 @@ class BitmapCache:
         self._cached_registry = None
         self._lock = threading.Lock()
         self._entries: OrderedDict[CacheKey, Bitmap] = OrderedDict()
-        # Content-key interning: digest -> [bitmap, number of cache entries
-        # sharing it].  bytes_cached charges each unique bitmap once.
-        self._interned: dict[tuple, list] = {}
         self._bytes = 0
         self._hits = 0
         self._misses = 0
@@ -127,58 +111,10 @@ class BitmapCache:
 
     # -- core operation ------------------------------------------------------
 
-    def get_or_compute(
-        self,
-        epoch: int,
-        elements: frozenset[Edge],
-        compute: Callable[[], Bitmap],
-        shard: int = 0,
-    ) -> Bitmap:
-        """Return the conjunction bitmap for ``elements`` at ``epoch``
-        (restricted to record-range ``shard`` when the engine is sharded),
-        computing and caching it on a miss.
-
-        ``compute`` runs outside the cache lock, so it may recurse into the
-        cache (the engine memoizes every prefix of a conjunction this way).
-        Concurrent misses on the same key may both compute; the last insert
-        wins and both callers get correct bitmaps.
-        """
-        key = (epoch, shard, elements)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-        if cached is not None:
-            if self.collector is not None:
-                self.collector.record_cache_hit()
-            self._publish("cache.hits")
-            return cached
-        with self._lock:
-            self._misses += 1
-        if self.collector is not None:
-            self.collector.record_cache_miss()
-        self._publish("cache.misses")
-        bitmap = compute()
-        self._insert(key, bitmap)
-        return bitmap
-
-    def put(
-        self, epoch: int, elements: frozenset[Edge], bitmap: Bitmap, shard: int = 0
-    ) -> None:
-        """Insert a computed bitmap directly (no hit/miss accounting).
-
-        The engine uses the :meth:`lookup` + :meth:`put` pair instead of
-        :meth:`get_or_compute` when insertion is conditional — a merged
-        result from a degraded (partial_ok) fan-out must never be cached.
-        """
-        self._insert((epoch, shard, elements), bitmap)
-
-    def lookup(
-        self, epoch: int, elements: frozenset[Edge], shard: int = 0
-    ) -> Bitmap | None:
-        """Probe without computing (still counted as a hit or miss)."""
-        key = (epoch, shard, elements)
+    def lookup(self, epoch: int, elements: frozenset[Edge]) -> Bitmap | None:
+        """The answer cached for ``elements`` at ``epoch``, or None;
+        counted as a hit or a miss."""
+        key = (epoch, elements)
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -194,50 +130,28 @@ class BitmapCache:
         self._publish("cache.hits" if cached is not None else "cache.misses")
         return cached
 
-    # -- bookkeeping ---------------------------------------------------------
-
-    def _retain(self, bitmap: Bitmap) -> Bitmap:
-        """Intern ``bitmap`` by content, charging unique storage once."""
-        ckey = bitmap.content_key()
-        slot = self._interned.get(ckey)
-        if slot is not None:
-            slot[1] += 1
-            return slot[0]
-        self._interned[ckey] = [bitmap, 1]
-        self._bytes += bitmap.nbytes()
-        return bitmap
-
-    def _release(self, bitmap: Bitmap) -> None:
-        ckey = bitmap.content_key()
-        slot = self._interned.get(ckey)
-        if slot is None:  # pragma: no cover - defensive
-            return
-        slot[1] -= 1
-        if slot[1] == 0:
-            del self._interned[ckey]
-            self._bytes -= bitmap.nbytes()
-
-    def _insert(self, key: CacheKey, bitmap: Bitmap) -> None:
+    def put(self, epoch: int, elements: frozenset[Edge], bitmap: Bitmap) -> None:
+        """Store a computed answer (no hit/miss accounting).  Concurrent
+        misses on one key may both put; the last insert wins, and both
+        bitmaps are the same answer."""
+        key = (epoch, elements)
         evicted = 0
         with self._lock:
             previous = self._entries.pop(key, None)
             if previous is not None:
-                self._release(previous)
-            self._entries[key] = self._retain(bitmap)
+                self._bytes -= previous.nbytes()
+            self._entries[key] = bitmap
+            self._bytes += bitmap.nbytes()
             while self._bytes > self.budget_bytes and self._entries:
                 _, victim = self._entries.popitem(last=False)
-                self._release(victim)
+                self._bytes -= victim.nbytes()
                 evicted += 1
+            self._evictions += evicted
         if evicted:
-            self._evictions_add(evicted)
+            if self.collector is not None:
+                self.collector.record_cache_eviction(evicted)
+            self._publish("cache.evictions", evicted)
         self._publish_gauges()
-
-    def _evictions_add(self, n: int) -> None:
-        with self._lock:
-            self._evictions += n
-        if self.collector is not None:
-            self.collector.record_cache_eviction(n)
-        self._publish("cache.evictions", n)
 
     # -- invalidation --------------------------------------------------------
 
@@ -251,7 +165,7 @@ class BitmapCache:
         with self._lock:
             stale = [k for k in self._entries if k[0] != current_epoch]
             for key in stale:
-                self._release(self._entries.pop(key))
+                self._bytes -= self._entries.pop(key).nbytes()
             self._invalidations += len(stale)
         if stale:
             self._publish("cache.invalidations", len(stale))
@@ -261,7 +175,6 @@ class BitmapCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._interned.clear()
             self._bytes = 0
         self._publish_gauges()
 
@@ -272,7 +185,7 @@ class BitmapCache:
             return len(self._entries)
 
     def current_bytes(self) -> int:
-        """Deduplicated bytes currently held (always <= budget_bytes)."""
+        """Bytes currently held (always <= budget_bytes)."""
         with self._lock:
             return self._bytes
 
@@ -285,7 +198,6 @@ class BitmapCache:
                 evictions=self._evictions,
                 invalidations=self._invalidations,
                 entries=len(self._entries),
-                unique_bitmaps=len(self._interned),
                 bytes_cached=self._bytes,
             )
 

@@ -6,8 +6,8 @@ module adds the serving loop the paper leaves implicit.  A
 :class:`GraphQuery` / :class:`QueryExpr` / :class:`PathAggregationQuery`
 objects and fans them out over a thread pool — the word-level numpy kernels
 behind ``Bitmap.__and__`` release the GIL, so bitmap-heavy workloads scale
-with cores — while a shared :class:`BitmapCache` lets overlapping queries
-reuse each other's intermediate conjunctions.
+with cores — while a :class:`BitmapCache` serves a repeated query's
+structural answer without re-ANDing its columns.
 
 The executor also picks *how shard tasks run* from its ``exec_mode`` and
 installs that :class:`~repro.core.engine.ShardRunner` on the engine: on a
@@ -16,17 +16,12 @@ structural conjunction then fans out across the record-range shards — on
 a dedicated thread pool, or on worker processes — and merges by
 concatenation (see :mod:`.runners`).
 
-Two scheduling decisions matter for the cache:
-
-* **Affinity ordering** — each batch is executed in canonical element-set
-  order (answers still return in submission order), so queries sharing
-  conjunction prefixes run near each other and find the cache warm.
-* **Epoch discipline** — reads run under a shared lock and writes
-  (appends, view materialization/drops) under an exclusive one; every
-  mutation bumps the engine epoch that cache keys embed, so a concurrent
-  reader can never be served a bitmap from a previous state.  Results are
-  stamped with the epoch they executed at, making concurrent runs
-  replayable (and testable) against a serial execution.
+Reads run under a shared lock and writes (appends, view
+materialization/drops) under an exclusive one; every mutation bumps the
+engine epoch that cache keys embed, so a concurrent reader can never be
+served a bitmap from a previous state.  Results are stamped with the
+epoch they executed at, making concurrent runs replayable (and testable)
+against a serial execution.
 """
 
 from __future__ import annotations
@@ -116,23 +111,6 @@ class _ReadWriteLock:
                 self._cond.notify_all()
 
 
-def _affinity_key(query: AnyQuery) -> tuple:
-    """Canonical sort key grouping queries with shared conjunction prefixes."""
-    if isinstance(query, PathAggregationQuery):
-        elements = query.query.elements
-        tag = query.function
-    elif isinstance(query, GraphQuery):
-        elements = query.elements
-        tag = ""
-    elif isinstance(query, QueryExpr):  # boolean expr: first atom's elements
-        atoms = query.atoms()
-        elements = atoms[0].elements if atoms else frozenset()
-        tag = "expr"
-    else:
-        raise TypeError(f"not a servable query: {query!r}")
-    return (tuple(sorted(map(repr, elements))), tag)
-
-
 class QueryExecutor:
     """Serve query batches/streams concurrently against one engine.
 
@@ -145,12 +123,10 @@ class QueryExecutor:
         unsynchronized).
     jobs:
         Worker threads per batch (1 = serial in the calling thread).
-    cache:
-        A ready :class:`BitmapCache` to share (e.g. across executors), or
-        None.
     cache_mb:
-        Convenience: build a fresh cache with this byte budget when
-        ``cache`` is None.  ``cache_mb=0``/None leaves caching off.
+        Byte budget (MiB) of the executor's own :class:`BitmapCache`,
+        installed on the engine and exposed as ``executor.cache``.
+        ``cache_mb=0``/None leaves caching off.
     registry:
         Optional :class:`repro.obs.MetricsRegistry`.  When set, the
         executor publishes per-query latency histograms
@@ -200,7 +176,6 @@ class QueryExecutor:
         self,
         engine: GraphAnalyticsEngine,
         jobs: int = 1,
-        cache: BitmapCache | None = None,
         cache_mb: float | None = None,
         registry=None,
         admission: AdmissionController | None = None,
@@ -219,11 +194,23 @@ class QueryExecutor:
             )
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
-        if cache is None and cache_mb:
-            cache = BitmapCache(int(cache_mb * (1 << 20)))
+        if exec_mode is None:
+            exec_mode = "thread" if jobs > 1 else "serial"
+        self.exec_mode = exec_mode
+        self.workers = workers if workers is not None else jobs
+        # The runner goes first: a process pool that fails to start must
+        # leave nothing installed on the engine.
+        if exec_mode == "process":
+            self._runner = ProcessRunner(
+                engine, self.workers, storage_dir, registry, self._count
+            )
+        elif exec_mode == "thread":
+            self._runner = ThreadRunner(self.workers, self._count)
+        else:
+            self._runner = INLINE
         self.engine = engine
         self.jobs = jobs
-        self.cache = cache
+        self.cache = BitmapCache(int(cache_mb * (1 << 20))) if cache_mb else None
         self.registry = registry
         self.admission = admission
         self.default_timeout = default_timeout
@@ -233,25 +220,13 @@ class QueryExecutor:
         if resilience is not None:
             engine.use_resilience(resilience)
         self.resilience = engine.resilience
-        engine.use_bitmap_cache(cache)
+        engine.use_bitmap_cache(self.cache)
         if registry is not None:
             engine.use_metrics(registry)
             registry.gauge("engine.shards").set(getattr(engine, "n_shards", 1))
+        engine.use_shard_runner(self._runner)
         self._rw = _ReadWriteLock()
         self._pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-        if exec_mode is None:
-            exec_mode = "thread" if jobs > 1 else "serial"
-        self.exec_mode = exec_mode
-        self.workers = workers if workers is not None else jobs
-        if exec_mode == "process":
-            self._runner = ProcessRunner(
-                engine, self.workers, storage_dir, registry, self._count
-            )
-        elif exec_mode == "thread":
-            self._runner = ThreadRunner(self.workers, self._count)
-        else:
-            self._runner = INLINE
-        engine.use_shard_runner(self._runner)
         self._window = None
         self._closed = False
 
@@ -411,10 +386,8 @@ class QueryExecutor:
         partial_ok: bool | None = None,
         cancel: CancelToken | None = None,
     ) -> list[AnyResult | Exception]:
-        """Answer a batch; results align with the submitted order.
-
-        Execution order is affinity-sorted so cache-sharing queries run
-        adjacently; with ``jobs > 1`` the batch fans out over the pool.
+        """Answer a batch, run in submission order; with ``jobs > 1`` it
+        fans out over the pool, and results still align with that order.
 
         Failures are isolated to their slot: every other query still
         runs to completion.  With ``return_errors=True`` the failing
@@ -434,13 +407,6 @@ class QueryExecutor:
         self.engine.collector.record_batch(len(queries))
         if self.registry is not None:
             self.registry.histogram("exec.batch_size").observe(len(queries))
-        # Affinity keys are O(query size) to build; skewed batches repeat a
-        # few hot queries many times, so compute each distinct key once.
-        keys: dict[AnyQuery, tuple] = {}
-        for query in queries:
-            if query not in keys:
-                keys[query] = _affinity_key(query)
-        order = sorted(range(len(queries)), key=lambda i: keys[queries[i]])
         results: list[AnyResult | Exception | None] = [None] * len(queries)
 
         def run(index: int) -> None:
@@ -460,12 +426,12 @@ class QueryExecutor:
                 results[index] = exc
 
         if self._pool is None or len(queries) == 1:
-            for index in order:
+            for index in range(len(queries)):
                 run(index)
         else:
             # list() drains the lazy map iterator; run() captures failures
             # per slot, so the pool itself never sees an exception.
-            list(self._pool.map(run, order))
+            list(self._pool.map(run, range(len(queries))))
         if not return_errors:
             for slot in results:
                 if isinstance(slot, Exception):

@@ -50,9 +50,9 @@ class ProcessRunner(ShardRunner):
     Workers attach to ``storage_dir`` in place when it holds a committed
     save cut where this engine's shards are (the CLI passes the database it
     just loaded); otherwise the engine is spooled to a private temp directory,
-    removed on :meth:`close`.  The owner calls :meth:`resync` after every
-    mutation so the workers see the new generation.  ``count(name, n)``
-    publishes a counter."""
+    removed on :meth:`close`, or at once if the pool fails to start.  The
+    owner calls :meth:`resync` after every mutation so the workers see the
+    new generation.  ``count(name, n)`` publishes a counter."""
 
     def __init__(self, engine, workers: int, storage_dir=None, registry=None, count=None):
         self._count = count
@@ -60,43 +60,32 @@ class ProcessRunner(ShardRunner):
         self._owned = directory is None or not _holds(directory, engine)
         if self._owned:
             directory = Path(tempfile.mkdtemp(prefix="repro-procpool-"))
-            engine.save(directory)
         self.directory = directory
-        stamp = (storage_generation(directory), engine.epoch)
-        self.pool = ProcessShardPool(directory, workers, stamp, registry=registry)
+        try:
+            if self._owned:
+                engine.save(directory)
+            stamp = (storage_generation(directory), engine.epoch)
+            self.pool = ProcessShardPool(directory, workers, stamp, registry=registry)
+        except BaseException:
+            self._remove_spool()
+            raise
 
     def folds(self, tasks, plan, env, ctx) -> list:
-        """Send every shard not in the per-shard full-key cache before
-        any is waited on — one task per worker — and hand back one fold
-        per task: the first call of a sent shard's fold reads its slot of
-        the reply, a retry runs the shard alone.  When the pool's stamp
-        lags the query's epoch (a mutation bypassed :meth:`resync`) the
-        folds run in-process — correctness never depends on the resync."""
+        """Send every shard before any is waited on — one task per worker
+        — and hand back one fold per task: the first call of a shard's
+        fold reads its slot of the reply, a retry runs the shard alone.
+        When the pool's stamp lags the query's epoch (a mutation bypassed
+        :meth:`resync`) the folds run in-process — correctness never
+        depends on the resync."""
         if self._count is not None:
             self._count("exec.shard_tasks", len(tasks))
         if self.pool.stamp[1] != env.epoch:
             return super().folds(tasks, plan, env, ctx)
-        cache = env.cache if all(part.covered for part in plan.parts) else None
-        key = plan.prefix_keys[-1]
-        hits = {}
-        if cache is not None:
-            for task in tasks:
-                hit = cache.lookup(env.epoch, key, shard=task.shard)
-                if hit is not None:
-                    hits[task.shard] = hit
-        routes = self.pool.dispatch(
-            [task.shard for task in tasks if task.shard not in hits], plan.refs, ctx
-        )
-
-        def fold(shard):
-            if shard in hits:
-                return hits[shard]
-            result = self.pool.collect(shard, routes, plan.refs, ctx)
-            if cache is not None:
-                cache.put(env.epoch, key, result, shard=shard)
-            return result
-
-        return [partial(fold, task.shard) for task in tasks]
+        routes = self.pool.dispatch([task.shard for task in tasks], plan.refs, ctx)
+        return [
+            partial(self.pool.collect, task.shard, routes, plan.refs, ctx)
+            for task in tasks
+        ]
 
     def resync(self, engine) -> None:
         """Republish the engine to the pool's directory and advance the
@@ -106,6 +95,9 @@ class ProcessRunner(ShardRunner):
 
     def close(self) -> None:
         self.pool.close()
+        self._remove_spool()
+
+    def _remove_spool(self) -> None:
         if self._owned:
             shutil.rmtree(self.directory, ignore_errors=True)
 

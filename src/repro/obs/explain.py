@@ -6,7 +6,7 @@
 module only formats its IR dict (no independent re-derivation) — as
 deterministic text or JSON: which materialized views the set-cover
 rewriter chose, the residual base bitmaps, the canonical conjunction
-order the cache keys on, the backend's shard count, and the estimated
+order, the backend's shard count, and the estimated
 partition-spanning joins (§6.1).  Nothing is fetched and no I/O counters
 move, so the output is a stable, goldenable contract of the planner.
 

@@ -7,8 +7,8 @@ substrate for those breakdowns: a :class:`Tracer` produces one
 :class:`QueryTrace` per executed query, a tree of :class:`Span` objects
 covering the rewrite, bitmap-conjunction, measure-materialization, and
 aggregation stages, each carrying monotonic timings and counters (bitmaps
-ANDed, bytes touched, rows matched, cache hits/misses per conjunction
-part).
+ANDed, bytes touched, rows matched, a cache hit or miss per
+conjunction).
 
 Tracing is strictly observational: span bodies run the exact same code
 with or without a tracer installed, so enabling it can never change a

@@ -111,8 +111,7 @@ def _engine_under(config, records, workload):
     )
     if views == "dropped":
         engine.drop_all_views()
-    cache = BitmapCache(cache_mb << 20) if cache_mb else None
-    return engine, QueryExecutor(engine, jobs=jobs, cache=cache)
+    return engine, QueryExecutor(engine, jobs=jobs, cache_mb=cache_mb)
 
 
 def assert_graph_result_matches(result, expected, query):
@@ -186,7 +185,7 @@ def _shard_config_id(config):
 )
 def test_sharded_serving_matches_rowstore(config, records, workload, baseline):
     """Horizontal sharding must be invisible: every shard count, with and
-    without the (shard-keyed) cache and with views live or dropped, returns
+    without the cache and with views live or dropped, returns
     bit-identical answers to the unsharded reference."""
     shards, cache_mb, views = config
     graph_queries, agg_queries = workload
@@ -199,8 +198,7 @@ def test_sharded_serving_matches_rowstore(config, records, workload, baseline):
     )
     if views == "dropped":
         engine.drop_all_views()
-    cache = BitmapCache(cache_mb << 20) if cache_mb else None
-    with QueryExecutor(engine, jobs=2, cache=cache) as executor:
+    with QueryExecutor(engine, jobs=2, cache_mb=cache_mb) as executor:
         results = executor.run_batch(list(graph_queries) + list(agg_queries))
     for query, result, expected in zip(
         graph_queries, results[: len(graph_queries)], expected_graph
@@ -232,7 +230,7 @@ def test_process_mode_matches_rowstore(config, records, workload, baseline):
     """Out-of-process shard execution must be invisible: spooled mmap
     storage, pickled plan fragments, and raw result words on the reply pipe
     return bit-identical answers to the unsharded reference, cold and
-    through the shard-keyed cache."""
+    through the cache."""
     shards, cache_mb = config
     graph_queries, agg_queries = workload
     expected_graph, expected_agg = baseline
@@ -242,9 +240,8 @@ def test_process_mode_matches_rowstore(config, records, workload, baseline):
     engine.materialize_aggregate_views(
         as_aggregate_queries(graph_queries[:6]), budget=2
     )
-    cache = BitmapCache(cache_mb << 20) if cache_mb else None
     with QueryExecutor(
-        engine, jobs=2, cache=cache, exec_mode="process", workers=2
+        engine, jobs=2, cache_mb=cache_mb, exec_mode="process", workers=2
     ) as executor:
         results = executor.run_batch(list(graph_queries) + list(agg_queries))
     for query, result, expected in zip(

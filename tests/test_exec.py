@@ -22,6 +22,16 @@ def bm(*indices, length=64):
     return Bitmap.from_indices(length, indices)
 
 
+def fetch(cache, epoch, key, compute):
+    """The engine's use of the cache: look the answer up, and on a miss
+    compute it and put it."""
+    got = cache.lookup(epoch, key)
+    if got is None:
+        got = compute()
+        cache.put(epoch, key, got)
+    return got
+
+
 RECORDS = [
     GraphRecord("r1", {("A", "B"): 1.0, ("B", "C"): 2.0}),
     GraphRecord("r2", {("A", "B"): 3.0, ("C", "D"): 4.0}),
@@ -45,8 +55,8 @@ class TestBitmapCache:
             calls.append(1)
             return bm(1, 2)
 
-        first = cache.get_or_compute(7, key, compute)
-        second = cache.get_or_compute(7, key, compute)
+        first = fetch(cache, 7, key, compute)
+        second = fetch(cache, 7, key, compute)
         assert first == second == bm(1, 2)
         assert calls == [1], "second call must be served from the cache"
         stats = cache.stats
@@ -57,9 +67,9 @@ class TestBitmapCache:
     def test_epoch_isolates_entries(self):
         cache = BitmapCache()
         key = frozenset({("A", "B")})
-        cache.get_or_compute(1, key, lambda: bm(1))
+        fetch(cache, 1, key, lambda: bm(1))
         # Same elements at a later epoch must recompute, never reuse.
-        got = cache.get_or_compute(2, key, lambda: bm(2))
+        got = fetch(cache, 2, key, lambda: bm(2))
         assert got == bm(2)
         assert cache.stats.hits == 0
         assert cache.stats.misses == 2
@@ -69,7 +79,7 @@ class TestBitmapCache:
         cache = BitmapCache(budget_bytes=16)
         keys = [frozenset({("e", str(i))}) for i in range(3)]
         for i, key in enumerate(keys):
-            cache.get_or_compute(0, key, lambda i=i: bm(i))
+            fetch(cache, 0, key, lambda i=i: bm(i))
         assert cache.current_bytes() <= cache.budget_bytes
         assert cache.stats.evictions == 1
         # Oldest entry evicted; the two recent ones survive.
@@ -80,10 +90,10 @@ class TestBitmapCache:
     def test_hit_refreshes_lru_position(self):
         cache = BitmapCache(budget_bytes=16)
         a, b, c = (frozenset({("e", str(i))}) for i in range(3))
-        cache.get_or_compute(0, a, lambda: bm(0))
-        cache.get_or_compute(0, b, lambda: bm(1))
-        cache.get_or_compute(0, a, lambda: bm(0))  # refresh a
-        cache.get_or_compute(0, c, lambda: bm(2))  # evicts b, not a
+        fetch(cache, 0, a, lambda: bm(0))
+        fetch(cache, 0, b, lambda: bm(1))
+        fetch(cache, 0, a, lambda: bm(0))  # refresh a
+        fetch(cache, 0, c, lambda: bm(2))  # evicts b, not a
         assert cache.lookup(0, a) is not None
         assert cache.lookup(0, b) is None
 
@@ -91,39 +101,22 @@ class TestBitmapCache:
         cache = BitmapCache(budget_bytes=40)
         for i in range(50):
             key = frozenset({("e", str(i))})
-            cache.get_or_compute(0, key, lambda i=i: bm(i, length=64 * (1 + i % 3)))
+            fetch(cache, 0, key, lambda i=i: bm(i, length=64 * (1 + i % 3)))
             assert cache.current_bytes() <= cache.budget_bytes
 
     def test_oversized_entry_not_retained(self):
         cache = BitmapCache(budget_bytes=8)
         big = Bitmap.ones(1024)  # 16 words = 128 bytes > budget
-        got = cache.get_or_compute(0, frozenset({("x", "y")}), lambda: big)
+        got = fetch(cache, 0, frozenset({("x", "y")}), lambda: big)
         assert got == big, "caller still gets the computed bitmap"
         assert len(cache) == 0
         assert cache.current_bytes() == 0
 
-    def test_content_dedup_charges_once(self):
-        cache = BitmapCache()
-        for name in ("p", "q", "r"):
-            cache.get_or_compute(0, frozenset({("e", name)}), lambda: bm(3, 4))
-        stats = cache.stats
-        assert stats.entries == 3
-        assert stats.unique_bitmaps == 1
-        assert stats.bytes_cached == bm(3, 4).nbytes()
-
-    def test_dedup_release_on_eviction(self):
-        cache = BitmapCache(budget_bytes=8)  # one unique 64-bit bitmap
-        cache.get_or_compute(0, frozenset({("a", "b")}), lambda: bm(1))
-        cache.get_or_compute(0, frozenset({("c", "d")}), lambda: bm(1))  # shared
-        assert cache.current_bytes() == 8
-        cache.get_or_compute(0, frozenset({("e", "f")}), lambda: bm(2))
-        assert cache.current_bytes() <= 8
-
     def test_drop_stale(self):
         cache = BitmapCache()
-        cache.get_or_compute(1, frozenset({("a", "b")}), lambda: bm(1))
-        cache.get_or_compute(1, frozenset({("c", "d")}), lambda: bm(2))
-        cache.get_or_compute(2, frozenset({("a", "b")}), lambda: bm(3))
+        fetch(cache, 1, frozenset({("a", "b")}), lambda: bm(1))
+        fetch(cache, 1, frozenset({("c", "d")}), lambda: bm(2))
+        fetch(cache, 2, frozenset({("a", "b")}), lambda: bm(3))
         dropped = cache.drop_stale(2)
         assert dropped == 2
         assert len(cache) == 1
@@ -132,7 +125,7 @@ class TestBitmapCache:
 
     def test_clear_and_reset_stats(self):
         cache = BitmapCache()
-        cache.get_or_compute(0, frozenset({("a", "b")}), lambda: bm(1))
+        fetch(cache, 0, frozenset({("a", "b")}), lambda: bm(1))
         cache.lookup(0, frozenset({("a", "b")}))
         cache.clear()
         assert len(cache) == 0
@@ -146,9 +139,9 @@ class TestBitmapCache:
         collector = IOStatsCollector()
         cache = BitmapCache(budget_bytes=8, collector=collector)
         key = frozenset({("a", "b")})
-        cache.get_or_compute(0, key, lambda: bm(1))
-        cache.get_or_compute(0, key, lambda: bm(1))
-        cache.get_or_compute(0, frozenset({("c", "d")}), lambda: bm(2))
+        fetch(cache, 0, key, lambda: bm(1))
+        fetch(cache, 0, key, lambda: bm(1))
+        fetch(cache, 0, frozenset({("c", "d")}), lambda: bm(2))
         stats = collector.stats
         assert stats.cache_hits == 1
         assert stats.cache_misses == 2
@@ -167,9 +160,7 @@ class TestBitmapCache:
             try:
                 for i in range(200):
                     key = frozenset({("e", str((seed + i) % 13))})
-                    got = cache.get_or_compute(
-                        0, key, lambda i=i: bm((seed + i) % 13)
-                    )
+                    got = fetch(cache, 0, key, lambda i=i: bm((seed + i) % 13))
                     assert got == bm((seed + i) % 13)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import signal
+import tempfile
 import threading
 import time
 
@@ -20,7 +21,7 @@ from repro.baselines import RowStore
 from repro.core import GraphAnalyticsEngine, GraphQuery
 from repro.core.engine import INLINE, shard_tasks
 from repro.errors import QueryCancelledError, QueryTimeoutError, ShardExecutionError
-from repro.exec import BitmapCache, ProcessShardPool, QueryExecutor, StaleGenerationError
+from repro.exec import ProcessShardPool, QueryExecutor, StaleGenerationError, runners
 from repro.exec.procpool import WorkerTaskError
 from repro.exec.runners import ProcessRunner, ThreadRunner
 from repro.obs import MetricsRegistry
@@ -93,11 +94,15 @@ def _answers(executor, queries):
 class TestProcessExecutor:
     def test_matches_serial_oracle_cold_and_warm(self, corpus, queries, oracle_ids):
         engine = _fresh_engine(corpus)
+        registry = MetricsRegistry()
         with QueryExecutor(
-            engine, jobs=1, cache_mb=8, exec_mode="process", workers=2
+            engine, jobs=1, cache_mb=8, exec_mode="process", workers=2,
+            registry=registry,
         ) as executor:
             assert _answers(executor, queries) == oracle_ids
+            sent = _tasks(registry)
             assert _answers(executor, queries) == oracle_ids  # warm cache
+            assert _tasks(registry) == sent, "a warm repeat sends no shard task"
 
     def test_thread_mode_with_one_job_matches(self, corpus, queries, oracle_ids):
         engine = _fresh_engine(corpus)
@@ -187,30 +192,6 @@ class TestOneTaskPerWorker:
                 before = _tasks(registry)
                 assert executor.run_one(query, fetch_measures=False).record_ids == expected
                 assert _tasks(registry) - before == 2, query
-
-    def test_cached_shard_is_not_sent(self, corpus, queries, oracle_ids):
-        engine = _fresh_engine(corpus, shards=4)
-        registry = MetricsRegistry()
-        cache = BitmapCache(8 << 20)
-        query, expected = queries[0], oracle_ids[0]
-        plan = engine.physical_plan(query)
-        shard0 = engine.relation.fold(plan.refs, shard=0)
-        with QueryExecutor(
-            engine, jobs=1, cache=cache, exec_mode="process", workers=2,
-            registry=registry,
-        ) as executor:
-            cache.put(engine.epoch, plan.prefix_keys[-1], shard0, shard=0)
-            pool = executor._runner.pool
-            sent, submit = [], pool._submit
-
-            def spy(shards, *args):
-                sent.extend(shards)
-                return submit(shards, *args)
-
-            pool._submit = spy
-            assert executor.run_one(query, fetch_measures=False).record_ids == expected
-        assert sorted(sent) == [1, 2, 3]
-        assert _tasks(registry) == 2  # worker 0: [2], worker 1: [1, 3]
 
     def test_a_bad_shard_never_fails_its_batch_mate(
         self, tmp_path, monkeypatch, corpus, queries
@@ -627,6 +608,25 @@ class TestDeadlinesAndShutdown:
         pool.close()
         with pytest.raises(RuntimeError):
             pool.execute(0, (("element", 0),))
+
+    def test_failed_pool_start_leaks_nothing(self, tmp_path, monkeypatch, corpus):
+        """A pool that fails to start removes the spool it saved and leaves
+        the engine as it was: no cache, policy or runner installed."""
+        engine = _fresh_engine(corpus)
+        spool_root = tmp_path / "tmp"
+        spool_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool_root))
+
+        def refuse(*args, **kwargs):
+            raise OSError("no workers today")
+
+        monkeypatch.setattr(runners, "ProcessShardPool", refuse)
+        with pytest.raises(OSError, match="no workers today"):
+            QueryExecutor(engine, cache_mb=8, exec_mode="process", workers=2)
+        assert list(spool_root.iterdir()) == []
+        assert engine.bitmap_cache is None
+        assert engine.resilience is None
+        assert engine._runner is INLINE
 
     def test_executor_close_removes_hooks_and_tempdir(self, corpus, queries):
         engine = _fresh_engine(corpus)

@@ -24,7 +24,7 @@ import pytest
 from repro.baselines import RowStore
 from repro.core import GraphAnalyticsEngine, PathAggregationQuery
 from repro.core.engine import shard_tasks
-from repro.exec import BitmapCache, QueryExecutor
+from repro.exec import QueryExecutor
 from repro.resilience import ResiliencePolicy
 from repro.serve import ServeClient, start_in_thread
 from repro.workloads import as_aggregate_queries
@@ -88,8 +88,7 @@ def test_served_config_matches_rowstore(config, records, workload, baseline):
     )
     if views == "dropped":
         engine.drop_all_views()
-    cache = BitmapCache(cache_mb << 20) if cache_mb else None
-    with QueryExecutor(engine, jobs=jobs, cache=cache) as executor:
+    with QueryExecutor(engine, jobs=jobs, cache_mb=cache_mb) as executor:
         replay_through_daemon(executor, workload, baseline)
 
 
@@ -107,8 +106,7 @@ def test_served_sharded_matches_rowstore(config, records, workload, baseline):
     )
     if views == "dropped":
         engine.drop_all_views()
-    cache = BitmapCache(cache_mb << 20) if cache_mb else None
-    with QueryExecutor(engine, jobs=2, cache=cache) as executor:
+    with QueryExecutor(engine, jobs=2, cache_mb=cache_mb) as executor:
         replay_through_daemon(executor, workload, baseline)
 
 
@@ -129,9 +127,8 @@ def test_served_process_mode_matches_rowstore(
     engine.materialize_aggregate_views(
         as_aggregate_queries(graph_queries[:6]), budget=2
     )
-    cache = BitmapCache(cache_mb << 20) if cache_mb else None
     with QueryExecutor(
-        engine, jobs=2, cache=cache, exec_mode="process", workers=2
+        engine, jobs=2, cache_mb=cache_mb, exec_mode="process", workers=2
     ) as executor:
         replay_through_daemon(executor, workload, baseline)
 

@@ -44,7 +44,7 @@ from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord, PathAggreg
 from repro.core.engine import INLINE, ShardRunner, shard_tasks
 from repro.core.engine import facade
 from repro.errors import CorruptionError, ManifestError, PersistenceError
-from repro.exec import BitmapCache, QueryExecutor
+from repro.exec import QueryExecutor
 from repro.workloads import build_dataset, sample_path_queries
 from tests import faultinject as fi
 
@@ -629,23 +629,10 @@ class TestEngineSharding:
         assert engine.n_records == 40
 
 
-# -- cache keys and the executor's shard pool --------------------------------
+# -- the executor's shard pool and its cache ---------------------------------
 
 
 class TestShardAwareServing:
-    def test_cache_keys_isolate_shards(self):
-        cache = BitmapCache(1 << 20)
-        bitmaps = {0: Bitmap.from_indices(4, [0]), 1: Bitmap.from_indices(4, [1])}
-        elements = frozenset([("A", "B")])
-        for shard, expected in bitmaps.items():
-            got = cache.get_or_compute(
-                7, elements, lambda s=shard: bitmaps[s], shard=shard
-            )
-            assert got == expected
-        # Both entries live side by side; neither lookup collides.
-        assert cache.lookup(7, elements, shard=0) == bitmaps[0]
-        assert cache.lookup(7, elements, shard=1) == bitmaps[1]
-
     def test_executor_installs_and_removes_shard_pool(self, records, queries):
         from repro.obs import MetricsRegistry
 
@@ -655,9 +642,15 @@ class TestShardAwareServing:
         engine = GraphAnalyticsEngine(shards=4)
         engine.load_records(records)
         registry = MetricsRegistry()
+        distinct = list(dict.fromkeys(queries))
         with QueryExecutor(engine, jobs=4, cache_mb=8, registry=registry) as ex:
             results = ex.run_batch(list(queries))
             assert registry.get("engine.shards").value == 4
+            # One cache entry per answer, none per shard or prefix.
+            assert len(ex.cache) == len(distinct)
+            ex.cache.reset_stats()
+            ex.run_batch(distinct)
+            assert (ex.cache.stats.hits, ex.cache.stats.misses) == (len(distinct), 0)
         assert [r.record_ids for r in results] == expected
         assert registry.get("exec.shard_tasks").value > 0
         # close() must restore the inline runner so later serial use is safe.
