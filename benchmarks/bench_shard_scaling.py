@@ -2,25 +2,29 @@
 
 The sharding perf trajectory: the Figure 3(a) serving shape (NY corpus,
 5-edge path queries, zipf-repeated so a few hot queries dominate) is run
-with the master relation split into 1 / 2 / 4 / 8 record-range shards,
-each under two servers:
+with the engine's range count set to 1 / 2 / 4 / 8, each under three
+servers:
 
-* ``serial-sK``    — plain ``engine.query`` loop, no cache: per-shard
-  conjunctions run sequentially and merge by concatenation (the
+* ``serial-sK``    — plain ``engine.query`` loop, no cache: the inline
+  runner, which folds every query in one call at any range count (the
   correctness path);
 * ``executor4-sK`` — ``QueryExecutor(jobs=4)`` with a warm answer
-  cache: batch fan-out plus the executor's dedicated shard pool, the
-  full serving stack;
+  cache: batch fan-out plus the executor's thread runner, the full
+  serving stack;
 * ``process4-sK``  — ``QueryExecutor(exec_mode="process", workers=4)``
-  with the same warm cache: shard conjunctions evaluated out-of-process
-  by the persistent worker pool over zero-copy mmap storage.
+  with the same warm cache: the process runner, whose worker pool folds
+  the ranges of a query ANDing at least its ``min_fanout_words``.
+
+A query here ANDs far fewer words than either runner's break-even, so
+every config folds each query in one call; the range count only shows
+where that is not so.
 
 Emits ``benchmarks/BENCH_shard_scaling.json`` with per-config seconds and
 queries/second plus the headlines ``speedup_at_4_shards`` (executor over
 the serial loop at the same shard count), ``process_speedup_at_4_shards``
 (process pool over serial), ``process_over_thread_at_4_shards`` and
-``serial_overhead_at_8_shards`` (serial-s8 over serial-s1: what splitting
-one relation into eight costs the uncached loop; reported, not asserted); the
+``serial_overhead_at_8_shards`` (serial-s8 over serial-s1: what a range
+count of eight costs the uncached loop; reported, not asserted); the
 report test asserts the acceptance bars (executor >= 1.5x serial, process
 >= 2.5x serial and >= 1.2x thread at 4 shards, gated on a full-scale run)
 and that every config returns answers identical to the unsharded baseline.

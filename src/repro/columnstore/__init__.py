@@ -1,10 +1,9 @@
 """Column-oriented storage substrate (the paper's MonetDB substitute).
 
 Packed bitmaps, NULL-suppressed rank-indexed measure columns, the vertically
-partitioned master relation with its horizontal record-range shards (cuts
-of the one relation, not copies of it), I/O cost accounting in the paper's
-cost-model units, and ``.npy``-per-column persistence (the cuts recorded
-in its manifest).
+partitioned master relation (folded over any record range, holding no
+horizontal cut), I/O cost accounting in the paper's cost-model units, and
+``.npy``-per-column persistence.
 """
 
 from .bitmap import Bitmap, popcount_words

@@ -6,11 +6,10 @@ has in RAM), one word file per view bitmap — plus a versioned JSON
 manifest.  This mirrors a column store's one-file-per-column layout and
 lets the Table 2 / Figure 4 benchmarks report genuine size-on-disk numbers.
 
-There is one layout whatever the shard count.  A relation saves its
-columns once, and the manifest's ``shard_records`` records its cuts
-(``[n_records]`` when unsharded): a load cuts the relation at exactly those
-sizes, and a process-pool worker folds shard *i* as that record range of
-the one mapped store.
+A store holds no shard count: the relation saves its columns once, and a
+process-pool worker folds whatever record range a task names, a slice of
+the one mapped store.  Format-4 stores written with a ``shard_records``
+manifest key still load; the key is ignored.
 
 Durability model (write-ahead-by-rename):
 
@@ -29,8 +28,7 @@ Durability model (write-ahead-by-rename):
 manifest before deserializing, raising :class:`~repro.errors.CorruptionError`
 / :class:`~repro.errors.ManifestError` for base columns.  A damaged *view*
 file is not fatal: the view is dropped with a warning (recorded in
-``dropped_views``) and queries fall back to base bitmaps — for every shard,
-since the view's one file covers them all.
+``dropped_views``) and queries fall back to base bitmaps.
 """
 
 from __future__ import annotations
@@ -127,8 +125,7 @@ def save_relation(
     directory: str | FsPath,
     app_meta: dict | None = None,
 ) -> None:
-    """Atomically write the relation's columns and views under ``directory``,
-    its cuts into the manifest as ``shard_records``.
+    """Atomically write the relation's columns and views under ``directory``.
 
     The previous on-disk relation (if any) stays loadable until the final
     manifest swap; an interrupted save never damages it.  ``app_meta`` is
@@ -178,7 +175,6 @@ def save_relation(
         "generation": generation,
         "directory": gen_name,
         "n_records": relation.n_records,
-        "shard_records": relation.shard_records,
         "partition_width": relation.partition_width,
         "element_ids": relation.element_ids(),
         "graph_views": relation.graph_view_names(),
@@ -203,7 +199,6 @@ _REQUIRED_KEYS = (
     "generation",
     "directory",
     "n_records",
-    "shard_records",
     "partition_width",
     "element_ids",
     "graph_views",
@@ -233,18 +228,18 @@ def _read_manifest(root: FsPath) -> dict:
             f"{path}: unsupported manifest format_version {version!r} "
             f"(this build reads version {FORMAT_VERSION}); re-save the relation"
         )
-    sizes = manifest["shard_records"]
-    if (
-        not isinstance(sizes, list)
-        or not sizes
-        or not all(isinstance(n, int) and n >= 0 for n in sizes)
-        or sum(sizes) != manifest["n_records"]
-    ):
-        raise ManifestError(
-            f"{path}: shard_records {sizes!r} do not cut "
-            f"{manifest['n_records']!r} records"
-        )
     return manifest
+
+
+def _generation_dir(root: FsPath, manifest: dict) -> FsPath:
+    """The live generation directory the manifest names; missing is corrupt."""
+    gen_dir = root / str(manifest["directory"])
+    if not gen_dir.is_dir():
+        raise CorruptionError(
+            f"{root}: manifest names generation {manifest['directory']!r} "
+            "but that directory is missing"
+        )
+    return gen_dir
 
 
 def _checked_bitmap(vals, bits, n_records: int, stem: FsPath) -> Bitmap:
@@ -265,8 +260,7 @@ def _checked_bitmap(vals, bits, n_records: int, stem: FsPath) -> Bitmap:
 
 
 def load_relation(directory: str | FsPath) -> MasterRelation:
-    """Reconstruct a relation previously written by :func:`save_relation`,
-    cut at its saved ``shard_records``.
+    """Reconstruct a relation previously written by :func:`save_relation`.
 
     Every base-column file is checked against the manifest's size and CRC32
     before use; integrity failures raise :class:`CorruptionError`.  A
@@ -277,12 +271,7 @@ def load_relation(directory: str | FsPath) -> MasterRelation:
     """
     root = FsPath(directory)
     manifest = _read_manifest(root)
-    gen_dir = root / str(manifest["directory"])
-    if not gen_dir.is_dir():
-        raise CorruptionError(
-            f"{root}: manifest names generation {manifest['directory']!r} "
-            "but that directory is missing"
-        )
+    gen_dir = _generation_dir(root, manifest)
     files = manifest["files"]
     if not isinstance(files, dict):
         raise ManifestError(f"{root}/{_MANIFEST}: 'files' must be an object")
@@ -341,7 +330,6 @@ def load_relation(directory: str | FsPath) -> MasterRelation:
         except (PersistenceError, ValueError, IndexError) as exc:
             _drop_view(name, exc)
     relation.app_meta = manifest.get("app_meta")
-    relation.set_shard_records(manifest["shard_records"])
     return relation
 
 
@@ -361,9 +349,9 @@ class RelationBitmapReader:
       cache;
     * graph views map ``gv_{name}.npy`` the same way.
 
-    A sharded save is still one store: :meth:`shard_bitmap` serves shard
-    *i* as the record range the manifest's ``shard_records`` cut gives it,
-    a view of the mapped words when the cut falls on a 64-record boundary.
+    A worker folds a task's record range with :func:`~.table.and_refs`
+    over :meth:`ref_bitmap`: the range's words are a view of the mapped
+    words when it starts on a 64-record boundary.
 
     The mapping is read-only: any write attempt through a returned bitmap
     raises, and the attachment never dirties a page (no write-back).
@@ -379,22 +367,13 @@ class RelationBitmapReader:
     def __init__(self, directory: str | FsPath):
         root = FsPath(directory)
         manifest = _read_manifest(root)
-        gen_dir = root / str(manifest["directory"])
-        if not gen_dir.is_dir():
-            raise CorruptionError(
-                f"{root}: manifest names generation {manifest['directory']!r} "
-                "but that directory is missing"
-            )
-        self._gen_dir = gen_dir
+        self._gen_dir = _generation_dir(root, manifest)
         self.generation = int(manifest["generation"])
         self.n_records = int(manifest["n_records"])
-        self.shard_records = manifest["shard_records"]
-        self._shard_starts = np.cumsum([0, *self.shard_records]).tolist()
         self._element_ids = {int(i) for i in manifest["element_ids"]}
         self._graph_views = set(manifest["graph_views"])
         self._aggregate_views = set(manifest["aggregate_views"])
         self._bitmaps: dict[tuple[str, object], Bitmap] = {}
-        self._segments: dict[tuple[int, str, object], Bitmap] = {}
 
     def _mmap(self, name: str) -> np.ndarray:
         path = self._gen_dir / name
@@ -430,19 +409,6 @@ class RelationBitmapReader:
                 cached = self._column_bitmap(f"av_{token}")
             self._bitmaps[key] = cached
         return cached
-
-    def shard_bitmap(self, shard: int, kind: str, token) -> Bitmap | None:
-        """Shard ``shard``'s segment of :meth:`ref_bitmap`, memoized per
-        ``(shard, kind, token)``: a warm lookup is one dict probe."""
-        key = (shard, kind, token)
-        segment = self._segments.get(key)
-        if segment is None:
-            whole = self.ref_bitmap(kind, token)
-            if whole is None:
-                return None
-            start, stop = self._shard_starts[shard], self._shard_starts[shard + 1]
-            segment = self._segments[key] = whole.slice(start, stop)
-        return segment
 
 
 def relation_disk_usage(directory: str | FsPath) -> int:

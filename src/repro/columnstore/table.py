@@ -23,12 +23,11 @@ elements span several sub-relations must re-join them on ``recid``, which
 this class simulates faithfully (sorted recid-set intersection per extra
 partition) so the Figure 5 degradation is reproduced.
 
-Horizontally the relation is cut into contiguous **record-range shards**,
-described by ``shard_records`` (the shard sizes, ``[n_records]`` when
-unsharded — the manifest field of the same name).  A shard is not a copy:
-it is a record range of every column, and a shard's fold ANDs its segment
-of each bitmap (slices of the words when the cut falls on a 64-record
-boundary).  Re-cutting the relation copies no column.
+The relation holds no horizontal cut.  :meth:`MasterRelation.fold` ANDs
+any record range ``[start, stop)`` of its bitmaps (slices of the words
+when the range starts on a 64-record boundary); how a query's records are
+split into ranges, if at all, is the shard runner's per-query decision
+(:mod:`repro.core.engine.interpreter`).
 
 Column accesses are reported to an :class:`~repro.columnstore.iostats.IOStatsCollector`
 — the unit of the paper's cost model.
@@ -45,7 +44,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bitmap import _WORD_BITS, Bitmap
+from .bitmap import Bitmap
 from .column import MeasureColumn, RankedRows
 from .iostats import IOStatsCollector
 
@@ -61,12 +60,12 @@ def and_refs(
     start: int = 0,
 ) -> Bitmap:
     """The AND of bits ``[start, start + length)`` of the bitmaps
-    ``lookup(kind, token)`` returns for ``refs``: a shard's segment of the
-    conjunction, or all of it.
+    ``lookup(kind, token)`` returns for ``refs``: one record range's segment
+    of the conjunction, or all of it.
 
-    ``lookup`` is a storage class's ``ref_bitmap`` (or a worker's per-shard
-    ``shard_bitmap``, whose segments start at 0): a bitmap covering the
-    range, or None for an element that storage never saw, which makes the
+    ``lookup`` is a storage class's ``ref_bitmap`` (the relation's, or a
+    process-pool worker's mapped store's): a bitmap covering the range, or
+    None for an element that storage never saw, which makes the
     answer all-zero without ending the fold — the cost model charges every
     ref.  No refs AND to all-zero as well.  ``check``, when given, runs
     before every ref and stops the fold by raising (a deadline, a cancel).
@@ -92,20 +91,6 @@ def and_refs(
     return Bitmap.and_all(bitmaps, start, start + length)
 
 
-def _first_split(n_records: int, n_shards: int) -> list[int]:
-    """Shard sizes for the first batch into an empty relation (and for a
-    re-cut): an even split, in whole 64-record words once every shard
-    would hold at least one, the last shard taking the remainder.
-    Word-aligned cuts make every shard's bitmap segment a view of whole
-    words, so :meth:`Bitmap.concat` merges segments by copying words and
-    the segments' words add up to the column's."""
-    unit = _WORD_BITS if n_records >= _WORD_BITS * n_shards else 1
-    base, extra = divmod(n_records // unit, n_shards)
-    sizes = [unit * (base + (i < extra)) for i in range(n_shards)]
-    sizes[-1] += n_records % unit
-    return sizes
-
-
 class MasterRelation:
     """Columnar storage for a collection of graph records."""
 
@@ -119,9 +104,6 @@ class MasterRelation:
         self.partition_width = partition_width
         self.collector = collector if collector is not None else IOStatsCollector()
         self._n_records = 0
-        # Record-range shard sizes (see set_shard_records); appends grow
-        # the last shard.
-        self.shard_records: list[int] = [0]
         # Per element column id: the packed column, which may lag behind
         # the record count, and the (first row, rows, values) chunks appended
         # since (see append_columns).  _column() folds the tail in on first use.
@@ -148,9 +130,6 @@ class MasterRelation:
         Lists (transposed records) extend the tail's last list chunk, kept
         in relation rows: a chunk per small batch would cost ~290 bytes per
         column, where a cell costs ~40.
-
-        The rows join the last shard; the first batch into an empty
-        relation is instead cut over every shard (:func:`_first_split`).
         """
         first = self._n_records
         at = list(range(first, first + n_new)).__getitem__
@@ -165,10 +144,6 @@ class MasterRelation:
             known_rows += map(at, rows)
             known_vals += vals
         self._n_records = first + n_new
-        if first:
-            self.shard_records[-1] += n_new
-        else:
-            self.set_shard_records(_first_split(n_new, len(self.shard_records)))
         return first
 
     def put_column(self, edge_id: int, column: MeasureColumn) -> None:
@@ -180,8 +155,7 @@ class MasterRelation:
 
     def set_record_count(self, n_records: int) -> None:
         """Declare the number of rows before :meth:`put_column` installs
-        packed columns (load); the new rows join the shards as appended
-        rows do."""
+        packed columns (load)."""
         if n_records < self._n_records:
             raise ValueError("cannot shrink the relation")
         self.append_columns(n_records - self._n_records, {})
@@ -191,15 +165,6 @@ class MasterRelation:
     @property
     def n_records(self) -> int:
         return self._n_records
-
-    def set_shard_records(self, sizes: Sequence[int]) -> None:
-        """Cut the records into contiguous shards of ``sizes`` (summing to
-        the record count): how the engine shards, reshards and rebalances,
-        and how a store loads at its saved cuts.  Moves no data."""
-        sizes = list(sizes)
-        if not sizes or min(sizes) < 0 or sum(sizes) != self._n_records:
-            raise ValueError(f"shard sizes {sizes} do not cut {self._n_records} records")
-        self.shard_records = sizes
 
     def element_ids(self) -> list[int]:
         """All element column ids, ascending."""
@@ -272,8 +237,8 @@ class MasterRelation:
         if kind == "element":
             column = self._columns.get(token)
             if column is not None:
-                # Up to date: the fold's common case, paid per (ref, shard),
-                # so the length test reads the slots, not two properties.
+                # Up to date: the fold's common case, paid per ref, so the
+                # length test reads the slots, not two properties.
                 bitmap = column._validity
                 if bitmap._length == self._n_records:
                     return bitmap
@@ -287,24 +252,21 @@ class MasterRelation:
         self._check_fresh(bitmap.length, token)
         return bitmap
 
-    def fold(self, refs, ctx=None, shard: int | None = None) -> Bitmap:
+    def fold(self, refs, ctx=None, start: int = 0, stop: int | None = None) -> Bitmap:
         """AND the bitmap columns named by ``refs`` (:func:`and_refs`) over
-        shard ``shard``'s records — every record when None — and charge
+        records ``[start, stop)`` — every record by default — and charge
         the I/O with one collector call.
 
-        A shard's fold ANDs its segment of each column, the contract of a
-        worker's ``RelationBitmapReader.shard_bitmap``; a one-shard
-        relation's segment is the column itself.  ``ctx`` (a
+        A range's fold ANDs its segment of each column, the fold a
+        process-pool worker runs over its mapped store; the whole range's
+        segment is the column itself.  ``ctx`` (a
         :class:`repro.resilience.QueryContext` or None) is checked before
         every ref.  The charge is one fetch per ref read, a stopped fold's
-        included, of the segment's words; an element the relation never
+        included, of the range's words; an element the relation never
         saw is an all-zero answer with no charge.
         """
-        if shard is None:
-            start, stop = 0, self._n_records
-        else:
-            start = sum(self.shard_records[:shard])
-            stop = start + self.shard_records[shard]
+        if stop is None:
+            stop = self._n_records
         read: list[str] = []
         try:
             return and_refs(

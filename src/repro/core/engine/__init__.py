@@ -6,15 +6,15 @@ previously saved engine directories keep working):
 
 * :mod:`.planner` — query → :class:`PhysicalPlan`, the serializable IR
   shared by execution, EXPLAIN, and tracing;
-* :mod:`.operators` — physical operators (bitmap fetch, memoized
-  conjunction fold) that run once per record-range shard of the master
-  relation;
+* :mod:`.operators` — physical operators (bitmap fetch, conjunction
+  fold) over one record range of the master relation, and the per-query
+  range cut;
 * :mod:`.interpreter` — the one read path: executes a plan against a
-  per-query environment snapshot, running shard tasks through the
-  installed :class:`ShardRunner`;
+  per-query environment snapshot, folding the ranges the installed
+  :class:`ShardRunner` picks;
 * :mod:`.facade` — :class:`GraphAnalyticsEngine` itself: ingest,
   persistence, view materialization, and result assembly over the one
-  master relation, sharded or not.
+  master relation.
 """
 
 from .facade import (
@@ -24,7 +24,7 @@ from .facade import (
     PathAggregationResult,
 )
 from .interpreter import INLINE, ShardRunner
-from .operators import ShardTask, shard_tasks
+from .operators import ShardTask, range_tasks
 from .planner import PhysicalPlan, Planner
 
 __all__ = [
@@ -37,5 +37,5 @@ __all__ = [
     "ShardRunner",
     "INLINE",
     "ShardTask",
-    "shard_tasks",
+    "range_tasks",
 ]

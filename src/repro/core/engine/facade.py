@@ -7,12 +7,12 @@ had, but internally delegates to the three layers this package separates:
   :class:`PhysicalPlan` objects — the same object the operator layer
   executes, the EXPLAIN renderer serializes, and the tracer annotates;
 * the **interpreter** (:mod:`.interpreter`) executes a plan — fetch, AND,
-  gather — folding once per record-range shard through the installed
-  :class:`ShardRunner` and merging by order-preserving concatenation;
-* the **storage** is one :class:`MasterRelation`, whose ``shard_records``
-  cut it into those record ranges (``shards > 1``) without copying a
-  column; measure gathers, view maintenance, and persistence read the one
-  relation, so the facade's query code is shard-agnostic.
+  gather — folding the record ranges the installed :class:`ShardRunner`
+  picks per query (``[0, n)`` in one call unless fanning out pays) and
+  merging by order-preserving concatenation;
+* the **storage** is one :class:`MasterRelation`, holding no cut: measure
+  gathers, view maintenance, and persistence read the one relation, so
+  the facade's query code is shard-agnostic.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from ...columnstore.bitmap import Bitmap
 from ...columnstore.column import MeasureColumn, sorted_cells
 from ...columnstore.iostats import IOStats, IOStatsCollector
 from ...columnstore.persistence import load_relation, save_relation
-from ...columnstore.table import MasterRelation, _first_split, and_refs
+from ...columnstore.table import MasterRelation, and_refs
 from ...errors import IngestError, ManifestError, PersistenceError
 from ..aggregates import get_function
 from ..candidates import (
@@ -133,11 +133,11 @@ def _transpose(records: Iterable[GraphRecord]) -> tuple[list, dict[Edge, tuple]]
 class GraphAnalyticsEngine:
     """Store and analyze a massive collection of small graph records.
 
-    With ``shards > 1`` the master relation is cut into that many
-    contiguous record-range shards; query answers are bit-identical to the
-    unsharded engine, but structural conjunctions evaluate shard-by-shard
-    (in parallel under a :class:`~repro.exec.QueryExecutor`), each over its
-    segment of the one relation's bitmaps.  Appends grow the last shard.
+    ``shards`` is the number of even record ranges a query's structural
+    conjunction splits into when its runner fans out (a thread or process
+    runner under a :class:`~repro.exec.QueryExecutor`, and only where the
+    words the query ANDs reach the runner's break-even); otherwise every
+    query folds all records in one call.  Answers never depend on it.
     """
 
     def __init__(self, partition_width: int = 1000, shards: int = 1):
@@ -148,7 +148,7 @@ class GraphAnalyticsEngine:
         self.relation = MasterRelation(
             partition_width=partition_width, collector=self.collector
         )
-        self.relation.set_shard_records([0] * shards)
+        self._shards = shards
         self._record_ids: list = []
         self._graph_views: dict[str, GraphView] = {}
         self._agg_views: dict[str, AggregateGraphView] = {}
@@ -170,13 +170,13 @@ class GraphAnalyticsEngine:
         # Optional tracer (repro.obs.Tracer), installed by use_tracer();
         # None keeps every hot path on a single attribute check.
         self._tracer = None
-        # How shard tasks run (see interpreter.ShardRunner); a QueryExecutor
+        # How a query's folds run (see interpreter.ShardRunner); a QueryExecutor
         # installs a thread or process runner via use_shard_runner().
         self._runner: ShardRunner = INLINE
         # Optional resilience policy (repro.resilience.ResiliencePolicy),
-        # installed by use_resilience(); supervises per-shard execution
+        # installed by use_resilience(); supervises every range fold
         # with retries, circuit breakers, and partial_ok degraded mode.
-        # None propagates shard failures wrapped as ShardExecutionError.
+        # None propagates fold failures wrapped as ShardExecutionError.
         self._resilience = None
 
     # -- loading ------------------------------------------------------------
@@ -187,8 +187,8 @@ class GraphAnalyticsEngine:
 
     @property
     def n_shards(self) -> int:
-        """Record-range shards of the relation (1 = unsharded)."""
-        return len(self.relation.shard_records)
+        """Record ranges a fanned-out query is cut into (1 = never cut)."""
+        return self._shards
 
     @property
     def measured_nodes(self) -> frozenset[Hashable]:
@@ -219,26 +219,17 @@ class GraphAnalyticsEngine:
     def load_records(self, records: Iterable[GraphRecord]) -> int:
         """Bulk-load graph records as one batch; returns how many.
 
-        An *empty* sharded engine splits them into even record ranges, on
-        64-record word boundaries once every shard gets a word.  A
-        sharded engine that already holds records re-cuts the same way
-        (record order, and thus query answers, are unchanged).  Use
-        :meth:`append_records` for incremental growth that must not move
-        shard boundaries.
+        Views are not maintained: use :meth:`append_records` for
+        incremental growth under materialized views.
         """
-        rebalance = self.n_records and self.n_shards > 1
-        count = self._ingest(*_transpose(records))
-        if rebalance:
-            self._recut(self.n_shards)
-        return count
+        return self._ingest(*_transpose(records))
 
     def append_records(self, records: Iterable[GraphRecord]) -> int:
         """Append records *and incrementally maintain all views*.
 
         Each view gains the new rows from the builder that made it, started
         at the first new row: a rebuild's answer at the cost of the words
-        the rows land in.  On a sharded engine only the last shard grows —
-        earlier shard boundaries are untouched.
+        the rows land in.
         """
         start = self.n_records
         count = self._ingest(*_transpose(records))
@@ -256,7 +247,7 @@ class GraphAnalyticsEngine:
     ) -> None:
         """Vectorized bulk load: per element, parallel (row, value) arrays,
         a row being a position in ``record_ids``; :meth:`load_records`'
-        write without its rebalance.  The whole batch is checked first: a
+        write.  The whole batch is checked first: a
         row outside ``[0, len(record_ids))`` or given twice refuses it."""
         n = len(record_ids)
         self._ingest(record_ids, {e: sorted_cells(*cells, n) for e, cells in columns.items()})
@@ -267,40 +258,26 @@ class GraphAnalyticsEngine:
 
     # -- sharding ------------------------------------------------------------
 
-    def _recut(self, shards: int) -> None:
-        """Cut the relation into ``shards`` even record ranges, as the
-        first batch is cut: new cuts, no column copied."""
-        self.relation.set_shard_records(_first_split(self.n_records, shards))
-
     def reshard(self, shards: int) -> None:
-        """Re-cut the relation into ``shards`` record-range shards.
+        """Set the number of record ranges a fanned-out query is cut into.
 
-        ``shards=1`` is the unsharded relation.  Records, columns, and
-        views are untouched — only the cuts move; the epoch bumps and
-        cached plans (whose IR names the shard count) are rebuilt.
+        Records, columns, and views are untouched — a cut is made per
+        query, never stored; the epoch bumps (resetting the per-range
+        breakers) and cached plans (whose IR names the count) are rebuilt.
         """
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if shards == self.n_shards:
+        if shards == self._shards:
             return
-        self._recut(shards)
+        self._shards = shards
         self._planner.invalidate()
         self._bump_epoch()
 
-    def rebalance(self) -> None:
-        """Re-cut a sharded relation into even, word-aligned record
-        ranges (no-op when unsharded); useful after many incremental
-        appends, or to align a store saved with other cuts."""
-        if self.n_shards > 1:
-            self._recut(self.n_shards)
-            self._planner.invalidate()
-            self._bump_epoch()
-
     def use_shard_runner(self, runner: ShardRunner | None) -> None:
         """Install (or with ``None`` remove) the :class:`ShardRunner` that
-        runs per-shard conjunction tasks (see :mod:`.interpreter`).  A
+        cuts and runs each query's folds (see :mod:`.interpreter`).  A
         :class:`~repro.exec.QueryExecutor` installs a thread or process
-        runner for its ``exec_mode``; without one, shards fold inline."""
+        runner for its ``exec_mode``; without one, queries fold inline."""
         self._runner = INLINE if runner is None else runner
 
     # -- persistence ----------------------------------------------------------
@@ -354,9 +331,8 @@ class GraphAnalyticsEngine:
 
         The engine metadata rides inside the relation manifest, so columns,
         views, and catalog commit in *one* atomic swap — an interrupted
-        save leaves the previous state loadable, never a torn mix.  A
-        sharded engine writes the same files an unsharded one does, its
-        cuts recorded in the manifest.
+        save leaves the previous state loadable, never a torn mix.  The
+        range count is not saved: it is serving configuration.
         """
         save_relation(self.relation, directory, app_meta=self._engine_meta())
 
@@ -364,15 +340,13 @@ class GraphAnalyticsEngine:
     def load(
         cls, directory: str | FsPath, shards: int | None = None
     ) -> "GraphAnalyticsEngine":
-        """Reconstruct an engine saved by :meth:`save`, cut at its saved
-        shard sizes.
+        """Reconstruct an engine saved by :meth:`save`.
 
         Base columns are integrity-checked (corruption raises
         :class:`~repro.errors.CorruptionError`); views whose files were
         damaged are dropped with a warning and queries transparently fall
-        back to base bitmaps.  Pass ``shards`` to re-cut the loaded engine
-        (``shards=1`` unshards a sharded save; any other count re-splits
-        it evenly), copying no column.
+        back to base bitmaps.  ``shards`` sets the loaded engine's range
+        count (see :meth:`reshard`; default 1), copying no column.
         """
         directory = FsPath(directory)
         engine = cls()
@@ -421,7 +395,7 @@ class GraphAnalyticsEngine:
 
     def sync_views_with_relation(self) -> list[str]:
         """Drop view definitions whose backing columns the relation lacks
-        (e.g. refused at load time as corrupt, in any shard), so the
+        (e.g. refused at load time as corrupt), so the
         rewriter degrades to base bitmaps instead of planning against
         phantom views.  Returns the dropped view names."""
         dropped = prune_unavailable_views(
@@ -598,7 +572,8 @@ class GraphAnalyticsEngine:
         return ExecEnv(
             relation=self.relation, catalog=self.catalog, cache=self._bitmap_cache,
             tracer=tracer if tracer is not None else self._tracer,
-            policy=self._resilience, runner=self._runner, epoch=self._epoch,
+            policy=self._resilience, runner=self._runner, shards=self._shards,
+            epoch=self._epoch,
             plan=self._planner.physical_plan,
             agg_views=self._agg_views, measured=self._measured_nodes,
         )

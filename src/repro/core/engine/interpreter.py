@@ -8,14 +8,17 @@ surviving rows.  Every step consumes the memoized
 engine's configuration read **once** at query entry, so a setter flipping
 the tracer or cache mid-flight cannot reach a running query.
 
-There is one way to run a shard, a :class:`ShardRunner`: ``map`` decides
-*where* shard tasks run, ``folds`` *how* each shard's conjunction is
+There is one way to run a fold, a :class:`ShardRunner`: ``tasks`` decides
+per query *which* record ranges to fold — ``[0, n)`` in one call unless
+the words the plan touches reach the runner's fan-out break-even —
+``map`` *where* they run and ``folds`` *how* each range's conjunction is
 computed (thread and process runners: :mod:`repro.exec.runners`).
 Supervision and the whole-answer cache entry sit above the runner, once.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -26,30 +29,38 @@ from ...columnstore.column import rank_rows
 from ...errors import ResilienceError, ShardExecutionError
 from ..aggregates import get_function
 from ..query import And, AndNot, GraphQuery, Or
-from .operators import NULL_SPAN, conjunction, shard_tasks
+from .operators import NULL_SPAN, ShardTask, conjunction, range_tasks
 
 __all__ = ["ExecEnv", "ShardRunner", "INLINE", "run_query", "run_aggregate", "evaluate"]
 
 
 class ShardRunner:
-    """The inline strategy: tasks in order in the calling thread, each
-    folded in-process.  Subclasses override ``map`` (threads) or ``folds``
-    (worker processes); nothing else about a query depends on the mode."""
+    """The inline strategy: a query's records fold in one call, in the
+    calling thread.  Subclasses set ``min_fanout_words`` and override
+    ``map`` (threads) or ``folds`` (worker processes); nothing else about
+    a query depends on the mode."""
+
+    #: Words ANDed (refs × words per bitmap) from which a query is cut
+    #: into ranges; folding ranges in turn inline never pays.
+    min_fanout_words: float = math.inf
+
+    def tasks(self, n_records: int, shards: int, n_refs: int) -> list[ShardTask]:
+        """A query's record ranges: ``[0, n)``, or ``shards`` even ranges
+        once its exact word count reaches the break-even."""
+        if shards > 1 and n_refs * -(-n_records // 64) >= self.min_fanout_words:
+            return range_tasks(n_records, shards)
+        return [ShardTask(0, 0, n_records)]
 
     def map(self, fn: Callable, tasks: list) -> list:
-        """Apply ``fn`` to every shard task; results in task order."""
+        """Apply ``fn`` to every range task; results in task order."""
         return [fn(task) for task in tasks]
-
-    def fold(self, task, plan, env: "ExecEnv", ctx) -> Bitmap:
-        """AND the plan's parts over one shard's records."""
-        return conjunction(
-            env.relation, plan, shard=task.shard, tracer=env.tracer, ctx=ctx
-        )
 
     def folds(self, tasks: list, plan, env: "ExecEnv", ctx) -> list:
         """One zero-argument fold per task, in task order: what
         :func:`supervised_fold` runs, and runs again on a retry."""
-        return [partial(self.fold, task, plan, env, ctx) for task in tasks]
+        return [
+            partial(conjunction, env.relation, plan, task, env.tracer, ctx) for task in tasks
+        ]
 
 
 INLINE = ShardRunner()
@@ -64,6 +75,7 @@ class ExecEnv(NamedTuple):
     tracer: object  # Tracer | None
     policy: object  # ResiliencePolicy | None
     runner: ShardRunner
+    shards: int  # record ranges a query fanning out is cut into
     epoch: int
     plan: Callable  # query -> PhysicalPlan (memoized by the planner)
     agg_views: dict
@@ -79,14 +91,13 @@ class ExecEnv(NamedTuple):
 
 
 def supervised_fold(task, fold: Callable, env: ExecEnv, ctx) -> Bitmap:
-    """One shard's segment of the conjunction, computed by ``fold`` (the
-    runner's, from :meth:`ShardRunner.folds`).  Under a resilience policy:
-    bounded retries, the per-shard breaker and — with ``partial_ok`` — an
-    all-zero substitute for a persistently failing shard (its record range
-    lands on the context's degraded ledger).  Without one, the first failure
-    raises a typed :class:`~repro.errors.ShardExecutionError`.  An untraced
-    query opens no span here: a healthy shard costs its fold and the
-    policy's lock-free breaker reads."""
+    """One range's segment of the conjunction (all of it for ``[0, n)``),
+    computed by ``fold`` (from :meth:`ShardRunner.folds`).  Under a
+    resilience policy: bounded retries, the per-range breaker and — with
+    ``partial_ok`` — an all-zero substitute for a persistently failing
+    range (its records land on the context's degraded ledger).  Without
+    one, the first failure raises a typed
+    :class:`~repro.errors.ShardExecutionError`."""
     if ctx is not None:
         ctx.check()
     if env.tracer is None:
@@ -97,7 +108,7 @@ def supervised_fold(task, fold: Callable, env: ExecEnv, ctx) -> Bitmap:
             if segment is None:
                 span.meta["degraded"] = "skipped"
     # None = skipped under partial_ok (never cached — an all-zero segment
-    # is not the shard's answer).
+    # is not the range's answer).
     return Bitmap.zeros(task.stop - task.start) if segment is None else segment
 
 
@@ -124,11 +135,11 @@ def _conjunction(plan, env: ExecEnv, ctx) -> Bitmap:
     """lookup → fetch → AND → merge → store.  With a cache, the whole
     answer is looked up once under ``(epoch, plan.key)`` and a miss stores
     what it folds — unless the query degraded, since a partial merge would
-    poison healthy repeats.  One task folds inline with no supervision or
-    merge: the unsharded path in every exec mode.  Several fold per shard
-    and concatenate (shards partition the record space in order, so concat
-    *is* the merge).  Traced queries fold inline, in-process: their span
-    tree nests in the calling thread and shows the real per-shard work."""
+    poison healthy repeats.  The runner picks the record ranges
+    (:meth:`ShardRunner.tasks`), each folded under supervision.  One
+    range folds inline; several fold on the runner and concatenate
+    (ranges partition the records in order, so concat *is* the merge).
+    Traced queries fold the same ranges inline, in the calling thread."""
     cache = env.cache if plan.key is not None else None
     if cache is not None:
         answer = cache.lookup(env.epoch, plan.key)
@@ -136,15 +147,14 @@ def _conjunction(plan, env: ExecEnv, ctx) -> Bitmap:
             env.tracer.add("cache_hit" if answer is not None else "cache_miss")
         if answer is not None:
             return answer
-    tasks = shard_tasks(env.relation)
+    tasks = env.runner.tasks(env.relation.n_records, env.shards, len(plan.refs))
     if len(tasks) == 1:
-        answer = INLINE.fold(tasks[0], plan, env, ctx)
+        [fold] = INLINE.folds(tasks, plan, env, ctx)
+        answer = supervised_fold(tasks[0], fold, env, ctx)
     else:
         runner = INLINE if env.tracer is not None else env.runner
         jobs = list(zip(tasks, runner.folds(tasks, plan, env, ctx)))
-        answer = Bitmap.concat(
-            runner.map(lambda job: supervised_fold(*job, env, ctx), jobs)
-        )
+        answer = Bitmap.concat(runner.map(lambda job: supervised_fold(*job, env, ctx), jobs))
     if cache is not None and not (ctx is not None and ctx.degraded):
         cache.put(env.epoch, plan.key, answer)
     return answer

@@ -2,14 +2,10 @@
 
 These are the physical operators the plan interpreter composes: fold a
 plan's canonical part list into a structural bitmap through the storage
-layer's one fold entry, and describe the relation's record-range shards
-as tasks so the same fold can run once per shard and merge by
-concatenation.
-
-A shard is a record range of the one relation, named by its index: the
-one in-process fold (:meth:`~.interpreter.ShardRunner.fold`) serves the
-unsharded engine (a single task over every record) and every shard of a
-sharded one, inline or on the executor's thread pool.
+layer's one fold entry over one record range, and cut a query's records
+into the ranges a runner folds apart and merges by concatenation.  The
+relation holds no cut: the runner picks a query's ranges
+(:meth:`~.interpreter.ShardRunner.tasks`), most often ``[0, n)`` alone.
 """
 
 from __future__ import annotations
@@ -17,13 +13,13 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import NamedTuple
 
-from ...columnstore.bitmap import Bitmap
+from ...columnstore.bitmap import _WORD_BITS, Bitmap
 from ..rewrite import ConjunctionPart
 
 __all__ = [
     "NULL_SPAN",
     "ShardTask",
-    "shard_tasks",
+    "range_tasks",
     "part_token",
     "conjunction",
 ]
@@ -46,39 +42,31 @@ def part_token(part: ConjunctionPart) -> str:
 
 
 class ShardTask(NamedTuple):
-    """One unit of shard-parallel work: shard ``shard`` of the relation,
-    records ``[start, stop)`` (global row = ``start`` + shard-local row)."""
+    """One unit of a query's fold: range ``shard`` of the query's cut,
+    records ``[start, stop)`` (global row = ``start`` + range-local row)."""
 
     shard: int
     start: int
     stop: int
 
 
-def shard_tasks(relation) -> list[ShardTask]:
-    """The relation's record-range shards (``shard_records``) as ordered
-    work items — one covering everything when unsharded — so
-    ``Bitmap.concat`` over per-task results is the order-preserving merge."""
+def range_tasks(n_records: int, k: int) -> list[ShardTask]:
+    """``n_records`` cut into ``k`` ordered ranges: an even split, in
+    whole 64-record words once every range would hold one (the last range
+    taking the remainder), so the ``Bitmap.concat`` merge copies words."""
+    unit = _WORD_BITS if n_records >= _WORD_BITS * k else 1
+    base, extra = divmod(n_records // unit, k)
     tasks, start = [], 0
-    for shard, size in enumerate(relation.shard_records):
-        tasks.append(ShardTask(shard, start, start + size))
-        start += size
+    for i in range(k):
+        stop = start + unit * (base + (i < extra))
+        tasks.append(ShardTask(i, start, stop))
+        start = stop
+    tasks[-1] = ShardTask(k - 1, tasks[-1].start, n_records)
     return tasks
 
 
-def _fetch(relation, ref, shard, tracer, ctx) -> Bitmap:
-    """One ref through the storage fold of one shard; under a tracer, with
-    the counters a traced query reports per part (an element the relation
-    never saw touched nothing)."""
-    bitmap = relation.fold((ref,), ctx, shard=shard)
-    if tracer is not None and (ref[0] != "element" or relation.has_element(ref[1])):
-        tracer.add("bitmaps_fetched")
-        tracer.add("bytes_touched", bitmap.nbytes())
-    return bitmap
-
-
-def conjunction(relation, plan, shard: int = 0, tracer=None, ctx=None) -> Bitmap:
-    """AND the plan's parts over shard ``shard`` of ``relation`` (its one
-    shard when unsharded).
+def conjunction(relation, plan, task: ShardTask, tracer=None, ctx=None) -> Bitmap:
+    """AND the plan's parts over the records of ``task``.
 
     Every fetch goes through the storage fold
     (:meth:`~repro.columnstore.table.MasterRelation.fold`) on the plan's
@@ -93,10 +81,15 @@ def conjunction(relation, plan, shard: int = 0, tracer=None, ctx=None) -> Bitmap
     if ctx is not None:
         ctx.check()
     if tracer is None:
-        return relation.fold(plan.refs, ctx, shard=shard)
+        return relation.fold(plan.refs, ctx, task.start, task.stop)
 
     def fetch(part: ConjunctionPart, ref) -> Bitmap:
         with tracer.span("and", kind=part.kind, part=part_token(part)):
-            return _fetch(relation, ref, shard, tracer, ctx)
+            bitmap = relation.fold((ref,), ctx, task.start, task.stop)
+            # An element the relation never saw touched nothing.
+            if ref[0] != "element" or relation.has_element(ref[1]):
+                tracer.add("bitmaps_fetched")
+                tracer.add("bytes_touched", bitmap.nbytes())
+            return bitmap
 
     return Bitmap.and_all(map(fetch, plan.parts, plan.refs))

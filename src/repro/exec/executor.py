@@ -9,12 +9,13 @@ behind ``Bitmap.__and__`` release the GIL, so bitmap-heavy workloads scale
 with cores — while a :class:`BitmapCache` serves a repeated query's
 structural answer without re-ANDing its columns.
 
-The executor also picks *how shard tasks run* from its ``exec_mode`` and
-installs that :class:`~repro.core.engine.ShardRunner` on the engine: on a
-sharded backend (``GraphAnalyticsEngine(shards=N)``) each query's
-structural conjunction then fans out across the record-range shards — on
-a dedicated thread pool, or on worker processes — and merges by
-concatenation (see :mod:`.runners`).
+The executor also picks *how a query's folds run* from its ``exec_mode``
+and installs that :class:`~repro.core.engine.ShardRunner` on the engine:
+a query whose conjunction ANDs enough words to pay for it is cut into
+the engine's range count (``GraphAnalyticsEngine(shards=N)``) and fans
+out — on a dedicated thread pool, or on worker processes — merging by
+concatenation; every other query folds inline in one call (see
+:mod:`.runners`).
 
 Reads run under a shared lock and writes (appends, view
 materialization/drops) under an exclusive one; every mutation bumps the
@@ -142,9 +143,9 @@ class QueryExecutor:
         the engine.
     resilience:
         A :class:`repro.resilience.ResiliencePolicy` to install on the
-        engine for supervised shard execution.  When None and the engine
+        engine for supervised fold execution.  When None and the engine
         has no policy yet, a default one is installed (3 attempts,
-        breaker threshold 3) so transient shard faults are retried and
+        breaker threshold 3) so transient fold faults are retried and
         ``partial_ok`` works out of the box.
     default_timeout:
         Per-query deadline in seconds applied when a call does not pass
@@ -153,20 +154,20 @@ class QueryExecutor:
         Default degraded-mode policy for queries served by this executor
         (overridable per call).
     exec_mode:
-        How each query's per-shard conjunctions run: ``"serial"`` in the
-        calling thread, ``"thread"`` over a dedicated thread pool, or
+        How a query's range folds run when it fans out: ``"serial"`` never
+        fans out, ``"thread"`` over a dedicated thread pool, or
         ``"process"`` out-of-process on a persistent
         :class:`~repro.exec.ProcessShardPool` attached to mmap'd storage.
         None resolves to ``"thread"`` when ``jobs > 1``, else ``"serial"``;
         ``executor.exec_mode`` always names the mode in use.
     workers:
-        Shard-level parallelism for ``thread``/``process`` modes
+        Range-level parallelism for ``thread``/``process`` modes
         (defaults to ``jobs``); in process mode this is the worker
         process count.
     storage_dir:
         For ``process`` mode: a committed save of *this* engine to
-        attach the workers to.  When omitted (or when its geometry does
-        not match the engine) the executor spools a save to a private
+        attach the workers to.  When omitted (or when it holds no
+        committed save) the executor spools a save to a private
         temp directory and cleans it up on :meth:`close`.  Executor
         write methods re-save and re-stamp the pool, so mutations stay
         visible to the workers.

@@ -1,7 +1,7 @@
-"""Process-parallel shard execution over zero-copy mmap storage.
+"""Process-parallel range folds over zero-copy mmap storage.
 
 :class:`ProcessShardPool` keeps a persistent crew of worker *processes*
-that evaluate conjunction shard tasks out-of-process, sidestepping the
+that fold record ranges of a conjunction out-of-process, sidestepping the
 GIL for the CPU-bound word-level AND folds.  The design leans on three
 pieces of shared-nothing plumbing:
 
@@ -9,16 +9,16 @@ pieces of shared-nothing plumbing:
   worker memory-maps the persisted generation directory read-only through
   one :class:`~repro.columnstore.RelationBitmapReader`, so every attached
   process shares the same OS page cache for the column files; attaching
-  costs one manifest read, not a data copy.  Shard *i* is the record range
-  the manifest's cuts give it, a slice of the one mapped store.
+  costs one manifest read, not a data copy.  A task names record ranges
+  ``(start, stop)``, slices of the one mapped store.
 * **Plan fragments, not plans** — a task ships the physical plan's
   ``refs``: each :class:`~repro.core.rewrite.ConjunctionPart` resolved
   once, by the planner, to a storage-level ``(kind, token)`` pair
   (element id, view name), so the worker needs neither the catalog nor
   the planner.
 * **Results ride the reply** — :meth:`ProcessShardPool.dispatch` sends a
-  query's shards as one task per worker, answered by one reply on its
-  pipe: a pickled header with a ``(status, payload)`` slot per shard,
+  query's ranges as one task per worker, answered by one reply on its
+  pipe: a pickled header with a ``(status, payload)`` slot per range,
   then the raw words of every non-empty result, read straight into the
   result's array (an all-zero result ships no words).
 
@@ -30,7 +30,7 @@ reply whose stamp no longer equals the pool's and re-dispatches.  Crashed
 workers are respawned by the collector thread and their in-flight tasks
 fail with :class:`WorkerCrashedError` — a plain ``RuntimeError``, so the
 engine's :class:`~repro.resilience.ResiliencePolicy` retries it exactly
-like a thread-mode shard fault.  A worker that misses the query deadline
+like an in-process fold fault.  A worker that misses the query deadline
 answers ``"timeout"``, surfaced as the same
 :class:`~repro.errors.QueryTimeoutError` the in-process path raises.
 
@@ -53,7 +53,6 @@ import multiprocessing.connection
 import os
 import threading
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +75,8 @@ class WorkerCrashedError(RuntimeError):
     """The worker process holding a task died before answering.
 
     Deliberately *not* a :class:`~repro.errors.ResilienceError`: the
-    resilience policy treats it as an ordinary shard fault — charged to
-    the shard's breaker, retried, and skippable under ``partial_ok``.
+    resilience policy treats it as an ordinary fold fault — charged to
+    the range's breaker, retried, and skippable under ``partial_ok``.
     """
 
 
@@ -126,7 +125,7 @@ def _worker_main(worker_id, storage_dir, conn):
     Transport is one duplex pipe per worker (no queues): a pipe has no
     cross-process lock to poison, so a SIGKILL'd worker never wedges its
     replacement — the parent just opens a fresh pipe for the respawn.
-    A task folds each of its shards in turn; one shard's fault fills its
+    A task folds each of its ranges in turn; one range's fault fills its
     own slot with ``"error"`` and the others still answer, while a
     deadline or cancel stops the whole task.
 
@@ -184,15 +183,14 @@ def _worker_main(worker_id, storage_dir, conn):
 
         return check
 
-    def fold(shard, fragment, check, words) -> tuple:
-        """One shard's ``(status, payload)`` slot; a non-empty result's
-        words go on ``words``, to follow the header."""
+    def fold(start, stop, fragment, check, words) -> tuple:
+        """Records ``[start, stop)``'s ``(status, payload)`` slot; a
+        non-empty result's words go on ``words``, to follow the header."""
         try:
-            lookup = partial(reader.shard_bitmap, shard)
-            result = and_refs(lookup, fragment, reader.shard_records[shard], check)
+            result = and_refs(reader.ref_bitmap, fragment, stop - start, check, start=start)
         except (QueryTimeoutError, QueryCancelledError):
             raise  # the whole task stops
-        except Exception as exc:  # this shard's fault alone
+        except Exception as exc:  # this range's fault alone
             return "error", f"{type(exc).__name__}: {exc}"
         if not result.any():
             return "ok", (result.length, 0)
@@ -206,7 +204,7 @@ def _worker_main(worker_id, storage_dir, conn):
             drain(block=True)
             continue
         msg = pending.pop(0)
-        task_id, shards, stamp, fragment, budget = msg
+        task_id, ranges, stamp, fragment, budget = msg
         deadline = None if budget is None else time.monotonic() + budget
         try:
             if task_id in cancelled:
@@ -223,7 +221,7 @@ def _worker_main(worker_id, storage_dir, conn):
                 reader = RelationBitmapReader(storage_dir)
             check, words = task_check(task_id, deadline), []
             try:
-                slots = tuple(fold(shard, fragment, check, words) for shard in shards)
+                slots = tuple(fold(*span, fragment, check, words) for span in ranges)
                 status, payload = "ok", slots
                 if any(slot[0] == "error" for slot in slots):
                     reader = None  # re-probe the manifest, as below
@@ -302,9 +300,9 @@ class ProcessShardPool:
         A committed engine layout (``engine.save`` target).  Workers
         attach to its current generation with read-only mmaps.
     workers:
-        Number of worker processes.  Shards route to workers by
-        ``shard % workers`` so a worker re-serves the same shards across
-        queries (its mapped pages stay hot).
+        Number of worker processes.  A query's ranges route to workers by
+        ``index % workers``, so a worker re-serves the same ranges across
+        queries of one cut (its mapped pages stay hot).
     stamp:
         The pool's initial ``(generation, epoch)``; every task carries
         the stamp current at submit time, and replies stamped otherwise
@@ -473,11 +471,9 @@ class ProcessShardPool:
 
     # -- execution ------------------------------------------------------------
 
-    def _submit(self, shards, stamp, fragment, budget) -> _Future:
-        """Send one task: ``fragment`` over ``shards`` — one shard, or
-        several routed to the same worker — answered by one reply."""
-        shards = (shards,) if isinstance(shards, int) else tuple(shards)
-        worker_id = shards[0] % self._n_workers
+    def _submit(self, worker_id, ranges, stamp, fragment, budget) -> _Future:
+        """Send worker ``worker_id`` one task: ``fragment`` over the
+        ``(start, stop)`` record ``ranges``, answered by one reply."""
         task_id = next(self._task_counter)
         fut = _Future(task_id, worker_id)
         with self._lock:
@@ -487,7 +483,7 @@ class ProcessShardPool:
             conn = self._conns[worker_id]
         try:
             with self._conn_locks[worker_id]:
-                conn.send((task_id, shards, stamp, fragment, budget))
+                conn.send((task_id, tuple(ranges), stamp, fragment, budget))
         except (OSError, BrokenPipeError):
             # The worker died between the snapshot and the send; resolve
             # the future crashed so the policy retries after respawn.
@@ -530,39 +526,43 @@ class ProcessShardPool:
             raise
         return fut.reply
 
-    def dispatch(self, shards, fragment: tuple, ctx=None) -> dict:
-        """Send ``fragment`` over ``shards`` as one task per worker they
-        route to, before anyone waits; returns the ``{shard: (future,
-        slot)}`` routes :meth:`collect` consumes.  A group the closing pool
-        refuses is left out: :meth:`collect` then raises for its shards."""
-        stamp, budget = self._stamp, _budget(ctx)
-        groups: dict[int, list] = {}
-        for shard in shards:
-            groups.setdefault(shard % self._n_workers, []).append(shard)
-        routes = {}
-        for group in groups.values():
+    def dispatch(self, ranges, fragment: tuple, ctx=None) -> dict:
+        """Send ``fragment`` over the ``(start, stop)`` record ``ranges``
+        as one task per worker they route to (range ``i`` to worker
+        ``i % workers``), before anyone waits; returns the ``{i: (future,
+        slot)}`` routes :meth:`collect` consumes.  A group the closing
+        pool refuses is left out: :meth:`collect` then raises for its
+        ranges."""
+        stamp, budget, routes = self._stamp, _budget(ctx), {}
+        for worker_id in range(min(self._n_workers, len(ranges))):
+            group = range(worker_id, len(ranges), self._n_workers)
             try:
-                fut = self._submit(group, stamp, fragment, budget)
+                fut = self._submit(worker_id, [ranges[i] for i in group], stamp, fragment, budget)
             except RuntimeError:
                 continue
-            routes.update((shard, (fut, slot)) for slot, shard in enumerate(group))
+            routes.update((index, (fut, slot)) for slot, index in enumerate(group))
         return routes
 
-    def collect(self, shard: int, routes: dict, fragment: tuple, ctx=None) -> Bitmap:
-        """``shard``'s bitmap: from its slot of the :meth:`dispatch` reply
-        on the first call, by a task of its own on any later call (a
-        retry) and whenever a reply must be redone — its stamp lags the
-        pool's (a generation swap mid-flight: the stale result is never
-        returned), the worker saw another generation on disk (at most
-        ``_STALE_RETRIES`` times), or a stray cancel.  Worker crashes and
-        in-task errors raise plain ``RuntimeError`` subclasses for the
-        resilience policy to retry; deadline misses raise
+    def collect(self, index: int, span, routes: dict, fragment: tuple, ctx=None) -> Bitmap:
+        """Range ``index``'s bitmap, records ``span = (start, stop)``:
+        from its slot of the :meth:`dispatch` reply on the first call, by
+        a task of its own on any later call (a retry) and whenever a
+        reply must be redone — its stamp lags the pool's (a generation
+        swap mid-flight: the stale result is never returned), the worker
+        saw another generation on disk (at most ``_STALE_RETRIES``
+        times), or a stray cancel.  Worker crashes and in-task errors
+        raise plain ``RuntimeError`` subclasses for the resilience policy
+        to retry; deadline misses raise
         :class:`~repro.errors.QueryTimeoutError`.  A deadline or cancel
         while waiting cancels every task of ``routes`` still in flight."""
         stale_left = _STALE_RETRIES
+        where = f"records [{span[0]}:{span[1]})"
         while True:
-            fut, slot = routes.pop(shard, None) or (
-                self._submit(shard, self._stamp, fragment, _budget(ctx)), 0
+            fut, slot = routes.pop(index, None) or (
+                self._submit(
+                    index % self._n_workers, [span], self._stamp, fragment, _budget(ctx)
+                ),
+                0,
             )
             try:
                 _, _, reply_stamp, status, payload = self._wait(fut, ctx)
@@ -577,7 +577,7 @@ class ProcessShardPool:
                     kind, body = payload[slot]
                     if kind == "ok":
                         return body
-                    raise WorkerTaskError(f"shard {shard}: {body}")
+                    raise WorkerTaskError(f"{where}: {body}")
                 if self._registry is not None:
                     self._registry.counter("pool.stale_discarded").inc()
             elif status == "stale":
@@ -585,7 +585,7 @@ class ProcessShardPool:
                     stale_left -= 1
                     if stale_left <= 0:
                         raise StaleGenerationError(
-                            f"shard {shard}: workers see generation "
+                            f"{where}: workers see generation "
                             f"{storage_generation(self._storage_dir)} on disk "
                             f"but the pool stamp is {self._stamp[0]}"
                         )
@@ -597,8 +597,8 @@ class ProcessShardPool:
             elif status == "crashed":
                 raise WorkerCrashedError(payload)
             elif status != "cancelled":  # only abandoned tasks are cancelled
-                raise WorkerTaskError(f"shard {shard}: {payload}")
+                raise WorkerTaskError(f"{where}: {payload}")
 
-    def execute(self, shard: int, fragment: tuple, ctx=None) -> Bitmap:
-        """Run one shard fragment remotely, alone, and return its bitmap."""
-        return self.collect(shard, {}, fragment, ctx)
+    def execute(self, start: int, stop: int, fragment: tuple, ctx=None) -> Bitmap:
+        """Fold ``fragment`` over records ``[start, stop)`` remotely, alone."""
+        return self.collect(0, (start, stop), {}, fragment, ctx)

@@ -25,6 +25,8 @@ import importlib.util
 import pytest
 
 from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord
+from repro.core.engine import ShardRunner
+from repro.exec.runners import ProcessRunner, ThreadRunner
 
 # pyproject's per-test ``timeout``, which only pytest-timeout enforces.
 HANG_SECONDS = 300
@@ -54,6 +56,16 @@ if importlib.util.find_spec("pytest_timeout") is None:
         faulthandler.dump_traceback_later(HANG_SECONDS, exit=True)
         yield
         faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def fan_out(monkeypatch):
+    """Every runner, the inline one included, cuts every query into the
+    engine's range count: what a query ANDing at least ``min_fanout_words``
+    words does.  For tests of per-range supervision, degraded ranges and
+    the process pool, which the small test corpora never reach."""
+    for runner in (ShardRunner, ThreadRunner, ProcessRunner):
+        monkeypatch.setattr(runner, "min_fanout_words", 0)
 
 
 FIGURE2_EDGES = {

@@ -12,14 +12,20 @@ Simulates the storage failures a production deployment actually sees:
 * **bit rot** — :func:`flip_bit` flips one bit in a file's payload;
 * **metadata corruption** — :func:`corrupt_manifest_crc` damages a stored
   checksum inside the manifest itself;
-* **shard failures mid-query** — :func:`install_faulty_shard` patches
-  ``fold`` on a live engine's relation so that folds of one shard raise,
-  either a fixed number of times (a transient I/O blip the retry policy
-  should absorb) or forever (a dead shard the circuit breaker should
-  isolate), or only run slowly;
-* **shard failures inside a process-pool worker** — :func:`fail_shard_in_workers`
-  starts the pool's workers through an entry point that makes every
-  lookup on one shard raise in the worker process, where the fold runs.
+* **record-range failures mid-query** — :func:`install_faulty_shard`
+  patches ``fold`` on a live engine's relation so that every fold
+  covering a bad record range raises, either a fixed number of times (a
+  transient I/O blip the retry policy should absorb) or forever (a dead
+  range the circuit breaker should isolate), or only runs slowly;
+* **record-range failures inside a process-pool worker** —
+  :func:`fail_shard_in_workers` starts the pool's workers through an
+  entry point that makes every fold covering a bad record range raise in
+  the worker process, where the fold runs.
+
+A bad range is named by a shard index: range ``shard`` of the engine's
+even cut at its range count (:func:`repro.core.engine.range_tasks`) —
+exactly the range a fanned-out query folds as range ``shard``.  A query
+that folds ``[0, n)`` in one call covers it too, and fails as a whole.
 
 All helpers except the shard faults operate on a
 relation directory written by ``save_relation``.
@@ -34,12 +40,14 @@ from functools import partial
 from pathlib import Path
 
 from repro.columnstore import persistence
+from repro.core.engine import range_tasks
 from repro.exec import procpool
 
 __all__ = [
     "SimulatedCrash",
     "SimulatedShardIOError",
     "FaultyShard",
+    "shard_range",
     "install_faulty_shard",
     "fail_shard_in_workers",
     "record_save_stages",
@@ -63,22 +71,22 @@ class SimulatedShardIOError(OSError):
 
 
 class FaultyShard:
-    """A fault on one shard of a live relation, patched over ``fold`` on
-    the relation instance — the storage entry every shard conjunction
-    reads through, once per shard fold.  Folds naming another shard, or
-    none, pass straight through.
+    """A fault on records ``[start, stop)`` of a live relation, patched
+    over ``fold`` on the relation instance — the storage entry every
+    conjunction reads through, once per range fold.  Folds of ranges
+    that miss the bad records pass straight through.
 
-    ``fail_times=N`` models a transient blip: the shard's first ``N``
-    folds raise :class:`SimulatedShardIOError`, later ones pass through —
-    the retry policy should absorb these without the caller noticing.
-    ``fail_times=None`` models a dead shard: every fold of it raises,
-    which the circuit breaker should learn to stop probing.  ``delay``
-    seconds are slept before each of the shard's folds.
+    ``fail_times=N`` models a transient blip: the first ``N`` folds
+    covering the range raise :class:`SimulatedShardIOError`, later ones
+    pass through — the retry policy should absorb these without the
+    caller noticing.  ``fail_times=None`` models a dead range: every fold
+    covering it raises, which the circuit breaker should learn to stop
+    probing.  ``delay`` seconds are slept before each such fold.
     """
 
-    def __init__(self, relation, shard: int, fail_times=None, delay: float = 0.0):
+    def __init__(self, relation, start: int, stop: int, fail_times=None, delay: float = 0.0):
         self._relation = relation
-        self._shard = shard
+        self._start, self._stop = start, stop
         self._fail_times = fail_times
         self._delay = delay
         self._replaced = vars(relation).get("fold")
@@ -87,17 +95,19 @@ class FaultyShard:
         self.failures = 0
         relation.fold = self._faulty_fold
 
-    def _faulty_fold(self, refs, ctx=None, shard=None):
-        if shard == self._shard:
+    def _faulty_fold(self, refs, ctx=None, start=0, stop=None):
+        end = self._relation.n_records if stop is None else stop
+        if start < self._stop and self._start < end:
             self.calls += 1
             if self._delay:
                 time.sleep(self._delay)
             if self._fail_times is None or self.failures < self._fail_times:
                 self.failures += 1
                 raise SimulatedShardIOError(
-                    f"injected I/O failure in shard {shard} (#{self.failures})"
+                    f"injected I/O failure in records [{self._start}:{self._stop}) "
+                    f"(#{self.failures})"
                 )
-        return self._fold(refs, ctx, shard=shard)
+        return self._fold(refs, ctx, start, stop)
 
     def heal(self) -> None:
         """Stop injecting failures from now on."""
@@ -112,42 +122,54 @@ class FaultyShard:
             self._relation.fold = self._replaced
 
 
+def shard_range(engine, shard: int) -> tuple[int, int]:
+    """Records ``[start, stop)`` of range ``shard`` of the engine's cut."""
+    _, start, stop = range_tasks(engine.n_records, engine.n_shards)[shard]
+    return start, stop
+
+
 def install_faulty_shard(
     engine, shard: int, fail_times=None, delay: float = 0.0
 ) -> FaultyShard:
-    """Install a :class:`FaultyShard` on shard ``shard`` of a running
-    engine's relation; returns it (``heal()`` stops the failures,
-    ``remove()`` the fault).  No epoch bump: the engine sees the same
-    generation, which is exactly the scenario the circuit breaker is
-    keyed for.
+    """Install a :class:`FaultyShard` on the records of range ``shard``
+    of a running engine's cut (:func:`shard_range`); returns it
+    (``heal()`` stops the failures, ``remove()`` the fault).  No epoch
+    bump: the engine sees the same generation, which is exactly the
+    scenario the circuit breaker is keyed for.
     """
-    return FaultyShard(engine.relation, shard, fail_times=fail_times, delay=delay)
+    start, stop = shard_range(engine, shard)
+    return FaultyShard(engine.relation, start, stop, fail_times=fail_times, delay=delay)
 
 
 # The real entry point, bound before any test swaps the module's name.
 _worker_main = procpool._worker_main
 
 
-def _worker_failing_shard(shard: int, *args) -> None:
-    """A process-pool worker whose reader raises on every lookup of
-    ``shard``: patched in the worker process, then the real loop runs."""
-    lookup = persistence.RelationBitmapReader.shard_bitmap
+def _worker_failing_records(bad_start: int, bad_stop: int, *args) -> None:
+    """A process-pool worker whose fold raises on every range covering
+    records ``[bad_start, bad_stop)``: patched in the worker process, then
+    the real loop runs."""
+    and_refs = procpool.and_refs
 
-    def shard_bitmap(self, index, kind, token):
-        if index == shard:
-            raise SimulatedShardIOError(f"injected I/O failure in shard {shard}")
-        return lookup(self, index, kind, token)
+    def failing(lookup, refs, length, check=None, read=None, start=0):
+        if start < bad_stop and bad_start < start + length:
+            raise SimulatedShardIOError(
+                f"injected I/O failure in records [{bad_start}:{bad_stop})"
+            )
+        return and_refs(lookup, refs, length, check, read, start)
 
-    persistence.RelationBitmapReader.shard_bitmap = shard_bitmap
+    procpool.and_refs = failing
     _worker_main(*args)
 
 
-def fail_shard_in_workers(monkeypatch, shard: int) -> None:
+def fail_shard_in_workers(monkeypatch, engine, shard: int) -> None:
     """Start every process-pool worker spawned (or respawned) while
-    ``monkeypatch`` is active through :func:`_worker_failing_shard`: the
-    worker answers each task, and ``shard``'s slot is always an error.
-    The entry point is pickled by name, so the worker imports this module."""
-    monkeypatch.setattr(procpool, "_worker_main", partial(_worker_failing_shard, shard))
+    ``monkeypatch`` is active through :func:`_worker_failing_records`: the
+    worker answers each task, and the slot of every range covering range
+    ``shard`` of the engine's cut (:func:`shard_range`) is an error.  The
+    entry point is pickled by name, so the worker imports this module."""
+    bad = shard_range(engine, shard)
+    monkeypatch.setattr(procpool, "_worker_main", partial(_worker_failing_records, *bad))
 
 
 @contextlib.contextmanager

@@ -28,6 +28,7 @@ from repro.columnstore import (
 )
 from repro.columnstore.column import rank_rows
 from repro.core import GraphAnalyticsEngine
+from repro.core.engine import range_tasks
 
 AB = ("A", "B")
 
@@ -133,19 +134,20 @@ class TestAgainstDenseReference:
             relation.put_column(3, pack(dense))
             relation.add_aggregate_view("a:sum", pack(dense))
             column = relation.column_for_persistence(3)
-            relation.set_shard_records(
-                [len(part) for part in np.array_split(dense, n_shards)]
-            )
             rows = np.arange(len(dense))[::-1]
             assert same(relation.measures(3), dense)
             assert same(relation.measures(3, rows), dense[rows])
             assert same(relation.measures(3, rank_rows(rows)), dense[rows])
             assert same(relation.aggregate_view_measures("a:sum", rows), dense[rows])
-            segments = [
-                relation.fold([("element", 3)], shard=shard) for shard in range(n_shards)
-            ]
-            assert Bitmap.concat(segments) == pack(dense).validity
-            relation.set_shard_records([len(dense)])
+            # Folds over the runner's ranges, or any other cut, merge to
+            # the column; none copies it.
+            for bounds in (
+                [(start, stop) for _, start, stop in range_tasks(len(dense), n_shards)],
+                [(part[0], part[-1] + 1) if part.size else (0, 0)
+                 for part in np.array_split(np.arange(len(dense)), n_shards)],
+            ):
+                segments = [relation.fold([("element", 3)], None, lo, hi) for lo, hi in bounds]
+                assert Bitmap.concat(segments) == pack(dense).validity
             assert relation.column_for_persistence(3) is column
             assert relation.aggregate_views_for_persistence()["a:sum"] == pack(dense)
 
@@ -157,16 +159,12 @@ class TestAgainstDenseReference:
             relation.set_record_count(len(dense))
             relation.put_column(0, pack(dense))
             relation.add_aggregate_view("a:sum", pack(dense))
-            db, split = tmp_path_factory.mktemp("db"), tmp_path_factory.mktemp("split")
+            db, again = tmp_path_factory.mktemp("db"), tmp_path_factory.mktemp("again")
             save_relation(relation, db)
-            # A 3-shard save loads at its cuts, the columns whole.
-            cuts = [len(part) for part in np.array_split(dense, 3)]
-            resaved = load_relation(db)
-            resaved.set_shard_records(cuts)
-            save_relation(resaved, split)
+            # A loaded store saves again as what it loaded, the columns whole.
+            save_relation(load_relation(db), again)
             rows = np.arange(len(dense))
-            for loaded, sizes in ((load_relation(db), [len(dense)]), (load_relation(split), cuts)):
-                assert loaded.shard_records == sizes
+            for loaded in (load_relation(db), load_relation(again)):
                 assert loaded.column_for_persistence(0) == pack(dense)
                 assert same(loaded.measures(0, rows), dense)
                 assert same(loaded.aggregate_view_measures("a:sum", rows), dense)
@@ -258,7 +256,12 @@ class TestTakeBounds:
     def test_relation_gather_past_the_end_raises(self, shards):
         relation = MasterRelation()
         relation.append_columns(6, {0: (np.arange(6), np.arange(1.0, 7.0))})
-        relation.set_shard_records([2, 2, 2] if shards > 1 else [6])
+        # The runner's ranges cover the records exactly, and no further.
+        ranges = range_tasks(6, shards)
+        assert [stop - start for _, start, stop in ranges] == ([2, 2, 2] if shards > 1 else [6])
+        assert Bitmap.concat(
+            [relation.fold([("element", 0)], None, start, stop) for _, start, stop in ranges]
+        ) == Bitmap.ones(6)
         with pytest.raises(IndexError):
             relation.measures(0, np.array([1, 6]))
         with pytest.raises(IndexError):

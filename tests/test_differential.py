@@ -26,7 +26,6 @@ from repro.core import (
     GraphRecord,
     PathAggregationQuery,
 )
-from repro.core.engine import shard_tasks
 from repro.exec import BitmapCache, QueryExecutor
 from repro.resilience import ResiliencePolicy
 from repro.workloads import (
@@ -255,7 +254,7 @@ def test_process_mode_matches_rowstore(config, records, workload, baseline):
 
 
 def test_process_mode_degraded_shard_matches_healthy_oracle(
-    tmp_path_factory, monkeypatch, records, workload
+    tmp_path_factory, monkeypatch, fan_out, records, workload
 ):
     """``partial_ok`` over a faulted storage shard, process mode: workers
     attach (the store is intact) but every bitmap lookup on the faulted
@@ -270,8 +269,8 @@ def test_process_mode_degraded_shard_matches_healthy_oracle(
     )
     db = tmp_path_factory.mktemp("procdb") / "db"
     engine.save(db)
-    fi.fail_shard_in_workers(monkeypatch, 1)
-    _, start, stop = shard_tasks(engine.relation)[1]
+    fi.fail_shard_in_workers(monkeypatch, engine, 1)
+    start, stop = fi.shard_range(engine, 1)
     skipped_ids = {records[i].record_id for i in range(start, stop)}
     store = RowStore()
     store.load_records(records)

@@ -25,7 +25,6 @@ from repro.columnstore import (
     save_relation,
 )
 from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord, PathAggregationQuery
-from repro.core.engine import shard_tasks
 from repro.cli import main
 from repro.lang import parse_query
 from repro.errors import (
@@ -547,12 +546,14 @@ class TestCliRobustness:
 # -- shard-level fault injection ---------------------------------------------
 
 
+@pytest.mark.usefixtures("fan_out")
 class TestShardLevelFaults:
-    """Live-shard failures (vs the at-rest corruption above): a shard's
-    storage starts erroring *mid-query*.  Contract: typed error by
-    default; under ``partial_ok`` an answer that is bit-exact on the
-    healthy shards plus an accurate skipped-range report; transient blips
-    absorbed by retries without the caller noticing."""
+    """Live-range failures (vs the at-rest corruption above): a record
+    range's storage starts erroring *mid-query*, with every query cut
+    into the engine's ranges.  Contract: typed error by default; under
+    ``partial_ok`` an answer that is bit-exact on the healthy ranges plus
+    an accurate skipped-range report; transient blips absorbed by retries
+    without the caller noticing."""
 
     N_SHARDS = 5
 
@@ -571,7 +572,7 @@ class TestShardLevelFaults:
         record range — ground truth for a degraded answer."""
         engine = GraphAnalyticsEngine(shards=self.N_SHARDS)
         engine.load_records(_records())
-        _, start, stop = shard_tasks(engine.relation)[dead_shard]
+        start, stop = fi.shard_range(engine, dead_shard)
         healthy = [
             r for i, r in enumerate(_records()) if not start <= i < stop
         ]

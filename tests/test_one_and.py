@@ -3,16 +3,16 @@
 A graph query's structural answer is the AND of one bitmap per planner ref
 (``("element", id)``, ``("graph-view", name)``, ``("agg-view", name)``).
 The storage layer runs that AND in one place, ``and_refs``; this property
-drives random ref lists — elements present in only some shards, elements
+drives random ref lists — elements present in only some ranges, elements
 absent everywhere, graph views and aggregate views — through each of its
 callers:
 
-* the charged ``fold`` of a ``MasterRelation``, whole and per shard at 1,
-  3 and 8 shards, whose I/O deltas must be one fetch per (ref, shard) of
-  the shard's words — none for an element the relation never saw;
-* ``RelationBitmapReader`` attachments to the saved store, plain and
-  3-shard, as the process pool's worker reads them (a 3-shard store's
-  shard *i* is that record range of the one mapped store);
+* the charged ``fold`` of a ``MasterRelation``, whole and over the
+  runner's cuts into 1, 3 and 8 record ranges, whose I/O deltas must be
+  one fetch per (ref, range) of the range's words — none for an element
+  the relation never saw;
+* a ``RelationBitmapReader`` attachment to the saved store, whole and
+  over a 3-range cut, as the process pool's worker folds it;
 * the engine's ``compute_view_bitmap`` at an arbitrary start row, at 1, 3
   and 8 shards, which charges nothing.
 
@@ -23,7 +23,6 @@ Every answer must equal the AND of element containment computed from
 from __future__ import annotations
 
 import tempfile
-from functools import partial
 
 import numpy as np
 from hypothesis import given, settings
@@ -34,9 +33,9 @@ from repro.columnstore import (
     Bitmap,
     RelationBitmapReader,
     and_refs,
-    save_relation,
 )
 from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord, PathAggregationQuery
+from repro.core.engine import range_tasks
 
 UNIVERSE = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "c")]
 ABSENT = ("y", "z")  # in no record
@@ -134,24 +133,21 @@ def test_every_fold_is_the_and_of_element_containment(case):
     assert answer.to_indices().tolist() == want
     assert delta == _expected_io(relation, refs, [len(records)])
     for k in (1, 3, 8):
-        engine.reshard(k)
+        ranges = range_tasks(len(records), k)
         answer, delta = _io_delta(relation.collector, lambda: Bitmap.concat(
-            relation.fold(refs, shard=shard) for shard in range(k)
+            relation.fold(refs, None, start, stop) for _, start, stop in ranges
         ))
         assert answer.length == len(records)
         assert answer.to_indices().tolist() == want
-        assert delta == _expected_io(relation, refs, relation.shard_records)
+        assert delta == _expected_io(relation, refs, [stop - start for _, start, stop in ranges])
 
-    with tempfile.TemporaryDirectory() as plain, tempfile.TemporaryDirectory() as sharded:
-        engine.save(plain)
-        reader = RelationBitmapReader(plain)
+    with tempfile.TemporaryDirectory() as db:
+        engine.save(db)
+        reader = RelationBitmapReader(db)
         assert and_refs(reader.ref_bitmap, refs, reader.n_records).to_indices().tolist() == want
-        engine.reshard(3)
-        save_relation(relation, sharded)
-        reader = RelationBitmapReader(sharded)
         segments = [
-            and_refs(partial(reader.shard_bitmap, shard), refs, n)
-            for shard, n in enumerate(reader.shard_records)
+            and_refs(reader.ref_bitmap, refs, stop - start, start=start)
+            for _, start, stop in range_tasks(len(records), 3)
         ]
         assert Bitmap.concat(segments).to_indices().tolist() == want
 

@@ -24,6 +24,7 @@ from repro import (
     QueryExecutor,
 )
 from repro.core import PathAggregationQuery
+from repro.core.engine import range_tasks
 from repro.errors import (
     AdmissionRejectedError,
     CircuitOpenError,
@@ -436,6 +437,7 @@ class TestResiliencePolicy:
 # -- engine + executor integration with injected shard faults ----------------
 
 
+@pytest.mark.usefixtures("fan_out")
 class TestDegradedExecution:
     def test_corrupt_shard_fails_query_with_typed_error_by_default(self):
         engine = _sharded_engine(attempts=2, sleep=_no_sleep)
@@ -557,11 +559,6 @@ def _aligned_engine(registry, **policy_kw) -> GraphAnalyticsEngine:
     return engine
 
 
-def _shard_range(engine, shard: int) -> tuple[int, int]:
-    start = sum(engine.relation.shard_records[:shard])
-    return start, start + engine.relation.shard_records[shard]
-
-
 def _expected_ids(skipped: tuple[int, int] = (0, 0)) -> list[str]:
     lo, hi = skipped
     return [f"r{i:03d}" for i in range(0, ALIGNED_RECORDS, 3) if not lo <= i < hi]
@@ -588,7 +585,7 @@ def breaker_writes_hold_the_lock(monkeypatch):
     assert not unlocked, f"breaker state written without its lock: {unlocked}"
 
 
-@pytest.mark.usefixtures("breaker_writes_hold_the_lock")
+@pytest.mark.usefixtures("breaker_writes_hold_the_lock", "fan_out")
 class TestLockFreeSupervision:
     """The healthy shard's supervision takes no lock (breaker lookup,
     ``allow``, ``record_success``); every failure path must stay exactly
@@ -596,9 +593,9 @@ class TestLockFreeSupervision:
 
     def test_cuts_are_word_aligned(self):
         engine = _aligned_engine(MetricsRegistry())
-        sizes = engine.relation.shard_records
-        assert len(sizes) == ALIGNED_SHARDS
-        assert all(size % 64 == 0 for size in sizes[:-1])
+        tasks = range_tasks(engine.n_records, engine.n_shards)
+        assert len(tasks) == ALIGNED_SHARDS
+        assert all(start % 64 == 0 for _, start, _ in tasks)
 
     def test_each_transient_failure_is_one_retry(self):
         registry = MetricsRegistry()
@@ -624,7 +621,7 @@ class TestLockFreeSupervision:
             registry, attempts=1, breaker_threshold=3, breaker_reset_after=60.0
         )
         proxy = fi.install_faulty_shard(engine, shard=2, fail_times=None)
-        skipped = _shard_range(engine, 2)
+        skipped = fi.shard_range(engine, 2)
         assert skipped[0] % 64 == 0 and skipped[1] % 64 == 0
         for _ in range(7):
             result = engine.query(SELECTIVE, ctx=QueryContext.start(partial_ok=True))
@@ -665,7 +662,7 @@ class TestLockFreeSupervision:
 
             # Dead shard: each query either tried it once or was refused.
             proxy = fi.install_faulty_shard(engine, shard=7, fail_times=None)
-            skipped = _shard_range(engine, 7)
+            skipped = fi.shard_range(engine, 7)
             with ThreadPoolExecutor(4) as clients:
                 results = list(clients.map(degraded, range(n_queries)))
         finally:
@@ -680,6 +677,55 @@ class TestLockFreeSupervision:
         assert engine.resilience.breaker_states()[7] == OPEN
 
 
+class TestOneFoldQueries:
+    """A query below the fan-out break-even folds ``[0, n)`` in one call,
+    whatever the range count, and that fold is supervised as range 0:
+    typed on failure, retried and breaker-guarded under a policy, and
+    degraded to exactly ``[0, n)`` under ``partial_ok``."""
+
+    def _engine(self, shards: int) -> GraphAnalyticsEngine:
+        engine = GraphAnalyticsEngine(shards=shards)
+        engine.load_records(_records(ALIGNED_RECORDS))
+        return engine
+
+    @pytest.mark.parametrize("shards", [1, 8])
+    def test_failure_without_a_policy_is_typed(self, shards):
+        engine = self._engine(shards)
+        fi.install_faulty_shard(engine, 0)
+        with pytest.raises(ShardExecutionError) as info:
+            engine.query(SELECTIVE)
+        assert (info.value.shard, info.value.start, info.value.stop) == (0, 0, ALIGNED_RECORDS)
+
+    @pytest.mark.parametrize("shards", [1, 8])
+    @pytest.mark.parametrize("partial_ok", [False, True])
+    def test_the_policy_supervises_the_one_fold(self, shards, partial_ok):
+        registry = MetricsRegistry()
+        engine = self._engine(shards)
+        engine.use_resilience(ResiliencePolicy(attempts=2, sleep=_no_sleep))
+        engine.use_metrics(registry)
+        proxy = fi.install_faulty_shard(engine, 0)
+        ctx = QueryContext.start(partial_ok=partial_ok)
+        if partial_ok:
+            result = engine.query(SELECTIVE, ctx=ctx)
+            assert result.record_ids == []
+            assert result.degraded.skipped_ranges() == [(0, ALIGNED_RECORDS)]
+        else:
+            with pytest.raises(ShardExecutionError) as info:
+                engine.query(SELECTIVE, ctx=ctx)
+            assert (info.value.shard, info.value.start, info.value.stop) == (
+                0, 0, ALIGNED_RECORDS,
+            )
+            assert "2 attempt(s)" in str(info.value)
+        assert proxy.failures == 2
+        assert _counts(registry) == {
+            "shard_retries": 1, "shard_failures": 2,
+            "breaker_refusals": 0, "shards_skipped": int(partial_ok),
+        }
+        proxy.heal()
+        assert engine.query(SELECTIVE).record_ids == _expected_ids()
+
+
+@pytest.mark.usefixtures("fan_out")
 class TestDeadlinesAndCancellation:
     def test_deadline_cancels_within_twice_the_budget(self):
         engine = _sharded_engine()

@@ -23,7 +23,6 @@ import pytest
 
 from repro.baselines import RowStore
 from repro.core import GraphAnalyticsEngine, PathAggregationQuery
-from repro.core.engine import shard_tasks
 from repro.exec import QueryExecutor
 from repro.resilience import ResiliencePolicy
 from repro.serve import ServeClient, start_in_thread
@@ -134,7 +133,7 @@ def test_served_process_mode_matches_rowstore(
 
 
 def test_served_degraded_partial_ok_exact_skipped_ranges(
-    tmp_path_factory, monkeypatch, records, workload
+    tmp_path_factory, monkeypatch, fan_out, records, workload
 ):
     """Degraded answers over the wire: ``partial_ok`` against a faulted
     storage shard must decode with the *exact* skipped record range the
@@ -145,8 +144,8 @@ def test_served_degraded_partial_ok_exact_skipped_ranges(
     engine.use_resilience(ResiliencePolicy(attempts=2, sleep=lambda _s: None))
     db = tmp_path_factory.mktemp("servedb") / "db"
     engine.save(db)
-    fi.fail_shard_in_workers(monkeypatch, 1)
-    _, start, stop = shard_tasks(engine.relation)[1]
+    fi.fail_shard_in_workers(monkeypatch, engine, 1)
+    start, stop = fi.shard_range(engine, 1)
     skipped_ids = {records[i].record_id for i in range(start, stop)}
     store = RowStore()
     store.load_records(records)

@@ -1,14 +1,16 @@
-"""Shard-parallel storage: geometry, gathers, persistence, serving.
+"""Record-range folds: geometry, gathers, persistence, serving.
 
-A shard is a contiguous record range of the one master relation, named by
-its index and sized by the relation's ``shard_records`` — the manifest
-field of the same name.  These tests pin the invariants the operator layer
-relies on: balanced even splits, per-shard folds whose concatenation is
-the relation's fold, order-preserving gathers, re-cuts that move no data
-(reshard, rebalance, load at other cuts), crash-safe persistence as one
-relation that loads at its saved cuts, the engine- and executor-level
-sharding seams (``shards=N``, ``reshard``, the shard runner), and a
-stateful model that runs a sharded relation against an unsharded twin."""
+The relation holds no cut.  A query's records are cut per query by the
+shard runner into ``engine.n_shards`` ranges (:func:`range_tasks`) — when
+fanning out pays — and each range folds its segment of the one
+relation's bitmaps.  These tests pin the invariants the operator layer
+relies on: balanced even cuts, word-aligned once every range gets a word,
+range folds whose concatenation is the relation's fold, order-preserving
+gathers, range counts that move no data (reshard, load at any count),
+crash-safe persistence as one relation with no stored cut, the engine-
+and executor-level seams (``shards=N``, ``reshard``, the shard runner),
+and a stateful model that folds a relation over changing range counts
+against an unsharded twin."""
 
 from __future__ import annotations
 
@@ -39,9 +41,8 @@ from repro.columnstore import (
     save_relation,
 )
 from repro.columnstore.column import rank_rows
-from repro.columnstore.table import _first_split
 from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord, PathAggregationQuery
-from repro.core.engine import INLINE, ShardRunner, shard_tasks
+from repro.core.engine import INLINE, ShardRunner, range_tasks
 from repro.core.engine import facade
 from repro.errors import CorruptionError, ManifestError, PersistenceError
 from repro.exec import QueryExecutor
@@ -52,7 +53,7 @@ from tests import faultinject as fi
 
 
 def _reference_relation(n_records: int = 10) -> MasterRelation:
-    """An unsharded relation with columns spanning shard boundaries."""
+    """A relation with columns spanning range boundaries."""
     rel = MasterRelation(partition_width=2)
     rel.append_columns(n_records, {
         0: (np.arange(0, n_records, 2), np.arange(0, n_records, 2) + 1.0),
@@ -67,13 +68,6 @@ def _reference_relation(n_records: int = 10) -> MasterRelation:
     return rel
 
 
-def _sharded_relation(n_shards: int = 3, n_records: int = 10) -> MasterRelation:
-    """The reference relation cut into ``n_shards`` as the engine cuts."""
-    rel = _reference_relation(n_records)
-    rel.set_shard_records(_first_split(n_records, n_shards))
-    return rel
-
-
 def _refs(relation) -> list[tuple[str, object]]:
     """One ref per bitmap column the relation holds."""
     return (
@@ -83,8 +77,17 @@ def _refs(relation) -> list[tuple[str, object]]:
     )
 
 
-def _shard_folds(relation, refs) -> list[Bitmap]:
-    return [relation.fold(refs, shard=shard) for shard in range(len(relation.shard_records))]
+def _sizes_of(n_records: int, k: int) -> list[int]:
+    """Range sizes of the runner's cut of ``n_records`` into ``k``."""
+    return [stop - start for _, start, stop in range_tasks(n_records, k)]
+
+
+def _shard_folds(relation, refs, k: int) -> list[Bitmap]:
+    """The relation's fold over each range of the runner's ``k``-cut."""
+    return [
+        relation.fold(refs, None, start, stop)
+        for _, start, stop in range_tasks(relation.n_records, k)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +101,7 @@ def queries(records):
     return sample_path_queries(corpus, 12, 3, distribution="zipf", seed=4)
 
 
-def _assert_tables_equal(a, b) -> None:
+def _assert_tables_equal(a, b, k: int = 3) -> None:
     assert a.n_records == b.n_records
     assert a.element_ids() == b.element_ids()
     for edge_id in a.element_ids():
@@ -112,9 +115,9 @@ def _assert_tables_equal(a, b) -> None:
     assert a.aggregate_view_names() == b.aggregate_view_names()
     for name in a.aggregate_view_names():
         assert a.ref_bitmap("agg-view", name) == b.ref_bitmap("agg-view", name)
-    # Each shard folds its segment: concatenated, the whole column.
+    # Each range folds its segment: concatenated, the whole column.
     for ref in _refs(a):
-        assert Bitmap.concat(_shard_folds(a, [ref])) == b.ref_bitmap(*ref)
+        assert Bitmap.concat(_shard_folds(a, [ref], k)) == b.ref_bitmap(*ref)
 
 
 # -- geometry ----------------------------------------------------------------
@@ -123,56 +126,50 @@ def _assert_tables_equal(a, b) -> None:
 class TestGeometry:
     def test_unsharded_relation_is_one_shard(self):
         rel = MasterRelation()
-        assert rel.shard_records == [0]
         rel.append_columns(5, {})
         rel.append_columns(2, {})
-        assert rel.shard_records == [7]
-        assert shard_tasks(rel) == [(0, 0, 7)]
+        assert range_tasks(rel.n_records, 1) == [(0, 0, 7)]
+        assert INLINE.tasks(rel.n_records, 8, 3) == [(0, 0, 7)]
 
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
             GraphAnalyticsEngine(shards=0)
-        rel = _reference_relation()
-        for sizes in ([], [5, 4], [11, -1]):
-            with pytest.raises(ValueError, match="do not cut 10 records"):
-                rel.set_shard_records(sizes)
-        assert rel.shard_records == [10]
+        engine = GraphAnalyticsEngine(shards=2)
+        with pytest.raises(ValueError):
+            engine.reshard(0)
+        assert engine.n_shards == 2
 
     def test_even_split(self):
-        rel = MasterRelation()
-        rel.set_shard_records([0] * 4)
-        rel.set_record_count(10)
-        assert rel.shard_records == [3, 3, 2, 2]
-        assert [task.start for task in shard_tasks(rel)] == [0, 3, 6, 8]
-        assert rel.n_records == 10
+        assert _sizes_of(10, 4) == [3, 3, 2, 2]
+        assert [task.start for task in range_tasks(10, 4)] == [0, 3, 6, 8]
 
     def test_growth_extends_last_shard_only(self):
-        rel = MasterRelation()
-        rel.set_shard_records([0] * 3)
-        rel.set_record_count(6)
-        rel.set_record_count(9)
-        assert rel.shard_records == [2, 2, 5]
+        """Once every range holds a word, growth within the cut's last
+        word count lands in the last range alone: the cut is whole words
+        and the last range takes the remainder."""
+        assert _sizes_of(6, 3) == [2, 2, 2]
+        assert _sizes_of(9, 3) == [3, 3, 3]
+        assert _sizes_of(200, 3) == [64, 64, 72]
+        assert _sizes_of(255, 3) == [64, 64, 127]
+        assert _sizes_of(256, 3) == [128, 64, 64]
 
     def test_shrink_rejected(self):
         rel = MasterRelation()
-        rel.set_shard_records([0, 0])
         rel.set_record_count(4)
         with pytest.raises(ValueError):
             rel.set_record_count(3)
 
     def test_append_columns_returns_global_index(self):
         rel = MasterRelation()
-        rel.set_shard_records([0] * 3)
         assert rel.append_columns(5, {0: ([0, 2, 4], [1.0, 2.0, 3.0])}) == 0
-        assert rel.shard_records == [2, 2, 1]
         assert rel.append_columns(1, {0: ([0], [4.0])}) == 5
         assert rel.append_columns(1, {1: ([0], [5.0])}) == 6
-        assert rel.shard_records == [2, 2, 3]
         np.testing.assert_array_equal(
             rel.measures(0), [1.0, np.nan, 2.0, np.nan, 3.0, 4.0, np.nan]
         )
-        assert [seg.to_indices().tolist() for seg in _shard_folds(rel, [("element", 1)])] == [
-            [], [], [2]
+        assert _sizes_of(7, 3) == [3, 2, 2]
+        assert [seg.to_indices().tolist() for seg in _shard_folds(rel, [("element", 1)], 3)] == [
+            [], [], [1]
         ]
 
 
@@ -182,26 +179,24 @@ class TestGeometry:
 class TestRouting:
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 4, 10])
     def test_columns_match_reference(self, n_shards):
-        _assert_tables_equal(_sharded_relation(n_shards), _reference_relation())
+        _assert_tables_equal(_reference_relation(), _reference_relation(), n_shards)
 
     def test_measure_gather_preserves_row_order(self):
-        rel = _sharded_relation(3)
+        rel = _reference_relation()
         rows = np.array([9, 0, 4, 2])
-        np.testing.assert_array_equal(
-            rel.measures(0, rows), _reference_relation().measures(0, rows)
-        )
+        np.testing.assert_array_equal(rel.measures(0, rows), rel.measures(0)[rows])
+        np.testing.assert_array_equal(rel.measures(0, rows)[1:], [1.0, 5.0, 3.0])
 
     @pytest.mark.parametrize(
         "rows", [[0, 2, 3, 4, 8, 9], [9, 0, 4, 2, 4], [5], [], [3, 3, 7]]
     )
     def test_split_rows_once_serves_every_column_with_the_same_counts(self, rows):
         """A query ranks its rows once (``rank_rows``) and gathers every
-        column of the sharded relation through the result: same values,
-        same order and the same column/value counts as per call — sorted
-        rows or not."""
+        column through the result: same values, same order and the same
+        column/value counts as per call — sorted rows or not."""
         rows = np.array(rows, dtype=np.int64)
         reference = _reference_relation()
-        per_call, once = _sharded_relation(3), _sharded_relation(3)
+        per_call, once = _reference_relation(), _reference_relation()
         per_call.collector.reset()
         once.collector.reset()
         ranked = rank_rows(rows)
@@ -232,28 +227,27 @@ class TestRouting:
 
 class TestRebalanceAndConversion:
     def test_round_trip_to_relation(self):
-        rel = _sharded_relation(4)
-        rel.set_shard_records([rel.n_records])
-        assert shard_tasks(rel) == [(0, 0, 10)]
-        _assert_tables_equal(rel, _reference_relation())
+        assert range_tasks(10, 1) == [(0, 0, 10)]
+        _assert_tables_equal(_reference_relation(), _reference_relation(), 1)
 
     def test_rebalance_after_appends(self):
-        rel, reference = _sharded_relation(4), _reference_relation()
+        """What a stored cut needed ``rebalance`` for after appends, every
+        query's cut does by itself: it is even over the grown relation."""
+        rel, reference = _reference_relation(), _reference_relation()
         for table in (rel, reference):
             table.append_columns(6, {0: (np.arange(6), 100.0 + np.arange(6))})
             # Incremental view maintenance, as the engine does on append.
             table.extend_graph_view("gv1", Bitmap.zeros(6))
             table.extend_aggregate_view("av1:sum", MeasureColumn.nulls(6))
-        skewed = list(rel.shard_records)
-        rel.set_shard_records(_first_split(rel.n_records, 4))
-        assert rel.shard_records == [4, 4, 4, 4] != skewed
-        _assert_tables_equal(rel, reference)
+        assert _sizes_of(rel.n_records, 4) == [4, 4, 4, 4]
+        _assert_tables_equal(rel, reference, 4)
 
     def test_reshard_preserves_content(self):
-        rel = _sharded_relation(2)
-        rel.set_shard_records(_first_split(rel.n_records, 5))
-        assert len(rel.shard_records) == 5
-        _assert_tables_equal(rel, _reference_relation())
+        _assert_tables_equal(_reference_relation(), _reference_relation(), 5)
+        engine = GraphAnalyticsEngine(shards=2)
+        relation = engine.relation
+        engine.reshard(5)
+        assert engine.n_shards == 5 and engine.relation is relation
 
 
 # -- views -------------------------------------------------------------------
@@ -261,45 +255,44 @@ class TestRebalanceAndConversion:
 
 class TestShardedViews:
     def test_view_split_and_merge(self):
-        rel = _sharded_relation(3)
+        rel = _reference_relation()
         assert rel.ref_bitmap("graph-view", "gv1").to_indices().tolist() == [0, 9]
-        segments = _shard_folds(rel, [("graph-view", "gv1")])
-        assert [len(s) for s in segments] == rel.shard_records
+        segments = _shard_folds(rel, [("graph-view", "gv1")], 3)
+        assert [len(s) for s in segments] == _sizes_of(10, 3)
         assert [s.to_indices().tolist() for s in segments] == [[0], [], [2]]
 
     def test_view_usable_only_when_in_every_shard(self):
         """A view is one column of the one relation: dropped, it is gone
-        from every shard at once."""
-        rel = _sharded_relation(3)
+        from every range at once."""
+        rel = _reference_relation()
         rel.drop_graph_view("gv1")
         assert not rel.has_graph_view("gv1")
         assert "gv1" not in rel.graph_view_names()
-        for shard in range(3):
+        for _, start, stop in range_tasks(rel.n_records, 3):
             with pytest.raises(KeyError):
-                rel.fold([("graph-view", "gv1")], shard=shard)
+                rel.fold([("graph-view", "gv1")], None, start, stop)
 
     def test_extend_views_on_append(self):
-        rel = _sharded_relation(3)
+        rel = _reference_relation()
         rel.append_columns(1, {0: ([0], [9.0])})
         rel.extend_graph_view("gv1", Bitmap.ones(1))
         rel.extend_aggregate_view("av1:sum", MeasureColumn.from_optionals([8.0]))
         assert rel.ref_bitmap("graph-view", "gv1").to_indices().tolist() == [0, 9, 10]
         assert rel.ref_bitmap("agg-view", "av1:sum")[10]
-        # The first batch into an empty relation is cut over every shard,
-        # and every shard's segment of the grown view covers its range.
+        # Views grown from empty: every range's segment of the grown view
+        # covers its range.
         rel = MasterRelation()
-        rel.set_shard_records([0] * 3)
         rel.add_graph_view("gv1", Bitmap.zeros(0))
         rel.add_aggregate_view("av1:sum", MeasureColumn.nulls(0))
         rel.append_columns(5, {0: ([1, 4], [1.0, 2.0])})
         rel.extend_graph_view("gv1", Bitmap.from_indices(5, [1, 4]))
         rel.extend_aggregate_view("av1:sum", MeasureColumn.from_optionals([None, 1.0, None, None, 2.0]))
-        assert [len(s) for s in _shard_folds(rel, [("graph-view", "gv1")])] == [2, 2, 1]
+        assert [len(s) for s in _shard_folds(rel, [("graph-view", "gv1")], 3)] == [2, 2, 1]
         assert rel.ref_bitmap("graph-view", "gv1").to_indices().tolist() == [1, 4]
         assert rel.aggregate_view_measures("av1:sum", np.array([4, 1])).tolist() == [2.0, 1.0]
 
     def test_drop_views_clears_all_shards(self):
-        rel = _sharded_relation(3)
+        rel = _reference_relation()
         rel.drop_views()
         assert rel.graph_view_names() == []
         assert rel.aggregate_view_names() == []
@@ -308,13 +301,9 @@ class TestShardedViews:
 # -- persistence -------------------------------------------------------------
 
 
-_CUTS = [128, 128, 344]
-
-
 def _uneven_engine(extra: int = 0) -> GraphAnalyticsEngine:
-    """A 3-shard engine cut ``[128, 128, 344]`` (+ ``extra`` records on the
-    last shard): 400 records loaded, the rest appended — appends grow only
-    the last shard — with one graph view and one aggregate view."""
+    """A 3-range engine of 600 records (+ ``extra``): 400 loaded, the
+    rest appended, with one graph view and one aggregate view."""
     records = [
         GraphRecord(f"r{i}", {
             ("A", "B"): float(i),
@@ -340,39 +329,46 @@ def _words_root(bitmap) -> np.ndarray:
     return words
 
 
+def _store_with_cuts(db, cuts) -> None:
+    """Give the store at ``db`` the ``shard_records`` key a format-4
+    store written before cuts left storage carries."""
+    manifest = fi.live_manifest(db)
+    manifest["shard_records"] = cuts
+    (db / "manifest.json").write_text(json.dumps(manifest))
+
+
 class TestShardedPersistence:
-    """A sharded relation saves as one relation whose manifest records its
-    cuts (``shard_records``) and loads cut exactly there."""
+    """A relation saves as one relation with no cut in its manifest; a
+    format-4 store that still carries ``shard_records`` loads, the key
+    ignored."""
 
     def test_round_trip(self, tmp_path):
         rel = _reference_relation(600)
-        rel.set_shard_records(_CUTS)
         db = tmp_path / "db"
         save_relation(rel, db, app_meta={"k": 1})
-        assert fi.live_manifest(db)["shard_records"] == _CUTS
+        assert "shard_records" not in fi.live_manifest(db)
         loaded = load_relation(db)
-        assert loaded.shard_records == _CUTS
         assert loaded.app_meta == {"k": 1}
         _assert_tables_equal(loaded, rel)
-        for got, expected in zip(_shard_folds(loaded, [("element", 0)]),
-                                 _shard_folds(rel, [("element", 0)])):
+        for got, expected in zip(_shard_folds(loaded, [("element", 0)], 3),
+                                 _shard_folds(rel, [("element", 0)], 3)):
             assert got == expected
-        # Word-aligned cuts: every shard's segment of a column is a view of
+        # Word-aligned cuts: every range's segment of a column is a view of
         # the one loaded array.
         column = loaded.ref_bitmap("element", 0)
         roots = {
-            id(_words_root(column.slice(task.start, task.stop))) for task in shard_tasks(loaded)
+            id(_words_root(column.slice(start, stop)))
+            for _, start, stop in range_tasks(loaded.n_records, 3)
         }
         assert roots == {id(_words_root(column))}
 
     def test_engine_round_trip_keeps_cuts_views_and_meta(self, tmp_path):
         engine = _uneven_engine()
-        assert _sizes(engine) == _CUTS
         db = tmp_path / "db"
         engine.save(db)
-        loaded = GraphAnalyticsEngine.load(db)
-        assert _sizes(loaded) == _CUTS
-        assert engine.graph_views and engine.aggregate_views
+        assert "shard_records" not in fi.live_manifest(db)
+        loaded = GraphAnalyticsEngine.load(db, shards=3)
+        assert loaded.n_shards == engine.n_shards == 3
         assert sorted(loaded.graph_views) == sorted(engine.graph_views)
         assert sorted(loaded.aggregate_views) == sorted(engine.aggregate_views)
         assert loaded.relation.app_meta == engine._engine_meta()
@@ -385,17 +381,19 @@ class TestShardedPersistence:
         for path, values in want.items():
             np.testing.assert_array_equal(got[path], values)
 
-    def test_load_repartitions(self, tmp_path):
+    def test_load_repartitions(self, tmp_path, fan_out):
         engine = _uneven_engine()
         db = tmp_path / "db"
         engine.save(db)
         chain = GraphQuery.from_node_chain("A", "B", "C")
         expected = engine.query(chain).record_ids
+        assert GraphAnalyticsEngine.load(db).n_shards == 1
         for shards in (1, 2, 5):
             loaded = GraphAnalyticsEngine.load(db, shards=shards)
             assert loaded.n_shards == shards
-            if shards > 1:
-                assert _sizes(loaded) == _aligned_sizes(600, shards)
+            assert _sizes_of(loaded.n_records, shards) == (
+                _aligned_sizes(600, shards) if shards > 1 else [600]
+            )
             assert loaded.query(chain).record_ids == expected
 
     def test_crash_mid_save_preserves_previous_generation(self, tmp_path):
@@ -408,17 +406,17 @@ class TestShardedPersistence:
             with fi.crash_at_stage(i), pytest.raises(fi.SimulatedCrash):
                 new.save(db)
             loaded = GraphAnalyticsEngine.load(db)
-            want = _CUTS if i < commit else [128, 128, 351]
-            assert _sizes(loaded) == want, f"stage {label!r}"
+            want = 600 if i < commit else 607
+            assert loaded.n_records == want, f"stage {label!r}"
             assert sorted(loaded.graph_views) == sorted(old.graph_views)
             # The next clean save commits and collects the crash's debris.
             new.save(db)
-            assert _sizes(GraphAnalyticsEngine.load(db)) == [128, 128, 351]
+            assert GraphAnalyticsEngine.load(db).n_records == 607
             live = fi.live_manifest(db)["directory"]
             assert sorted(p.name for p in db.iterdir()) == [live, "manifest.json"]
 
     def test_generation_gc(self, tmp_path):
-        rel = _sharded_relation(2)
+        rel = _reference_relation()
         db = tmp_path / "db"
         save_relation(rel, db)
         save_relation(rel, db)
@@ -427,23 +425,23 @@ class TestShardedPersistence:
 
     def test_manifest_garbage(self, tmp_path):
         db = tmp_path / "db"
-        save_relation(_sharded_relation(2), db)
+        save_relation(_reference_relation(), db)
         (db / "manifest.json").write_text("{nope")
         with pytest.raises(ManifestError, match="invalid JSON"):
             load_relation(db)
 
     def test_manifest_missing_fields(self, tmp_path):
         db = tmp_path / "db"
-        save_relation(_sharded_relation(2), db)
+        save_relation(_reference_relation(), db)
         manifest = fi.live_manifest(db)
-        del manifest["shard_records"]
+        del manifest["n_records"]
         (db / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ManifestError, match="missing fields"):
             load_relation(db)
 
     def test_unsupported_format_version(self, tmp_path):
         db = tmp_path / "db"
-        save_relation(_sharded_relation(2), db)
+        save_relation(_reference_relation(), db)
         manifest = fi.live_manifest(db)
         manifest["format_version"] = 3
         (db / "manifest.json").write_text(json.dumps(manifest))
@@ -451,25 +449,32 @@ class TestShardedPersistence:
             load_relation(db)
 
     def test_shard_count_mismatch(self, tmp_path):
+        """A stored cut that does not even cut the records is never read:
+        the store loads whole, at whatever range count asked for."""
+        engine = _uneven_engine()
         db = tmp_path / "db"
-        save_relation(_sharded_relation(2), db)
-        manifest = fi.live_manifest(db)
-        manifest["shard_records"] = [5, 4]
-        (db / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ManifestError, match="do not cut 10 records"):
-            load_relation(db)
+        engine.save(db)
+        _store_with_cuts(db, [5, 4])
+        loaded = GraphAnalyticsEngine.load(db, shards=2)
+        assert loaded.n_shards == 2
+        _assert_tables_equal(loaded.relation, engine.relation, 2)
+        chain = GraphQuery.from_node_chain("A", "B", "C")
+        assert loaded.query(chain).record_ids == engine.query(chain).record_ids
 
     @pytest.mark.parametrize("cuts", [[], [-2, 12], "10", [10.0]])
     def test_malformed_cuts_are_refused(self, tmp_path, cuts):
+        """Stored cuts, malformed or not, are ignored by the load and the
+        worker's reader alike; a malformed *range* is refused by the fold."""
+        rel = _reference_relation()
         db = tmp_path / "db"
-        save_relation(_sharded_relation(2), db)
-        manifest = fi.live_manifest(db)
-        manifest["shard_records"] = cuts
-        (db / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ManifestError, match="shard_records"):
-            load_relation(db)
-        with pytest.raises(ManifestError, match="shard_records"):
-            RelationBitmapReader(db)
+        save_relation(rel, db)
+        _store_with_cuts(db, cuts)
+        _assert_tables_equal(load_relation(db), rel)
+        reader = RelationBitmapReader(db)
+        assert and_refs(reader.ref_bitmap, [("element", 0)], 10) == rel.ref_bitmap("element", 0)
+        for start, stop in ((-2, 10), (0, 12), (6, 4)):
+            with pytest.raises((IndexError, ValueError)):
+                rel.fold([("element", 0), ("element", 1)], None, start, stop)
 
     def test_not_a_sharded_dir(self, tmp_path):
         """A directory holding only the retired nested format's root
@@ -485,46 +490,47 @@ class TestShardedPersistence:
 
     def test_corrupt_shard_column_detected(self, tmp_path):
         db = tmp_path / "db"
-        save_relation(_sharded_relation(3), db)
+        save_relation(_reference_relation(), db)
         fi.flip_bit(fi.data_file(db, "m0_vals.npy"))
         with pytest.raises(CorruptionError, match="CRC32"):
             load_relation(db)
 
     def test_damaged_view_in_one_shard_drops_view_globally(self, tmp_path):
         db = tmp_path / "db"
-        save_relation(_sharded_relation(3), db)
+        save_relation(_reference_relation(), db)
         fi.data_file(db, "gv_gv1.npy").unlink()
         with pytest.warns(RuntimeWarning, match="gv1"):
             loaded = load_relation(db)
-        # The view's one file covers every shard: it is gone from each,
+        # The view's one file covers every range: it is gone from each,
         # while base columns still verify.
-        assert len(loaded.shard_records) == 3
         assert not loaded.has_graph_view("gv1")
-        for shard in range(3):
+        for _, start, stop in range_tasks(loaded.n_records, 3):
             with pytest.raises(KeyError):
-                loaded.fold([("graph-view", "gv1")], shard=shard)
+                loaded.fold([("graph-view", "gv1")], None, start, stop)
         assert loaded.has_aggregate_view("av1:sum")
         assert "gv1" in [name for name, _ in loaded.dropped_views]
         assert loaded.ref_bitmap("element", 0) == _reference_relation().ref_bitmap("element", 0)
 
     @pytest.mark.parametrize("shards", [1, 3, 8])
     def test_file_count_is_independent_of_shards(self, tmp_path, shards):
-        relation = _reference_relation(600)
-        relation.set_shard_records(_first_split(600, shards))
+        engine = _uneven_engine()
+        engine.reshard(shards)
         db = tmp_path / "db"
-        save_relation(relation, db)
+        engine.save(db)
         files = [p for p in db.rglob("*") if p.is_file()]
         # Two files per element column, one per graph view, two per
         # aggregate view, and the manifest.
-        assert len(files) == 2 * len(relation.element_ids()) + 1 + 2 + 1
-        assert fi.live_manifest(db)["shard_records"] == relation.shard_records
+        relation = engine.relation
+        n_views = len(relation.graph_view_names()) + 2 * len(relation.aggregate_view_names())
+        assert len(files) == 2 * len(relation.element_ids()) + n_views + 1
+        assert "shard_records" not in fi.live_manifest(db)
 
 
 # -- engine-level sharding ---------------------------------------------------
 
 
 class TestEngineSharding:
-    def test_sharded_engine_matches_unsharded(self, records, queries):
+    def test_sharded_engine_matches_unsharded(self, records, queries, fan_out):
         plain = GraphAnalyticsEngine()
         plain.load_records(records)
         sharded = GraphAnalyticsEngine(shards=4)
@@ -540,14 +546,14 @@ class TestEngineSharding:
                 plain.aggregate(agg).path_values.keys()
             )
 
-    def test_bulk_load_routes_chunks_to_shards(self, records, queries):
+    def test_bulk_load_routes_chunks_to_shards(self, records, queries, fan_out):
         plain = GraphAnalyticsEngine()
         plain.load_records(records)
         sharded = GraphAnalyticsEngine(shards=4)
         assert sharded.load_records(iter(records)) == len(records)
         # Even contiguous record ranges, same global record order.
         base, extra = divmod(len(records), 4)
-        assert sharded.relation.shard_records == [base + (i < extra) for i in range(4)]
+        assert _sizes_of(sharded.n_records, 4) == [base + (i < extra) for i in range(4)]
         all_rows = np.arange(len(records))
         assert sharded.record_ids_at(all_rows) == plain.record_ids_at(all_rows)
         for query in queries:
@@ -555,19 +561,19 @@ class TestEngineSharding:
             assert got.record_ids == expected.record_ids
             for element, values in expected.measures.items():
                 np.testing.assert_array_equal(got.measures[element], values)
-        # A second bulk load (non-empty engine) rebalances to even ranges.
+        # A second bulk load: the next query's cut is even again.
         sharded.load_records(records[:7])
-        sizes = sharded.relation.shard_records
+        sizes = _sizes_of(sharded.n_records, 4)
         assert sum(sizes) == len(records) + 7 and max(sizes) - min(sizes) <= 1
 
-    def test_bulk_load_smaller_than_shard_count(self, records):
+    def test_bulk_load_smaller_than_shard_count(self, records, fan_out):
         engine = GraphAnalyticsEngine(shards=4)
         assert engine.load_records(records[:2]) == 2
-        assert engine.relation.shard_records == [1, 1, 0, 0]
+        assert _sizes_of(engine.n_records, 4) == [1, 1, 0, 0]
         element = next(iter(records[1].elements()))
         assert records[1].record_id in engine.query(GraphQuery([element])).record_ids
 
-    def test_reshard_bumps_epoch_and_keeps_answers(self, records, queries):
+    def test_reshard_bumps_epoch_and_keeps_answers(self, records, queries, fan_out):
         engine = GraphAnalyticsEngine(shards=2)
         engine.load_records(records)
         relation = engine.relation
@@ -578,20 +584,22 @@ class TestEngineSharding:
         assert engine.epoch > epoch
         after = [engine.query(q, fetch_measures=False).record_ids for q in queries]
         assert after == before
-        engine.reshard(1)  # one shard covering every record
+        epoch = engine.epoch
+        engine.reshard(5)  # the same count: nothing to do
+        assert engine.epoch == epoch
+        engine.reshard(1)  # one range covering every record
         assert engine.n_shards == 1
         assert engine.relation is relation
-        assert relation.shard_records == [len(records)]
 
-    def test_save_load_round_trip(self, tmp_path, records, queries):
+    def test_save_load_round_trip(self, tmp_path, records, queries, fan_out):
         engine = GraphAnalyticsEngine(shards=3)
         engine.load_records(records)
         engine.materialize_graph_views(queries[:4], budget=2)
         db = tmp_path / "db"
         engine.save(db)
-        assert fi.live_manifest(db)["shard_records"] == _sizes(engine)
+        assert "shard_records" not in fi.live_manifest(db)
         loaded = GraphAnalyticsEngine.load(db)
-        assert loaded.n_shards == 3
+        assert loaded.n_shards == 1  # a range count is not stored
         assert sorted(loaded.graph_views) == sorted(engine.graph_views)
         resharded = GraphAnalyticsEngine.load(db, shards=6)
         assert resharded.n_shards == 6
@@ -607,6 +615,8 @@ class TestEngineSharding:
         fanouts = []
 
         class CountingRunner(ShardRunner):
+            min_fanout_words = 0
+
             def map(self, fn, tasks):
                 fanouts.append(len(tasks))
                 return super().map(fn, tasks)
@@ -615,25 +625,50 @@ class TestEngineSharding:
         got = [engine.query(q, fetch_measures=False).record_ids for q in queries]
         assert got == expected
         assert fanouts and all(n == 4 for n in fanouts)
+        # Below its break-even a runner is never asked to map: one inline fold.
+        CountingRunner.min_fanout_words = 10**9
+        fanouts.clear()
+        engine.reshard(3)  # a new epoch, so no answer is served from a memo
+        got = [engine.query(q, fetch_measures=False).record_ids for q in queries]
+        assert got == expected and fanouts == []
         engine.use_shard_runner(None)
         assert engine._runner is INLINE
 
-    def test_append_after_load_extends_last_shard(self, records):
+    def test_append_after_load_extends_last_shard(self, dense_records, fan_out):
+        """Appends within the cut's word count land in the last range."""
+        plain = GraphAnalyticsEngine()
+        plain.load_records(dense_records[:610])
         engine = GraphAnalyticsEngine(shards=3)
-        engine.load_records(records[:30])
-        sizes = list(engine.relation.shard_records)
-        engine.append_records(records[30:40])
-        grown = engine.relation.shard_records
-        assert grown[:2] == sizes[:2]
-        assert grown[2] == sizes[2] + 10
-        assert engine.n_records == 40
+        engine.load_records(dense_records[:600])
+        assert _sizes_of(engine.n_records, 3) == [192, 192, 216]
+        engine.append_records(dense_records[600:610])
+        assert _sizes_of(engine.n_records, 3) == [192, 192, 226]
+        assert engine.n_records == 610
+        _assert_same_answers(engine, plain)
+
+
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_answers_are_bit_identical_across_range_counts(self, dense_records, fan_out, mode):
+        """After appends of uneven sizes, answers — ids, measures, path
+        aggregates — are the unsharded engine's at 1, 2, 3 and 8 ranges."""
+        plain = GraphAnalyticsEngine()
+        engine = GraphAnalyticsEngine(shards=3)
+        lo = 0
+        for hi in (97, 98, 161, 400, 403, 650):
+            for target in (plain, engine):
+                target.append_records(dense_records[lo:hi])
+            lo = hi
+        with QueryExecutor(engine, exec_mode=mode, workers=2):
+            for k in (1, 2, 3, 8):
+                engine.reshard(k)
+                _assert_same_answers(engine, plain)
 
 
 # -- the executor's shard pool and its cache ---------------------------------
 
 
 class TestShardAwareServing:
-    def test_executor_installs_and_removes_shard_pool(self, records, queries):
+    def test_executor_installs_and_removes_shard_pool(self, records, queries, fan_out):
         from repro.obs import MetricsRegistry
 
         plain = GraphAnalyticsEngine()
@@ -646,7 +681,7 @@ class TestShardAwareServing:
         with QueryExecutor(engine, jobs=4, cache_mb=8, registry=registry) as ex:
             results = ex.run_batch(list(queries))
             assert registry.get("engine.shards").value == 4
-            # One cache entry per answer, none per shard or prefix.
+            # One cache entry per answer, none per range or prefix.
             assert len(ex.cache) == len(distinct)
             ex.cache.reset_stats()
             ex.run_batch(distinct)
@@ -666,7 +701,7 @@ class TestShardAwareServing:
         assert engine._runner is INLINE
 
 
-# -- word-aligned first split ------------------------------------------------
+# -- word-aligned cuts -------------------------------------------------------
 
 _CHAIN = [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("A", "C"), ("E", "F")]
 _ALIGNED_QUERIES = [
@@ -683,8 +718,8 @@ def _even_sizes(n: int, k: int) -> list[int]:
 
 
 def _aligned_sizes(n: int, k: int) -> list[int]:
-    """The first split once every shard holds a 64-record word: whole
-    words, spread evenly, the last shard taking the remainder."""
+    """The cut once every range holds a 64-record word: whole words,
+    spread evenly, the last range taking the remainder."""
     base, extra = divmod(n // 64, k)
     sizes = [64 * (base + (i < extra)) for i in range(k)]
     sizes[-1] += n % 64
@@ -692,11 +727,11 @@ def _aligned_sizes(n: int, k: int) -> list[int]:
 
 
 def _sizes(engine) -> list[int]:
-    return engine.relation.shard_records
+    return _sizes_of(engine.n_records, engine.n_shards)
 
 
 def _starts(engine) -> list[int]:
-    return [task.start for task in shard_tasks(engine.relation)]
+    return [task.start for task in range_tasks(engine.n_records, engine.n_shards)]
 
 
 @pytest.fixture(scope="module")
@@ -714,7 +749,7 @@ def dense_records():
 
 
 def _assert_same_answers(engine, plain) -> None:
-    _assert_tables_equal(engine.relation, plain.relation)
+    _assert_tables_equal(engine.relation, plain.relation, engine.n_shards)
     rows = np.arange(plain.n_records)
     assert engine.record_ids_at(rows) == plain.record_ids_at(rows)
     for query in _ALIGNED_QUERIES:
@@ -731,8 +766,9 @@ def _assert_same_answers(engine, plain) -> None:
             np.testing.assert_array_equal(got.path_values[path], values)
 
 
+@pytest.mark.usefixtures("fan_out")
 class TestWordAlignedCuts:
-    """The first split cuts on multiples of 64 records once every shard
+    """A query's cut falls on multiples of 64 records once every range
     would hold one whole word; below that it is the even split (the
     small-table geometry of TestGeometry).  Either way the answers are the
     unsharded engine's, bit for bit."""
@@ -753,15 +789,17 @@ class TestWordAlignedCuts:
             assert all(start % 64 == 0 for start in _starts(engine))
             # Whole-word segments: a column's words add up to the unsharded
             # column's, and the merge is a word copy.
-            nbytes = sum(s.nbytes() for s in _shard_folds(engine.relation, [("element", 0)]))
+            nbytes = sum(s.nbytes() for s in _shard_folds(engine.relation, [("element", 0)], k))
             assert nbytes == plain.relation.ref_bitmap("element", 0).nbytes()
         else:
-            # Below a word per shard the even split stays; at 64k-1 it
+            # Below a word per range the even split stays; at 64k-1 it
             # happens to cut on 64 too, every other size here does not.
             assert offset == "64k-1"
         _assert_same_answers(engine, plain)
 
     def test_appends_grow_only_the_last_shard(self, dense_records):
+        """Appends that add no whole word per range extend the last range
+        of the next query's cut, and move no other boundary."""
         n, k = 192 * 3 + 5, 3
         plain = GraphAnalyticsEngine()
         plain.load_records(dense_records[:n])
@@ -777,16 +815,17 @@ class TestWordAlignedCuts:
             _assert_same_answers(engine, plain)
 
     def test_reshard_and_rebalance_realign(self, dense_records):
+        """Appends past a word per range realign the next query's cut by
+        themselves, and so does every reshard."""
         plain = GraphAnalyticsEngine()
         plain.load_records(dense_records[:300])
         engine = GraphAnalyticsEngine(shards=2)
         engine.load_records(dense_records[:300])
+        assert _sizes(engine) == [128, 172]
         more = dense_records[300:341]
         engine.append_records(more)
         plain.append_records(more)
-        assert _sizes(engine) == [128, 128 + 44 + 41]
-        engine.rebalance()
-        assert _sizes(engine) == _aligned_sizes(341, 2)
+        assert _sizes(engine) == _aligned_sizes(341, 2) == [192, 149]
         _assert_same_answers(engine, plain)
         engine.reshard(3)
         assert _sizes(engine) == _aligned_sizes(341, 3)
@@ -796,9 +835,9 @@ class TestWordAlignedCuts:
         _assert_same_answers(engine, plain)
 
     def test_store_saved_with_unaligned_cuts(self, tmp_path, dense_records):
-        """A store written at the even split (every store saved before the
-        cuts were aligned) loads with its own geometry, answers exactly,
-        and the next rebalance or reshard aligns it."""
+        """A format-4 store whose manifest records the even split (every
+        store saved before the cuts were aligned) loads, answers exactly,
+        and is cut on words by the very next query."""
         n, k = 192 * 3 + 5, 3
         records = dense_records[:n]
         plain = GraphAnalyticsEngine()
@@ -807,22 +846,19 @@ class TestWordAlignedCuts:
         engine.load_records(records)
         engine.materialize_graph_views(_ALIGNED_QUERIES[:2], budget=2)
         plain.materialize_graph_views(_ALIGNED_QUERIES[:2], budget=2)
-        engine.relation.set_shard_records(_even_sizes(n, k))
         db = tmp_path / "db"
         engine.save(db)
-        loaded = GraphAnalyticsEngine.load(db)
-        assert _sizes(loaded) == _even_sizes(n, k) != _aligned_sizes(n, k)
+        _store_with_cuts(db, _even_sizes(n, k))
+        loaded = GraphAnalyticsEngine.load(db, shards=k)
+        assert _sizes(loaded) == _aligned_sizes(n, k) != _even_sizes(n, k)
         assert sorted(loaded.graph_views) == sorted(plain.graph_views)
-        _assert_same_answers(loaded, plain)
-        loaded.rebalance()
-        assert _sizes(loaded) == _aligned_sizes(n, k)
         _assert_same_answers(loaded, plain)
         resharded = GraphAnalyticsEngine.load(db, shards=2)
         assert _sizes(resharded) == _aligned_sizes(n, 2)
         _assert_same_answers(resharded, plain)
 
 
-# -- re-cuts copy nothing ----------------------------------------------------
+# -- range counts copy nothing -----------------------------------------------
 
 
 def _storage_objects(relation) -> dict:
@@ -839,10 +875,11 @@ def _assert_same_objects(before: dict, relation) -> None:
     assert all(after[key] is obj for key, obj in before.items())
 
 
+@pytest.mark.usefixtures("fan_out")
 class TestRecutCopiesNothing:
-    """``reshard``, ``rebalance`` and ``load(dir, shards=k)`` compute new
-    cuts and copy no column: every element bitmap and every view column
-    is the very object it was, and answers stay the row store's."""
+    """``reshard`` and ``load(dir, shards=k)`` set a range count and copy
+    no column: every element bitmap and every view column is the very
+    object it was, and answers stay the row store's."""
 
     def _assert_rowstore_answers(self, engine, store) -> None:
         for query in _ALIGNED_QUERIES:
@@ -868,8 +905,8 @@ class TestRecutCopiesNothing:
         )
         assert engine.graph_views and engine.aggregate_views
         before = _storage_objects(engine.relation)
-        for recut in (lambda: engine.reshard(8), engine.rebalance, lambda: engine.reshard(1)):
-            recut()
+        for shards in (8, 5, 1):
+            engine.reshard(shards)
             _assert_same_objects(before, engine.relation)
             self._assert_rowstore_answers(engine, store)
         engine.reshard(2)
@@ -918,12 +955,12 @@ def _sum_column(relation, elements, start: int) -> MeasureColumn:
 
 
 class StorageStateMachine(RuleBasedStateMachine):
-    """A sharded relation against its unsharded twin through appends (array
-    and list batches), reshards, rebalances, graph- and aggregate-view
-    DDL and save/load at the saved cuts.  After every step the cuts cut
-    the records; on demand, per-shard folds of random refs concatenate to
-    the twin's fold at one charged fetch per (ref, shard), and gathers at
-    random rows read what the twin reads."""
+    """A relation folded over a changing range count against its twin
+    through appends (array and list batches), range-count changes, graph-
+    and aggregate-view DDL and save/load.  After every step the runner's
+    cut cuts the records; on demand, range folds of random refs
+    concatenate to the twin's fold at one charged fetch per (ref, range),
+    and gathers at random rows read what the twin reads."""
 
     graph_views = Bundle("graph_views")
     agg_views = Bundle("agg_views")
@@ -932,7 +969,6 @@ class StorageStateMachine(RuleBasedStateMachine):
     def setup(self, k):
         self.k = k
         self.sharded = MasterRelation()
-        self.sharded.set_shard_records([0] * k)
         self.twin = MasterRelation()
         self.views: dict[str, frozenset] = {}
         self.counter = 0
@@ -963,12 +999,8 @@ class StorageStateMachine(RuleBasedStateMachine):
 
     @rule(k=st.sampled_from([2, 3, 5, 8]))
     def reshard(self, k):
+        """Set the range count: the next fold is cut into ``k`` ranges."""
         self.k = k
-        self.sharded.set_shard_records(_first_split(self.sharded.n_records, k))
-
-    @rule()
-    def rebalance(self):
-        self.sharded.set_shard_records(_first_split(self.sharded.n_records, self.k))
 
     @rule(target=graph_views, elements=st.sets(st.sampled_from(_ELEMENTS), min_size=1, max_size=3))
     def add_graph_view(self, elements):
@@ -1002,18 +1034,19 @@ class StorageStateMachine(RuleBasedStateMachine):
 
     @rule()
     def save_and_load(self):
-        cuts = list(self.sharded.shard_records)
         with tempfile.TemporaryDirectory() as db:
             save_relation(self.sharded, db)
             self.sharded = load_relation(db)
-        assert self.sharded.shard_records == cuts
 
     @invariant()
     def cuts_cut_the_records(self):
         if hasattr(self, "sharded"):
-            assert sum(self.sharded.shard_records) == self.sharded.n_records
+            tasks = range_tasks(self.sharded.n_records, self.k)
+            assert len(tasks) == self.k
+            assert [task.shard for task in tasks] == list(range(self.k))
+            assert tasks[0].start == 0 and tasks[-1].stop == self.sharded.n_records
+            assert all(a.stop == b.start for a, b in zip(tasks, tasks[1:]))
             assert self.sharded.n_records == self.twin.n_records
-            assert len(self.sharded.shard_records) == self.k
 
     @rule(data=st.data())
     def folds_and_gathers_match_the_twin(self, data):
@@ -1022,7 +1055,7 @@ class StorageStateMachine(RuleBasedStateMachine):
             refs = data.draw(st.lists(st.sampled_from(refs), min_size=1, max_size=4))
             collector = self.sharded.collector
             before = collector.stats.bitmap_columns_fetched + collector.stats.view_bitmaps_fetched
-            merged = Bitmap.concat(_shard_folds(self.sharded, refs))
+            merged = Bitmap.concat(_shard_folds(self.sharded, refs, self.k))
             after = collector.stats.bitmap_columns_fetched + collector.stats.view_bitmaps_fetched
             assert merged == self.twin.fold(refs)
             assert after - before == len(refs) * self.k

@@ -1,11 +1,12 @@
-"""What a small query pays for: one storage fold per shard, exact I/O
-accounting through it, and bounded memos in front of parse and plan.
+"""What a small query pays for: one storage fold, exact I/O accounting
+through it, and bounded memos in front of parse and plan.
 
 The storage fold (``MasterRelation.fold``) replaced one Python fetch chain
-per (part, shard); these tests pin that the collector still sees exactly
-the per-(part, shard) fetches the cost model counts, that the fold really
-is one call per shard, and that the text and plan memos stay correct —
-and bounded — across function registration, appends and concurrency.
+per (part, range); these tests pin that the collector still sees exactly
+the per-(part, range) fetches the cost model counts, that a query below
+the fan-out break-even is one fold call whatever the range count, and
+that the text and plan memos stay correct — and bounded — across
+function registration, appends and concurrency.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ CHAIN = [f"n{i}" for i in range(9)]  # eight edges n0->n1 ... n7->n8
 
 def _records():
     """Every record holds A->B->C->D; only the first five also hold D->E,
-    so at 3 and 8 shards that element has no set bit past shard 0."""
+    so cut into 3 or 8 ranges that element has no set bit past range 0."""
     out = []
     for i in range(N_RECORDS):
         cells = {("A", "B"): float(i), ("B", "C"): 1.0, ("C", "D"): 2.0}
@@ -58,11 +59,11 @@ def _engine(shards: int) -> GraphAnalyticsEngine:
 
 
 def _expected_bitmap_io(engine, plan) -> tuple[int, int, int]:
-    """Per (part, shard): one charged fetch of that shard's words — a
-    shard reads its segment of every column the relation has."""
+    """Per (part, range of the runner's cut): one charged fetch of that
+    range's words — a range reads its segment of every column."""
     base = view = nbytes = 0
-    for n_records in engine.relation.shard_records:
-        words = (n_records + 63) // 64
+    for _, start, stop in engine._runner.tasks(engine.n_records, engine.n_shards, len(plan.refs)):
+        words = (stop - start + 63) // 64
         for kind, _ in plan.refs:
             base += kind == "element"
             view += kind != "element"
@@ -86,7 +87,7 @@ def _bitmap_delta(engine, run) -> tuple[int, int, int]:
 
 class TestFoldAccounting:
     @pytest.mark.parametrize("shards", [1, 3, 8])
-    def test_graph_query_io_equals_per_part_per_shard_fetches(self, shards):
+    def test_graph_query_io_equals_per_part_per_shard_fetches(self, shards, request):
         engine = _engine(shards)
         query = GraphQuery.from_node_chain("A", "B", "C", "D", "E")
         plan = engine.physical_plan(query)
@@ -94,7 +95,16 @@ class TestFoldAccounting:
         assert "graph-view" in kinds and kinds.count("element") == 2
         delta = _bitmap_delta(engine, lambda: engine.query(query))
         assert delta == _expected_bitmap_io(engine, plan)
-        # D->E sets bits in shard 0 only, yet every shard reads its segment.
+        # Below the break-even: one fold of every record, at any count.
+        assert delta[0] == 2 and delta[1] == 1
+        # Cut into ranges, D->E sets bits in range 0 only, yet every range
+        # reads its segment.
+        request.getfixturevalue("fan_out")
+        engine.reshard(1)
+        engine.reshard(shards)  # a new epoch: the plan is rebuilt
+        plan = engine.physical_plan(query)
+        delta = _bitmap_delta(engine, lambda: engine.query(query))
+        assert delta == _expected_bitmap_io(engine, plan)
         assert delta[0] == 2 * shards and delta[1] == shards
 
     @pytest.mark.parametrize("shards", [1, 3, 8])
@@ -118,7 +128,7 @@ class TestFoldAccounting:
 
 
 class TestCallShape:
-    def test_eight_parts_over_eight_serial_shards_is_eight_folds(self, monkeypatch):
+    def test_eight_parts_over_eight_serial_shards_is_one_fold(self, monkeypatch):
         engine = GraphAnalyticsEngine(shards=8)
         engine.load_records(
             GraphRecord(f"r{i}", {(u, v): 1.0 for u, v in zip(CHAIN, CHAIN[1:])})
@@ -127,15 +137,15 @@ class TestCallShape:
         calls: Counter = Counter()
         fold = MasterRelation.fold
 
-        def counting_fold(self, refs, ctx=None, shard=None):
+        def counting_fold(self, refs, ctx=None, start=0, stop=None):
             calls["fold"] += 1
             calls["refs"] += len(refs)
-            return fold(self, refs, ctx, shard)
+            return fold(self, refs, ctx, start, stop)
 
         monkeypatch.setattr(MasterRelation, "fold", counting_fold)
         result = engine.query(GraphQuery.from_node_chain(*CHAIN), fetch_measures=False)
         assert len(result.record_ids) == 64
-        assert calls == Counter(fold=8, refs=64)
+        assert calls == Counter(fold=1, refs=8)
 
 
 class TestPlanMemoBound:

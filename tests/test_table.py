@@ -15,6 +15,7 @@ from repro.columnstore import (
     MeasureColumn,
 )
 from repro.columnstore.column import sorted_cells
+from repro.core.engine import range_tasks
 
 
 def make_relation(**kwargs) -> MasterRelation:
@@ -35,11 +36,14 @@ class TestLoading:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_append_rows_returns_the_row_indices(self, shards):
         relation = make_relation()
-        relation.set_shard_records([1, 2] if shards > 1 else [3])
         assert relation.append_columns(2, {0: ([0], [7.0]), 2: ([1], [8.0])}) == 3
         assert relation.append_columns(1, {2: ([0], [9.0])}) == 5
         assert relation.measures(0, np.array([2, 3])).tolist() == [5.0, 7.0]
         assert relation.measures(2, np.array([4, 5])).tolist() == [8.0, 9.0]
+        # Folds over the runner's ranges see the appended rows.
+        ranges = range_tasks(relation.n_records, shards)
+        segments = [relation.fold([("element", 2)], None, lo, hi) for _, lo, hi in ranges]
+        assert Bitmap.concat(segments).to_indices().tolist() == [1, 2, 4, 5]
 
     def test_unknown_column_raises(self):
         assert make_relation().ref_bitmap("element", 99) is None

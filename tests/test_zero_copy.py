@@ -3,25 +3,23 @@
 The process pool's workers never deserialize a relation — they attach to
 the persisted generation directory with
 :class:`~repro.columnstore.RelationBitmapReader`, which memory-maps the
-packed bitmap files read-only and serves a sharded store's shard *i* as
-that record range of the one mapping.  These tests pin the zero-copy
-contract: bitmaps are views of the mapped file pages (no materialized
-copy), the mapping is read-only (no write-back possible), two attachments
-map the same base file (shared page cache), and a shard's segment at a
-word-aligned cut is a view of the same pages.  That every bitmap ANDs to
+packed bitmap files read-only, and fold whatever record range a task
+names out of the one mapping.  These tests pin the zero-copy contract:
+bitmaps are views of the mapped file pages (no materialized copy), the
+mapping is read-only (no write-back possible), two attachments map the
+same base file (shared page cache), and a range at a word-aligned cut is
+a view of the same pages.  That every bitmap ANDs to
 the live engine's answer is the property in ``test_one_and.py``.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.columnstore import RelationBitmapReader, and_refs, storage_generation
 from repro.core import GraphAnalyticsEngine
-from repro.core.engine import shard_tasks
+from repro.core.engine import range_tasks
 from repro.workloads import build_dataset, sample_path_queries
 
 
@@ -98,43 +96,43 @@ class TestRelationBitmapReader:
 
 
 class TestBitmapAttachment:
-    """The reader as a worker attaches it: one reader per generation, its
-    per-shard lookups cut at the manifest's ``shard_records``."""
+    """The reader as a worker attaches it: one reader per generation,
+    folding the record ranges of the runner's cut."""
 
     @pytest.mark.parametrize("shards", [1, 3])
     def test_geometry_and_contents(self, corpus, tmp_path, shards):
         engine = _engine(corpus, shards=shards)
         engine.save(tmp_path)
         reader = RelationBitmapReader(tmp_path)
-        sizes = engine.relation.shard_records
-        assert reader.shard_records == sizes
         assert reader.n_records == engine.n_records
         assert reader.generation == storage_generation(tmp_path)
         edge_id = engine.catalog.get_id(next(iter(corpus.to_columnar())))
-        starts = [task.start for task in shard_tasks(engine.relation)]
-        merged = np.concatenate(
-            [and_refs(partial(reader.shard_bitmap, i), [("element", edge_id)], n).to_indices() + s
-             for i, (n, s) in enumerate(zip(sizes, starts))]
-        )
+        tasks = range_tasks(engine.n_records, shards)
+        merged = np.concatenate([
+            and_refs(reader.ref_bitmap, [("element", edge_id)], stop - start,
+                     start=start).to_indices() + start
+            for _, start, stop in tasks
+        ])
         assert merged.tolist() == engine.relation.ref_bitmap("element", edge_id).to_indices().tolist()
         view = _view_name(engine)
-        for i, (n, s) in enumerate(zip(sizes, starts)):
-            segment = reader.shard_bitmap(i, "graph-view", view)
-            assert segment == engine.relation.ref_bitmap("graph-view", view).slice(s, s + n)
-            assert reader.shard_bitmap(i, "graph-view", view) is segment  # memoized
+        for _, start, stop in tasks:
+            segment = and_refs(reader.ref_bitmap, [("graph-view", view)], stop - start, start=start)
+            assert segment == engine.relation.fold([("graph-view", view)], None, start, stop)
 
     def test_word_aligned_segments_are_views_of_the_mapping(self, tmp_path):
-        """Past 64 records a shard the cuts fall on words (here 64/64/72),
-        so every shard's segment is the mapped pages themselves."""
+        """Past 64 records a range the runner's cuts fall on words (here
+        64/64/72), so every range of a mapped bitmap is its pages."""
         corpus = build_dataset("NY", n_records=200, seed=9)
         engine = _engine(corpus, shards=3)
         engine.save(tmp_path)
         reader = RelationBitmapReader(tmp_path)
-        assert reader.shard_records == [64, 64, 72]
+        tasks = range_tasks(engine.n_records, 3)
+        assert [stop - start for _, start, stop in tasks] == [64, 64, 72]
         edge_id = engine.catalog.get_id(next(iter(corpus.to_columnar())))
-        whole = _memmap_base(reader.ref_bitmap("element", edge_id))
-        for shard in range(3):
-            segment = reader.shard_bitmap(shard, "element", edge_id)
+        mapped = reader.ref_bitmap("element", edge_id)
+        whole = _memmap_base(mapped)
+        for _, start, stop in tasks:
+            segment = mapped.slice(start, stop)
             assert np.shares_memory(segment.words(), whole)
             assert not segment.words().flags.writeable
 
