@@ -1,21 +1,18 @@
 """Where fanning a query's fold out pays: the runners' ``min_fanout_words``.
 
 A query's structural conjunction ANDs ``len(refs) × ceil(n / 64)`` words.
-The inline runner folds them in one call; a thread or process runner can
-instead cut the records into ranges and fold them concurrently, paying a
-round trip (thread hand-off, or a pipe write and read per worker) for the
-split.  This script measures both sides through the interpreter's own
-fold path (``interpreter._conjunction`` under a default
-``ResiliencePolicy``, no cache, no tracer) over a synthetic relation of
-``--refs`` element columns (default 8), at sizes from 94 to 2 000 000
-words per bitmap:
+The inline runner folds them in one call; the process runner can instead
+cut the records into ranges and fold them on worker processes, paying a
+pipe write and read per worker for the split.  This script measures both
+sides through the interpreter's own fold path
+(``interpreter._conjunction``, no cache, no tracer) over a synthetic
+relation of ``--refs`` element columns (default 8), at sizes from 94 to
+2 000 000 words per bitmap:
 
-* ``inline``  — ``INLINE``: ``[0, n)`` in one supervised call;
-* ``thread``  — ``ThreadRunner(--workers)`` forced to fan out into
-  ``--ranges`` ranges;
+* ``inline``  — ``INLINE``: ``[0, n)`` in one call;
 * ``process`` — ``ProcessRunner`` with ``--workers`` workers attached to
-  a save of the relation, forced to fan out into ``--ranges`` ranges
-  (results ship raw words).
+  a save of the relation under a default ``ResiliencePolicy``, forced to
+  fan out into ``--ranges`` ranges (results ship raw words).
 
 Both counts default to 2; the e2e workloads that fan out serve 4 ranges
 on 2 workers.
@@ -48,7 +45,7 @@ import numpy as np
 from repro.columnstore import Bitmap, MasterRelation, MeasureColumn, save_relation
 from repro.core.engine import INLINE
 from repro.core.engine.interpreter import ExecEnv, _conjunction
-from repro.exec.runners import ProcessRunner, ThreadRunner
+from repro.exec.runners import ProcessRunner
 from repro.resilience import ResiliencePolicy
 
 WORDS_PER_BITMAP = [
@@ -70,7 +67,7 @@ def _relation(words: int, refs: int) -> MasterRelation:
 def _env(relation, runner, ranges: int) -> ExecEnv:
     return ExecEnv(
         relation=relation, catalog=None, cache=None, tracer=None,
-        policy=ResiliencePolicy(), runner=runner, shards=ranges, epoch=0,
+        runner=runner, shards=ranges, epoch=0,
         plan=None, agg_views={}, measured=set(),
     )
 
@@ -90,21 +87,18 @@ def measure(words: int, reps: int, ranges: int, workers: int, refs: int) -> dict
     plan = SimpleNamespace(refs=tuple(("element", i) for i in range(refs)), key=None)
     expected = relation.fold(plan.refs)
     row = {"words_per_bitmap": words, "words_anded": refs * words}
-    threads = ThreadRunner(workers)
-    threads.min_fanout_words = 0
     with tempfile.TemporaryDirectory(prefix="repro-breakeven-") as db:
         save_relation(relation, db)
         engine = SimpleNamespace(epoch=0, n_records=relation.n_records)
-        processes = ProcessRunner(engine, workers, storage_dir=db)
+        processes = ProcessRunner(engine, workers, ResiliencePolicy(), storage_dir=db)
         processes.min_fanout_words = 0
         try:
-            for name, runner in (("inline", INLINE), ("thread", threads), ("process", processes)):
+            for name, runner in (("inline", INLINE), ("process", processes)):
                 env = _env(relation, runner, ranges)
                 assert _conjunction(plan, env, None) == expected, name
                 row[f"{name}_us"] = _median_us(lambda: _conjunction(plan, env, None), reps)
         finally:
             processes.close()
-            threads.close()
     return row
 
 
@@ -124,28 +118,25 @@ def main() -> None:
     parser.add_argument("--json", help="also write the table and break-evens here")
     parser.add_argument("--reps", type=int, default=200, help="timed folds per cell")
     parser.add_argument("--ranges", type=int, default=2, help="ranges a query fans out into")
-    parser.add_argument("--workers", type=int, default=2, help="threads / worker processes")
+    parser.add_argument("--workers", type=int, default=2, help="worker processes")
     parser.add_argument("--refs", type=int, default=8, help="bitmaps ANDed per query")
     args = parser.parse_args()
     rows = []
     print(f"cpus={os.cpu_count()} refs={args.refs} ranges={args.ranges} workers={args.workers}")
-    print(f"{'words/bitmap':>12} {'words ANDed':>12} {'inline µs':>10} "
-          f"{'thread µs':>10} {'process µs':>10}")
+    print(f"{'words/bitmap':>12} {'words ANDed':>12} {'inline µs':>10} {'process µs':>10}")
     for words in WORDS_PER_BITMAP:
         reps = max(30, args.reps * 94 // words)
         row = measure(words, reps, args.ranges, args.workers, args.refs)
         rows.append(row)
         print(f"{words:>12} {row['words_anded']:>12} {row['inline_us']:>10.1f} "
-              f"{row['thread_us']:>10.1f} {row['process_us']:>10.1f}")
+              f"{row['process_us']:>10.1f}")
     result = {
         "cpus": os.cpu_count(), "refs": args.refs, "ranges": args.ranges,
         "workers": args.workers,
         "rows": rows,
-        "thread_break_even_words": break_even(rows, "thread"),
         "process_break_even_words": break_even(rows, "process"),
     }
-    print(f"thread break-even: {result['thread_break_even_words']} words; "
-          f"process break-even: {result['process_break_even_words']} words")
+    print(f"process break-even: {result['process_break_even_words']} words")
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(result, handle, indent=2)

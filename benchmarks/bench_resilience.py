@@ -1,17 +1,21 @@
-"""Resilience overhead and goodput under injected shard faults.
+"""Resilience overhead and goodput under injected worker faults.
 
-Three servers run the same zipf path-query workload (NY corpus, 4
-record-range shards):
+Supervision lives where a record range can fail on its own: the process
+runner.  Three process-mode servers (``WORKERS`` worker processes, every
+query forced to fan out into ``N_SHARDS`` record ranges) run the same
+zipf path-query workload (NY corpus):
 
-* ``baseline``      — healthy shards, no governance: the cost floor;
-* ``no-governance`` — 5% of shard touches raise transient I/O errors and
-  no resilience policy is installed: every fault kills its query, so
-  goodput collapses roughly with the per-query fault exposure (each query
-  touches every shard);
+* ``baseline``      — healthy workers under the default policy: the cost
+  floor;
+* ``no-governance`` — each bitmap a worker's range fold fetches fails
+  with probability 5% (a transient I/O error, drawn from the worker's own
+  seeded rng) and the policy makes one attempt: every fault kills its
+  query, so goodput collapses roughly with the per-query fault exposure
+  (each query folds every range);
 * ``governed``      — same 5% fault rate under the full governance stack:
-  a :class:`ResiliencePolicy` (3 attempts, backoff) plus a per-query
-  deadline.  Transient faults are retried through, so goodput should
-  return to ~1.0 at a small latency premium.
+  a :class:`ResiliencePolicy` (4 attempts, a retry runs the range alone)
+  plus a per-query deadline.  Transient faults are retried through, so
+  goodput should return to ~1.0 at a small latency premium.
 
 Emits ``benchmarks/BENCH_resilience.json`` with per-config p50/p99 query
 latency and goodput (successful queries per wall-clock second), plus the
@@ -25,8 +29,8 @@ from __future__ import annotations
 
 import gc
 import json
-import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +38,9 @@ import pytest
 
 from _data import SCALE, emit, ny_corpus, scaled
 from repro.core import GraphAnalyticsEngine
-from repro.core.engine import ShardRunner
 from repro.errors import ReproError
-from repro.exec import QueryExecutor
+from repro.exec import QueryExecutor, procpool
+from repro.exec.runners import ProcessRunner
 from repro.resilience import ResiliencePolicy
 from repro.workloads import sample_path_queries
 
@@ -46,7 +50,8 @@ POOL_SIZE = 16
 N_QUERIES = 128
 ZIPF_S = 1.1
 N_SHARDS = 4
-FAULT_RATE = 0.05       # probability one shard touch raises, per bitmap fetch
+WORKERS = 2
+FAULT_RATE = 0.05       # probability one worker bitmap fetch raises
 TIMEOUT_S = 30.0        # generous per-query deadline for the governed config
 
 JSON_PATH = Path(__file__).parent / "BENCH_resilience.json"
@@ -57,27 +62,32 @@ _answers: dict[str, list] = {}
 
 @pytest.fixture(autouse=True)
 def _fan_out(monkeypatch):
-    """Cut every query into ``N_SHARDS`` ranges, as a query ANDing at
-    least ``min_fanout_words`` words is: the per-range supervision under
-    test only exists where a query fans out, which this corpus never
-    reaches."""
-    monkeypatch.setattr(ShardRunner, "min_fanout_words", 0)
+    """Cut every query into ``N_SHARDS`` ranges on the worker processes,
+    as a query ANDing at least ``min_fanout_words`` words is: the
+    per-range supervision under test only exists where a query fans out,
+    which this corpus never reaches."""
+    monkeypatch.setattr(ProcessRunner, "min_fanout_words", 0)
 
 
-def _make_flaky(relation, rng, rate: float) -> None:
-    """Patch ``relation.fold`` so that each bitmap a range fold fetches
-    fails with a fixed probability — always transiently (the retry
-    succeeds)."""
-    fold, lock = relation.fold, threading.Lock()  # shard pool workers share the rng
+# The real worker entry, bound before a run swaps the module's name.
+_worker_main = procpool._worker_main
 
-    def flaky(refs, ctx=None, start=0, stop=None):
-        with lock:
-            fail = bool((rng.random(len(refs)) < rate).any())
-        if fail:
-            raise OSError("injected transient shard I/O error")
-        return fold(refs, ctx, start, stop)
 
-    relation.fold = flaky
+def _flaky_worker(seed: int, worker_id: int, *args) -> None:
+    """A pool worker whose range folds fail transiently: each bitmap a
+    fold fetches fails with probability ``FAULT_RATE``, drawn from an rng
+    seeded by ``(seed, worker_id)`` — the worker's own stream (a retry
+    draws again).  Pickled by name, so the worker imports this module."""
+    rng = np.random.default_rng((seed, worker_id))
+    and_refs = procpool.and_refs
+
+    def flaky(lookup, refs, length, check=None, read=None, start=0):
+        if (rng.random(len(refs)) < FAULT_RATE).any():
+            raise OSError("injected transient worker I/O error")
+        return and_refs(lookup, refs, length, check, read, start)
+
+    procpool.and_refs = flaky
+    _worker_main(worker_id, *args)
 
 
 def _workload():
@@ -91,12 +101,10 @@ def _workload():
     return corpus, [pool[i] for i in chosen]
 
 
-def _engine(fault_seed: int | None = None) -> GraphAnalyticsEngine:
+def _engine() -> GraphAnalyticsEngine:
     corpus, _ = _workload()
     engine = GraphAnalyticsEngine(shards=N_SHARDS)
     engine.load_records(corpus.to_records())
-    if fault_seed is not None:
-        _make_flaky(engine.relation, np.random.default_rng(fault_seed), FAULT_RATE)
     return engine
 
 
@@ -131,8 +139,16 @@ def _serve(executor: QueryExecutor, queries, timeout=None) -> dict:
     }
 
 
-def _run_config(name: str, engine, queries, timeout=None, benchmark=None):
-    with QueryExecutor(engine) as executor:
+def _run_config(name: str, policy, queries, fault_seed=None, timeout=None, benchmark=None):
+    """Serve the workload on a process-mode executor under ``policy``, its
+    workers flaky when ``fault_seed`` is given."""
+    with pytest.MonkeyPatch.context() as patch:
+        if fault_seed is not None:
+            patch.setattr(procpool, "_worker_main", partial(_flaky_worker, fault_seed))
+        executor = QueryExecutor(
+            _engine(), exec_mode="process", workers=WORKERS, resilience=policy
+        )
+    with executor:
         def once():
             return _serve(executor, queries, timeout=timeout)
 
@@ -143,21 +159,16 @@ def _run_config(name: str, engine, queries, timeout=None, benchmark=None):
 
 def test_baseline_healthy(benchmark):
     _, queries = _workload()
-    engine = _engine()
-    engine.use_resilience(None)
-    _run_config("baseline", engine, queries, benchmark=benchmark)
+    _run_config("baseline", ResiliencePolicy(), queries, benchmark=benchmark)
     assert _results["baseline"]["failures"] == 0
 
 
 def test_no_governance_under_faults(benchmark):
     _, queries = _workload()
-    engine = _engine(fault_seed=23)
     # attempts=1, no breaker: the ungoverned failure mode (every fault is
     # terminal) without a breaker latching the whole run open.
-    engine.use_resilience(
-        ResiliencePolicy(attempts=1, breaker_threshold=10**9)
-    )
-    _run_config("no-governance", engine, queries, benchmark=benchmark)
+    policy = ResiliencePolicy(attempts=1, breaker_threshold=10**9)
+    _run_config("no-governance", policy, queries, fault_seed=23, benchmark=benchmark)
     assert _results["no-governance"]["failures"] > 0, (
         "fault injection must actually fire for the comparison to mean anything"
     )
@@ -165,17 +176,16 @@ def test_no_governance_under_faults(benchmark):
 
 def test_governed_under_faults(benchmark):
     _, queries = _workload()
-    engine = _engine(fault_seed=23)
-    # attempts=4: a 5-fetch shard attempt fails with p ~0.23 at a 5%
+    # attempts=4: a 5-fetch range attempt fails with p ~0.23 at a 5%
     # per-fetch fault rate, so four tries push terminal failure under 1%.
     # backoff_base=0 retries immediately: the injected fault is
-    # instantaneous, so any sleep would only charge the sub-millisecond
+    # instantaneous, so any sleep would only charge the millisecond
     # queries for contention that does not exist (production keeps the
     # default backoff for real I/O).
-    engine.use_resilience(
-        ResiliencePolicy(attempts=4, backoff_base=0.0, breaker_threshold=10**9)
+    policy = ResiliencePolicy(attempts=4, backoff_base=0.0, breaker_threshold=10**9)
+    _run_config(
+        "governed", policy, queries, fault_seed=23, timeout=TIMEOUT_S, benchmark=benchmark
     )
-    _run_config("governed", engine, queries, timeout=TIMEOUT_S, benchmark=benchmark)
 
 
 def test_zz_report(benchmark):
@@ -202,8 +212,10 @@ def test_zz_report(benchmark):
             "query_size_edges": QUERY_SIZE,
             "distribution": f"zipf(s={ZIPF_S})",
             "shards": N_SHARDS,
+            "exec_mode": "process",
+            "workers": WORKERS,
         },
-        "fault_rate_per_shard_touch": FAULT_RATE,
+        "fault_rate_per_worker_bitmap_fetch": FAULT_RATE,
         "deadline_seconds": TIMEOUT_S,
         "configs": {
             name: {k: v for k, v in stats.items()}
@@ -213,7 +225,7 @@ def test_zz_report(benchmark):
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
-    emit(f"\n=== Resilience: {N_QUERIES} zipf queries, {FAULT_RATE:.0%} shard faults ===")
+    emit(f"\n=== Resilience: {N_QUERIES} zipf queries, {FAULT_RATE:.0%} worker fetch faults ===")
     emit(f"{'config':>15} {'p50 ms':>9} {'p99 ms':>9} {'goodput q/s':>12} {'ok':>6}")
     for name in ("baseline", "no-governance", "governed"):
         s = _results[name]

@@ -8,15 +8,15 @@ servers:
 * ``serial-sK``    — plain ``engine.query`` loop, no cache: the inline
   runner, which folds every query in one call at any range count (the
   correctness path);
-* ``executor4-sK`` — ``QueryExecutor(jobs=4)`` with a warm answer
-  cache: batch fan-out plus the executor's thread runner, the full
+* ``executor4-sK`` — ``QueryExecutor(jobs=4)`` (``thread`` mode) with a
+  warm answer cache: batch fan-out over the inline runner, the full
   serving stack;
 * ``process4-sK``  — ``QueryExecutor(exec_mode="process", workers=4)``
   with the same warm cache: the process runner, whose worker pool folds
   the ranges of a query ANDing at least its ``min_fanout_words``.
 
-A query here ANDs far fewer words than either runner's break-even, so
-every config folds each query in one call; the range count only shows
+A query here ANDs far fewer words than the process runner's break-even,
+so every config folds each query in one call; the range count only shows
 where that is not so.
 
 Emits ``benchmarks/BENCH_shard_scaling.json`` with per-config seconds and

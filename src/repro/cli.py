@@ -543,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--shards", type=int, default=None, metavar="N",
             help="cut a query into N record ranges where --exec-mode "
-                 "thread/process fans it out (default 1)",
+                 "process fans it out (default 1)",
         )
         p.add_argument(
             "--timeout", type=float, default=None, metavar="SECONDS",
@@ -562,13 +562,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--exec-mode", choices=("serial", "thread", "process"), default=None,
-            help="how a query's range folds run: serial in the calling "
-                 "thread, thread pool, or process pool over mmap'd storage "
-                 "(default: thread when --jobs > 1, else serial)",
+            help="where a query's conjunction runs: serial and thread fold "
+                 "it inline (thread names request concurrency over --jobs), "
+                 "process fans a large one out to a process pool over "
+                 "mmap'd storage (default: thread when --jobs > 1, else serial)",
         )
         p.add_argument(
             "--workers", type=int, default=None, metavar="N",
-            help="range-level workers for --exec-mode thread/process "
+            help="worker processes for --exec-mode process "
                  "(default: --jobs)",
         )
 

@@ -134,10 +134,10 @@ class GraphAnalyticsEngine:
     """Store and analyze a massive collection of small graph records.
 
     ``shards`` is the number of even record ranges a query's structural
-    conjunction splits into when its runner fans out (a thread or process
-    runner under a :class:`~repro.exec.QueryExecutor`, and only where the
-    words the query ANDs reach the runner's break-even); otherwise every
-    query folds all records in one call.  Answers never depend on it.
+    conjunction splits into when its runner fans out (the process runner
+    of a :class:`~repro.exec.QueryExecutor`, and only where the words the
+    query ANDs reach its break-even); otherwise every query folds all
+    records in one call.  Answers never depend on it.
     """
 
     def __init__(self, partition_width: int = 1000, shards: int = 1):
@@ -170,14 +170,9 @@ class GraphAnalyticsEngine:
         # Optional tracer (repro.obs.Tracer), installed by use_tracer();
         # None keeps every hot path on a single attribute check.
         self._tracer = None
-        # How a query's folds run (see interpreter.ShardRunner); a QueryExecutor
-        # installs a thread or process runner via use_shard_runner().
+        # How a query's conjunction runs (see interpreter.ShardRunner); a
+        # process-mode QueryExecutor installs its runner via use_shard_runner().
         self._runner: ShardRunner = INLINE
-        # Optional resilience policy (repro.resilience.ResiliencePolicy),
-        # installed by use_resilience(); supervises every range fold
-        # with retries, circuit breakers, and partial_ok degraded mode.
-        # None propagates fold failures wrapped as ShardExecutionError.
-        self._resilience = None
 
     # -- loading ------------------------------------------------------------
 
@@ -275,9 +270,9 @@ class GraphAnalyticsEngine:
 
     def use_shard_runner(self, runner: ShardRunner | None) -> None:
         """Install (or with ``None`` remove) the :class:`ShardRunner` that
-        cuts and runs each query's folds (see :mod:`.interpreter`).  A
-        :class:`~repro.exec.QueryExecutor` installs a thread or process
-        runner for its ``exec_mode``; without one, queries fold inline."""
+        runs each query's conjunction (see :mod:`.interpreter`).  A
+        process-mode :class:`~repro.exec.QueryExecutor` installs its
+        runner; without one, queries fold inline."""
         self._runner = INLINE if runner is None else runner
 
     # -- persistence ----------------------------------------------------------
@@ -527,24 +522,6 @@ class GraphAnalyticsEngine:
         self.collector.registry = registry
         if self._bitmap_cache is not None:
             self._bitmap_cache.registry = registry
-        if self._resilience is not None:
-            self._resilience.registry = registry
-
-    @property
-    def resilience(self):
-        return self._resilience
-
-    def use_resilience(self, policy) -> None:
-        """Install (or with ``None`` remove) a
-        :class:`repro.resilience.ResiliencePolicy` supervising per-shard
-        execution: bounded retries with backoff, a per-shard circuit
-        breaker keyed on the engine generation, and ``partial_ok``
-        degraded answers.  Without one, a failing shard fails the query
-        with a typed :class:`~repro.errors.ShardExecutionError` on the
-        first attempt."""
-        self._resilience = policy
-        if policy is not None and self.collector.registry is not None:
-            policy.registry = self.collector.registry
 
     # -- planning --------------------------------------------------------------
 
@@ -572,7 +549,7 @@ class GraphAnalyticsEngine:
         return ExecEnv(
             relation=self.relation, catalog=self.catalog, cache=self._bitmap_cache,
             tracer=tracer if tracer is not None else self._tracer,
-            policy=self._resilience, runner=self._runner, shards=self._shards,
+            runner=self._runner, shards=self._shards,
             epoch=self._epoch,
             plan=self._planner.physical_plan,
             agg_views=self._agg_views, measured=self._measured_nodes,

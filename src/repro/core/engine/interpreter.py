@@ -8,18 +8,15 @@ surviving rows.  Every step consumes the memoized
 engine's configuration read **once** at query entry, so a setter flipping
 the tracer or cache mid-flight cannot reach a running query.
 
-There is one way to run a fold, a :class:`ShardRunner`: ``tasks`` decides
-per query *which* record ranges to fold — ``[0, n)`` in one call unless
-the words the plan touches reach the runner's fan-out break-even —
-``map`` *where* they run and ``folds`` *how* each range's conjunction is
-computed (thread and process runners: :mod:`repro.exec.runners`).
-Supervision and the whole-answer cache entry sit above the runner, once.
+There is one way to run a query's conjunction, a :class:`ShardRunner`:
+the inline one folds ``[0, n)`` in one call, typed on failure; the
+process runner (:mod:`repro.exec.runners`) cuts the records into ranges
+and supervises each range where fanning out pays.  The whole-answer cache
+entry sits above the runner, once.
 """
 
 from __future__ import annotations
 
-import math
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,38 +26,32 @@ from ...columnstore.column import rank_rows
 from ...errors import ResilienceError, ShardExecutionError
 from ..aggregates import get_function
 from ..query import And, AndNot, GraphQuery, Or
-from .operators import NULL_SPAN, ShardTask, conjunction, range_tasks
+from .operators import NULL_SPAN, ShardTask, conjunction
 
 __all__ = ["ExecEnv", "ShardRunner", "INLINE", "run_query", "run_aggregate", "evaluate"]
 
 
 class ShardRunner:
     """The inline strategy: a query's records fold in one call, in the
-    calling thread.  Subclasses set ``min_fanout_words`` and override
-    ``map`` (threads) or ``folds`` (worker processes); nothing else about
-    a query depends on the mode."""
+    calling thread.  :class:`~repro.exec.runners.ProcessRunner` overrides
+    :meth:`conjunction`; nothing else about a query depends on the mode."""
 
-    #: Words ANDed (refs × words per bitmap) from which a query is cut
-    #: into ranges; folding ranges in turn inline never pays.
-    min_fanout_words: float = math.inf
-
-    def tasks(self, n_records: int, shards: int, n_refs: int) -> list[ShardTask]:
-        """A query's record ranges: ``[0, n)``, or ``shards`` even ranges
-        once its exact word count reaches the break-even."""
-        if shards > 1 and n_refs * -(-n_records // 64) >= self.min_fanout_words:
-            return range_tasks(n_records, shards)
-        return [ShardTask(0, 0, n_records)]
-
-    def map(self, fn: Callable, tasks: list) -> list:
-        """Apply ``fn`` to every range task; results in task order."""
-        return [fn(task) for task in tasks]
-
-    def folds(self, tasks: list, plan, env: "ExecEnv", ctx) -> list:
-        """One zero-argument fold per task, in task order: what
-        :func:`supervised_fold` runs, and runs again on a retry."""
-        return [
-            partial(conjunction, env.relation, plan, task, env.tracer, ctx) for task in tasks
-        ]
+    def conjunction(self, plan, env: "ExecEnv", ctx) -> Bitmap:
+        """The plan's AND over records ``[0, n)``.  Any failure but a
+        deadline or cancellation raises a typed
+        :class:`~repro.errors.ShardExecutionError` naming ``[0, n)``, on
+        the first attempt: an in-process fold has no range of its own to
+        retry or skip."""
+        n = env.relation.n_records
+        try:
+            return conjunction(env.relation, plan, ShardTask(0, 0, n), env.tracer, ctx)
+        except ResilienceError:
+            raise
+        except Exception as exc:
+            raise ShardExecutionError(
+                f"shard 0 failed: {exc} (records [0:{n}) unavailable)",
+                shard=0, start=0, stop=n,
+            ) from exc
 
 
 INLINE = ShardRunner()
@@ -73,7 +64,6 @@ class ExecEnv(NamedTuple):
     catalog: object
     cache: object  # BitmapCache | None
     tracer: object  # Tracer | None
-    policy: object  # ResiliencePolicy | None
     runner: ShardRunner
     shards: int  # record ranges a query fanning out is cut into
     epoch: int
@@ -90,56 +80,12 @@ class ExecEnv(NamedTuple):
 # -- structural conjunction --------------------------------------------------
 
 
-def supervised_fold(task, fold: Callable, env: ExecEnv, ctx) -> Bitmap:
-    """One range's segment of the conjunction (all of it for ``[0, n)``),
-    computed by ``fold`` (from :meth:`ShardRunner.folds`).  Under a
-    resilience policy: bounded retries, the per-range breaker and — with
-    ``partial_ok`` — an all-zero substitute for a persistently failing
-    range (its records land on the context's degraded ledger).  Without
-    one, the first failure raises a typed
-    :class:`~repro.errors.ShardExecutionError`."""
-    if ctx is not None:
-        ctx.check()
-    if env.tracer is None:
-        segment = _supervise(task, fold, env, ctx)
-    else:
-        with env.tracer.span("shard", shard=task.shard) as span:
-            segment = _supervise(task, fold, env, ctx)
-            if segment is None:
-                span.meta["degraded"] = "skipped"
-    # None = skipped under partial_ok (never cached — an all-zero segment
-    # is not the range's answer).
-    return Bitmap.zeros(task.stop - task.start) if segment is None else segment
-
-
-def _supervise(task, fold: Callable, env: ExecEnv, ctx) -> Bitmap | None:
-    """``fold()`` under the policy, or typed on its first failure."""
-    start, stop = task.start, task.stop
-    if env.policy is not None:
-        return env.policy.run_shard(
-            task.shard, start, stop, fold, ctx, generation=env.epoch,
-        )
-    try:
-        return fold()
-    except ResilienceError:
-        raise
-    except Exception as exc:
-        raise ShardExecutionError(
-            f"shard {task.shard} failed: {exc} "
-            f"(records [{start}:{stop}) unavailable)",
-            shard=task.shard, start=start, stop=stop,
-        ) from exc
-
-
 def _conjunction(plan, env: ExecEnv, ctx) -> Bitmap:
-    """lookup → fetch → AND → merge → store.  With a cache, the whole
-    answer is looked up once under ``(epoch, plan.key)`` and a miss stores
-    what it folds — unless the query degraded, since a partial merge would
-    poison healthy repeats.  The runner picks the record ranges
-    (:meth:`ShardRunner.tasks`), each folded under supervision.  One
-    range folds inline; several fold on the runner and concatenate
-    (ranges partition the records in order, so concat *is* the merge).
-    Traced queries fold the same ranges inline, in the calling thread."""
+    """lookup → fold → store.  With a cache, the whole answer is looked
+    up once under ``(epoch, plan.key)`` and a miss stores what the runner
+    folds — unless the query degraded, since a partial answer would
+    poison healthy repeats.  Traced queries fold inline, in the calling
+    thread."""
     cache = env.cache if plan.key is not None else None
     if cache is not None:
         answer = cache.lookup(env.epoch, plan.key)
@@ -147,14 +93,8 @@ def _conjunction(plan, env: ExecEnv, ctx) -> Bitmap:
             env.tracer.add("cache_hit" if answer is not None else "cache_miss")
         if answer is not None:
             return answer
-    tasks = env.runner.tasks(env.relation.n_records, env.shards, len(plan.refs))
-    if len(tasks) == 1:
-        [fold] = INLINE.folds(tasks, plan, env, ctx)
-        answer = supervised_fold(tasks[0], fold, env, ctx)
-    else:
-        runner = INLINE if env.tracer is not None else env.runner
-        jobs = list(zip(tasks, runner.folds(tasks, plan, env, ctx)))
-        answer = Bitmap.concat(runner.map(lambda job: supervised_fold(*job, env, ctx), jobs))
+    runner = INLINE if env.tracer is not None else env.runner
+    answer = runner.conjunction(plan, env, ctx)
     if cache is not None and not (ctx is not None and ctx.degraded):
         cache.put(env.epoch, plan.key, answer)
     return answer

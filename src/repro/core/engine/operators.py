@@ -3,9 +3,9 @@
 These are the physical operators the plan interpreter composes: fold a
 plan's canonical part list into a structural bitmap through the storage
 layer's one fold entry over one record range, and cut a query's records
-into the ranges a runner folds apart and merges by concatenation.  The
-relation holds no cut: the runner picks a query's ranges
-(:meth:`~.interpreter.ShardRunner.tasks`), most often ``[0, n)`` alone.
+into the ranges the process runner folds apart and merges by
+concatenation.  The relation holds no cut: a query folds ``[0, n)`` in
+one call unless that runner fans it out.
 """
 
 from __future__ import annotations

@@ -5,14 +5,15 @@ memoizes each query's structural answer (keyed on its canonical covered
 edge-set plus the engine's state epoch), and :class:`QueryExecutor` fans
 query batches/streams out over a thread pool, in submission order, with
 reader/writer isolation against concurrent appends and view changes.
-Against a sharded backend the executor also parallelizes each query's
-conjunction across record-range shards (merges preserve record order).
+In process mode the executor also parallelizes a large query's
+conjunction across record ranges on worker processes (merges preserve
+record order).
 
 Serving governance lives in :mod:`repro.resilience` and plugs in here:
 the executor accepts per-query deadlines/cancel tokens, an optional
 :class:`~repro.resilience.AdmissionController`, and a
-:class:`~repro.resilience.ResiliencePolicy` for shard retry, circuit
-breaking, and ``partial_ok`` degraded execution.
+:class:`~repro.resilience.ResiliencePolicy` for the process runner's
+range retry, circuit breaking, and ``partial_ok`` degraded execution.
 """
 
 from .cache import BitmapCache, CacheStats

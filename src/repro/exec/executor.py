@@ -9,11 +9,12 @@ behind ``Bitmap.__and__`` release the GIL, so bitmap-heavy workloads scale
 with cores — while a :class:`BitmapCache` serves a repeated query's
 structural answer without re-ANDing its columns.
 
-The executor also picks *how a query's folds run* from its ``exec_mode``
-and installs that :class:`~repro.core.engine.ShardRunner` on the engine:
-a query whose conjunction ANDs enough words to pay for it is cut into
-the engine's range count (``GraphAnalyticsEngine(shards=N)``) and fans
-out — on a dedicated thread pool, or on worker processes — merging by
+The executor also picks *how a query's conjunction runs* from its
+``exec_mode`` and installs that :class:`~repro.core.engine.ShardRunner`
+on the engine: in ``process`` mode a query whose conjunction ANDs enough
+words to pay for it is cut into the engine's range count
+(``GraphAnalyticsEngine(shards=N)``) and fans out to worker processes,
+each range supervised by the executor's resilience policy and merged by
 concatenation; every other query folds inline in one call (see
 :mod:`.runners`).
 
@@ -55,7 +56,7 @@ from ..resilience import (
     ResiliencePolicy,
 )
 from .cache import BitmapCache
-from .runners import ProcessRunner, ThreadRunner
+from .runners import ProcessRunner
 
 __all__ = ["QueryExecutor", "EXEC_MODES"]
 
@@ -134,19 +135,21 @@ class QueryExecutor:
         (``exec.request_seconds`` overall, ``exec.query_seconds`` /
         ``exec.aggregate_seconds`` by kind) plus batch-size and
         served-query counters, and installs the registry on the engine
-        (:meth:`GraphAnalyticsEngine.use_metrics`) so the I/O collector,
-        bitmap cache, and resilience policy publish too.
+        (:meth:`GraphAnalyticsEngine.use_metrics`) and the resilience
+        policy so the I/O collector, bitmap cache, and policy publish too.
     admission:
         Optional :class:`repro.resilience.AdmissionController` gating
         every query; rejected queries raise
         :class:`~repro.errors.AdmissionRejectedError` without touching
         the engine.
     resilience:
-        A :class:`repro.resilience.ResiliencePolicy` to install on the
-        engine for supervised fold execution.  When None and the engine
-        has no policy yet, a default one is installed (3 attempts,
-        breaker threshold 3) so transient fold faults are retried and
-        ``partial_ok`` works out of the box.
+        The :class:`repro.resilience.ResiliencePolicy` supervising the
+        record ranges of a query that fans out to worker processes
+        (``process`` mode): retries, per-range breakers and ``partial_ok``
+        zero segments.  None means a default policy (3 attempts, breaker
+        threshold 3); exposed as ``executor.resilience``.  An in-process
+        fold is never supervised: its failure is a typed
+        :class:`~repro.errors.ShardExecutionError` naming ``[0, n)``.
     default_timeout:
         Per-query deadline in seconds applied when a call does not pass
         its own ``timeout`` (None = no deadline).
@@ -154,16 +157,17 @@ class QueryExecutor:
         Default degraded-mode policy for queries served by this executor
         (overridable per call).
     exec_mode:
-        How a query's range folds run when it fans out: ``"serial"`` never
-        fans out, ``"thread"`` over a dedicated thread pool, or
-        ``"process"`` out-of-process on a persistent
+        Where a query's conjunction runs.  ``"serial"`` and ``"thread"``
+        fold it inline in one call (``"thread"`` names request
+        concurrency over ``jobs``, nothing more); ``"process"`` cuts a
+        query ANDing at least the runner's ``min_fanout_words`` into
+        ranges folded on a persistent
         :class:`~repro.exec.ProcessShardPool` attached to mmap'd storage.
         None resolves to ``"thread"`` when ``jobs > 1``, else ``"serial"``;
         ``executor.exec_mode`` always names the mode in use.
     workers:
-        Range-level parallelism for ``thread``/``process`` modes
-        (defaults to ``jobs``); in process mode this is the worker
-        process count.
+        Worker process count in ``process`` mode (defaults to ``jobs``);
+        the other modes have no range-level workers.
     storage_dir:
         For ``process`` mode: a committed save of *this* engine to
         attach the workers to.  When omitted (or when it holds no
@@ -199,14 +203,15 @@ class QueryExecutor:
             exec_mode = "thread" if jobs > 1 else "serial"
         self.exec_mode = exec_mode
         self.workers = workers if workers is not None else jobs
+        self.resilience = resilience if resilience is not None else ResiliencePolicy()
+        if registry is not None:
+            self.resilience.registry = registry
         # The runner goes first: a process pool that fails to start must
         # leave nothing installed on the engine.
         if exec_mode == "process":
             self._runner = ProcessRunner(
-                engine, self.workers, storage_dir, registry, self._count
+                engine, self.workers, self.resilience, storage_dir, registry, self._count
             )
-        elif exec_mode == "thread":
-            self._runner = ThreadRunner(self.workers, self._count)
         else:
             self._runner = INLINE
         self.engine = engine
@@ -216,11 +221,6 @@ class QueryExecutor:
         self.admission = admission
         self.default_timeout = default_timeout
         self.partial_ok = partial_ok
-        if resilience is None and engine.resilience is None:
-            resilience = ResiliencePolicy()
-        if resilience is not None:
-            engine.use_resilience(resilience)
-        self.resilience = engine.resilience
         engine.use_bitmap_cache(self.cache)
         if registry is not None:
             engine.use_metrics(registry)

@@ -29,8 +29,8 @@ manifest does not match (status ``"stale"``); the parent discards any
 reply whose stamp no longer equals the pool's and re-dispatches.  Crashed
 workers are respawned by the collector thread and their in-flight tasks
 fail with :class:`WorkerCrashedError` — a plain ``RuntimeError``, so the
-engine's :class:`~repro.resilience.ResiliencePolicy` retries it exactly
-like an in-process fold fault.  A worker that misses the query deadline
+process runner's :class:`~repro.resilience.ResiliencePolicy` retries it
+like any other range fault.  A worker that misses the query deadline
 answers ``"timeout"``, surfaced as the same
 :class:`~repro.errors.QueryTimeoutError` the in-process path raises.
 

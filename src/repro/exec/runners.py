@@ -1,51 +1,28 @@
-"""The two parallel :class:`~repro.core.engine.ShardRunner` strategies.
+"""The process runner: a query's record ranges folded on worker processes.
 
-A query is cut into ranges only once the words it ANDs reach the runner's
-``min_fanout_words``, the break-even ``benchmarks/bench_fanout_breakeven.py``
-measures.  :class:`ThreadRunner` overrides ``map``: range folds fan out
-over a dedicated thread pool.  :class:`ProcessRunner` overrides
-``folds``: the ranges go to :class:`~.procpool.ProcessShardPool` workers
-as one task per worker over an mmap'd save of the engine, and the calling
-thread supervises them in order as the replies land.
+:class:`ProcessRunner` is the one :class:`~repro.core.engine.ShardRunner`
+that fans out, and so the one place a record range can fail on its own:
+it cuts a query into ranges once the words it ANDs reach its
+``min_fanout_words`` (the break-even ``benchmarks/bench_fanout_breakeven.py``
+measures), sends them to :class:`~.procpool.ProcessShardPool` workers as
+one task per worker over an mmap'd save of the engine, and supervises
+each range under its :class:`~repro.resilience.ResiliencePolicy` as the
+replies land.  Every other query folds inline.
 """
 
 from __future__ import annotations
 
 import shutil
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
-from ..columnstore import RelationBitmapReader, storage_generation
-from ..core.engine import ShardRunner
+from ..columnstore import Bitmap, RelationBitmapReader, storage_generation
+from ..core.engine import ShardRunner, range_tasks
 from ..errors import PersistenceError
 from .procpool import ProcessShardPool
 
-__all__ = ["ThreadRunner", "ProcessRunner"]
-
-
-class ThreadRunner(ShardRunner):
-    """Fan range folds out over ``workers`` threads — a pool of their own:
-    batch workers submitting range folds back into the batch pool could
-    exhaust it and deadlock.  ``count(name, n)`` publishes a counter."""
-
-    # 2 threads on 2 vCPUs (2 to 8 ranges) won 1 of 10 runs at 1M words
-    # ANDed, 6 of 10 at 4M, and every run at 8M and 16M (EXPERIMENTS).
-    min_fanout_words = 8_000_000
-
-    def __init__(self, workers: int, count=None):
-        self._threads = ThreadPoolExecutor(workers, thread_name_prefix="shard")
-        self._count = count
-
-    def map(self, fn, tasks) -> list:
-        if self._count is not None:
-            self._count("exec.shard_tasks", len(tasks))
-        # list() re-raises the first worker exception, in range order.
-        return list(self._threads.map(fn, tasks))
-
-    def close(self) -> None:
-        self._threads.shutdown(wait=True)
+__all__ = ["ProcessRunner"]
 
 
 class ProcessRunner(ShardRunner):
@@ -56,14 +33,18 @@ class ProcessRunner(ShardRunner):
     loaded); otherwise the engine is spooled to a private temp directory,
     removed on :meth:`close`, or at once if the pool fails to start.  The
     owner calls :meth:`resync` after every mutation so the workers see the
-    new generation.  ``count(name, n)`` publishes a counter."""
+    new generation.  ``policy`` supervises every range of a query that
+    fans out: retries, the per-range breaker and ``partial_ok`` zero
+    segments.  ``count(name, n)`` publishes a counter."""
 
     # 2 workers on 2 vCPUs (2 to 8 ranges) lost every run up to 1M words
     # ANDed, won 8 of 10 at 4M and every run at 8M, and lost 4 of 5 at 16M
     # (EXPERIMENTS).
     min_fanout_words = 4_000_000
 
-    def __init__(self, engine, workers: int, storage_dir=None, registry=None, count=None):
+    def __init__(self, engine, workers: int, policy, storage_dir=None, registry=None,
+                 count=None):
+        self.policy = policy
         self._count = count
         self._owned = storage_dir is None or not _holds(Path(storage_dir), engine)
         if self._owned:
@@ -78,22 +59,29 @@ class ProcessRunner(ShardRunner):
             self._remove_spool()
             raise
 
-    def folds(self, tasks, plan, env, ctx) -> list:
-        """Send every range before any is waited on — one task per worker
-        — and hand back one fold per range: its first call reads the
-        range's slot of the reply, a retry runs the range alone.  When the
+    def conjunction(self, plan, env, ctx) -> Bitmap:
+        """Fold inline below the break-even, at one range, or when the
         pool's stamp lags the query's epoch (a mutation bypassed
-        :meth:`resync`) the folds run in-process."""
+        :meth:`resync`).  Otherwise send every range before any is waited
+        on — one task per worker — and supervise each under the policy as
+        its slot of the reply lands: a retry runs the range alone, and a
+        range given up under ``partial_ok`` is an all-zero segment.
+        Ranges partition the records in order, so concat *is* the merge."""
+        n = env.relation.n_records
+        if (env.shards == 1 or self.pool.stamp[1] != env.epoch
+                or len(plan.refs) * -(-n // 64) < self.min_fanout_words):
+            return super().conjunction(plan, env, ctx)
+        tasks = range_tasks(n, env.shards)
         if self._count is not None:
             self._count("exec.shard_tasks", len(tasks))
-        if self.pool.stamp[1] != env.epoch:
-            return super().folds(tasks, plan, env, ctx)
         spans = [(task.start, task.stop) for task in tasks]
         routes = self.pool.dispatch(spans, plan.refs, ctx)
-        return [
-            partial(self.pool.collect, index, span, routes, plan.refs, ctx)
-            for index, span in enumerate(spans)
-        ]
+        segments = []
+        for index, (shard, start, stop) in enumerate(tasks):
+            fold = partial(self.pool.collect, index, spans[index], routes, plan.refs, ctx)
+            segment = self.policy.run_shard(shard, start, stop, fold, ctx, generation=env.epoch)
+            segments.append(Bitmap.zeros(stop - start) if segment is None else segment)
+        return Bitmap.concat(segments)
 
     def resync(self, engine) -> None:
         """Republish the engine to the pool's directory and advance the

@@ -1,17 +1,18 @@
-"""Per-shard circuit breaker: stop hammering a shard that keeps failing.
+"""Per-range circuit breaker: stop hammering a record range that keeps failing.
 
-A persistently corrupt shard fails every query that touches it; with
-retries enabled, each of those queries would burn ``attempts`` tries plus
-backoff sleeps before giving up.  The breaker caps that: after
+A record range whose worker fold persistently fails fails every query
+that fans out over it; with retries enabled, each of those queries would
+burn ``attempts`` tries plus backoff sleeps before giving up.  The breaker caps that: after
 ``failure_threshold`` consecutive failures it *opens* and further
 attempts are refused instantly (:class:`~repro.errors.CircuitOpenError`)
 until ``reset_after`` seconds pass, at which point it goes *half-open*
 and lets exactly one probe through — success closes it, failure re-opens
 it for another cooldown.
 
-The resilience policy keys breakers on ``(shard, generation)`` where the
+The resilience policy, which the process runner consults for every range
+it fans out, keys breakers on ``(range index, generation)`` where the
 generation is the engine's state epoch: any data mutation (an append, a
-reload, a reshard) replaces the breaker, so a repaired shard is retried
+reload, a reshard) replaces the breaker, so a repaired range is retried
 immediately instead of waiting out a cooldown that no longer applies.
 """
 
@@ -32,10 +33,8 @@ class CircuitBreaker:
 
     ``allow()`` answers "may I attempt now?" and atomically claims the
     half-open probe slot; callers must report the outcome via
-    ``record_success()`` / ``record_failure()``.  Every transition runs
-    under the lock; the healthy shard's calls — ``allow()`` when CLOSED,
-    ``record_success()`` with no failures — are single attribute reads
-    and take none.
+    ``record_success()`` / ``record_failure()``.  Every call runs under
+    the lock.
     """
 
     def __init__(self, failure_threshold: int = 3, reset_after: float = 30.0):
@@ -69,15 +68,7 @@ class CircuitBreaker:
 
         In HALF_OPEN only the first caller gets True (the probe); everyone
         else is refused until the probe reports its outcome.
-
-        A CLOSED breaker answers without the lock: ``_state`` is one
-        attribute read, and nothing leaves CLOSED except
-        :meth:`record_failure`, so a read that sees CLOSED linearizes
-        before any transition racing it — exactly the answer the locked
-        path would give at that point.
         """
-        if self._state == CLOSED:
-            return True
         with self._lock:
             state = self._sync_state(time.monotonic())
             if state == CLOSED:
@@ -88,17 +79,7 @@ class CircuitBreaker:
             return False
 
     def record_success(self) -> None:
-        """Close the breaker and forget its failures.
-
-        With no failure recorded there is nothing to do, and that needs no
-        lock: ``_failures`` is one attribute read, zero only while CLOSED
-        with no probe claimed (every failure raises it; only this method
-        zeroes it, and sets CLOSED under the lock as it does).  A failure
-        racing the read linearizes after this success, as it would if the
-        lock had ordered them.
-        """
-        if self._failures == 0:
-            return
+        """Close the breaker and forget its failures."""
         with self._lock:
             self._failures = 0
             self._state = CLOSED

@@ -1,32 +1,32 @@
-"""The shard-execution resilience policy: retry, breaker, degraded mode.
+"""The record-range resilience policy: retry, breaker, degraded mode.
 
-This is the supervision layer the engine facade consults for every shard
-task when one is installed (``engine.use_resilience(policy)``; the
-:class:`~repro.exec.QueryExecutor` installs a default one).  For each
-per-shard conjunction it:
+This is the supervision layer of the process runner
+(:class:`~repro.exec.runners.ProcessRunner`): a query that fans out to
+worker processes has record ranges that can fail on their own, and the
+runner supervises each of them with the policy of its
+:class:`~repro.exec.QueryExecutor` (a default one unless the caller
+passes its own).  An in-process fold is never supervised: it has no range
+of its own to retry or skip.  For each range fold the policy:
 
-1. consults the shard's **circuit breaker** — open means the shard is not
+1. consults the range's **circuit breaker** — open means the range is not
    attempted at all (:class:`~repro.errors.CircuitOpenError`);
 2. runs the computation, **retrying with exponential backoff** up to
    ``attempts`` times on storage-level failures (never on deadline /
    cancellation, which must propagate immediately, and never past the
    query's remaining deadline);
 3. on persistent failure, either raises a typed
-   :class:`~repro.errors.ShardExecutionError` naming the shard and its
-   record range, or — when the query opted into ``partial_ok`` — records
-   the skipped range on the :class:`~repro.resilience.QueryContext` and
-   lets the caller substitute an empty segment, producing an exact answer
-   over the healthy shards plus a
-   :class:`~repro.resilience.DegradedReport`.
+   :class:`~repro.errors.ShardExecutionError` naming the range, or — when
+   the query's context says ``partial_ok`` — records the skipped range on
+   the :class:`~repro.resilience.QueryContext` and lets the caller
+   substitute an empty segment, producing an exact answer over the
+   healthy ranges plus a :class:`~repro.resilience.DegradedReport`.
 
-Breakers are keyed on ``(shard, generation)`` with the engine epoch as
-the generation: any mutation (append, reload, reshard) discards the old
-breaker, so a repaired shard is probed immediately.
+Breakers are keyed on ``(range index, generation)`` with the engine epoch
+as the generation: any mutation (append, reload, reshard) discards the
+old breaker, so a repaired range is probed immediately.
 
 Every decision publishes a ``resilience.*`` counter when a metrics
-registry is attached (``engine.use_metrics`` wires it automatically).
-The same policy object defines the supervision semantics the planned
-multiprocessing worker pool and network daemon will reuse.
+registry is attached (the executor attaches its own).
 """
 
 from __future__ import annotations
@@ -58,13 +58,9 @@ class ResiliencePolicy:
     breaker_threshold / breaker_reset_after:
         Consecutive failures that open a shard's circuit breaker, and the
         cooldown before a half-open probe.
-    partial_ok_default:
-        Degraded-mode default for queries whose context does not say
-        (contexts normally do; this covers bare ``engine.query`` calls
-        with no context).
     registry:
         Optional :class:`repro.obs.MetricsRegistry` for ``resilience.*``
-        counters; installed automatically by ``engine.use_metrics``.
+        counters; a :class:`~repro.exec.QueryExecutor` installs its own.
     """
 
     def __init__(
@@ -75,7 +71,6 @@ class ResiliencePolicy:
         backoff_max: float = 0.5,
         breaker_threshold: int = 3,
         breaker_reset_after: float = 30.0,
-        partial_ok_default: bool = False,
         registry=None,
         sleep=time.sleep,
     ):
@@ -87,7 +82,6 @@ class ResiliencePolicy:
         self.backoff_max = backoff_max
         self.breaker_threshold = breaker_threshold
         self.breaker_reset_after = breaker_reset_after
-        self.partial_ok_default = partial_ok_default
         self.registry = registry
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -106,17 +100,7 @@ class ResiliencePolicy:
 
     def breaker_for(self, shard: int, generation: int) -> CircuitBreaker:
         """The shard's breaker at this generation (fresh when the
-        generation moved — a mutation may have repaired the shard).
-
-        The current generation's breaker is found without the lock: the
-        entry is an immutable ``(generation, breaker)`` pair, published by
-        one dict store, so the one ``get`` sees either a whole old pair or
-        a whole new one.  A pair of this generation is the answer the
-        locked path would return; anything else takes the lock, looks
-        again and creates or replaces the breaker there."""
-        held = self._breakers.get(shard)
-        if held is not None and held[0] == generation:
-            return held[1]
+        generation moved — a mutation may have repaired the shard)."""
         with self._lock:
             held = self._breakers.get(shard)
             if held is not None and held[0] == generation:
@@ -135,9 +119,6 @@ class ResiliencePolicy:
 
     # -- supervised shard execution ------------------------------------------
 
-    def _wants_partial(self, ctx: QueryContext | None) -> bool:
-        return ctx.partial_ok if ctx is not None else self.partial_ok_default
-
     def _give_up(
         self,
         error: ShardExecutionError,
@@ -147,7 +128,7 @@ class ResiliencePolicy:
         stop: int,
     ):
         """Terminal failure: degrade (returning None) or raise."""
-        if self._wants_partial(ctx) and ctx is not None:
+        if ctx is not None and ctx.partial_ok:
             ctx.record_skip(shard, start, stop, error)
             self._count("resilience.shards_skipped")
             return None

@@ -25,8 +25,8 @@ import importlib.util
 import pytest
 
 from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord
-from repro.core.engine import ShardRunner
-from repro.exec.runners import ProcessRunner, ThreadRunner
+from repro.exec.runners import ProcessRunner
+from tests.faultinject import settle
 
 # pyproject's per-test ``timeout``, which only pytest-timeout enforces.
 HANG_SECONDS = 300
@@ -60,12 +60,27 @@ if importlib.util.find_spec("pytest_timeout") is None:
 
 @pytest.fixture
 def fan_out(monkeypatch):
-    """Every runner, the inline one included, cuts every query into the
-    engine's range count: what a query ANDing at least ``min_fanout_words``
-    words does.  For tests of per-range supervision, degraded ranges and
-    the process pool, which the small test corpora never reach."""
-    for runner in (ShardRunner, ThreadRunner, ProcessRunner):
-        monkeypatch.setattr(runner, "min_fanout_words", 0)
+    """The process runner cuts every query into the engine's range count:
+    what a query ANDing at least ``min_fanout_words`` words does.  For
+    tests of per-range supervision, degraded ranges and the process pool,
+    which the small test corpora never reach."""
+    monkeypatch.setattr(ProcessRunner, "min_fanout_words", 0)
+
+
+@pytest.fixture
+def worker_fault(served, fan_out):
+    """The requesting module's ``served`` ``(executor, fault)`` pair — one
+    process-mode executor per module, from
+    :func:`tests.faultinject.worker_fault_executor` — with every query
+    fanned out, the fault healed and the cache empty.  Afterwards the pool
+    settles, so no late reply spends the next case's fault."""
+    executor, fault = served
+    fault.heal()
+    if executor.cache is not None:
+        executor.cache.clear()
+    yield executor, fault
+    settle(executor)
+    fault.heal()
 
 
 FIGURE2_EDGES = {

@@ -14,18 +14,21 @@ Simulates the storage failures a production deployment actually sees:
   checksum inside the manifest itself;
 * **record-range failures mid-query** — :func:`install_faulty_shard`
   patches ``fold`` on a live engine's relation so that every fold
-  covering a bad record range raises, either a fixed number of times (a
-  transient I/O blip the retry policy should absorb) or forever (a dead
-  range the circuit breaker should isolate), or only runs slowly;
+  covering a bad record range raises, either a fixed number of times or
+  forever, or only runs slowly.  An in-process fold covers ``[0, n)``,
+  so it fails as a whole, typed, on the first failure;
 * **record-range failures inside a process-pool worker** —
   :func:`fail_shard_in_workers` starts the pool's workers through an
   entry point that makes every fold covering a bad record range raise in
-  the worker process, where the fold runs.
+  the worker process, where the fold runs; :func:`worker_fault_executor`
+  starts them through a :class:`WorkerFault` switch the test flips
+  between queries — which range fails, and how many more times (a
+  transient blip the retry policy should absorb, or a dead range the
+  circuit breaker should isolate) — so one pool serves every fault shape.
 
 A bad range is named by a shard index: range ``shard`` of the engine's
 even cut at its range count (:func:`repro.core.engine.range_tasks`) —
-exactly the range a fanned-out query folds as range ``shard``.  A query
-that folds ``[0, n)`` in one call covers it too, and fails as a whole.
+exactly the range a fanned-out query folds as range ``shard``.
 
 All helpers except the shard faults operate on a
 relation directory written by ``save_relation``.
@@ -35,13 +38,18 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import time
 from functools import partial
 from pathlib import Path
 
+import pytest
+
 from repro.columnstore import persistence
 from repro.core.engine import range_tasks
-from repro.exec import procpool
+from repro.exec import QueryExecutor, procpool
+from repro.obs import MetricsRegistry
+from repro.resilience import ResiliencePolicy
 
 __all__ = [
     "SimulatedCrash",
@@ -50,6 +58,10 @@ __all__ = [
     "shard_range",
     "install_faulty_shard",
     "fail_shard_in_workers",
+    "WorkerFault",
+    "worker_fault_executor",
+    "fresh_policy",
+    "settle",
     "record_save_stages",
     "save_stage_labels",
     "crash_at_stage",
@@ -145,16 +157,63 @@ def install_faulty_shard(
 _worker_main = procpool._worker_main
 
 
-def _worker_failing_records(bad_start: int, bad_stop: int, *args) -> None:
-    """A process-pool worker whose fold raises on every range covering
-    records ``[bad_start, bad_stop)``: patched in the worker process, then
-    the real loop runs."""
+class _Always(tuple):
+    """Records ``[start, stop)`` fail in every fold covering them."""
+
+    def spend(self, start: int, stop: int) -> bool:
+        return start < self[1] and self[0] < stop
+
+
+class WorkerFault:
+    """A switchable worker fault: a file every worker reads before each
+    range fold, naming the bad records ``[start, stop)``, how many more
+    folds covering them fail (-1: every one) and how many have.  A
+    fanned-out query sends range ``i`` to worker ``i % workers``, retries
+    included, so one worker spends the count."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.heal()
+
+    def _write(self, start: int, stop: int, left: int, failures: int) -> None:
+        # Swapped in whole: a worker reading mid-write must not see a torn file.
+        staged = self.path.with_name(f"{self.path.name}.{os.getpid()}")
+        staged.write_text(json.dumps([start, stop, left, failures]))
+        os.replace(staged, self.path)
+
+    def fail(self, engine, shard: int, fail_times=None) -> None:
+        """Fail range ``shard`` of the engine's cut (:func:`shard_range`)
+        ``fail_times`` more times, or forever with ``None``; the failure
+        count restarts at zero."""
+        self._write(*shard_range(engine, shard), -1 if fail_times is None else fail_times, 0)
+
+    def heal(self) -> None:
+        """Stop injecting failures from now on."""
+        self._write(0, 0, 0, 0)
+
+    @property
+    def failures(self) -> int:
+        """Folds that failed since the last :meth:`fail` or :meth:`heal`."""
+        return json.loads(self.path.read_text())[3]
+
+    def spend(self, start: int, stop: int) -> bool:
+        bad_start, bad_stop, left, failures = json.loads(self.path.read_text())
+        if left == 0 or not (start < bad_stop and bad_start < stop):
+            return False
+        self._write(bad_start, bad_stop, left - (left > 0), failures + 1)
+        return True
+
+
+def _worker_failing_records(fault, *args) -> None:
+    """A process-pool worker whose fold raises on every range ``fault``
+    spends a failure on: patched in the worker process, then the real
+    loop runs."""
     and_refs = procpool.and_refs
 
     def failing(lookup, refs, length, check=None, read=None, start=0):
-        if start < bad_stop and bad_start < start + length:
+        if fault.spend(start, start + length):
             raise SimulatedShardIOError(
-                f"injected I/O failure in records [{bad_start}:{bad_stop})"
+                f"injected I/O failure in records [{start}:{start + length})"
             )
         return and_refs(lookup, refs, length, check, read, start)
 
@@ -168,8 +227,47 @@ def fail_shard_in_workers(monkeypatch, engine, shard: int) -> None:
     worker answers each task, and the slot of every range covering range
     ``shard`` of the engine's cut (:func:`shard_range`) is an error.  The
     entry point is pickled by name, so the worker imports this module."""
-    bad = shard_range(engine, shard)
-    monkeypatch.setattr(procpool, "_worker_main", partial(_worker_failing_records, *bad))
+    bad = _Always(shard_range(engine, shard))
+    monkeypatch.setattr(procpool, "_worker_main", partial(_worker_failing_records, bad))
+
+
+@contextlib.contextmanager
+def worker_fault_executor(engine, root, **executor_kw):
+    """A process-mode :class:`~repro.exec.QueryExecutor` over a save of
+    ``engine`` in ``root``, its workers started through a healed
+    :class:`WorkerFault`: yields ``(executor, fault)``.  Starting a pool
+    costs far more than a query, so one of these serves every
+    worker-fault case of a module."""
+    root = Path(root)
+    engine.save(root / "db")
+    fault = WorkerFault(root / "fault.json")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(procpool, "_worker_main", partial(_worker_failing_records, fault))
+        executor = QueryExecutor(
+            engine, exec_mode="process", storage_dir=root / "db", **executor_kw
+        )
+    with executor:
+        yield executor, fault
+
+
+def fresh_policy(executor, **policy_kw) -> MetricsRegistry:
+    """Give the executor's process runner a fresh no-sleep
+    :class:`ResiliencePolicy` — fresh breakers — publishing into the
+    registry returned."""
+    registry = MetricsRegistry()
+    executor.resilience = executor._runner.policy = ResiliencePolicy(
+        sleep=lambda _s: None, registry=registry, **policy_kw
+    )
+    return registry
+
+
+def settle(executor, timeout: float = 10.0) -> None:
+    """Wait until no pool task is in flight: a refused or abandoned
+    range's reply may still be on its way, and must land before the next
+    case switches the fault."""
+    pool, deadline = executor._runner.pool, time.monotonic() + timeout
+    while pool._futures and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 @contextlib.contextmanager

@@ -264,9 +264,6 @@ def test_process_mode_degraded_shard_matches_healthy_oracle(
     graph_queries, _ = workload
     engine = GraphAnalyticsEngine(shards=4)
     engine.load_records(records)
-    engine.use_resilience(
-        ResiliencePolicy(attempts=2, sleep=lambda _s: None)
-    )
     db = tmp_path_factory.mktemp("procdb") / "db"
     engine.save(db)
     fi.fail_shard_in_workers(monkeypatch, engine, 1)
@@ -275,7 +272,8 @@ def test_process_mode_degraded_shard_matches_healthy_oracle(
     store = RowStore()
     store.load_records(records)
     with QueryExecutor(
-        engine, jobs=2, exec_mode="process", workers=2, storage_dir=db
+        engine, jobs=2, exec_mode="process", workers=2, storage_dir=db,
+        resilience=ResiliencePolicy(attempts=2, sleep=lambda _s: None),
     ) as executor:
         results = executor.run_batch(
             graph_queries, fetch_measures=False, partial_ok=True

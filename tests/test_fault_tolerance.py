@@ -546,32 +546,33 @@ class TestCliRobustness:
 # -- shard-level fault injection ---------------------------------------------
 
 
-@pytest.mark.usefixtures("fan_out")
+N_SHARDS = 5
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """One process-mode executor over a ``N_SHARDS``-range engine for every
+    live-range case: range faults switch in its workers."""
+    engine = GraphAnalyticsEngine(shards=N_SHARDS)
+    engine.load_records(_records())
+    root = tmp_path_factory.mktemp("range-faults")
+    with fi.worker_fault_executor(engine, root, workers=2) as served:
+        yield served
+
+
 class TestShardLevelFaults:
     """Live-range failures (vs the at-rest corruption above): a record
-    range's storage starts erroring *mid-query*, with every query cut
-    into the engine's ranges.  Contract: typed error by default; under
-    ``partial_ok`` an answer that is bit-exact on the healthy ranges plus
-    an accurate skipped-range report; transient blips absorbed by retries
-    without the caller noticing."""
+    range's storage starts erroring *mid-query*.  In process a query folds
+    all its records in one call, and a failure is a typed error naming
+    them all.  Cut into the engine's ranges on worker processes, the
+    contract is: typed error by default; under ``partial_ok`` an answer
+    that is bit-exact on the healthy ranges plus an accurate skipped-range
+    report; transient blips absorbed by retries without the caller
+    noticing."""
 
-    N_SHARDS = 5
-
-    def _engine(self, **policy_kw):
-        from repro.resilience import ResiliencePolicy
-
-        engine = GraphAnalyticsEngine(shards=self.N_SHARDS)
-        engine.load_records(_records())
-        engine.use_resilience(
-            ResiliencePolicy(sleep=lambda _s: None, **policy_kw)
-        )
-        return engine
-
-    def _healthy_oracle(self, dead_shard):
-        """An engine built only from the records outside the dead shard's
-        record range — ground truth for a degraded answer."""
-        engine = GraphAnalyticsEngine(shards=self.N_SHARDS)
-        engine.load_records(_records())
+    def _healthy_oracle(self, engine, dead_shard):
+        """An engine built only from the records outside the dead range —
+        ground truth for a degraded answer."""
         start, stop = fi.shard_range(engine, dead_shard)
         healthy = [
             r for i, r in enumerate(_records()) if not start <= i < stop
@@ -583,24 +584,25 @@ class TestShardLevelFaults:
     def test_corrupt_shard_mid_query_is_a_typed_error(self):
         from repro.errors import ShardExecutionError
 
-        engine = self._engine(attempts=2)
+        engine = GraphAnalyticsEngine(shards=N_SHARDS)
+        engine.load_records(_records())
         fi.install_faulty_shard(engine, shard=2, fail_times=None)
         with pytest.raises(ShardExecutionError) as exc_info:
             engine.query(parse_query("A -> B -> C"))
-        assert exc_info.value.shard == 2
-        assert isinstance(exc_info.value, ReproError)
+        err = exc_info.value
+        assert (err.shard, err.start, err.stop) == (0, 0, engine.n_records)
+        assert isinstance(err, ReproError)
 
-    def test_degraded_answers_match_the_healthy_shard_oracle(self):
-        from repro.resilience import QueryContext
-
-        for dead in (0, 2, self.N_SHARDS - 1):
-            engine = self._engine(attempts=1)
-            fi.install_faulty_shard(engine, shard=dead, fail_times=None)
-            oracle, (start, stop) = self._healthy_oracle(dead)
+    def test_degraded_answers_match_the_healthy_shard_oracle(self, worker_fault):
+        executor, fault = worker_fault
+        engine = executor.engine
+        for dead in (0, 2, N_SHARDS - 1):
+            fi.fresh_policy(executor, attempts=1)
+            fault.fail(engine, dead)
+            oracle, (start, stop) = self._healthy_oracle(engine, dead)
             for dsl in ("A -> B -> C", "{(A,B)}", "{(D,E)}"):
                 query = parse_query(dsl)
-                ctx = QueryContext.start(partial_ok=True)
-                degraded = engine.query(query, ctx=ctx)
+                degraded = executor.run_one(query, partial_ok=True)
                 expected = oracle.query(query)
                 assert degraded.record_ids == expected.record_ids, dsl
                 for edge, values in expected.measures.items():
@@ -610,41 +612,43 @@ class TestShardLevelFaults:
                         assert (a == b) or (a != a and b != b)
                 assert degraded.degraded.skipped_ranges() == [(start, stop)]
 
-    def test_degraded_aggregation_matches_oracle(self):
+    def test_degraded_aggregation_matches_oracle(self, worker_fault):
         from repro.lang import parse_aggregation
-        from repro.resilience import QueryContext
 
-        engine = self._engine(attempts=1)
-        fi.install_faulty_shard(engine, shard=1, fail_times=None)
-        oracle, (start, stop) = self._healthy_oracle(1)
+        executor, fault = worker_fault
+        fi.fresh_policy(executor, attempts=1)
+        fault.fail(executor.engine, 1)
+        oracle, (start, stop) = self._healthy_oracle(executor.engine, 1)
         agg = parse_aggregation("SUM A -> B -> C")
-        ctx = QueryContext.start(partial_ok=True)
-        degraded = engine.aggregate(agg, ctx=ctx)
+        degraded = executor.run_one(agg, partial_ok=True)
         expected = oracle.aggregate(agg)
         assert degraded.record_ids == expected.record_ids
         for path, values in expected.path_values.items():
             assert list(degraded.path_values[path]) == list(values)
         assert degraded.degraded.n_records_skipped == stop - start
 
-    def test_transient_then_healthy_io_is_invisible_to_callers(self):
-        engine = self._engine(attempts=4, breaker_threshold=10)
-        baseline = engine.query(parse_query("A -> B -> C")).record_ids
-        proxy = fi.install_faulty_shard(engine, shard=0, fail_times=3)
-        result = engine.query(parse_query("A -> B -> C"))
+    def test_transient_then_healthy_io_is_invisible_to_callers(self, worker_fault):
+        executor, fault = worker_fault
+        fi.fresh_policy(executor, attempts=4, breaker_threshold=10)
+        baseline = executor.run_one(parse_query("A -> B -> C")).record_ids
+        fault.fail(executor.engine, 0, fail_times=3)
+        result = executor.run_one(parse_query("A -> B -> C"))
         assert result.record_ids == baseline
         assert result.degraded is None
-        assert proxy.failures == 3  # all three blips retried through
+        assert fault.failures == 3  # all three blips retried through
 
-    def test_breaker_stops_retry_storms_against_a_dead_shard(self):
+    def test_breaker_stops_retry_storms_against_a_dead_shard(self, worker_fault):
         from repro.errors import ShardExecutionError
 
-        engine = self._engine(
-            attempts=2, breaker_threshold=3, breaker_reset_after=3600.0
+        executor, fault = worker_fault
+        registry = fi.fresh_policy(
+            executor, attempts=2, breaker_threshold=3, breaker_reset_after=3600.0
         )
-        proxy = fi.install_faulty_shard(engine, shard=1, fail_times=None)
+        fault.fail(executor.engine, 1)
         for _ in range(10):
             with pytest.raises(ShardExecutionError):
-                engine.query(parse_query("{(A,B)}"))
+                executor.run_one(parse_query("{(A,B)}"))
         # Without the breaker this would be 10 queries x 2 attempts = 20
-        # probes; the breaker capped actual shard touches at its threshold.
-        assert proxy.failures == 3
+        # attempts; the breaker capped them at its threshold, then refused.
+        assert registry.counter("resilience.shard_failures").value == 3
+        assert registry.counter("resilience.breaker_refusals").value == 8

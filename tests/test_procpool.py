@@ -24,7 +24,7 @@ from repro.core.engine import INLINE, range_tasks
 from repro.errors import QueryCancelledError, QueryTimeoutError, ShardExecutionError
 from repro.exec import ProcessShardPool, QueryExecutor, StaleGenerationError, runners
 from repro.exec.procpool import WorkerTaskError
-from repro.exec.runners import ProcessRunner, ThreadRunner
+from repro.exec.runners import ProcessRunner
 from repro.obs import MetricsRegistry
 from repro.resilience import CancelToken, QueryContext, ResiliencePolicy
 from repro.columnstore import and_refs, storage_generation
@@ -114,12 +114,15 @@ class TestProcessExecutor:
         with QueryExecutor(
             engine, jobs=1, exec_mode="thread", workers=2
         ) as executor:
-            assert isinstance(engine._runner, ThreadRunner)
+            assert engine._runner is INLINE
             assert _answers(executor, queries) == oracle_ids
 
-    def test_serial_mode_keeps_inline_runner(self, corpus, queries, oracle_ids):
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_serial_mode_keeps_inline_runner(self, corpus, queries, oracle_ids, mode):
+        """Only process mode fans a query out: ``thread`` names request
+        concurrency over ``jobs`` and folds inline like ``serial``."""
         engine = _fresh_engine(corpus)
-        with QueryExecutor(engine, jobs=4, exec_mode="serial") as executor:
+        with QueryExecutor(engine, jobs=4, exec_mode=mode) as executor:
             assert engine._runner is INLINE
             assert _answers(executor, queries) == oracle_ids
 
@@ -206,9 +209,6 @@ class TestOneTaskPerWorker:
         1 alone is retried and then degraded (or, without ``partial_ok``,
         fails the query with the typed error)."""
         engine = _fresh_engine(corpus, shards=4)
-        engine.use_resilience(
-            ResiliencePolicy(attempts=2, breaker_threshold=100, sleep=lambda _s: None)
-        )
         db = tmp_path / "db"
         engine.save(db)
         fi.fail_shard_in_workers(monkeypatch, engine, 1)
@@ -221,6 +221,9 @@ class TestOneTaskPerWorker:
         with QueryExecutor(
             engine, jobs=1, exec_mode="process", workers=2, storage_dir=db,
             registry=registry,
+            resilience=ResiliencePolicy(
+                attempts=2, breaker_threshold=100, sleep=lambda _s: None
+            ),
         ) as executor:
             for query in queries:
                 expected = oracle.query(query, fetch_measures=False).record_ids
@@ -282,7 +285,6 @@ class TestRangeTasks:
         manifest["shard_records"] = [128, 128, 344]
         (db / "manifest.json").write_text(json.dumps(manifest))
         loaded = GraphAnalyticsEngine.load(db, shards=3)
-        loaded.use_resilience(ResiliencePolicy(attempts=2, sleep=lambda _s: None))
         start, stop = fi.shard_range(loaded, 1)
         assert (start, stop) == (192, 384)
         skipped = set(loaded.record_ids_at(np.arange(start, stop)))
@@ -291,7 +293,8 @@ class TestRangeTasks:
         fi.fail_shard_in_workers(monkeypatch, loaded, 1)
         degraded = 0
         with QueryExecutor(
-            loaded, exec_mode="process", workers=2, storage_dir=db
+            loaded, exec_mode="process", workers=2, storage_dir=db,
+            resilience=ResiliencePolicy(attempts=2, sleep=lambda _s: None),
         ) as executor:
             assert executor._runner.directory == db
             for query in queries:
@@ -659,7 +662,7 @@ class TestDeadlinesAndShutdown:
 
     def test_failed_pool_start_leaks_nothing(self, tmp_path, monkeypatch, corpus):
         """A pool that fails to start removes the spool it saved and leaves
-        the engine as it was: no cache, policy or runner installed."""
+        the engine as it was: no cache or runner installed."""
         engine = _fresh_engine(corpus)
         spool_root = tmp_path / "tmp"
         spool_root.mkdir()
@@ -673,7 +676,6 @@ class TestDeadlinesAndShutdown:
             QueryExecutor(engine, cache_mb=8, exec_mode="process", workers=2)
         assert list(spool_root.iterdir()) == []
         assert engine.bitmap_cache is None
-        assert engine.resilience is None
         assert engine._runner is INLINE
 
     def test_executor_close_removes_hooks_and_tempdir(self, corpus, queries):

@@ -141,7 +141,6 @@ def test_served_degraded_partial_ok_exact_skipped_ranges(
     graph_queries, _ = workload
     engine = GraphAnalyticsEngine(shards=4)
     engine.load_records(records)
-    engine.use_resilience(ResiliencePolicy(attempts=2, sleep=lambda _s: None))
     db = tmp_path_factory.mktemp("servedb") / "db"
     engine.save(db)
     fi.fail_shard_in_workers(monkeypatch, engine, 1)
@@ -151,7 +150,8 @@ def test_served_degraded_partial_ok_exact_skipped_ranges(
     store.load_records(records)
     degraded_seen = 0
     with QueryExecutor(
-        engine, jobs=2, exec_mode="process", workers=2, storage_dir=db
+        engine, jobs=2, exec_mode="process", workers=2, storage_dir=db,
+        resilience=ResiliencePolicy(attempts=2, sleep=lambda _s: None),
     ) as executor:
         handle = start_in_thread(executor)
         try:

@@ -129,7 +129,6 @@ class TestGeometry:
         rel.append_columns(5, {})
         rel.append_columns(2, {})
         assert range_tasks(rel.n_records, 1) == [(0, 0, 7)]
-        assert INLINE.tasks(rel.n_records, 8, 3) == [(0, 0, 7)]
 
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
@@ -381,7 +380,7 @@ class TestShardedPersistence:
         for path, values in want.items():
             np.testing.assert_array_equal(got[path], values)
 
-    def test_load_repartitions(self, tmp_path, fan_out):
+    def test_load_repartitions(self, tmp_path):
         engine = _uneven_engine()
         db = tmp_path / "db"
         engine.save(db)
@@ -530,7 +529,7 @@ class TestShardedPersistence:
 
 
 class TestEngineSharding:
-    def test_sharded_engine_matches_unsharded(self, records, queries, fan_out):
+    def test_sharded_engine_matches_unsharded(self, records, queries):
         plain = GraphAnalyticsEngine()
         plain.load_records(records)
         sharded = GraphAnalyticsEngine(shards=4)
@@ -546,7 +545,7 @@ class TestEngineSharding:
                 plain.aggregate(agg).path_values.keys()
             )
 
-    def test_bulk_load_routes_chunks_to_shards(self, records, queries, fan_out):
+    def test_bulk_load_routes_chunks_to_shards(self, records, queries):
         plain = GraphAnalyticsEngine()
         plain.load_records(records)
         sharded = GraphAnalyticsEngine(shards=4)
@@ -566,14 +565,14 @@ class TestEngineSharding:
         sizes = _sizes_of(sharded.n_records, 4)
         assert sum(sizes) == len(records) + 7 and max(sizes) - min(sizes) <= 1
 
-    def test_bulk_load_smaller_than_shard_count(self, records, fan_out):
+    def test_bulk_load_smaller_than_shard_count(self, records):
         engine = GraphAnalyticsEngine(shards=4)
         assert engine.load_records(records[:2]) == 2
         assert _sizes_of(engine.n_records, 4) == [1, 1, 0, 0]
         element = next(iter(records[1].elements()))
         assert records[1].record_id in engine.query(GraphQuery([element])).record_ids
 
-    def test_reshard_bumps_epoch_and_keeps_answers(self, records, queries, fan_out):
+    def test_reshard_bumps_epoch_and_keeps_answers(self, records, queries):
         engine = GraphAnalyticsEngine(shards=2)
         engine.load_records(records)
         relation = engine.relation
@@ -591,7 +590,7 @@ class TestEngineSharding:
         assert engine.n_shards == 1
         assert engine.relation is relation
 
-    def test_save_load_round_trip(self, tmp_path, records, queries, fan_out):
+    def test_save_load_round_trip(self, tmp_path, records, queries):
         engine = GraphAnalyticsEngine(shards=3)
         engine.load_records(records)
         engine.materialize_graph_views(queries[:4], budget=2)
@@ -609,32 +608,30 @@ class TestEngineSharding:
             assert resharded.query(query).record_ids == expected
 
     def test_shard_runner_seam(self, records, queries):
+        """The installed runner folds every untraced query's conjunction,
+        once per query, against the query's own environment; a traced
+        query folds inline."""
         engine = GraphAnalyticsEngine(shards=4)
         engine.load_records(records)
         expected = [engine.query(q, fetch_measures=False).record_ids for q in queries]
-        fanouts = []
+        seen = []
 
         class CountingRunner(ShardRunner):
-            min_fanout_words = 0
-
-            def map(self, fn, tasks):
-                fanouts.append(len(tasks))
-                return super().map(fn, tasks)
+            def conjunction(self, plan, env, ctx):
+                seen.append((env.shards, env.epoch))
+                return super().conjunction(plan, env, ctx)
 
         engine.use_shard_runner(CountingRunner())
         got = [engine.query(q, fetch_measures=False).record_ids for q in queries]
         assert got == expected
-        assert fanouts and all(n == 4 for n in fanouts)
-        # Below its break-even a runner is never asked to map: one inline fold.
-        CountingRunner.min_fanout_words = 10**9
-        fanouts.clear()
-        engine.reshard(3)  # a new epoch, so no answer is served from a memo
-        got = [engine.query(q, fetch_measures=False).record_ids for q in queries]
-        assert got == expected and fanouts == []
+        assert len(seen) == len(queries) and set(seen) == {(4, engine.epoch)}
+        seen.clear()
+        engine.explain(queries[0], analyze=True)
+        assert seen == []
         engine.use_shard_runner(None)
         assert engine._runner is INLINE
 
-    def test_append_after_load_extends_last_shard(self, dense_records, fan_out):
+    def test_append_after_load_extends_last_shard(self, dense_records):
         """Appends within the cut's word count land in the last range."""
         plain = GraphAnalyticsEngine()
         plain.load_records(dense_records[:610])
@@ -647,8 +644,27 @@ class TestEngineSharding:
         _assert_same_answers(engine, plain)
 
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_range_folds_concatenate_to_the_whole_fold(self, dense_records, k):
+        """The merge the process runner relies on: after appends of uneven
+        sizes, the folds of a plan's refs over the ranges of a ``k``-cut,
+        concatenated, are the fold of ``[0, n)``."""
+        engine = GraphAnalyticsEngine()
+        lo = 0
+        for hi in (97, 98, 161, 400, 403, 650):
+            engine.append_records(dense_records[lo:hi])
+            lo = hi
+        relation = engine.relation
+        for query in _ALIGNED_QUERIES:
+            refs = engine.physical_plan(query).refs
+            segments = [
+                relation.fold(refs, None, task.start, task.stop)
+                for task in range_tasks(relation.n_records, k)
+            ]
+            assert Bitmap.concat(segments) == relation.fold(refs)
+
     @pytest.mark.parametrize("mode", ["serial", "thread"])
-    def test_answers_are_bit_identical_across_range_counts(self, dense_records, fan_out, mode):
+    def test_answers_are_bit_identical_across_range_counts(self, dense_records, mode):
         """After appends of uneven sizes, answers — ids, measures, path
         aggregates — are the unsharded engine's at 1, 2, 3 and 8 ranges."""
         plain = GraphAnalyticsEngine()
@@ -669,6 +685,7 @@ class TestEngineSharding:
 
 class TestShardAwareServing:
     def test_executor_installs_and_removes_shard_pool(self, records, queries, fan_out):
+        from repro.exec.runners import ProcessRunner
         from repro.obs import MetricsRegistry
 
         plain = GraphAnalyticsEngine()
@@ -678,7 +695,10 @@ class TestShardAwareServing:
         engine.load_records(records)
         registry = MetricsRegistry()
         distinct = list(dict.fromkeys(queries))
-        with QueryExecutor(engine, jobs=4, cache_mb=8, registry=registry) as ex:
+        with QueryExecutor(
+            engine, jobs=2, cache_mb=8, registry=registry, exec_mode="process", workers=2
+        ) as ex:
+            assert isinstance(engine._runner, ProcessRunner)
             results = ex.run_batch(list(queries))
             assert registry.get("engine.shards").value == 4
             # One cache entry per answer, none per range or prefix.
@@ -766,7 +786,6 @@ def _assert_same_answers(engine, plain) -> None:
             np.testing.assert_array_equal(got.path_values[path], values)
 
 
-@pytest.mark.usefixtures("fan_out")
 class TestWordAlignedCuts:
     """A query's cut falls on multiples of 64 records once every range
     would hold one whole word; below that it is the even split (the
@@ -875,7 +894,6 @@ def _assert_same_objects(before: dict, relation) -> None:
     assert all(after[key] is obj for key, obj in before.items())
 
 
-@pytest.mark.usefixtures("fan_out")
 class TestRecutCopiesNothing:
     """``reshard`` and ``load(dir, shards=k)`` set a range count and copy
     no column: every element bitmap and every view column is the very

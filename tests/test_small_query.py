@@ -27,6 +27,7 @@ from repro.core import (
     register_function,
 )
 from repro.core import memo as memo_module
+from repro.core.engine import ShardTask, range_tasks
 from repro.core.aggregates import FUNCTIONS
 from repro.exec import QueryExecutor
 from repro.lang import parse_statement
@@ -58,11 +59,11 @@ def _engine(shards: int) -> GraphAnalyticsEngine:
     return engine
 
 
-def _expected_bitmap_io(engine, plan) -> tuple[int, int, int]:
-    """Per (part, range of the runner's cut): one charged fetch of that
-    range's words — a range reads its segment of every column."""
+def _expected_bitmap_io(plan, tasks) -> tuple[int, int, int]:
+    """Per (part, range task): one charged fetch of that range's words —
+    a range reads its segment of every column."""
     base = view = nbytes = 0
-    for _, start, stop in engine._runner.tasks(engine.n_records, engine.n_shards, len(plan.refs)):
+    for _, start, stop in tasks:
         words = (stop - start + 63) // 64
         for kind, _ in plan.refs:
             base += kind == "element"
@@ -87,24 +88,24 @@ def _bitmap_delta(engine, run) -> tuple[int, int, int]:
 
 class TestFoldAccounting:
     @pytest.mark.parametrize("shards", [1, 3, 8])
-    def test_graph_query_io_equals_per_part_per_shard_fetches(self, shards, request):
+    def test_graph_query_io_equals_per_part_per_shard_fetches(self, shards):
         engine = _engine(shards)
         query = GraphQuery.from_node_chain("A", "B", "C", "D", "E")
         plan = engine.physical_plan(query)
         kinds = [kind for kind, _ in plan.refs]
         assert "graph-view" in kinds and kinds.count("element") == 2
         delta = _bitmap_delta(engine, lambda: engine.query(query))
-        assert delta == _expected_bitmap_io(engine, plan)
-        # Below the break-even: one fold of every record, at any count.
+        assert delta == _expected_bitmap_io(plan, [ShardTask(0, 0, N_RECORDS)])
+        # In process: one fold of every record, at any count.
         assert delta[0] == 2 and delta[1] == 1
-        # Cut into ranges, D->E sets bits in range 0 only, yet every range
-        # reads its segment.
-        request.getfixturevalue("fan_out")
-        engine.reshard(1)
-        engine.reshard(shards)  # a new epoch: the plan is rebuilt
-        plan = engine.physical_plan(query)
-        delta = _bitmap_delta(engine, lambda: engine.query(query))
-        assert delta == _expected_bitmap_io(engine, plan)
+        # Cut into ranges (the folds a process worker runs), D->E sets bits
+        # in range 0 only, yet every range reads its segment.
+        tasks = range_tasks(N_RECORDS, shards)
+        relation = engine.relation
+        delta = _bitmap_delta(engine, lambda: [
+            relation.fold(plan.refs, None, task.start, task.stop) for task in tasks
+        ])
+        assert delta == _expected_bitmap_io(plan, tasks)
         assert delta[0] == 2 * shards and delta[1] == shards
 
     @pytest.mark.parametrize("shards", [1, 3, 8])
@@ -116,7 +117,7 @@ class TestFoldAccounting:
         plan = engine.physical_plan(query)
         assert "agg-view" in [kind for kind, _ in plan.refs]
         delta = _bitmap_delta(engine, lambda: engine.aggregate(query))
-        assert delta == _expected_bitmap_io(engine, plan)
+        assert delta == _expected_bitmap_io(plan, [ShardTask(0, 0, N_RECORDS)])
 
     def test_a_stale_view_still_raises(self):
         engine = _engine(1)
