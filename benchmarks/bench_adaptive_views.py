@@ -136,7 +136,11 @@ def test_adaptive_views(benchmark):
             before = _measured_pass(executor, pre)
             for query in post:  # drift: maintainer re-adapts in-stream
                 executor.run_one(query, fetch_measures=False)
-            maintainer.refresh()
+            # Pin the decay edge too: a pre-drift view can be dropped only
+            # once it is past its grace rounds, and a fast pass may see no
+            # background refresh at all.
+            for _ in range(maintainer.grace_refreshes + 1):
+                maintainer.refresh()
             after = _measured_pass(executor, post)
         finally:
             maintainer.stop()

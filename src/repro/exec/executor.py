@@ -32,7 +32,7 @@ import threading
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from itertools import islice
 
 from ..core.engine import (
@@ -82,18 +82,22 @@ class _ReadWriteLock:
         self._writing = False
 
     @contextmanager
-    def read(self) -> Iterator[None]:
+    def read(self, wait: bool = True) -> Iterator[bool]:
+        """Shared hold, yielding whether it is held: ``wait=False`` never
+        waits, and holds nothing while a writer holds or wants the lock."""
         with self._cond:
-            while self._writing or self._writers_waiting:
+            while wait and (self._writing or self._writers_waiting):
                 self._cond.wait()
-            self._readers += 1
+            held = not (self._writing or self._writers_waiting)
+            self._readers += held
         try:
-            yield
+            yield held
         finally:
-            with self._cond:
-                self._readers -= 1
-                if not self._readers:
-                    self._cond.notify_all()
+            if held:
+                with self._cond:
+                    self._readers -= 1
+                    if not self._readers:
+                        self._cond.notify_all()
 
     @contextmanager
     def write(self) -> Iterator[None]:
@@ -176,6 +180,12 @@ class QueryExecutor:
         write methods re-save and re-stamp the pool, so mutations stay
         visible to the workers.
     """
+
+    # Reads ANDing fewer words answer in place under run_one(wait=False):
+    # on one CPU such a fold costs no more than a thread-bridge round trip
+    # (EXPERIMENTS, "A read that will not wait").  At most ProcessRunner's
+    # min_fanout_words, so an in-place read never waits on workers.
+    nowait_words = 250_000
 
     def __init__(
         self,
@@ -285,14 +295,15 @@ class QueryExecutor:
         return max(self.engine.n_records // 8, 1)
 
     def _execute_one(
-        self, query: AnyQuery, fetch_measures: bool, ctx: QueryContext | None
+        self, query: AnyQuery, fetch_measures: bool, ctx: QueryContext | None,
+        lock: bool = True,
     ) -> AnyResult:
         registry = self.registry
         start = time.perf_counter() if registry is not None else 0.0
         try:
             if ctx is not None:
                 ctx.check()
-            with self._rw.read():
+            with self._rw.read() if lock else nullcontext():
                 if isinstance(query, PathAggregationQuery):
                     result = self.engine.aggregate(query, ctx=ctx)
                 else:
@@ -349,7 +360,8 @@ class QueryExecutor:
         partial_ok: bool | None = None,
         cancel: CancelToken | None = None,
         ctx: QueryContext | None = None,
-    ) -> AnyResult:
+        wait: bool = True,
+    ) -> AnyResult | None:
         """Answer one query under the shared read lock.
 
         ``timeout`` (seconds) / ``partial_ok`` override the executor
@@ -359,9 +371,17 @@ class QueryExecutor:
         query first passes the gate (possibly queueing up to its bounded
         wait) and may raise
         :class:`~repro.errors.AdmissionRejectedError`.
+
+        ``wait=False`` answers on the calling thread only if nothing would
+        make it wait, and otherwise returns None, holding and counting
+        nothing: when a writer holds or wants the lock, the admission
+        gate is closed, the query is a boolean expression (no single
+        plan), or its plan ANDs at least :attr:`nowait_words` words.
         """
         if ctx is None:
             ctx = self._make_ctx(timeout, cancel, partial_ok)
+        if not wait:
+            return self._answer_now(query, fetch_measures, ctx)
         admission = self.admission
         if admission is None:
             return self._execute_one(query, fetch_measures, ctx)
@@ -377,6 +397,26 @@ class QueryExecutor:
         except AdmissionRejectedError:
             self._count("resilience.admission_rejected")
             raise
+
+    def _answer_now(
+        self, query: AnyQuery, fetch_measures: bool, ctx: QueryContext | None
+    ) -> AnyResult | None:
+        if not isinstance(query, (GraphQuery, PathAggregationQuery)):
+            return None
+        with ExitStack() as hold:
+            if not hold.enter_context(self._rw.read(wait=False)):
+                return None
+            # Sized under the lock, so no mutation can make the plan stale.
+            refs = self.engine.physical_plan(query).refs
+            if refs and len(refs) * -(-self.engine.n_records // 64) >= self.nowait_words:
+                return None
+            if self.admission is not None:
+                nbytes = self._estimate_bytes()
+                if not self.admission.try_admit(nbytes):
+                    return None
+                hold.callback(self.admission.release, nbytes)
+                self._count("resilience.admitted")
+            return self._execute_one(query, fetch_measures, ctx, lock=False)
 
     def run_batch(
         self,

@@ -188,10 +188,11 @@ class AdmissionController:
 
     def try_admit(self, nbytes: int = 0) -> bool:
         """Non-blocking probe: admit now or return False (never queues).
-        The caller must :meth:`release` what it admitted."""
+        A failed probe is not a rejection and counts nothing: its caller
+        may go on to wait in :meth:`admit`.  The caller must
+        :meth:`release` what it admitted."""
         with self._cond:
             if self._gates_closed(nbytes, time.monotonic()) is not None:
-                self._rejected += 1
                 return False
             if self.rate is not None:
                 self._tokens -= 1.0

@@ -1,17 +1,20 @@
 """The asyncio daemon: routes, lifecycle, and the engine bridge.
 
-Architecture (DESIGN §7): the daemon owns *no* query logic.  One
-:class:`~repro.exec.QueryExecutor` (any exec_mode, including the process
-pool) does all engine work on a small thread pool bridged via
-``run_in_executor`` — the event loop only parses requests, streams
-responses, and watches sockets.  Three things cross the wire into the
-engine:
+Architecture (DESIGN §7): the daemon owns *no* query logic, and its loop
+never waits.  One :class:`~repro.exec.QueryExecutor` (any exec_mode,
+including the process pool) does all engine work.  A read that nothing
+would make wait — its gates open, no writer, a fold under
+``QueryExecutor.nowait_words`` — is answered on the loop; everything else
+(writes, view DDL, EXPLAIN, and the reads that would wait) runs on a
+small thread pool bridged via ``run_in_executor``.  Three things cross
+the wire into the engine:
 
 * the **deadline** (``timeout_ms``) becomes a ``QueryContext`` deadline
   checked at every operator boundary;
-* **client disconnect** fires the context's ``CancelToken`` — a per-query
-  watcher task reads the idle socket, and EOF mid-query cancels the
-  engine work instead of computing an answer nobody will read;
+* **client disconnect** fires the context's ``CancelToken`` — a bridged
+  read's watcher task reads the idle socket, and EOF mid-query cancels
+  the engine work instead of computing an answer nobody will read (a
+  read answered on the loop sees a gone client at its first write);
 * the **tenant id** picks the admission gates (:mod:`.tenants`) the
   request must hold while the engine runs.
 
@@ -394,7 +397,8 @@ class ReproServer:
     def _watch_disconnect(
         reader: asyncio.StreamReader, token: CancelToken
     ) -> asyncio.Task:
-        """EOF on the request socket while the engine runs → cancel.
+        """EOF on the request socket while a bridged read runs → cancel.
+        (A read answered on the loop arms none: nothing can interleave.)
 
         If the peer instead *sends* bytes early (pipelining, which this
         server does not support), the connection is marked for close by
@@ -520,37 +524,44 @@ class ReproServer:
         token = CancelToken()
         ctx = QueryContext.start(timeout=timeout, token=token, partial_ok=partial_ok)
         nbytes = max(self.executor.engine.n_records // 8, 1)
-        watcher = self._watch_disconnect(reader, token)
-
-        def work():
-            # The admission slot covers the request's whole lifetime —
-            # engine execution AND response streaming — so a slow consumer
-            # of a large answer occupies one inflight slot, not merely an
-            # instant of engine time.  Entered here (blocking, bounded
-            # wait — must stay off the loop) and closed after the stream.
-            permit = contextlib.ExitStack()
-            permit.enter_context(self.gate.admit(tenant, nbytes))
-            try:
-                result = self.executor.run_one(
-                    query, fetch_measures=fetch_measures, ctx=ctx
-                )
-            except BaseException:
-                permit.close()
-                raise
-            return result, permit
-
-        permit = None
+        # Answered on the loop unless something would make it wait; else
+        # bridged, watcher armed, carrying the probe's permit if it took
+        # one.  The permit covers execution AND streaming (a slow reader).
+        permit = self.gate.try_admit(tenant, nbytes)
         try:
-            try:
-                result, permit = await self._in_engine(work)
-            finally:
-                stream_ok = await self._finish_watcher(watcher)
-            # (errors raised by work() propagate to _dispatch's classifier)
+            result = None
+            if permit is not None:
+                result = self.executor.run_one(
+                    query, fetch_measures=fetch_measures, ctx=ctx, wait=False
+                )
+            keep = request.keep_alive
+            if result is not None:
+                self.registry.counter("serve.loop_answers").inc()
+            else:
+                probed, watcher = permit, self._watch_disconnect(reader, token)
 
+                def work():
+                    held = contextlib.ExitStack()  # admit: blocking, bounded wait
+                    held.enter_context(
+                        self.gate.admit(tenant, nbytes) if probed is None else probed
+                    )
+                    try:
+                        result = self.executor.run_one(
+                            query, fetch_measures=fetch_measures, ctx=ctx
+                        )
+                    except BaseException:
+                        held.close()
+                        raise
+                    return result, held
+
+                try:
+                    result, permit = await self._in_engine(work)
+                finally:
+                    keep = await self._finish_watcher(watcher) and keep
+                # (errors raised by work() propagate to _dispatch's classifier)
             header, blocks = codec.encode_answer(
                 result, max(self.config.stream_check_every, 1)
             )
-            keep = stream_ok and request.keep_alive
             return await self._stream_ndjson(writer, header, blocks, ctx, keep)
         finally:
             if permit is not None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -107,6 +107,11 @@ class TenantGate:
                 self._tenants[tenant] = ctrl
             return ctrl
 
+    def _gates(self, tenant: str) -> list[AdmissionController]:
+        """The gates a request must hold, tenant first."""
+        ctrl = self.controller_for(self.validate(tenant))
+        return [gate for gate in (ctrl, self.shared) if gate is not None]
+
     @contextmanager
     def admit(self, tenant: str, nbytes: int = 0) -> Iterator[None]:
         """Hold both gates for the duration of one query.
@@ -115,20 +120,23 @@ class TenantGate:
         raised before the shared gate is touched, and the shared slot is
         released before the tenant slot on exit (strict nesting).
         """
-        ctrl = self.controller_for(self.validate(tenant))
-        if ctrl is None:
-            if self.shared is None:
-                yield
-                return
-            with self.shared.admit(nbytes):
-                yield
-            return
-        with ctrl.admit(nbytes):
-            if self.shared is None:
-                yield
-            else:
-                with self.shared.admit(nbytes):
-                    yield
+        with ExitStack() as permit:
+            for gate in self._gates(tenant):
+                permit.enter_context(gate.admit(nbytes))
+            yield
+
+    def try_admit(self, tenant: str, nbytes: int = 0) -> ExitStack | None:
+        """Take both gates now, or return None holding nothing (a tenant
+        slot already taken is given back when the shared gate refuses).
+        Closing the returned permit releases what it holds, shared first;
+        an ungoverned gate returns an empty one."""
+        permit = ExitStack()
+        for gate in self._gates(tenant):
+            if not gate.try_admit(nbytes):
+                permit.close()
+                return None
+            permit.callback(gate.release, nbytes)
+        return permit
 
     def inflight(self) -> int:
         """Total inflight across all gates — the leak probe the fuzz

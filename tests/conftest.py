@@ -25,6 +25,7 @@ import importlib.util
 import pytest
 
 from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord
+from repro.exec import QueryExecutor
 from repro.exec.runners import ProcessRunner
 from tests.faultinject import settle
 
@@ -65,6 +66,17 @@ def fan_out(monkeypatch):
     tests of per-range supervision, degraded ranges and the process pool,
     which the small test corpora never reach."""
     monkeypatch.setattr(ProcessRunner, "min_fanout_words", 0)
+
+
+@pytest.fixture(params=["loop", "bridged"])
+def read_path(request, monkeypatch):
+    """Each way the daemon answers a read: on its event loop where nothing
+    makes the read wait (``QueryExecutor.nowait_words`` as shipped), or
+    bridged off the loop, as every read that ANDs a word is under
+    ``nowait_words = 0``."""
+    if request.param == "bridged":
+        monkeypatch.setattr(QueryExecutor, "nowait_words", 0)
+    return request.param
 
 
 @pytest.fixture

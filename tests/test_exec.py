@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -16,6 +17,9 @@ from repro.core import (
 )
 from repro.exec import BitmapCache, QueryExecutor
 from repro.exec.executor import _ReadWriteLock
+from repro.exec.runners import ProcessRunner
+from repro.obs import MetricsRegistry
+from repro.resilience import AdmissionController
 
 
 def bm(*indices, length=64):
@@ -318,6 +322,77 @@ class TestQueryExecutor:
         stats = engine.stats
         assert stats.batches_served == 1
         assert stats.parallel_tasks == 2
+
+
+class TestAnswerNow:
+    """``run_one(wait=False)`` answers on the calling thread, or returns
+    None holding and counting nothing."""
+
+    AB = GraphQuery([("A", "B")])
+
+    def assert_holds_nothing(self, executor):
+        lock = executor._rw
+        assert (lock._readers, lock._writers_waiting, lock._writing) == (0, 0, False)
+
+    def test_answers_like_a_waiting_read(self):
+        agg = PathAggregationQuery(GraphQuery([("A", "B"), ("B", "C")]), "sum")
+        with QueryExecutor(fresh_engine(), cache_mb=4) as executor:
+            for query in (self.AB, agg):
+                now = executor.run_one(query, wait=False)
+                waited = executor.run_one(query)
+                assert now.record_ids == waited.record_ids
+                assert now.epoch == waited.epoch
+            self.assert_holds_nothing(executor)
+
+    def test_declines_while_a_writer_holds_or_wants_the_lock(self):
+        with QueryExecutor(fresh_engine()) as executor:
+            with executor._rw.write():
+                assert executor.run_one(self.AB, wait=False) is None
+            writer_in = threading.Event()
+            with executor._rw.read():
+                def wants_write():
+                    with executor._rw.write():
+                        writer_in.set()
+
+                writer = threading.Thread(target=wants_write)
+                writer.start()
+                deadline = time.monotonic() + 5
+                while not executor._rw._writers_waiting:
+                    assert time.monotonic() < deadline, "the writer never queued"
+                    writer.join(0.001)
+                assert executor.run_one(self.AB, wait=False) is None
+            writer.join(5)
+            assert writer_in.is_set()
+            self.assert_holds_nothing(executor)
+
+    def test_declines_a_closed_gate_and_counts_nothing(self):
+        admission = AdmissionController(max_inflight=1)
+        registry = MetricsRegistry()
+        with QueryExecutor(
+            fresh_engine(), admission=admission, registry=registry
+        ) as executor:
+            assert admission.try_admit()
+            assert executor.run_one(self.AB, wait=False) is None
+            admission.release()
+            stats = admission.stats
+            assert (stats.admitted, stats.rejected, stats.inflight) == (1, 0, 0)
+            assert registry.counter("exec.queries_served").value == 0
+            assert executor.run_one(self.AB, wait=False).record_ids == ["r1", "r2"]
+            assert admission.stats.admitted == 2 and admission.stats.inflight == 0
+            self.assert_holds_nothing(executor)
+
+    def test_declines_expressions_and_folds_of_nowait_words(self, monkeypatch):
+        with QueryExecutor(fresh_engine()) as executor:
+            assert executor.run_one(self.AB | GraphQuery([("C", "D")]), wait=False) is None
+            # One ref over 3 records ANDs one word.
+            monkeypatch.setattr(QueryExecutor, "nowait_words", 2)
+            assert executor.run_one(self.AB, wait=False) is not None
+            monkeypatch.setattr(QueryExecutor, "nowait_words", 1)
+            assert executor.run_one(self.AB, wait=False) is None
+            self.assert_holds_nothing(executor)
+
+    def test_a_read_answered_in_place_never_waits_on_workers(self):
+        assert QueryExecutor.nowait_words <= ProcessRunner.min_fanout_words
 
 
 class TestConcurrencyStress:

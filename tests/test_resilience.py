@@ -265,6 +265,16 @@ class TestAdmissionController:
         assert stats.admitted == 2 and stats.rejected == 1
         assert stats.inflight == 0
 
+    def test_failed_probe_is_not_a_rejection(self):
+        gate = AdmissionController(max_inflight=1, max_wait_s=5.0)
+        assert gate.try_admit()
+        assert not gate.try_admit()  # a probe, not a rejection
+        gate.release()
+        with gate.admit():
+            pass
+        stats = gate.stats
+        assert (stats.admitted, stats.rejected, stats.inflight) == (2, 0, 0)
+
     def test_token_bucket_caps_burst(self):
         gate = AdmissionController(rate=1000.0, burst=2.0, max_wait_s=0.0)
         assert gate.try_admit()

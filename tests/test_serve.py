@@ -25,6 +25,7 @@ from repro.core import GraphAnalyticsEngine, GraphRecord
 from repro.errors import QueryCancelledError
 from repro.exec import QueryExecutor
 from repro.obs import MetricsRegistry
+from repro.resilience import AdmissionController
 from repro.serve import (
     ServeClient,
     ServeHTTPError,
@@ -44,6 +45,16 @@ def make_records(n=N_RECORDS, offset=0):
             {("a", "b"): float(offset + i), ("b", "c"): 2.0, ("c", "d"): 0.5},
         )
         for i in range(n)
+    ]
+
+
+def wire_records(records):
+    return [
+        {
+            "id": r.record_id,
+            "measures": [[u, v, val] for (u, v), val in r.measures().items()],
+        }
+        for r in records
     ]
 
 
@@ -68,7 +79,9 @@ class _Wrapper:
 
 class SlowExecutor(_Wrapper):
     """Cooperatively-cancellable slow queries: spins until ``delay`` has
-    passed, checking the context (like a long shard fold would)."""
+    passed, checking the context (like a long shard fold would).  A long
+    query is one the executor will not answer on the daemon's event loop,
+    so it declines ``wait=False`` and is bridged."""
 
     def __init__(self, inner, delay=0.3):
         super().__init__(inner)
@@ -76,7 +89,9 @@ class SlowExecutor(_Wrapper):
         self.cancelled = threading.Event()
         self.started = threading.Event()
 
-    def run_one(self, query, fetch_measures=True, ctx=None, **kw):
+    def run_one(self, query, fetch_measures=True, ctx=None, wait=True, **kw):
+        if not wait:
+            return None
         self.started.set()
         end = time.monotonic() + self.delay
         try:
@@ -94,15 +109,80 @@ class SlowExecutor(_Wrapper):
 
 class OutlastDeadline(_Wrapper):
     """Computes the full answer, then stalls past the query's deadline —
-    so the timeout can only surface *mid-stream*."""
+    so the timeout can only surface *mid-stream*.  A stall is a wait, so
+    it declines ``wait=False`` like :class:`SlowExecutor`."""
 
-    def run_one(self, query, fetch_measures=True, ctx=None, **kw):
+    def run_one(self, query, fetch_measures=True, ctx=None, wait=True, **kw):
+        if not wait:
+            return None
         result = self._inner.run_one(
             query, fetch_measures=fetch_measures, ctx=None, **kw
         )
         if ctx is not None and ctx.deadline is not None:
             time.sleep(max(ctx.deadline.remaining(), 0.0) + 0.05)
         return result
+
+
+class HeldWriter(_Wrapper):
+    """Holds the executor's write lock inside ``append_records`` until
+    ``release`` is set, then appends."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.holding = threading.Event()
+        self.release = threading.Event()
+
+    def append_records(self, records):
+        with self._inner._rw.write():
+            self.holding.set()
+            self.release.wait(10)
+        return self._inner.append_records(records)
+
+
+class TestWriterLock:
+    def test_read_behind_a_writer_is_bridged_and_the_loop_stays_free(self):
+        """While a writer holds the lock, a read waits off the loop: the
+        loop's probe never blocks on the lock, so /healthz answers while
+        the read is parked, and the read is answered once the write ends."""
+        executor = make_executor()
+        held = HeldWriter(executor)
+        handle = start_in_thread(held)
+        registry = executor.registry
+        answers: list = []
+
+        def post(call):
+            with ServeClient(*handle.address) as client:
+                answers.append(call(client))
+
+        appender = threading.Thread(
+            target=post,
+            args=(lambda c: c.append(wire_records(make_records(10, offset=500))),),
+        )
+        reader = threading.Thread(target=post, args=(lambda c: c.query({"q": "a -> b"}),))
+        try:
+            appender.start()
+            assert held.holding.wait(5), "the append never took the lock"
+            reader.start()
+            deadline = time.monotonic() + 5
+            while registry.counter("serve.requests").value < 2:
+                assert time.monotonic() < deadline, "the read never reached the daemon"
+                time.sleep(0.005)
+            with ServeClient(*handle.address) as client:
+                assert client.healthz()["status"] == "ok"
+            assert reader.is_alive() and not answers, "the read did not wait"
+            held.release.set()
+            reader.join(10)
+            appender.join(10)
+            (read,) = [a for a in answers if not isinstance(a, dict)]
+            assert len(read.record_ids) in (N_RECORDS, N_RECORDS + 10)
+            assert registry.counter("serve.loop_answers").value == 0
+            with ServeClient(*handle.address) as client:
+                assert len(client.query({"q": "a -> b"}).record_ids) == N_RECORDS + 10
+            assert registry.counter("serve.loop_answers").value == 1
+        finally:
+            held.release.set()
+            handle.stop()
+            executor.close()
 
 
 class TestConcurrentClientsAndWriter:
@@ -120,18 +200,7 @@ class TestConcurrentClientsAndWriter:
             with ServeClient(*handle.address) as client:
                 for batch in range(4):
                     records = make_records(10, offset=1000 + batch * 10)
-                    reply = client.append(
-                        [
-                            {
-                                "id": r.record_id,
-                                "measures": [
-                                    [u, v, val]
-                                    for (u, v), val in r.measures().items()
-                                ],
-                            }
-                            for r in records
-                        ]
-                    )
+                    reply = client.append(wire_records(records))
                     counts_by_epoch[reply["epoch"]] = (
                         N_RECORDS + (batch + 1) * 10
                     )
@@ -175,7 +244,7 @@ class TestConcurrentClientsAndWriter:
 
 
 class TestCancellation:
-    def test_client_disconnect_cancels_engine_work(self):
+    def test_client_disconnect_cancels_engine_work(self, read_path):
         """Dropping the socket mid-query fires the CancelToken: the engine
         stops (the wrapper observes QueryCancelledError) instead of
         finishing work nobody will read."""
@@ -283,6 +352,23 @@ class TestGracefulShutdown:
 
 
 class TestTenantIsolation:
+    def test_try_admit_gives_the_tenant_slot_back_when_shared_refuses(self):
+        gate = TenantGate(
+            shared=AdmissionController(max_inflight=1),
+            policy=TenantPolicy(max_inflight=2),
+        )
+        held = gate.try_admit("t1", 8)
+        assert held is not None and gate.inflight() == 2  # tenant + shared
+        assert gate.try_admit("t1", 8) is None
+        assert gate.inflight() == 2, "the refused probe kept its tenant slot"
+        held.close()
+        assert gate.inflight() == 0
+        stats = gate.stats()
+        assert stats["shared"]["rejected"] == 0
+        assert stats["tenants"]["t1"] == {"admitted": 2, "rejected": 0, "inflight": 0}
+        with TenantGate().try_admit("t1") as permit:  # ungoverned: a no-op permit
+            assert permit is not None
+
     def test_tenant_exhaustion_does_not_starve_other_tenant(self):
         """Tenant A saturates its per-tenant inflight budget (collecting
         429s); tenant B, under the same daemon, sees zero rejections."""

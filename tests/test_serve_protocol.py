@@ -13,14 +13,18 @@ invariants that make the daemon safe to leave running:
   ``serve.inflight`` gauge are back to zero once the case ends.
 
 One daemon serves the whole module — leaked permits from an early case
-would poison later ones, which is exactly the point.
+would poison later ones, which is exactly the point.  The truncated-body
+cases, which wait out the daemon's read timeout, share a second daemon
+whose timeout is short; the bridged-admission case brings its own gate.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,8 +46,9 @@ FUZZ_SETTINGS = settings(
 )
 
 
-@pytest.fixture(scope="module")
-def daemon():
+@contextmanager
+def serving(gate=None, header_timeout_s=1.0):
+    """A daemon over 12 records behind a governed two-stage gate."""
     engine = GraphAnalyticsEngine()
     engine.load_records(
         [
@@ -53,12 +58,13 @@ def daemon():
     )
     registry = MetricsRegistry()
     executor = QueryExecutor(engine, jobs=2, cache_mb=4, registry=registry)
-    gate = TenantGate(
-        shared=AdmissionController(max_inflight=8),
-        policy=TenantPolicy(max_inflight=4, max_tenants=32),
-    )
+    if gate is None:
+        gate = TenantGate(
+            shared=AdmissionController(max_inflight=8),
+            policy=TenantPolicy(max_inflight=4, max_tenants=32),
+        )
     config = ServeConfig(
-        limits=Limits(max_body_bytes=64 << 10, header_timeout_s=1.0)
+        limits=Limits(max_body_bytes=64 << 10, header_timeout_s=header_timeout_s)
     )
     handle = start_in_thread(executor, registry=registry, gate=gate, config=config)
     try:
@@ -66,6 +72,20 @@ def daemon():
     finally:
         handle.stop()
         executor.close()
+
+
+@pytest.fixture(scope="module")
+def daemon():
+    with serving() as served:
+        yield served
+
+
+@pytest.fixture(scope="module")
+def quick_daemon():
+    """A daemon that times a silent request out after 0.1 s, for cases
+    that must wait that timeout out."""
+    with serving(header_timeout_s=0.1) as served:
+        yield served
 
 
 def _settles_to_zero(read, timeout: float = 2.0) -> float:
@@ -147,10 +167,10 @@ class TestMalformedFraming:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(st.integers(min_value=1, max_value=400))
-    def test_truncated_body_yields_400(self, daemon, promised):
+    def test_truncated_body_yields_400(self, quick_daemon, promised):
         """A content-length promising more bytes than arrive: the read
         times out server-side and answers 400/408, never hangs."""
-        handle, registry, gate = daemon
+        handle, registry, gate = quick_daemon
         head = (
             f"POST /query HTTP/1.1\r\nHost: x\r\n"
             f"Content-Length: {promised}\r\n\r\n"
@@ -192,6 +212,47 @@ class TestMalformedFraming:
             sock.sendall(b"POST /query HTTP/1.1\r\nContent-Length: 50\r\n\r\n{")
             # vanish with 49 bytes still owed
         assert_no_leaks(handle, registry, gate)
+
+
+class SignallingGate(TenantGate):
+    """Sets ``waiting`` when a request enters the blocking admit: the
+    bridge's bounded wait."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.waiting = threading.Event()
+
+    def admit(self, tenant, nbytes=0):
+        self.waiting.set()
+        return super().admit(tenant, nbytes)
+
+
+def test_failed_probe_is_admitted_after_the_bridge_wait():
+    """The shared gate's one slot is taken, so the loop's probe fails (its
+    tenant slot given back); the read waits on the bridge, is admitted
+    once the slot frees, and nothing leaks or counts as a rejection."""
+    gate = SignallingGate(
+        shared=AdmissionController(max_inflight=1, max_wait_s=5.0),
+        policy=TenantPolicy(max_inflight=4),
+    )
+    with serving(gate=gate) as (handle, registry, gate):
+        assert gate.shared.try_admit()
+        answers = []
+
+        def read():
+            with ServeClient(*handle.address) as client:
+                answers.append(client.query({"q": "a -> b"}))
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        assert gate.waiting.wait(5), "the read never reached the bridge"
+        gate.shared.release()
+        reader.join(10)
+        assert len(answers[0].record_ids) == 12
+        assert registry.counter("serve.loop_answers").value == 0
+        assert gate.stats()["shared"]["rejected"] == 0
+        assert_no_leaks(handle, registry, gate)
+        assert registry.counter("serve.loop_answers").value == 1
 
 
 class TestMalformedJson:
