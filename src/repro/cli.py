@@ -71,14 +71,15 @@ def _load_engine(
     return GraphAnalyticsEngine.load(directory, shards=getattr(args, "shards", None))
 
 
-def _executor_for(args: argparse.Namespace, engine: GraphAnalyticsEngine) -> QueryExecutor:
+def _executor_for(
+    args: argparse.Namespace, engine: GraphAnalyticsEngine, registry=None
+) -> QueryExecutor:
     admission = None
     max_inflight = getattr(args, "max_inflight", None)
     if max_inflight:
         from .resilience import AdmissionController
 
         admission = AdmissionController(max_inflight=max_inflight)
-    # Process mode attaches workers to the database directory in place.
     return QueryExecutor(
         engine,
         jobs=getattr(args, "jobs", 1),
@@ -88,7 +89,7 @@ def _executor_for(args: argparse.Namespace, engine: GraphAnalyticsEngine) -> Que
         partial_ok=getattr(args, "partial_ok", False),
         exec_mode=getattr(args, "exec_mode", None),
         workers=getattr(args, "workers", None),
-        storage_dir=getattr(args, "database", None),
+        registry=registry,
     )
 
 
@@ -315,9 +316,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def run() -> int:
-        with _executor_for(args, engine) as executor:
-            executor.registry = registry
-            engine.use_metrics(registry)
+        with _executor_for(args, engine, registry) as executor:
             maintainer = None
             if args.adaptive:
                 from .adaptive import ViewMaintainer, WorkloadWindow

@@ -10,7 +10,7 @@ grows on demand as new elements appear in loaded records (Section 6.1).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from typing import Hashable
 
 from .record import Edge
@@ -27,9 +27,6 @@ class EdgeCatalog:
 
     def __len__(self) -> int:
         return len(self._id_to_edge)
-
-    def __contains__(self, edge: Edge) -> bool:
-        return edge in self._edge_to_id
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self._id_to_edge)
@@ -56,24 +53,6 @@ class EdgeCatalog:
         if edge_id < 0:
             raise IndexError("edge id must be non-negative")
         return self._id_to_edge[edge_id]
-
-    def ids_of(self, edges: Iterable[Edge]) -> list[int]:
-        """Ids for known elements; KeyError if any is unknown."""
-        return [self._edge_to_id[e] for e in edges]
-
-    def known_ids(self, edges: Iterable[Edge]) -> list[int] | None:
-        """Ids for the elements, or None if any element is unknown.
-
-        A query mentioning an element never seen in any record has an empty
-        answer; callers use the ``None`` to short-circuit.
-        """
-        out: list[int] = []
-        for edge in edges:
-            edge_id = self._edge_to_id.get(edge)
-            if edge_id is None:
-                return None
-            out.append(edge_id)
-        return out
 
     def nodes(self) -> frozenset[Hashable]:
         """All node names appearing in any catalogued element."""

@@ -165,26 +165,25 @@ class QueryExecutor:
         fold it inline in one call (``"thread"`` names request
         concurrency over ``jobs``, nothing more); ``"process"`` cuts a
         query ANDing at least the runner's ``min_fanout_words`` into
-        ranges folded on a persistent
-        :class:`~repro.exec.ProcessShardPool` attached to mmap'd storage.
+        ranges folded on a :class:`~repro.exec.ProcessShardPool` over a
+        private snapshot the runner publishes (see :mod:`.runners`).
         None resolves to ``"thread"`` when ``jobs > 1``, else ``"serial"``;
         ``executor.exec_mode`` always names the mode in use.
     workers:
         Worker process count in ``process`` mode (defaults to ``jobs``);
         the other modes have no range-level workers.
     storage_dir:
-        For ``process`` mode: a committed save of *this* engine to
-        attach the workers to.  When omitted (or when it holds no
-        committed save) the executor spools a save to a private
-        temp directory and cleans it up on :meth:`close`.  Executor
-        write methods re-save and re-stamp the pool, so mutations stay
-        visible to the workers.
+        For ``process`` mode: where the runner makes its private spool
+        (default the system temp directory).  Nothing already in it is
+        read or written, and :meth:`close` removes the spool.  No write
+        method saves anything: the first query of a new epoch that fans
+        out republishes the engine to the workers.
     """
 
     # Reads ANDing fewer words answer in place under run_one(wait=False):
     # on one CPU such a fold costs no more than a thread-bridge round trip
     # (EXPERIMENTS, "A read that will not wait").  At most ProcessRunner's
-    # min_fanout_words, so an in-place read never waits on workers.
+    # min_fanout_words, so an in-place read never starts or waits on workers.
     nowait_words = 250_000
 
     def __init__(
@@ -216,8 +215,6 @@ class QueryExecutor:
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
         if registry is not None:
             self.resilience.registry = registry
-        # The runner goes first: a process pool that fails to start must
-        # leave nothing installed on the engine.
         if exec_mode == "process":
             self._runner = ProcessRunner(
                 engine, self.workers, self.resilience, storage_dir, registry, self._count
@@ -252,11 +249,6 @@ class QueryExecutor:
         if self._runner is not INLINE:
             self.engine.use_shard_runner(None)
             self._runner.close()
-
-    def _resync(self) -> None:
-        """After a mutation: republish the engine to process-mode workers."""
-        if isinstance(self._runner, ProcessRunner):
-            self._runner.resync(self.engine)
 
     def __enter__(self) -> "QueryExecutor":
         return self
@@ -519,26 +511,19 @@ class QueryExecutor:
         """Exclusive append with incremental view maintenance; readers in
         flight finish first, and the epoch bump invalidates the cache."""
         with self._rw.write():
-            count = self.engine.append_records(records)
-            self._resync()
-            return count
+            return self.engine.append_records(records)
 
     def materialize_graph_views(self, *args, **kwargs) -> MaterializationReport:
         with self._rw.write():
-            report = self.engine.materialize_graph_views(*args, **kwargs)
-            self._resync()
-            return report
+            return self.engine.materialize_graph_views(*args, **kwargs)
 
     def materialize_aggregate_views(self, *args, **kwargs) -> MaterializationReport:
         with self._rw.write():
-            report = self.engine.materialize_aggregate_views(*args, **kwargs)
-            self._resync()
-            return report
+            return self.engine.materialize_aggregate_views(*args, **kwargs)
 
     def drop_all_views(self) -> None:
         with self._rw.write():
             self.engine.drop_all_views()
-            self._resync()
 
     # -- adaptive view maintenance --------------------------------------------
 
@@ -558,10 +543,9 @@ class QueryExecutor:
         ``adds`` is an iterable of ``(name, elements, staged)`` tuples
         (``name`` may be None for an auto-generated one); ``drops``
         is an iterable of view names.  The whole swap happens under one
-        exclusive lock section with a single process-pool resync, so a
-        reader observes either the old view set or the new one — never a
-        half-committed mix — and the epoch bump invalidates every cached
-        bitmap from the old state.
+        exclusive lock section, so a reader observes either the old view
+        set or the new one — never a half-committed mix — and the epoch
+        bump invalidates every cached bitmap from the old state.
         """
         added: list[str] = []
         dropped: list[str] = []
@@ -571,8 +555,6 @@ class QueryExecutor:
             drops = list(drops)
             if drops:
                 dropped = self.engine.drop_decayed(drops)
-            if added or dropped:
-                self._resync()
             return {
                 "added": added,
                 "dropped": dropped,

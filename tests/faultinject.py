@@ -21,10 +21,11 @@ Simulates the storage failures a production deployment actually sees:
   :func:`fail_shard_in_workers` starts the pool's workers through an
   entry point that makes every fold covering a bad record range raise in
   the worker process, where the fold runs; :func:`worker_fault_executor`
-  starts them through a :class:`WorkerFault` switch the test flips
-  between queries — which range fails, and how many more times (a
-  transient blip the retry policy should absorb, or a dead range the
-  circuit breaker should isolate) — so one pool serves every fault shape.
+  starts them (whenever its pool starts) through a :class:`WorkerFault`
+  switch the test flips between queries — which range fails, and how
+  many more times (a transient blip the retry policy should absorb, or a
+  dead range the circuit breaker should isolate) — so one pool serves
+  every fault shape.
 
 A bad range is named by a shard index: range ``shard`` of the engine's
 even cut at its range count (:func:`repro.core.engine.range_tasks`) —
@@ -233,21 +234,19 @@ def fail_shard_in_workers(monkeypatch, engine, shard: int) -> None:
 
 @contextlib.contextmanager
 def worker_fault_executor(engine, root, **executor_kw):
-    """A process-mode :class:`~repro.exec.QueryExecutor` over a save of
-    ``engine`` in ``root``, its workers started through a healed
-    :class:`WorkerFault`: yields ``(executor, fault)``.  Starting a pool
-    costs far more than a query, so one of these serves every
-    worker-fault case of a module."""
+    """A process-mode :class:`~repro.exec.QueryExecutor` over ``engine``,
+    its spool in ``root`` and its workers started through a healed
+    :class:`WorkerFault`: yields ``(executor, fault)``.  The patch holds
+    for the executor's life, since its pool starts at the first query
+    that fans out (and respawns after a crash).  Starting a pool costs
+    far more than a query, so one of these serves every worker-fault case
+    of a module."""
     root = Path(root)
-    engine.save(root / "db")
     fault = WorkerFault(root / "fault.json")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(procpool, "_worker_main", partial(_worker_failing_records, fault))
-        executor = QueryExecutor(
-            engine, exec_mode="process", storage_dir=root / "db", **executor_kw
-        )
-    with executor:
-        yield executor, fault
+        with QueryExecutor(engine, exec_mode="process", storage_dir=root, **executor_kw) as executor:
+            yield executor, fault
 
 
 def fresh_policy(executor, **policy_kw) -> MetricsRegistry:
@@ -266,7 +265,7 @@ def settle(executor, timeout: float = 10.0) -> None:
     range's reply may still be on its way, and must land before the next
     case switches the fault."""
     pool, deadline = executor._runner.pool, time.monotonic() + timeout
-    while pool._futures and time.monotonic() < deadline:
+    while pool is not None and pool._futures and time.monotonic() < deadline:
         time.sleep(0.01)
 
 

@@ -611,6 +611,7 @@ class TestShardLevelFaults:
                     for a, b in zip(got, values):
                         assert (a == b) or (a != a and b != b)
                 assert degraded.degraded.skipped_ranges() == [(start, stop)]
+            assert fault.failures > 0
 
     def test_degraded_aggregation_matches_oracle(self, worker_fault):
         from repro.lang import parse_aggregation
@@ -626,6 +627,7 @@ class TestShardLevelFaults:
         for path, values in expected.path_values.items():
             assert list(degraded.path_values[path]) == list(values)
         assert degraded.degraded.n_records_skipped == stop - start
+        assert fault.failures > 0
 
     def test_transient_then_healthy_io_is_invisible_to_callers(self, worker_fault):
         executor, fault = worker_fault
@@ -652,3 +654,4 @@ class TestShardLevelFaults:
         # attempts; the breaker capped them at its threshold, then refused.
         assert registry.counter("resilience.shard_failures").value == 3
         assert registry.counter("resilience.breaker_refusals").value == 8
+        assert fault.failures > 0

@@ -3,15 +3,19 @@
 Covers the tentpole invariants that the differential suite cannot reach:
 worker crash → respawn with the query surviving via policy retries,
 generation swaps → lazy re-attach with stale-stamped results discarded,
-deadline propagation into the workers, and clean (idempotent) shutdown.
+the runner's snapshot published only when a query fans out (and never
+into ``storage_dir``), deadline propagation into the workers, and clean
+(idempotent) shutdown.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import json
+import multiprocessing
 import os
 import signal
-import tempfile
 import threading
 import time
 
@@ -19,7 +23,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import RowStore
-from repro.core import GraphAnalyticsEngine, GraphQuery
+from repro.cli import _executor_for
+from repro.core import GraphAnalyticsEngine, GraphQuery, PathAggregationQuery
 from repro.core.engine import INLINE, range_tasks
 from repro.errors import QueryCancelledError, QueryTimeoutError, ShardExecutionError
 from repro.exec import ProcessShardPool, QueryExecutor, StaleGenerationError, runners
@@ -131,9 +136,21 @@ class TestProcessExecutor:
             with QueryExecutor(_fresh_engine(corpus), jobs=jobs) as executor:
                 assert executor.exec_mode == mode
 
+    def test_cli_executor_publishes_pool_and_policy_metrics(self, corpus, queries, oracle_ids):
+        """The CLI hands its registry to the executor it builds, so the
+        pool, the range count and the policy publish into ``repro serve``'s
+        ``/metrics``."""
+        registry = MetricsRegistry()
+        args = argparse.Namespace(exec_mode="process", workers=2, jobs=1)
+        with _executor_for(args, _fresh_engine(corpus), registry) as executor:
+            assert _answers(executor, queries) == oracle_ids
+            assert executor.resilience.registry is registry
+        published = set(registry.to_dict())
+        assert {"pool.tasks", "pool.workers", "engine.shards", "exec.shard_tasks"} <= published
+
     def test_append_resyncs_pool(self, corpus, queries):
-        """Mutations through the executor re-save, re-stamp, and stay
-        visible to the worker processes."""
+        """A mutation through the executor is published to the worker
+        processes by the next query that fans out."""
         records = list(build_dataset("NY", n_records=40, seed=23).to_records())
         engine = _fresh_engine(corpus)
         with QueryExecutor(
@@ -267,12 +284,13 @@ class TestRangeTasks:
                 assert registry.counter("exec.shard_tasks").value - before == sent
                 assert _tasks(registry) - pool_before == min(sent, 2)
 
-    def test_any_save_is_attached_and_degrades_exactly(self, tmp_path, monkeypatch):
-        """A format-4 store whose manifest still carries ``shard_records``
-        cut elsewhere is attached in place at any range count — the
-        workers fold the ranges a task names.  With range 1 failing in
-        every worker, a degraded answer skips exactly the engine's range
-        1 and is exact everywhere else."""
+    def test_a_legacy_store_degrades_exactly(self, tmp_path, monkeypatch):
+        """An engine loaded from a format-4 store whose manifest still
+        carries ``shard_records`` cut elsewhere fans out at any range
+        count — the workers fold the ranges a task names, over the
+        runner's own snapshot.  With range 1 failing in every worker, a
+        degraded answer skips exactly the engine's range 1 and is exact
+        everywhere else."""
         corpus = build_dataset("NY", n_records=600, seed=24)
         records = list(corpus.to_records())
         queries = sample_path_queries(corpus, n_queries=30, n_edges=2, seed=25)
@@ -296,7 +314,6 @@ class TestRangeTasks:
             loaded, exec_mode="process", workers=2, storage_dir=db,
             resilience=ResiliencePolicy(attempts=2, sleep=lambda _s: None),
         ) as executor:
-            assert executor._runner.directory == db
             for query in queries:
                 oracle = store.query(query).record_ids
                 result = executor.run_one(query, fetch_measures=False, partial_ok=True)
@@ -307,14 +324,15 @@ class TestRangeTasks:
                 assert result.degraded.skipped_ranges() == [(start, stop)], query
                 assert result.record_ids == [r for r in oracle if r not in skipped], query
         assert degraded
+        assert executor._runner.directory is None  # closed: the spool is gone
 
     @pytest.mark.parametrize("saved", [100, 149])
     def test_a_save_of_another_record_count_is_spooled(self, tmp_path, corpus, queries,
                                                        oracle_ids, saved):
-        """Workers fold the store's bits over the parent's ranges, so a
-        save holding another record count than the engine — fewer
-        records, or more — is never attached: the runner spools a save
-        of its own and every answer stays exact."""
+        """A save in ``storage_dir`` holding another record count than
+        the engine — fewer records, or more — is never attached: the
+        runner spools a snapshot of its own and every answer stays
+        exact."""
         records = list(corpus.to_records())
         small, full = GraphAnalyticsEngine(shards=3), _fresh_engine(corpus)
         small.load_records(records[:saved])
@@ -327,8 +345,175 @@ class TestRangeTasks:
             with QueryExecutor(
                 served, exec_mode="process", workers=2, storage_dir=db
             ) as executor:
-                assert executor._runner.directory != db
                 assert _answers(executor, queries) == oracle
+                assert executor._runner.directory.parent == db
+
+
+def _tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+def _extra_records():
+    return list(build_dataset("NY", n_records=5, seed=26).to_records())
+
+
+def _refuse(*args, **kwargs):
+    raise OSError("no workers today")
+
+
+class TestSnapshotOnDemand:
+    """The runner alone decides what its workers read: a private snapshot
+    saved when a query fans out and the pool lags the query's epoch.
+    Writes save nothing, and ``storage_dir`` only says where the spool
+    goes."""
+
+    def test_no_fan_out_saves_nothing_and_starts_no_worker(
+        self, tmp_path, monkeypatch, corpus, queries, oracle_ids
+    ):
+        monkeypatch.setattr(ProcessRunner, "min_fanout_words", 1 << 62)
+        engine = _fresh_engine(corpus)
+        children, stages = set(multiprocessing.active_children()), []
+        with fi.record_save_stages(stages), QueryExecutor(
+            engine, exec_mode="process", workers=2, storage_dir=tmp_path
+        ) as executor:
+            assert _answers(executor, queries) == oracle_ids
+            executor.append_records(_extra_records())
+            executor.materialize_graph_views(queries, 2)
+            executor.materialize_aggregate_views(
+                [PathAggregationQuery(q, "sum") for q in queries], 1
+            )
+            executor.drop_all_views()
+            _answers(executor, queries)
+            assert executor._runner.pool is None
+            assert set(multiprocessing.active_children()) == children
+        assert stages == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_each_epoch_that_fans_out_costs_one_save(self, corpus, queries, oracle_ids):
+        """Four request threads of one epoch share one save; writes save
+        nothing; the next fan-out republishes once, to the same workers."""
+        engine = _fresh_engine(corpus)
+        extra = _extra_records()
+        oracle = _fresh_engine(corpus)
+        oracle.append_records(extra)
+        stages = []
+        with fi.record_save_stages(stages), QueryExecutor(
+            engine, jobs=4, exec_mode="process", workers=2
+        ) as executor:
+            assert _answers(executor, queries) == oracle_ids
+            assert stages.count("committed") == 1
+            assert _answers(executor, queries) == oracle_ids
+            assert stages.count("committed") == 1
+            pids = executor._runner.pool.worker_pids()
+            executor.append_records(extra)
+            executor.materialize_graph_views(queries, 2)
+            assert stages.count("committed") == 1
+            assert _answers(executor, queries) == [
+                oracle.query(q, fetch_measures=False).record_ids for q in queries
+            ]
+            assert stages.count("committed") == 2
+            assert executor._runner.pool.worker_pids() == pids
+
+    def test_the_storage_dir_is_never_written(self, tmp_path, corpus, queries):
+        """Appends, views and fan-outs through a process executor leave
+        the store in ``storage_dir`` byte for byte as they found it."""
+        engine = _fresh_engine(corpus)
+        db = tmp_path / "db"
+        engine.save(db)
+        before = _tree(db)
+        with QueryExecutor(
+            engine, exec_mode="process", workers=2, storage_dir=db
+        ) as executor:
+            _answers(executor, queries)
+            executor.append_records(_extra_records())
+            executor.materialize_graph_views(queries, 2)
+            _answers(executor, queries)
+        assert _tree(db) == before
+        assert GraphAnalyticsEngine.load(db).n_records == N_RECORDS
+
+    def test_a_save_without_the_engines_views_is_never_trusted(
+        self, tmp_path, corpus, queries, oracle_ids
+    ):
+        """Views materialized on a loaded engine before its executor is
+        built are not in the store it was loaded from; workers fold the
+        runner's snapshot, which holds them."""
+        db = tmp_path / "db"
+        _fresh_engine(corpus).save(db)
+        engine = GraphAnalyticsEngine.load(db, shards=3)
+        engine.materialize_graph_views(queries, 2)
+        assert engine.graph_views
+        with QueryExecutor(
+            engine, exec_mode="process", workers=2, storage_dir=db
+        ) as executor:
+            results = executor.run_batch(queries, fetch_measures=False)
+            assert [r.record_ids for r in results] == oracle_ids
+            assert any(r.plan.view_names for r in results)
+
+    def test_a_change_made_on_the_engine_is_published_at_the_next_fan_out(
+        self, corpus, queries
+    ):
+        """A mutation that bypasses the executor still reaches the
+        workers: the query that fans out next republishes, and folds on
+        the workers rather than inline."""
+        engine = _fresh_engine(corpus)
+        registry = MetricsRegistry()
+        with QueryExecutor(
+            engine, exec_mode="process", workers=2, registry=registry
+        ) as executor:
+            _answers(executor, queries)
+            engine.append_records(_extra_records())
+            expected = [engine.query(q, fetch_measures=False).record_ids for q in queries]
+            sent = _tasks(registry)
+            assert _answers(executor, queries) == expected
+            assert _tasks(registry) > sent
+
+    @pytest.mark.parametrize("failure", ["start", "save"])
+    def test_a_failed_publish_is_typed_and_leaks_nothing(
+        self, tmp_path, monkeypatch, corpus, queries, oracle_ids, failure
+    ):
+        """A pool that cannot start, or a snapshot that cannot be saved,
+        fails the query with a typed error naming ``[0, n)`` and leaves
+        no spool and no child process; the next fan-out tries again."""
+        engine = _fresh_engine(corpus)
+        children = set(multiprocessing.active_children())
+        with QueryExecutor(
+            engine, cache_mb=8, exec_mode="process", workers=2, storage_dir=tmp_path
+        ) as executor:
+            with monkeypatch.context() as patch:
+                if failure == "start":
+                    patch.setattr(runners, "ProcessShardPool", _refuse)
+                with (fi.crash_at_stage("committed") if failure == "save"
+                      else contextlib.nullcontext()):
+                    with pytest.raises(ShardExecutionError) as info:
+                        executor.run_one(queries[0], fetch_measures=False)
+            assert (info.value.shard, info.value.start, info.value.stop) == (0, 0, N_RECORDS)
+            assert list(tmp_path.iterdir()) == []
+            assert executor._runner.pool is None
+            assert set(multiprocessing.active_children()) == children
+            assert _answers(executor, queries) == oracle_ids
+
+    def test_close_stops_the_workers_and_removes_the_spool(
+        self, corpus, queries, oracle_ids
+    ):
+        engine = _fresh_engine(corpus)
+        executor = QueryExecutor(engine, exec_mode="process", workers=2)
+        runner = executor._runner
+        assert engine._runner is runner and runner.directory is None
+        assert _answers(executor, queries) == oracle_ids
+        spool, pids = runner.directory, runner.pool.worker_pids()
+        assert spool.exists()
+        executor.close()
+        assert engine._runner is INLINE
+        assert not spool.exists()
+        for pid in pids:
+            with pytest.raises(OSError):
+                os.kill(pid, 0)  # ESRCH: process is gone
+        # The engine still answers in-process after the executor is gone.
+        engine.query(queries[0], fetch_measures=False)
 
 
 def _transport_store(tmp_path_factory, n):
@@ -659,35 +844,3 @@ class TestDeadlinesAndShutdown:
         pool.close()
         with pytest.raises(RuntimeError):
             pool.execute(0, engine.n_records, (("element", 0),))
-
-    def test_failed_pool_start_leaks_nothing(self, tmp_path, monkeypatch, corpus):
-        """A pool that fails to start removes the spool it saved and leaves
-        the engine as it was: no cache or runner installed."""
-        engine = _fresh_engine(corpus)
-        spool_root = tmp_path / "tmp"
-        spool_root.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(spool_root))
-
-        def refuse(*args, **kwargs):
-            raise OSError("no workers today")
-
-        monkeypatch.setattr(runners, "ProcessShardPool", refuse)
-        with pytest.raises(OSError, match="no workers today"):
-            QueryExecutor(engine, cache_mb=8, exec_mode="process", workers=2)
-        assert list(spool_root.iterdir()) == []
-        assert engine.bitmap_cache is None
-        assert engine._runner is INLINE
-
-    def test_executor_close_removes_hooks_and_tempdir(self, corpus, queries):
-        engine = _fresh_engine(corpus)
-        executor = QueryExecutor(
-            engine, jobs=1, exec_mode="process", workers=2
-        )
-        spool = executor._runner.directory
-        assert isinstance(engine._runner, ProcessRunner) and spool.exists()
-        executor.run_batch(queries[:2], fetch_measures=False)
-        executor.close()
-        assert engine._runner is INLINE
-        assert not spool.exists()
-        # The engine still answers in-process after the executor is gone.
-        engine.query(queries[0], fetch_measures=False)

@@ -610,6 +610,7 @@ class TestDegradedExecution:
         healthy = executor.run_one(AGG, partial_ok=True)
         assert healthy.degraded.skipped_ranges() == [(3 * PER_SHARD, N_RECORDS)]
         assert healthy.record_ids == [f"r{i:03d}" for i in range(3 * PER_SHARD)]
+        assert fault.failures > 0
 
     def test_transient_fault_is_absorbed_by_retries(self, worker_fault):
         executor, fault = worker_fault
@@ -638,6 +639,7 @@ class TestDegradedExecution:
             "breaker_refusals": 4, "shards_skipped": 0,
         }
         assert executor.resilience.breaker_states()[1] == OPEN
+        assert fault.failures > 0
 
     def test_mutation_resets_the_breaker_for_a_repaired_shard(self, worker_fault):
         executor, fault = worker_fault
@@ -648,6 +650,7 @@ class TestDegradedExecution:
         with pytest.raises(ShardExecutionError):
             executor.run_one(QUERY)
         assert executor.resilience.breaker_states()[1] == OPEN
+        assert fault.failures > 0
         fault.heal()
         executor.drop_all_views()
         # The mutation bumped the generation: fresh breaker, live range.
@@ -660,6 +663,7 @@ class TestDegradedExecution:
         fault.fail(executor.engine, 1)
         degraded = executor.run_one(QUERY, partial_ok=True)
         assert degraded.degraded is not None
+        assert fault.failures > 0
         fault.heal()
         # Same query, same epoch: a cached degraded merge would now
         # resurface the partial answer. It must not.
@@ -808,6 +812,7 @@ class TestBatchErrorIsolation:
         # Both hit the dead range -> both fail, but each failure stays in
         # its own slot as a typed error object.
         assert all(isinstance(r, ShardExecutionError) for r in results)
+        assert fault.failures > 0
 
     def test_mixed_results_align_with_submission_order(self, worker_fault):
         executor, fault = worker_fault
@@ -817,6 +822,7 @@ class TestBatchErrorIsolation:
         degraded = executor.run_batch([QUERY], return_errors=True, partial_ok=True)[0]
         assert isinstance(strict, ShardExecutionError)
         assert degraded.degraded is not None
+        assert fault.failures > 0
 
     def test_default_mode_raises_first_error_after_finishing_batch(self, worker_fault):
         executor, fault = worker_fault
@@ -824,6 +830,7 @@ class TestBatchErrorIsolation:
         fault.fail(executor.engine, 1)
         with pytest.raises(ShardExecutionError):
             executor.run_batch([QUERY, QUERY])
+        assert fault.failures > 0
 
     def test_parallel_batch_isolates_errors_too(self, worker_fault):
         executor, fault = worker_fault
@@ -832,6 +839,7 @@ class TestBatchErrorIsolation:
         assert executor.jobs > 1
         results = executor.run_batch([QUERY] * 8, return_errors=True)
         assert all(isinstance(r, ShardExecutionError) for r in results)
+        assert fault.failures > 0
 
     def test_serve_streams_errors_inline(self, worker_fault):
         executor, fault = worker_fault
@@ -840,6 +848,7 @@ class TestBatchErrorIsolation:
         streamed = list(executor.serve([QUERY] * 3, batch_size=2, return_errors=True))
         assert len(streamed) == 3
         assert sum(isinstance(r, ShardExecutionError) for r in streamed) == 2
+        assert fault.failures > 0
 
 
 class TestExecutorAdmission:
@@ -902,6 +911,7 @@ class TestExecutorDefaults:
         finally:
             executor.partial_ok = False
         assert result.degraded is not None
+        assert fault.failures > 0
 
     def test_executor_installs_a_default_policy(self):
         with QueryExecutor(_sharded_engine()) as executor:

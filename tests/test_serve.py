@@ -15,15 +15,22 @@ driven deterministically rather than by racing real query latencies.
 
 from __future__ import annotations
 
+import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core import GraphAnalyticsEngine, GraphRecord
 from repro.errors import QueryCancelledError
 from repro.exec import QueryExecutor
+from repro.lang import parse_aggregation, parse_query
 from repro.obs import MetricsRegistry
 from repro.resilience import AdmissionController
 from repro.serve import (
@@ -34,6 +41,7 @@ from repro.serve import (
 )
 from repro.serve.server import ServeConfig
 from repro.serve.tenants import TenantGate, TenantPolicy
+from repro.workloads import build_dataset, sample_path_queries
 
 N_RECORDS = 60
 
@@ -460,3 +468,147 @@ class TestTenantIsolation:
         finally:
             handle.stop()
             executor.close()
+
+
+def _views(engine):
+    return (
+        {name: view.elements for name, view in engine.graph_views.items()},
+        {name: repr(view) for name, view in engine.aggregate_views.items()},
+    )
+
+
+class TestMaterializeOverTheWire:
+    """``/materialize`` builds, and drops, the same views at the same
+    epoch as the executor it serves would in process."""
+
+    def test_each_kind_matches_the_in_process_executor(self):
+        served, local = make_executor(), make_executor()
+        graph = ["a -> b -> c", [["b", "c"], ["c", "d"]]]
+        aggregate = ["SUM a -> b -> c", "SUM b -> c -> d"]
+        handle = start_in_thread(served)
+        try:
+            with ServeClient(*handle.address) as client:
+                doc = client.materialize({"kind": "graph", "workload": graph, "budget": 2})
+                local.materialize_graph_views(
+                    [parse_query("a -> b -> c"), parse_query("b -> c -> d")], 2
+                )
+                assert served.engine.graph_views
+                assert _views(served.engine) == _views(local.engine)
+                assert doc["epoch"] == served.epoch == local.epoch
+                doc = client.materialize(
+                    {"kind": "aggregate", "workload": aggregate, "budget": 1, "function": "sum"}
+                )
+                local.materialize_aggregate_views(
+                    [parse_aggregation(text) for text in aggregate], 1, function="sum"
+                )
+                assert served.engine.aggregate_views
+                assert _views(served.engine) == _views(local.engine)
+                assert doc["epoch"] == served.epoch == local.epoch
+                doc = client.materialize({"kind": "drop"})
+                local.drop_all_views()
+                assert doc == {"dropped": True, "epoch": local.epoch}
+                assert _views(served.engine) == _views(local.engine) == ({}, {})
+        finally:
+            handle.stop()
+            served.close()
+            local.close()
+
+    @pytest.mark.parametrize("payload", [
+        {"kind": "nope", "workload": ["a -> b"]},
+        {"kind": "graph", "workload": []},
+        {"kind": "graph"},
+        {"kind": "graph", "workload": [5]},
+        {"kind": "graph", "workload": ["a -> b"], "budget": True},
+        {"kind": "graph", "workload": ["a -> b"], "budget": 0},
+        {"kind": "aggregate", "workload": ["a -> b"], "budget": -1},
+    ], ids=["kind", "empty", "missing", "entry", "bool-budget", "zero-budget",
+            "negative-budget"])
+    def test_bad_requests_are_400_and_change_nothing(self, payload):
+        executor = make_executor()
+        handle = start_in_thread(executor)
+        try:
+            epoch = executor.epoch
+            with ServeClient(*handle.address) as client:
+                with pytest.raises(ServeHTTPError) as info:
+                    client.materialize(payload)
+            assert info.value.status == 400
+            assert executor.epoch == epoch and not executor.engine.graph_views
+        finally:
+            handle.stop()
+            executor.close()
+
+
+class TestMetricsOverTheWire:
+    def test_text_json_and_head(self):
+        executor = make_executor()
+        handle = start_in_thread(executor, registry=executor.registry)
+        try:
+            with ServeClient(*handle.address) as client:
+                client.query({"q": "a -> b"})
+                text = client.request("GET", "/metrics")
+                assert text.status == 200
+                assert text.headers["content-type"].startswith("text/plain")
+                assert "exec.queries_served" in text.body.decode()
+                assert client.metrics()["exec.queries_served"]["value"] == 1
+                head = client.request("HEAD", "/metrics")
+                assert head.status == 200 and head.body == b""
+        finally:
+            handle.stop()
+            executor.close()
+
+
+def _tree(root):
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+class TestServeCommand:
+    """``repro serve`` as the benchmark starts it: a subprocess over a
+    database directory, stopped with SIGINT."""
+
+    def test_process_mode_daemon_answers_and_leaves_the_database_alone(self, tmp_path):
+        corpus = build_dataset("NY", n_records=200, seed=31)
+        queries = sample_path_queries(corpus, n_queries=8, n_edges=3, seed=32)
+        wire = [[list(edge) for edge in sorted(q.elements)] for q in queries]
+        engine = GraphAnalyticsEngine()
+        engine.load_records(list(corpus.to_records()))
+        db, spool = tmp_path / "db", tmp_path / "tmp"
+        engine.save(db)
+        spool.mkdir()
+        before = _tree(db)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", str(db), "--exec-mode",
+             "process", "--workers", "2", "--shards", "2", "--port", "0"],
+            env=dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(spool)),
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            # A shell that backgrounds the suite ignores SIGINT in its children.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            banner = proc.stdout.readline()
+            match = re.search(r"listening on http://127\.0\.0\.1:(\d+) .*exec_mode=process",
+                              banner)
+            assert match, banner
+            query, expected = queries[0], engine.query(queries[0])
+            with ServeClient("127.0.0.1", int(match.group(1))) as client:
+                got = client.query({"elements": wire[0]})
+                assert got.record_ids == expected.record_ids
+                assert {e: list(v) for e, v in got.measures.items()} == {
+                    e: list(v) for e, v in expected.measures.items()
+                }
+                client.materialize({"kind": "graph", "workload": wire, "budget": 2})
+                record = {"id": "extra", "measures": [[*edge, 1.0] for edge in query.elements]}
+                assert client.append([record])["appended"] == 1
+                assert "engine.shards" in client.metrics()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        assert _tree(db) == before
+        assert list(spool.iterdir()) == []
