@@ -11,6 +11,12 @@ that pipeline at configurable scale:
    ``min_edges``–``max_edges`` edges;
 3. draw a uniform random measure per traversed edge.
 
+The draws are numpy's ``Generator`` stream for the seed, replayed from raw
+PCG64 words fetched in blocks (numpy's 32-bit Lemire bounded draw, and
+``next_double`` for measures): a scalar ``rng.integers`` costs microseconds
+and a corpus takes one per walk step.  The corpus is bit-identical to that
+of plain ``rng`` calls; ``tests/test_workloads.py`` pins it by digest.
+
 The corpus keeps both the walks (the query-path pool of Section 7.1) and a
 columnar layout for fast engine loading; :meth:`RecordCorpus.to_records`
 yields :class:`~repro.core.record.GraphRecord` objects for the baselines.
@@ -64,21 +70,25 @@ class RecordCorpus:
         return [f"r{i}" for i in range(self.n_records)]
 
     def to_columnar(self) -> dict[Edge, tuple[np.ndarray, np.ndarray]]:
-        """Columnar layout: per universe edge, (row indices, values)."""
-        rows_per_edge: dict[int, list[int]] = {}
-        vals_per_edge: dict[int, list[float]] = {}
-        for row, (edge_indices, values) in enumerate(
-            zip(self.record_edges, self.record_values)
-        ):
-            for edge_index, value in zip(edge_indices.tolist(), values.tolist()):
-                rows_per_edge.setdefault(edge_index, []).append(row)
-                vals_per_edge.setdefault(edge_index, []).append(value)
+        """Columnar layout: per universe edge in order of first appearance,
+        (row indices, values).  One stable (radix) sort of all cells on a
+        narrow edge-id key, cut by ``bincount``: the edge-table → column route."""
+        if not self.record_edges:
+            return {}
+        edges = np.concatenate(self.record_edges)
+        order = np.argsort(edges.astype(np.min_scalar_type(len(self.universe))), kind="stable")
+        sizes = [a.size for a in self.record_edges]
+        rows = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)[order]
+        values = np.concatenate(self.record_values)[order]
+        counts = np.bincount(edges, minlength=len(self.universe))
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        present = np.flatnonzero(counts)
+        # Stability puts each edge's first cell at its run's start.
+        present = present[np.argsort(order[starts[present]])]
         return {
-            self.universe[edge_index]: (
-                np.asarray(rows, dtype=np.int64),
-                np.asarray(vals_per_edge[edge_index], dtype=np.float64),
-            )
-            for edge_index, rows in rows_per_edge.items()
+            self.universe[e]: (rows[starts[e]:ends[e]], values[starts[e]:ends[e]])
+            for e in present.tolist()
         }
 
     def to_records(self) -> Iterator[GraphRecord]:
@@ -148,55 +158,105 @@ def generate_corpus(
         raise ValueError("need 1 <= min_edges <= max_edges")
     rng = np.random.default_rng(seed)
     universe = sample_edge_universe(network, universe_size, seed=seed)
-    edge_index: dict[Edge, int] = {e: i for i, e in enumerate(universe)}
     adjacency: dict[Hashable, list[tuple[Hashable, int]]] = {}
-    for (u, v), i in edge_index.items():
+    for i, (u, v) in enumerate(universe):
         adjacency.setdefault(u, []).append((v, i))
     start_nodes = sorted(adjacency, key=repr)
+    if n_records and not start_nodes:
+        raise ValueError("empty edge universe")
+    # Walk over integer node ids: start nodes first, then the sinks.
+    labels = start_nodes + list(dict.fromkeys(v for _, v in universe if v not in adjacency))
+    node_id = {label: n for n, label in enumerate(labels)}
+    successors = [[(node_id[v], i) for v, i in adjacency.get(u, [])] for u in labels]
 
+    draw = _RawStream(rng)
+    integers = draw.integers
     record_edges: list[np.ndarray] = []
     record_values: list[np.ndarray] = []
-    walks: list[list[Hashable]] = []
+    walk_ids: list[list[int]] = []
+    stamp = [0] * len(labels)  # stamp[node] == mark: visited by this walk
+    mark = 0
     max_walks_per_record = 40
     for _ in range(n_records):
         # One record = the union of multiple random-walk processes, each
         # self-avoiding, run until the record reaches its target size (the
         # paper's "invoking multiple random walk processes").
-        target = int(rng.integers(min_edges, max_edges + 1))
+        target = min_edges + integers(max_edges + 1 - min_edges)
         edges: dict[int, None] = {}
         for _ in range(max_walks_per_record):
             if len(edges) >= target:
                 break
-            node = start_nodes[int(rng.integers(len(start_nodes)))]
+            node = integers(len(start_nodes))
             walk = [node]
-            visited = {node}
+            mark += 1
+            stamp[node] = mark
             while len(edges) < target:
-                options = [
-                    (succ, i)
-                    for succ, i in adjacency.get(node, [])
-                    if succ not in visited
-                ]
+                options = []
+                for option in successors[node]:
+                    if stamp[option[0]] != mark:
+                        options.append(option)
                 if not options:
                     break
-                succ, i = options[int(rng.integers(len(options)))]
-                walk.append(succ)
-                edges.setdefault(i, None)
-                visited.add(succ)
-                node = succ
+                node, i = options[integers(len(options))]
+                walk.append(node)
+                edges[i] = None
+                stamp[node] = mark
             if len(walk) >= 2:
-                walks.append(walk)
+                walk_ids.append(walk)
         if not edges:
             continue
-        edge_indices = np.fromiter(edges, dtype=np.int64)
-        values = rng.uniform(measure_low, measure_high, size=edge_indices.size)
-        record_edges.append(edge_indices)
-        record_values.append(values)
+        record_edges.append(np.fromiter(edges, dtype=np.int64, count=len(edges)))
+        record_values.append(draw.uniform(measure_low, measure_high, len(edges)))
     return RecordCorpus(
         universe=universe,
         record_edges=record_edges,
         record_values=record_values,
-        walks=walks,
+        walks=[[labels[n] for n in walk] for walk in walk_ids],
     )
+
+
+class _RawStream:
+    """``rng.integers(n)`` and ``rng.uniform(low, high, size)``, replayed
+    bit for bit from blocks of the bit generator's raw 64-bit words."""
+
+    BLOCK = 1 << 14
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw = rng.bit_generator.random_raw
+        self._words = np.empty(0, dtype=np.uint64)
+        self._halves: list[int] = []  # per word: its low half, its high half
+        self._pos = 0  # next half; odd while a word's high half is pending
+
+    def _refill(self, n_words: int) -> None:
+        start = self._pos // 2  # keep the word whose high half is pending
+        words = self._raw(max(self.BLOCK, n_words))
+        self._words = np.concatenate([self._words[start:], words])
+        # Keep old halves (``uniform`` moves a pending one); "<u4" puts low first.
+        self._halves = self._halves[2 * start:] + words.astype("<u8").view("<u4").tolist()
+        self._pos %= 2
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        while True:
+            if self._pos == len(self._halves):
+                self._refill(1)
+            m = self._halves[self._pos] * n
+            self._pos += 1
+            # Lemire: reject a low half under 2**32 % n (< n: rarely computed).
+            if m & 0xFFFFFFFF >= n or m & 0xFFFFFFFF >= (1 << 32) % n:
+                return m >> 32
+
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        if (self._pos + 1) // 2 + size > self._words.size:
+            self._refill(size)
+        first = (self._pos + 1) // 2
+        words = self._words[first:first + size]
+        if self._pos % 2:
+            # The pending high half moves past the words taken.
+            self._halves[self._pos + 2 * size] = self._halves[self._pos]
+        self._pos += 2 * size
+        return low + (high - low) * ((words >> np.uint64(11)) * 2.0**-53)
 
 
 def generate_dense_corpus(
