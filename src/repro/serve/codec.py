@@ -159,12 +159,18 @@ def build_query(payload: dict) -> QueryExpr | PathAggregationQuery:
     except (TypeError, ValueError) as exc:
         raise WireError(400, "bad-query", str(exc)) from None
     function = payload.get("function")
-    if function is None:
-        return query
+    return query if function is None else as_aggregation(query, function)
+
+
+def as_aggregation(query: QueryExpr, function) -> PathAggregationQuery:
+    """``query`` aggregated by ``function``, or a 400 when either is not one
+    an aggregation can take."""
     if not isinstance(function, str) or function.lower() not in FUNCTIONS:
         raise WireError(
             400, "bad-query", f"unknown aggregate function: {function!r}"
         )
+    if not isinstance(query, GraphQuery):
+        raise WireError(400, "bad-query", "an aggregation needs one path query")
     return PathAggregationQuery(query, function.lower())
 
 

@@ -713,7 +713,11 @@ class ReproServer:
                 raise WireError(
                     400, "bad-request", f"workload entry must be DSL or elements: {entry!r}"
                 )
-            workload.append(codec.build_query(sub))
+            query = codec.build_query(sub)
+            if kind == "aggregate" and not isinstance(query, PathAggregationQuery):
+                # As the in-process call takes them: SUM unless told otherwise.
+                query = codec.as_aggregation(query, payload.get("function", "sum"))
+            workload.append(query)
         budget = payload.get("budget", 1)
         if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
             raise WireError(400, "bad-request", '"budget" must be a positive integer')
