@@ -160,6 +160,10 @@ class BigAnswer:
         return self._result
 
 
+# Polls (2 ms apart) the write buffer must hold still to count as stalled.
+_STALL_POLLS = 25
+
+
 def test_stalled_reader_backpressures_then_disconnect_releases_the_permit():
     """~12 MB to a client that never reads: the daemon blocks in
     ``drain()`` holding at most one flush above the transport's high-water
@@ -183,14 +187,27 @@ def test_stalled_reader_backpressures_then_disconnect_releases_the_permit():
         (state,) = handle.server._conns.values()
         transport = state.writer.transport
         _low, high = transport.get_write_buffer_limits()
+        # Decide on the stall itself, not on a clock: poll until the buffer
+        # sits above the high-water mark, unchanged for a run of polls...
         held = []
-        deadline = time.monotonic() + 0.6
-        while time.monotonic() < deadline:
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and not (
+            len(held) >= _STALL_POLLS
+            and held[-1] > high
+            and held[-_STALL_POLLS:] == [held[-1]] * _STALL_POLLS
+        ):
             held.append(transport.get_write_buffer_size())
             time.sleep(0.002)
         assert max(held) > high, "the stream never stalled: answer too small to test"
+        # ...then it must stay put: a blocked producer adds nothing.
+        stalled = held[-1]
+        for _ in range(_STALL_POLLS):
+            time.sleep(0.002)
+            held.append(transport.get_write_buffer_size())
+        assert held[-_STALL_POLLS:] == [stalled] * _STALL_POLLS, (
+            "producer kept going while stalled"
+        )
         assert max(held) <= high + _FLUSH_BYTES + 64 * 64
-        assert held[-1] == held[len(held) // 2], "producer kept going while stalled"
         assert gate.inflight() > 0, "the stalled stream must still hold its permit"
         sock.close()
         assert _settles_to_zero(gate.inflight, timeout=5.0) == 0, "leaked permit"
