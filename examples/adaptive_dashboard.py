@@ -2,11 +2,11 @@
 """Adaptive view management under a shifting dashboard workload.
 
 A BI dashboard fires the same handful of DSL queries over and over —
-until an analyst pivots to a different slice.  This example drives the
-:class:`~repro.advisor.AdaptiveViewAdvisor` through such a shift and shows
-the view set following the workload: the advisor materializes views for
-the hot queries, then drops and replaces them when the hot set changes,
-all without ever changing an answer.
+until an analyst pivots to a different slice.  This example serves such a
+shift through a :class:`~repro.exec.QueryExecutor` and refreshes a
+:class:`~repro.adaptive.ViewMaintainer` over the queries it observed: the
+maintainer materializes views for the hot queries, then drops and replaces
+them once the hot set changes, all without ever changing an answer.
 
 Run:  python examples/adaptive_dashboard.py
 """
@@ -15,7 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import AdaptiveViewAdvisor, GraphAnalyticsEngine, parse_query
+from repro import (
+    GraphAnalyticsEngine,
+    QueryExecutor,
+    ViewMaintainer,
+    WorkloadWindow,
+    parse_query,
+)
 from repro.workloads import build_dataset, sample_path_queries
 
 
@@ -23,7 +29,10 @@ def main() -> None:
     corpus = build_dataset("NY", n_records=2000, seed=29)
     engine = GraphAnalyticsEngine()
     engine.load_columnar(corpus.record_ids(), corpus.to_columnar())
-    advisor = AdaptiveViewAdvisor(engine, budget=6, window=60)
+    executor = QueryExecutor(engine)
+    maintainer = ViewMaintainer(
+        executor, window=WorkloadWindow(60), budget=6, min_support=1
+    )
 
     phase_a = sample_path_queries(corpus, 6, 7, seed=41)
     phase_b = sample_path_queries(corpus, 6, 7, seed=97)
@@ -34,26 +43,26 @@ def main() -> None:
                     for q in hot_queries}
         engine.reset_stats()
         for _ in range(n_executions):
-            advisor.execute(rng.choice(hot_queries), fetch_measures=False)
+            executor.run_one(rng.choice(hot_queries), fetch_measures=False)
         cost = engine.stats.structural_columns_fetched()
-        summary = advisor.refresh()
+        report = maintainer.refresh()
         engine.reset_stats()
         for _ in range(n_executions):
-            advisor.execute(rng.choice(hot_queries), fetch_measures=False)
+            executor.run_one(rng.choice(hot_queries), fetch_measures=False)
         tuned = engine.stats.structural_columns_fetched()
         for q, expected in baseline.items():
             assert tuple(engine.query(q, fetch_measures=False).record_ids) == expected
         print(f"{name}: {cost} -> {tuned} structural columns per {n_executions} "
               f"queries after refresh "
-              f"(+{len(summary['added'])} views, -{len(summary['dropped'])}, "
-              f"kept {len(summary['kept'])}); answers unchanged")
+              f"(+{len(report.added)} views, -{len(report.dropped)}, "
+              f"kept {len(report.kept)}); answers unchanged")
 
     print(f"corpus: {engine.n_records} records, "
           f"{engine.relation.n_element_columns} elements; view budget 6\n")
     run_phase("phase A (dashboard 1)", phase_a)
     run_phase("phase A again (views warm)", phase_a)
     run_phase("phase B (analyst pivots)", phase_b)
-    print(f"\nmanaged views now: {sorted(advisor.managed_views)}")
+    print(f"\nmanaged views now: {sorted(maintainer.managed_views())}")
 
     # DSL round-trip on the same engine.
     edge = corpus.universe[int(corpus.record_edges[0][0])]

@@ -41,7 +41,6 @@ from .core import (
 from .columnstore import Bitmap, IOStats, MasterRelation
 from .exec import BitmapCache, CacheStats, QueryExecutor
 from .adaptive import ViewMaintainer, WorkloadWindow
-from .advisor import AdaptiveViewAdvisor
 from .lang import (
     QuerySyntaxError,
     canonical,
@@ -79,7 +78,6 @@ __all__ = [
     "AggregateGraphView",
     "And",
     "AndNot",
-    "AdaptiveViewAdvisor",
     "Bitmap",
     "ViewMaintainer",
     "WorkloadWindow",

@@ -32,8 +32,7 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from ..core.candidates import closed_candidates
-from ..core.setcover import greedy_select_views
+from ..core.candidates import select_graph_views
 from .window import WorkloadWindow
 
 __all__ = ["MaintenanceReport", "ViewMaintainer"]
@@ -216,12 +215,10 @@ class ViewMaintainer:
 
             workload = [entry.query for entry in entries]
             with self._span("adaptive.select"):
-                candidate_sets = closed_candidates(workload, self.min_support)
-                candidates = dict(enumerate(candidate_sets))
-                selection = greedy_select_views(
-                    [q.elements for q in workload], candidates, self.budget
+                selection, _ = select_graph_views(
+                    workload, self.budget, "closed", self.min_support
                 )
-                desired = [candidates[key] for key in selection.selected]
+            desired = selection.selected
             report.desired = len(desired)
             desired_set = set(desired)
 

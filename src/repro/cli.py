@@ -38,12 +38,12 @@ from pathlib import Path as FsPath
 from .columnstore import relation_disk_usage
 from .core import GraphAnalyticsEngine
 from .errors import (
-    AdmissionRejectedError,
     QueryCancelledError,
     QuerySyntaxError,
     QueryTimeoutError,
     ReproError,
     ShardExecutionError,
+    exit_code_for,
 )
 from .lang import (
     diagnose,
@@ -60,25 +60,14 @@ from .io import QuarantineReport, read_csv_triplets, read_jsonl
 
 __all__ = ["main"]
 
-# Exit codes live in repro.errors (shared with the HTTP daemon's error
-# bodies); re-exported here for existing importers.
-from .errors import EXIT_ADMISSION, EXIT_SHARD, EXIT_TIMEOUT, exit_code_for  # noqa: E402
-
 
 def _executor_for(
     args: argparse.Namespace, engine: GraphAnalyticsEngine, registry=None
 ) -> QueryExecutor:
-    admission = None
-    max_inflight = getattr(args, "max_inflight", None)
-    if max_inflight:
-        from .resilience import AdmissionController
-
-        admission = AdmissionController(max_inflight=max_inflight)
     return QueryExecutor(
         engine,
         jobs=getattr(args, "jobs", 1),
         cache_mb=getattr(args, "cache_mb", 0),
-        admission=admission,
         default_timeout=getattr(args, "timeout", None),
         registry=registry,
     )
@@ -167,12 +156,6 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_workload_line(line: str):
-    """One DSL line: a path-aggregation when it leads with a registered
-    aggregate function name, a graph query otherwise."""
-    return parse_statement(line)
-
-
 def _cmd_batch(args: argparse.Namespace) -> int:
     """Serve a file of DSL queries (one per line, ``#`` comments) through
     the concurrent executor and report throughput + cache efficiency.
@@ -223,7 +206,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
     if failed:
         first = next(r for r in results if isinstance(r, Exception))
-        return _exit_code_for(first)
+        return exit_code_for(first)
     return 0
 
 
@@ -231,7 +214,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from .obs import explain
 
     engine = GraphAnalyticsEngine.load(args.database)
-    query = _parse_workload_line(args.query)
+    query = parse_statement(args.query)
     _warn_unknown_nodes(engine, args.query)
     if args.cache_mb:
         from .exec import BitmapCache
@@ -276,8 +259,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ReproServer, ServeConfig, TenantGate, TenantPolicy
 
     engine = GraphAnalyticsEngine.load(args.database)
-    # Admission belongs to the daemon's tenant gate, not the executor —
-    # the gate admits tenant-first so one tenant can't starve the rest.
+    # The daemon's tenant gate is the only admission; it admits
+    # tenant-first so one tenant can't starve the rest.
     shared = None
     if args.max_inflight or args.rate:
         shared = AdmissionController(
@@ -290,11 +273,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rate=args.tenant_rate,
         max_wait_s=args.max_wait,
     )
-    args.max_inflight = None  # keep _executor_for from double-gating
     registry = MetricsRegistry()
-    config = ServeConfig(
-        host=args.host, port=args.port, default_timeout_s=args.timeout
-    )
+    config = ServeConfig(host=args.host, port=args.port)
 
     async def run() -> int:
         with _executor_for(args, engine, registry) as executor:
@@ -346,47 +326,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_views(args: argparse.Namespace) -> int:
     import json
 
-    engine = GraphAnalyticsEngine.load(args.database)
+    catalog = GraphAnalyticsEngine.load(args.database).view_catalog()
+    if args.json:
+        print(json.dumps(catalog, indent=2, default=str))
+        return 0
 
     def edge_str(edge) -> str:
         return "-".join(str(node) for node in edge)
 
-    graph = sorted(engine.graph_views.items())
-    agg = sorted(engine.aggregate_views.items())
-    if args.json:
-        payload = {
-            "graph_views": [
-                {
-                    "name": name,
-                    "elements": [list(e) for e in sorted(view.elements, key=repr)],
-                    "rows": engine.relation.ref_bitmap("graph-view", name).count(),
-                }
-                for name, view in graph
-            ],
-            "aggregate_views": [
-                {
-                    "name": name,
-                    "function": view.function,
-                    "path": [list(e) for e in view.path.edges()],
-                }
-                for name, view in agg
-            ],
-        }
-        print(json.dumps(payload, indent=2, default=str))
-        return 0
+    graph, agg = catalog["graph_views"], catalog["aggregate_views"]
     print(f"graph views ({len(graph)}):")
-    for name, view in graph:
-        elems = ", ".join(
-            edge_str(e) for e in sorted(view.elements, key=repr)
-        )
-        rows = engine.relation.ref_bitmap("graph-view", name).count()
-        print(f"  {name:<14} {rows:>8} rows  {{{elems}}}")
+    for view in graph:
+        elems = ", ".join(edge_str(e) for e in view["elements"])
+        print(f"  {view['name']:<14} {view['rows']:>8} rows  {{{elems}}}")
     print(f"aggregate views ({len(agg)}):")
-    for name, view in agg:
-        path = " -> ".join(
-            edge_str(e) for e in view.path.edges()
-        )
-        print(f"  {name:<14} {view.function:<6} {path}")
+    for view in agg:
+        path = " -> ".join(edge_str(e) for e in view["path"])
+        print(f"  {view['name']:<14} {view['function']:<6} {path}")
     return 0
 
 
@@ -467,16 +423,9 @@ def _describe_error(exc: Exception) -> str:
         return f"timed out: {exc}"
     if isinstance(exc, QueryCancelledError):
         return "cancelled"
-    if isinstance(exc, AdmissionRejectedError):
-        hint = getattr(exc, "retry_after", None)
-        extra = f" (retry after {hint:.2f}s)" if hint else ""
-        return f"rejected by admission control{extra}"
     if isinstance(exc, ShardExecutionError):
         return f"shard failure: {exc}"
     return f"{type(exc).__name__}: {exc}"
-
-
-_exit_code_for = exit_code_for
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,11 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--timeout", type=float, default=None, metavar="SECONDS",
             help="per-query deadline; an overrunning query is cancelled at "
                  "the next operator boundary (exit code 3)",
-        )
-        p.add_argument(
-            "--max-inflight", type=int, default=None, metavar="N",
-            help="admit at most N concurrent queries; excess queries queue "
-                 "briefly then are rejected (exit code 4)",
         )
         # Accepted and ignored — every query folds in one call — because
         # the frozen benchmark starts its daemons with all three
@@ -615,6 +559,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--port", type=int, default=8750,
         help="listen port (0 = pick an ephemeral port; default 8750)",
+    )
+    p_serve.add_argument(
+        "--max-inflight", type=int, default=None, metavar="N",
+        help="shared cap on concurrent requests; excess requests wait up "
+             "to --max-wait, then get 429 (default unlimited)",
     )
     p_serve.add_argument(
         "--rate", type=float, default=None, metavar="QPS",
@@ -708,12 +657,11 @@ def main(argv: list[str] | None = None) -> int:
         # does not raise a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (QueryTimeoutError, QueryCancelledError, AdmissionRejectedError,
-            ShardExecutionError) as exc:
+    except (QueryTimeoutError, QueryCancelledError, ShardExecutionError) as exc:
         # Resilience failures before the generic ReproError catch-all:
         # distinct exit codes so callers can branch on the failure class.
         print(f"error: {_describe_error(exc)}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return exit_code_for(exc)
     except QuerySyntaxError as exc:
         # Caret-annotated rendering: message, offending line, ^ column.
         print(f"error: {render_syntax_error(exc)}", file=sys.stderr)

@@ -21,7 +21,8 @@ frequent itemsets with support ≥ ``minSup``, then filter superseded views.
 :func:`apriori_candidates` implements the level-wise miner literally (for
 moderate workloads and tests); :func:`closed_candidates` produces the same
 post-filter output directly — closed frequent sets — and is what the large
-benchmarks use.
+benchmarks use.  :func:`select_graph_views` is the whole §5.2 loop: one of
+these generators, then the budgeted greedy set cover.
 
 **Aggregate graph views.**  Candidates are paths between *interesting
 nodes* of the workload union graph ``GAll`` (Section 5.4):
@@ -40,12 +41,14 @@ from typing import Hashable
 from .paths import Path, adjacency_of
 from .query import GraphQuery, PathAggregationQuery
 from .record import Edge
+from .setcover import SelectionResult, greedy_select_views
 from .views import graph_view_supersedes
 
 __all__ = [
     "intersection_closure_candidates",
     "apriori_candidates",
     "closed_candidates",
+    "select_graph_views",
     "filter_superseded",
     "interesting_nodes",
     "candidate_aggregate_paths",
@@ -180,6 +183,37 @@ def closed_candidates(
     sized = [c for c in closed if len(c) >= 2]
     out = [c for c in sized if _support(c, queries) >= min_support]
     return sorted(out, key=lambda s: (-len(s), sorted(map(repr, s))))
+
+
+def select_graph_views(
+    workload: Sequence[GraphQuery],
+    budget: int,
+    method: str = "closure",
+    min_support: int = 1,
+) -> tuple[SelectionResult, int]:
+    """Workload → graph views to materialize (§5.2): generate candidates,
+    then pick up to ``budget`` of them by greedy extended set cover.
+
+    ``method`` picks the candidate generator: ``"closure"`` (iterated
+    query intersections), ``"apriori"`` (level-wise frequent itemsets),
+    or ``"closed"`` (closed frequent sets — apriori's post-filter output,
+    computed directly; the scalable choice for big workloads).
+    Candidates are keyed by their element sets, so the selection's
+    ``selected`` lists the chosen sets in pick order.  Returns the
+    selection and the number of candidates generated.
+    """
+    if method == "closure":
+        candidates = intersection_closure_candidates(workload, min_support)
+    elif method == "apriori":
+        candidates = apriori_candidates(workload, max(min_support, 1))
+    elif method == "closed":
+        candidates = closed_candidates(workload, min_support)
+    else:
+        raise ValueError(f"unknown candidate method {method!r}")
+    selection = greedy_select_views(
+        [q.elements for q in workload], {c: c for c in candidates}, budget
+    )
+    return selection, len(candidates)
 
 
 # -- aggregate graph views (Section 5.4) ---------------------------------------

@@ -31,12 +31,7 @@ from ...columnstore.persistence import load_relation, save_relation
 from ...columnstore.table import MasterRelation, and_refs
 from ...errors import IngestError, ManifestError, PersistenceError
 from ..aggregates import get_function
-from ..candidates import (
-    apriori_candidates,
-    candidate_aggregate_paths,
-    closed_candidates,
-    intersection_closure_candidates,
-)
+from ..candidates import candidate_aggregate_paths, select_graph_views
 from ..catalog import EdgeCatalog
 from ..paths import Path
 from ..query import GraphQuery, PathAggregationQuery, QueryExpr
@@ -644,31 +639,15 @@ class GraphAnalyticsEngine:
         method: str = "closure",
         min_support: int = 1,
     ) -> MaterializationReport:
-        """Select and materialize up to ``budget`` graph views (§5.2).
-
-        ``method`` picks the candidate generator: ``"closure"`` (iterated
-        query intersections), ``"apriori"`` (level-wise frequent itemsets),
-        or ``"closed"`` (closed frequent sets — apriori's post-filter
-        output, computed directly; the scalable default for big workloads).
-        """
-        if method == "closure":
-            candidate_sets = intersection_closure_candidates(workload, min_support)
-        elif method == "apriori":
-            candidate_sets = apriori_candidates(workload, max(min_support, 1))
-        elif method == "closed":
-            candidate_sets = closed_candidates(workload, min_support)
-        else:
-            raise ValueError(f"unknown candidate method {method!r}")
-        candidates = {f"cand{i}": elems for i, elems in enumerate(candidate_sets)}
-        selection = greedy_select_views(
-            [q.elements for q in workload], candidates, budget
+        """Select and materialize up to ``budget`` graph views (§5.2);
+        ``method`` and ``min_support`` are :func:`select_graph_views`'s."""
+        selection, n_candidates = select_graph_views(
+            workload, budget, method, min_support
         )
-        report = MaterializationReport(
-            kind="graph", n_candidates=len(candidate_sets)
-        )
+        report = MaterializationReport(kind="graph", n_candidates=n_candidates)
         report.stopped_on_singleton = selection.stopped_on_singleton
-        for key in selection.selected:
-            report.selected.append(self.add_graph_view(candidates[key]))
+        for elements in selection.selected:
+            report.selected.append(self.add_graph_view(elements))
         if not report.selected:  # a write advances the epoch, even a no-op
             self._bump_views_epoch()
         return report
@@ -723,6 +702,29 @@ class GraphAnalyticsEngine:
         self._bump_views_epoch()
 
     # -- introspection ---------------------------------------------------------------
+
+    def view_catalog(self) -> dict:
+        """The materialized views as JSON-ready lists, by name: each graph
+        view's elements and row count, each aggregate view's function and
+        path (``repro views --json`` and the daemon's ``GET /views``)."""
+        return {
+            "graph_views": [
+                {
+                    "name": name,
+                    "elements": [list(e) for e in sorted(view.elements, key=repr)],
+                    "rows": self.relation.ref_bitmap("graph-view", name).count(),
+                }
+                for name, view in sorted(self._graph_views.items())
+            ],
+            "aggregate_views": [
+                {
+                    "name": name,
+                    "function": view.function,
+                    "path": [list(e) for e in view.path.edges()],
+                }
+                for name, view in sorted(self._agg_views.items())
+            ],
+        }
 
     def explain(
         self,

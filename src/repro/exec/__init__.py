@@ -6,9 +6,9 @@ edge-set plus the engine's state epoch), and :class:`QueryExecutor` fans
 query batches/streams out over a thread pool, in submission order, with
 reader/writer isolation against concurrent appends and view changes.
 
-Serving governance lives in :mod:`repro.resilience` and plugs in here:
-the executor accepts per-query deadlines/cancel tokens and an optional
-:class:`~repro.resilience.AdmissionController`.
+Serving governance lives in :mod:`repro.resilience`: the executor
+accepts per-query deadlines and cancel tokens; admission is the daemon's
+(:mod:`repro.serve.tenants`).
 """
 
 from .cache import BitmapCache, CacheStats

@@ -26,7 +26,7 @@ import threading
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext
 from itertools import islice
 
 from ..core.engine import (
@@ -37,12 +37,8 @@ from ..core.engine import (
 )
 from ..core.query import GraphQuery, PathAggregationQuery, QueryExpr
 from ..core.record import GraphRecord
-from ..errors import (
-    AdmissionRejectedError,
-    QueryCancelledError,
-    QueryTimeoutError,
-)
-from ..resilience import AdmissionController, CancelToken, QueryContext
+from ..errors import QueryCancelledError, QueryTimeoutError
+from ..resilience import CancelToken, QueryContext
 from .cache import BitmapCache
 
 __all__ = ["QueryExecutor"]
@@ -126,11 +122,6 @@ class QueryExecutor:
         served-query counters, and installs the registry on the engine
         (:meth:`GraphAnalyticsEngine.use_metrics`) so the I/O collector
         and bitmap cache publish too.
-    admission:
-        Optional :class:`repro.resilience.AdmissionController` gating
-        every query; rejected queries raise
-        :class:`~repro.errors.AdmissionRejectedError` without touching
-        the engine.
     default_timeout:
         Per-query deadline in seconds applied when a call does not pass
         its own ``timeout`` (None = no deadline).
@@ -151,7 +142,6 @@ class QueryExecutor:
         jobs: int = 1,
         cache_mb: float | None = None,
         registry=None,
-        admission: AdmissionController | None = None,
         default_timeout: float | None = None,
         exec_mode: str | None = None,
         workers: int | None = None,
@@ -163,7 +153,6 @@ class QueryExecutor:
         self.jobs = jobs
         self.cache = BitmapCache(int(cache_mb * (1 << 20))) if cache_mb else None
         self.registry = registry
-        self.admission = admission
         self.default_timeout = default_timeout
         engine.use_bitmap_cache(self.cache)
         if registry is not None:
@@ -208,11 +197,6 @@ class QueryExecutor:
         if timeout is None and cancel is None:
             return None
         return QueryContext.start(timeout=timeout, token=cancel)
-
-    def _estimate_bytes(self) -> int:
-        """Admission byte estimate: one uncompressed bitmap width — the
-        unit every conjunction step allocates at least once."""
-        return max(self.engine.n_records // 8, 1)
 
     def _execute_one(
         self, query: AnyQuery, fetch_measures: bool, ctx: QueryContext | None,
@@ -284,55 +268,33 @@ class QueryExecutor:
         ``timeout`` (seconds) overrides the executor default for this
         call; ``cancel`` attaches a shared
         :class:`~repro.resilience.CancelToken`.  Alternatively pass a
-        ready-made ``ctx``.  With an admission controller installed the
-        query first passes the gate (possibly queueing up to its bounded
-        wait) and may raise
-        :class:`~repro.errors.AdmissionRejectedError`.
+        ready-made ``ctx``.  Admission is the caller's: the daemon gates
+        a request before it reaches the executor.
 
         ``wait=False`` answers on the calling thread only if nothing would
         make it wait, and otherwise returns None, holding and counting
-        nothing: when a writer holds or wants the lock, the admission
-        gate is closed, the query is a boolean expression (no single
-        plan), or its plan ANDs at least :attr:`nowait_words` words.
+        nothing: when a writer holds or wants the lock, the query is a
+        boolean expression (no single plan), or its plan ANDs at least
+        :attr:`nowait_words` words.
         """
         if ctx is None:
             ctx = self._make_ctx(timeout, cancel)
         if not wait:
             return self._answer_now(query, fetch_measures, ctx)
-        admission = self.admission
-        if admission is None:
-            return self._execute_one(query, fetch_measures, ctx)
-        try:
-            waited_from = time.perf_counter()
-            with admission.admit(self._estimate_bytes()):
-                if self.registry is not None:
-                    self.registry.histogram("resilience.admission_wait_seconds").observe(
-                        time.perf_counter() - waited_from
-                    )
-                self._count("resilience.admitted")
-                return self._execute_one(query, fetch_measures, ctx)
-        except AdmissionRejectedError:
-            self._count("resilience.admission_rejected")
-            raise
+        return self._execute_one(query, fetch_measures, ctx)
 
     def _answer_now(
         self, query: AnyQuery, fetch_measures: bool, ctx: QueryContext | None
     ) -> AnyResult | None:
         if not isinstance(query, (GraphQuery, PathAggregationQuery)):
             return None
-        with ExitStack() as hold:
-            if not hold.enter_context(self._rw.read(wait=False)):
+        with self._rw.read(wait=False) as held:
+            if not held:
                 return None
             # Sized under the lock, so no mutation can make the plan stale.
             refs = self.engine.physical_plan(query).refs
             if refs and len(refs) * -(-self.engine.n_records // 64) >= self.nowait_words:
                 return None
-            if self.admission is not None:
-                nbytes = self._estimate_bytes()
-                if not self.admission.try_admit(nbytes):
-                    return None
-                hold.callback(self.admission.release, nbytes)
-                self._count("resilience.admitted")
             return self._execute_one(query, fetch_measures, ctx, lock=False)
 
     def run_batch(
@@ -417,6 +379,12 @@ class QueryExecutor:
             )
 
     # -- write side ----------------------------------------------------------
+
+    def view_catalog(self) -> dict:
+        """The engine's view catalog under the shared read lock, so a
+        concurrent view swap cannot change it mid-listing."""
+        with self._rw.read():
+            return self.engine.view_catalog()
 
     def explain(
         self, query: AnyQuery, analyze: bool = False, fmt: str = "text"

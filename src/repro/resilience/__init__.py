@@ -8,10 +8,11 @@ The governance layer between the executor and the storage backend:
   loops; expiry raises :class:`~repro.errors.QueryTimeoutError`, a fired
   token raises :class:`~repro.errors.QueryCancelledError`;
 * :class:`AdmissionController` — token-bucket + inflight/byte-budget gate
-  in front of :class:`repro.exec.QueryExecutor`, rejecting with
-  :class:`~repro.errors.AdmissionRejectedError` after a bounded wait.
+  that the daemon's tenant gates (:mod:`repro.serve.tenants`) are built
+  from, rejecting with :class:`~repro.errors.AdmissionRejectedError` after
+  a bounded wait.
 
-Timeouts, cancellations and admission decisions publish ``resilience.*``
+The executor publishes timeouts and cancellations as ``resilience.*``
 counters into an attached :class:`repro.obs.MetricsRegistry`.
 """
 

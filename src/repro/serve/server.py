@@ -71,7 +71,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0                      # 0 = ephemeral, read .port after start
     limits: Limits = field(default_factory=Limits)
-    default_timeout_s: float | None = None   # per-query cap when body omits one
     max_timeout_s: float = 300.0             # ceiling on client-requested budgets
     drain_s: float = 5.0                     # graceful-stop wait for inflight
     engine_threads: int = 8                  # blocking-call bridge width
@@ -93,9 +92,9 @@ def _route_metric(path: str) -> str:
 class ReproServer:
     """One daemon over one executor.
 
-    ``gate`` supplies multi-tenant admission (the executor's own
-    ``admission`` should be None — the daemon gates *before* the engine,
-    tenant first, so the executor never double-counts).
+    ``gate`` supplies multi-tenant admission, the only admission: the
+    daemon gates *before* the engine, tenant first.  A body without
+    ``timeout_ms`` gets the executor's ``default_timeout``.
 
     ``maintainer`` is an optional
     :class:`~repro.adaptive.ViewMaintainer`: its background loop starts
@@ -382,12 +381,16 @@ class ReproServer:
     def _timeout_of(self, payload: dict) -> float | None:
         raw = payload.get("timeout_ms")
         if raw is None:
-            return self.config.default_timeout_s
+            return self.executor.default_timeout
         if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw <= 0:
             raise WireError(
                 400, "bad-request", f'"timeout_ms" must be a positive number: {raw!r}'
             )
         return min(raw / 1000.0, self.config.max_timeout_s)
+
+    def _admission_bytes(self) -> int:
+        """Admission byte estimate of a read: one uncompressed bitmap."""
+        return max(self.executor.engine.n_records // 8, 1)
 
     async def _in_engine(self, fn):
         assert self._loop is not None
@@ -441,31 +444,10 @@ class ReproServer:
         self, request: Request, writer: asyncio.StreamWriter
     ) -> bool:
         """The materialized view catalog plus adaptive-maintainer status."""
-
-        def snapshot():
-            engine = self.executor.engine
-            graph = [
-                {
-                    "name": name,
-                    "elements": [list(e) for e in sorted(view.elements, key=repr)],
-                }
-                for name, view in sorted(engine.graph_views.items())
-            ]
-            agg = [
-                {
-                    "name": name,
-                    "function": view.function,
-                    "path": [list(e) for e in view.path.edges()],
-                }
-                for name, view in sorted(engine.aggregate_views.items())
-            ]
-            return graph, agg
-
-        graph, agg = await self._in_engine(snapshot)
+        catalog = await self._in_engine(self.executor.view_catalog)
         payload = {
             "epoch": self.executor.epoch,
-            "graph_views": graph,
-            "aggregate_views": agg,
+            **catalog,
             "adaptive": (
                 self.maintainer.status() if self.maintainer is not None else None
             ),
@@ -519,7 +501,7 @@ class ReproServer:
 
         token = CancelToken()
         ctx = QueryContext.start(timeout=timeout, token=token)
-        nbytes = max(self.executor.engine.n_records // 8, 1)
+        nbytes = self._admission_bytes()
         # Answered on the loop unless something would make it wait; else
         # bridged, watcher armed, carrying the probe's permit if it took
         # one.  The permit covers execution AND streaming (a slow reader).
@@ -625,7 +607,7 @@ class ReproServer:
             raise WireError(400, "bad-request", '"analyze" must be a boolean')
         if fmt not in ("text", "json"):
             raise WireError(400, "bad-request", '"fmt" must be "text" or "json"')
-        nbytes = max(self.executor.engine.n_records // 8, 1) if analyze else 0
+        nbytes = self._admission_bytes() if analyze else 0
 
         def work():
             with self.gate.admit(tenant, nbytes):

@@ -17,8 +17,6 @@ from repro.core import (
 )
 from repro.exec import BitmapCache, QueryExecutor
 from repro.exec.executor import _ReadWriteLock
-from repro.obs import MetricsRegistry
-from repro.resilience import AdmissionController
 
 
 def bm(*indices, length=64):
@@ -362,22 +360,6 @@ class TestAnswerNow:
                 assert executor.run_one(self.AB, wait=False) is None
             writer.join(5)
             assert writer_in.is_set()
-            self.assert_holds_nothing(executor)
-
-    def test_declines_a_closed_gate_and_counts_nothing(self):
-        admission = AdmissionController(max_inflight=1)
-        registry = MetricsRegistry()
-        with QueryExecutor(
-            fresh_engine(), admission=admission, registry=registry
-        ) as executor:
-            assert admission.try_admit()
-            assert executor.run_one(self.AB, wait=False) is None
-            admission.release()
-            stats = admission.stats
-            assert (stats.admitted, stats.rejected, stats.inflight) == (1, 0, 0)
-            assert registry.counter("exec.queries_served").value == 0
-            assert executor.run_one(self.AB, wait=False).record_ids == ["r1", "r2"]
-            assert admission.stats.admitted == 2 and admission.stats.inflight == 0
             self.assert_holds_nothing(executor)
 
     def test_declines_expressions_and_folds_of_nowait_words(self, monkeypatch):

@@ -349,28 +349,6 @@ class TestBatchErrorIsolation:
         assert fault.failures == 2
 
 
-class TestExecutorAdmission:
-    def test_rejection_is_typed_counted_and_engine_untouched(self):
-        registry = MetricsRegistry()
-        engine = _engine()
-        gate = AdmissionController(max_inflight=1, max_wait_s=0.0)
-        assert gate.try_admit()  # hold the only slot from outside
-        with QueryExecutor(engine, registry=registry, admission=gate) as executor:
-            with pytest.raises(AdmissionRejectedError):
-                executor.run_one(QUERY)
-        gate.release()
-        assert registry.counter("resilience.admission_rejected").value == 1
-        assert registry.counter("exec.queries_served").value == 0
-
-    def test_admitted_queries_flow_normally(self):
-        engine = _engine()
-        gate = AdmissionController(max_inflight=2, max_wait_s=1.0)
-        with QueryExecutor(engine, admission=gate) as executor:
-            results = executor.run_batch([QUERY] * 4, return_errors=True)
-        assert all(len(r) == N_RECORDS for r in results)
-        assert gate.stats.admitted == 4 and gate.stats.inflight == 0
-
-
 class TestExecutorDefaults:
     def test_default_timeout_applies_when_call_says_nothing(self):
         engine = _engine()
@@ -405,7 +383,7 @@ class TestCLIResilience:
 
         code = main([
             "query", db, "A -> D -> E",
-            "--timeout", "30", "--max-inflight", "4", "--limit", "2",
+            "--timeout", "30", "--limit", "2",
         ])
         assert code == 0
         assert "matching records" in capsys.readouterr().out

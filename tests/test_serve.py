@@ -321,6 +321,21 @@ class TestCancellation:
             handle.stop()
             executor.close()
 
+    def test_body_without_timeout_ms_gets_the_executors_default(self):
+        engine = GraphAnalyticsEngine()
+        engine.load_records(make_records())
+        executor = QueryExecutor(engine, default_timeout=1e-9)
+        handle = start_in_thread(executor)
+        try:
+            with ServeClient(*handle.address) as client:
+                with pytest.raises(ServeHTTPError) as err:
+                    client.query({"q": "a -> b"})
+                assert err.value.status == 504
+                assert err.value.code == "timeout"
+        finally:
+            handle.stop()
+            executor.close()
+
 
 class TestGracefulShutdown:
     def test_stop_drains_inflight_queries(self):

@@ -156,9 +156,10 @@ class TestGreedyCoverQuery:
 
 class TestDeterministicTieBreaking:
     """Equal-gain rounds must resolve on candidate *content*, not on how
-    the candidates happened to be keyed or ordered — the advisor and the
-    adaptive maintainer re-key candidates every refresh, so key-dependent
-    ties made the chosen view set drift between identical windows."""
+    the candidates happened to be keyed or ordered — ``select_graph_views``
+    keys candidates by their element sets, which is sound only because
+    the choice does not depend on the keys, and key-dependent ties once
+    made the chosen view set drift between identical windows."""
 
     def test_selection_invariant_under_key_renaming(self):
         universes = [fs(1, 2, 9), fs(1, 2, 8), fs(3, 4, 9), fs(3, 4, 8)]
