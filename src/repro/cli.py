@@ -236,9 +236,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.queries:
         statements = parse_workload(FsPath(args.queries).read_text())
         workload = [stmt.query for stmt in statements]
-        with QueryExecutor(
-            engine, jobs=args.jobs, cache_mb=args.cache_mb, registry=registry
-        ) as executor:
+        with _executor_for(args, engine, registry) as executor:
             for _ in executor.serve(workload, fetch_measures=False):
                 pass
     else:

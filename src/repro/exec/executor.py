@@ -4,10 +4,13 @@ The ROADMAP's north star is a system that serves heavy query traffic; this
 module adds the serving loop the paper leaves implicit.  A
 :class:`QueryExecutor` accepts batches (or an unbounded stream) of
 :class:`GraphQuery` / :class:`QueryExpr` / :class:`PathAggregationQuery`
-objects and fans them out over a thread pool — the word-level numpy kernels
-behind ``Bitmap.__and__`` release the GIL, so bitmap-heavy workloads scale
-with cores — while a :class:`BitmapCache` serves a repeated query's
-structural answer without re-ANDing its columns.
+objects and fans them out over a thread pool, while a :class:`BitmapCache`
+serves a repeated query's structural answer without re-ANDing its columns.
+The pool buys no speed: in ``bench_parallel_serving`` 4 threads were never
+faster than 1, with or without the cache (once 5.5x slower without it at
+scale 20).  The likely cause, not yet measured, is that a query's work is
+Python between short numpy calls, which the GIL serialises.  ROADMAP item
+12 records the runs and plans the pool's removal.
 
 Every query's conjunction folds all of its records in one call, in the
 thread that runs the query.

@@ -5,9 +5,9 @@ to the in-process result — the over-the-wire differential suite holds it
 to the same RowStore oracle as the library.  Two details make that
 exact:
 
-* **Floats** ride through ``repr``-based JSON (Python's ``json`` emits
-  the shortest round-tripping decimal for a double), and the three
-  non-JSON values are escaped as the strings ``"NaN"`` /
+* **Floats** are written as ``repr`` (and ``json``) write them, the
+  shortest round-tripping decimal, and the three non-JSON values are
+  escaped as the strings ``"NaN"`` /
   ``"Infinity"`` / ``"-Infinity"`` — the engine uses NaN for "record
   lacks this measure", so the sentinel must survive the wire.
 * **Node labels** keep their Python type: JSON distinguishes ``2093``
@@ -15,9 +15,9 @@ exact:
   decoded queries and answers hash and compare equal to the originals.
 
 Streamed answers are NDJSON: one header object (count, epoch, element /
-path schema), then one row object per matching record —
-rendered a block of rows at a time, column by column, never one
-``json.dumps`` per row (:func:`encode_answer`).
+path schema), then one row object per matching record — every float
+cell of the answer from one ``orjson.dumps`` call, rows joined a block
+at a time, never one ``json.dumps`` per row (:func:`encode_answer`).
 Errors map the typed hierarchy onto stable machine codes and HTTP
 statuses; ``exit_code`` mirrors the CLI so scripted clients can branch
 identically on either surface.
@@ -32,6 +32,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
+import orjson
 
 from ..core import GraphQuery, GraphRecord, PathAggregationQuery
 from ..core.aggregates import FUNCTIONS
@@ -238,39 +239,38 @@ def _schema(result) -> tuple[dict, list, str]:
     return header, [result.measures[e] for e in elements], "m"
 
 
-def _row_blocks(record_ids, columns, key: str, block_rows: int) -> Iterator[list[str]]:
-    """Row objects ``{"id":…,"<key>":[…]}`` as JSON text, ``block_rows`` at
-    a time, rendered column-wise.  A finite double is written by its
-    ``repr`` (what ``json`` itself emits); the non-finite cells
-    are found with one ``np.isfinite`` per column and patched to their
-    string escapes.  ``str`` ids go through json's own escaper, ``int``
-    ids are their ``repr``, anything else (bools, tuples — which travel as
-    arrays) goes through :func:`dumps`."""
-    columns = [np.asarray(column, dtype=np.float64) for column in columns]
-    odd = [~np.isfinite(column) for column in columns]
-    odd = [mask if mask.any() else None for mask in odd]  # None: nothing to patch
-    row = '{"id":%s,"' + key + '":[' + ",".join(["%s"] * len(columns)) + "]}"
-    for lo in range(0, len(record_ids), block_rows):
-        hi = lo + block_rows
-        cells = [
-            [
-                _quote(i) if type(i) is str else repr(i) if type(i) is int else dumps(i)
-                for i in record_ids[lo:hi]
-            ]
-        ]
-        for column, mask in zip(columns, odd):
-            text = list(map(repr, column[lo:hi].tolist()))
-            if mask is not None:
-                for i in np.flatnonzero(mask[lo:hi]).tolist():
-                    text[i] = _NONFINITE[text[i]]
-            cells.append(text)
-        yield [row % row_cells for row_cells in zip(*cells)]
+def _row_blocks(record_ids, columns, key: str, block_rows: int) -> Iterator[str]:
+    """Row lines ``{"id":…,"<key>":[…]}\n``, ``block_rows`` to a string.
+
+    Every float cell is written by one ``orjson.dumps`` of the answer's
+    ``(rows, columns)`` matrix, split per row on ``"],["``.  Its text is
+    ``repr``'s wherever ``x == 0`` or ``1e-4 <= |x| < 1e16``; elsewhere it
+    spells the exponent differently and writes NaN/±inf as ``null``, so a
+    row holding such a cell is rewritten with ``repr`` and the string
+    escapes.  ``str`` ids go through json's escaper, ``int`` ids are their
+    ``repr``, others (bools, tuples) through :func:`dumps`, a block at a
+    time, so a bad id fails its own block only."""
+    n = len(record_ids)
+    cells = [""] * n
+    if n and columns:
+        matrix = np.ascontiguousarray(np.column_stack(columns), dtype=np.float64)
+        text = orjson.dumps(matrix, option=orjson.OPT_SERIALIZE_NUMPY)
+        cells = text[2:-2].decode().split("],[")
+        size = np.abs(matrix)
+        plain = (matrix == 0) | ((size >= 1e-4) & (size < 1e16))
+        for i in np.flatnonzero(~plain.all(axis=1)).tolist():
+            cells[i] = ",".join([_NONFINITE.get(t, t) for t in map(repr, matrix[i].tolist())])
+    middle, glue = ',"' + key + '":[', ']}\n{"id":'
+    for lo in range(0, n, block_rows):
+        ids = [_quote(i) if type(i) is str else repr(i) if type(i) is int else dumps(i)
+               for i in record_ids[lo : lo + block_rows]]
+        rows = map(middle.join, zip(ids, cells[lo : lo + block_rows]))
+        yield '{"id":' + glue.join(rows) + "]}\n"
 
 
 def encode_blocks(record_ids, columns, key: str, block_rows: int) -> Iterator[bytes]:
     """The row lines of an answer as wire bytes, one block per item."""
-    for block in _row_blocks(record_ids, columns, key, block_rows):
-        yield ("\n".join(block) + "\n").encode()
+    return (block.encode() for block in _row_blocks(record_ids, columns, key, block_rows))
 
 
 def encode_answer(result, block_rows: int) -> tuple[bytes, Iterator[bytes]]:
@@ -292,7 +292,7 @@ def iter_graph_rows(result) -> Iterator[str]:
     (blocks of the daemon's default 64 rows underneath)."""
     _, columns, key = _schema(result)
     blocks = _row_blocks(result.record_ids, columns, key, 64)
-    return chain.from_iterable(map(_RowText, block) for block in blocks)
+    return chain.from_iterable(map(_RowText, b.split("\n")[:-1]) for b in blocks)
 
 
 encode_agg_header = encode_graph_header

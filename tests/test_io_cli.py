@@ -200,6 +200,15 @@ class TestObservabilityCli:
         assert "io.bitmap_columns_fetched" in out
         assert "cache.hits" in out
 
+    def test_metrics_honours_timeout(self, fig2_db, capsys):
+        """A workload whose every query overruns ``--timeout`` fails the
+        command with the timeout exit code, as ``query`` and ``batch`` do."""
+        db, queries = fig2_db
+        capsys.readouterr()
+        code = main(["metrics", str(db), "--queries", str(queries), "--timeout", "1e-9"])
+        assert code == 3
+        assert "timed out" in capsys.readouterr().err
+
     def test_metrics_json_dump(self, fig2_db, capsys, tmp_path):
         import json
 
