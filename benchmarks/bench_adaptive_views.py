@@ -98,7 +98,7 @@ def test_static_views(benchmark):
     engine.materialize_graph_views(distinct, budget=VIEW_BUDGET)
 
     def run():
-        with QueryExecutor(engine, jobs=4) as executor:
+        with QueryExecutor(engine) as executor:
             for query in pre:  # warm-up pass, symmetric with adaptive
                 executor.run_one(query, fetch_measures=False)
             before = _measured_pass(executor, pre)
@@ -117,7 +117,7 @@ def test_adaptive_views(benchmark):
     engine = _engine(corpus)
 
     def run():
-        executor = QueryExecutor(engine, jobs=4)
+        executor = QueryExecutor(engine)
         maintainer = ViewMaintainer(
             executor,
             window=WorkloadWindow(256),

@@ -1,24 +1,19 @@
-"""Parallel batch serving with the whole-answer bitmap cache.
+"""Batch serving with and without the whole-answer bitmap cache.
 
 The serving-layer perf trajectory: one dense corpus (the workload where
-conjunctions are widest, so sharing them matters most), one skewed batch of
+conjunctions are widest, so caching them matters most), one skewed batch of
 repeated dense queries — the shape of real query traffic, where a few hot
-queries dominate (cf. the Zipf workloads of Figure 8) — served under four
+queries dominate (cf. the Zipf workloads of Figure 8) — served by
+``QueryExecutor.run_batch``, in order on one thread, under two
 configurations:
 
-* ``serial-nocache``   — jobs=1, no cache: the engine as it was before the
-  executor existed (the baseline);
-* ``serial-cache``     — jobs=1 + warm cache: what answer caching
-  alone buys;
-* ``parallel4-nocache`` — jobs=4, no cache: what threading alone buys
-  (bounded by available cores; the numpy word-ops release the GIL);
-* ``parallel4-cache``  — jobs=4 + warm cache: the full serving layer.
+* ``nocache`` — no cache: every query folds its bitmaps (the baseline);
+* ``cache``   — a warm cache: what answer caching buys.
 
-Emits ``benchmarks/BENCH_parallel_serving.json`` with per-config seconds
-and queries/second plus the headline ``speedup`` of ``parallel4-cache``
-over ``serial-nocache``; the report test asserts the acceptance bar
-(>= 2x with warm cache) and that every configuration returns identical
-answers.
+Emits ``benchmarks/BENCH_answer_cache.json`` with per-config seconds and
+queries/second plus the headline ``speedup`` of ``cache`` over
+``nocache``; the report test asserts the acceptance bar (>= 2x with a warm
+cache) and that both configurations return identical answers.
 """
 
 from __future__ import annotations
@@ -40,14 +35,9 @@ N_QUERIES = 192         # served per batch, zipf-repeated from the pool
 ZIPF_S = 1.1
 CACHE_MB = 64
 
-CONFIGS = {
-    "serial-nocache": dict(jobs=1, cached=False),
-    "serial-cache": dict(jobs=1, cached=True),
-    "parallel4-nocache": dict(jobs=4, cached=False),
-    "parallel4-cache": dict(jobs=4, cached=True),
-}
+CONFIGS = {"nocache": 0, "cache": CACHE_MB}  # config -> cache budget (MB)
 
-JSON_PATH = Path(__file__).parent / "BENCH_parallel_serving.json"
+JSON_PATH = Path(__file__).parent / "BENCH_answer_cache.json"
 
 _results: dict[str, float] = {}
 _answers: dict[str, list] = {}
@@ -68,9 +58,7 @@ def _workload():
 def test_serving_config(benchmark, config):
     corpus, queries = _workload()
     engine = engine_for(corpus)
-    spec = CONFIGS[config]
-    cache_mb = CACHE_MB if spec["cached"] else 0
-    with QueryExecutor(engine, jobs=spec["jobs"], cache_mb=cache_mb) as executor:
+    with QueryExecutor(engine, cache_mb=CONFIGS[config]) as executor:
         if executor.cache is not None:
             executor.run_batch(queries, fetch_measures=False)  # warm the cache
         results = benchmark(
@@ -82,16 +70,17 @@ def test_serving_config(benchmark, config):
 
 
 def test_zz_report(benchmark):
-    """Write BENCH_parallel_serving.json and assert the acceptance bar."""
+    """Write BENCH_answer_cache.json and assert the acceptance bar."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert set(_results) == set(CONFIGS), "all configs must have run"
     # Differential guarantee: every configuration serves identical answers.
-    baseline_answers = _answers["serial-nocache"]
+    baseline_answers = _answers["nocache"]
     for config, answers in _answers.items():
         assert answers == baseline_answers, f"{config} diverged from baseline"
 
+    speedup = _results["nocache"] / _results["cache"]
     payload = {
-        "benchmark": "parallel_serving",
+        "benchmark": "answer_cache",
         "corpus": {
             "kind": "dense",
             "n_records": N_RECORDS,
@@ -106,33 +95,26 @@ def test_zz_report(benchmark):
         "cache_mb": CACHE_MB,
         "configs": {
             config: {
-                "jobs": CONFIGS[config]["jobs"],
-                "cache": CONFIGS[config]["cached"],
+                "cache": bool(CONFIGS[config]),
                 "seconds_per_batch": _results[config],
                 "queries_per_second": N_QUERIES / _results[config],
             }
             for config in CONFIGS
         },
-        "speedup_parallel4_cache_vs_serial_nocache": (
-            _results["serial-nocache"] / _results["parallel4-cache"]
-        ),
-        "speedup_cache_only": (
-            _results["serial-nocache"] / _results["serial-cache"]
-        ),
+        "speedup_cache_vs_nocache": speedup,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
-    emit(f"\n=== Parallel serving: {N_QUERIES} zipf dense queries ===")
+    emit(f"\n=== Answer cache: {N_QUERIES} zipf dense queries ===")
     emit(f"{'config':>20} {'s/batch':>10} {'q/s':>10}")
     for config in CONFIGS:
         emit(
             f"{config:>20} {_results[config]:>10.4f} "
             f"{N_QUERIES / _results[config]:>10.0f}"
         )
-    speedup = payload["speedup_parallel4_cache_vs_serial_nocache"]
-    emit(f"speedup (parallel4-cache vs serial-nocache): {speedup:.1f}x")
+    emit(f"speedup (cache vs nocache): {speedup:.1f}x")
     emit(f"json written to {JSON_PATH.name}")
     assert speedup >= 2.0, (
-        f"acceptance bar: warm-cache 4-job serving must be >= 2x the "
-        f"serial no-cache baseline, got {speedup:.2f}x"
+        f"acceptance bar: warm-cache serving must be >= 2x the no-cache "
+        f"baseline, got {speedup:.2f}x"
     )

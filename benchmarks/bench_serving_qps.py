@@ -86,7 +86,7 @@ def _workload():
 def _executor(corpus) -> QueryExecutor:
     engine = GraphAnalyticsEngine()
     engine.load_records(corpus.to_records())
-    return QueryExecutor(engine, jobs=4, cache_mb=64)
+    return QueryExecutor(engine, cache_mb=64)
 
 
 def _drive(address, payloads, n_clients: int) -> dict:

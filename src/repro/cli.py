@@ -6,8 +6,8 @@ Commands:
   directory (the on-disk column store);
 * ``query`` — run a DSL query against a persisted relation;
 * ``aggregate`` — run a DSL path-aggregation query;
-* ``batch`` — serve a file of DSL queries concurrently (``--jobs``) with a
-  shared bitmap-conjunction cache (``--cache-mb``);
+* ``batch`` — serve a file of DSL queries in order with a shared
+  bitmap-conjunction cache (``--cache-mb``);
 * ``explain`` — show the rewrite plan a query would use without running it
   (``--analyze`` also executes it and attaches measured counters + trace);
 * ``metrics`` — serve a workload and dump the metrics registry;
@@ -20,11 +20,11 @@ Commands:
 Examples::
 
     python -m repro load records.jsonl ./db
-    python -m repro query ./db "A -> D -> E" --jobs 4
+    python -m repro query ./db "A -> D -> E"
     python -m repro aggregate ./db "SUM A -> D -> E"
-    python -m repro batch ./db queries.txt --jobs 4 --cache-mb 64
+    python -m repro batch ./db queries.txt --cache-mb 64
     python -m repro explain ./db "A -> D -> E" --analyze
-    python -m repro metrics ./db --queries queries.txt --jobs 4 --cache-mb 64
+    python -m repro metrics ./db --queries queries.txt --cache-mb 64
     python -m repro stats ./db
 """
 
@@ -66,7 +66,6 @@ def _executor_for(
 ) -> QueryExecutor:
     return QueryExecutor(
         engine,
-        jobs=getattr(args, "jobs", 1),
         cache_mb=getattr(args, "cache_mb", 0),
         default_timeout=getattr(args, "timeout", None),
         registry=registry,
@@ -158,7 +157,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     """Serve a file of DSL queries (one per line, ``#`` comments) through
-    the concurrent executor and report throughput + cache efficiency.
+    the executor and report throughput + cache efficiency.
 
     A malformed line fails with its 1-based line number and a caret
     pointing at the offending column."""
@@ -170,13 +169,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     engine.reset_stats()
     with _executor_for(args, engine) as executor:
         started = time.perf_counter()
-        results = list(
-            executor.serve(
-                workload,
-                batch_size=args.batch_size,
-                fetch_measures=False,
-                return_errors=True,
-            )
+        results = executor.run_batch(
+            workload, fetch_measures=False, return_errors=True
         )
         elapsed = time.perf_counter() - started
     failed = 0
@@ -190,7 +184,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     rate = len(results) / elapsed if elapsed else float("inf")
     print(
         f"served {len(results)} queries in {elapsed:.3f}s "
-        f"({rate:.0f} q/s, jobs={args.jobs}"
+        f"({rate:.0f} q/s"
         + (f", {failed} failed" if failed else "")
         + ")",
         file=sys.stderr,
@@ -237,8 +231,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         statements = parse_workload(FsPath(args.queries).read_text())
         workload = [stmt.query for stmt in statements]
         with _executor_for(args, engine, registry) as executor:
-            for _ in executor.serve(workload, fetch_measures=False):
-                pass
+            executor.run_batch(workload, fetch_measures=False)
     else:
         engine.use_metrics(registry)
     dump = registry.to_json() if args.json else registry.render()
@@ -304,7 +297,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
             print(
                 f"repro serve: listening on http://{args.host}:{server.port} "
-                f"({engine.n_records} records, jobs={args.jobs}{adaptive_note})"
+                f"({engine.n_records} records{adaptive_note})"
             )
             try:
                 await asyncio.Event().wait()
@@ -459,10 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_serving_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--jobs", type=int, default=1,
-            help="worker threads for query evaluation (default 1)",
-        )
-        p.add_argument(
             "--cache-mb", type=float, default=0, metavar="MB",
             help="bitmap-conjunction cache budget in MB (0 = off)",
         )
@@ -471,9 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="per-query deadline; an overrunning query is cancelled at "
                  "the next operator boundary (exit code 3)",
         )
-        # Accepted and ignored — every query folds in one call — because
-        # the frozen benchmark starts its daemons with all three
+        # Accepted and ignored — every query folds in one call, in order —
+        # because the frozen benchmark starts its daemons with all four
         # (benchmarks/e2e/data.py:64-70, Workload.daemon_flags).
+        p.add_argument("--jobs", type=int, default=None, help=argparse.SUPPRESS)
         p.add_argument("--shards", type=int, default=None, help=argparse.SUPPRESS)
         p.add_argument("--exec-mode", choices=("serial", "thread", "process"),
                        default=None, help=argparse.SUPPRESS)
@@ -494,18 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_serving_flags(p_agg)
     p_agg.set_defaults(func=_cmd_aggregate)
 
-    p_batch = sub.add_parser(
-        "batch", help="serve a file of DSL queries concurrently"
-    )
+    p_batch = sub.add_parser("batch", help="serve a file of DSL queries")
     p_batch.add_argument("database")
     p_batch.add_argument(
         "queries",
         help="text file: one DSL query per line (graph or aggregation); "
              "# comments and blank lines are skipped",
-    )
-    p_batch.add_argument(
-        "--batch-size", type=int, default=64,
-        help="queries per scheduling batch (default 64)",
     )
     add_serving_flags(p_batch)
     p_batch.set_defaults(func=_cmd_batch)

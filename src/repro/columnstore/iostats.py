@@ -8,13 +8,12 @@ columns/values fetched.  The view-selection benefit function and the
 experiment breakdowns (Figures 6–8 split "fetch measures" from "rest of
 query") are stated in those units.
 
-``IOStats`` counts exactly those quantities, plus the serving-layer
-counters added with the concurrent executor: bitmap-conjunction cache
-hits/misses/evictions and batch/parallel-task tallies.  The master relation
-reports every column touch to the currently installed collector, so
-benchmarks can report both wall-clock time and model cost.  The collector
-serializes its increments behind a lock because the executor fans queries
-out over a thread pool.
+``IOStats`` counts exactly those quantities, plus the bitmap-conjunction
+cache's hits/misses/evictions.  The master relation reports every column
+touch to the currently installed collector, so benchmarks can report both
+wall-clock time and model cost.  The collector serializes its increments
+behind a lock because the daemon answers reads on several bridge threads
+while its view maintainer runs on another, all against one engine.
 """
 
 from __future__ import annotations
@@ -38,12 +37,10 @@ class IOStats:
     # Bytes behind the bitmap fetches above (packed-word storage); the
     # paper's cost model counts columns, this tracks the actual volume.
     bitmap_bytes_fetched: int = 0
-    # Serving-layer counters (bitmap-conjunction cache + parallel executor).
+    # Serving-layer counters (bitmap-conjunction cache).
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
-    batches_served: int = 0
-    parallel_tasks: int = 0
 
     def total_columns_fetched(self) -> int:
         """The paper's cost unit: total columns retrieved from disk."""
@@ -86,23 +83,21 @@ class IOStats:
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.cache_evictions += other.cache_evictions
-        self.batches_served += other.batches_served
-        self.parallel_tasks += other.parallel_tasks
 
 
 @dataclass
 class IOStatsCollector:
     """Accumulates :class:`IOStats` across queries; usable as a context.
 
-    Increments are lock-protected: the parallel executor issues queries from
-    multiple threads against one engine (and thus one collector), and
+    Increments are lock-protected: the daemon's bridge threads and its view
+    maintainer query one engine (and thus one collector) at once, and
     ``count += 1`` is a read-modify-write that would drop updates otherwise.
 
     When ``registry`` is set (a :class:`repro.obs.MetricsRegistry`, via
     :meth:`GraphAnalyticsEngine.use_metrics`), every increment is mirrored
     into process-wide ``io.*`` counters.  The mirror happens outside the
     lock — the metrics carry their own locks — and the local ``stats``
-    remain the source of truth for per-query/per-batch deltas.
+    remain the source of truth for per-query deltas.
     """
 
     stats: IOStats = field(default_factory=IOStats)
@@ -186,10 +181,3 @@ class IOStatsCollector:
         with self._lock:
             self.stats.cache_evictions += n
         self._publish("io.cache_evictions", n)
-
-    def record_batch(self, n_tasks: int) -> None:
-        with self._lock:
-            self.stats.batches_served += 1
-            self.stats.parallel_tasks += n_tasks
-        self._publish("io.batches_served")
-        self._publish("io.parallel_tasks", n_tasks)

@@ -1,16 +1,15 @@
-"""Concurrent batch/stream query serving over one engine.
+"""Batch query serving over one engine.
 
 The ROADMAP's north star is a system that serves heavy query traffic; this
 module adds the serving loop the paper leaves implicit.  A
-:class:`QueryExecutor` accepts batches (or an unbounded stream) of
-:class:`GraphQuery` / :class:`QueryExpr` / :class:`PathAggregationQuery`
-objects and fans them out over a thread pool, while a :class:`BitmapCache`
-serves a repeated query's structural answer without re-ANDing its columns.
-The pool buys no speed: in ``bench_parallel_serving`` 4 threads were never
-faster than 1, with or without the cache (once 5.5x slower without it at
-scale 20).  The likely cause, not yet measured, is that a query's work is
-Python between short numpy calls, which the GIL serialises.  ROADMAP item
-12 records the runs and plans the pool's removal.
+:class:`QueryExecutor` answers :class:`GraphQuery` / :class:`QueryExpr` /
+:class:`PathAggregationQuery` objects one at a time or as a batch, run in
+order on the calling thread, while a :class:`BitmapCache` serves a
+repeated query's structural answer without re-ANDing its columns.
+Request concurrency is the caller's: the daemon answers reads on its own
+bridge threads (:mod:`repro.serve.server`).  The executor has no thread
+pool of its own; a batch pool's 4 threads were never faster than 1
+(EXPERIMENTS, "One thread pool").
 
 Every query's conjunction folds all of its records in one call, in the
 thread that runs the query.
@@ -28,9 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from itertools import islice
 
 from ..core.engine import (
     GraphAnalyticsEngine,
@@ -102,17 +99,15 @@ class _ReadWriteLock:
 
 
 class QueryExecutor:
-    """Serve query batches/streams concurrently against one engine.
+    """Serve queries and query batches against one engine.
 
     Parameters
     ----------
     engine:
         The engine to serve.  The executor installs its cache on the
         engine; mutate the engine *through the executor's write methods*
-        while serving (direct mutation concurrent with ``run_batch`` is
+        while serving (direct mutation concurrent with a read is
         unsynchronized).
-    jobs:
-        Worker threads per batch (1 = serial in the calling thread).
     cache_mb:
         Byte budget (MiB) of the executor's own :class:`BitmapCache`,
         installed on the engine and exposed as ``executor.cache``.
@@ -121,17 +116,17 @@ class QueryExecutor:
         Optional :class:`repro.obs.MetricsRegistry`.  When set, the
         executor publishes per-query latency histograms
         (``exec.request_seconds`` overall, ``exec.query_seconds`` /
-        ``exec.aggregate_seconds`` by kind) plus batch-size and
-        served-query counters, and installs the registry on the engine
+        ``exec.aggregate_seconds`` by kind) plus a served-query
+        counter, and installs the registry on the engine
         (:meth:`GraphAnalyticsEngine.use_metrics`) so the I/O collector
         and bitmap cache publish too.
     default_timeout:
         Per-query deadline in seconds applied when a call does not pass
         its own ``timeout`` (None = no deadline).
-    exec_mode, workers, storage_dir:
+    jobs, exec_mode, workers, storage_dir:
         Accepted and ignored: every query folds in one call in the thread
         that runs it.  The frozen benchmark's replay still passes all
-        three (``benchmarks/e2e/layers.py:185-186``).
+        four (``benchmarks/e2e/layers.py:185-186`` and ``:317``).
     """
 
     # Reads ANDing fewer words answer in place under run_one(wait=False):
@@ -142,7 +137,7 @@ class QueryExecutor:
     def __init__(
         self,
         engine: GraphAnalyticsEngine,
-        jobs: int = 1,
+        jobs: int | None = None,
         cache_mb: float | None = None,
         registry=None,
         default_timeout: float | None = None,
@@ -150,10 +145,7 @@ class QueryExecutor:
         workers: int | None = None,
         storage_dir=None,
     ):
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
         self.engine = engine
-        self.jobs = jobs
         self.cache = BitmapCache(int(cache_mb * (1 << 20))) if cache_mb else None
         self.registry = registry
         self.default_timeout = default_timeout
@@ -161,18 +153,13 @@ class QueryExecutor:
         if registry is not None:
             engine.use_metrics(registry)
         self._rw = _ReadWriteLock()
-        self._pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
         self._window = None
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        if self._closed:
-            return
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "QueryExecutor":
         return self
@@ -308,78 +295,36 @@ class QueryExecutor:
         timeout: float | None = None,
         cancel: CancelToken | None = None,
     ) -> list[AnyResult | Exception]:
-        """Answer a batch, run in submission order; with ``jobs > 1`` it
-        fans out over the pool, and results still align with that order.
+        """Answer a batch in submission order on the calling thread.
 
         Failures are isolated to their slot: every other query still
         runs to completion.  With ``return_errors=True`` the failing
         slots hold the exception objects themselves; otherwise the first
         failure (in submission order) is raised after the batch finishes.
-        ``timeout`` starts counting when each query begins executing, not
-        at batch submission, so queued queries get their full budget; a
-        shared ``cancel`` token is also checked before each queued query
-        starts, so one ``cancel()`` stops the whole batch at the next
-        boundary.
+        ``timeout`` starts counting when each query begins executing, so
+        later queries get their full budget; a shared ``cancel`` token is
+        also checked before each query starts, so one ``cancel()`` stops
+        the whole batch at the next boundary.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
-        queries = list(queries)
-        if not queries:
-            return []
-        self.engine.collector.record_batch(len(queries))
-        if self.registry is not None:
-            self.registry.histogram("exec.batch_size").observe(len(queries))
-        results: list[AnyResult | Exception | None] = [None] * len(queries)
-
-        def run(index: int) -> None:
+        results: list[AnyResult | Exception] = []
+        for query in queries:
             if cancel is not None and cancel.cancelled:
                 self._count("resilience.cancellations")
-                results[index] = QueryCancelledError("cancelled before start")
-                return
+                results.append(QueryCancelledError("cancelled before start"))
+                continue
             try:
-                results[index] = self.run_one(
-                    queries[index],
-                    fetch_measures,
-                    timeout=timeout,
-                    cancel=cancel,
-                )
+                results.append(self.run_one(
+                    query, fetch_measures, timeout=timeout, cancel=cancel
+                ))
             except Exception as exc:
-                results[index] = exc
-
-        if self._pool is None or len(queries) == 1:
-            for index in range(len(queries)):
-                run(index)
-        else:
-            # list() drains the lazy map iterator; run() captures failures
-            # per slot, so the pool itself never sees an exception.
-            list(self._pool.map(run, range(len(queries))))
+                results.append(exc)
         if not return_errors:
             for slot in results:
                 if isinstance(slot, Exception):
                     raise slot
-        return results  # type: ignore[return-value]
-
-    def serve(
-        self,
-        queries: Iterable[AnyQuery],
-        batch_size: int = 64,
-        fetch_measures: bool = True,
-        return_errors: bool = False,
-        timeout: float | None = None,
-        cancel: CancelToken | None = None,
-    ) -> Iterator[AnyResult | Exception]:
-        """Stream results for an unbounded query feed, batch by batch."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        stream = iter(queries)
-        while batch := list(islice(stream, batch_size)):
-            yield from self.run_batch(
-                batch,
-                fetch_measures=fetch_measures,
-                return_errors=return_errors,
-                timeout=timeout,
-                cancel=cancel,
-            )
+        return results
 
     # -- write side ----------------------------------------------------------
 

@@ -24,6 +24,7 @@ import importlib.util
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -116,6 +117,16 @@ def reopen(tmp_path_factory):
         return GraphAnalyticsEngine.load(directory, shards=shards)
 
     return reopen
+
+
+def run_concurrently(executor, queries, clients, fetch_measures=True):
+    """Answer ``queries`` from ``clients`` threads, each through
+    ``executor.run_one`` as the daemon's bridge threads call it, and
+    return the results in submission order.  The executor runs a batch
+    in order on one thread; this is how a test gets concurrent readers
+    sharing its cache, collector and registry."""
+    with ThreadPoolExecutor(max_workers=clients) as pool:
+        return list(pool.map(lambda q: executor.run_one(q, fetch_measures), queries))
 
 
 @pytest.fixture(params=["loop", "bridged"])

@@ -454,7 +454,7 @@ class TestServeViewsEndpoint:
         engine = GraphAnalyticsEngine()
         engine.load_records(small_records())
         registry = MetricsRegistry()
-        executor = QueryExecutor(engine, jobs=2, cache_mb=2, registry=registry)
+        executor = QueryExecutor(engine, cache_mb=2, registry=registry)
         maintainer = ViewMaintainer(
             executor, budget=4, min_window=4, interval_s=0.05,
             registry=registry,

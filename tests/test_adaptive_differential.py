@@ -86,7 +86,7 @@ def assert_bit_identical(result, expected, query):
 
 
 MODES = [
-    pytest.param({"shards": 3, "jobs": 2}, id="thread"),
+    pytest.param({"shards": 3}, id="thread"),
     # The executor the end-to-end benchmark builds; it folds inline too.
     pytest.param(
         {"shards": 2, "jobs": 2, "exec_mode": "process", "workers": 2},
@@ -152,7 +152,7 @@ def test_forced_swap_every_epoch_matches_oracle(records, drift_workload, oracle)
     phase_a, phase_b = drift_workload
     engine = GraphAnalyticsEngine()
     engine.load_records(records)
-    with QueryExecutor(engine, jobs=2, cache_mb=4) as executor:
+    with QueryExecutor(engine, cache_mb=4) as executor:
         maintainer = ViewMaintainer(
             executor,
             window=WorkloadWindow(32),
@@ -208,7 +208,7 @@ class TestAdaptiveStress:
         ]
 
         engine = GraphAnalyticsEngine()
-        executor = QueryExecutor(engine, jobs=4, cache_mb=8)
+        executor = QueryExecutor(engine, cache_mb=8)
         engine.load_records(base)
         # Epoch -> records visible at that quiescent epoch.  ``book``
         # serializes mutator+bookkeeping so the mapping is never torn;
@@ -325,7 +325,7 @@ class TestAdaptiveStress:
         ]
         engine = GraphAnalyticsEngine()
         engine.load_records(base)
-        executor = QueryExecutor(engine, jobs=3, cache_mb=4)
+        executor = QueryExecutor(engine, cache_mb=4)
         maintainer = ViewMaintainer(
             executor, budget=2, min_window=4, interval_s=0.01, grace_refreshes=0
         )

@@ -1,7 +1,7 @@
 """Differential harness: the serving layer must never change an answer.
 
-Every configuration of the concurrent executor — cache on/off, 1 or 4
-worker threads, views materialized or dropped — is run over the same
+Every serving configuration — cache on/off, 1 or 4 client threads,
+views materialized or dropped — is run over the same
 random corpus and workload and compared bit-for-bit against the
 :class:`RowStore` reference (the paper's system (i), which shares no code
 with the bitmap engine).  The systems differ in speed, never in
@@ -36,21 +36,23 @@ from repro.workloads import (
     sample_path_queries,
 )
 
+from .conftest import run_concurrently
+
 N_RECORDS = 120
 AGG_FUNCTIONS = ["sum", "min", "max", "count", "avg"]
 
 CONFIGS = list(
     itertools.product(
         [0, 32],                       # cache budget (MB); 0 = off
-        [1, 4],                        # worker threads
+        [1, 4],                        # client threads (run_concurrently)
         ["materialized", "dropped"],   # view state
     )
 )
 
 
 def _config_id(config):
-    cache_mb, jobs, views = config
-    return f"cache{cache_mb}-jobs{jobs}-{views}"
+    cache_mb, clients, views = config
+    return f"cache{cache_mb}-jobs{clients}-{views}"
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +102,7 @@ def baseline(records, workload):
 
 def _engine_under(config, records, workload):
     """A fresh engine in the given serving configuration."""
-    cache_mb, jobs, views = config
+    cache_mb, _, views = config
     engine = GraphAnalyticsEngine()
     engine.load_records(records)
     graph_queries, _ = workload
@@ -110,7 +112,7 @@ def _engine_under(config, records, workload):
     )
     if views == "dropped":
         engine.drop_all_views()
-    return engine, QueryExecutor(engine, jobs=jobs, cache_mb=cache_mb)
+    return engine, QueryExecutor(engine, cache_mb=cache_mb)
 
 
 def assert_graph_result_matches(result, expected, query):
@@ -146,10 +148,15 @@ def test_serving_config_matches_rowstore(config, records, workload, baseline):
     graph_queries, agg_queries = workload
     expected_graph, expected_agg = baseline
     engine, executor = _engine_under(config, records, workload)
+    batch = list(graph_queries) + list(agg_queries)
+    clients = config[1]
     with executor:
-        # One mixed batch: the executor reorders execution by affinity but
-        # must return results aligned with submission order.
-        results = executor.run_batch(list(graph_queries) + list(agg_queries))
+        # One mixed batch, in order or from concurrent clients: results
+        # must align with submission order.
+        if clients > 1:
+            results = run_concurrently(executor, batch, clients)
+        else:
+            results = executor.run_batch(batch)
     graph_results = results[: len(graph_queries)]
     agg_results = results[len(graph_queries):]
     for query, result, expected in zip(
@@ -225,7 +232,7 @@ def test_sharded_serving_matches_rowstore(config, served_db, workload, baseline)
     engine = _served_engine(served_db, graph_queries, shards)
     if views == "dropped":
         engine.drop_all_views()
-    with QueryExecutor(engine, jobs=2, cache_mb=cache_mb) as executor:
+    with QueryExecutor(engine, cache_mb=cache_mb) as executor:
         results = executor.run_batch(list(graph_queries) + list(agg_queries))
     _assert_batch_matches(results, graph_queries, agg_queries, baseline)
 
@@ -272,7 +279,7 @@ def test_sharded_append_then_serve_matches_fresh_rowstore(reopen, records, workl
     engine.load_records(records[:half])
     engine = reopen(engine, 4)
     engine.materialize_graph_views(graph_queries[:10], budget=3)
-    with QueryExecutor(engine, jobs=4, cache_mb=16) as executor:
+    with QueryExecutor(engine, cache_mb=16) as executor:
         executor.run_batch(graph_queries, fetch_measures=False)  # warm
         executor.append_records(records[half:])
         results = executor.run_batch(graph_queries)
@@ -290,7 +297,7 @@ def test_append_then_serve_matches_fresh_rowstore(records, workload):
     engine = GraphAnalyticsEngine()
     engine.load_records(records[:half])
     engine.materialize_graph_views(graph_queries[:10], budget=3)
-    with QueryExecutor(engine, jobs=4, cache_mb=32) as executor:
+    with QueryExecutor(engine, cache_mb=32) as executor:
         executor.run_batch(graph_queries, fetch_measures=False)  # warm
         executor.append_records(records[half:])
         results = executor.run_batch(graph_queries)
@@ -314,7 +321,7 @@ def test_boolean_expressions_match_reference(records):
     ids_b = set(store.query(b).record_ids)
     engine = GraphAnalyticsEngine()
     engine.load_records(records)
-    with QueryExecutor(engine, jobs=2, cache_mb=8) as executor:
+    with QueryExecutor(engine, cache_mb=8) as executor:
         got_and, got_or, got_not = executor.run_batch(
             [a & b, a | b, a - b], fetch_measures=False
         )
@@ -356,7 +363,7 @@ class TestPropertyDifferential:
         records, queries = case
         engine = GraphAnalyticsEngine()
         engine.load_records(records)
-        with QueryExecutor(engine, jobs=2, cache_mb=4) as executor:
+        with QueryExecutor(engine, cache_mb=4) as executor:
             results = executor.run_batch(queries, fetch_measures=False)
         for query, result in zip(queries, results):
             expected = [r.record_id for r in records if query.matches(r)]
@@ -417,7 +424,7 @@ def test_dense_measures_roundtrip(corpus, records):
     engine = GraphAnalyticsEngine()
     engine.load_records(records)
     queries = sample_dense_queries(corpus, 4, 0.04, seed=9)
-    with QueryExecutor(engine, jobs=1, cache_mb=16) as executor:
+    with QueryExecutor(engine, cache_mb=16) as executor:
         executor.run_batch(queries, fetch_measures=False)  # warm
         results = executor.run_batch(queries)
     for query, result in zip(queries, results):
@@ -439,9 +446,10 @@ class TestMetricsConsistency:
         engine = GraphAnalyticsEngine()
         engine.load_records(records)
         registry = MetricsRegistry()
-        with QueryExecutor(engine, jobs=4, cache_mb=16, registry=registry) as ex:
-            ex.run_batch(
-                list(graph_queries) + list(agg_queries), fetch_measures=False
+        with QueryExecutor(engine, cache_mb=16, registry=registry) as ex:
+            run_concurrently(
+                ex, list(graph_queries) + list(agg_queries), 4,
+                fetch_measures=False,
             )
         stats = engine.stats
         hits = registry.get("cache.hits")
@@ -495,8 +503,8 @@ class TestMetricsConsistency:
         engine.materialize_graph_views(graph_queries[:10], budget=3)
         engine.use_tracer(Tracer())
         registry = MetricsRegistry()
-        with QueryExecutor(engine, jobs=4, cache_mb=16, registry=registry) as ex:
-            results = ex.run_batch(graph_queries)
+        with QueryExecutor(engine, cache_mb=16, registry=registry) as ex:
+            results = run_concurrently(ex, graph_queries, 4)
         for query, result, expected in zip(
             graph_queries, results, expected_graph
         ):

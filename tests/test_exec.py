@@ -230,7 +230,7 @@ class TestQueryExecutor:
             GraphQuery([("B", "C")]),
             GraphQuery([("A", "B"), ("C", "D")]),
         ]
-        with QueryExecutor(engine, jobs=4, cache_mb=4) as executor:
+        with QueryExecutor(engine, cache_mb=4) as executor:
             results = executor.run_batch(queries, fetch_measures=False)
         assert [r.record_ids for r in results] == [
             ["r1", "r2"],
@@ -238,17 +238,6 @@ class TestQueryExecutor:
             ["r1", "r3"],
             ["r2"],
         ]
-
-    def test_serve_streams_in_order(self):
-        engine = fresh_engine()
-        queries = [GraphQuery([("A", "B")])] * 5 + [GraphQuery([("B", "C")])] * 5
-        with QueryExecutor(engine, jobs=2, cache_mb=4) as executor:
-            results = list(
-                executor.serve(iter(queries), batch_size=3, fetch_measures=False)
-            )
-        assert len(results) == 10
-        assert results[0].record_ids == ["r1", "r2"]
-        assert results[-1].record_ids == ["r1", "r3"]
 
     def test_empty_batch(self):
         with QueryExecutor(fresh_engine()) as executor:
@@ -259,13 +248,6 @@ class TestQueryExecutor:
         executor.close()
         with pytest.raises(RuntimeError):
             executor.run_batch([GraphQuery([("A", "B")])])
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            QueryExecutor(fresh_engine(), jobs=0)
-        with QueryExecutor(fresh_engine()) as executor:
-            with pytest.raises(ValueError):
-                list(executor.serve([], batch_size=0))
 
     def test_cache_mb_installs_cache(self):
         engine = fresh_engine()
@@ -281,15 +263,15 @@ class TestQueryExecutor:
             assert engine.bitmap_cache is None
 
     def test_non_query_rejected(self):
-        with QueryExecutor(fresh_engine(), jobs=2) as executor:
+        with QueryExecutor(fresh_engine()) as executor:
             with pytest.raises(TypeError):
                 executor.run_batch(["not a query", "also wrong"])
 
     def test_worker_exceptions_propagate(self):
-        # An unknown aggregate function fails inside the worker thread;
-        # run_batch must re-raise, not swallow, the error.
+        # An unknown aggregate function fails inside the batch; run_batch
+        # must re-raise, not swallow, the error.
         bad = PathAggregationQuery(GraphQuery([("A", "B")]), "no-such-fn")
-        with QueryExecutor(fresh_engine(), jobs=2) as executor:
+        with QueryExecutor(fresh_engine()) as executor:
             with pytest.raises(KeyError):
                 executor.run_batch([bad, bad])
 
@@ -307,18 +289,6 @@ class TestQueryExecutor:
             after_views = executor.epoch
             executor.drop_all_views()
             assert executor.epoch > after_views
-
-    def test_batch_stats_recorded(self):
-        engine = fresh_engine()
-        engine.reset_stats()
-        with QueryExecutor(engine, jobs=2) as executor:
-            executor.run_batch(
-                [GraphQuery([("A", "B")]), GraphQuery([("B", "C")])],
-                fetch_measures=False,
-            )
-        stats = engine.stats
-        assert stats.batches_served == 1
-        assert stats.parallel_tasks == 2
 
 
 class TestAnswerNow:
@@ -373,8 +343,8 @@ class TestAnswerNow:
             self.assert_holds_nothing(executor)
 
     def test_a_read_answered_in_place_never_waits_on_workers(self, monkeypatch):
-        """Under ``jobs > 1`` too, a read answered now folds on the calling
-        thread: nothing is handed to the executor's worker threads."""
+        """A read answered now folds on the calling thread, and so does
+        every query of a batch."""
         folds = []
         fold = MasterRelation.fold
 
@@ -383,15 +353,10 @@ class TestAnswerNow:
             return fold(self, refs, ctx)
 
         monkeypatch.setattr(MasterRelation, "fold", recording_fold)
-        with QueryExecutor(fresh_engine(), jobs=4) as executor:
-            submitted = []
-            monkeypatch.setattr(
-                executor._pool, "submit",
-                lambda *args, **kwargs: submitted.append(args),
-            )
+        with QueryExecutor(fresh_engine()) as executor:
             assert executor.run_one(self.AB, wait=False).record_ids == ["r1", "r2"]
-            assert folds == [threading.get_ident()]
-            assert submitted == []
+            executor.run_batch([self.AB, GraphQuery([("B", "C")])])
+            assert folds == [threading.get_ident()] * 3
             self.assert_holds_nothing(executor)
 
 
@@ -424,7 +389,7 @@ class TestConcurrencyStress:
         ]
 
         engine = fresh_engine(base)
-        executor = QueryExecutor(engine, jobs=4, cache_mb=8)
+        executor = QueryExecutor(engine, cache_mb=8)
         # Epoch -> number of records visible at that (quiescent) epoch.
         visible = {engine.epoch: len(base)}
         observations = []

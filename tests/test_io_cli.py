@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core import GraphRecord
 from repro.io import (
     read_csv_triplets,
@@ -133,6 +133,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "demo corpus: 50 records" in out
 
+    def test_benchmark_daemon_flags_parse_and_stay_out_of_help(self):
+        """``serve`` still takes the flags ``benchmarks/e2e/data.py``
+        starts its daemons with; none of them shows in any ``--help``."""
+        parser = build_parser()
+        args = parser.parse_args([
+            "serve", "db", "--shards", "4", "--exec-mode", "thread",
+            "--jobs", "2", "--cache-mb", "64",
+        ])
+        assert args.cache_mb == 64
+        (commands,) = [a for a in parser._actions if a.dest == "command"]
+        for name, sub in commands.choices.items():
+            text = sub.format_help()
+            for flag in ("--jobs", "--shards", "--exec-mode", "--workers"):
+                assert flag not in text, (name, flag)
+
 
 class TestObservabilityCli:
     """``repro explain`` / ``repro metrics`` end-to-end on the bundled
@@ -191,7 +206,6 @@ class TestObservabilityCli:
             [
                 "metrics", str(db),
                 "--queries", str(queries),
-                "--jobs", "2",
                 "--cache-mb", "4",
             ]
         ) == 0
@@ -199,6 +213,21 @@ class TestObservabilityCli:
         assert "exec.queries_served" in out
         assert "io.bitmap_columns_fetched" in out
         assert "cache.hits" in out
+
+    def test_batch_prints_one_line_per_query_in_order(self, fig2_db, capsys):
+        db, queries = fig2_db
+        capsys.readouterr()
+        assert main(["batch", str(db), str(queries), "--cache-mb", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "     3  A -> D -> E",
+            "     2  E -> F -> G",
+            "     0  A -> D! -> E -> F",
+            "     3  SUM A -> D -> E",
+            "     2  AVG E -> F -> G",
+        ]
+        assert captured.err.startswith("served 5 queries in ")
+        assert "conjunction cache: 2 hits / 4 requests" in captured.err
 
     def test_metrics_honours_timeout(self, fig2_db, capsys):
         """A workload whose every query overruns ``--timeout`` fails the

@@ -45,7 +45,6 @@ class TestIOStats:
         stats = IOStats()
         assert stats.cache_hits == stats.cache_misses == 0
         assert stats.cache_evictions == 0
-        assert stats.batches_served == stats.parallel_tasks == 0
         assert stats.conjunctions_requested() == 0
         assert stats.cache_hit_rate() == 0.0
 
@@ -55,16 +54,12 @@ class TestIOStats:
         assert stats.cache_hit_rate() == 0.7
 
     def test_add_accumulates_serving_counters(self):
-        a = IOStats(cache_hits=1, cache_misses=2, cache_evictions=3,
-                    batches_served=1, parallel_tasks=4)
-        b = IOStats(cache_hits=10, cache_misses=20, cache_evictions=30,
-                    batches_served=2, parallel_tasks=8)
+        a = IOStats(cache_hits=1, cache_misses=2, cache_evictions=3)
+        b = IOStats(cache_hits=10, cache_misses=20, cache_evictions=30)
         a.add(b)
         assert a.cache_hits == 11
         assert a.cache_misses == 22
         assert a.cache_evictions == 33
-        assert a.batches_served == 3
-        assert a.parallel_tasks == 12
 
 
 class TestCollector:
@@ -110,24 +105,15 @@ class TestCollector:
         assert stats.cache_evictions == 5
         assert stats.conjunctions_requested() == 3
 
-    def test_record_batch(self):
-        collector = IOStatsCollector()
-        collector.record_batch(8)
-        collector.record_batch(3)
-        assert collector.stats.batches_served == 2
-        assert collector.stats.parallel_tasks == 11
-
     def test_reset_clears_serving_counters(self):
         collector = IOStatsCollector()
         collector.record_cache_hit()
         collector.record_cache_miss()
         collector.record_cache_eviction(2)
-        collector.record_batch(5)
         collector.reset()
         stats = collector.stats
         assert stats.cache_hits == stats.cache_misses == 0
         assert stats.cache_evictions == 0
-        assert stats.batches_served == stats.parallel_tasks == 0
 
     def test_concurrent_increments_do_not_drop(self):
         collector = IOStatsCollector()

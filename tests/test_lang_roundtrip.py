@@ -120,7 +120,7 @@ class TestExplainEndpointRoundtrip:
         from repro.exec import QueryExecutor
         from repro.serve import ServeClient, start_in_thread
 
-        executor = QueryExecutor(figure2_engine, jobs=1)
+        executor = QueryExecutor(figure2_engine)
         handle = start_in_thread(executor)
         try:
             with ServeClient(*handle.address) as client:

@@ -207,7 +207,7 @@ class TestPublishers:
     def test_executor_latency_histograms(self):
         engine = _tiny_engine()
         reg = MetricsRegistry()
-        with QueryExecutor(engine, jobs=2, cache_mb=4, registry=reg) as ex:
+        with QueryExecutor(engine, cache_mb=4, registry=reg) as ex:
             ex.run_batch(
                 [GraphQuery([("a", "b")]), GraphQuery([("b", "c")])],
                 fetch_measures=False,
@@ -215,13 +215,12 @@ class TestPublishers:
         assert reg.get("exec.queries_served").value == 2
         assert reg.get("exec.request_seconds").count == 2
         assert reg.get("exec.query_seconds").count == 2
-        assert reg.get("exec.batch_size").to_dict()["max"] == 2
         # engine-level publishers were installed transitively
         assert reg.get("io.bitmap_columns_fetched").value > 0
         assert reg.get("cache.misses").value > 0
 
     def test_registry_off_by_default(self):
         engine = _tiny_engine()
-        with QueryExecutor(engine, jobs=1, cache_mb=4) as ex:
+        with QueryExecutor(engine, cache_mb=4) as ex:
             ex.run_one(GraphQuery([("a", "b")]))
         assert ex.registry is None

@@ -66,12 +66,12 @@ def wire_records(records):
     ]
 
 
-def make_executor(jobs=2, cache_mb=4, n=N_RECORDS):
+def make_executor(cache_mb=4, n=N_RECORDS):
     engine = GraphAnalyticsEngine()
     engine.load_records(make_records(n))
     registry = MetricsRegistry()
     return QueryExecutor(
-        engine, jobs=jobs, cache_mb=cache_mb, registry=registry
+        engine, cache_mb=cache_mb, registry=registry
     )
 
 
@@ -198,7 +198,7 @@ class TestConcurrentClientsAndWriter:
         """8 reader threads × queries against a writer appending batches:
         every answer must be internally consistent — the row count of the
         epoch it was served at — and epochs must be monotone per client."""
-        executor = make_executor(jobs=4, cache_mb=8)
+        executor = make_executor(cache_mb=8)
         handle = start_in_thread(executor)
         counts_by_epoch = {executor.epoch: N_RECORDS}
         failures: list = []
@@ -395,7 +395,7 @@ class TestTenantIsolation:
     def test_tenant_exhaustion_does_not_starve_other_tenant(self):
         """Tenant A saturates its per-tenant inflight budget (collecting
         429s); tenant B, under the same daemon, sees zero rejections."""
-        executor = make_executor(jobs=4)
+        executor = make_executor()
         slow = SlowExecutor(executor, delay=0.25)
         gate = TenantGate(policy=TenantPolicy(max_inflight=2, max_wait_s=0.0))
         # Wide engine bridge so tenant A's queries occupy admission slots,
@@ -628,7 +628,8 @@ class TestServeCommand:
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.Popen(
             [sys.executable, "-u", "-m", "repro", "serve", str(db), "--exec-mode",
-             "process", "--workers", "2", "--shards", "2", "--port", "0"],
+             "process", "--workers", "2", "--shards", "2", "--jobs", "2",
+             "--port", "0"],
             env=dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(spool)),
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
             # A shell that backgrounds the suite ignores SIGINT in its children.

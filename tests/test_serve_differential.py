@@ -2,9 +2,9 @@
 answer.
 
 Every configuration the in-process differential suite runs
-(`tests/test_differential.py`: cache on/off × worker threads × view
+(`tests/test_differential.py`: cache on/off × client threads × view
 state, plus the shard counts and process mode the end-to-end benchmark
-passes) is replayed here through a *live daemon* — real TCP sockets, real
+passes; one client replays each here) is replayed here through a *live daemon* — real TCP sockets, real
 HTTP framing, chunked NDJSON streaming — and the decoded wire answers are
 held to the same :class:`RowStore` oracle, bit for bit: record ids,
 measure values (NaN sentinels included), aggregate path values, epochs.
@@ -78,7 +78,7 @@ def replay_through_daemon(executor, workload, baseline, **options):
 
 @pytest.mark.parametrize("config", CONFIGS, ids=map(_config_id, CONFIGS))
 def test_served_config_matches_rowstore(config, records, workload, baseline):
-    cache_mb, jobs, views = config
+    cache_mb, _, views = config
     engine = GraphAnalyticsEngine()
     engine.load_records(records)
     graph_queries, _ = workload
@@ -88,7 +88,7 @@ def test_served_config_matches_rowstore(config, records, workload, baseline):
     )
     if views == "dropped":
         engine.drop_all_views()
-    with QueryExecutor(engine, jobs=jobs, cache_mb=cache_mb) as executor:
+    with QueryExecutor(engine, cache_mb=cache_mb) as executor:
         replay_through_daemon(executor, workload, baseline)
 
 
@@ -101,7 +101,7 @@ def test_served_sharded_matches_rowstore(config, served_db, workload, baseline):
     engine = _served_engine(served_db, graph_queries, shards)
     if views == "dropped":
         engine.drop_all_views()
-    with QueryExecutor(engine, jobs=2, cache_mb=cache_mb) as executor:
+    with QueryExecutor(engine, cache_mb=cache_mb) as executor:
         replay_through_daemon(executor, workload, baseline)
 
 
@@ -134,7 +134,7 @@ def test_served_fold_failure_is_a_typed_502(records, workload):
     engine = GraphAnalyticsEngine()
     engine.load_records(records)
     fault = fi.install_faulty_shard(engine)
-    with QueryExecutor(engine, jobs=2) as executor:
+    with QueryExecutor(engine) as executor:
         handle = start_in_thread(executor)
         try:
             with ServeClient(*handle.address) as client:
@@ -162,7 +162,7 @@ def test_served_append_then_query_matches_fresh_rowstore(records, workload):
     engine.materialize_graph_views(graph_queries[:10], budget=3)
     store = RowStore()
     store.load_records(records)
-    with QueryExecutor(engine, jobs=4, cache_mb=32) as executor:
+    with QueryExecutor(engine, cache_mb=32) as executor:
         handle = start_in_thread(executor)
         try:
             with ServeClient(*handle.address) as client:

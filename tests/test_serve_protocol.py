@@ -57,7 +57,7 @@ def serving(gate=None, header_timeout_s=1.0):
         ]
     )
     registry = MetricsRegistry()
-    executor = QueryExecutor(engine, jobs=2, cache_mb=4, registry=registry)
+    executor = QueryExecutor(engine, cache_mb=4, registry=registry)
     if gate is None:
         gate = TenantGate(
             shared=AdmissionController(max_inflight=8),

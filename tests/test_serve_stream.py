@@ -42,7 +42,7 @@ def executor_with_bad_id(n: int, bad_row: int):
         GraphRecord(b"raw" if i == bad_row else f"r{i:05d}", {("a", "b"): float(i)})
         for i in range(n)
     )
-    return QueryExecutor(engine, jobs=1, cache_mb=0, registry=MetricsRegistry())
+    return QueryExecutor(engine, cache_mb=0, registry=MetricsRegistry())
 
 
 def post_query(handle, document: dict) -> bytes:

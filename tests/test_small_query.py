@@ -185,7 +185,7 @@ class TestPlanMemoBound:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with QueryExecutor(engine, jobs=4) as executor:
+            with QueryExecutor(engine) as executor:
                 threads = [threading.Thread(target=plan_all) for _ in range(6)]
                 for t in threads:
                     t.start()
@@ -223,7 +223,7 @@ def daemon():
     engine.load_records(
         [GraphRecord(f"r{i}", {("a", "b"): float(i)}) for i in range(6)]
     )
-    executor = QueryExecutor(engine, jobs=2, cache_mb=4)
+    executor = QueryExecutor(engine, cache_mb=4)
     handle = start_in_thread(executor)
     try:
         yield handle

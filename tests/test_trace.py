@@ -27,6 +27,7 @@ from repro.core import (
 from repro.exec import QueryExecutor
 from repro.obs import Span, Tracer
 
+from .conftest import run_concurrently
 from .test_differential import small_collections
 
 
@@ -87,8 +88,8 @@ class TestTracedEqualsUntraced:
         traced = GraphAnalyticsEngine()
         traced.load_records(records)
         traced.use_tracer(Tracer())
-        with QueryExecutor(traced, jobs=2, cache_mb=4) as executor:
-            results = executor.run_batch(queries, fetch_measures=False)
+        with QueryExecutor(traced, cache_mb=4) as executor:
+            results = run_concurrently(executor, queries, 2, fetch_measures=False)
         for query, result in zip(queries, results):
             assert (
                 result.record_ids
@@ -121,8 +122,8 @@ class TestSpanTreeWellFormed:
         engine.load_records(records)
         tracer = Tracer()
         engine.use_tracer(tracer)
-        with QueryExecutor(engine, jobs=4, cache_mb=4) as executor:
-            executor.run_batch(queries, fetch_measures=False)
+        with QueryExecutor(engine, cache_mb=4) as executor:
+            run_concurrently(executor, queries, 4, fetch_measures=False)
         traces = tracer.drain()
         assert len(traces) == len(queries)
         for trace in traces:
