@@ -232,8 +232,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         workload = [stmt.query for stmt in statements]
         with _executor_for(args, engine, registry) as executor:
             executor.run_batch(workload, fetch_measures=False)
-    else:
-        engine.use_metrics(registry)
     dump = registry.to_json() if args.json else registry.render()
     if args.output:
         FsPath(args.output).write_text(registry.to_json() + "\n")

@@ -8,18 +8,21 @@ columns/values fetched.  The view-selection benefit function and the
 experiment breakdowns (Figures 6–8 split "fetch measures" from "rest of
 query") are stated in those units.
 
-``IOStats`` counts exactly those quantities, plus the bitmap-conjunction
-cache's hits/misses/evictions.  The master relation reports every column
-touch to the currently installed collector, so benchmarks can report both
+``IOStats`` counts exactly those quantities.  The master relation reports
+every column touch to its collector, so benchmarks can report both
 wall-clock time and model cost.  The collector serializes its increments
 behind a lock because the daemon answers reads on several bridge threads
-while its view maintainer runs on another, all against one engine.
+while its view maintainer runs on another, all against one engine.  Each
+event is counted once, where it happens: column fetches here, cache
+traffic in the bitmap cache, whose counts ``GraphAnalyticsEngine.stats``
+copies into the cache fields.  A ``MetricsRegistry`` reads both when it
+exports.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = ["IOStats", "IOStatsCollector"]
 
@@ -37,7 +40,7 @@ class IOStats:
     # Bytes behind the bitmap fetches above (packed-word storage); the
     # paper's cost model counts columns, this tracks the actual volume.
     bitmap_bytes_fetched: int = 0
-    # Serving-layer counters (bitmap-conjunction cache).
+    # The installed bitmap cache's counts (see GraphAnalyticsEngine.stats).
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
@@ -87,46 +90,26 @@ class IOStats:
 
 @dataclass
 class IOStatsCollector:
-    """Accumulates :class:`IOStats` across queries; usable as a context.
+    """Accumulates :class:`IOStats` across queries.
 
     Increments are lock-protected: the daemon's bridge threads and its view
     maintainer query one engine (and thus one collector) at once, and
     ``count += 1`` is a read-modify-write that would drop updates otherwise.
-
-    When ``registry`` is set (a :class:`repro.obs.MetricsRegistry`, via
-    :meth:`GraphAnalyticsEngine.use_metrics`), every increment is mirrored
-    into process-wide ``io.*`` counters.  The mirror happens outside the
-    lock — the metrics carry their own locks — and the local ``stats``
-    remain the source of truth for per-query deltas.
     """
 
     stats: IOStats = field(default_factory=IOStats)
-    registry: object | None = field(default=None, repr=False, compare=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        # name -> Counter memo, keyed to the registry it came from; avoids
-        # a registry lookup (lock + dict probe) on every increment.
-        self._metric_cache: dict[str, object] = {}
-        self._cached_registry: object | None = None
-
-    def _publish(self, name: str, n: float = 1) -> None:
-        registry = self.registry
-        if registry is None:
-            return
-        if self._cached_registry is not registry:
-            self._metric_cache = {}
-            self._cached_registry = registry
-        counter = self._metric_cache.get(name)
-        if counter is None:
-            counter = self._metric_cache[name] = registry.counter(name)
-        counter.inc(n)
-
     def reset(self) -> None:
         with self._lock:
             self.stats = IOStats()
+
+    def snapshot(self) -> IOStats:
+        """A copy of the counts, consistent as of one instant."""
+        with self._lock:
+            return replace(self.stats)
 
     def record_bitmap_fetches(self, n_base: int, n_view: int, nbytes: int) -> None:
         """``n_base`` edge-bitmap and ``n_view`` view-bitmap fetches of
@@ -135,14 +118,6 @@ class IOStatsCollector:
             self.stats.bitmap_columns_fetched += n_base
             self.stats.view_bitmaps_fetched += n_view
             self.stats.bitmap_bytes_fetched += nbytes
-        if self.registry is None:
-            return
-        if n_base:
-            self._publish("io.bitmap_columns_fetched", n_base)
-        if n_view:
-            self._publish("io.view_bitmaps_fetched", n_view)
-        if nbytes:
-            self._publish("io.bitmap_bytes_fetched", nbytes)
 
     def record_measure_fetch(self, n_values: int, is_view: bool = False) -> None:
         with self._lock:
@@ -151,33 +126,9 @@ class IOStatsCollector:
             else:
                 self.stats.measure_columns_fetched += 1
             self.stats.measure_values_fetched += n_values
-        self._publish(
-            "io.view_measure_columns_fetched"
-            if is_view
-            else "io.measure_columns_fetched"
-        )
-        self._publish("io.measure_values_fetched", n_values)
 
     def record_partition_join(self, n_partitions: int) -> None:
         if n_partitions <= 1:
             return
         with self._lock:
             self.stats.partitions_joined += n_partitions
-        self._publish("io.partitions_joined", n_partitions)
-
-    # -- serving-layer counters ---------------------------------------------
-
-    def record_cache_hit(self) -> None:
-        with self._lock:
-            self.stats.cache_hits += 1
-        self._publish("io.cache_hits")
-
-    def record_cache_miss(self) -> None:
-        with self._lock:
-            self.stats.cache_misses += 1
-        self._publish("io.cache_misses")
-
-    def record_cache_eviction(self, n: int = 1) -> None:
-        with self._lock:
-            self.stats.cache_evictions += n
-        self._publish("io.cache_evictions", n)

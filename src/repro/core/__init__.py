@@ -35,13 +35,7 @@ from .rewrite import (
 )
 from .setcover import SelectionResult, greedy_cover_query, greedy_select_views
 from .sqlgen import render_aggregation, render_graph_query
-from .views import (
-    AggregateGraphView,
-    GraphView,
-    aggregate_benefit,
-    graph_view_supersedes,
-    path_occurs_in,
-)
+from .views import AggregateGraphView, GraphView, graph_view_supersedes
 
 __all__ = [
     "AggregateFunction",
@@ -92,7 +86,5 @@ __all__ = [
     "render_graph_query",
     "AggregateGraphView",
     "GraphView",
-    "aggregate_benefit",
     "graph_view_supersedes",
-    "path_occurs_in",
 ]

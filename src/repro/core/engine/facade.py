@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from pathlib import Path as FsPath
 from typing import Hashable
@@ -439,11 +439,9 @@ class GraphAnalyticsEngine:
 
     def use_bitmap_cache(self, cache) -> None:
         """Install (or with ``None`` remove) a shared bitmap-conjunction
-        cache (:class:`repro.exec.BitmapCache`); its hit/miss/eviction
-        traffic is reported to this engine's stats collector."""
+        cache (:class:`repro.exec.BitmapCache`); :attr:`stats` reads its
+        hit/miss/eviction counts."""
         self._bitmap_cache = cache
-        if cache is not None:
-            cache.collector = self.collector
 
     @property
     def tracer(self):
@@ -458,12 +456,31 @@ class GraphAnalyticsEngine:
         self._tracer = tracer
 
     def use_metrics(self, registry) -> None:
-        """Publish this engine's I/O accounting (and an installed bitmap
-        cache's traffic) into a :class:`repro.obs.MetricsRegistry`; pass
-        ``None`` to stop publishing."""
-        self.collector.registry = registry
-        if self._bitmap_cache is not None:
-            self._bitmap_cache.registry = registry
+        """Attach this engine to a :class:`repro.obs.MetricsRegistry`, which
+        then exports :meth:`metrics` with its own; a query makes no
+        registry call.  Attaching again changes nothing."""
+        registry.attach(self)
+
+    def metrics(self) -> dict[str, tuple[str, float]]:
+        """``{name: (type, value)}`` as an attached registry exports it:
+        ``io.<field>`` for every :class:`IOStats` field, and the installed
+        cache's ``cache.*`` counters and gauges."""
+        out = {
+            f"io.{name}": ("counter", value)
+            for name, value in asdict(self.stats).items()
+        }
+        cache = self._bitmap_cache
+        if cache is not None:
+            counts = cache.stats
+            out.update({
+                "cache.hits": ("counter", counts.hits),
+                "cache.misses": ("counter", counts.misses),
+                "cache.evictions": ("counter", counts.evictions),
+                "cache.invalidations": ("counter", counts.invalidations),
+                "cache.entries": ("gauge", counts.entries),
+                "cache.bytes_held": ("gauge", counts.bytes_cached),
+            })
+        return out
 
     # -- planning --------------------------------------------------------------
 
@@ -744,11 +761,23 @@ class GraphAnalyticsEngine:
         return _explain(self, query, analyze=analyze, fmt=fmt)
 
     def reset_stats(self) -> None:
+        """Zero the collector and the installed cache's counts."""
         self.collector.reset()
+        if self._bitmap_cache is not None:
+            self._bitmap_cache.reset_stats()
 
     @property
     def stats(self) -> IOStats:
-        return self.collector.stats
+        """A snapshot of the I/O counts; the cache fields are the installed
+        cache's own (zero without one)."""
+        stats = self.collector.snapshot()
+        cache = self._bitmap_cache
+        if cache is not None:
+            counts = cache.stats
+            stats.cache_hits = counts.hits
+            stats.cache_misses = counts.misses
+            stats.cache_evictions = counts.evictions
+        return stats
 
     def disk_size_bytes(self) -> int:
         return self.relation.disk_size_bytes()

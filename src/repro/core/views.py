@@ -21,15 +21,13 @@ from typing import Hashable
 
 from .aggregates import get_function
 from .paths import Path
-from .query import GraphQuery, PathAggregationQuery
+from .query import GraphQuery
 from .record import Edge
 
 __all__ = [
     "GraphView",
     "AggregateGraphView",
     "graph_view_supersedes",
-    "aggregate_benefit",
-    "path_occurs_in",
 ]
 
 
@@ -59,17 +57,6 @@ class GraphView:
     def __hash__(self) -> int:
         return hash((self.name, self.elements))
 
-    def usable_for(self, query: GraphQuery) -> bool:
-        """A view's bitmap may replace its elements' bitmaps only when every
-        element belongs to the query (``B ⊆ Gq``)."""
-        return self.elements <= query.elements
-
-    def saving(self, query: GraphQuery) -> int:
-        """Bitmap fetches saved when used alone for ``query``: |B| − 1."""
-        if not self.usable_for(query):
-            return 0
-        return len(self.elements) - 1
-
 
 def graph_view_supersedes(
     larger: Set[Edge], smaller: Set[Edge], workload: Iterable[GraphQuery]
@@ -87,13 +74,6 @@ def graph_view_supersedes(
     return all(
         larger <= q.elements for q in workload if smaller <= q.elements
     )
-
-
-def path_occurs_in(path: Path, query: GraphQuery) -> bool:
-    """Whether ``path`` is usable for ``query``'s aggregation: the path's
-    node sequence must appear contiguously on some maximal path of the
-    query, so its pre-aggregate composes with the rest via path-join."""
-    return any(maximal.contains_subpath(path) for maximal in query.maximal_paths())
 
 
 class AggregateGraphView:
@@ -144,26 +124,3 @@ class AggregateGraphView:
     def elements(self, measured_nodes: Set[Hashable] = frozenset()) -> tuple[Edge, ...]:
         """The structural elements the view's ``bp`` bitmap conjuncts."""
         return self.path.elements(measured_nodes) or self.path.edges()
-
-    def usable_for(self, query: PathAggregationQuery) -> bool:
-        """Usable when functions are compatible and the path occurs
-        contiguously within the query."""
-        if self.function != query.function:
-            compatible = (
-                get_function(query.function).is_algebraic()
-                and self.function == query.function
-            )
-            if not compatible:
-                return False
-        return path_occurs_in(self.path, query.query)
-
-
-def aggregate_benefit(path: Path, query: PathAggregationQuery) -> int:
-    """Benefit of an aggregate view for a query, per the Section 5.4 cost
-    model: proportional to the path length — each of the path's elements'
-    measure columns is replaced by the single ``mp`` column, and its bitmaps
-    by the single ``bp``.  Zero when the view is unusable for the query."""
-    if not path_occurs_in(path, query.query):
-        return 0
-    n_elements = len(path.edges())
-    return max(n_elements - 1, 0) * 2  # one saved bitmap + one saved measure per edge

@@ -28,7 +28,7 @@ instead of fishing ``KeyError``/``ValueError`` out of internals:
     finished (raised cooperatively at operator boundaries);
   * :class:`QueryCancelledError` — the query's cancel token fired;
   * :class:`AdmissionRejectedError` — the admission controller refused the
-    query (inflight/rate/byte budget exhausted within the bounded wait);
+    query (inflight cap or rate exhausted within the bounded wait);
     carries ``retry_after`` as a backoff hint;
   * :class:`ShardExecutionError` — a query's conjunction fold failed
     (carries ``shard`` and the ``start``/``stop`` record range it would
@@ -161,7 +161,7 @@ class QueryCancelledError(ResilienceError):
 class AdmissionRejectedError(ResilienceError):
     """The admission controller refused the query.
 
-    The inflight-query, token-bucket, or byte budget stayed exhausted for
+    The inflight-query cap or the token bucket stayed exhausted for
     the whole bounded wait.  ``retry_after`` (seconds, possibly 0.0) is the
     controller's backoff hint (the daemon sends it as ``Retry-After``).
     """

@@ -15,6 +15,10 @@ produce bit-identical results.  Keying on the epoch makes invalidation
 trivial and race-free: writers bump the engine epoch, after which stale
 entries can never match a lookup again (they are also proactively dropped
 to release budget).
+
+The cache counts its own traffic, once, under the lock it already takes:
+``GraphAnalyticsEngine.stats`` copies those counts into ``IOStats`` and a
+``MetricsRegistry`` reads them as ``cache.*`` when it exports.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..columnstore.bitmap import Bitmap
-from ..columnstore.iostats import IOStatsCollector
 from ..core.record import Edge
 
 __all__ = ["BitmapCache", "CacheStats"]
@@ -59,28 +62,12 @@ class BitmapCache:
     ``budget_bytes`` bounds the ``nbytes`` of the cached bitmaps; inserting
     past the budget evicts least-recently-used entries until it holds
     again (an entry larger than the whole budget is not retained at all).
-    An optional :class:`IOStatsCollector` — installed automatically by
-    :meth:`GraphAnalyticsEngine.use_bitmap_cache` — mirrors hit/miss/
-    eviction traffic into the engine's query stats.  An optional
-    ``registry`` (a :class:`repro.obs.MetricsRegistry`, installed by
-    :meth:`GraphAnalyticsEngine.use_metrics`) additionally publishes the
-    same traffic as process-wide ``cache.*`` counters plus held-bytes /
-    entry-count gauges.
     """
 
-    def __init__(
-        self,
-        budget_bytes: int = 64 << 20,
-        collector: IOStatsCollector | None = None,
-        registry=None,
-    ):
+    def __init__(self, budget_bytes: int = 64 << 20):
         if budget_bytes < 0:
             raise ValueError("budget_bytes must be >= 0")
         self.budget_bytes = budget_bytes
-        self.collector = collector
-        self.registry = registry
-        self._metric_cache: dict[str, object] = {}
-        self._cached_registry = None
         self._lock = threading.Lock()
         self._entries: OrderedDict[CacheKey, Bitmap] = OrderedDict()
         self._bytes = 0
@@ -88,26 +75,6 @@ class BitmapCache:
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
-
-    def _publish(self, name: str, n: float = 1) -> None:
-        registry = self.registry
-        if registry is None:
-            return
-        if self._cached_registry is not registry:
-            self._metric_cache = {}
-            self._cached_registry = registry
-        counter = self._metric_cache.get(name)
-        if counter is None:
-            counter = self._metric_cache[name] = registry.counter(name)
-        counter.inc(n)
-
-    def _publish_gauges(self) -> None:
-        registry = self.registry
-        if registry is not None:
-            with self._lock:
-                entries, held = len(self._entries), self._bytes
-            registry.gauge("cache.entries").set(entries)
-            registry.gauge("cache.bytes_held").set(held)
 
     # -- core operation ------------------------------------------------------
 
@@ -122,12 +89,6 @@ class BitmapCache:
                 self._hits += 1
             else:
                 self._misses += 1
-        if self.collector is not None:
-            if cached is not None:
-                self.collector.record_cache_hit()
-            else:
-                self.collector.record_cache_miss()
-        self._publish("cache.hits" if cached is not None else "cache.misses")
         return cached
 
     def put(self, epoch: int, elements: frozenset[Edge], bitmap: Bitmap) -> None:
@@ -135,7 +96,6 @@ class BitmapCache:
         misses on one key may both put; the last insert wins, and both
         bitmaps are the same answer."""
         key = (epoch, elements)
-        evicted = 0
         with self._lock:
             previous = self._entries.pop(key, None)
             if previous is not None:
@@ -145,13 +105,7 @@ class BitmapCache:
             while self._bytes > self.budget_bytes and self._entries:
                 _, victim = self._entries.popitem(last=False)
                 self._bytes -= victim.nbytes()
-                evicted += 1
-            self._evictions += evicted
-        if evicted:
-            if self.collector is not None:
-                self.collector.record_cache_eviction(evicted)
-            self._publish("cache.evictions", evicted)
-        self._publish_gauges()
+                self._evictions += 1
 
     # -- invalidation --------------------------------------------------------
 
@@ -167,16 +121,12 @@ class BitmapCache:
             for key in stale:
                 self._bytes -= self._entries.pop(key).nbytes()
             self._invalidations += len(stale)
-        if stale:
-            self._publish("cache.invalidations", len(stale))
-        self._publish_gauges()
         return len(stale)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._bytes = 0
-        self._publish_gauges()
 
     # -- introspection -------------------------------------------------------
 

@@ -117,9 +117,9 @@ class QueryExecutor:
         executor publishes per-query latency histograms
         (``exec.request_seconds`` overall, ``exec.query_seconds`` /
         ``exec.aggregate_seconds`` by kind) plus a served-query
-        counter, and installs the registry on the engine
-        (:meth:`GraphAnalyticsEngine.use_metrics`) so the I/O collector
-        and bitmap cache publish too.
+        counter, and attaches the engine to the registry
+        (:meth:`GraphAnalyticsEngine.use_metrics`), which then exports the
+        engine's ``io.*`` and its cache's ``cache.*`` counts.
     default_timeout:
         Per-query deadline in seconds applied when a call does not pass
         its own ``timeout`` (None = no deadline).

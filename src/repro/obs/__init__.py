@@ -5,21 +5,13 @@ The measurement substrate for every performance claim in this repo.  The
 bitmap-conjunction, measure-materialization, and aggregation stages (the
 same breakdown the paper's Figures 6–8 argue from); :func:`explain`
 renders the chosen rewrite plan without executing it; and
-:class:`MetricsRegistry` aggregates counters/gauges/histograms published
-by :class:`~repro.columnstore.iostats.IOStatsCollector`,
-:class:`~repro.exec.BitmapCache`, and :class:`~repro.exec.QueryExecutor`
-into one JSON-dumpable document (``repro metrics``).
+:class:`MetricsRegistry` holds the counters/gauges/histograms the serving
+layers push, and reads an attached engine's I/O and cache counts, into
+one JSON-dumpable document (``repro metrics``).
 """
 
 from .explain import explain, explain_dict, render_plan_text
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .trace import QueryTrace, Span, Tracer
 
 __all__ = [
@@ -32,7 +24,5 @@ __all__ = [
     "Tracer",
     "explain",
     "explain_dict",
-    "get_registry",
     "render_plan_text",
-    "set_registry",
 ]

@@ -1,17 +1,20 @@
-"""Process-wide metrics: counters, gauges, and histograms.
+"""Metrics: counters, gauges, and histograms, plus counts read at export.
 
-One :class:`MetricsRegistry` aggregates what the storage and serving
-layers publish — :class:`~repro.columnstore.iostats.IOStatsCollector`
-mirrors its per-column fetch counts, :class:`~repro.exec.BitmapCache`
-its hit/miss/eviction traffic, and :class:`~repro.exec.QueryExecutor`
-per-query latency histograms — so a benchmark run (or the ``repro
-metrics`` CLI) can dump one JSON document covering every stage the
-paper's figures break down.
+One :class:`MetricsRegistry` holds what the serving layers push —
+:class:`~repro.exec.QueryExecutor`'s per-query latency histograms, the
+daemon's ``serve.*`` and the maintainer's ``adaptive.*`` — and reads
+what it does not own: an attached engine
+(:meth:`GraphAnalyticsEngine.use_metrics`) reports its ``io.*`` column
+counts and its bitmap cache's ``cache.*`` traffic each time the registry
+exports.  Each event is counted once, where it happens, so a query
+makes no registry call and ``reset()`` cannot orphan a count.  A
+benchmark run (or the ``repro metrics`` CLI) dumps one JSON document
+covering every stage the paper's figures break down.
 
-All metric types are thread-safe (the executor publishes from worker
-threads) and the registry's exports are deterministic: names are sorted
-and histogram summaries are computed from the retained samples, so two
-identical runs serialize identically.
+All metric types are thread-safe (the daemon's bridge threads push
+concurrently) and the registry's exports are deterministic: names are
+sorted and histogram summaries are computed from the retained samples,
+so two identical runs serialize identically.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "get_registry",
-    "set_registry",
 ]
 
 
@@ -188,6 +189,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
         self._names: list[str] = []  # kept sorted for deterministic export
+        self._sources: dict = {}  # attached engines, used as an ordered set
 
     def _get_or_create(self, name: str, kind: str, help: str, **kwargs):
         with self._lock:
@@ -223,6 +225,13 @@ class MetricsRegistry:
         with self._lock:
             return list(self._names)
 
+    def attach(self, source) -> None:
+        """Export ``source.metrics()`` — ``{name: (type, value)}``, read at
+        each export — with this registry's own metrics.  Attaching a
+        source again changes nothing; :meth:`reset` keeps it attached."""
+        with self._lock:
+            self._sources[source] = None
+
     def reset(self) -> None:
         """Drop every registered metric (tests and benchmark phases)."""
         with self._lock:
@@ -232,10 +241,17 @@ class MetricsRegistry:
     # -- export ---------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Deterministic JSON-ready dump: ``{name: {type, ...}}`` sorted."""
+        """Deterministic JSON-ready dump: ``{name: {type, ...}}`` sorted.
+        Attached sources are read now; a name several report is summed."""
         with self._lock:
             items = [(name, self._metrics[name]) for name in self._names]
-        return {name: metric.to_dict() for name, metric in items}
+            sources = list(self._sources)
+        out = {name: metric.to_dict() for name, metric in items}
+        for source in sources:
+            for name, (kind, value) in source.metrics().items():
+                entry = out.setdefault(name, {"type": kind, "value": 0.0})
+                entry["value"] += value
+        return dict(sorted(out.items()))
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -264,20 +280,3 @@ class MetricsRegistry:
             lines.append(f"{name:<{width}}  {kind:<9}  {detail}")
         return "\n".join(lines)
 
-
-_default_registry = MetricsRegistry()
-_default_lock = threading.Lock()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _default_registry
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide default registry; returns the previous one."""
-    global _default_registry
-    with _default_lock:
-        previous = _default_registry
-        _default_registry = registry
-    return previous

@@ -1,18 +1,15 @@
 """Admission control: the gate in front of the query executor.
 
 Production serving needs to shed load *before* work starts, not after it
-has stalled every other query.  :class:`AdmissionController` combines the
-three classic gates behind one blocking-with-bounded-wait ``admit()``:
+has stalled every other query.  :class:`AdmissionController` combines two
+gates behind one blocking-with-bounded-wait ``admit()``:
 
 * **concurrent-query cap** (``max_inflight``) — at most N queries execute
   at once; excess callers queue;
-* **token bucket** (``rate`` / ``burst``) — sustained throughput is capped
-  at ``rate`` admissions/second with bursts up to ``burst``;
-* **byte budget** (``max_bytes``) — callers declare an estimated working
-  set (the executor estimates one bitmap width per conjunction) and the
-  summed estimate of in-flight queries stays under the budget.
+* **token bucket** (``rate``) — sustained throughput is capped at ``rate``
+  admissions/second, with bursts up to ``max(rate, 1)``.
 
-A caller waits at most ``max_wait_s`` for all three gates to open; past
+A caller waits at most ``max_wait_s`` for both gates to open; past
 that the query is *rejected* with a typed
 :class:`~repro.errors.AdmissionRejectedError` carrying a ``retry_after``
 hint (the daemon's ``Retry-After`` header).
@@ -40,11 +37,10 @@ class AdmissionStats:
     admitted: int = 0
     rejected: int = 0
     inflight: int = 0
-    bytes_inflight: int = 0
 
 
 class AdmissionController:
-    """Token-bucket + inflight/byte-budget admission gate.
+    """Token-bucket + inflight admission gate.
 
     Parameters
     ----------
@@ -52,27 +48,18 @@ class AdmissionController:
         Maximum concurrently admitted queries (None = unlimited).
     rate:
         Sustained admissions per second for the token bucket (None = no
-        rate limit).
-    burst:
-        Bucket capacity; defaults to ``max(rate, 1)`` so a idle bucket
-        admits about one second of traffic instantly.
+        rate limit).  The bucket holds ``max(rate, 1)`` tokens, so an idle
+        bucket admits about one second of traffic instantly.
     max_wait_s:
         How long ``admit()`` may queue before rejecting (0 = reject
         immediately when a gate is closed).
-    max_bytes:
-        Budget for the summed byte estimates of in-flight queries
-        (None = no byte gate).  A single query estimated above the whole
-        budget is still admitted when it is alone — otherwise it could
-        never run.
     """
 
     def __init__(
         self,
         max_inflight: int | None = None,
         rate: float | None = None,
-        burst: float | None = None,
         max_wait_s: float = 0.0,
-        max_bytes: int | None = None,
     ):
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
@@ -80,19 +67,13 @@ class AdmissionController:
             raise ValueError("rate must be > 0")
         if max_wait_s < 0:
             raise ValueError("max_wait_s must be >= 0")
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be > 0")
         self.max_inflight = max_inflight
         self.rate = rate
-        self.burst = float(burst) if burst is not None else max(rate or 1.0, 1.0)
-        if self.burst < 1:
-            raise ValueError("burst must be >= 1")
+        self._capacity = max(rate or 1.0, 1.0)
         self.max_wait_s = max_wait_s
-        self.max_bytes = max_bytes
         self._cond = threading.Condition()
         self._inflight = 0
-        self._bytes_inflight = 0
-        self._tokens = self.burst
+        self._tokens = self._capacity
         self._refilled_at = time.monotonic()
         self._admitted = 0
         self._rejected = 0
@@ -103,7 +84,7 @@ class AdmissionController:
         if self.rate is None:
             return
         self._tokens = min(
-            self.burst, self._tokens + (now - self._refilled_at) * self.rate
+            self._capacity, self._tokens + (now - self._refilled_at) * self.rate
         )
         self._refilled_at = now
 
@@ -118,7 +99,7 @@ class AdmissionController:
 
     # -- gate ----------------------------------------------------------------
 
-    def _gates_closed(self, nbytes: int, now: float) -> float | None:
+    def _gates_closed(self, now: float) -> float | None:
         """Why admission must wait: seconds until the earliest possible
         retry, or None when every gate is open right now."""
         token_wait = self._token_wait(now)
@@ -126,25 +107,18 @@ class AdmissionController:
             return token_wait
         if self.max_inflight is not None and self._inflight >= self.max_inflight:
             return float("inf")  # opens when some query finishes
-        if (
-            self.max_bytes is not None
-            and self._inflight > 0
-            and self._bytes_inflight + nbytes > self.max_bytes
-        ):
-            return float("inf")
         return None
 
-    def _acquire(self, nbytes: int) -> None:
+    def _acquire(self) -> None:
         give_up_at = time.monotonic() + self.max_wait_s
         with self._cond:
             while True:
                 now = time.monotonic()
-                wait = self._gates_closed(nbytes, now)
+                wait = self._gates_closed(now)
                 if wait is None:
                     if self.rate is not None:
                         self._tokens -= 1.0
                     self._inflight += 1
-                    self._bytes_inflight += nbytes
                     self._admitted += 1
                     return
                 budget = give_up_at - now
@@ -159,8 +133,7 @@ class AdmissionController:
                         + (
                             "token bucket empty"
                             if wait != float("inf")
-                            else f"{self._inflight} queries in flight, "
-                            f"{self._bytes_inflight} bytes held"
+                            else f"{self._inflight} queries in flight"
                         )
                         + f" (waited up to {self.max_wait_s:g}s)",
                         retry_after=hint,
@@ -169,41 +142,39 @@ class AdmissionController:
                 # token refill becoming due), whichever is sooner.
                 self._cond.wait(timeout=min(wait, budget))
 
-    def _release(self, nbytes: int) -> None:
+    def _release(self) -> None:
         with self._cond:
             self._inflight -= 1
-            self._bytes_inflight -= nbytes
             self._cond.notify_all()
 
     @contextmanager
-    def admit(self, nbytes: int = 0) -> Iterator[None]:
+    def admit(self) -> Iterator[None]:
         """Run one query inside the gate; raises
         :class:`~repro.errors.AdmissionRejectedError` when the gates stay
         closed past the bounded wait."""
-        self._acquire(nbytes)
+        self._acquire()
         try:
             yield
         finally:
-            self._release(nbytes)
+            self._release()
 
-    def try_admit(self, nbytes: int = 0) -> bool:
+    def try_admit(self) -> bool:
         """Non-blocking probe: admit now or return False (never queues).
         A failed probe is not a rejection and counts nothing: its caller
         may go on to wait in :meth:`admit`.  The caller must
         :meth:`release` what it admitted."""
         with self._cond:
-            if self._gates_closed(nbytes, time.monotonic()) is not None:
+            if self._gates_closed(time.monotonic()) is not None:
                 return False
             if self.rate is not None:
                 self._tokens -= 1.0
             self._inflight += 1
-            self._bytes_inflight += nbytes
             self._admitted += 1
             return True
 
-    def release(self, nbytes: int = 0) -> None:
+    def release(self) -> None:
         """Release a :meth:`try_admit` admission."""
-        self._release(nbytes)
+        self._release()
 
     @property
     def stats(self) -> AdmissionStats:
@@ -212,5 +183,4 @@ class AdmissionController:
                 admitted=self._admitted,
                 rejected=self._rejected,
                 inflight=self._inflight,
-                bytes_inflight=self._bytes_inflight,
             )

@@ -388,10 +388,6 @@ class ReproServer:
             )
         return min(raw / 1000.0, self.config.max_timeout_s)
 
-    def _admission_bytes(self) -> int:
-        """Admission byte estimate of a read: one uncompressed bitmap."""
-        return max(self.executor.engine.n_records // 8, 1)
-
     async def _in_engine(self, fn):
         assert self._loop is not None
         return await self._loop.run_in_executor(self._pool, fn)
@@ -501,11 +497,10 @@ class ReproServer:
 
         token = CancelToken()
         ctx = QueryContext.start(timeout=timeout, token=token)
-        nbytes = self._admission_bytes()
         # Answered on the loop unless something would make it wait; else
         # bridged, watcher armed, carrying the probe's permit if it took
         # one.  The permit covers execution AND streaming (a slow reader).
-        permit = self.gate.try_admit(tenant, nbytes)
+        permit = self.gate.try_admit(tenant)
         try:
             result = None
             if permit is not None:
@@ -521,7 +516,7 @@ class ReproServer:
                 def work():
                     held = contextlib.ExitStack()  # admit: blocking, bounded wait
                     held.enter_context(
-                        self.gate.admit(tenant, nbytes) if probed is None else probed
+                        self.gate.admit(tenant) if probed is None else probed
                     )
                     try:
                         result = self.executor.run_one(
@@ -607,10 +602,9 @@ class ReproServer:
             raise WireError(400, "bad-request", '"analyze" must be a boolean')
         if fmt not in ("text", "json"):
             raise WireError(400, "bad-request", '"fmt" must be "text" or "json"')
-        nbytes = self._admission_bytes() if analyze else 0
 
         def work():
-            with self.gate.admit(tenant, nbytes):
+            with self.gate.admit(tenant):
                 return self.executor.explain(query, analyze=analyze, fmt=fmt)
 
         text = await self._in_engine(work)

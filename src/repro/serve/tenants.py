@@ -41,26 +41,18 @@ class TenantPolicy:
 
     max_inflight: int | None = None
     rate: float | None = None
-    burst: float | None = None
     max_wait_s: float = 0.0
-    max_bytes: int | None = None
     max_tenants: int = 1024
 
     @property
     def unlimited(self) -> bool:
-        return (
-            self.max_inflight is None
-            and self.rate is None
-            and self.max_bytes is None
-        )
+        return self.max_inflight is None and self.rate is None
 
     def build(self) -> AdmissionController:
         return AdmissionController(
             max_inflight=self.max_inflight,
             rate=self.rate,
-            burst=self.burst,
             max_wait_s=self.max_wait_s,
-            max_bytes=self.max_bytes,
         )
 
 
@@ -119,23 +111,25 @@ class TenantGate:
         Tenant first: an AdmissionRejectedError from the tenant gate is
         raised before the shared gate is touched, and the shared slot is
         released before the tenant slot on exit (strict nesting).
+        ``nbytes`` is accepted and ignored: the frozen benchmark's replay
+        passes a byte estimate (``benchmarks/e2e/layers.py:222,227``).
         """
         with ExitStack() as permit:
             for gate in self._gates(tenant):
-                permit.enter_context(gate.admit(nbytes))
+                permit.enter_context(gate.admit())
             yield
 
-    def try_admit(self, tenant: str, nbytes: int = 0) -> ExitStack | None:
+    def try_admit(self, tenant: str) -> ExitStack | None:
         """Take both gates now, or return None holding nothing (a tenant
         slot already taken is given back when the shared gate refuses).
         Closing the returned permit releases what it holds, shared first;
         an ungoverned gate returns an empty one."""
         permit = ExitStack()
         for gate in self._gates(tenant):
-            if not gate.try_admit(nbytes):
+            if not gate.try_admit():
                 permit.close()
                 return None
-            permit.callback(gate.release, nbytes)
+            permit.callback(gate.release)
         return permit
 
     def inflight(self) -> int:
@@ -154,7 +148,6 @@ class TenantGate:
                 "admitted": s.admitted,
                 "rejected": s.rejected,
                 "inflight": s.inflight,
-                "bytes_inflight": s.bytes_inflight,
             }
         with self._lock:
             tenants = dict(self._tenants)

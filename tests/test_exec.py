@@ -8,7 +8,6 @@ import time
 import pytest
 
 from repro.columnstore import Bitmap, MasterRelation
-from repro.columnstore.iostats import IOStatsCollector
 from repro.core import (
     GraphAnalyticsEngine,
     GraphQuery,
@@ -137,17 +136,19 @@ class TestBitmapCache:
         assert (stats.hits, stats.misses, stats.evictions) == (0, 0, 0)
 
     def test_collector_mirroring(self):
-        collector = IOStatsCollector()
-        cache = BitmapCache(budget_bytes=8, collector=collector)
+        engine = GraphAnalyticsEngine()
+        cache = BitmapCache(budget_bytes=8)
+        engine.use_bitmap_cache(cache)
         key = frozenset({("a", "b")})
         fetch(cache, 0, key, lambda: bm(1))
         fetch(cache, 0, key, lambda: bm(1))
         fetch(cache, 0, frozenset({("c", "d")}), lambda: bm(2))
-        stats = collector.stats
+        stats = engine.stats
         assert stats.cache_hits == 1
         assert stats.cache_misses == 2
         assert stats.cache_evictions == 1
         assert stats.conjunctions_requested() == 3
+        assert engine.collector.stats.conjunctions_requested() == 0
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):

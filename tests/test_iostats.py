@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro.columnstore import Bitmap, IOStats, IOStatsCollector
+from repro.core import GraphAnalyticsEngine
 from repro.exec import BitmapCache
 
 
@@ -93,44 +95,64 @@ class TestCollector:
         assert collector.stats.total_columns_fetched() == 0
 
     def test_record_cache_traffic(self):
-        collector = IOStatsCollector()
-        collector.record_cache_hit()
-        collector.record_cache_hit()
-        collector.record_cache_miss()
-        collector.record_cache_eviction()
-        collector.record_cache_eviction(4)
-        stats = collector.stats
-        assert stats.cache_hits == 2
-        assert stats.cache_misses == 1
-        assert stats.cache_evictions == 5
-        assert stats.conjunctions_requested() == 3
+        """A lookup changes exactly one counter, the cache's own: the
+        engine's collector counts no cache traffic."""
+        engine = GraphAnalyticsEngine()
+        cache = BitmapCache(budget_bytes=8)
+        engine.use_bitmap_cache(cache)
+        key = frozenset({("a", "b")})
+        before = cache.stats
+        assert cache.lookup(0, key) is None
+        after = cache.stats
+        assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+        cache.put(0, key, Bitmap.ones(64))
+        cache.put(0, frozenset({("c", "d")}), Bitmap.ones(64))
+        assert cache.lookup(0, frozenset({("c", "d")})) is not None
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.evictions) == (1, 1, 1)
+        assert engine.collector.stats == IOStats()
+        io = engine.stats
+        assert (io.cache_hits, io.cache_misses, io.cache_evictions) == (1, 1, 1)
+        assert io.conjunctions_requested() == 2
 
     def test_reset_clears_serving_counters(self):
-        collector = IOStatsCollector()
-        collector.record_cache_hit()
-        collector.record_cache_miss()
-        collector.record_cache_eviction(2)
-        collector.reset()
-        stats = collector.stats
-        assert stats.cache_hits == stats.cache_misses == 0
-        assert stats.cache_evictions == 0
+        engine = GraphAnalyticsEngine()
+        cache = BitmapCache()
+        engine.use_bitmap_cache(cache)
+        key = frozenset({("a", "b")})
+        cache.lookup(0, key)
+        cache.put(0, key, Bitmap.ones(64))
+        cache.lookup(0, key)
+        engine.collector.record_bitmap_fetches(1, 0, 8)
+        engine.reset_stats()
+        stats = engine.stats
+        assert stats == IOStats()
+        assert cache.stats.requests() == 0
 
     def test_concurrent_increments_do_not_drop(self):
-        collector = IOStatsCollector()
+        cache = BitmapCache()
+        hit, miss = frozenset({("a", "b")}), frozenset({("c", "d")})
+        cache.put(0, hit, Bitmap.ones(64))
 
         def worker():
-            for _ in range(500):
-                collector.record_cache_hit()
-                collector.record_cache_miss()
+            for _ in range(250):
+                cache.lookup(0, hit)
+                cache.lookup(0, miss)
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert collector.stats.cache_hits == 2000
-        assert collector.stats.cache_misses == 2000
-        assert collector.stats.conjunctions_requested() == 4000
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert cache.stats.hits == 2000
+        assert cache.stats.misses == 2000
+        assert cache.stats.requests() == 4000
 
 
 class TestCacheAccountingIdentity:
@@ -138,18 +160,23 @@ class TestCacheAccountingIdentity:
     evictions always keep the byte budget honoured."""
 
     def test_identity_holds_through_cache_traffic(self):
-        collector = IOStatsCollector()
-        cache = BitmapCache(budget_bytes=24, collector=collector)
+        engine = GraphAnalyticsEngine()
+        cache = BitmapCache(budget_bytes=24)
+        engine.use_bitmap_cache(cache)
         requests = 0
         for i in range(40):
             key = frozenset({("e", str(i % 7))})
             if cache.lookup(i % 3, key) is None:
                 cache.put(i % 3, key, Bitmap.ones(64))
             requests += 1
-            stats = collector.stats
-            assert stats.cache_hits + stats.cache_misses == requests
-            assert stats.conjunctions_requested() == requests
+            stats = cache.stats
+            assert stats.hits + stats.misses == requests
+            assert engine.stats.conjunctions_requested() == requests
             assert cache.current_bytes() <= cache.budget_bytes
-        assert cache.stats.hits == collector.stats.cache_hits
-        assert cache.stats.misses == collector.stats.cache_misses
-        assert cache.stats.evictions == collector.stats.cache_evictions
+        stats, io = cache.stats, engine.stats
+        assert stats.evictions > 0
+        assert (io.cache_hits, io.cache_misses, io.cache_evictions) == (
+            stats.hits,
+            stats.misses,
+            stats.evictions,
+        )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import threading
@@ -10,16 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GraphAnalyticsEngine, GraphQuery, GraphRecord
-from repro.exec import BitmapCache, QueryExecutor
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
+from repro.core import (
+    GraphAnalyticsEngine,
+    GraphQuery,
+    GraphRecord,
+    PathAggregationQuery,
 )
+from repro.exec import BitmapCache, QueryExecutor
+from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -144,15 +143,6 @@ class TestRegistry:
         reg.reset()
         assert reg.names() == []
 
-    def test_default_registry_swap(self):
-        fresh = MetricsRegistry()
-        previous = set_registry(fresh)
-        try:
-            assert get_registry() is fresh
-        finally:
-            set_registry(previous)
-        assert get_registry() is previous
-
 
 def _tiny_engine() -> GraphAnalyticsEngine:
     engine = GraphAnalyticsEngine()
@@ -166,7 +156,8 @@ def _tiny_engine() -> GraphAnalyticsEngine:
 
 
 class TestPublishers:
-    """IOStatsCollector, BitmapCache, and QueryExecutor all publish."""
+    """The registry reads an attached engine's own counts at export; the
+    executor pushes its latency histograms."""
 
     def test_collector_mirrors_into_registry(self):
         engine = _tiny_engine()
@@ -174,35 +165,42 @@ class TestPublishers:
         engine.use_metrics(reg)
         engine.query(GraphQuery([("a", "b"), ("b", "c")]))
         stats = engine.stats
-        assert (
-            reg.get("io.bitmap_columns_fetched").value
-            == stats.bitmap_columns_fetched
+        dump = reg.to_dict()
+        assert dump["io.bitmap_columns_fetched"] == {
+            "type": "counter",
+            "value": stats.bitmap_columns_fetched,
+        }
+        assert dump["io.measure_values_fetched"]["value"] == (
+            stats.measure_values_fetched
         )
-        assert (
-            reg.get("io.measure_values_fetched").value
-            == stats.measure_values_fetched
-        )
-        assert reg.get("io.bitmap_bytes_fetched").value == (
+        assert dump["io.bitmap_bytes_fetched"]["value"] == (
             stats.bitmap_bytes_fetched
         )
 
     def test_unpublished_engine_touches_no_registry(self):
         engine = _tiny_engine()
+        attached = _tiny_engine()
+        reg = MetricsRegistry()
+        attached.use_metrics(reg)
         engine.query(GraphQuery([("a", "b")]))
-        assert engine.collector.registry is None
+        assert engine.stats.bitmap_columns_fetched > 0
+        assert reg.to_dict()["io.bitmap_columns_fetched"]["value"] == 0
+        assert MetricsRegistry().to_dict() == {}
 
     def test_cache_publishes_traffic_and_gauges(self):
         engine = _tiny_engine()
         reg = MetricsRegistry()
-        cache = BitmapCache(4 << 20, registry=reg)
+        cache = BitmapCache(4 << 20)
         engine.use_bitmap_cache(cache)
+        engine.use_metrics(reg)
         query = GraphQuery([("a", "b"), ("b", "c")])
         engine.query(query)
         engine.query(query)
-        assert reg.get("cache.misses").value == cache.stats.misses
-        assert reg.get("cache.hits").value == cache.stats.hits > 0
-        assert reg.get("cache.entries").value == len(cache)
-        assert reg.get("cache.bytes_held").value == cache.current_bytes()
+        dump = reg.to_dict()
+        assert dump["cache.misses"]["value"] == cache.stats.misses
+        assert dump["cache.hits"]["value"] == cache.stats.hits > 0
+        assert dump["cache.entries"] == {"type": "gauge", "value": len(cache)}
+        assert dump["cache.bytes_held"]["value"] == cache.current_bytes()
 
     def test_executor_latency_histograms(self):
         engine = _tiny_engine()
@@ -215,12 +213,80 @@ class TestPublishers:
         assert reg.get("exec.queries_served").value == 2
         assert reg.get("exec.request_seconds").count == 2
         assert reg.get("exec.query_seconds").count == 2
-        # engine-level publishers were installed transitively
-        assert reg.get("io.bitmap_columns_fetched").value > 0
-        assert reg.get("cache.misses").value > 0
+        # the executor attached the engine, so its counts are exported
+        dump = reg.to_dict()
+        assert dump["io.bitmap_columns_fetched"]["value"] > 0
+        assert dump["cache.misses"]["value"] > 0
 
     def test_registry_off_by_default(self):
         engine = _tiny_engine()
         with QueryExecutor(engine, cache_mb=4) as ex:
             ex.run_one(GraphQuery([("a", "b")]))
         assert ex.registry is None
+
+    def test_engine_reads_make_no_registry_call(self, monkeypatch):
+        engine = _tiny_engine()
+        engine.use_bitmap_cache(BitmapCache(4 << 20))
+        engine.use_metrics(MetricsRegistry())
+        calls = []
+        for cls, name in [
+            (MetricsRegistry, "counter"),
+            (MetricsRegistry, "gauge"),
+            (MetricsRegistry, "histogram"),
+            (Counter, "inc"),
+            (Gauge, "set"),
+        ]:
+            original = getattr(cls, name)
+
+            def spy(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, spy)
+        query = GraphQuery([("a", "b"), ("b", "c")])
+        engine.query(query)
+        engine.query(query)
+        engine.aggregate(PathAggregationQuery(query, "sum"))
+        assert calls == []
+
+    def test_pulled_counts_survive_registry_reset(self):
+        engine = _tiny_engine()
+        cache = BitmapCache(4 << 20)
+        engine.use_bitmap_cache(cache)
+        reg = MetricsRegistry()
+        engine.use_metrics(reg)
+        engine.use_metrics(reg)  # attaching again changes nothing
+        query = GraphQuery([("a", "b"), ("b", "c")])
+        engine.query(query)
+        reg.reset()
+        engine.query(query)
+        engine.aggregate(PathAggregationQuery(query, "sum"))
+        dump = reg.to_dict()
+        for field, value in dataclasses.asdict(engine.stats).items():
+            assert dump[f"io.{field}"] == {"type": "counter", "value": value}, field
+        stats = cache.stats
+        assert stats.hits > 0
+        assert dump["cache.hits"]["value"] == stats.hits
+        assert dump["cache.misses"]["value"] == stats.misses
+        assert dump["cache.evictions"]["value"] == stats.evictions
+        assert dump["cache.invalidations"]["value"] == stats.invalidations
+        assert dump["cache.entries"]["value"] == stats.entries
+        assert dump["cache.bytes_held"]["value"] == stats.bytes_cached
+        assert json.loads(reg.to_json()) == dump
+        assert "cache.hits" in reg.render()
+
+    def test_engines_sharing_a_registry_sum(self):
+        first, second = _tiny_engine(), _tiny_engine()
+        reg = MetricsRegistry()
+        first.use_metrics(reg)
+        second.use_metrics(reg)
+        first.query(GraphQuery([("a", "b")]))
+        second.query(GraphQuery([("a", "b"), ("b", "c")]))
+        expected = (
+            first.stats.bitmap_columns_fetched + second.stats.bitmap_columns_fetched
+        )
+        assert reg.to_dict()["io.bitmap_columns_fetched"]["value"] == expected
+        second.reset_stats()
+        assert reg.to_dict()["io.bitmap_columns_fetched"]["value"] == (
+            first.stats.bitmap_columns_fetched
+        )

@@ -158,13 +158,13 @@ class TestAdmissionController:
         assert (stats.admitted, stats.rejected, stats.inflight) == (2, 0, 0)
 
     def test_token_bucket_caps_burst(self):
-        gate = AdmissionController(rate=1000.0, burst=2.0, max_wait_s=0.0)
-        assert gate.try_admit()
-        assert gate.try_admit()
+        gate = AdmissionController(rate=4.0, max_wait_s=0.0)
+        for _ in range(4):  # the bucket holds max(rate, 1) tokens
+            assert gate.try_admit()
         assert not gate.try_admit()  # bucket drained
-        time.sleep(0.01)  # ~10 tokens refill at rate=1000/s
+        time.sleep(0.3)  # ~1.2 tokens refill at rate=4/s
         assert gate.try_admit()
-        for _ in range(3):
+        for _ in range(5):
             gate.release()
 
     def test_bounded_wait_admits_when_gate_reopens(self):
@@ -187,19 +187,6 @@ class TestAdmissionController:
         thread.join()
         assert 0.01 < admitted_after[0] < 4.0
 
-    def test_byte_budget_rejects_but_never_starves_a_lone_query(self):
-        gate = AdmissionController(max_bytes=100, max_wait_s=0.0)
-        # A lone over-budget query must still run, else it never could.
-        assert gate.try_admit(nbytes=1000)
-        # But alongside anything it is held back.
-        assert not gate.try_admit(nbytes=50)
-        gate.release(nbytes=1000)
-        assert gate.try_admit(nbytes=50)
-        assert gate.try_admit(nbytes=50)
-        assert not gate.try_admit(nbytes=50)
-        gate.release(nbytes=50)
-        gate.release(nbytes=50)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AdmissionController(max_inflight=0)
@@ -207,8 +194,6 @@ class TestAdmissionController:
             AdmissionController(rate=0)
         with pytest.raises(ValueError):
             AdmissionController(max_wait_s=-1)
-        with pytest.raises(ValueError):
-            AdmissionController(max_bytes=0)
 
 
 # -- executor integration: one fold per query ------------------------------

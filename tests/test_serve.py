@@ -380,9 +380,9 @@ class TestTenantIsolation:
             shared=AdmissionController(max_inflight=1),
             policy=TenantPolicy(max_inflight=2),
         )
-        held = gate.try_admit("t1", 8)
+        held = gate.try_admit("t1")
         assert held is not None and gate.inflight() == 2  # tenant + shared
-        assert gate.try_admit("t1", 8) is None
+        assert gate.try_admit("t1") is None
         assert gate.inflight() == 2, "the refused probe kept its tenant slot"
         held.close()
         assert gate.inflight() == 0

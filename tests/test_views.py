@@ -1,4 +1,5 @@
-"""Tests for view definitions and monotonicity (supersession) predicates."""
+"""Tests for view definitions, monotonicity (supersession) predicates, and
+when the planner that runs uses a view."""
 
 from __future__ import annotations
 
@@ -10,10 +11,29 @@ from repro.core import (
     GraphView,
     Path,
     PathAggregationQuery,
-    aggregate_benefit,
     graph_view_supersedes,
-    path_occurs_in,
 )
+from repro.core.rewrite import plan_aggregation, plan_graph_query
+
+
+def _agg_views_placed(query: PathAggregationQuery, *paths: Path) -> list[str]:
+    """The aggregate views over ``paths`` that the rewrite places for ``query``."""
+    views = {
+        f"av{i}": AggregateGraphView(f"av{i}", path, query.function)
+        for i, path in enumerate(paths)
+    }
+    return plan_aggregation(query, views, {}).structural_agg_view_names
+
+
+def _columns_saved(path: Path, query: PathAggregationQuery) -> int:
+    """Bitmap plus measure columns a view over ``path`` saves ``query``, by
+    the plan that runs."""
+
+    def cost(views) -> int:
+        plan = plan_aggregation(query, views, {})
+        return plan.n_structural_columns() + plan.n_measure_columns()
+
+    return cost({}) - cost({"av": AggregateGraphView("av", path, query.function)})
 
 
 class TestGraphView:
@@ -26,17 +46,17 @@ class TestGraphView:
             GraphView("v", [("A", "B")])
 
     def test_usable_for_subset_queries_only(self):
-        view = GraphView("v", [("A", "B"), ("B", "C")])
+        views = {"v": GraphView("v", [("A", "B"), ("B", "C")])}
         superset = GraphQuery([("A", "B"), ("B", "C"), ("C", "D")])
         partial = GraphQuery([("A", "B"), ("X", "Y")])
-        assert view.usable_for(superset)
-        assert not view.usable_for(partial)
+        assert plan_graph_query(superset, views).view_names == ["v"]
+        assert plan_graph_query(partial, views).view_names == []
 
     def test_saving_is_size_minus_one(self):
-        view = GraphView("v", [("A", "B"), ("B", "C"), ("C", "D")])
+        views = {"v": GraphView("v", [("A", "B"), ("B", "C"), ("C", "D")])}
         q = GraphQuery([("A", "B"), ("B", "C"), ("C", "D"), ("D", "E")])
-        assert view.saving(q) == 2
-        assert view.saving(GraphQuery([("X", "Y")])) == 0
+        assert plan_graph_query(q, views).saved_columns() == 2
+        assert plan_graph_query(GraphQuery([("X", "Y")]), views).saved_columns() == 0
 
     def test_equality(self):
         assert GraphView("v", [("A", "B"), ("B", "C")]) == GraphView(
@@ -96,32 +116,35 @@ class TestAggregateGraphView:
         assert view.elements({"B"}) == (("A", "B"), ("B", "B"))
 
     def test_usable_for_contiguous_occurrence(self):
-        view = AggregateGraphView("av", Path.closed("E", "F", "G"), "sum")
         q = PathAggregationQuery(
             GraphQuery.from_node_chain("A", "C", "E", "F", "G"), "sum"
         )
-        assert view.usable_for(q)
+        assert _agg_views_placed(q, Path.closed("E", "F", "G")) == ["av0"]
 
     def test_not_usable_for_disconnected_elements(self):
-        view = AggregateGraphView("av", Path.closed("E", "F", "G"), "sum")
         q = PathAggregationQuery(GraphQuery.from_node_chain("E", "F"), "sum")
-        assert not view.usable_for(q)
+        assert _agg_views_placed(q, Path.closed("E", "F", "G")) == []
 
 
 class TestPathOccursIn:
+    """A view's path is placed only where its node sequence occurs
+    contiguously on a maximal path of the query."""
+
     def test_occurs(self):
-        q = GraphQuery.from_node_chain("A", "B", "C", "D")
-        assert path_occurs_in(Path.closed("B", "C", "D"), q)
+        q = PathAggregationQuery(GraphQuery.from_node_chain("A", "B", "C", "D"))
+        assert _agg_views_placed(q, Path.closed("B", "C", "D")) == ["av0"]
 
     def test_does_not_occur_noncontiguously(self):
         # B and D are both in the query but B,D is not a query path.
-        q = GraphQuery.from_node_chain("A", "B", "C", "D")
-        assert not path_occurs_in(Path.closed("B", "D"), q)
+        q = PathAggregationQuery(GraphQuery.from_node_chain("A", "B", "C", "D"))
+        assert _agg_views_placed(q, Path.closed("B", "D")) == []
 
     def test_diamond_branch(self):
-        q = GraphQuery([("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")])
-        assert path_occurs_in(Path.closed("A", "B", "D"), q)
-        assert not path_occurs_in(Path.closed("B", "C"), q)
+        q = PathAggregationQuery(
+            GraphQuery([("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")])
+        )
+        assert _agg_views_placed(q, Path.closed("A", "B", "D")) == ["av0"]
+        assert _agg_views_placed(q, Path.closed("B", "C")) == []
 
 
 class TestAggregateBenefit:
@@ -129,13 +152,13 @@ class TestAggregateBenefit:
         q = PathAggregationQuery(
             GraphQuery.from_node_chain("A", "B", "C", "D", "E"), "sum"
         )
-        short = aggregate_benefit(Path.closed("A", "B", "C"), q)
-        long = aggregate_benefit(Path.closed("A", "B", "C", "D"), q)
+        short = _columns_saved(Path.closed("A", "B", "C"), q)
+        long = _columns_saved(Path.closed("A", "B", "C", "D"), q)
         assert long > short > 0
 
     def test_benefit_zero_when_unusable(self):
         q = PathAggregationQuery(GraphQuery.from_node_chain("A", "B"), "sum")
-        assert aggregate_benefit(Path.closed("X", "Y", "Z"), q) == 0
+        assert _columns_saved(Path.closed("X", "Y", "Z"), q) == 0
 
     def test_monotonicity_property(self):
         # p1 ⊆ p2 ⊆ pq implies benefit(p1) <= benefit(p2)  (Section 5.4).
@@ -145,5 +168,5 @@ class TestAggregateBenefit:
         p1 = Path.closed("B", "C")
         p2 = Path.closed("B", "C", "D")
         p3 = Path.closed("A", "B", "C", "D", "E")
-        b1, b2, b3 = (aggregate_benefit(p, q) for p in (p1, p2, p3))
+        b1, b2, b3 = (_columns_saved(p, q) for p in (p1, p2, p3))
         assert b1 <= b2 <= b3
