@@ -192,6 +192,9 @@ class MetricsRegistry:
         self._sources: dict = {}  # attached engines, used as an ordered set
 
     def _get_or_create(self, name: str, kind: str, help: str, **kwargs):
+        metric = self._metrics.get(name)  # lock-free hit: dict reads are atomic
+        if metric is not None and metric.kind == kind:
+            return metric
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:

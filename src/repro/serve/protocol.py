@@ -7,6 +7,8 @@ dimension an untrusted peer controls (request-line length, header count
 and size, body size), and a chunked-transfer writer used to stream
 answer sets as NDJSON without knowing their length up front.
 
+One deadline per request covers the idle wait, the head and the body: one
+loop timer that cancels the reading task, so no read creates a task.
 Parsing failures raise :class:`ProtocolError` carrying the HTTP status
 and a stable machine-readable ``code``; the server turns them into
 structured JSON error responses.  The parser never raises anything else
@@ -71,7 +73,7 @@ class Limits:
     max_line_bytes: int = 8192        # request line or one header line
     max_headers: int = 64
     max_body_bytes: int = 8 << 20     # JSON request bodies; not responses
-    header_timeout_s: float = 30.0    # idle keep-alive connections reaped
+    header_timeout_s: float = 30.0    # one deadline: idle wait + head + body
 
 
 @dataclass
@@ -126,83 +128,94 @@ async def read_request(
 
     Raises :class:`ProtocolError` for anything malformed — never a bare
     UnicodeDecodeError/ValueError — and enforces every :class:`Limits`
-    ceiling before buffering the offending bytes.
+    ceiling before buffering the offending bytes.  A request not read
+    whole within ``limits.header_timeout_s`` is a 408; the timer is
+    cancelled before this returns, so it never cancels the caller.
     """
+    task, expired, stage = asyncio.current_task(), False, "idle connection"
+
+    def expire() -> None:
+        nonlocal expired
+        expired = True
+        task.cancel()
+
+    timer = task.get_loop().call_later(limits.header_timeout_s, expire)
     try:
-        raw = await asyncio.wait_for(
-            _read_line(reader, limits.max_line_bytes), limits.header_timeout_s
-        )
-    except EOFError:
-        return None
-    except asyncio.TimeoutError:
-        raise ProtocolError(408, "timeout", "idle connection timed out") from None
-    if not raw:
-        # Tolerate a stray blank line between keep-alive requests.
-        raw = await _read_line(reader, limits.max_line_bytes)
+        try:
+            raw = await _read_line(reader, limits.max_line_bytes)
+        except EOFError:
+            return None
         if not raw:
-            raise ProtocolError(400, "bad-request", "empty request line")
-    try:
-        line = raw.decode("ascii")
-    except UnicodeDecodeError:
-        raise ProtocolError(400, "bad-request", "non-ASCII request line") from None
-    parts = line.split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
-        raise ProtocolError(400, "bad-request", f"malformed request line: {line!r}")
-    method, target, _version = parts
-    if method not in _METHODS:
-        raise ProtocolError(400, "bad-request", f"unknown method {method!r}")
-
-    headers: dict[str, str] = {}
-    while True:
-        line_bytes = await _read_line(reader, limits.max_line_bytes)
-        if not line_bytes:
-            break
-        if len(headers) >= limits.max_headers:
-            raise ProtocolError(431, "too-many-headers", "header count exceeds limit")
+            # Tolerate a stray blank line between keep-alive requests.
+            raw = await _read_line(reader, limits.max_line_bytes)
+            if not raw:
+                raise ProtocolError(400, "bad-request", "empty request line")
+        stage = "request head"
         try:
-            text = line_bytes.decode("latin-1")
-        except UnicodeDecodeError:  # latin-1 cannot fail; defensive only
-            raise ProtocolError(400, "bad-request", "undecodable header") from None
-        name, sep, value = text.partition(":")
-        if not sep or not name.strip():
-            raise ProtocolError(400, "bad-header", f"malformed header line: {text!r}")
-        headers[name.strip().lower()] = value.strip()
+            line = raw.decode("ascii")
+        except UnicodeDecodeError:
+            raise ProtocolError(400, "bad-request", "non-ASCII request line") from None
+        parts = line.split(" ")
+        if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
+            raise ProtocolError(400, "bad-request", f"malformed request line: {line!r}")
+        method, target, _version = parts
+        if method not in _METHODS:
+            raise ProtocolError(400, "bad-request", f"unknown method {method!r}")
 
-    body = b""
-    if "transfer-encoding" in headers:
-        raise ProtocolError(
-            501, "unsupported", "chunked request bodies are not supported"
-        )
-    if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise ProtocolError(400, "bad-header", "non-numeric content-length") from None
-        if length < 0:
-            raise ProtocolError(400, "bad-header", "negative content-length")
-        if length > limits.max_body_bytes:
+        headers: dict[str, str] = {}
+        while True:
+            line_bytes = await _read_line(reader, limits.max_line_bytes)
+            if not line_bytes:
+                break
+            if len(headers) >= limits.max_headers:
+                raise ProtocolError(431, "too-many-headers", "header count exceeds limit")
+            try:
+                text = line_bytes.decode("latin-1")
+            except UnicodeDecodeError:  # latin-1 cannot fail; defensive only
+                raise ProtocolError(400, "bad-request", "undecodable header") from None
+            name, sep, value = text.partition(":")
+            if not sep or not name.strip():
+                raise ProtocolError(400, "bad-header", f"malformed header line: {text!r}")
+            headers[name.strip().lower()] = value.strip()
+
+        body = b""
+        if "transfer-encoding" in headers:
             raise ProtocolError(
-                413,
-                "payload-too-large",
-                f"body of {length} bytes exceeds the {limits.max_body_bytes}-byte limit",
+                501, "unsupported", "chunked request bodies are not supported"
             )
-        try:
-            body = await asyncio.wait_for(
-                reader.readexactly(length), limits.header_timeout_s
-            )
-        except asyncio.IncompleteReadError:
-            raise ProtocolError(400, "bad-request", "truncated request body") from None
-        except asyncio.TimeoutError:
-            raise ProtocolError(408, "timeout", "request body timed out") from None
-    path, params = _parse_target(target)
-    return Request(
-        method=method,
-        target=target,
-        path=path,
-        params=params,
-        headers=headers,
-        body=body,
-    )
+        if "content-length" in headers:
+            try:
+                length = int(headers["content-length"])
+            except ValueError:
+                raise ProtocolError(400, "bad-header", "non-numeric content-length") from None
+            if length < 0:
+                raise ProtocolError(400, "bad-header", "negative content-length")
+            if length > limits.max_body_bytes:
+                raise ProtocolError(
+                    413,
+                    "payload-too-large",
+                    f"body of {length} bytes exceeds the {limits.max_body_bytes}-byte limit",
+                )
+            stage = "request body"
+            try:
+                body = await reader.readexactly(length)
+            except asyncio.IncompleteReadError:
+                raise ProtocolError(400, "bad-request", "truncated request body") from None
+        path, params = _parse_target(target)
+        return Request(
+            method=method,
+            target=target,
+            path=path,
+            params=params,
+            headers=headers,
+            body=body,
+        )
+    except asyncio.CancelledError:
+        if not expired:
+            raise
+        raise ProtocolError(408, "timeout", f"{stage} timed out") from None
+    finally:
+        timer.cancel()
 
 
 def render_response(

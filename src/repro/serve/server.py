@@ -26,8 +26,10 @@ compare rows received against the header's ``count``.
 
 Failures never escape a connection handler: typed errors become
 structured JSON bodies (:func:`.codec.error_payload`), protocol
-violations become :class:`.protocol.ProtocolError` responses, and the
-fuzz suite asserts inflight gauges return to zero after every case.
+violations become :class:`.protocol.ProtocolError` responses (a request
+not read whole under its one deadline, ``Limits.header_timeout_s``, is a
+408; a loop timer, so no read makes a task), and the fuzz suite asserts
+inflight gauges return to zero after every case.
 """
 
 from __future__ import annotations
@@ -115,6 +117,7 @@ class ReproServer:
         self.registry = registry if registry is not None else executor.registry
         if self.registry is None:
             self.registry = MetricsRegistry()
+            executor.engine.use_metrics(self.registry)
         self.gate = gate or TenantGate()
         self.config = config or ServeConfig()
         self._server: asyncio.Server | None = None
@@ -495,11 +498,10 @@ class ReproServer:
             raise WireError(400, "bad-request", '"fetch_measures" must be a boolean')
         timeout = self._timeout_of(payload)
 
-        token = CancelToken()
-        ctx = QueryContext.start(timeout=timeout, token=token)
+        ctx = QueryContext.start(timeout=timeout)
         # Answered on the loop unless something would make it wait; else
-        # bridged, watcher armed, carrying the probe's permit if it took
-        # one.  The permit covers execution AND streaming (a slow reader).
+        # bridged, token and watcher armed, carrying the probe's permit if
+        # it took one.  The permit covers execution AND streaming.
         permit = self.gate.try_admit(tenant)
         try:
             result = None
@@ -511,7 +513,8 @@ class ReproServer:
             if result is not None:
                 self.registry.counter("serve.loop_answers").inc()
             else:
-                probed, watcher = permit, self._watch_disconnect(reader, token)
+                ctx.token = CancelToken()
+                probed, watcher = permit, self._watch_disconnect(reader, ctx.token)
 
                 def work():
                     held = contextlib.ExitStack()  # admit: blocking, bounded wait

@@ -602,6 +602,24 @@ class TestMetricsOverTheWire:
             handle.stop()
             executor.close()
 
+    def test_own_registry_reads_the_engine(self):
+        """An executor without a registry: the daemon's own registry still
+        exports the engine's cache traffic."""
+        engine = GraphAnalyticsEngine()
+        engine.load_records(make_records(N_RECORDS))
+        executor = QueryExecutor(engine, cache_mb=4)
+        handle = start_in_thread(executor)
+        try:
+            with ServeClient(*handle.address) as client:
+                for _ in range(3):
+                    client.query({"q": "a -> b"})
+                metrics = client.metrics()
+            assert metrics["cache.hits"]["value"] == 2
+            assert "io.bitmap_columns_fetched" in metrics
+        finally:
+            handle.stop()
+            executor.close()
+
 
 def _tree(root):
     return {

@@ -14,12 +14,15 @@ invariants that make the daemon safe to leave running:
 
 One daemon serves the whole module — leaked permits from an early case
 would poison later ones, which is exactly the point.  The truncated-body
-cases, which wait out the daemon's read timeout, share a second daemon
-whose timeout is short; the bridged-admission case brings its own gate.
+and stalled-head cases, which wait out the daemon's read deadline, share
+a second daemon whose deadline is short; the bridged-admission case
+brings its own gate.  The read deadline's race with a request's last
+byte is driven by hand over a fed ``StreamReader``.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import threading
@@ -36,7 +39,7 @@ from repro.obs import MetricsRegistry
 from repro.resilience import AdmissionController
 from repro.serve import ServeClient, ServeHTTPError, start_in_thread
 from repro.serve.server import ReproServer, ServeConfig
-from repro.serve.protocol import Limits
+from repro.serve.protocol import Limits, ProtocolError, Request, read_request
 from repro.serve.tenants import TenantGate, TenantPolicy
 
 FUZZ_SETTINGS = settings(
@@ -186,6 +189,23 @@ class TestMalformedFraming:
             assert errors[0]["code"] in ("bad-request", "timeout")
         assert_no_leaks(handle, registry, gate)
 
+    @pytest.mark.parametrize(
+        "head",
+        [b"GET /healthz HTTP/1.1\r\n", b"GET /healthz HTTP/1.1\r\nHost: x\r\n"],
+        ids=["request-line", "one-header"],
+    )
+    def test_stalled_head_times_out(self, quick_daemon, head):
+        """A head that stops after its request line or a header line is
+        refused 408 once the request's one deadline passes, instead of
+        holding the connection open."""
+        handle, registry, gate = quick_daemon
+        began = time.monotonic()
+        raw = send_and_collect(handle, head, timeout=2.0)
+        assert time.monotonic() - began < 2.0, "the stalled head was never refused"
+        assert raw.startswith(b"HTTP/1.1 408 "), raw[:200]
+        assert parse_error_bodies(raw)[0]["code"] == "timeout"
+        assert_no_leaks(handle, registry, gate)
+
     def test_oversized_body_rejected_before_buffering(self, daemon):
         handle, registry, gate = daemon
         head = (
@@ -253,6 +273,100 @@ def test_failed_probe_is_admitted_after_the_bridge_wait():
         assert gate.stats()["shared"]["rejected"] == 0
         assert_no_leaks(handle, registry, gate)
         assert registry.counter("serve.loop_answers").value == 1
+
+
+def test_loop_answered_requests_create_no_tasks():
+    """The daemon reads and answers a request on the loop without creating
+    an asyncio task: 200 loop-answered reads over one keep-alive
+    connection create none (a wait_for per read would create 400)."""
+    created = []
+
+    def factory(loop, coro, **kwargs):
+        created.append(coro)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    with serving() as (handle, registry, gate):
+        loop = handle._loop
+        loop.call_soon_threadsafe(loop.set_task_factory, factory)
+        with ServeClient(*handle.address) as client:
+            client.query({"q": "a -> b"})  # opens the connection: its one task
+            before = len(created)
+            for _ in range(200):
+                assert len(client.query({"q": "a -> b"}).record_ids) == 12
+        assert registry.counter("serve.loop_answers").value == 201
+        assert len(created) == before, f"{len(created) - before} tasks for 200 requests"
+
+
+READS = {  # bytes fed before the read blocks, bytes that complete it
+    "request-line": (b"", b"GET /healthz HTTP/1.1\r\n\r\n"),
+    "head": (b"GET /healthz HTTP/1.1\r\n", b"Host: x\r\n\r\n"),
+    "body": (b"POST /query HTTP/1.1\r\nContent-Length: 2\r\n\r\n", b"{}"),
+}
+
+
+async def _complete_and_expire(before: bytes, rest: bytes, feed_first: bool):
+    """Run ``read_request`` over a hand-fed reader until it blocks, then
+    in one loop turn deliver the rest of the request and fire its deadline
+    (in either order).  Returns what the reading task got after one more
+    await of its own, and the deadline's timer."""
+    loop = asyncio.get_running_loop()
+    timers, call_later = [], loop.call_later
+
+    def capture(delay, callback, *args):
+        timers.append((lambda: callback(*args), call_later(3600, callback, *args)))
+        return timers[-1][1]
+
+    loop.call_later = capture  # this loop only: asyncio.run makes a new one
+    reader = asyncio.StreamReader()
+    reader.feed_data(before)
+
+    async def serve():
+        try:
+            got = await read_request(reader, Limits(header_timeout_s=0.05))
+        except ProtocolError as exc:
+            got = exc
+        await asyncio.sleep(0)  # a cancellation that escaped would land here
+        return got
+
+    task = asyncio.ensure_future(serve())
+    await asyncio.sleep(0)
+    (expire, timer), = timers
+    if feed_first:
+        reader.feed_data(rest)
+        expire()
+    else:
+        expire()
+        reader.feed_data(rest)
+    return await task, timer
+
+
+@pytest.mark.parametrize("feed_first", [True, False], ids=["fed-first", "fired-first"])
+@pytest.mark.parametrize("stage", sorted(READS))
+def test_timeout_in_the_turn_the_request_completes(stage, feed_first):
+    """A deadline that fires in the same loop turn as the last byte of the
+    request arrives either lets the request through whole or refuses it
+    408; it never cancels the reading task past ``read_request``."""
+    got, timer = asyncio.run(_complete_and_expire(*READS[stage], feed_first))
+    if isinstance(got, ProtocolError):
+        assert (got.status, got.code) == (408, "timeout")
+    else:
+        assert isinstance(got, Request) and got.body == (b"{}" if stage == "body" else b"")
+    assert timer.cancelled()
+
+
+def test_timeout_leaves_other_cancellations_alone():
+    """Only the deadline's own cancel becomes a 408; any other cancel of
+    the reading task (a server stop) propagates as CancelledError."""
+
+    async def main():
+        reader = asyncio.StreamReader()
+        task = asyncio.ensure_future(read_request(reader, Limits(header_timeout_s=60)))
+        await asyncio.sleep(0)
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+
+    asyncio.run(main())
 
 
 class TestMalformedJson:
