@@ -2,7 +2,7 @@
 
 A query's structural conjunction ANDs ``len(refs) × ceil(n / 64)`` words,
 records ``[0, n)`` in one call.  This script measures that fold through
-the interpreter's own path (``interpreter._conjunction``, no cache, no
+the interpreter's own path (``interpreter.structural``, no cache, no
 tracer) over a synthetic relation of ``--refs`` element columns (default
 8), at sizes from 94 to 2 000 000 words per bitmap:
 
@@ -48,7 +48,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.columnstore import Bitmap, MasterRelation, MeasureColumn
-from repro.core.engine.interpreter import ExecEnv, _conjunction
+from repro.core.engine.interpreter import ExecEnv, structural
 
 WORDS_PER_BITMAP = [
     94, 375, 1_563, 15_625, 31_250, 62_500, 125_000, 250_000, 500_000, 1_000_000, 2_000_000,
@@ -70,10 +70,10 @@ def _relation(words: int, refs: int, density: float | None) -> MasterRelation:
     return relation
 
 
-def _env(relation) -> ExecEnv:
+def _env(relation, plan) -> ExecEnv:
     return ExecEnv(
         relation=relation, catalog=None, cache=None, tracer=None, epoch=0,
-        plan=None, agg_views={}, measured=set(),
+        plan=lambda _query: plan, agg_views={}, measured=set(),
     )
 
 
@@ -122,14 +122,17 @@ def _loop_and_bridged_us(fold, reps: int) -> tuple[float, float]:
 
 def measure(words: int, reps: int, refs: int, density: float | None = None) -> dict:
     relation = _relation(words, refs, density)
-    plan = SimpleNamespace(refs=tuple(("element", i) for i in range(refs)), key=None)
-    env = _env(relation)
-    assert _conjunction(plan, env, None) == relation.fold(plan.refs)
+    ids = tuple(("element", i) for i in range(refs))
+    plan = SimpleNamespace(parts=ids, refs=ids, key=None)
+    env = _env(relation, plan)
+
+    def fold():
+        return structural(None, env)[0]
+
+    assert fold() == relation.fold(plan.refs)
     row = {"words_per_bitmap": words, "words_anded": refs * words}
-    row["inline_us"] = _median_us(lambda: _conjunction(plan, env, None), reps)
-    row["loop_us"], row["bridged_us"] = _loop_and_bridged_us(
-        lambda: _conjunction(plan, env, None), reps
-    )
+    row["inline_us"] = _median_us(fold, reps)
+    row["loop_us"], row["bridged_us"] = _loop_and_bridged_us(fold, reps)
     return row
 
 

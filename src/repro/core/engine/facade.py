@@ -3,9 +3,9 @@
 :class:`GraphAnalyticsEngine` keeps the public surface the repo has always
 had, but internally delegates to the three layers this package separates:
 
-* the **planner** (:mod:`.planner`) turns queries into serializable
-  :class:`PhysicalPlan` objects — the same object the operator layer
-  executes, the EXPLAIN renderer serializes, and the tracer annotates;
+* the **planner** (:mod:`.planner`) turns queries into
+  :class:`PhysicalPlan` objects — the same object the interpreter
+  executes, EXPLAIN describes, and the tracer annotates;
 * the **interpreter** (:mod:`.interpreter`) executes a plan — fetch, AND,
   gather — folding every record ``[0, n)`` in one call;
 * the **storage** is one :class:`MasterRelation`: measure gathers, view
@@ -485,8 +485,8 @@ class GraphAnalyticsEngine:
     # -- planning --------------------------------------------------------------
 
     def physical_plan(self, query: GraphQuery | PathAggregationQuery) -> PhysicalPlan:
-        """The serializable physical plan for ``query`` — the single source
-        of truth shared by execution, ``repro explain``, and the tracer.
+        """The physical plan for ``query`` — the single source of truth
+        shared by execution, ``repro explain``, and the tracer.
         Memoized until the next mutation; computing it has no side effect
         beyond warming that memo."""
         return self._planner.physical_plan(query)

@@ -8,13 +8,15 @@ surviving rows.  Every step consumes the memoized
 engine's configuration read **once** at query entry, so a setter flipping
 the tracer or cache mid-flight cannot reach a running query.
 
-There is one way to run a query's conjunction: cache lookup, then
-:func:`~.operators.conjunction` over records ``[0, n)`` in one call —
-typed on failure — then cache put.
+There is one way to run a query's conjunction, traced or not
+(:func:`structural`): the empty-answer short-circuit, the cache lookup,
+one storage fold of every part over records ``[0, n)`` — typed on
+failure — then the cache put.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,9 +26,12 @@ from ...columnstore.column import rank_rows
 from ...errors import ResilienceError, ShardExecutionError
 from ..aggregates import get_function
 from ..query import And, AndNot, GraphQuery, Or
-from .operators import NULL_SPAN, conjunction
 
 __all__ = ["ExecEnv", "run_query", "run_aggregate", "evaluate"]
+
+# Shared no-op context for the tracing hooks: reusable and reentrant, so
+# one instance serves every untraced span site without allocation.
+NULL_SPAN = nullcontext()
 
 
 class ExecEnv(NamedTuple):
@@ -50,37 +55,18 @@ class ExecEnv(NamedTuple):
 # -- structural conjunction --------------------------------------------------
 
 
-def _conjunction(plan, env: ExecEnv, ctx) -> Bitmap:
-    """lookup → fold → store.  With a cache, the whole answer is looked
-    up once under ``(epoch, plan.key)`` and a miss stores the fold.  The
-    fold covers records ``[0, n)`` in one call; any failure but a
-    deadline or cancellation raises a typed
-    :class:`~repro.errors.ShardExecutionError` naming ``[0, n)``."""
-    cache = env.cache if plan.key is not None else None
-    if cache is not None:
-        answer = cache.lookup(env.epoch, plan.key)
-        if env.tracer is not None:
-            env.tracer.add("cache_hit" if answer is not None else "cache_miss")
-        if answer is not None:
-            return answer
-    n = env.relation.n_records
-    try:
-        answer = conjunction(env.relation, plan, env.tracer, ctx)
-    except ResilienceError:
-        raise
-    except Exception as exc:
-        raise ShardExecutionError(
-            f"shard 0 failed: {exc} (records [0:{n}) unavailable)",
-            shard=0, start=0, stop=n,
-        ) from exc
-    if cache is not None:
-        cache.put(env.epoch, plan.key, answer)
-    return answer
-
-
 def structural(query, env: ExecEnv, ctx=None):
     """``(bitmap, plan)``: the rows structurally matching ``query`` (a
-    :class:`GraphQuery` or :class:`PathAggregationQuery`)."""
+    :class:`GraphQuery` or :class:`PathAggregationQuery`).
+
+    The plan's parts become its answer in one way, traced or not: a plan
+    with no parts is the empty answer; with a cache, the whole answer is
+    looked up once under ``(epoch, plan.key)``; a miss is *one*
+    :meth:`~repro.columnstore.table.MasterRelation.fold` of ``plan.refs``
+    over records ``[0, n)`` — which checks ``ctx`` before every ref — and
+    any failure but a deadline or cancellation raises a typed
+    :class:`~repro.errors.ShardExecutionError` naming ``[0, n)``; the
+    fold is then stored."""
     tracer = env.tracer
     with env.span("rewrite"):
         plan = env.plan(query)
@@ -92,17 +78,39 @@ def structural(query, env: ExecEnv, ctx=None):
                 tracer.add("views_used", len(logical.structural_view_names))
                 tracer.add("agg_views_used", len(logical.structural_agg_view_names))
             tracer.add("residual_elements", len(logical.residual_elements))
+    relation = env.relation
+    n = relation.n_records
     with env.span("conjunction") as span:
         if not plan.parts:  # a residual element has no column anywhere
             if tracer is not None:
                 span.add("rows_matched", 0)
                 span.meta["short_circuit"] = "unindexed-element"
-            return Bitmap.zeros(env.relation.n_records), plan
-        bitmap = _conjunction(plan, env, ctx)
+            return Bitmap.zeros(n), plan
+        cache = env.cache if plan.key is not None else None
+        answer = None if cache is None else cache.lookup(env.epoch, plan.key)
+        if tracer is not None and cache is not None:
+            tracer.add("cache_hit" if answer is not None else "cache_miss")
+        if answer is None:
+            try:
+                answer = relation.fold(plan.refs, ctx)
+            except ResilienceError:
+                raise
+            except Exception as exc:
+                raise ShardExecutionError(
+                    f"shard 0 failed: {exc} (records [0:{n}) unavailable)",
+                    shard=0, start=0, stop=n,
+                ) from exc
+            if tracer is not None:
+                # The planner emits refs only to columns that exist, and
+                # every column is as long as the answer.
+                tracer.add("bitmaps_fetched", len(plan.refs))
+                tracer.add("bytes_touched", len(plan.refs) * answer.nbytes())
+            if cache is not None:
+                cache.put(env.epoch, plan.key, answer)
         if tracer is not None:
             span.add("bitmaps_anded", len(plan.parts))
-            span.add("rows_matched", bitmap.count())
-    return bitmap, plan
+            span.add("rows_matched", answer.count())
+    return answer, plan
 
 
 def evaluate(expr, env: ExecEnv, ctx=None) -> Bitmap:

@@ -143,9 +143,10 @@ class ResilienceError(ReproError):
 class QueryTimeoutError(ResilienceError):
     """The query's deadline expired before it finished.
 
-    Raised cooperatively: operators check the deadline at every
-    conjunction-fold step and measure gather, so a query with a deadline
-    of D seconds stops within one operator step past D.
+    Raised cooperatively: the storage fold checks the deadline before
+    every ref it ANDs, and the interpreter before every measure gather,
+    so a query with a deadline of D seconds stops within one such step
+    past D.
     """
 
     def __init__(self, message: str = "query deadline exceeded", budget: float | None = None):

@@ -1,14 +1,14 @@
 """EXPLAIN plans: render the chosen rewrite without executing it.
 
-``explain(engine, query)`` serializes the **same**
-:class:`~repro.core.PhysicalPlan` object the operator layer executes —
+``explain(engine, query)`` describes the **same**
+:class:`~repro.core.PhysicalPlan` object the interpreter executes —
 ``engine.physical_plan(query)`` is the single source of truth, and this
-module only formats its IR dict (no independent re-derivation) — as
-deterministic text or JSON: which materialized views the set-cover
-rewriter chose, the residual base bitmaps, the canonical conjunction
-order, and the estimated partition-spanning joins (§6.1).  Nothing is
-fetched and no I/O counters move, so the output is a stable, goldenable
-contract of the planner.
+module builds the EXPLAIN dict from it (no independent re-planning) only
+when asked — as deterministic text or JSON: which materialized views the
+set-cover rewriter chose, the residual base bitmaps, the canonical
+conjunction order, the estimated partition-spanning joins (§6.1), and the
+§4.2/§5.1.1 SQL statement.  Nothing is fetched and no I/O counters move,
+so the output is a stable, goldenable contract of the planner.
 
 ``explain(..., analyze=True)`` additionally executes the query under a
 private :class:`~repro.obs.trace.Tracer` and attaches the measured
@@ -21,22 +21,139 @@ from __future__ import annotations
 import json
 
 from ..core.query import GraphQuery, PathAggregationQuery
+from ..core.sqlgen import render_aggregation, render_graph_query
 from .trace import Tracer
 
 __all__ = ["explain", "explain_dict", "render_plan_text"]
 
 
 def explain_dict(engine, query, analyze: bool = False) -> dict:
-    """Structured plan for ``query``: the executed physical plan's own IR
-    (``engine.physical_plan(query).to_dict()``); with ``analyze`` the query
-    is also executed under a temporary tracer and the measured counters +
-    span tree are attached under ``"execution"``."""
+    """Structured plan for ``query``, built from the memoized physical plan
+    the interpreter executes (``engine.physical_plan(query)``); with
+    ``analyze`` the query is also executed under a temporary tracer and
+    the measured counters + span tree are attached under ``"execution"``."""
     if not isinstance(query, (GraphQuery, PathAggregationQuery)):
         raise TypeError(f"cannot explain {type(query).__name__}")
-    plan = engine.physical_plan(query).to_dict()
+    physical = engine.physical_plan(query)
+    if physical.kind == "graph":
+        plan = _graph_ir(engine, physical)
+    else:
+        plan = _aggregation_ir(engine, physical)
     if analyze:
         plan["execution"] = _analyze(engine, query)
     return plan
+
+
+# -- the EXPLAIN dict --------------------------------------------------------
+
+
+def _token(token) -> str:
+    """Display string for an edge (``u->v``) or a view/column name."""
+    if isinstance(token, str):
+        return token
+    try:
+        u, v = token
+        return f"{u}->{v}"
+    except (TypeError, ValueError):
+        return repr(token)
+
+
+def _edges(elements) -> list[str]:
+    return sorted(_token(e) for e in elements)
+
+
+def _conjunction_dicts(parts) -> list[dict]:
+    return [
+        {"kind": part.kind, "token": _token(part.token), "covers": _edges(part.covered)}
+        for part in parts or []
+    ]
+
+
+def _partition_estimate(engine, elements) -> dict:
+    """Partitions the query's element columns span, per the §6.1 layout.
+
+    Unknown elements (no column) occupy no partition; a query spanning
+    k partitions pays k-1 recid re-joins at measure-fetch time.
+    """
+    known_ids = []
+    for element in elements:
+        edge_id = engine.catalog.get_id(element)
+        if edge_id is not None and engine.relation.has_element(edge_id):
+            known_ids.append(edge_id)
+    spanned = len(engine.relation.partitions_for(known_ids)) if known_ids else 0
+    return {"spanned": spanned, "estimated_joins": max(spanned - 1, 0)}
+
+
+def _graph_ir(engine, physical) -> dict:
+    query, plan, parts = physical.query, physical.logical, physical.parts
+    views = engine._graph_views
+    return {
+        "type": "graph-query",
+        "query": " & ".join(_edges(query.elements)),
+        "elements": _edges(query.elements),
+        "views": [
+            {"name": name, "covers": _edges(views[name].elements)}
+            for name in sorted(plan.view_names)
+        ],
+        "residual_elements": _edges(plan.residual_elements),
+        "conjunction": _conjunction_dicts(parts),
+        "answerable": parts is not None,
+        "structural_columns": plan.n_structural_columns(),
+        "saved_columns": plan.saved_columns(),
+        "measure_columns": len(plan.fetch_elements),
+        "partitions": _partition_estimate(engine, plan.fetch_elements),
+        "sql": render_graph_query(plan, engine.catalog),
+    }
+
+
+def _aggregation_ir(engine, physical) -> dict:
+    query, plan, parts = physical.query, physical.logical, physical.parts
+    measured = frozenset(engine._measured_nodes)
+    agg_views = engine._agg_views
+    graph_views = engine._graph_views
+    path_dicts = []
+    for path_plan in plan.path_plans:
+        segments = []
+        for segment in path_plan.segments:
+            if segment.kind == "view":
+                view = agg_views[segment.view_name]
+                segments.append(
+                    {
+                        "kind": "view",
+                        "name": segment.view_name,
+                        "covers": _edges(view.elements(measured)),
+                    }
+                )
+            else:
+                segments.append({"kind": "raw", "element": _token(segment.element)})
+        path_dicts.append({"path": str(path_plan.path), "segments": segments})
+    return {
+        "type": "path-aggregation",
+        "query": " & ".join(_edges(query.query.elements)),
+        "function": query.function,
+        "elements": _edges(query.query.elements),
+        "aggregate_views": [
+            {
+                "name": name,
+                "columns": list(agg_views[name].column_names()),
+                "covers": _edges(agg_views[name].elements(measured)),
+            }
+            for name in sorted(plan.structural_agg_view_names)
+        ],
+        "views": [
+            {"name": name, "covers": _edges(graph_views[name].elements)}
+            for name in sorted(plan.structural_view_names)
+        ],
+        "residual_elements": _edges(plan.residual_elements),
+        "conjunction": _conjunction_dicts(parts),
+        "answerable": parts is not None,
+        "paths": path_dicts,
+        "structural_columns": plan.n_structural_columns(),
+        "measure_columns": plan.n_measure_columns(),
+        "segments": dict(zip(("view", "raw"), plan.segment_counts(), strict=True)),
+        "partitions": _partition_estimate(engine, query.query.elements),
+        "sql": render_aggregation(plan, engine.catalog),
+    }
 
 
 def _analyze(engine, query) -> dict:
@@ -133,7 +250,7 @@ def explain(engine, query, analyze: bool = False, fmt: str = "text") -> str:
     :func:`repro.lang.unparse` spelling, which re-parses to the same
     query) when the query has one — text output as a ``query:`` first
     line, JSON output as a ``"query_text"`` key.  The plan dict itself
-    stays exactly ``engine.physical_plan(query).to_dict()``.
+    stays exactly :func:`explain_dict`'s.
     """
     from ..lang import try_unparse
 

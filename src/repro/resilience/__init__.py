@@ -3,11 +3,12 @@
 The governance layer between the executor and the storage backend:
 
 * :class:`Deadline` / :class:`CancelToken` / :class:`QueryContext` — the
-  per-query execution context, checked cooperatively at operator
-  boundaries (:mod:`repro.core.engine.operators`) and executor batch
-  loops; expiry raises :class:`~repro.errors.QueryTimeoutError`, a fired
+  per-query execution context, checked cooperatively before every ref of
+  the storage fold (:meth:`repro.columnstore.table.MasterRelation.fold`),
+  between measure gathers (:mod:`repro.core.engine.interpreter`) and in
+  executor batch loops; expiry raises :class:`~repro.errors.QueryTimeoutError`, a fired
   token raises :class:`~repro.errors.QueryCancelledError`;
-* :class:`AdmissionController` — token-bucket + inflight/byte-budget gate
+* :class:`AdmissionController` — token-bucket + inflight gate
   that the daemon's tenant gates (:mod:`repro.serve.tenants`) are built
   from, rejecting with :class:`~repro.errors.AdmissionRejectedError` after
   a bounded wait.

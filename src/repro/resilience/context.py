@@ -62,9 +62,9 @@ class CancelToken:
     """Thread-safe cooperative cancellation flag.
 
     One token may be shared across a batch: the executor checks it before
-    starting each queued query and the operators check it between fold
-    steps, so ``cancel()`` stops both queued and in-flight work at the
-    next boundary.
+    starting each queued query, the storage fold before every ref and the
+    interpreter before every measure gather, so ``cancel()`` stops both
+    queued and in-flight work at the next boundary.
     """
 
     def __init__(self) -> None:

@@ -61,6 +61,7 @@ class ServeClient:
         self.port = port
         self.timeout = timeout
         self._sock: socket.socket | None = None
+        self._reader = None  # one buffered reader over _sock
 
     # -- plumbing -----------------------------------------------------------
 
@@ -69,14 +70,16 @@ class ServeClient:
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
             )
+            self._reader = self._sock.makefile("rb")
         return self._sock
 
     def close(self) -> None:
         if self._sock is not None:
             try:
+                self._reader.close()
                 self._sock.close()
             finally:
-                self._sock = None
+                self._sock = self._reader = None
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -88,34 +91,27 @@ class ServeClient:
         """Ship arbitrary bytes — the fuzz suite's entry point."""
         self._connect().sendall(data)
 
-    def _read_line(self, sock: socket.socket) -> bytes:
-        chunks = bytearray()
-        while True:
-            b = sock.recv(1)
-            if not b:
-                raise ConnectionError("connection closed mid-response")
-            chunks += b
-            if chunks.endswith(b"\r\n"):
-                return bytes(chunks[:-2])
+    def _read_line(self) -> bytes:
+        line = self._reader.readline()
+        if not line.endswith(b"\r\n"):
+            raise ConnectionError("connection closed mid-response")
+        return line[:-2]
 
-    def _read_exact(self, sock: socket.socket, n: int) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            part = sock.recv(n - len(out))
-            if not part:
-                raise ConnectionError("connection closed mid-body")
-            out += part
-        return bytes(out)
+    def _read_exact(self, n: int) -> bytes:
+        data = self._reader.read(n)
+        if len(data) < n:
+            raise ConnectionError("connection closed mid-body")
+        return data
 
     def read_response(self) -> _Response:
         """Parse one response (fixed-length or chunked) off the socket."""
-        sock = self._connect()
-        status_line = self._read_line(sock)
+        self._connect()
+        status_line = self._read_line()
         parts = status_line.decode("latin-1").split(" ", 2)
         status = int(parts[1])
         headers: dict[str, str] = {}
         while True:
-            line = self._read_line(sock)
+            line = self._read_line()
             if not line:
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -123,15 +119,15 @@ class ServeClient:
         if headers.get("transfer-encoding", "").lower() == "chunked":
             body = bytearray()
             while True:
-                size = int(self._read_line(sock), 16)
+                size = int(self._read_line(), 16)
                 if size == 0:
-                    self._read_line(sock)  # trailing CRLF after last chunk
+                    self._read_line()  # trailing CRLF after last chunk
                     break
-                body += self._read_exact(sock, size)
-                self._read_line(sock)  # chunk-terminating CRLF
+                body += self._read_exact(size)
+                self._read_line()  # chunk-terminating CRLF
             payload = bytes(body)
         else:
-            payload = self._read_exact(sock, int(headers.get("content-length", "0")))
+            payload = self._read_exact(int(headers.get("content-length", "0")))
         if headers.get("connection", "").lower() == "close":
             self.close()
         return _Response(status, headers, payload)

@@ -637,7 +637,7 @@ class ReproServer:
         def work():
             # Writes hold a tenant admission slot too: a tenant cannot
             # sidestep its budget by hammering the write path.
-            with self.gate.admit(tenant, 0):
+            with self.gate.admit(tenant):
                 return self.executor.append_records(records)
 
         appended = await self._in_engine(work)
@@ -664,7 +664,7 @@ class ReproServer:
             tenant = self._tenant_of(request, payload)
 
             def drop():
-                with self.gate.admit(tenant, 0):
+                with self.gate.admit(tenant):
                     self.executor.drop_all_views()
 
             await self._in_engine(drop)
@@ -699,7 +699,7 @@ class ReproServer:
         tenant = self._tenant_of(request, payload)
 
         def work():
-            with self.gate.admit(tenant, 0):
+            with self.gate.admit(tenant):
                 if kind == "graph":
                     kwargs = {}
                     if "method" in payload:

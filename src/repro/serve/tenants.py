@@ -112,7 +112,7 @@ class TenantGate:
         raised before the shared gate is touched, and the shared slot is
         released before the tenant slot on exit (strict nesting).
         ``nbytes`` is accepted and ignored: the frozen benchmark's replay
-        passes a byte estimate (``benchmarks/e2e/layers.py:222,227``).
+        passes a byte estimate (``benchmarks/e2e/layers.py:227,265``).
         """
         with ExitStack() as permit:
             for gate in self._gates(tenant):

@@ -12,6 +12,7 @@ a real planner or renderer change.  Regenerate intentionally with::
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,22 +143,38 @@ class TestExplainContract:
 
 
 class TestPhysicalPlanIsSourceOfTruth:
-    """EXPLAIN must render the *same* PhysicalPlan object the operator
-    layer executes — not an independently re-derived plan."""
+    """EXPLAIN must describe the *same* PhysicalPlan object the interpreter
+    executes — the memoized one — not an independently re-derived plan."""
 
-    def test_executed_plan_is_explained_plan(self, fig2_engine):
+    @staticmethod
+    def _explain_without_planning(engine, query, monkeypatch) -> dict:
+        def no_planning(query):
+            raise AssertionError(f"EXPLAIN re-planned {query!r}")
+
+        monkeypatch.setattr(engine._planner, "_plan", no_planning)
+        return explain_dict(engine, query)
+
+    def test_executed_plan_is_explained_plan(self, fig2_engine, monkeypatch):
         query = parse_query("A -> D -> E")
         physical = fig2_engine.physical_plan(query)
-        # The executed query carries the identical logical plan object,
-        # and explain_dict is exactly the physical plan's own IR.
         assert fig2_engine.query(query).plan is physical.logical
-        assert explain_dict(fig2_engine, query) == physical.to_dict()
+        plan = self._explain_without_planning(fig2_engine, query, monkeypatch)
+        assert [part["token"] for part in plan["conjunction"]] == [
+            part.token for part in physical.parts
+        ]
+        assert plan["views"] == [{"name": "gv1", "covers": ["A->D", "D->E"]}]
 
-    def test_aggregation_plan_identity(self, fig2_engine):
+    def test_aggregation_plan_identity(self, fig2_engine, monkeypatch):
         query = parse_aggregation("SUM E -> F -> G")
         physical = fig2_engine.physical_plan(query)
         assert fig2_engine.aggregate(query).plan is physical.logical
-        assert explain_dict(fig2_engine, query) == physical.to_dict()
+        plan = self._explain_without_planning(fig2_engine, query, monkeypatch)
+        assert [part["token"] for part in plan["conjunction"]] == [
+            part.token for part in physical.parts
+        ]
+        assert [v["name"] for v in plan["aggregate_views"]] == (
+            physical.logical.structural_agg_view_names
+        )
 
     def test_memo_invalidated_on_mutation(self, fig2_engine):
         from repro.core import GraphRecord
@@ -169,10 +186,35 @@ class TestPhysicalPlanIsSourceOfTruth:
         )
         after = fig2_engine.physical_plan(query)
         assert after is not before
-        assert after.epoch > before.epoch
+        assert fig2_engine.query(query).plan is after.logical
 
     def test_analyze_does_not_pollute_memo(self, fig2_engine):
         query = parse_query("A -> D -> E")
-        explain_dict(fig2_engine, query, analyze=True)
-        # The analyze annotation edits a deep copy, never the memoized IR.
-        assert "execution" not in fig2_engine.physical_plan(query).to_dict()
+        plain = explain_dict(fig2_engine, query)
+        assert "execution" in explain_dict(fig2_engine, query, analyze=True)
+        assert explain_dict(fig2_engine, query) == plain
+
+
+class TestExplainIsBuiltOnDemand:
+    """Only EXPLAIN renders SQL: a cold plan executes without it."""
+
+    def test_queries_answer_when_sql_rendering_fails(self, fig2_engine, monkeypatch):
+        from repro.core import sqlgen
+
+        def refuse(*args):
+            raise RuntimeError("SQL rendered outside EXPLAIN")
+
+        # Every module that bound a renderer by name, wherever it lives.
+        for name in ("render_graph_query", "render_aggregation"):
+            renderer = getattr(sqlgen, name)
+            for module in list(sys.modules.values()):
+                if vars(module).get(name) is renderer:
+                    monkeypatch.setattr(module, name, refuse)
+        query = parse_query("A -> D -> E")
+        aggregation = parse_aggregation("SUM E -> F -> G")
+        fig2_engine._planner.invalidate()
+        assert len(fig2_engine.query(query)) == 3
+        assert len(fig2_engine.aggregate(aggregation)) > 0
+        for q in (query, aggregation):
+            with pytest.raises(RuntimeError, match="outside EXPLAIN"):
+                explain_dict(fig2_engine, q)

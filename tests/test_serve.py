@@ -466,11 +466,12 @@ class TestTenantIsolation:
         gate = TenantGate(policy=TenantPolicy(max_inflight=1, max_wait_s=0.0))
         handle = start_in_thread(slow, gate=gate)
         try:
-            blocker = threading.Thread(
-                target=lambda: ServeClient(*handle.address).query(
-                    {"q": "a -> b", "tenant": "t1"}
-                )
-            )
+
+            def block():
+                with ServeClient(*handle.address) as client:
+                    client.query({"q": "a -> b", "tenant": "t1"})
+
+            blocker = threading.Thread(target=block)
             blocker.start()
             assert slow.started.wait(timeout=5)
             with ServeClient(*handle.address) as client:

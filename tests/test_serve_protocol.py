@@ -297,6 +297,29 @@ def test_loop_answered_requests_create_no_tasks():
         assert len(created) == before, f"{len(created) - before} tasks for 200 requests"
 
 
+def test_client_reads_a_response_in_few_recv_calls(monkeypatch):
+    """``ServeClient`` reads through one buffered reader: a loop-answered
+    12-row ``/query`` takes a handful of socket reads, not one per byte
+    of its head (about 120)."""
+    reads = []
+    with serving() as (handle, registry, gate):
+        with ServeClient(*handle.address) as client:
+            client.query({"q": "a -> b"})  # connect and warm
+            for name in ("recv", "recv_into"):
+                real = getattr(socket.socket, name)
+
+                def counted(sock, *args, _real=real, _name=name, **kwargs):
+                    if sock is client._sock:
+                        reads.append(_name)
+                    return _real(sock, *args, **kwargs)
+
+                monkeypatch.setattr(socket.socket, name, counted)
+            assert len(client.query({"q": "a -> b"}).record_ids) == 12
+            monkeypatch.undo()
+        assert registry.counter("serve.loop_answers").value == 2
+    assert 0 < len(reads) < 10, f"{len(reads)} socket reads for one response"
+
+
 READS = {  # bytes fed before the read blocks, bytes that complete it
     "request-line": (b"", b"GET /healthz HTTP/1.1\r\n\r\n"),
     "head": (b"GET /healthz HTTP/1.1\r\n", b"Host: x\r\n\r\n"),

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnstore import MasterRelation
 from repro.core import (
     GraphAnalyticsEngine,
     GraphQuery,
@@ -95,6 +96,40 @@ class TestTracedEqualsUntraced:
                 result.record_ids
                 == plain.query(query, fetch_measures=False).record_ids
             )
+
+    @pytest.mark.parametrize("mode", ["untraced", "traced", "explain-analyze"])
+    @pytest.mark.parametrize("aggregate", [False, True])
+    def test_one_fold_and_one_charge(self, figure2_engine, monkeypatch, mode, aggregate):
+        """Every mode folds a conjunction miss in one storage call and
+        charges the same I/O as the untraced query."""
+        engine = figure2_engine
+        query = GraphQuery([("A", "B"), ("A", "C"), ("C", "E")])
+        if aggregate:
+            query = PathAggregationQuery(query, "sum")
+        assert len(engine.physical_plan(query).refs) == 3
+        calls = []
+        fold = MasterRelation.fold
+
+        def counting_fold(relation, refs, ctx=None):
+            calls.append(refs)
+            return fold(relation, refs, ctx)
+
+        monkeypatch.setattr(MasterRelation, "fold", counting_fold)
+        collector = engine.relation.collector
+
+        def charge(mode):
+            calls.clear()
+            collector.reset()
+            if mode == "explain-analyze":
+                engine.explain(query, analyze=True)
+            else:
+                engine.use_tracer(Tracer() if mode == "traced" else None)
+                engine.aggregate(query) if aggregate else engine.query(query)
+            return len(calls), collector.snapshot()
+
+        untraced = charge("untraced")
+        assert untraced[0] == 1
+        assert charge(mode) == untraced
 
 
 class TestSpanTreeWellFormed:
