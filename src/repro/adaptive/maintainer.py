@@ -33,6 +33,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..core.candidates import select_graph_views
+from ..obs import Histogram
 from .window import WorkloadWindow
 
 __all__ = ["MaintenanceReport", "ViewMaintainer"]
@@ -90,7 +91,8 @@ class ViewMaintainer:
         needs a window's worth of traffic to accumulate hits).
     registry / tracer:
         Optional :class:`~repro.obs.MetricsRegistry` (defaults to the
-        executor's) publishing ``adaptive.*`` metrics, and an optional
+        executor's) to attach to, which then exports :meth:`metrics`'
+        ``adaptive.*``, and an optional
         :class:`~repro.obs.Tracer` given ``adaptive.refresh`` /
         ``adaptive.stage`` / ``adaptive.commit`` spans.
     """
@@ -125,7 +127,6 @@ class ViewMaintainer:
         self.hit_rate_floor = hit_rate_floor
         self.grace_refreshes = grace_refreshes
         self.name_prefix = name_prefix
-        self.registry = registry if registry is not None else executor.registry
         self.tracer = tracer
         self._managed: dict[str, frozenset] = {}
         self._age: dict[str, int] = {}
@@ -136,8 +137,14 @@ class ViewMaintainer:
         self.refreshes = 0
         self.views_added = 0
         self.views_dropped = 0
+        self.errors = 0
         self.last_report: MaintenanceReport | None = None
         self.last_error: BaseException | None = None
+        self._swap_epoch = 0
+        self._seconds = Histogram()
+        registry = registry if registry is not None else executor.registry
+        if registry is not None:
+            registry.attach(self)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -169,8 +176,7 @@ class ViewMaintainer:
                 self.refresh()
             except Exception as exc:  # keep the loop alive; surface via status
                 self.last_error = exc
-                if self.registry is not None:
-                    self.registry.counter("adaptive.errors").inc()
+                self.errors += 1
 
     # -- maintenance ---------------------------------------------------------
 
@@ -280,23 +286,26 @@ class ViewMaintainer:
         self.views_added += len(report.added)
         self.views_dropped += len(report.dropped)
         self.last_report = report
-        registry = self.registry
-        if registry is not None:
-            registry.counter("adaptive.refreshes").inc()
-            if report.added:
-                registry.counter("adaptive.views_added").inc(len(report.added))
-            if report.dropped:
-                registry.counter("adaptive.views_dropped").inc(len(report.dropped))
-            registry.gauge("adaptive.managed_views").set(len(self._managed))
-            registry.gauge("adaptive.window_size").set(report.window)
-            registry.histogram("adaptive.maintenance_seconds").observe(
-                report.duration_s
-            )
-            if report.epoch is not None:
-                registry.gauge("adaptive.swap_epoch").set(report.epoch)
+        self._seconds.observe(report.duration_s)
+        if report.epoch is not None:
+            self._swap_epoch = report.epoch
         return report
 
     # -- introspection -------------------------------------------------------
+
+    def metrics(self) -> dict[str, tuple]:
+        """``{name: (type, value)}`` as an attached registry exports it."""
+        last = self.last_report
+        return {
+            "adaptive.refreshes": ("counter", self.refreshes),
+            "adaptive.views_added": ("counter", self.views_added),
+            "adaptive.views_dropped": ("counter", self.views_dropped),
+            "adaptive.errors": ("counter", self.errors),
+            "adaptive.managed_views": ("gauge", len(self._managed)),
+            "adaptive.window_size": ("gauge", last.window if last else 0),
+            "adaptive.swap_epoch": ("gauge", self._swap_epoch),
+            "adaptive.maintenance_seconds": ("histogram", self._seconds),
+        }
 
     def status(self) -> dict:
         """JSON-serializable state for ``/views`` and ``repro views``."""

@@ -46,16 +46,10 @@ class GraphView:
         self.name = name
         self.elements = elems
 
-    def __repr__(self) -> str:
-        return f"GraphView({self.name!r}, |B|={len(self.elements)})"
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphView):
             return NotImplemented
         return self.name == other.name and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.elements))
 
 
 def graph_view_supersedes(
@@ -89,7 +83,7 @@ class AggregateGraphView:
     __slots__ = ("name", "path", "function")
 
     def __init__(self, name: str, path: Path, function: str = "sum"):
-        if len(path) < 1 or (len(path) == 1 and not path.elements(frozenset())):
+        if len(path) < 1:
             raise ValueError("an aggregate view needs a path with >= 1 edge")
         self.name = name
         self.path = path
@@ -98,18 +92,6 @@ class AggregateGraphView:
 
     def __repr__(self) -> str:
         return f"AggregateGraphView({self.name!r}, {self.path!r}, {self.function})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AggregateGraphView):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.path == other.path
-            and self.function == other.function
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.path, self.function))
 
     def stored_functions(self) -> tuple[str, ...]:
         """Distributive functions actually materialized as ``mp`` columns."""

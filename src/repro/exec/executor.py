@@ -38,6 +38,7 @@ from ..core.engine import (
 from ..core.query import GraphQuery, PathAggregationQuery, QueryExpr
 from ..core.record import GraphRecord
 from ..errors import QueryCancelledError, QueryTimeoutError
+from ..obs import Histogram
 from ..resilience import CancelToken, QueryContext
 from .cache import BitmapCache
 
@@ -113,13 +114,9 @@ class QueryExecutor:
         installed on the engine and exposed as ``executor.cache``.
         ``cache_mb=0``/None leaves caching off.
     registry:
-        Optional :class:`repro.obs.MetricsRegistry`.  When set, the
-        executor publishes per-query latency histograms
-        (``exec.request_seconds`` overall, ``exec.query_seconds`` /
-        ``exec.aggregate_seconds`` by kind) plus a served-query
-        counter, and attaches the engine to the registry
-        (:meth:`GraphAnalyticsEngine.use_metrics`), which then exports the
-        engine's ``io.*`` and its cache's ``cache.*`` counts.
+        Optional :class:`repro.obs.MetricsRegistry` to attach the executor
+        and its engine to: at each export it reads :meth:`metrics` and
+        :meth:`GraphAnalyticsEngine.metrics` (``io.*``, ``cache.*``).
     default_timeout:
         Per-query deadline in seconds applied when a call does not pass
         its own ``timeout`` (None = no deadline).
@@ -150,8 +147,16 @@ class QueryExecutor:
         self.registry = registry
         self.default_timeout = default_timeout
         engine.use_bitmap_cache(self.cache)
+        # Served queries' latencies by kind; every other event a count.
+        self._query_seconds = Histogram()
+        self._aggregate_seconds = Histogram()
+        self._lock = threading.Lock()
+        self._events = dict.fromkeys(
+            ("resilience.timeouts", "resilience.cancellations", "exec.explains"), 0
+        )
         if registry is not None:
             engine.use_metrics(registry)
+            registry.attach(self)
         self._rw = _ReadWriteLock()
         self._window = None
         self._closed = False
@@ -173,10 +178,24 @@ class QueryExecutor:
 
     # -- read side -----------------------------------------------------------
 
-    def _count(self, name: str, n: float = 1) -> None:
-        registry = self.registry
-        if registry is not None:
-            registry.counter(name).inc(n)
+    def _count(self, name: str) -> None:
+        with self._lock:
+            self._events[name] += 1
+
+    def metrics(self) -> dict[str, tuple]:
+        """``{name: (type, value)}`` as an attached registry exports it.
+        ``exec.request_seconds`` merges the two kinds' latencies, and
+        ``exec.queries_served`` is its count."""
+        served = self._query_seconds.merge(self._aggregate_seconds)
+        with self._lock:
+            out = {name: ("counter", n) for name, n in self._events.items()}
+        out.update({
+            "exec.request_seconds": ("histogram", served),
+            "exec.query_seconds": ("histogram", self._query_seconds),
+            "exec.aggregate_seconds": ("histogram", self._aggregate_seconds),
+            "exec.queries_served": ("counter", served.count),
+        })
+        return out
 
     def _make_ctx(
         self, timeout: float | None, cancel: CancelToken | None
@@ -192,15 +211,16 @@ class QueryExecutor:
         self, query: AnyQuery, fetch_measures: bool, ctx: QueryContext | None,
         lock: bool = True,
     ) -> AnyResult:
-        registry = self.registry
-        start = time.perf_counter() if registry is not None else 0.0
+        start = time.perf_counter()
         try:
             if ctx is not None:
                 ctx.check()
             with self._rw.read() if lock else nullcontext():
                 if isinstance(query, PathAggregationQuery):
+                    seconds = self._aggregate_seconds
                     result = self.engine.aggregate(query, ctx=ctx)
                 else:
+                    seconds = self._query_seconds
                     result = self.engine.query(
                         query, fetch_measures=fetch_measures, ctx=ctx
                     )
@@ -210,12 +230,7 @@ class QueryExecutor:
         except QueryCancelledError:
             self._count("resilience.cancellations")
             raise
-        if registry is not None:
-            kind = "aggregate" if isinstance(query, PathAggregationQuery) else "query"
-            elapsed = time.perf_counter() - start
-            registry.histogram("exec.request_seconds").observe(elapsed)
-            registry.histogram(f"exec.{kind}_seconds").observe(elapsed)
-            registry.counter("exec.queries_served").inc()
+        seconds.observe(time.perf_counter() - start)
         if self._window is not None:
             self._observe(query, result)
         return result

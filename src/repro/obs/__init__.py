@@ -5,18 +5,16 @@ The measurement substrate for every performance claim in this repo.  The
 bitmap-conjunction, measure-materialization, and aggregation stages (the
 same breakdown the paper's Figures 6–8 argue from); :func:`explain`
 renders the chosen rewrite plan without executing it; and
-:class:`MetricsRegistry` holds the counters/gauges/histograms the serving
-layers push, and reads an attached engine's I/O and cache counts, into
-one JSON-dumpable document (``repro metrics``).
+:class:`MetricsRegistry` reads the counts that the engine, the executor,
+the daemon and the view maintainer each keep, into one JSON-dumpable
+document (``repro metrics``).
 """
 
 from .explain import explain, explain_dict, render_plan_text
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Histogram, MetricsRegistry
 from .trace import QueryTrace, Span, Tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "QueryTrace",

@@ -1,92 +1,28 @@
-"""Metrics: counters, gauges, and histograms, plus counts read at export.
+"""Metrics: counts each component keeps, exported by one registry.
 
-One :class:`MetricsRegistry` holds what the serving layers push —
-:class:`~repro.exec.QueryExecutor`'s per-query latency histograms, the
-daemon's ``serve.*`` and the maintainer's ``adaptive.*`` — and reads
-what it does not own: an attached engine
-(:meth:`GraphAnalyticsEngine.use_metrics`) reports its ``io.*`` column
-counts and its bitmap cache's ``cache.*`` traffic each time the registry
-exports.  Each event is counted once, where it happens, so a query
-makes no registry call and ``reset()`` cannot orphan a count.  A
-benchmark run (or the ``repro metrics`` CLI) dumps one JSON document
-covering every stage the paper's figures break down.
+Each event is counted once, where it happens, by the component that owns
+it: the engine its ``io.*`` column counts and its bitmap cache's
+``cache.*`` traffic, :class:`~repro.exec.QueryExecutor` its per-query
+latencies (``exec.*``, ``resilience.*``), the daemon its ``serve.*`` and
+:class:`~repro.adaptive.ViewMaintainer` its ``adaptive.*``.  Each such
+source has a ``metrics()`` method, and one :class:`MetricsRegistry`
+that the source is attached to reads it each time the registry exports,
+so serving a request makes no registry call.  A benchmark run (or the
+``repro metrics`` CLI) dumps one JSON document covering every stage the
+paper's figures break down.
 
-All metric types are thread-safe (the daemon's bridge threads push
-concurrently) and the registry's exports are deterministic: names are
-sorted and histogram summaries are computed from the retained samples,
-so two identical runs serialize identically.
+:class:`Histogram` is the one latency type; its owner preallocates it.
+The registry's exports are deterministic: names are sorted and histogram
+summaries are computed from the retained samples, so two identical runs
+serialize identically.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from bisect import insort
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-]
-
-
-class Counter:
-    """A monotonically increasing tally."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, n: float = 1) -> None:
-        if n < 0:
-            raise ValueError("counters only increase; use a Gauge")
-        with self._lock:
-            self._value += n
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "value": self.value}
-
-
-class Gauge:
-    """A value that can move both ways (bytes held, entries, epochs)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, n: float = 1) -> None:
-        with self._lock:
-            self._value += n
-
-    def dec(self, n: float = 1) -> None:
-        with self._lock:
-            self._value -= n
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "value": self.value}
+__all__ = ["Histogram", "MetricsRegistry"]
 
 
 class Histogram:
@@ -96,16 +32,15 @@ class Histogram:
     deterministically overwrite old ones round-robin, keeping summaries
     representative of the recent window while ``count``/``sum`` stay
     exact).  Percentiles use the nearest-rank method over the sorted
-    retained samples.
+    retained samples.  Thread-safe: the executor's histograms are
+    observed from every thread that serves a query.
     """
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = "", max_samples: int = 8192):
+    def __init__(self, max_samples: int = 8192):
         if max_samples < 1:
             raise ValueError("max_samples must be >= 1")
-        self.name = name
-        self.help = help
         self.max_samples = max_samples
         self._lock = threading.Lock()
         self._samples: list[float] = []
@@ -149,6 +84,20 @@ class Histogram:
         rank = max(1, -(-len(ordered) * p // 100)) if p else 1  # ceil
         return ordered[int(rank) - 1]
 
+    def merge(self, other: "Histogram") -> "Histogram":
+        """A new histogram holding this one's observations and ``other``'s:
+        counts, sums and extremes add exactly, and both sets of retained
+        samples are kept."""
+        merged = Histogram(self.max_samples + other.max_samples)
+        for part in (self, other):
+            with part._lock:
+                merged._samples += part._samples
+                merged._count += part._count
+                merged._sum += part._sum
+                merged._min = min(merged._min, part._min)
+                merged._max = max(merged._max, part._max)
+        return merged
+
     def to_dict(self) -> dict:
         with self._lock:
             count, total = self._count, self._sum
@@ -174,87 +123,44 @@ class Histogram:
         }
 
 
-_METRIC_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class MetricsRegistry:
-    """Name → metric map with get-or-create accessors.
+    """Exports what its attached sources count.
 
-    Re-requesting a name returns the existing metric; requesting an
-    existing name as a different type raises — a registry-wide schema
-    conflict is a programming error, not a runtime condition.
+    A source is any object with a ``metrics()`` method returning
+    ``{name: (type, value)}``: ``"counter"`` or ``"gauge"`` with a number,
+    or ``"histogram"`` with a :class:`Histogram`.  The registry keeps no
+    count of its own; it reads every source at each export.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        self._names: list[str] = []  # kept sorted for deterministic export
-        self._sources: dict = {}  # attached engines, used as an ordered set
-
-    def _get_or_create(self, name: str, kind: str, help: str, **kwargs):
-        metric = self._metrics.get(name)  # lock-free hit: dict reads are atomic
-        if metric is not None and metric.kind == kind:
-            return metric
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = _METRIC_TYPES[kind](name, help, **kwargs)
-                self._metrics[name] = metric
-                insort(self._names, name)
-            elif metric.kind != kind:
-                raise TypeError(
-                    f"metric {name!r} is a {metric.kind}, requested {kind}"
-                )
-            return metric
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(name, "counter", help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(name, "gauge", help)
-
-    def histogram(
-        self, name: str, help: str = "", max_samples: int = 8192
-    ) -> Histogram:
-        return self._get_or_create(
-            name, "histogram", help, max_samples=max_samples
-        )
-
-    def get(self, name: str) -> Counter | Gauge | Histogram | None:
-        with self._lock:
-            return self._metrics.get(name)
-
-    def names(self) -> list[str]:
-        with self._lock:
-            return list(self._names)
+        self._sources: dict = {}  # attached sources, used as an ordered set
 
     def attach(self, source) -> None:
-        """Export ``source.metrics()`` — ``{name: (type, value)}``, read at
-        each export — with this registry's own metrics.  Attaching a
-        source again changes nothing; :meth:`reset` keeps it attached."""
+        """Export ``source.metrics()`` at each export; attaching a source
+        again changes nothing."""
         with self._lock:
             self._sources[source] = None
-
-    def reset(self) -> None:
-        """Drop every registered metric (tests and benchmark phases)."""
-        with self._lock:
-            self._metrics.clear()
-            self._names.clear()
 
     # -- export ---------------------------------------------------------------
 
     def to_dict(self) -> dict:
         """Deterministic JSON-ready dump: ``{name: {type, ...}}`` sorted.
-        Attached sources are read now; a name several report is summed."""
+        Attached sources are read now; a name several report is summed,
+        or merged for a histogram."""
         with self._lock:
-            items = [(name, self._metrics[name]) for name in self._names]
             sources = list(self._sources)
-        out = {name: metric.to_dict() for name, metric in items}
+        merged: dict[str, tuple] = {}
         for source in sources:
             for name, (kind, value) in source.metrics().items():
-                entry = out.setdefault(name, {"type": kind, "value": 0.0})
-                entry["value"] += value
-        return dict(sorted(out.items()))
+                prior = merged.get(name)
+                if prior is not None:
+                    value = prior[1].merge(value) if kind == "histogram" else prior[1] + value
+                merged[name] = (kind, value)
+        return {
+            name: value.to_dict() if kind == "histogram" else {"type": kind, "value": value}
+            for name, (kind, value) in sorted(merged.items())
+        }
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

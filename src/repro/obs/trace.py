@@ -24,7 +24,6 @@ import json
 import threading
 import time
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = ["Span", "QueryTrace", "Tracer"]
@@ -127,6 +126,37 @@ class _ThreadState(threading.local):
         self.stack: list[Span] = []
 
 
+class _OpenSpan:
+    """:meth:`Tracer.span`'s context manager: entering starts the span on
+    this thread's stack, leaving ends it and publishes a root span."""
+
+    __slots__ = ("_tracer", "_name", "_meta", "_span", "_stack")
+
+    def __init__(self, tracer: "Tracer", name: str, meta: dict):
+        self._tracer = tracer
+        self._name = name
+        self._meta = meta
+
+    def __enter__(self) -> Span:
+        tracer = self._tracer
+        stack = self._stack = tracer._state.stack
+        span = self._span = Span(name=self._name, start_ns=tracer._clock())
+        for key, value in self._meta.items():
+            span.meta[key] = str(value)
+        if stack:
+            stack[-1].children.append(span)
+        stack.append(span)
+        return span
+
+    def __exit__(self, *exc_info) -> None:
+        stack = self._stack
+        stack.pop()
+        span = self._span
+        span.end_ns = self._tracer._clock()
+        if not stack:
+            self._tracer._publish(span)
+
+
 class Tracer:
     """Collects per-query span trees.
 
@@ -151,27 +181,13 @@ class Tracer:
 
     # -- span construction ----------------------------------------------------
 
-    @contextmanager
-    def span(self, name: str, **meta: str) -> Iterator[Span]:
+    def span(self, name: str, **meta: str) -> "_OpenSpan":
         """Open a nested span; a root span becomes a :class:`QueryTrace`.
 
         Root spans may carry ``query=...`` / ``epoch=...`` metadata, which
         is lifted onto the trace.
         """
-        stack = self._state.stack
-        span = Span(name=name, start_ns=self._clock())
-        for key, value in meta.items():
-            span.meta[key] = str(value)
-        if stack:
-            stack[-1].children.append(span)
-        stack.append(span)
-        try:
-            yield span
-        finally:
-            stack.pop()
-            span.end_ns = self._clock()
-            if not stack:
-                self._publish(span)
+        return _OpenSpan(self, name, meta)
 
     def add(self, counter: str, n: float = 1) -> None:
         """Increment a counter on the current (innermost open) span."""

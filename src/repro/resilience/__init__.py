@@ -13,8 +13,8 @@ The governance layer between the executor and the storage backend:
   from, rejecting with :class:`~repro.errors.AdmissionRejectedError` after
   a bounded wait.
 
-The executor publishes timeouts and cancellations as ``resilience.*``
-counters into an attached :class:`repro.obs.MetricsRegistry`.
+The executor counts timeouts and cancellations, and an attached
+:class:`repro.obs.MetricsRegistry` exports them as ``resilience.*``.
 """
 
 from .admission import AdmissionController, AdmissionStats

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from ..core import PathAggregationQuery
 from ..errors import AdmissionRejectedError, ReproError
 from ..lang import try_unparse
-from ..obs import MetricsRegistry
+from ..obs import Histogram, MetricsRegistry
 from ..resilience import CancelToken, QueryContext
 from . import codec
 from .codec import WireError, dumps, error_payload
@@ -87,10 +87,6 @@ class _ConnState:
         self.busy = False
 
 
-def _route_metric(path: str) -> str:
-    return path.strip("/").replace("/", "_") or "root"
-
-
 class ReproServer:
     """One daemon over one executor.
 
@@ -102,6 +98,11 @@ class ReproServer:
     :class:`~repro.adaptive.ViewMaintainer`: its background loop starts
     and stops with the server, and ``GET /views`` reports its status
     alongside the materialized view catalog.
+
+    The daemon counts its ``serve.*`` events itself, in plain ints and one
+    latency :class:`~repro.obs.Histogram` per route, all touched only on
+    the event loop's thread; its registry reads them through
+    :meth:`metrics`.
     """
 
     def __init__(
@@ -118,6 +119,7 @@ class ReproServer:
         if self.registry is None:
             self.registry = MetricsRegistry()
             executor.engine.use_metrics(self.registry)
+        self.registry.attach(self)
         self.gate = gate or TenantGate()
         self.config = config or ServeConfig()
         self._server: asyncio.Server | None = None
@@ -128,6 +130,37 @@ class ReproServer:
         self._conns: dict[asyncio.Task, _ConnState] = {}
         self._closing = False
         self._inflight = 0
+        self._requests = 0
+        self._loop_answers = 0
+        self._rejects = 0
+        self._errors = 0
+        self._internal_errors = 0
+        self._protocol_errors = 0
+        self._stream_truncated = 0
+        self._bytes_sent = 0
+        self._bytes_streamed = 0
+        self._records_appended = 0
+        self._route_seconds = {path: Histogram() for path in self._ROUTES}
+
+    def metrics(self) -> dict[str, tuple]:
+        """``{name: (type, value)}`` as an attached registry exports it."""
+        out = {
+            "serve.connections": ("gauge", len(self._conns)),
+            "serve.inflight": ("gauge", self._inflight),
+            "serve.requests": ("counter", self._requests),
+            "serve.loop_answers": ("counter", self._loop_answers),
+            "serve.rejects": ("counter", self._rejects),
+            "serve.errors": ("counter", self._errors),
+            "serve.internal_errors": ("counter", self._internal_errors),
+            "serve.protocol_errors": ("counter", self._protocol_errors),
+            "serve.stream_truncated": ("counter", self._stream_truncated),
+            "serve.bytes_sent": ("counter", self._bytes_sent),
+            "serve.bytes_streamed": ("counter", self._bytes_streamed),
+            "serve.records_appended": ("counter", self._records_appended),
+        }
+        for path, seconds in self._route_seconds.items():
+            out[f"serve.{path[1:]}_seconds"] = ("histogram", seconds)
+        return out
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -182,16 +215,14 @@ class ReproServer:
         task = asyncio.ensure_future(self._serve_connection(reader, writer))
         state = _ConnState(writer)
         self._conns[task] = state
-        self.registry.gauge("serve.connections").inc()
         task.add_done_callback(self._on_connection_done)
 
     def _on_connection_done(self, task: asyncio.Task) -> None:
         self._conns.pop(task, None)
-        self.registry.gauge("serve.connections").dec()
         with contextlib.suppress(asyncio.CancelledError):
             exc = task.exception()
             if exc is not None:  # handler swallows everything; belt+braces
-                self.registry.counter("serve.internal_errors").inc()
+                self._internal_errors += 1
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -226,7 +257,7 @@ class ReproServer:
     async def _send_protocol_error(
         self, writer: asyncio.StreamWriter, exc: ProtocolError
     ) -> None:
-        self.registry.counter("serve.protocol_errors").inc()
+        self._protocol_errors += 1
         body = dumps(
             {"error": {"code": exc.code, "message": str(exc), "exit_code": 2}}
         ).encode()
@@ -256,8 +287,7 @@ class ReproServer:
         writer: asyncio.StreamWriter,
     ) -> bool:
         """Answer one request; returns whether to keep the connection."""
-        registry = self.registry
-        registry.counter("serve.requests").inc()
+        self._requests += 1
         if self._closing:
             return await self._send_error(
                 writer, request, 503, "shutting-down", "server is draining"
@@ -276,7 +306,8 @@ class ReproServer:
                 f"{request.path} accepts {'/'.join(allowed)}",
                 extra_headers={"Allow": ", ".join(allowed)},
             )
-        registry.gauge("serve.inflight").inc()
+        seconds = self._route_seconds[request.path]
+        self._inflight += 1
         start = time.perf_counter()
         try:
             if request.path == "/healthz":
@@ -302,14 +333,12 @@ class ReproServer:
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # pragma: no cover - last-ditch guard
-            registry.counter("serve.internal_errors").inc()
+            self._internal_errors += 1
             status, body = error_payload(exc)
             return await self._send_json(writer, request, status, body)
         finally:
-            registry.gauge("serve.inflight").dec()
-            registry.histogram(
-                f"serve.{_route_metric(request.path)}_seconds"
-            ).observe(time.perf_counter() - start)
+            self._inflight -= 1
+            seconds.observe(time.perf_counter() - start)
 
     def _classify(self, exc: Exception) -> tuple[int, dict]:
         if isinstance(exc, BadTenantError):
@@ -317,7 +346,7 @@ class ReproServer:
                 "error": {"code": "bad-tenant", "message": str(exc), "exit_code": 2}
             }
         if isinstance(exc, AdmissionRejectedError):
-            self.registry.counter("serve.rejects").inc()
+            self._rejects += 1
         status, body = error_payload(exc)
         return status, body
 
@@ -333,7 +362,7 @@ class ReproServer:
         extra_headers: dict[str, str] | None = None,
     ) -> bool:
         if status >= 400:
-            self.registry.counter("serve.errors").inc()
+            self._errors += 1
         body = dumps(payload).encode() if isinstance(payload, dict) else payload
         keep = request.keep_alive and status < 500
         head_only = request.method == "HEAD"
@@ -350,7 +379,7 @@ class ReproServer:
         )
         writer.write(response)
         await writer.drain()
-        self.registry.counter("serve.bytes_sent").inc(0 if head_only else len(body))
+        self._bytes_sent += 0 if head_only else len(body)
         return keep
 
     async def _send_error(
@@ -511,7 +540,7 @@ class ReproServer:
                 )
             keep = request.keep_alive
             if result is not None:
-                self.registry.counter("serve.loop_answers").inc()
+                self._loop_answers += 1
             else:
                 ctx.token = CancelToken()
                 probed, watcher = permit, self._watch_disconnect(reader, ctx.token)
@@ -562,7 +591,6 @@ class ReproServer:
         response instead of a 200.
         """
         chunked = ChunkedWriter(writer, keep_alive=keep_alive)
-        registry = self.registry
         pending, size = [header], len(header)
         try:
             for block in blocks:
@@ -580,14 +608,14 @@ class ReproServer:
             if not (typed or chunked.started):
                 raise
             if not typed:
-                registry.counter("serve.internal_errors").inc()
-            registry.counter("serve.stream_truncated").inc()
+                self._internal_errors += 1
+            self._stream_truncated += 1
             pending.append((dumps(self._classify(exc)[1]) + "\n").encode())
             with contextlib.suppress(ConnectionError, OSError):
                 await chunked.send(b"".join(pending), last=True)
             keep_alive = False
         finally:
-            registry.counter("serve.bytes_streamed").inc(chunked.bytes_sent)
+            self._bytes_streamed += chunked.bytes_sent
         return keep_alive
 
     _EXPLAIN_FIELDS = ("q", "elements", "function", "analyze", "fmt", "tenant")
@@ -641,7 +669,7 @@ class ReproServer:
                 return self.executor.append_records(records)
 
         appended = await self._in_engine(work)
-        self.registry.counter("serve.records_appended").inc(appended)
+        self._records_appended += appended
         return await self._send_json(
             writer,
             request,

@@ -155,6 +155,24 @@ class TestExecutorWiring:
             assert first == WindowEntry(AB_BC, ())
             assert second == WindowEntry(AB_BC, (name,))
 
+    def test_window_observes_each_atom_of_a_boolean_query(self):
+        """A boolean expression has no one plan: each of its atoms is
+        recorded, with no views, even when a view covers the atom."""
+        engine = GraphAnalyticsEngine()
+        engine.load_records(small_records())
+        with QueryExecutor(engine) as executor:
+            executor.commit_view_swap(
+                adds=[(None, *executor.stage_view(AB_BC.elements))]
+            )
+            window = WorkloadWindow()
+            executor.attach_window(window)
+            executor.run_one(AB_BC & AB_CD, fetch_measures=False)
+            executor.run_one(AB_BC | AB_CD, fetch_measures=False)
+            assert window.snapshot() == [
+                WindowEntry(AB_BC, ()), WindowEntry(AB_CD, ()),
+                WindowEntry(AB_BC, ()), WindowEntry(AB_CD, ()),
+            ]
+
     def test_swap_bumps_epoch_and_invalidates_cache(self):
         engine = GraphAnalyticsEngine()
         engine.load_records(small_records())
@@ -344,9 +362,8 @@ class TestViewMaintainer:
             maintainer.stop()  # idempotent
 
     def test_loop_survives_refresh_errors(self):
-        engine, executor, maintainer = self.make(interval_s=0.01)
         registry = MetricsRegistry()
-        maintainer.registry = registry
+        engine, executor, maintainer = self.make(interval_s=0.01, registry=registry)
         boom = RuntimeError("boom")
 
         original = maintainer.refresh
@@ -367,7 +384,7 @@ class TestViewMaintainer:
         executor.close()
         assert len(calls) >= 2
         assert maintainer.last_error is boom
-        assert registry.counter("adaptive.errors").value == 1
+        assert registry.to_dict()["adaptive.errors"]["value"] == 1
         assert maintainer.status()["last_error"] == repr(boom)
 
     def test_forgets_externally_dropped_views(self):
@@ -395,6 +412,24 @@ class TestViewMaintainer:
             assert dump["adaptive.managed_views"]["value"] == 2
             assert dump["adaptive.swap_epoch"]["value"] == engine.epoch
             assert dump["adaptive.maintenance_seconds"]["count"] == 1
+
+    def test_decayed_drop_is_exported(self):
+        registry = MetricsRegistry()
+        engine, executor, maintainer = self.make(
+            window=WorkloadWindow(16), registry=registry
+        )
+        with executor:
+            run_workload(executor, [AB_CD], repeat=8)
+            maintainer.refresh()
+            run_workload(executor, [AB_BC], repeat=16)
+            report = maintainer.refresh()
+            dump = registry.to_dict()
+        assert len(report.dropped) == 1
+        assert dump["adaptive.views_dropped"] == {"type": "counter", "value": 1}
+        assert dump["adaptive.views_added"]["value"] == 2
+        assert dump["adaptive.refreshes"]["value"] == 2
+        assert dump["adaptive.managed_views"]["value"] == 1
+        assert dump["adaptive.window_size"]["value"] == 16
 
     def test_status_shape(self):
         engine, executor, maintainer = self.make()

@@ -465,7 +465,7 @@ class TestMetricsConsistency:
             stats.cache_hits,
             stats.cache_misses,
         )
-        assert registry.get("exec.queries_served").value == len(
+        assert registry.to_dict()["exec.queries_served"]["value"] == len(
             graph_queries
         ) + len(agg_queries)
 

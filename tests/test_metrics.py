@@ -1,4 +1,5 @@
-"""MetricsRegistry: metric semantics, deterministic export, publishers."""
+"""MetricsRegistry: histograms, deterministic export, the counts each
+source keeps, and the daemon's export pinned name by name."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adaptive import ViewMaintainer
 from repro.core import (
     GraphAnalyticsEngine,
     GraphQuery,
@@ -18,46 +20,41 @@ from repro.core import (
     PathAggregationQuery,
 )
 from repro.exec import BitmapCache, QueryExecutor
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Histogram, MetricsRegistry
+from repro.resilience import AdmissionController
+from repro.serve import ServeClient, ServeHTTPError, start_in_thread
+from repro.serve.tenants import TenantGate, TenantPolicy
 
 
 class TestCounter:
-    def test_monotonic(self):
-        c = Counter("n")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        with pytest.raises(ValueError):
-            c.inc(-1)
+    """A count kept by its owner loses no update under concurrency."""
 
     def test_concurrent_increments_all_land(self):
-        c = Counter("n")
+        """8 threads x 200 ``run_one`` on one executor: every served query
+        is in ``exec.request_seconds`` and ``exec.queries_served``."""
+        engine = _tiny_engine()
+        reg = MetricsRegistry()
+        query = GraphQuery([("a", "b")])
+        with QueryExecutor(engine, registry=reg) as ex:
 
-        def bump():
-            for _ in range(1000):
-                c.inc()
+            def serve():
+                for _ in range(200):
+                    ex.run_one(query, fetch_measures=False)
 
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert c.value == 4000
-
-
-class TestGauge:
-    def test_moves_both_ways(self):
-        g = Gauge("g")
-        g.set(10)
-        g.inc(5)
-        g.dec(3)
-        assert g.value == 12
-        assert g.to_dict() == {"type": "gauge", "value": 12.0}
+            threads = [threading.Thread(target=serve) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        dump = reg.to_dict()
+        assert dump["exec.request_seconds"]["count"] == 1600
+        assert dump["exec.query_seconds"]["count"] == 1600
+        assert dump["exec.queries_served"] == {"type": "counter", "value": 1600}
 
 
 class TestHistogram:
     def test_summary_fields(self):
-        h = Histogram("h")
+        h = Histogram()
         for v in [1, 2, 3, 4, 5]:
             h.observe(v)
         payload = h.to_dict()
@@ -69,18 +66,18 @@ class TestHistogram:
         assert payload["p99"] == 5
 
     def test_empty(self):
-        assert Histogram("h").to_dict() == {"type": "histogram", "count": 0}
-        assert math.isnan(Histogram("h").percentile(50))
+        assert Histogram().to_dict() == {"type": "histogram", "count": 0}
+        assert math.isnan(Histogram().percentile(50))
 
     def test_percentile_bounds(self):
-        h = Histogram("h")
+        h = Histogram()
         h.observe(1)
         with pytest.raises(ValueError):
             h.percentile(101)
         assert h.percentile(0) == 1
 
     def test_count_stays_exact_past_sample_cap(self):
-        h = Histogram("h", max_samples=8)
+        h = Histogram(max_samples=8)
         for v in range(100):
             h.observe(v)
         assert h.count == 100
@@ -90,12 +87,28 @@ class TestHistogram:
 
     def test_invalid_max_samples(self):
         with pytest.raises(ValueError):
-            Histogram("h", max_samples=0)
+            Histogram(max_samples=0)
+
+    def test_merge_adds_exactly(self):
+        first, second = Histogram(max_samples=4), Histogram()
+        for v in range(10):
+            first.observe(v)
+        second.observe(-1)
+        second.observe(20)
+        merged = first.merge(second)
+        payload = merged.to_dict()
+        assert (payload["count"], payload["sum"]) == (12, sum(range(10)) + 19)
+        assert (payload["min"], payload["max"]) == (-1, 20)
+        assert sorted(merged._samples) == [-1, 6, 7, 8, 9, 20]
+        assert first.count == 10 and second.count == 2  # the parts unchanged
+        assert Histogram().merge(Histogram()).to_dict() == {
+            "type": "histogram", "count": 0,
+        }
 
     @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=200))
     @settings(max_examples=40, deadline=None)
     def test_percentiles_are_order_statistics(self, values):
-        h = Histogram("h")
+        h = Histogram()
         for v in values:
             h.observe(v)
         ordered = sorted(values)
@@ -104,44 +117,61 @@ class TestHistogram:
         assert h.percentile(50) in ordered
 
 
+class _Source:
+    def __init__(self, **metrics):
+        self._metrics = metrics
+
+    def metrics(self):
+        return self._metrics
+
+
+def _histogram(*values):
+    h = Histogram()
+    for v in values:
+        h.observe(v)
+    return h
+
+
 class TestRegistry:
-    def test_get_or_create_returns_same_metric(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.get("a") is not None
-        assert reg.get("missing") is None
-
-    def test_kind_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("a")
-        with pytest.raises(TypeError):
-            reg.gauge("a")
-
     def test_export_is_sorted_and_deterministic(self):
         reg = MetricsRegistry()
-        reg.counter("z.last").inc(1)
-        reg.gauge("a.first").set(2)
-        reg.histogram("m.mid").observe(3)
-        assert reg.names() == ["a.first", "m.mid", "z.last"]
+        reg.attach(_Source(**{
+            "z.last": ("counter", 1),
+            "a.first": ("gauge", 2),
+            "m.mid": ("histogram", _histogram(3)),
+        }))
         assert list(reg.to_dict()) == ["a.first", "m.mid", "z.last"]
         assert reg.to_json() == reg.to_json()
         parsed = json.loads(reg.to_json())
-        assert parsed["z.last"]["value"] == 1
+        assert parsed["z.last"] == {"type": "counter", "value": 1}
+        assert parsed["m.mid"]["count"] == 1
 
     def test_render_empty_and_populated(self):
         reg = MetricsRegistry()
         assert reg.render() == "(no metrics recorded)"
-        reg.counter("a").inc(2)
-        reg.histogram("h").observe(0.5)
+        reg.attach(_Source(**{
+            "a": ("counter", 2), "h": ("histogram", _histogram(0.5)),
+        }))
         text = reg.render()
         assert "a" in text and "counter" in text
         assert "count=1" in text
 
-    def test_reset(self):
+    def test_two_sources_sum_counts_and_merge_histograms(self):
+        """Two executors on one registry, as the benchmark's replay
+        attaches them: one name, both sources' events."""
+        engine = _tiny_engine()
         reg = MetricsRegistry()
-        reg.counter("a").inc()
-        reg.reset()
-        assert reg.names() == []
+        first = QueryExecutor(engine, registry=reg)
+        second = QueryExecutor(engine, registry=reg)
+        first.run_one(GraphQuery([("a", "b")]))
+        second.run_one(GraphQuery([("a", "b")]))
+        second.run_one(GraphQuery([("b", "c")]))
+        dump = reg.to_dict()
+        assert dump["exec.queries_served"]["value"] == 3
+        assert dump["exec.request_seconds"]["count"] == 3
+        assert dump["exec.request_seconds"]["sum"] == pytest.approx(
+            sum(ex.metrics()["exec.request_seconds"][1].sum for ex in (first, second))
+        )
 
 
 def _tiny_engine() -> GraphAnalyticsEngine:
@@ -156,8 +186,8 @@ def _tiny_engine() -> GraphAnalyticsEngine:
 
 
 class TestPublishers:
-    """The registry reads an attached engine's own counts at export; the
-    executor pushes its latency histograms."""
+    """The registry reads an attached engine's and executor's own counts
+    at export."""
 
     def test_collector_mirrors_into_registry(self):
         engine = _tiny_engine()
@@ -210,11 +240,12 @@ class TestPublishers:
                 [GraphQuery([("a", "b")]), GraphQuery([("b", "c")])],
                 fetch_measures=False,
             )
-        assert reg.get("exec.queries_served").value == 2
-        assert reg.get("exec.request_seconds").count == 2
-        assert reg.get("exec.query_seconds").count == 2
-        # the executor attached the engine, so its counts are exported
         dump = reg.to_dict()
+        assert dump["exec.queries_served"]["value"] == 2
+        assert dump["exec.request_seconds"]["count"] == 2
+        assert dump["exec.query_seconds"]["count"] == 2
+        assert dump["exec.aggregate_seconds"] == {"type": "histogram", "count": 0}
+        # the executor attached the engine, so its counts are exported
         assert dump["io.bitmap_columns_fetched"]["value"] > 0
         assert dump["cache.misses"]["value"] > 0
 
@@ -230,11 +261,9 @@ class TestPublishers:
         engine.use_metrics(MetricsRegistry())
         calls = []
         for cls, name in [
-            (MetricsRegistry, "counter"),
-            (MetricsRegistry, "gauge"),
-            (MetricsRegistry, "histogram"),
-            (Counter, "inc"),
-            (Gauge, "set"),
+            (MetricsRegistry, "attach"),
+            (MetricsRegistry, "to_dict"),
+            (Histogram, "observe"),
         ]:
             original = getattr(cls, name)
 
@@ -249,7 +278,7 @@ class TestPublishers:
         engine.aggregate(PathAggregationQuery(query, "sum"))
         assert calls == []
 
-    def test_pulled_counts_survive_registry_reset(self):
+    def test_pulled_counts_match_the_engine(self):
         engine = _tiny_engine()
         cache = BitmapCache(4 << 20)
         engine.use_bitmap_cache(cache)
@@ -258,7 +287,6 @@ class TestPublishers:
         engine.use_metrics(reg)  # attaching again changes nothing
         query = GraphQuery([("a", "b"), ("b", "c")])
         engine.query(query)
-        reg.reset()
         engine.query(query)
         engine.aggregate(PathAggregationQuery(query, "sum"))
         dump = reg.to_dict()
@@ -290,3 +318,129 @@ class TestPublishers:
         assert reg.to_dict()["io.bitmap_columns_fetched"]["value"] == (
             first.stats.bitmap_columns_fetched
         )
+
+
+# The daemon's export after ``TestDaemonExport``'s request script: every
+# name with its type and its value (a histogram: its count).  The names
+# marked 0 were first exported from zero when each component began
+# keeping its own counts; every other entry reads the same as when the
+# components pushed by name into the registry.
+PINNED_EXPORT = {
+    "adaptive.errors": ("counter", 0),
+    "adaptive.maintenance_seconds": ("histogram", 1),
+    "adaptive.managed_views": ("gauge", 2),
+    "adaptive.refreshes": ("counter", 1),
+    "adaptive.swap_epoch": ("gauge", 4),
+    "adaptive.views_added": ("counter", 2),
+    "adaptive.views_dropped": ("counter", 0),
+    "adaptive.window_size": ("gauge", 7),
+    "cache.bytes_held": ("gauge", 8),
+    "cache.entries": ("gauge", 1),
+    "cache.evictions": ("counter", 0),
+    "cache.hits": ("counter", 5),
+    "cache.invalidations": ("counter", 2),
+    "cache.misses": ("counter", 3),
+    "exec.aggregate_seconds": ("histogram", 1),
+    "exec.explains": ("counter", 0),
+    "exec.queries_served": ("counter", 8),
+    "exec.query_seconds": ("histogram", 7),
+    "exec.request_seconds": ("histogram", 8),
+    "io.bitmap_bytes_fetched": ("counter", 40),
+    "io.bitmap_columns_fetched": ("counter", 4),
+    "io.cache_evictions": ("counter", 0),
+    "io.cache_hits": ("counter", 5),
+    "io.cache_misses": ("counter", 3),
+    "io.measure_columns_fetched": ("counter", 16),
+    "io.measure_values_fetched": ("counter", 650),
+    "io.partitions_joined": ("counter", 0),
+    "io.view_bitmaps_fetched": ("counter", 1),
+    "io.view_measure_columns_fetched": ("counter", 0),
+    "resilience.cancellations": ("counter", 0),
+    "resilience.timeouts": ("counter", 1),
+    "serve.aggregate_seconds": ("histogram", 1),
+    "serve.append_seconds": ("histogram", 1),
+    "serve.bytes_sent": ("counter", 326),
+    "serve.bytes_streamed": ("counter", 10053),
+    "serve.connections": ("gauge", 1),
+    "serve.errors": ("counter", 3),
+    "serve.explain_seconds": ("histogram", 0),
+    "serve.healthz_seconds": ("histogram", 0),
+    "serve.inflight": ("gauge", 1),
+    "serve.internal_errors": ("counter", 0),
+    "serve.loop_answers": ("counter", 8),
+    "serve.materialize_seconds": ("histogram", 0),
+    "serve.metrics_seconds": ("histogram", 0),
+    "serve.protocol_errors": ("counter", 0),
+    "serve.query_seconds": ("histogram", 9),
+    "serve.records_appended": ("counter", 5),
+    "serve.rejects": ("counter", 1),
+    "serve.requests": ("counter", 13),
+    "serve.stream_truncated": ("counter", 0),
+    "serve.views_seconds": ("histogram", 0),
+}
+
+
+def _daemon_records(n, offset=0):
+    return [
+        GraphRecord(
+            f"r{offset + i:04d}",
+            {("a", "b"): float(offset + i), ("b", "c"): 2.0, ("c", "d"): 0.5},
+        )
+        for i in range(n)
+    ]
+
+
+class TestDaemonExport:
+    def test_export_matches_the_pinned_map(self):
+        """A governed daemon with a view maintainer answers a deadline
+        504, seven reads and one aggregate, a 404, a 429, an ``/append``,
+        a refresh and one more read; its ``/metrics`` then reads
+        :data:`PINNED_EXPORT` exactly."""
+        engine = GraphAnalyticsEngine()
+        engine.load_records(_daemon_records(40))
+        registry = MetricsRegistry()
+        executor = QueryExecutor(engine, cache_mb=4, registry=registry)
+        maintainer = ViewMaintainer(executor, budget=2, interval_s=3600, min_window=4)
+        gate = TenantGate(
+            shared=AdmissionController(max_inflight=1),
+            policy=TenantPolicy(max_inflight=4),
+        )
+        handle = start_in_thread(
+            executor, registry=registry, gate=gate, maintainer=maintainer
+        )
+        statuses = []
+        try:
+            with ServeClient(*handle.address) as client:
+                with pytest.raises(ServeHTTPError) as info:
+                    client.query({"q": "a -> b -> c", "timeout_ms": 1e-6})
+                statuses.append(info.value.status)
+                for _ in range(3):
+                    client.query({"q": "a -> b -> c"})
+                    client.query({"q": "b -> c -> d"})
+                client.aggregate({"q": "SUM a -> b -> c"})
+                statuses.append(client.request("GET", "/nope").status)
+                assert gate.shared.try_admit()  # the one shared slot: taken
+                try:
+                    with pytest.raises(ServeHTTPError) as info:
+                        client.query({"q": "a -> b"})
+                    statuses.append(info.value.status)
+                finally:
+                    gate.shared.release()
+                appended = _daemon_records(5, offset=100)
+                client.append([
+                    {"id": r.record_id,
+                     "measures": [[u, v, x] for (u, v), x in r.measures().items()]}
+                    for r in appended
+                ])
+                maintainer.refresh()
+                client.query({"q": "a -> b -> c"})
+                dump = client.metrics()
+        finally:
+            handle.stop()
+            executor.close()
+        assert statuses == [504, 404, 429]
+        read = {
+            name: (entry["type"], entry["count" if entry["type"] == "histogram" else "value"])
+            for name, entry in dump.items()
+        }
+        assert read == PINNED_EXPORT

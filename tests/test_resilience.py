@@ -280,7 +280,7 @@ class TestDeadlinesAndCancellation:
         with QueryExecutor(engine, registry=registry) as executor:
             with pytest.raises(QueryTimeoutError):
                 executor.run_one(QUERY, timeout=1e-9)
-        assert registry.counter("resilience.timeouts").value == 1
+        assert registry.to_dict()["resilience.timeouts"]["value"] == 1
 
 
 class TestBatchErrorIsolation:

@@ -172,7 +172,7 @@ class TestWriterLock:
             assert held.holding.wait(5), "the append never took the lock"
             reader.start()
             deadline = time.monotonic() + 5
-            while registry.counter("serve.requests").value < 2:
+            while registry.to_dict()["serve.requests"]["value"] < 2:
                 assert time.monotonic() < deadline, "the read never reached the daemon"
                 time.sleep(0.005)
             with ServeClient(*handle.address) as client:
@@ -183,10 +183,10 @@ class TestWriterLock:
             appender.join(10)
             (read,) = [a for a in answers if not isinstance(a, dict)]
             assert len(read.record_ids) in (N_RECORDS, N_RECORDS + 10)
-            assert registry.counter("serve.loop_answers").value == 0
+            assert registry.to_dict()["serve.loop_answers"]["value"] == 0
             with ServeClient(*handle.address) as client:
                 assert len(client.query({"q": "a -> b"}).record_ids) == N_RECORDS + 10
-            assert registry.counter("serve.loop_answers").value == 1
+            assert registry.to_dict()["serve.loop_answers"]["value"] == 1
         finally:
             held.release.set()
             handle.stop()

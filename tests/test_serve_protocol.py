@@ -108,7 +108,7 @@ def assert_no_leaks(handle, registry, gate):
     assert _settles_to_zero(gate.inflight) == 0, "leaked admission permits"
     assert (
         _settles_to_zero(
-            lambda: registry.gauge("serve.inflight").to_dict()["value"]
+            lambda: registry.to_dict()["serve.inflight"]["value"]
         )
         == 0
     ), "leaked serve.inflight gauge"
@@ -269,10 +269,10 @@ def test_failed_probe_is_admitted_after_the_bridge_wait():
         gate.shared.release()
         reader.join(10)
         assert len(answers[0].record_ids) == 12
-        assert registry.counter("serve.loop_answers").value == 0
+        assert registry.to_dict()["serve.loop_answers"]["value"] == 0
         assert gate.stats()["shared"]["rejected"] == 0
         assert_no_leaks(handle, registry, gate)
-        assert registry.counter("serve.loop_answers").value == 1
+        assert registry.to_dict()["serve.loop_answers"]["value"] == 1
 
 
 def test_loop_answered_requests_create_no_tasks():
@@ -293,7 +293,7 @@ def test_loop_answered_requests_create_no_tasks():
             before = len(created)
             for _ in range(200):
                 assert len(client.query({"q": "a -> b"}).record_ids) == 12
-        assert registry.counter("serve.loop_answers").value == 201
+        assert registry.to_dict()["serve.loop_answers"]["value"] == 201
         assert len(created) == before, f"{len(created) - before} tasks for 200 requests"
 
 
@@ -316,7 +316,7 @@ def test_client_reads_a_response_in_few_recv_calls(monkeypatch):
                 monkeypatch.setattr(socket.socket, name, counted)
             assert len(client.query({"q": "a -> b"}).record_ids) == 12
             monkeypatch.undo()
-        assert registry.counter("serve.loop_answers").value == 2
+        assert registry.to_dict()["serve.loop_answers"]["value"] == 2
     assert 0 < len(reads) < 10, f"{len(reads)} socket reads for one response"
 
 

@@ -212,7 +212,7 @@ def test_stalled_reader_backpressures_then_disconnect_releases_the_permit():
         sock.close()
         assert _settles_to_zero(gate.inflight, timeout=5.0) == 0, "leaked permit"
         assert (
-            _settles_to_zero(lambda: registry.gauge("serve.inflight").to_dict()["value"])
+            _settles_to_zero(lambda: registry.to_dict()["serve.inflight"]["value"])
             == 0
         ), "leaked serve.inflight gauge"
         with ServeClient(*handle.address) as client:

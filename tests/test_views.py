@@ -107,6 +107,11 @@ class TestAggregateGraphView:
         view = AggregateGraphView("av", Path.closed("A", "B", "C"), "avg")
         assert view.stored_functions() == ("sum", "count")
 
+    def test_single_node_path_rejected(self):
+        for path in (Path.node("A"), Path.open("A")):
+            with pytest.raises(ValueError, match=">= 1 edge"):
+                AggregateGraphView("av", path, "sum")
+
     def test_unknown_function_rejected(self):
         with pytest.raises(KeyError):
             AggregateGraphView("av", Path.closed("A", "B"), "median")
